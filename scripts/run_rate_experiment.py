@@ -16,7 +16,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from hmmbandits import fit_rate, load_config, run_experiment  # noqa: E402
+from hmmbandits import fit_rate, load_config, read_summaries, run_experiment  # noqa: E402
+from hmmbandits.errors import InsufficientData  # noqa: E402
 
 
 def main() -> int:
@@ -46,22 +47,12 @@ def main() -> int:
     if code != 0:
         return code
 
-    by_policy: dict = {}
-    summary = Path(config.run.out) / "summary.csv"
-    header, *rows = summary.read_text().strip().splitlines()
-    idx = {name: i for i, name in enumerate(header.split(","))}
-    for line in rows:
-        parts = line.split(",")
-        by_policy.setdefault(parts[idx["policy"]], {}).setdefault(
-            int(parts[idx["T"]]), []
-        ).append(float(parts[idx["R_T"]]))
-
-    for policy, regrets in sorted(by_policy.items()):
+    for policy, regrets in sorted(read_summaries(config.run.out).items()):
         if policy == "oracle":
             continue  # regret is identically zero; nothing to fit
         try:
             fit = fit_rate(regrets)
-        except Exception as exc:  # InsufficientData on small grids
+        except InsufficientData as exc:  # small grids
             print(f"{policy}: no fit ({exc})")
             continue
         print(f"{policy}: slope {fit.slope:.3f}  ci90 "

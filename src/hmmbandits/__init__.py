@@ -28,11 +28,9 @@ from .spectral import (
 )
 from .beliefs import (
     BeliefErrorBudget,
-    FilterState,
     OnlineBeliefEstimator,
     belief_error_trace,
     dump_belief_trace,
-    filter_step,
     u_belief,
 )
 from .environment import (
@@ -52,12 +50,12 @@ from .policies import (
     BoxBPolicy,
     OraclePolicy,
     RandomPolicy,
-    RidgeState,
     StagePlan,
-    bonus_boxA,
-    bonus_boxB,
+    USchedule,
     oracle_act,
-    ridge_update,
+    per_round_bonus,
+    staged_bonus,
+    staged_width,
     tensor_feature,
 )
 from .evaluation import (
@@ -68,6 +66,7 @@ from .evaluation import (
     check_matrix_determinant_lemma,
     check_staged_elliptic_potential,
     fit_rate,
+    read_summaries,
     record_round,
     run_lemma_trials,
 )

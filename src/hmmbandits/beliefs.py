@@ -1,7 +1,8 @@
-"""Belief estimation on top of estimated HMM parameters: the Bayes filter fed
-with spectral estimates, the known belief-error budget function, and the
-online subroutine that couples moment accumulation, periodic re-estimation,
-label alignment, and filtering.
+"""Belief estimation on top of estimated HMM parameters: the known
+belief-error budget function, the online subroutine that couples moment
+accumulation, periodic re-estimation, label alignment, and filtering (the
+Bayes filter itself lives in :mod:`hmmbandits.hmm`), and side-by-side
+belief-error traces against the true filter.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .errors import (
     RankDeficient,
     ShapeMismatch,
 )
-from .hmm import Belief, ForwardFilter, HmmParams, forward_step
+from .hmm import ForwardFilter, HmmParams
 from .spectral import EstimatedHmm, MomentAccumulator, align, postprocess, spectral_estimate
 
 
@@ -51,63 +52,6 @@ def u_belief(budget: BeliefErrorBudget, t: int) -> float:
     inner = 2.0 * math.log(6.0 * budget.X * t * (t + 1) / budget.delta) / t
     return math.log(t) * (
         budget.H * math.sqrt(budget.X) * math.sqrt(inner) + math.exp(-math.sqrt(t - 1))
-    )
-
-
-@dataclass(frozen=True)
-class FilterState:
-    """Belief filter snapshot: current belief, parameter version, log normalizer."""
-
-    current: Belief
-    params_version: int
-    log_norm: float
-
-
-def filter_step(
-    state: FilterState | None,
-    params: EstimatedHmm,
-    initial_guess: np.ndarray | None,
-    context: int,
-    params_version: int = 0,
-    on_degenerate: str = "uniform",
-) -> FilterState:
-    """One Bayes update under estimated parameters.
-
-    ``state is None`` starts the recursion from ``initial_guess`` (uniform by
-    default).  A later call with a new ``params_version`` continues from the
-    current belief under the new parameters.  Zero-likelihood observations
-    reset the belief to uniform (the paper never addresses them); pass
-    ``on_degenerate="raise"`` to surface them instead.
-    """
-    if params.transition_hat is None or params.emission_hat is None:
-        raise ShapeMismatch("filter requires post-processed estimates")
-    H = params.num_states
-    prior = (
-        np.full(H, 1.0 / H)
-        if initial_guess is None
-        else np.asarray(initial_guess, dtype=float)
-    )
-    if state is None:
-        belief, norm = forward_step(
-            None, prior, params.transition_hat, params.emission_hat, context,
-            on_degenerate,
-        )
-        log_norm = math.log(norm) if norm > 0 else 0.0
-        return FilterState(
-            current=Belief(probs=belief, round=1),
-            params_version=params_version,
-            log_norm=log_norm,
-        )
-    if params_version < state.params_version:
-        raise ShapeMismatch("params_version must be non-decreasing")
-    belief, norm = forward_step(
-        state.current.probs, prior, params.transition_hat, params.emission_hat,
-        context, on_degenerate,
-    )
-    return FilterState(
-        current=Belief(probs=belief, round=state.current.round + 1),
-        params_version=params_version,
-        log_norm=state.log_norm + (math.log(norm) if norm > 0 else 0.0),
     )
 
 
@@ -179,92 +123,31 @@ class OnlineBeliefEstimator:
         fresh = postprocess(fresh)
         self.estimate = align(self.estimate, fresh)
         self.params_version += 1
-
-    def _refilter(self) -> np.ndarray:
-        """From-scratch filter pass over the whole prefix under the current
-        estimate (the O(t) cost paid at every refresh).
-
-        The recursion is a normalized product of per-context update matrices
-        ``W_x = diag(nu(x, .)) M^T``; products over 64-step chunks are batched
-        across chunks in one vectorized pass, normalizing once per chunk.  A
-        chunk whose product annihilates the belief (possible only through
-        clipped-to-zero emission rows) falls back to the per-step scan so the
-        uniform-reset semantics match the incremental filter exactly.
-        """
-        assert self.estimate is not None
-        H = self.num_states
-        emission = self.estimate.emission_hat
-        transition_t = self.estimate.transition_hat.T
-        step_mats = np.stack([emission[x][:, None] * transition_t
-                              for x in range(self.num_contexts)])
-        first = self.contexts[0]
-        belief = emission[first] * self.initial_guess
-        norm = float(belief.sum())
-        log_norm = 0.0
-        if norm > 0.0:
-            belief = belief / norm
-            log_norm += float(np.log(norm))
-        else:
-            belief = self._uniform.copy()
-
-        def scan(vec, xs):
-            nonlocal log_norm
-            for x in xs:
-                vec = step_mats[x] @ vec
-                s = float(vec.sum())
-                if s > 0.0:
-                    vec = vec / s
-                    log_norm += float(np.log(s))
-                else:
-                    vec = self._uniform.copy()
-            return vec
-
-        xs = np.asarray(self.contexts[1:], dtype=np.int64)
-        chunk = 64
-        k = xs.size // chunk
-        if k:
-            mats = step_mats[xs[: k * chunk]].reshape(k, chunk, H, H)
-            prod = mats[:, 0]
-            for i in range(1, chunk):
-                prod = np.einsum("kij,kjl->kil", mats[:, i], prod)
-            for block in range(k):
-                vec = prod[block] @ belief
-                s = float(vec.sum())
-                if s > 0.0:
-                    belief = vec / s
-                    log_norm += float(np.log(s))
-                else:
-                    belief = scan(belief, xs[block * chunk : (block + 1) * chunk])
-        belief = scan(belief, xs[k * chunk :])
-
-        filt = ForwardFilter(
+        self._filter = ForwardFilter(
             self.estimate.transition_hat,
-            emission,
+            self.estimate.emission_hat,
             prior=self.initial_guess,
             on_degenerate="uniform",
         )
-        filt.belief = belief
-        filt.round = len(self.contexts)
-        filt.log_norm = log_norm
-        self._filter = filt
-        return belief
 
     def observe(self, context: int) -> np.ndarray:
-        """Append one context and return the estimated belief ``b_hat_t``."""
+        """Append one context and return the estimated belief ``b_hat_t``.
+
+        A refit round (and every round under ``exact_refilter``) re-filters
+        the whole prefix from scratch under the current estimate (the O(t)
+        cost paid at every refresh); other rounds advance incrementally.
+        """
         x = int(context)
         self.contexts.append(x)
         self.accumulator.append(x)
         t = len(self.contexts)
-        if t % self.refit_every == 0 and t >= self.min_fit:
+        refit = t % self.refit_every == 0 and t >= self.min_fit
+        if refit:
             self._try_refit()
-            if self.estimate is not None:
-                return self._refilter().copy()
-        if self.estimate is None:
-            return self._uniform.copy()
-        if self.exact_refilter:
-            return self._refilter().copy()
         if self._filter is None:
-            return self._refilter().copy()
+            return self._uniform.copy()
+        if refit or self.exact_refilter:
+            return self._filter.restart(self.contexts).copy()
         return self._filter.step(x).copy()
 
 
@@ -303,7 +186,7 @@ def _side_by_side_traces(true_params, estimates_schedule, contexts):
                 on_degenerate="uniform",
             )
             if t > 1:
-                est_filter.run(contexts[: t - 1])
+                est_filter.restart(contexts[: t - 1])
             next_idx += 1
         truth[t - 1] = true_filter.step(int(x))
         assert est_filter is not None

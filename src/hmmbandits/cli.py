@@ -19,7 +19,7 @@ import sys
 
 from .config import CONFIG_SCHEMA, ExperimentConfig, apply_overrides, load_config
 from .errors import ConfigError, HmmBanditsError, InsufficientData
-from .evaluation import fit_rate, run_lemma_trials
+from .evaluation import fit_rate, read_summaries, run_lemma_trials
 from .runner import estimation_curves, run_experiment, write_estimation_csv
 
 COMMANDS = ("simulate", "estimate", "check-lemmas", "fit-rate", "print-config-schema")
@@ -77,22 +77,7 @@ def _cmd_check_lemmas(args) -> int:
 
 
 def _cmd_fit_rate(args) -> int:
-    groups: dict = {}
-    for root, _, files in os.walk(args.results_dir):
-        for fname in files:
-            if fname != "summary.csv":
-                continue
-            with open(os.path.join(root, fname), "r", encoding="utf-8") as fh:
-                header = fh.readline().strip().split(",")
-                idx = {name: i for i, name in enumerate(header)}
-                for line in fh:
-                    parts = line.strip().split(",")
-                    if len(parts) < 4:
-                        continue
-                    policy = parts[idx["policy"]]
-                    T = int(parts[idx["T"]])
-                    r_total = float(parts[idx["R_T"]])
-                    groups.setdefault(policy, {}).setdefault(T, []).append(r_total)
+    groups = read_summaries(args.results_dir)
     if not groups:
         print("no summary.csv found", file=sys.stderr)
         return 2

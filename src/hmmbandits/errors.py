@@ -41,10 +41,6 @@ class NonFinite(HmmBanditsError):
     """Input contains NaN or infinite entries."""
 
 
-class FeatureTooLarge(HmmBanditsError):
-    """A ridge feature exceeds the unit Euclidean norm bound."""
-
-
 class StageNotFrozen(HmmBanditsError):
     """The ridge estimate was updated inside the current stage."""
 

@@ -7,6 +7,7 @@ statement, so any violation indicates an implementation bug.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,6 +120,26 @@ def fit_rate(
         slope=slope,
         slope_ci=(float(lo), float(hi)),
     )
+
+
+def read_summaries(results_dir: str) -> dict:
+    """Final regrets ``{policy: {T: [R_T, ...]}}`` from every ``summary.csv``
+    under ``results_dir``, in the shape :func:`fit_rate` takes per policy."""
+    groups: dict = {}
+    for root, _, files in os.walk(results_dir):
+        if "summary.csv" not in files:
+            continue
+        with open(os.path.join(root, "summary.csv"), "r", encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            idx = {name: i for i, name in enumerate(header)}
+            for line in fh:
+                parts = line.strip().split(",")
+                if len(parts) < 4:
+                    continue
+                groups.setdefault(parts[idx["policy"]], {}).setdefault(
+                    int(parts[idx["T"]]), []
+                ).append(float(parts[idx["R_T"]]))
+    return groups
 
 
 def check_elliptic_potential(vectors: np.ndarray, lam: float) -> bool:

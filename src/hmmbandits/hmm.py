@@ -199,12 +199,71 @@ def forward_step(
     return unnorm / norm, norm
 
 
+def forward_pass(
+    transition: np.ndarray,
+    emission: np.ndarray,
+    prior: np.ndarray,
+    contexts,
+    on_degenerate: str = "uniform",
+) -> np.ndarray:
+    """Belief after filtering ``contexts`` from ``prior`` in one batched pass.
+
+    The recursion is a normalized product of per-context update matrices
+    ``W_x = diag(nu(x, .)) M^T``; products over 64-step chunks are batched
+    across chunks in one vectorized pass, normalizing once per chunk.  A
+    chunk whose product annihilates the belief (possible only through
+    zero emission entries) falls back to the per-step scan, so a
+    zero-likelihood context is handled exactly as by :func:`forward_step`:
+    a reset to uniform, or :class:`DegenerateLikelihood` under
+    ``on_degenerate="raise"``.
+    """
+    contexts = np.asarray(contexts, dtype=np.int64)
+    if contexts.size == 0:
+        raise ShapeMismatch("contexts must be non-empty")
+    H = transition.shape[0]
+    uniform = np.full(H, 1.0 / H)
+    transition_t = transition.T
+    step_mats = np.stack([emission[x][:, None] * transition_t
+                          for x in range(emission.shape[0])])
+
+    def renormalize(vec, x):
+        s = float(vec.sum())
+        if s > 0.0:
+            return vec / s
+        if on_degenerate == "uniform":
+            return uniform.copy()
+        raise DegenerateLikelihood(f"context {x} has zero likelihood under all states")
+
+    def scan(vec, xs):
+        for x in xs:
+            vec = renormalize(step_mats[x] @ vec, x)
+        return vec
+
+    belief = renormalize(emission[contexts[0]] * prior, contexts[0])
+    xs = contexts[1:]
+    chunk = 64
+    k = xs.size // chunk
+    if k:
+        mats = step_mats[xs[: k * chunk]].reshape(k, chunk, H, H)
+        prod = mats[:, 0]
+        for i in range(1, chunk):
+            prod = np.einsum("kij,kjl->kil", mats[:, i], prod)
+        for block in range(k):
+            vec = prod[block] @ belief
+            s = float(vec.sum())
+            if s > 0.0:
+                belief = vec / s
+            else:
+                belief = scan(belief, xs[block * chunk : (block + 1) * chunk])
+    return scan(belief, xs[k * chunk :])
+
+
 class ForwardFilter:
     """Incremental Bayes filter; renormalizes at every step.
 
     The per-step renormalization (divide by the running sum) keeps the
-    recursion stable over horizons of ~1e6 rounds; the accumulated
-    log-normalizer is retained as a diagnostic.
+    recursion stable over horizons of ~1e6 rounds.  :meth:`restart`
+    re-filters a whole prefix from the prior through :func:`forward_pass`.
     """
 
     def __init__(
@@ -223,10 +282,9 @@ class ForwardFilter:
         self.on_degenerate = on_degenerate
         self.belief: np.ndarray | None = None
         self.round = 0
-        self.log_norm = 0.0
 
     def step(self, context: int) -> np.ndarray:
-        self.belief, norm = forward_step(
+        self.belief, _ = forward_step(
             self.belief,
             self.prior,
             self.transition,
@@ -235,14 +293,20 @@ class ForwardFilter:
             self.on_degenerate,
         )
         self.round += 1
-        if norm > 0.0:
-            self.log_norm += float(np.log(norm))
         return self.belief
 
     def run(self, contexts) -> np.ndarray:
         for x in contexts:
             self.step(int(x))
         assert self.belief is not None
+        return self.belief
+
+    def restart(self, contexts) -> np.ndarray:
+        """Forget the current belief and re-filter ``contexts`` from the prior."""
+        self.belief = forward_pass(
+            self.transition, self.emission, self.prior, contexts, self.on_degenerate
+        )
+        self.round = len(contexts)
         return self.belief
 
 

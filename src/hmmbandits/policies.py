@@ -1,7 +1,7 @@
 """Decision strategies: staged LinUCB on estimated beliefs, its per-round
 (non-staged) variant, the oracle benchmark policy, and a uniform-random
-baseline; plus the shared online ridge estimator and both confidence-bonus
-formulas.
+baseline; plus the belief-budget schedule and the two action-vectorized
+confidence-bonus kernels the LinUCB policies score with.
 
 All policies act on the observation ``(t, x_t, belief)`` only: contexts and
 beliefs derived from them, plus the policy's own action/reward history.
@@ -10,59 +10,15 @@ beliefs derived from them, plus the policy's own action/reward history.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .beliefs import BeliefErrorBudget, u_belief
-from .errors import FeatureTooLarge, ShapeMismatch, StageNotFrozen
+from .errors import ShapeMismatch, StageNotFrozen
 from .hmm import Belief
 from .environment import TransferFunction
-
-
-@dataclass(frozen=True)
-class RidgeState:
-    """Regularized least-squares state for the stacked parameter vector.
-
-    ``gram = lam * I + sum of feature outer products``; ``theta_hat`` solves
-    ``gram @ theta = moment`` once at least one round is absorbed, and equals
-    ``(1/lam) * ones`` at initialization (the optimistic warm start).
-    """
-
-    gram: np.ndarray
-    moment: np.ndarray
-    theta_hat: np.ndarray
-    lam: float
-    rounds_absorbed: int
-
-    @staticmethod
-    def initialize(dim: int, lam: float) -> "RidgeState":
-        if lam <= 0:
-            raise ShapeMismatch("ridge parameter must be positive")
-        return RidgeState(
-            gram=lam * np.eye(dim),
-            moment=np.zeros(dim),
-            theta_hat=np.full(dim, 1.0 / lam),
-            lam=float(lam),
-            rounds_absorbed=0,
-        )
-
-
-def ridge_update(state: RidgeState, feature: np.ndarray, reward: float) -> RidgeState:
-    """Absorb one ``(feature, reward)`` pair and re-solve the linear system."""
-    feature = np.asarray(feature, dtype=float)
-    if np.linalg.norm(feature) > 1.0 + 1e-9:
-        raise FeatureTooLarge("ridge features must have Euclidean norm <= 1")
-    gram = state.gram + np.outer(feature, feature)
-    moment = state.moment + feature * float(reward)
-    theta = np.linalg.solve(gram, moment)
-    return RidgeState(
-        gram=gram,
-        moment=moment,
-        theta_hat=theta,
-        lam=state.lam,
-        rounds_absorbed=state.rounds_absorbed + 1,
-    )
 
 
 def tensor_feature(belief, phi_vec: np.ndarray) -> np.ndarray:
@@ -112,7 +68,6 @@ class BonusConfig:
     H: int
     X: int
     d: int
-    variant: str = "boxA"
     bonus_scope: str = "full"
     known_beliefs: bool = False
 
@@ -124,99 +79,122 @@ class BonusConfig:
         if self.bonus_scope not in ("full", "partial"):
             raise ShapeMismatch("bonus_scope must be 'full' or 'partial'")
 
-    def belief_budget(self) -> BeliefErrorBudget | None:
-        if self.known_beliefs:
-            return None
-        return BeliefErrorBudget(H=self.H, X=self.X, delta=self.delta / 2.0)
 
-    def u(self, t: int) -> float:
-        budget = self.belief_budget()
-        return 0.0 if budget is None else u_belief(budget, t)
+class USchedule:
+    """The belief budget ``u(t) = u_belief(t)`` of one policy and its prefix
+    sums ``u(1) + ... + u(k)``, each value computed once, on first use.
 
-
-def _u_prefix(cfg: BonusConfig, upto: int) -> float:
-    return float(sum(cfg.u(tau) for tau in range(1, upto + 1)))
-
-
-def bonus_boxA(
-    cfg: BonusConfig,
-    plan: StagePlan,
-    ridge: RidgeState,
-    belief,
-    phi_vec: np.ndarray,
-    t: int,
-    u_prefix_sum: float | None = None,
-) -> float:
-    """Staged confidence bonus.
-
-    Constant ``1 + sqrt(d)/lam`` during the first stage.  Later the bonus is
-    the current belief budget plus ``||G^{-1} (b (x) phi)||_2`` (Gram frozen
-    at the last stage boundary) times the sum of: the regularization bias
-    ``lam sqrt(H) C_theta``, the two Markov-inequality deviation terms, the
-    belief drift ``2 (s_t - 1) gamma / (1 - gamma)``, and the accumulated
-    belief budget up to the boundary.  ``bonus_scope="partial"`` leaves the
-    last two terms outside the norm factor.
+    The budget is zero throughout under known beliefs.  Prefix sums
+    accumulate left to right, in round order.
     """
-    lam = ridge.lam
-    if t <= plan.stage_length:
-        return 1.0 + math.sqrt(cfg.d) / lam
-    ell = plan.stage_length
-    s_t = plan.stage_of(t)
-    s_T = plan.num_stages
-    frozen = (s_t - 1) * ell
-    if ridge.rounds_absorbed != frozen:
-        raise StageNotFrozen(
-            f"ridge absorbed {ridge.rounds_absorbed} rounds, stage start is {frozen}"
+
+    def __init__(self, cfg: BonusConfig):
+        self._budget = (
+            None if cfg.known_beliefs
+            else BeliefErrorBudget(H=cfg.H, X=cfg.X, delta=cfg.delta / 2.0)
         )
-    v = tensor_feature(belief, phi_vec)
-    norm = float(np.linalg.norm(np.linalg.solve(ridge.gram, v)))
-    if u_prefix_sum is None:
-        u_prefix_sum = _u_prefix(cfg, frozen)
+        self._values = array("d", [0.0])  # _values[t] = u(t); slot 0 is unused
+        self._prefix = array("d", [0.0])  # _prefix[k] = u(1) + ... + u(k)
+
+    def _extend(self, upto: int) -> None:
+        values, prefix, budget = self._values, self._prefix, self._budget
+        for t in range(len(values), upto + 1):
+            u = 0.0 if budget is None else u_belief(budget, t)
+            values.append(u)
+            prefix.append(prefix[-1] + u)
+
+    def __call__(self, t: int) -> float:
+        if t < 1:
+            raise ShapeMismatch("t must be >= 1")
+        if t >= len(self._values):
+            self._extend(t)
+        return self._values[t]
+
+    def prefix(self, upto: int) -> float:
+        if upto >= len(self._prefix):
+            self._extend(upto)
+        return self._prefix[upto]
+
+
+def staged_width(
+    cfg: BonusConfig, plan: StagePlan, lam: float, s_t: int, u_prefix: float
+) -> tuple[float, float]:
+    """``(factor, tail)`` of the staged bonus in stage ``s_t >= 2``.
+
+    ``factor`` multiplies the Gram norm ``||G^{-1} (b (x) phi)||_2`` and is
+    the sum of the regularization bias ``lam sqrt(H) C_theta``, the two
+    Markov-inequality deviation terms, the belief drift
+    ``2 (s_t - 1) gamma / (1 - gamma)``, and ``u_prefix``, the accumulated
+    belief budget up to the last stage boundary.  ``bonus_scope="partial"``
+    moves the last two terms out of ``factor`` into the additive ``tail``.
+    """
+    ell = plan.stage_length
+    s_T = plan.num_stages
     gam, delta = cfg.gamma, cfg.delta
     t1 = lam * math.sqrt(cfg.H) * cfg.c_theta
-    t2 = 4.0 * math.sqrt(s_T * (s_t - 1) * (1.0 + s_t * gam) * ell / (delta * (1.0 - gam)))
+    t2 = 4.0 * math.sqrt(
+        s_T * (s_t - 1) * (1.0 + s_t * gam) * ell / (delta * (1.0 - gam))
+    )
     t3 = math.sqrt(4.0 * s_T / delta * cfg.c_eta * (s_t - 1) * ell)
     t4 = 2.0 * (s_t - 1) * gam / (1.0 - gam)
-    t5 = float(u_prefix_sum)
+    t5 = u_prefix
     if cfg.bonus_scope == "full":
-        return cfg.u(t) + norm * (t1 + t2 + t3 + t4 + t5)
-    return cfg.u(t) + norm * (t1 + t2 + t3) + t4 + t5
+        return t1 + t2 + t3 + t4 + t5, 0.0
+    return t1 + t2 + t3, t4 + t5
 
 
-def bonus_boxB(
+def staged_bonus(
     cfg: BonusConfig,
-    ridge: RidgeState,
-    belief,
-    phi_vec: np.ndarray,
+    plan: StagePlan,
+    lam: float,
     t: int,
-    u_prefix_sum: float | None = None,
-    gram_inv: np.ndarray | None = None,
-) -> float:
-    """Per-round confidence bonus.
+    feats: np.ndarray,
+    gram_inv: np.ndarray,
+    u_t: float,
+    width: tuple[float, float] | None,
+) -> np.ndarray:
+    """Staged confidence bonus of every row ``b (x) phi`` of ``feats``.
 
-    ``1 + sqrt(d)/lam`` at ``t = 1``; afterwards the belief budget plus the
-    Mahalanobis norm ``||b (x) phi||_{G_{t-1}^{-1}}`` times the accumulated
-    belief budget over ``sqrt(lam)``, the regularization bias, and the
-    self-normalized deviation width.
+    Constant ``1 + sqrt(d)/lam`` during the first stage (``width`` unused).
+    Later ``u_t + ||G^{-1} (b (x) phi)||_2 * factor + tail`` with the Gram
+    inverse frozen at the last stage boundary and ``(factor, tail)`` the
+    :func:`staged_width` of round ``t``'s stage.
     """
-    lam = ridge.lam
+    if t <= plan.stage_length:
+        return np.full(len(feats), 1.0 + math.sqrt(cfg.d) / lam)
+    factor, tail = width
+    w = feats @ gram_inv
+    return u_t + np.sqrt(np.einsum("ij,ij->i", w, w)) * factor + tail
+
+
+def per_round_bonus(
+    cfg: BonusConfig,
+    lam: float,
+    t: int,
+    feats: np.ndarray,
+    gram_inv: np.ndarray,
+    u_t: float,
+    u_prefix: float,
+) -> np.ndarray:
+    """Per-round confidence bonus of every row ``b (x) phi`` of ``feats``.
+
+    ``1 + sqrt(d)/lam`` at ``t = 1``; afterwards ``u_t`` plus the
+    Mahalanobis norm ``||b (x) phi||_{G_{t-1}^{-1}}`` times the width: the
+    accumulated belief budget ``u_prefix`` over ``sqrt(lam)``, the
+    regularization bias, and the self-normalized deviation width.
+    """
     if t == 1:
-        return 1.0 + math.sqrt(cfg.d) / lam
-    v = tensor_feature(belief, phi_vec)
-    if gram_inv is not None:
-        quad = float(v @ gram_inv @ v)
-    else:
-        quad = float(v @ np.linalg.solve(ridge.gram, v))
-    mahal = math.sqrt(max(quad, 0.0))
-    if u_prefix_sum is None:
-        u_prefix_sum = _u_prefix(cfg, t - 1)
+        return np.full(len(feats), 1.0 + math.sqrt(cfg.d) / lam)
+    w = feats @ gram_inv
+    mahal = np.sqrt(np.maximum(np.einsum("ij,ij->i", w, feats), 0.0))
     dH = cfg.d * cfg.H
     width = (
-        u_prefix_sum / math.sqrt(lam)
+        u_prefix / math.sqrt(lam)
         + math.sqrt(lam * cfg.H) * cfg.c_theta
-        + cfg.v_eta * math.sqrt(2.0 * math.log(2.0 / cfg.delta) + dH * math.log(1.0 + t / (lam * dH)))
+        + cfg.v_eta
+        * math.sqrt(2.0 * math.log(2.0 / cfg.delta) + dH * math.log(1.0 + t / (lam * dH)))
     )
-    return cfg.u(t) + mahal * width
+    return u_t + mahal * width
 
 
 class _FeatureTable:
@@ -259,68 +237,38 @@ class BoxAPolicy:
         self.bonus_override = bonus_override
         self._features = _FeatureTable(phi, cfg.H)
         dH = cfg.H * phi.dim
-        self._dH = dH
         self._gram = self.lam * np.eye(dH)
         self._moment = np.zeros(dH)
         self._rounds = 0
-        self._u_running = 0.0
+        self._u = USchedule(cfg)
         # frozen snapshot used for scoring and bonuses
         self._theta_frozen = np.full(dH, 1.0 / self.lam)
-        self._gram_frozen = self._gram.copy()
         self._gram_frozen_inv = np.eye(dH) / self.lam
         self._frozen_rounds = 0
-        self._u_prefix_frozen = 0.0
         self.theta_version = 0
-        self._stage_factor_cache: tuple[int, float, float] | None = None
+        self._width: tuple[int, tuple[float, float]] | None = None
 
-    @property
-    def ridge(self) -> RidgeState:
-        """Stage-frozen ridge snapshot (what the bonuses are allowed to see)."""
-        return RidgeState(
-            gram=self._gram_frozen,
-            moment=self._moment.copy() if self._frozen_rounds else np.zeros(self._dH),
-            theta_hat=self._theta_frozen,
-            lam=self.lam,
-            rounds_absorbed=self._frozen_rounds,
-        )
-
-    def _stage_terms(self, s_t: int) -> tuple[float, float]:
-        """(norm-multiplied factor, additive tail) for the current stage."""
-        if self._stage_factor_cache and self._stage_factor_cache[0] == s_t:
-            return self._stage_factor_cache[1], self._stage_factor_cache[2]
-        cfg, plan = self.cfg, self.plan
-        ell = plan.stage_length
-        s_T = plan.num_stages
-        gam, delta = cfg.gamma, cfg.delta
-        t1 = self.lam * math.sqrt(cfg.H) * cfg.c_theta
-        t2 = 4.0 * math.sqrt(
-            s_T * (s_t - 1) * (1.0 + s_t * gam) * ell / (delta * (1.0 - gam))
-        )
-        t3 = math.sqrt(4.0 * s_T / delta * cfg.c_eta * (s_t - 1) * ell)
-        t4 = 2.0 * (s_t - 1) * gam / (1.0 - gam)
-        t5 = self._u_prefix_frozen
-        if cfg.bonus_scope == "full":
-            factor, tail = t1 + t2 + t3 + t4 + t5, 0.0
-        else:
-            factor, tail = t1 + t2 + t3, t4 + t5
-        self._stage_factor_cache = (s_t, factor, tail)
-        return factor, tail
+    def _stage_width(self, s_t: int) -> tuple[float, float]:
+        """:func:`staged_width` of stage ``s_t``, computed once per stage."""
+        if self._width is None or self._width[0] != s_t:
+            u_prefix = self._u.prefix(self._frozen_rounds)
+            self._width = (s_t, staged_width(self.cfg, self.plan, self.lam, s_t, u_prefix))
+        return self._width[1]
 
     def act(self, t: int, context: int, belief: np.ndarray) -> int:
         feats = self._features.all_actions(context, np.asarray(belief, dtype=float))
         scores = feats @ self._theta_frozen
         if self.bonus_override is not None:
             bonuses = np.array([self.bonus_override(t, a) for a in range(len(scores))])
-        elif t <= self.plan.stage_length:
-            bonuses = np.full(len(scores), 1.0 + math.sqrt(self.cfg.d) / self.lam)
         else:
-            s_t = self.plan.stage_of(t)
-            if self._frozen_rounds != (s_t - 1) * self.plan.stage_length:
-                raise StageNotFrozen("frozen ridge is out of step with the stage plan")
-            factor, tail = self._stage_terms(s_t)
-            w = feats @ self._gram_frozen_inv
-            norms = np.sqrt(np.einsum("ij,ij->i", w, w))
-            bonuses = self.cfg.u(t) + norms * factor + tail
+            width = None
+            if t > self.plan.stage_length:
+                s_t = self.plan.stage_of(t)
+                if self._frozen_rounds != (s_t - 1) * self.plan.stage_length:
+                    raise StageNotFrozen("frozen ridge is out of step with the stage plan")
+                width = self._stage_width(s_t)
+            bonuses = staged_bonus(self.cfg, self.plan, self.lam, t, feats,
+                                   self._gram_frozen_inv, self._u(t), width)
         return int(np.argmax(scores + bonuses))
 
     def update(self, t: int, context: int, belief: np.ndarray, action: int, reward: float) -> None:
@@ -328,20 +276,16 @@ class BoxAPolicy:
         self._gram += np.outer(v, v)
         self._moment += v * float(reward)
         self._rounds += 1
-        self._u_running += self.cfg.u(t)
         if self._rounds % self.plan.stage_length == 0:
             self._theta_frozen = np.linalg.solve(self._gram, self._moment)
-            self._gram_frozen = self._gram.copy()
             self._gram_frozen_inv = np.linalg.inv(self._gram)
             self._frozen_rounds = self._rounds
-            self._u_prefix_frozen = self._u_running
             self.theta_version += 1
-            self._stage_factor_cache = None
 
     def set_gamma(self, gamma: float) -> None:
         """Swap the forgetting rate fed to the bonus (plugin-gamma mode)."""
         self.cfg = replace(self.cfg, gamma=float(gamma))
-        self._stage_factor_cache = None
+        self._width = None
 
 
 class BoxBPolicy:
@@ -370,44 +314,22 @@ class BoxBPolicy:
         self.bonus_override = bonus_override
         self._features = _FeatureTable(phi, cfg.H)
         dH = cfg.H * phi.dim
-        self._dH = dH
         self._gram = self.lam * np.eye(dH)
         self._moment = np.zeros(dH)
         self._gram_inv = np.eye(dH) / self.lam
         self._theta = np.full(dH, 1.0 / self.lam)
         self._rounds = 0
-        self._u_prefix = 0.0
+        self._u = USchedule(cfg)
         self.max_inverse_drift = 0.0
-        self._log2_delta = 2.0 * math.log(2.0 / cfg.delta)
-
-    @property
-    def ridge(self) -> RidgeState:
-        return RidgeState(
-            gram=self._gram,
-            moment=self._moment,
-            theta_hat=self._theta,
-            lam=self.lam,
-            rounds_absorbed=self._rounds,
-        )
 
     def act(self, t: int, context: int, belief: np.ndarray) -> int:
         feats = self._features.all_actions(context, np.asarray(belief, dtype=float))
         scores = feats @ self._theta
         if self.bonus_override is not None:
             bonuses = np.array([self.bonus_override(t, a) for a in range(len(scores))])
-        elif t == 1:
-            bonuses = np.full(len(scores), 1.0 + math.sqrt(self.cfg.d) / self.lam)
         else:
-            w = feats @ self._gram_inv
-            mahal = np.sqrt(np.maximum(np.einsum("ij,ij->i", w, feats), 0.0))
-            dH = self._dH
-            width = (
-                self._u_prefix / math.sqrt(self.lam)
-                + math.sqrt(self.lam * self.cfg.H) * self.cfg.c_theta
-                + self.cfg.v_eta
-                * math.sqrt(self._log2_delta + dH * math.log(1.0 + t / (self.lam * dH)))
-            )
-            bonuses = self.cfg.u(t) + mahal * width
+            bonuses = per_round_bonus(self.cfg, self.lam, t, feats, self._gram_inv,
+                                      self._u(t), self._u.prefix(self._rounds))
         return int(np.argmax(scores + bonuses))
 
     def update(self, t: int, context: int, belief: np.ndarray, action: int, reward: float) -> None:
@@ -417,7 +339,6 @@ class BoxBPolicy:
         w = self._gram_inv @ v
         self._gram_inv -= np.outer(w, w) / (1.0 + float(v @ w))
         self._rounds += 1
-        self._u_prefix += self.cfg.u(t)
         if self._rounds % self.resolve_every == 0:
             direct = np.linalg.inv(self._gram)
             drift = float(np.max(np.abs(direct - self._gram_inv)))
@@ -442,8 +363,7 @@ class OraclePolicy:
         self.theta_star = np.asarray(theta_star, dtype=float)
 
     def act(self, t: int, context: int, belief: np.ndarray) -> int:
-        scores = self.phi.table[:, context] @ (self.theta_star.T @ np.asarray(belief))
-        return int(np.argmax(scores))
+        return oracle_act(self.phi, self.theta_star, context, belief)
 
     def update(self, t: int, context: int, belief: np.ndarray, action: int, reward: float) -> None:
         pass

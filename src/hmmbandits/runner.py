@@ -93,7 +93,6 @@ def _build_policy(config: ExperimentConfig, name: str, horizon: int, policy_rng)
         H=config.params.num_states,
         X=config.params.num_contexts,
         d=phi.dim,
-        variant=name,
         bonus_scope=ps.bonus_scope,
         known_beliefs=(ps.beliefs == "oracle"),
     )

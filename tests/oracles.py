@@ -210,3 +210,42 @@ def reference_box_a_actions(
             theta = np.linalg.solve(gram, moment)
             frozen_gram = gram.copy()
     return actions
+
+
+def reference_box_b_actions(
+    phi_table: np.ndarray,
+    contexts,
+    beliefs,
+    reward_matrix: np.ndarray,
+    *, lam, horizon, delta, c_theta, v_eta, H, X,
+    known_beliefs=False,
+):
+    """Straight-line per-round LinUCB loop written directly from its statement.
+
+    Same conventions as :func:`reference_box_a_actions`; the ridge estimate
+    is re-solved with ``np.linalg.solve`` after every round.
+    """
+    A, _, d = phi_table.shape
+    dH = d * H
+    gram = lam * np.eye(dH)
+    moment = np.zeros(dH)
+    theta = np.full(dH, 1.0 / lam)      # stacked warm start
+    actions = []
+    for t in range(1, horizon + 1):
+        x = int(contexts[t - 1])
+        b = np.asarray(beliefs[t - 1], dtype=float)
+        ucb = np.empty(A)
+        for a in range(A):
+            feat = np.concatenate([b[h] * phi_table[a, x] for h in range(H)])
+            ucb[a] = float(feat @ theta) + box_b_bonus_reference(
+                d=d, H=H, X=X, lam=lam, delta=delta, c_theta=c_theta, v_eta=v_eta,
+                gram=gram, belief=b, phi_vec=phi_table[a, x], t=t,
+                known_beliefs=known_beliefs,
+            )
+        a_t = int(np.argmax(ucb))
+        actions.append(a_t)
+        feat = np.concatenate([b[h] * phi_table[a_t, x] for h in range(H)])
+        gram = gram + np.outer(feat, feat)
+        moment = moment + feat * reward_matrix[t - 1, a_t]
+        theta = np.linalg.solve(gram, moment)
+    return actions

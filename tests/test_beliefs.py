@@ -8,14 +8,13 @@ from hmmbandits import (
     EstimatedHmm,
     OnlineBeliefEstimator,
     belief_error_trace,
-    filter_step,
     postprocess,
     sample_trajectory,
     true_belief_filter,
     u_belief,
 )
 from hmmbandits.errors import ShapeMismatch
-from hmmbandits.hmm import ForwardFilter, forward_step
+from hmmbandits.hmm import ForwardFilter, forward_pass, forward_step
 
 from conftest import random_hmm
 from oracles import u_belief_reference
@@ -61,15 +60,24 @@ class TestUBelief:
             u_belief(BeliefErrorBudget(2, 4, 0.1), 0)
 
 
+def estimate_filter(est: EstimatedHmm, prior=None) -> ForwardFilter:
+    """The filter the online estimator runs on post-processed estimates."""
+    return ForwardFilter(est.transition_hat, est.emission_hat, prior=prior,
+                         on_degenerate="uniform")
+
+
 class TestFilterStep:
+    """The incremental filter and the batched pass under estimated parameters."""
+
     def test_oracle_parameters_track_true_filter(self, reference_params):
         traj = sample_trajectory(reference_params, 300, seed=0)
         est = oracle_estimate(reference_params)
-        state = None
-        for x in traj.contexts:
-            state = filter_step(state, est, reference_params.initial_dist, int(x))
         truth = true_belief_filter(reference_params, traj.contexts)
-        assert np.max(np.abs(state.current.probs - truth.probs)) < 1e-12
+        stepped = estimate_filter(est, reference_params.initial_dist).run(traj.contexts)
+        batched = forward_pass(est.transition_hat, est.emission_hat,
+                               reference_params.initial_dist, traj.contexts)
+        assert np.max(np.abs(stepped - truth.probs)) < 1e-12
+        assert np.max(np.abs(batched - truth.probs)) < 1e-12
 
     def test_uninformative_emissions_follow_markov_prior(self):
         M = np.array([[0.7, 0.3], [0.2, 0.8]])
@@ -78,18 +86,22 @@ class TestFilterStep:
             transition_hat=M, emission_hat=np.array([[0.5, 0.5], [0.5, 0.5]]),
         )
         prior = np.array([0.5, 0.5])
-        state = None
+        filt = estimate_filter(est, prior)
         expected = prior.copy()
-        for t, x in enumerate([0, 1, 1, 0]):
-            state = filter_step(state, est, prior, x)
+        xs = [0, 1, 1, 0]
+        for t, x in enumerate(xs):
+            belief = filt.step(x)
             if t > 0:
                 expected = M.T @ expected
-            assert state.current.probs == pytest.approx(expected, abs=1e-12)
+            assert belief == pytest.approx(expected, abs=1e-12)
+            assert forward_pass(M, est.emission_hat, prior, xs[: t + 1]) == pytest.approx(
+                expected, abs=1e-12)
 
     def test_first_update_worked_example(self, two_state_params):
         est = oracle_estimate(two_state_params)
-        state = filter_step(None, est, np.array([0.5, 0.5]), 0)
-        assert state.current.probs == pytest.approx([8 / 11, 3 / 11], abs=1e-12)
+        assert estimate_filter(est).step(0) == pytest.approx([8 / 11, 3 / 11], abs=1e-12)
+        assert estimate_filter(est).restart([0]) == pytest.approx([8 / 11, 3 / 11],
+                                                                  abs=1e-12)
 
     def test_degenerate_resets_to_uniform(self):
         est = EstimatedHmm(
@@ -98,14 +110,8 @@ class TestFilterStep:
             transition_hat=np.array([[0.5, 0.5], [0.5, 0.5]]),
             emission_hat=np.array([[1.0, 1.0], [0.0, 0.0]]),
         )
-        state = filter_step(None, est, None, 1)
-        assert state.current.probs == pytest.approx([0.5, 0.5])
-
-    def test_version_must_not_decrease(self, two_state_params):
-        est = oracle_estimate(two_state_params)
-        state = filter_step(None, est, None, 0, params_version=3)
-        with pytest.raises(ShapeMismatch):
-            filter_step(state, est, None, 1, params_version=2)
+        assert estimate_filter(est).step(1) == pytest.approx([0.5, 0.5])
+        assert estimate_filter(est).restart([0, 1]) == pytest.approx([0.5, 0.5])
 
 
 def test_likelihood_scale_invariance(two_state_params):
@@ -253,8 +259,8 @@ def test_filtering_consistency_under_estimates(seed):
         raw_transition=rng.normal(size=(H, H)),
         raw_emission=rng.normal(size=(X, H)),
     ))
-    state = None
-    for x in rng.integers(0, X, size=12):
-        state = filter_step(state, est, None, int(x))
-    assert abs(state.current.probs.sum() - 1.0) < 1e-10
-    assert np.all(state.current.probs >= 0)
+    xs = rng.integers(0, X, size=12)
+    for belief in (estimate_filter(est).run(xs), forward_pass(
+            est.transition_hat, est.emission_hat, np.full(H, 1.0 / H), xs)):
+        assert abs(belief.sum() - 1.0) < 1e-10
+        assert np.all(belief >= 0)

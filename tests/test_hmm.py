@@ -15,7 +15,7 @@ from hmmbandits import (
     validate,
 )
 from hmmbandits.errors import DegenerateLikelihood, NotMixing, ShapeMismatch, TooLarge
-from hmmbandits.hmm import ForwardFilter
+from hmmbandits.hmm import ForwardFilter, forward_pass
 
 from conftest import random_hmm
 from oracles import conditional_terminal_distribution, enumerate_posterior
@@ -172,6 +172,66 @@ def test_belief_normalization_property(seed, t):
     belief = true_belief_filter(params, contexts)
     assert abs(belief.probs.sum() - 1.0) < 1e-10
     assert np.all(belief.probs >= 0)
+
+
+def sparse_estimate(rng, H: int, X: int, zero_row: bool):
+    """Estimate-like parameters with zero entries (as clipping leaves them):
+    a zero emission row makes that context impossible under every state."""
+    M = rng.uniform(size=(H, H)) * (rng.uniform(size=(H, H)) > 0.2)
+    M[np.arange(H), rng.integers(H, size=H)] += 0.1
+    M /= M.sum(axis=1, keepdims=True)
+    E = rng.uniform(size=(X, H)) * (rng.uniform(size=(X, H)) > 0.3)
+    if zero_row:
+        E[rng.integers(X)] = 0.0
+    live = np.flatnonzero(E.sum(axis=1) > 0) if zero_row else np.arange(X)
+    E[rng.choice(live) if live.size else 0] += 0.1
+    E /= E.sum(axis=0, keepdims=True)
+    return M, E
+
+
+class TestForwardPass:
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=5),
+           st.integers(min_value=1, max_value=300), st.booleans())
+    def test_matches_stepwise_filter(self, seed, H, X, t, zero_row):
+        # the batched pass crosses 64-step chunk boundaries and, through the
+        # zero entries, the uniform-reset fallback of the per-step scan
+        rng = np.random.default_rng(seed)
+        zero_row = zero_row and X >= 2
+        M, E = sparse_estimate(rng, H, X, zero_row)
+        prior = rng.dirichlet(np.ones(H))
+        contexts = rng.integers(0, X, size=t)
+        filt = ForwardFilter(M, E, prior=prior, on_degenerate="uniform")
+        want = filt.run(contexts)
+        got = forward_pass(M, E, prior, contexts)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        restarted = ForwardFilter(M, E, prior=prior, on_degenerate="uniform")
+        assert np.array_equal(restarted.restart(contexts), got)
+        assert restarted.round == t
+
+    def test_zero_likelihood_inside_a_chunk(self):
+        # context 2 is impossible in every state: the chunk holding it falls
+        # back to the per-step scan and resets to uniform there
+        M = np.array([[0.9, 0.1], [0.2, 0.8]])
+        E = np.array([[0.9, 0.1], [0.1, 0.9], [0.0, 0.0]])
+        contexts = np.array([0] * 100 + [2] + [1] * 3)
+        filt = ForwardFilter(M, E, on_degenerate="uniform")
+        filt.run(contexts[:101])
+        assert filt.belief == pytest.approx([0.5, 0.5])
+        assert np.max(np.abs(forward_pass(M, E, np.full(2, 0.5), contexts)
+                             - filt.run(contexts[101:]))) <= 1e-12
+
+    def test_raise_mode_matches_step(self):
+        M = np.array([[0.9, 0.1], [0.2, 0.8]])
+        E = np.array([[0.9, 0.1], [0.1, 0.9], [0.0, 0.0]])
+        contexts = [0] * 70 + [2]
+        with pytest.raises(DegenerateLikelihood):
+            ForwardFilter(M, E).run(contexts)
+        with pytest.raises(DegenerateLikelihood):
+            forward_pass(M, E, np.full(2, 0.5), contexts, on_degenerate="raise")
+        with pytest.raises(ShapeMismatch):
+            forward_pass(M, E, np.full(2, 0.5), [])
 
 
 class TestForgettingRate:

@@ -10,22 +10,26 @@ from hmmbandits import (
     BoxAPolicy,
     BoxBPolicy,
     RandomPolicy,
-    RidgeState,
     StagePlan,
     TransferFunction,
-    bonus_boxA,
-    bonus_boxB,
+    USchedule,
     oracle_act,
-    ridge_update,
+    per_round_bonus,
+    staged_bonus,
+    staged_width,
     tensor_feature,
+    u_belief,
 )
-from hmmbandits.errors import FeatureTooLarge, ShapeMismatch, StageNotFrozen
+from hmmbandits.beliefs import BeliefErrorBudget
+from hmmbandits.errors import ShapeMismatch, StageNotFrozen
 
 from oracles import (
     batch_ridge,
     box_a_bonus_reference,
     box_b_bonus_reference,
     reference_box_a_actions,
+    reference_box_b_actions,
+    u_belief_reference,
 )
 
 
@@ -36,51 +40,126 @@ def make_cfg(**overrides) -> BonusConfig:
     return BonusConfig(**base)
 
 
+def random_gram(rng, dim, lam, rounds, shrink=1.0):
+    """``lam I`` plus ``rounds`` random outer products of norm <= 1/shrink."""
+    gram = lam * np.eye(dim)
+    for _ in range(rounds):
+        f = rng.normal(size=dim)
+        f /= max(np.linalg.norm(f), 1.0) * shrink
+        gram += np.outer(f, f)
+    return gram
+
+
+def box_a_bonus(cfg, plan, lam, gram, belief, phi_vecs, t):
+    """Staged kernel on the rows ``belief (x) phi_vec``, Gram frozen at the
+    last stage boundary."""
+    u = USchedule(cfg)
+    feats = np.array([tensor_feature(belief, p) for p in np.atleast_2d(phi_vecs)])
+    width = None
+    if t > plan.stage_length:
+        s_t = plan.stage_of(t)
+        width = staged_width(cfg, plan, lam, s_t, u.prefix((s_t - 1) * plan.stage_length))
+    return staged_bonus(cfg, plan, lam, t, feats, np.linalg.inv(gram), u(t), width)
+
+
+def box_b_bonus(cfg, lam, gram, belief, phi_vecs, t):
+    """Per-round kernel on the rows ``belief (x) phi_vec`` after ``t - 1`` rounds."""
+    u = USchedule(cfg)
+    feats = np.array([tensor_feature(belief, p) for p in np.atleast_2d(phi_vecs)])
+    return per_round_bonus(cfg, lam, t, feats, np.linalg.inv(gram), u(t), u.prefix(t - 1))
+
+
 class TestRidge:
+    """The per-round policy's ridge state: Gram, moment and estimate."""
+
+    @staticmethod
+    def policy(lam, H=2, phi=None):
+        phi = TransferFunction.one_hot_action(2, 2) if phi is None else phi
+        return BoxBPolicy(phi, make_cfg(H=H, X=max(H, 2), d=phi.dim), lam=lam)
+
     def test_initialization_contract(self):
-        state = RidgeState.initialize(4, lam=2.0)
-        assert np.allclose(state.gram, 2.0 * np.eye(4))
-        assert np.allclose(state.theta_hat, 0.5)
-        assert state.rounds_absorbed == 0
+        policy = self.policy(lam=2.0)
+        assert np.allclose(policy._gram, 2.0 * np.eye(4))
+        assert np.allclose(policy._gram_inv, 0.5 * np.eye(4))
+        assert np.allclose(policy._theta, 0.5)
+        assert policy._rounds == 0
 
     def test_zero_feature_only_counts(self):
-        state = RidgeState.initialize(3, lam=1.0)
-        new = ridge_update(state, np.zeros(3), reward=5.0)
-        assert np.allclose(new.gram, state.gram)
-        assert np.allclose(new.moment, 0.0)
-        assert new.rounds_absorbed == 1
+        policy = self.policy(lam=1.0)
+        policy.update(1, 0, np.zeros(2), 0, reward=5.0)
+        assert np.allclose(policy._gram, np.eye(4))
+        assert np.allclose(policy._moment, 0.0)
+        assert policy._rounds == 1
 
     def test_scalar_single_update(self):
-        state = RidgeState.initialize(1, lam=1.0)
-        new = ridge_update(state, np.array([1.0]), reward=2.0)
-        assert new.gram[0, 0] == pytest.approx(2.0)
-        assert new.theta_hat[0] == pytest.approx(1.0)
+        policy = self.policy(lam=1.0, H=1, phi=TransferFunction.one_hot_action(1, 1))
+        policy.update(1, 0, np.array([1.0]), 0, reward=2.0)
+        assert policy._gram[0, 0] == pytest.approx(2.0)
+        assert policy._theta[0] == pytest.approx(1.0)
 
     def test_matches_batch_closed_form(self):
         rng = np.random.default_rng(4)
-        dim, lam = 5, 0.7
-        feats = rng.normal(size=(50, dim))
-        feats /= np.maximum(np.linalg.norm(feats, axis=1, keepdims=True), 1.0)
-        rewards = rng.normal(size=50)
-        state = RidgeState.initialize(dim, lam)
-        for f, r in zip(feats, rewards):
-            state = ridge_update(state, f, r)
-        want = batch_ridge(feats, rewards, lam)
-        assert np.max(np.abs(state.theta_hat - want)) < 1e-8
+        lam, A, X = 0.7, 3, 2
+        phi = TransferFunction.from_table(rng.normal(size=(A, X, 3)))
+        policy = self.policy(lam=lam, phi=phi)
+        feats, rewards = [], []
+        for t in range(1, 51):
+            x, a, b = int(rng.integers(X)), int(rng.integers(A)), rng.dirichlet(np.ones(2))
+            feats.append(tensor_feature(b, phi.phi(a, x)))
+            rewards.append(rng.normal())
+            policy.update(t, x, b, a, rewards[-1])
+        want = batch_ridge(np.asarray(feats), np.asarray(rewards), lam)
+        assert np.max(np.abs(policy._theta - want)) < 1e-8
 
     def test_gram_dominates_lambda(self):
         rng = np.random.default_rng(5)
-        state = RidgeState.initialize(4, lam=1.5)
-        for _ in range(30):
-            f = rng.normal(size=4)
-            f /= max(np.linalg.norm(f), 1.0)
-            state = ridge_update(state, f, rng.normal())
-        assert np.linalg.eigvalsh(state.gram).min() >= 1.5 - 1e-9
+        policy = self.policy(lam=1.5)
+        for t in range(1, 31):
+            policy.update(t, int(rng.integers(2)), rng.dirichlet(np.ones(2)),
+                          int(rng.integers(2)), rng.normal())
+        assert np.linalg.eigvalsh(policy._gram).min() >= 1.5 - 1e-9
 
-    def test_feature_norm_guard(self):
-        state = RidgeState.initialize(2, lam=1.0)
-        with pytest.raises(FeatureTooLarge):
-            ridge_update(state, np.array([1.0, 1.0]), reward=0.0)
+
+class TestUSchedule:
+    def test_values_and_left_to_right_prefix(self):
+        cfg = make_cfg()
+        u = USchedule(cfg)
+        budget = BeliefErrorBudget(H=2, X=4, delta=0.05)
+        running = 0.0
+        for t in range(1, 60):
+            assert u(t) == u_belief(budget, t)
+            assert u(t) == pytest.approx(u_belief_reference(2, 4, 0.05, t), rel=1e-12)
+            assert u.prefix(t - 1) == running
+            running += u_belief(budget, t)
+        assert u.prefix(0) == 0.0
+
+    def test_known_beliefs_zero(self):
+        u = USchedule(make_cfg(known_beliefs=True))
+        assert u(500) == 0.0 and u.prefix(500) == 0.0
+
+    def test_invalid_round(self):
+        with pytest.raises(ShapeMismatch):
+            USchedule(make_cfg())(0)
+
+    @pytest.mark.parametrize("name", ["boxA", "boxB"])
+    def test_one_budget_evaluation_per_round(self, name, monkeypatch):
+        import hmmbandits.policies as policies
+
+        calls = []
+        real = policies.u_belief
+        monkeypatch.setattr(policies, "u_belief",
+                            lambda budget, t: calls.append(t) or real(budget, t))
+        rng = np.random.default_rng(11)
+        T = 60
+        phi = build_phi()
+        contexts, beliefs, rewards = synthetic_stream(rng, T)
+        cfg = make_cfg(H=2, X=2, d=2)
+        policy = (BoxAPolicy(phi, StagePlan(7, T), cfg, lam=2.0) if name == "boxA"
+                  else BoxBPolicy(phi, cfg, lam=2.0))
+        for t in range(1, T + 1):
+            a = policy.act(t, int(contexts[t - 1]), beliefs[t - 1])
+            policy.update(t, int(contexts[t - 1]), beliefs[t - 1], a, rewards[t - 1, a])
+        assert sorted(calls) == list(range(1, T + 1))
 
 
 class TestTensorFeature:
@@ -122,44 +201,37 @@ class TestBonusBoxA:
     def test_first_stage_constant(self):
         cfg = make_cfg(d=4)
         plan = StagePlan(stage_length=8, horizon=64)
-        ridge = RidgeState.initialize(8, lam=2.0)
-        got = bonus_boxA(cfg, plan, ridge, np.array([0.5, 0.5]), np.ones(4) / 2, t=3)
-        assert got == pytest.approx(2.0)  # 1 + sqrt(4)/2
+        got = box_a_bonus(cfg, plan, 2.0, 2.0 * np.eye(8), np.array([0.5, 0.5]),
+                          [np.ones(4) / 2, np.zeros(4)], t=3)
+        assert got == pytest.approx([2.0, 2.0])  # 1 + sqrt(4)/2
 
     def test_matches_reference_recomputation(self):
         rng = np.random.default_rng(6)
-        cfg = make_cfg()
         plan = StagePlan(stage_length=5, horizon=40)
-        state = RidgeState.initialize(6, lam=3.0)
-        for _ in range(10):  # two full stages
-            f = rng.normal(size=6)
-            f /= max(np.linalg.norm(f), 1.0) * 1.5
-            state = ridge_update(state, f, rng.normal())
+        gram = random_gram(rng, 6, lam=3.0, rounds=10, shrink=1.5)  # two stages
         belief = rng.dirichlet(np.ones(2))
-        phi_vec = rng.normal(size=3) / 3.0
-        for t in (11, 13, 15):
-            got = bonus_boxA(cfg, plan, state, belief, phi_vec, t)
-            want = box_a_bonus_reference(
-                d=3, H=2, X=4, lam=3.0, ell=5, horizon=40, delta=0.1, gamma=0.5,
-                c_theta=1.2, c_eta=0.01, gram=state.gram, belief=belief,
-                phi_vec=phi_vec, t=t,
-            )
-            assert got == pytest.approx(want, rel=1e-12)
+        phi_vecs = rng.normal(size=(3, 3)) / 3.0
+        for scope in ("full", "partial"):
+            cfg = make_cfg(bonus_scope=scope)
+            for t in (11, 13, 15):
+                got = box_a_bonus(cfg, plan, 3.0, gram, belief, phi_vecs, t)
+                want = [box_a_bonus_reference(
+                    d=3, H=2, X=4, lam=3.0, ell=5, horizon=40, delta=0.1, gamma=0.5,
+                    c_theta=1.2, c_eta=0.01, gram=gram, belief=belief,
+                    phi_vec=phi_vec, t=t, scope=scope,
+                ) for phi_vec in phi_vecs]
+                assert got == pytest.approx(want, rel=1e-12)
 
     def test_gamma_zero_drops_drift_terms(self):
         rng = np.random.default_rng(7)
         cfg = make_cfg(gamma=0.0, known_beliefs=True)
         plan = StagePlan(stage_length=5, horizon=20)
-        state = RidgeState.initialize(6, lam=2.0)
-        for _ in range(5):
-            f = rng.normal(size=6)
-            f /= max(np.linalg.norm(f), 1.0) * 2
-            state = ridge_update(state, f, rng.normal())
+        gram = random_gram(rng, 6, lam=2.0, rounds=5, shrink=2.0)
         belief = np.array([0.3, 0.7])
         phi_vec = np.array([0.2, 0.1, 0.0])
-        got = bonus_boxA(cfg, plan, state, belief, phi_vec, t=7)
+        got = box_a_bonus(cfg, plan, 2.0, gram, belief, phi_vec, t=7)[0]
         v = tensor_feature(belief, phi_vec)
-        norm = np.linalg.norm(np.linalg.solve(state.gram, v))
+        norm = np.linalg.norm(np.linalg.solve(gram, v))
         s_t, s_T, ell, lam, delta = 2, 4, 5, 2.0, 0.1
         want = norm * (
             lam * math.sqrt(2) * cfg.c_theta
@@ -173,19 +245,16 @@ class TestBonusBoxA:
         rng = np.random.default_rng(8)
         cfg = make_cfg()
         plan = StagePlan(stage_length=5, horizon=25)
-        state = RidgeState.initialize(6, lam=2.0)
-        for _ in range(5):
-            f = rng.normal(size=6)
-            f /= max(np.linalg.norm(f), 1.0) * 2
-            state = ridge_update(state, f, rng.normal())
+        gram = random_gram(rng, 6, lam=2.0, rounds=5, shrink=2.0)
+        u = USchedule(cfg)
         slopes = []
         for _ in range(6):
             belief = rng.dirichlet(np.ones(2))
             phi_vec = rng.normal(size=3) / 2.0
             v = tensor_feature(belief, phi_vec)
-            norm = float(np.linalg.norm(np.linalg.solve(state.gram, v)))
-            eps = bonus_boxA(cfg, plan, state, belief, phi_vec, t=8)
-            slopes.append((eps - cfg.u(8)) / norm)
+            norm = float(np.linalg.norm(np.linalg.solve(gram, v)))
+            eps = box_a_bonus(cfg, plan, 2.0, gram, belief, phi_vec, t=8)[0]
+            slopes.append((eps - u(8)) / norm)
         assert np.ptp(slopes) < 1e-8
         assert slopes[0] > 0
 
@@ -194,33 +263,34 @@ class TestBonusBoxA:
         cfg_partial = make_cfg(bonus_scope="partial")
         plan = StagePlan(stage_length=4, horizon=16)
         rng = np.random.default_rng(9)
-        state = RidgeState.initialize(6, lam=2.0)
+        gram = 2.0 * np.eye(6)
         for _ in range(4):
             f = rng.normal(size=6) / 4.0
-            state = ridge_update(state, f, rng.normal())
+            gram += np.outer(f, f)
         belief, phi_vec = np.array([0.6, 0.4]), np.array([0.3, 0.0, 0.1])
         v = tensor_feature(belief, phi_vec)
-        norm = float(np.linalg.norm(np.linalg.solve(state.gram, v)))
-        got_full = bonus_boxA(cfg_full, plan, state, belief, phi_vec, t=6)
-        got_partial = bonus_boxA(cfg_partial, plan, state, belief, phi_vec, t=6)
-        tail = 2 * 1 * 0.5 / 0.5 + sum(cfg_full.u(tau) for tau in range(1, 5))
+        norm = float(np.linalg.norm(np.linalg.solve(gram, v)))
+        got_full = box_a_bonus(cfg_full, plan, 2.0, gram, belief, phi_vec, t=6)[0]
+        got_partial = box_a_bonus(cfg_partial, plan, 2.0, gram, belief, phi_vec, t=6)[0]
+        u = USchedule(cfg_full)
+        tail = 2 * 1 * 0.5 / 0.5 + sum(u(tau) for tau in range(1, 5))
         assert got_full - got_partial == pytest.approx((norm - 1.0) * tail, rel=1e-9)
 
     def test_stage_not_frozen_guard(self):
-        cfg = make_cfg()
-        plan = StagePlan(stage_length=4, horizon=16)
-        state = RidgeState.initialize(6, lam=2.0)
-        state = ridge_update(state, np.zeros(6), 0.0)  # one round into stage 1
+        cfg = make_cfg(H=2, X=2, d=2)
+        policy = BoxAPolicy(build_phi(), StagePlan(4, 16), cfg, lam=2.0)
+        belief = np.array([0.5, 0.5])
+        policy.update(1, 0, belief, 0, 0.0)  # one round into stage 1
         with pytest.raises(StageNotFrozen):
-            bonus_boxA(cfg, plan, state, np.array([0.5, 0.5]), np.zeros(3), t=6)
+            policy.act(6, 0, belief)
 
 
 class TestBonusBoxB:
     def test_round_one_constant(self):
         cfg = make_cfg()
-        ridge = RidgeState.initialize(6, lam=4.0)
-        got = bonus_boxB(cfg, ridge, np.array([0.5, 0.5]), np.zeros(3), t=1)
-        assert got == pytest.approx(1.0 + math.sqrt(3) / 4.0)
+        got = box_b_bonus(cfg, 4.0, 4.0 * np.eye(6), np.array([0.5, 0.5]),
+                          [np.zeros(3), np.ones(3) / 2], t=1)
+        assert got == pytest.approx([1.0 + math.sqrt(3) / 4.0] * 2)
 
     def test_large_lambda_limit(self):
         # the Mahalanobis factor vanishes like 1/sqrt(lam), so the only
@@ -228,23 +298,23 @@ class TestBonusBoxB:
         # whose product converges to sqrt(H) C_theta ||v||_2; with a zero
         # feature the bonus reduces exactly to the belief budget
         cfg = make_cfg()
-        ridge = RidgeState.initialize(6, lam=1e14)
+        lam = 1e14
+        gram = lam * np.eye(6)
         belief, phi_vec = np.array([0.5, 0.5]), np.array([0.5, 0.1, 0.0])
         v = tensor_feature(belief, phi_vec)
-        assert float(v @ np.linalg.solve(ridge.gram, v)) ** 0.5 < 1e-7
-        got = bonus_boxB(cfg, ridge, belief, phi_vec, t=50)
-        limit = cfg.u(50) + math.sqrt(2) * cfg.c_theta * np.linalg.norm(v)
+        assert float(v @ np.linalg.solve(gram, v)) ** 0.5 < 1e-7
+        got, zero = box_b_bonus(cfg, lam, gram, belief, [phi_vec, np.zeros(3)], t=50)
+        u50 = USchedule(cfg)(50)
+        limit = u50 + math.sqrt(2) * cfg.c_theta * np.linalg.norm(v)
         assert got == pytest.approx(limit, rel=1e-4)
-        zero = bonus_boxB(cfg, ridge, belief, np.zeros(3), t=50)
-        assert zero == pytest.approx(cfg.u(50), rel=1e-12)
+        assert zero == pytest.approx(u50, rel=1e-12)
 
     def test_isotropic_gram_closed_form(self):
         cfg = make_cfg(known_beliefs=True)
         lam = 9.0
-        ridge = RidgeState.initialize(6, lam=lam)
         belief, phi_vec = np.array([0.4, 0.6]), np.array([0.3, 0.2, 0.1])
         v = tensor_feature(belief, phi_vec)
-        got = bonus_boxB(cfg, ridge, belief, phi_vec, t=10)
+        got = box_b_bonus(cfg, lam, lam * np.eye(6), belief, phi_vec, t=10)[0]
         width = math.sqrt(lam * 2) * cfg.c_theta + cfg.v_eta * math.sqrt(
             2 * math.log(20.0) + 6 * math.log(1.0 + 10 / (lam * 6))
         )
@@ -253,19 +323,20 @@ class TestBonusBoxB:
     def test_matches_reference_recomputation(self):
         rng = np.random.default_rng(10)
         lam = 10.0  # sqrt(T) with T=100
-        cfg = make_cfg(d=2, H=2)
-        ridge = RidgeState.initialize(4, lam=lam)
+        gram = lam * np.eye(4)
         for _ in range(9):
             f = rng.normal(size=4) / 4.0
-            ridge = ridge_update(ridge, f, rng.normal())
+            gram += np.outer(f, f)
         belief = rng.dirichlet(np.ones(2))
-        phi_vec = rng.normal(size=2) / 2.0
-        got = bonus_boxB(cfg, ridge, belief, phi_vec, t=10)
-        want = box_b_bonus_reference(
-            d=2, H=2, X=4, lam=lam, delta=0.1, c_theta=1.2, v_eta=0.1,
-            gram=ridge.gram, belief=belief, phi_vec=phi_vec, t=10,
-        )
-        assert got == pytest.approx(want, rel=1e-12)
+        phi_vecs = rng.normal(size=(3, 2)) / 2.0
+        for known in (False, True):
+            cfg = make_cfg(d=2, H=2, known_beliefs=known)
+            got = box_b_bonus(cfg, lam, gram, belief, phi_vecs, t=10)
+            want = [box_b_bonus_reference(
+                d=2, H=2, X=4, lam=lam, delta=0.1, c_theta=1.2, v_eta=0.1,
+                gram=gram, belief=belief, phi_vec=phi_vec, t=10, known_beliefs=known,
+            ) for phi_vec in phi_vecs]
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 def build_phi(A=2, X=2):
@@ -315,7 +386,7 @@ class TestBoxAPolicy:
                           rewards[t - 1, a])
         # theta used in round t was computed at the last stage boundary
         assert versions == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
-        assert policy.ridge.rounds_absorbed == 12
+        assert policy._frozen_rounds == 12
 
     def test_frozen_ridge_solves_boundary_system(self):
         rng = np.random.default_rng(2)
@@ -328,11 +399,32 @@ class TestBoxAPolicy:
             a = policy.act(t, int(contexts[t - 1]), beliefs[t - 1])
             policy.update(t, int(contexts[t - 1]), beliefs[t - 1], a,
                           rewards[t - 1, a])
-        ridge = policy.ridge
-        assert np.allclose(ridge.gram @ ridge.theta_hat, ridge.moment, atol=1e-10)
+        # T is a stage boundary: the frozen snapshot is the current ridge
+        assert np.allclose(policy._gram @ policy._theta_frozen, policy._moment, atol=1e-10)
+        assert np.allclose(policy._gram_frozen_inv @ policy._gram, np.eye(4), atol=1e-10)
 
 
 class TestBoxBPolicy:
+    @pytest.mark.parametrize("A,seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
+    def test_trace_matches_straight_line_reference(self, A, seed):
+        rng = np.random.default_rng(seed)
+        T, lam = 200, 5.0
+        phi = build_phi(A=A)
+        contexts, beliefs, rewards = synthetic_stream(rng, T, A=A)
+        cfg = make_cfg(H=2, X=2, d=A)
+        policy = BoxBPolicy(phi, cfg, lam)
+        actions = []
+        for t in range(1, T + 1):
+            a = policy.act(t, int(contexts[t - 1]), beliefs[t - 1])
+            policy.update(t, int(contexts[t - 1]), beliefs[t - 1], a,
+                          rewards[t - 1, a])
+            actions.append(a)
+        want = reference_box_b_actions(
+            phi.table, contexts, beliefs, rewards,
+            lam=lam, horizon=T, delta=0.1, c_theta=1.2, v_eta=0.1, H=2, X=2,
+        )
+        assert actions == want
+
     def test_inverse_drift_capped(self):
         rng = np.random.default_rng(3)
         T = 2500
@@ -345,7 +437,7 @@ class TestBoxBPolicy:
             policy.update(t, int(contexts[t - 1]), beliefs[t - 1], a,
                           rewards[t - 1, a])
         assert policy.max_inverse_drift <= 1e-8
-        direct = np.linalg.inv(policy.ridge.gram)
+        direct = np.linalg.inv(policy._gram)
         assert np.max(np.abs(policy._gram_inv - direct)) < 1e-8
 
     def test_theta_tracks_batch_solution(self):
@@ -363,7 +455,7 @@ class TestBoxBPolicy:
             obs.append(rewards[t - 1, a])
             policy.update(t, int(contexts[t - 1]), beliefs[t - 1], a, obs[-1])
         want = batch_ridge(np.asarray(feats), np.asarray(obs), 3.0)
-        assert np.max(np.abs(policy.ridge.theta_hat - want)) < 1e-8
+        assert np.max(np.abs(policy._theta - want)) < 1e-8
 
 
 class TestEquivalenceAndConsistency:
@@ -393,18 +485,18 @@ class TestEquivalenceAndConsistency:
         H, d, lam = 2, 2, 1.0
         theta_star = rng.normal(size=H * d)
         theta_star /= np.linalg.norm(theta_star) * 1.2
-        state = RidgeState.initialize(H * d, lam)
+        phi = build_phi(A=d)
+        policy = BoxBPolicy(phi, make_cfg(H=H, X=2, d=d), lam)
         feats = []
-        for t in range(5000):
+        for t in range(1, 5001):
             b = rng.dirichlet(np.ones(H))
-            phi_vec = np.zeros(d)
-            phi_vec[rng.integers(d)] = 1.0
-            f = tensor_feature(b, phi_vec)
+            a = int(rng.integers(d))
+            f = tensor_feature(b, phi.phi(a, 0))
             feats.append(f)
-            state = ridge_update(state, f, float(f @ theta_star))
+            policy.update(t, 0, b, a, float(f @ theta_star))
         gram = np.asarray(feats).T @ np.asarray(feats)
         assert np.linalg.eigvalsh(gram).min() > 100.0  # grows linearly
-        assert np.linalg.norm(state.theta_hat - theta_star) < 0.05
+        assert np.linalg.norm(policy._theta - theta_star) < 0.05
 
 
 class TestActSelection:
