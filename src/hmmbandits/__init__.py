@@ -10,6 +10,7 @@ from .hmm import (
     HmmParams,
     Trajectory,
     check_forgetting,
+    filter_trace,
     forgetting_rate,
     sample_trajectory,
     stationary_distribution,
@@ -34,14 +35,13 @@ from .beliefs import (
     u_belief,
 )
 from .environment import (
-    BanditEnvironment,
+    EnvironmentTape,
     NoiseModel,
     RewardSpec,
-    RoundRecord,
     TransferFunction,
     check_reward_bounds,
-    draw_reward,
     mean_reward,
+    sample_tape,
     sample_theta,
 )
 from .policies import (
@@ -60,14 +60,12 @@ from .policies import (
 )
 from .evaluation import (
     RateFit,
-    RegretLedger,
     check_determinant_trace,
     check_elliptic_potential,
     check_matrix_determinant_lemma,
     check_staged_elliptic_potential,
     fit_rate,
     read_summaries,
-    record_round,
     run_lemma_trials,
 )
 from .config import ExperimentConfig, load_config, parse_config

@@ -18,7 +18,7 @@ from .errors import (
     RankDeficient,
     ShapeMismatch,
 )
-from .hmm import ForwardFilter, HmmParams
+from .hmm import ForwardFilter, HmmParams, filter_trace
 from .spectral import EstimatedHmm, MomentAccumulator, align, postprocess, spectral_estimate
 
 
@@ -151,15 +151,14 @@ class OnlineBeliefEstimator:
         return self._filter.step(x).copy()
 
 
-def _side_by_side_traces(true_params, estimates_schedule, contexts):
-    """True-filter and scheduled-estimate-filter beliefs, round by round.
+def _estimated_trace(estimates_schedule, contexts, num_states: int) -> np.ndarray:
+    """Scheduled-estimate filter beliefs, round by round.
 
     ``estimates_schedule`` is either one :class:`EstimatedHmm` (active from
     round 1) or a sequence of ``(round, estimate)`` pairs with ascending
     activation rounds; at each activation the estimated filter re-filters the
     prefix from scratch under the new parameters.
     """
-    contexts = np.asarray(contexts, dtype=np.int64)
     if isinstance(estimates_schedule, EstimatedHmm):
         schedule = [(1, estimates_schedule)]
     else:
@@ -167,13 +166,8 @@ def _side_by_side_traces(true_params, estimates_schedule, contexts):
     if not schedule or schedule[0][0] > 1:
         raise ShapeMismatch("schedule must provide an estimate from round 1")
 
-    true_filter = ForwardFilter(
-        true_params.transition, true_params.emission, prior=true_params.initial_dist
-    )
-    H = true_params.num_states
-    uniform = np.full(H, 1.0 / H)
-    truth = np.empty((contexts.size, H))
-    estimated = np.empty((contexts.size, H))
+    uniform = np.full(num_states, 1.0 / num_states)
+    estimated = np.empty((contexts.size, num_states))
     est_filter: ForwardFilter | None = None
     next_idx = 0
     for t, x in enumerate(contexts, start=1):
@@ -188,10 +182,18 @@ def _side_by_side_traces(true_params, estimates_schedule, contexts):
             if t > 1:
                 est_filter.restart(contexts[: t - 1])
             next_idx += 1
-        truth[t - 1] = true_filter.step(int(x))
         assert est_filter is not None
         estimated[t - 1] = est_filter.step(int(x))
-    return truth, estimated
+    return estimated
+
+
+def belief_gaps(truth: np.ndarray, estimates_schedule, contexts) -> np.ndarray:
+    """Per-round ``||b_hat_t - b_t||_1`` gaps between the true beliefs
+    ``truth`` (rows of :func:`hmmbandits.hmm.filter_trace` over ``contexts``)
+    and the filter running on scheduled estimates."""
+    contexts = np.asarray(contexts, dtype=np.int64)
+    estimated = _estimated_trace(estimates_schedule, contexts, truth.shape[1])
+    return np.abs(truth - estimated).sum(axis=1)
 
 
 def belief_error_trace(
@@ -201,8 +203,7 @@ def belief_error_trace(
 ) -> np.ndarray:
     """Per-round ``||b_hat_t - b_t||_1`` gaps between the true filter and the
     filter running on scheduled estimates (diagnostic mode; truth required)."""
-    truth, estimated = _side_by_side_traces(true_params, estimates_schedule, contexts)
-    return np.abs(truth - estimated).sum(axis=1)
+    return belief_gaps(filter_trace(true_params, contexts), estimates_schedule, contexts)
 
 
 def dump_belief_trace(
@@ -213,9 +214,11 @@ def dump_belief_trace(
 ) -> None:
     """Write the side-by-side filter comparison as CSV
     (``round, b1..bH, b1_hat..bH_hat, l1_gap``)."""
-    truth, estimated = _side_by_side_traces(true_params, estimates_schedule, contexts)
-    gaps = np.abs(truth - estimated).sum(axis=1)
+    contexts = np.asarray(contexts, dtype=np.int64)
+    truth = filter_trace(true_params, contexts)
     H = true_params.num_states
+    estimated = _estimated_trace(estimates_schedule, contexts, H)
+    gaps = np.abs(truth - estimated).sum(axis=1)
     header = (
         ["round"]
         + [f"b{h + 1}" for h in range(H)]

@@ -1,11 +1,13 @@
 """The bandit environment wrapping the HMM: transfer-function tables, both
 reward models (state-dependent and belief-dependent means), noise generation,
-and the per-round interaction protocol.
+and the environment tape.
 
-Protocol order at round ``t``: observe context -> act -> observe reward ->
-latent transition.  Hidden states never cross the policy boundary; full
-per-round reward vectors are generated internally (for counterfactual
-diagnostics) but only the chosen entry is revealed.
+Nothing the environment draws depends on the policy: only the index of the
+revealed reward entry does.  So a cell's whole path (hidden states, contexts,
+true beliefs, full reward vectors and oracle-side scores) is drawn up front
+as one :class:`EnvironmentTape`; the simulation loop reveals ``(t, x_t)`` and
+the chosen entry of each reward vector, and hidden states never cross the
+policy boundary.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HorizonExceeded, ModelMismatch, ShapeMismatch
-from .hmm import ForwardFilter, HmmParams
+from .errors import ModelMismatch, ShapeMismatch
+from .hmm import HmmParams, filter_trace, sample_chain
 
 STATE_DEPENDENT = "state_dependent"
 BELIEF_DEPENDENT = "belief_dependent"
@@ -109,7 +111,7 @@ class NoiseModel:
             kind="bounded_uniform", v_eta=math.sqrt(3.0 * c_eta), c_eta=float(c_eta)
         )
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.kind == "gaussian":
             return rng.normal(0.0, self.v_eta, size=size) if self.v_eta > 0 else np.zeros(size)
         if self.kind == "bounded_uniform":
@@ -192,132 +194,71 @@ def mean_reward(
     return float(vec @ (spec.theta_star.T @ belief))
 
 
-def draw_reward(
-    spec: RewardSpec,
-    phi: TransferFunction,
-    action: int,
-    context: int,
-    hidden: int,
-    belief: np.ndarray,
-    rng: np.random.Generator,
-) -> float:
-    """Mean reward of the configured model plus one independent noise draw."""
-    target = hidden if spec.model == STATE_DEPENDENT else belief
-    eta = float(spec.noise.draw(rng, 1)[0])
-    return mean_reward(spec, phi, action, context, target) + eta
-
-
 @dataclass(frozen=True)
-class RoundRecord:
-    """One protocol round; ``hidden`` is environment-private (diagnostics only)."""
+class EnvironmentTape:
+    """The policy-independent path of one cell, one row per round.
 
-    round: int
-    context: int
-    hidden: int
-    action: int
-    reward: float
-    true_belief: np.ndarray
-    estimated_belief: np.ndarray | None = None
-
-
-class BanditEnvironment:
-    """Sequential environment: context reveal, action, reward, latent step.
-
-    Independent RNG streams for the latent chain, the emissions, and the
-    reward noise are derived from ``seed``, so policy-side randomness can
-    never perturb the environment path and different policies see identical
-    paths under the same seed (paired comparisons).
+    ``hidden`` and the true ``beliefs`` are oracle-side (never shown to
+    policies); ``rewards[t, a]`` is the reward action ``a`` would reveal in
+    round ``t + 1`` (model mean plus noise), and ``scores[t, a]`` its mean
+    under the true belief, ``phi(a, x_t)^T theta^T b_t``, against which
+    pseudo-regret is measured.
     """
 
-    def __init__(
-        self,
-        params: HmmParams,
-        spec: RewardSpec,
-        phi: TransferFunction,
-        horizon: int,
-        seed,
-    ):
-        if spec.num_states != params.num_states:
-            raise ShapeMismatch("theta_star rows must match num_states")
-        if phi.num_contexts != params.num_contexts:
-            raise ShapeMismatch("transfer table contexts must match num_contexts")
-        check_reward_bounds(spec, phi)
-        self.params = params
-        self.spec = spec
-        self.phi = phi
-        self.horizon = int(horizon)
-        root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        streams = root.spawn(3)
-        self._rng_latent = np.random.default_rng(streams[0])
-        self._rng_emission = np.random.default_rng(streams[1])
-        self._rng_noise = np.random.default_rng(streams[2])
-        self._filter = ForwardFilter(
-            params.transition, params.emission, prior=params.initial_dist
-        )
-        self._cum_rows = np.cumsum(params.transition, axis=1)
-        self._cum_cols = np.cumsum(params.emission, axis=0)
-        self._cum_pi = np.cumsum(params.initial_dist)
-        self.t = 0
-        self._hidden = -1
-        self._context = -1
-        self._belief: np.ndarray | None = None
-        self._awaiting_action = False
+    hidden: np.ndarray    # (T,)
+    contexts: np.ndarray  # (T,)
+    beliefs: np.ndarray   # (T, H)
+    rewards: np.ndarray   # (T, A)
+    scores: np.ndarray    # (T, A)
 
-    def _draw_index(self, cum: np.ndarray, rng: np.random.Generator) -> int:
-        idx = int(np.searchsorted(cum, rng.random(), side="right"))
-        return min(idx, cum.shape[0] - 1)
+    def __post_init__(self):
+        for name in ("hidden", "contexts", "beliefs", "rewards", "scores"):
+            getattr(self, name).flags.writeable = False
 
-    def observe(self) -> tuple[int, int]:
-        """Advance to the next round and reveal ``(t, x_t)``."""
-        if self.t >= self.horizon:
-            raise HorizonExceeded(f"horizon {self.horizon} already reached")
-        if self._awaiting_action:
-            raise ShapeMismatch("act on the current context before observing again")
-        self.t += 1
-        if self.t == 1:
-            self._hidden = self._draw_index(self._cum_pi, self._rng_latent)
-        self._context = self._draw_index(
-            self._cum_cols[:, self._hidden], self._rng_emission
-        )
-        self._belief = self._filter.step(self._context)
-        self._awaiting_action = True
-        return self.t, self._context
 
-    def step(self, action: int, estimated_belief: np.ndarray | None = None) -> RoundRecord:
-        """Resolve the pending round with ``action``; latent state advances after."""
-        if not self._awaiting_action:
-            raise ShapeMismatch("observe a context before acting")
-        a = int(action)
-        if not 0 <= a < self.phi.num_actions:
-            raise ShapeMismatch(f"action {a} outside the action set")
-        rewards = self.reward_vector()
-        record = RoundRecord(
-            round=self.t,
-            context=self._context,
-            hidden=self._hidden,
-            action=a,
-            reward=float(rewards[a]),
-            true_belief=self._belief.copy(),
-            estimated_belief=None if estimated_belief is None else np.array(estimated_belief),
-        )
-        self._hidden = self._draw_index(self._cum_rows[self._hidden], self._rng_latent)
-        self._awaiting_action = False
-        return record
+def sample_tape(
+    params: HmmParams,
+    spec: RewardSpec,
+    phi: TransferFunction,
+    horizon: int,
+    seed,
+) -> EnvironmentTape:
+    """Draw the whole environment path of ``horizon`` rounds at once.
 
-    def reward_vector(self) -> np.ndarray:
-        """Full per-round reward vector (internal; only the chosen entry is revealed)."""
-        A = self.phi.num_actions
-        if self.spec.model == STATE_DEPENDENT:
-            means = self.phi.table[:, self._context] @ self.spec.theta_star[self._hidden]
-        else:
-            means = self.phi.table[:, self._context] @ (
-                self.spec.theta_star.T @ self._belief
-            )
-        return means + self.spec.noise.draw(self._rng_noise, A)
-
-    @property
-    def true_belief(self) -> np.ndarray:
-        """Oracle-side belief of the pending round (never shown to policies)."""
-        if self._belief is None:
-            raise ShapeMismatch("no round observed yet")
-        return self._belief
+    Three independent streams spawned from ``seed`` drive the latent chain,
+    the emissions and the reward noise, so the path does not depend on the
+    policy and every policy faces the identical path under the same seed
+    (paired comparisons).  Each round's scores (and belief-dependent means)
+    are one matvec ``phi[:, x_t] @ (theta^T b_t)``; state-dependent means
+    come from the table of matvecs ``phi[:, x] @ theta_h``.
+    """
+    if spec.num_states != params.num_states:
+        raise ShapeMismatch("theta_star rows must match num_states")
+    if phi.num_contexts != params.num_contexts:
+        raise ShapeMismatch("transfer table contexts must match num_contexts")
+    if horizon < 1:
+        raise ShapeMismatch("horizon must be >= 1")
+    check_reward_bounds(spec, phi)
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    rng_latent, rng_emission, rng_noise = (
+        np.random.default_rng(stream) for stream in root.spawn(3)
+    )
+    hidden, contexts = sample_chain(
+        params, rng_latent.random(horizon), rng_emission.random(horizon)
+    )
+    beliefs = filter_trace(params, contexts)
+    theta = spec.theta_star
+    scores = np.empty((horizon, phi.num_actions))
+    for i, x in enumerate(contexts.tolist()):
+        scores[i] = phi.table[:, x] @ (theta.T @ beliefs[i])
+    if spec.model == STATE_DEPENDENT:
+        state_means = np.array([
+            [phi.table[:, x] @ theta[h] for h in range(params.num_states)]
+            for x in range(params.num_contexts)
+        ])
+        means = state_means[contexts, hidden]
+    else:
+        means = scores
+    rewards = means + spec.noise.draw(rng_noise, (horizon, phi.num_actions))
+    return EnvironmentTape(hidden=hidden, contexts=contexts, beliefs=beliefs,
+                           rewards=rewards, scores=scores)

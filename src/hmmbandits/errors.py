@@ -49,10 +49,6 @@ class ModelMismatch(HmmBanditsError):
     """Reward-model kind does not match the supplied state/belief argument."""
 
 
-class HorizonExceeded(HmmBanditsError):
-    """The environment was stepped past its configured horizon."""
-
-
 class SingularA(HmmBanditsError):
     """Matrix argument of the determinant identity is singular."""
 

@@ -1,67 +1,19 @@
-"""Pseudo-regret accounting, log-log rate fits against horizon grids, and the
-executable-lemma suite (elliptic potentials, determinant identities, HMM
-forgetting) used as randomized self-checks: every check encodes a proved
-statement, so any violation indicates an implementation bug.
+"""Log-log regret-rate fits against horizon grids, the summary reader that
+feeds them, and the executable-lemma suite (elliptic potentials, determinant
+identities, HMM forgetting) used as randomized self-checks: every check
+encodes a proved statement, so any violation indicates an implementation bug.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import RewardSpec, TransferFunction
 from .errors import InsufficientData, ShapeMismatch, SingularA
 from .hmm import HmmParams, check_forgetting, forgetting_rate
-
-
-@dataclass
-class RegretLedger:
-    """Per-round benchmark and chosen-action values under the *true* beliefs.
-
-    Pseudo-regret is defined with the oracle-side beliefs and parameters even
-    when the policy acted on estimates; the increments are in ``[0, 2]`` by
-    the unit bound on mean rewards.
-    """
-
-    horizon: int
-    per_round_benchmark: list = field(default_factory=list)
-    per_round_value: list = field(default_factory=list)
-    cumulative: list = field(default_factory=list)
-
-    @property
-    def total(self) -> float:
-        return self.cumulative[-1] if self.cumulative else 0.0
-
-    def increments(self) -> np.ndarray:
-        return np.asarray(self.per_round_benchmark) - np.asarray(self.per_round_value)
-
-    def instantaneous(self, burn_in: float = 0.02) -> np.ndarray:
-        """Per-round gaps after dropping the first ``burn_in`` fraction
-        (display helper only; ``total`` always sums from round 1)."""
-        inc = self.increments()
-        return inc[int(burn_in * len(inc)):]
-
-
-def record_round(
-    ledger: RegretLedger,
-    true_belief: np.ndarray,
-    context: int,
-    action: int,
-    spec: RewardSpec,
-    phi: TransferFunction,
-) -> RegretLedger:
-    """Append one round's benchmark and value terms (oracle-side computation)."""
-    scores = phi.table[:, context] @ (spec.theta_star.T @ np.asarray(true_belief))
-    benchmark = float(np.max(scores))
-    value = float(scores[int(action)])
-    ledger.per_round_benchmark.append(benchmark)
-    ledger.per_round_value.append(value)
-    prev = ledger.cumulative[-1] if ledger.cumulative else 0.0
-    ledger.cumulative.append(prev + (benchmark - value))
-    return ledger
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ distribution under state ``h``.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,30 +142,43 @@ def validate(params: HmmParams) -> HmmDiagnostics:
     )
 
 
+def sample_chain(
+    params: HmmParams, u_state: np.ndarray, u_ctx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden path and contexts by inverse-CDF lookup of uniform draws.
+
+    ``h_1`` inverts ``pi`` at ``u_state[0]``, ``h_{t+1}`` inverts ``M[h_t]``
+    at ``u_state[t]`` and ``x_t`` inverts ``nu_{h_t}`` at ``u_ctx[t-1]``; an
+    index past the end (a cumulative sum rounding below the draw) is clamped.
+    """
+    last = params.num_states - 1
+    cum_rows = np.cumsum(params.transition, axis=1).tolist()
+    us = np.asarray(u_state, dtype=float).tolist()
+    h = min(bisect_right(np.cumsum(params.initial_dist).tolist(), us[0]), last)
+    path = [h]
+    for u in us[1:]:
+        h = min(bisect_right(cum_rows[h], u), last)
+        path.append(h)
+    hidden = np.array(path, dtype=np.int64)
+    # searchsorted(side="right") = number of cumulative sums <= the draw
+    cum_cols = np.cumsum(params.emission, axis=0).T
+    below = cum_cols[hidden] <= np.asarray(u_ctx, dtype=float)[:, None]
+    contexts = np.minimum(np.count_nonzero(below, axis=1), params.num_contexts - 1)
+    return hidden, contexts.astype(np.int64)
+
+
 def sample_trajectory(params: HmmParams, horizon: int, seed: int) -> Trajectory:
     """Sample ``h_1 ~ pi``, ``x_t ~ nu_{h_t}``, ``h_{t+1} ~ M[h_t]``.
 
-    Deterministic given ``(params, horizon, seed)``.
+    Deterministic given ``(params, horizon, seed)``: one generator draws all
+    ``horizon`` state uniforms, then all context uniforms.
     """
     if horizon < 1:
         raise ShapeMismatch("horizon must be >= 1")
     rng = np.random.default_rng(seed)
-    cum_rows = np.cumsum(params.transition, axis=1)
-    cum_cols = np.cumsum(params.emission, axis=0)
-    cum_pi = np.cumsum(params.initial_dist)
     u_state = rng.random(horizon)
     u_ctx = rng.random(horizon)
-    hidden = np.empty(horizon, dtype=np.int64)
-    contexts = np.empty(horizon, dtype=np.int64)
-    h = int(np.searchsorted(cum_pi, u_state[0], side="right"))
-    h = min(h, params.num_states - 1)
-    for t in range(horizon):
-        hidden[t] = h
-        x = int(np.searchsorted(cum_cols[:, h], u_ctx[t], side="right"))
-        contexts[t] = min(x, params.num_contexts - 1)
-        if t + 1 < horizon:
-            h = int(np.searchsorted(cum_rows[h], u_state[t + 1], side="right"))
-            h = min(h, params.num_states - 1)
+    hidden, contexts = sample_chain(params, u_state, u_ctx)
     return Trajectory(hidden=hidden, contexts=contexts, horizon=horizon)
 
 
@@ -310,16 +324,25 @@ class ForwardFilter:
         return self.belief
 
 
-def true_belief_filter(params: HmmParams, contexts) -> Belief:
-    """Exact posterior ``b_t(h) = P(h_t = h | x_{1:t})`` via the forward recursion."""
+def filter_trace(params: HmmParams, contexts) -> np.ndarray:
+    """Exact beliefs ``b_1..b_t``, one row per round, by stepping the forward
+    recursion under the true parameters."""
     contexts = np.asarray(contexts, dtype=np.int64)
     if contexts.size == 0:
         raise ShapeMismatch("contexts must be non-empty")
     filt = ForwardFilter(
         params.transition, params.emission, prior=params.initial_dist
     )
-    probs = filt.run(contexts)
-    return Belief(probs=probs, round=int(contexts.size))
+    trace = np.empty((contexts.size, params.num_states))
+    for i, x in enumerate(contexts.tolist()):
+        trace[i] = filt.step(x)
+    return trace
+
+
+def true_belief_filter(params: HmmParams, contexts) -> Belief:
+    """Exact posterior ``b_t(h) = P(h_t = h | x_{1:t})`` via the forward recursion."""
+    trace = filter_trace(params, contexts)
+    return Belief(probs=trace[-1], round=trace.shape[0])
 
 
 def forgetting_rate(params: HmmParams) -> float:

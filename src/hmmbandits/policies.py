@@ -292,9 +292,7 @@ class BoxBPolicy:
     """LinUCB on estimated beliefs with per-round updates (no stages).
 
     The Gram inverse is maintained by rank-one (Sherman-Morrison) updates
-    with a direct re-solve every ``resolve_every`` rounds to cap drift; the
-    largest observed gap between maintained and direct inverse is kept as a
-    diagnostic.
+    with a direct re-solve every ``resolve_every`` rounds to cap drift.
     """
 
     name = "boxB"
@@ -320,7 +318,6 @@ class BoxBPolicy:
         self._theta = np.full(dH, 1.0 / self.lam)
         self._rounds = 0
         self._u = USchedule(cfg)
-        self.max_inverse_drift = 0.0
 
     def act(self, t: int, context: int, belief: np.ndarray) -> int:
         feats = self._features.all_actions(context, np.asarray(belief, dtype=float))
@@ -340,10 +337,7 @@ class BoxBPolicy:
         self._gram_inv -= np.outer(w, w) / (1.0 + float(v @ w))
         self._rounds += 1
         if self._rounds % self.resolve_every == 0:
-            direct = np.linalg.inv(self._gram)
-            drift = float(np.max(np.abs(direct - self._gram_inv)))
-            self.max_inverse_drift = max(self.max_inverse_drift, drift)
-            self._gram_inv = direct
+            self._gram_inv = np.linalg.inv(self._gram)
             self._theta = np.linalg.solve(self._gram, self._moment)
         else:
             self._theta = self._gram_inv @ self._moment

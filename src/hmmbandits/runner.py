@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .beliefs import OnlineBeliefEstimator, belief_error_trace
+from .beliefs import OnlineBeliefEstimator, belief_gaps
 from .config import ExperimentConfig, config_snapshot
-from .environment import BanditEnvironment
+from .environment import sample_tape
 from .errors import ConfigError, HmmBanditsError, ShapeMismatch
-from .evaluation import RegretLedger, record_round
 from .policies import (
     BonusConfig,
     BoxAPolicy,
@@ -112,9 +111,7 @@ def simulate_cell(
     policy_ss, estimator_ss = learner_seed_sequence(
         config.run.master_seed, policy_name, horizon, seed_index
     ).spawn(2)
-    env = BanditEnvironment(
-        config.params, config.reward, config.phi, horizon, seed=env_ss
-    )
+    tape = sample_tape(config.params, config.reward, config.phi, horizon, seed=env_ss)
     policy_rng = np.random.default_rng(policy_ss)
     policy, lam, ell = _build_policy(config, policy_name, horizon, policy_rng)
 
@@ -132,12 +129,15 @@ def simulate_cell(
     last_version = 0
     uniform = np.full(config.params.num_states, 1.0 / config.params.num_states)
 
-    ledger = RegretLedger(horizon=horizon)
+    contexts, hidden = tape.contexts.tolist(), tape.hidden.tolist()
+    rewards, scores = tape.rewards, tape.scores
+    benchmark = scores.max(axis=1)
+    num_actions = config.phi.num_actions
+    regret_total = 0.0
     rows = []
     emit_oracle = config.run.emit_oracle_columns
-    for _ in range(horizon):
-        t, x = env.observe()
-        b_true = env.true_belief
+    for i, x in enumerate(contexts):
+        t, b_true = i + 1, tape.beliefs[i]
         if estimator is not None:
             b_hat = estimator.observe(x)
             if config.run.plugin_gamma and estimator.params_version != last_version:
@@ -154,17 +154,21 @@ def simulate_cell(
         else:
             policy_belief = uniform
         a = policy.act(t, x, policy_belief)
-        rec = env.step(a, estimated_belief=b_hat)
-        policy.update(t, x, policy_belief, a, rec.reward)
-        record_round(ledger, b_true, x, a, config.reward, config.phi)
-        inc = ledger.per_round_benchmark[-1] - ledger.per_round_value[-1]
+        if not 0 <= a < num_actions:
+            raise ShapeMismatch(f"action {a} outside the action set")
+        # .item gives Python floats, which the CSV writer renders with repr
+        reward = rewards.item(i, a)
+        policy.update(t, x, policy_belief, a, reward)
+        # pseudo-regret against the true belief, whatever the policy acted on
+        inc = benchmark.item(i) - scores.item(i, a)
+        regret_total += inc
         if emit_oracle:
             rows.append(
-                (t, x, a, rec.reward, inc, rec.hidden, b_true.copy(),
+                (t, x, a, reward, inc, hidden[i], b_true,
                  None if b_hat is None else np.array(b_hat))
             )
         else:
-            rows.append((t, x, a, rec.reward, inc))
+            rows.append((t, x, a, reward, inc))
     final_estimate = None
     if estimator is not None and estimator.estimate is not None:
         final_estimate = estimator.estimate.to_text()
@@ -172,7 +176,7 @@ def simulate_cell(
         policy=policy_name,
         horizon=horizon,
         seed_index=seed_index,
-        regret_total=ledger.total,
+        regret_total=regret_total,
         rows=rows,
         lam=lam,
         ell=ell,
@@ -340,7 +344,7 @@ def estimation_curves(config: ExperimentConfig, echo=print) -> list:
     Returns rows ``(t, frobenius_M_err, frobenius_E_err, median_l1_belief_gap)``
     where the belief gap is the median over the second half of the prefix.
     """
-    from .hmm import sample_trajectory
+    from .hmm import filter_trace, sample_trajectory
 
     from .errors import DiagonalizationFailed, NearSingularPivot, RankDeficient
     from .spectral import EstimatedHmm
@@ -362,6 +366,8 @@ def estimation_curves(config: ExperimentConfig, echo=print) -> list:
         )
         traj_seed = int(ss.generate_state(1)[0])
         trajectory = sample_trajectory(params, longest, seed=traj_seed)
+        # every checkpoint prefix extends the last: filter the truth once
+        truth = filter_trace(params, trajectory.contexts)
         previous = None
         for k, t in enumerate(checkpoints):
             prefix = trajectory.contexts[:t]
@@ -379,7 +385,7 @@ def estimation_curves(config: ExperimentConfig, echo=print) -> list:
             oriented, m_err, e_err = _orient_to_truth(
                 estimate, params.transition, params.emission
             )
-            gaps = belief_error_trace(params, oriented, prefix)
+            gaps = belief_gaps(truth[:t], oriented, prefix)
             gap = float(np.median(gaps[t // 2 :]))
             sums[k] += (m_err, e_err, gap)
     n = len(config.run.seeds)

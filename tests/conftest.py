@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from hmmbandits import HmmParams
+import hmmbandits.runner as runner
+from hmmbandits import ExperimentConfig, HmmParams, sample_tape
+from hmmbandits.config import PolicySettings, RunSettings
+from hmmbandits.policies import RandomPolicy
 
 
 @pytest.fixture
@@ -45,3 +48,34 @@ def random_hmm(rng: np.random.Generator, H: int, X: int, min_entry: float = 0.0,
         pi /= pi.sum()
     return HmmParams(num_states=H, num_contexts=X, initial_dist=pi,
                      transition=M, emission=E)
+
+
+def cell_config(params, spec, phi, horizon, policies=("random",), master_seed=5,
+                emit_oracle_columns=False):
+    return ExperimentConfig(
+        params=params, reward=spec, phi=phi,
+        policy=PolicySettings(policies=policies),
+        run=RunSettings(horizons=(horizon,), seeds=(0,), master_seed=master_seed,
+                        emit_oracle_columns=emit_oracle_columns),
+    )
+
+
+def cell_tape(config, horizon):
+    """The tape ``simulate_cell`` draws for seed index 0."""
+    ss = runner.environment_seed_sequence(config.run.master_seed, horizon, 0)
+    return sample_tape(config.params, config.reward, config.phi, horizon, ss)
+
+
+def scripted_policy(choose, log):
+    """A stand-in for the random arm: ``choose(t)`` picks the action, and
+    every ``act``/``update`` call is appended to ``log``."""
+
+    class Scripted(RandomPolicy):
+        def act(self, t, context, belief):
+            log.append(("act", t, context, np.array(belief)))
+            return choose(t)
+
+        def update(self, t, context, belief, action, reward):
+            log.append(("update", t, action, reward))
+
+    return Scripted

@@ -249,3 +249,49 @@ def reference_box_b_actions(
         moment = moment + feat * reward_matrix[t - 1, a_t]
         theta = np.linalg.solve(gram, moment)
     return actions
+
+
+def reference_environment_path(params, spec, phi_table: np.ndarray, horizon: int, seed):
+    """The per-round observe/step protocol, one scalar draw at a time.
+
+    Three generators spawned from ``seed`` drive the latent chain, the
+    emissions and the reward noise.  Round ``t``: draw ``x_t`` from column
+    ``h_t`` of the emission matrix, update the exact belief by Bayes' rule,
+    draw the ``A`` noise terms one by one, then move the chain.  Categorical
+    draws invert the cumulative sums (``searchsorted`` to the right, clamped
+    to the last index).  Returns ``(hidden, contexts, beliefs, rewards,
+    scores)`` with ``scores[t-1, a] = phi(a, x_t)^T theta^T b_t``.
+    """
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    latent, emission, noise = (np.random.default_rng(s) for s in root.spawn(3))
+    M, E, pi = params.transition, params.emission, params.initial_dist
+    theta = spec.theta_star
+    A = phi_table.shape[0]
+
+    def draw(cum, u):
+        return min(int(np.searchsorted(cum, u, side="right")), len(cum) - 1)
+
+    def eta():
+        if spec.noise.kind == "gaussian":
+            return noise.normal(0.0, spec.noise.v_eta) if spec.noise.v_eta > 0 else 0.0
+        half = math.sqrt(3.0 * spec.noise.c_eta)
+        return noise.uniform(-half, half) if half > 0 else 0.0
+
+    hidden, contexts, beliefs, rewards, scores = [], [], [], [], []
+    h = draw(np.cumsum(pi), latent.random())
+    belief = None
+    for _ in range(horizon):
+        x = draw(np.cumsum(E[:, h]), emission.random())
+        prior = pi if belief is None else M.T @ belief
+        joint = E[x] * prior
+        belief = joint / float(joint.sum())
+        score = phi_table[:, x] @ (theta.T @ belief)
+        mean = phi_table[:, x] @ theta[h] if spec.model == "state_dependent" else score
+        rewards.append(mean + np.array([eta() for _ in range(A)]))
+        hidden.append(h)
+        contexts.append(x)
+        beliefs.append(belief)
+        scores.append(score)
+        h = draw(np.cumsum(M[h]), latent.random())
+    return (np.array(hidden), np.array(contexts), np.array(beliefs),
+            np.array(rewards), np.array(scores))

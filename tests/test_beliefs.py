@@ -8,11 +8,13 @@ from hmmbandits import (
     EstimatedHmm,
     OnlineBeliefEstimator,
     belief_error_trace,
+    filter_trace,
     postprocess,
     sample_trajectory,
     true_belief_filter,
     u_belief,
 )
+from hmmbandits.beliefs import belief_gaps
 from hmmbandits.errors import ShapeMismatch
 from hmmbandits.hmm import ForwardFilter, forward_pass, forward_step
 
@@ -155,6 +157,19 @@ class TestBeliefErrorTrace:
         est = oracle_estimate(reference_params)
         gaps = belief_error_trace(reference_params, [(1, est), (25, est)], traj.contexts)
         assert np.max(gaps) < 1e-12
+
+    def test_one_truth_pass_serves_every_prefix(self, reference_params):
+        # estimation_curves filters the longest trajectory once and slices it
+        raw_e = np.clip(reference_params.emission + 0.02, 0, None)
+        est = postprocess(EstimatedHmm(
+            raw_transition=reference_params.transition.copy(),
+            raw_emission=raw_e,
+        ))
+        traj = sample_trajectory(reference_params, 400, seed=5)
+        truth = filter_trace(reference_params, traj.contexts)
+        for t in (1, 64, 250, 400):
+            want = belief_error_trace(reference_params, est, traj.contexts[:t])
+            assert np.array_equal(belief_gaps(truth[:t], est, traj.contexts[:t]), want)
 
     def test_dump_csv_schema(self, reference_params, tmp_path):
         from hmmbandits import dump_belief_trace

@@ -3,18 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hmmbandits.runner as runner
 from hmmbandits import (
-    BanditEnvironment,
     HmmParams,
     NoiseModel,
     RewardSpec,
     TransferFunction,
     check_reward_bounds,
-    draw_reward,
     mean_reward,
+    sample_tape,
     sample_theta,
+    simulate_cell,
+    true_belief_filter,
 )
-from hmmbandits.errors import HorizonExceeded, ModelMismatch, ShapeMismatch
+from hmmbandits.errors import ModelMismatch, ShapeMismatch
+
+from conftest import cell_config, cell_tape, random_hmm, scripted_policy
+from oracles import reference_environment_path
 
 
 @pytest.fixture
@@ -126,20 +131,27 @@ class TestMeanReward:
 
 
 class TestDrawReward:
-    def test_noiseless_returns_mean(self, phi3, spec3):
-        spec = RewardSpec(theta_star=spec3.theta_star, c_theta=spec3.c_theta,
-                          noise=NoiseModel.gaussian(0.0))
-        rng = np.random.default_rng(0)
-        got = draw_reward(spec, phi3, 1, 2, 0, np.array([1.0, 0.0]), rng)
-        assert got == mean_reward(spec, phi3, 1, 2, 0)
+    """The tape's reward entries: model mean plus one independent noise draw."""
 
-    def test_empirical_mean_clt(self, phi3, spec3):
-        rng = np.random.default_rng(5)
+    def test_noiseless_returns_mean(self, reference_params, phi3, spec3):
+        for model in ("state_dependent", "belief_dependent"):
+            spec = RewardSpec(theta_star=spec3.theta_star, c_theta=spec3.c_theta,
+                              noise=NoiseModel.gaussian(0.0), model=model)
+            tape = sample_tape(reference_params, spec, phi3, 60, seed=0)
+            for t in range(60):
+                x, h, b = int(tape.contexts[t]), int(tape.hidden[t]), tape.beliefs[t]
+                target = h if model == "state_dependent" else b
+                for a in range(3):
+                    assert tape.rewards[t, a] == pytest.approx(
+                        mean_reward(spec, phi3, a, x, target), rel=1e-12, abs=1e-15)
+
+    def test_empirical_mean_clt(self, reference_params, phi3, spec3):
         n = 100_000
-        draws = [draw_reward(spec3, phi3, 0, 1, 1, np.array([0.0, 1.0]), rng)
-                 for _ in range(n)]
-        want = mean_reward(spec3, phi3, 0, 1, 1)
-        assert np.mean(draws) == pytest.approx(want, abs=4 * 0.1 / np.sqrt(n))
+        tape = sample_tape(reference_params, spec3, phi3, n, seed=5)
+        means = phi3.table[:, tape.contexts, :].transpose(1, 0, 2) @ spec3.theta_star.T
+        noise = tape.rewards - means[np.arange(n), :, tape.hidden]
+        assert np.abs(noise.mean(axis=0)).max() < 4 * 0.1 / np.sqrt(n)
+        assert np.mean(noise**2) == pytest.approx(0.01, rel=0.05)
 
 
 class TestRewardBounds:
@@ -157,81 +169,70 @@ class TestRewardBounds:
             check_reward_bounds(spec, phi3)
 
     def test_env_mean_rewards_bounded(self, reference_params, spec3, phi3):
-        env = BanditEnvironment(reference_params, spec3, phi3, horizon=50, seed=0)
-        for _ in range(50):
-            env.observe()
-            means = phi3.table[:, env._context] @ spec3.theta_star[env._hidden]
-            assert np.abs(means).max() <= 1.0
-            env.step(0)
+        noiseless = RewardSpec(theta_star=spec3.theta_star, c_theta=spec3.c_theta,
+                               noise=NoiseModel.gaussian(0.0))
+        tape = sample_tape(reference_params, noiseless, phi3, 50, seed=0)
+        assert np.abs(tape.rewards).max() <= 1.0
+        assert np.abs(tape.scores).max() <= 1.0
 
 
 class TestEnvironmentProtocol:
     def test_identity_chain_keeps_state(self, phi3, spec3):
         params = HmmParams(2, 4, np.array([0.0, 1.0]), np.eye(2),
                            np.array([[0.4, 0.1], [0.3, 0.2], [0.2, 0.3], [0.1, 0.4]]))
-        env = BanditEnvironment(params, spec3, phi3, horizon=2, seed=1)
-        env.observe()
-        rec1 = env.step(0)
-        env.observe()
-        rec2 = env.step(1)
-        assert rec1.hidden == rec2.hidden == 1
+        tape = sample_tape(params, spec3, phi3, 2, seed=1)
+        assert tape.hidden.tolist() == [1, 1]
 
     def test_transcript_length_and_horizon_guard(self, reference_params, spec3, phi3):
-        env = BanditEnvironment(reference_params, spec3, phi3, horizon=5, seed=2)
-        records = []
-        for _ in range(5):
-            env.observe()
-            records.append(env.step(0))
-        assert [r.round for r in records] == [1, 2, 3, 4, 5]
-        with pytest.raises(HorizonExceeded):
-            env.observe()
+        tape = sample_tape(reference_params, spec3, phi3, 5, seed=2)
+        assert tape.hidden.shape == tape.contexts.shape == (5,)
+        assert tape.beliefs.shape == (5, 2)
+        assert tape.rewards.shape == tape.scores.shape == (5, 3)
+        result = simulate_cell(cell_config(reference_params, spec3, phi3, 5),
+                               "random", 5, 0)
+        assert [row[0] for row in result.rows] == [1, 2, 3, 4, 5]
+        with pytest.raises(ShapeMismatch):
+            sample_tape(reference_params, spec3, phi3, 0, seed=2)
 
-    def test_act_before_observe_rejected(self, reference_params, spec3, phi3):
-        env = BanditEnvironment(reference_params, spec3, phi3, horizon=3, seed=3)
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_action_rejected(self, reference_params, spec3, phi3,
+                                          monkeypatch, bad):
+        # a negative index would otherwise wrap around the reward row
+        log = []
+        monkeypatch.setattr(runner, "RandomPolicy",
+                            scripted_policy(lambda t: 0 if t < 3 else bad, log))
         with pytest.raises(ShapeMismatch):
-            env.step(0)
-        env.observe()
-        with pytest.raises(ShapeMismatch):
-            env.observe()
+            simulate_cell(cell_config(reference_params, spec3, phi3, 5), "random", 5, 0)
+        assert [e[:2] for e in log if e[0] == "update"] == [("update", 1), ("update", 2)]
 
     def test_paired_paths_across_policies(self, reference_params, spec3, phi3):
         # same seed => identical latent/context/noise path no matter the actions
-        def run(actions):
-            env = BanditEnvironment(reference_params, spec3, phi3, horizon=40, seed=11)
-            recs = []
-            for a in actions:
-                env.observe()
-                recs.append(env.step(a))
-            return recs
-
-        rng = np.random.default_rng(0)
-        recs_a = run([0] * 40)
-        recs_b = run(list(rng.integers(0, 3, size=40)))
-        assert [r.context for r in recs_a] == [r.context for r in recs_b]
-        assert [r.hidden for r in recs_a] == [r.hidden for r in recs_b]
+        config = cell_config(reference_params, spec3, phi3, 40,
+                             policies=("random", "oracle"), emit_oracle_columns=True)
+        tape = cell_tape(config, 40)
+        random_rows = simulate_cell(config, "random", 40, 0).rows
+        oracle_rows = simulate_cell(config, "oracle", 40, 0).rows
+        assert [r[1] for r in random_rows] == [r[1] for r in oracle_rows]
+        assert [r[5] for r in random_rows] == [r[5] for r in oracle_rows]
+        for rows in (random_rows, oracle_rows):
+            assert [r[3] for r in rows] == [tape.rewards[r[0] - 1, r[2]] for r in rows]
 
     def test_same_action_same_reward_across_runs(self, reference_params, spec3, phi3):
-        def run():
-            env = BanditEnvironment(reference_params, spec3, phi3, horizon=30, seed=12)
-            out = []
-            for _ in range(30):
-                env.observe()
-                out.append(env.step(1).reward)
-            return out
-
-        assert run() == run()
+        first = sample_tape(reference_params, spec3, phi3, 30, seed=12)
+        second = sample_tape(reference_params, spec3, phi3, 30, seed=12)
+        for name in ("hidden", "contexts", "beliefs", "rewards", "scores"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
 
     def test_true_belief_matches_exact_filter(self, reference_params, spec3, phi3):
-        from hmmbandits import true_belief_filter
+        tape = sample_tape(reference_params, spec3, phi3, 20, seed=13)
+        for t in range(1, 21):
+            want = true_belief_filter(reference_params, tape.contexts[:t]).probs
+            assert np.max(np.abs(tape.beliefs[t - 1] - want)) < 1e-12
 
-        env = BanditEnvironment(reference_params, spec3, phi3, horizon=20, seed=13)
-        contexts = []
-        for _ in range(20):
-            _, x = env.observe()
-            contexts.append(x)
-            want = true_belief_filter(reference_params, contexts).probs
-            assert np.max(np.abs(env.true_belief - want)) < 1e-12
-            env.step(0)
+    def test_tape_is_read_only(self, reference_params, spec3, phi3):
+        tape = sample_tape(reference_params, spec3, phi3, 5, seed=14)
+        with pytest.raises(ValueError):
+            tape.rewards[0, 0] = 0.0
 
 
 class TestInformationBarrier:
@@ -285,8 +286,55 @@ def test_reward_vector_only_chosen_entry_revealed(seed):
     theta, c_theta = sample_theta(phi, 2, np.random.default_rng(0))
     spec = RewardSpec(theta_star=theta, c_theta=c_theta,
                       noise=NoiseModel.gaussian(0.05))
-    env = BanditEnvironment(params, spec, phi, horizon=1, seed=seed)
-    env.observe()
-    rec = env.step(0)
-    assert np.isfinite(rec.reward)
-    assert rec.action == 0
+    config = cell_config(params, spec, phi, 4, master_seed=seed)
+    log = []
+    original = runner.RandomPolicy
+    runner.RandomPolicy = scripted_policy(lambda t: t % 2, log)
+    try:
+        simulate_cell(config, "random", 4, 0)
+    finally:
+        runner.RandomPolicy = original
+    tape = cell_tape(config, 4)
+    updates = [e for e in log if e[0] == "update"]
+    assert [(t, a) for _, t, a, _ in updates] == [(t, t % 2) for t in range(1, 5)]
+    for _, t, a, reward in updates:
+        assert type(reward) is float
+        assert reward == tape.rewards[t - 1, a]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=200),
+    st.sampled_from(["state_dependent", "belief_dependent"]),
+    st.sampled_from(["gaussian", "bounded_uniform"]),
+    st.sampled_from([0.0, 0.05, 0.5]),
+)
+def test_tape_matches_scalar_reference(seed, H, X, A, T, model, noise_kind, level):
+    """Bulk draws reproduce the per-round protocol with scalar draws exactly."""
+    rng = np.random.default_rng(seed)
+    params = random_hmm(rng, H, X, min_entry=0.02)
+    phi = TransferFunction.from_table(rng.normal(size=(A, X, 2)))
+    theta, c_theta = sample_theta(phi, H, rng)
+    noise = (NoiseModel.gaussian(level) if noise_kind == "gaussian"
+             else NoiseModel.bounded_uniform(level))
+    spec = RewardSpec(theta_star=theta, c_theta=c_theta, noise=noise, model=model)
+    tape = sample_tape(params, spec, phi, T, np.random.SeedSequence(seed))
+    want = reference_environment_path(params, spec, phi.table, T,
+                                      np.random.SeedSequence(seed))
+    for name, expected in zip(("hidden", "contexts", "beliefs", "rewards", "scores"), want):
+        assert np.array_equal(getattr(tape, name), expected), name
+    if level == 0.0:
+        belief_spec = RewardSpec(theta_star=theta, c_theta=c_theta, noise=noise,
+                                 model="belief_dependent")
+        for t in range(T):
+            x, h, b = int(tape.contexts[t]), int(tape.hidden[t]), tape.beliefs[t]
+            target = h if model == "state_dependent" else b
+            for a in range(A):
+                assert tape.scores[t, a] == pytest.approx(
+                    mean_reward(belief_spec, phi, a, x, b), rel=1e-12, abs=1e-15)
+                assert tape.rewards[t, a] == pytest.approx(
+                    mean_reward(spec, phi, a, x, target), rel=1e-12, abs=1e-15)

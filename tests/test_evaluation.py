@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hmmbandits.runner as runner
 from hmmbandits import (
+    HmmParams,
     NoiseModel,
-    RegretLedger,
     RewardSpec,
     TransferFunction,
     check_determinant_trace,
@@ -15,80 +16,82 @@ from hmmbandits import (
     check_matrix_determinant_lemma,
     check_staged_elliptic_potential,
     fit_rate,
-    record_round,
     run_lemma_trials,
+    simulate_cell,
 )
 from hmmbandits.errors import InsufficientData, ShapeMismatch, SingularA
+
+from conftest import cell_config, cell_tape, scripted_policy
 
 
 @pytest.fixture
 def toy_world():
+    params = HmmParams(2, 2, np.array([0.5, 0.5]),
+                       np.array([[0.8, 0.2], [0.3, 0.7]]),
+                       np.array([[0.7, 0.2], [0.3, 0.8]]))
     phi = TransferFunction.one_hot_action(3, 2)
     theta = np.array([[0.6, -0.2, 0.1], [-0.4, 0.5, 0.2]])
     spec = RewardSpec(theta_star=theta, c_theta=1.0, noise=NoiseModel.gaussian(0.1))
-    return phi, spec
+    return params, phi, spec
+
+
+def run_cell(params, spec, phi, horizon, policy):
+    """``simulate_cell`` of one arm at seed index 0, and its tape."""
+    config = cell_config(params, spec, phi, horizon, policies=(policy,))
+    return simulate_cell(config, policy, horizon, 0), cell_tape(config, horizon)
 
 
 class TestRegretLedger:
+    """Per-round pseudo-regret of ``simulate_cell``: the benchmark and the
+    chosen action's value are the tape's oracle-side scores."""
+
     def test_oracle_actions_give_zero(self, toy_world):
-        phi, spec = toy_world
-        ledger = RegretLedger(horizon=10)
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            b = rng.dirichlet([1.0, 1.0])
-            x = int(rng.integers(2))
-            scores = phi.table[:, x] @ (spec.theta_star.T @ b)
-            record_round(ledger, b, x, int(np.argmax(scores)), spec, phi)
-        assert ledger.total == 0.0
-        assert all(v == 0.0 for v in ledger.increments())
+        params, phi, spec = toy_world
+        result, _ = run_cell(params, spec, phi, 60, "oracle")
+        assert result.regret_total == 0.0
+        assert all(row[4] == 0.0 for row in result.rows)
 
     def test_increments_bounded_and_monotone(self, toy_world):
-        phi, spec = toy_world
-        ledger = RegretLedger(horizon=50)
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            b = rng.dirichlet([1.0, 1.0])
-            record_round(ledger, b, int(rng.integers(2)), int(rng.integers(3)),
-                         spec, phi)
-        inc = ledger.increments()
+        params, phi, spec = toy_world
+        result, tape = run_cell(params, spec, phi, 200, "random")
+        inc = np.array([row[4] for row in result.rows])
         assert np.all(inc >= 0.0)
         assert np.all(inc <= 2.0)
-        assert np.all(np.diff(ledger.cumulative) >= 0.0)
-        assert np.all(np.asarray(ledger.per_round_benchmark)
-                      >= np.asarray(ledger.per_round_value))
+        assert inc.max() > 0.0
+        actions = [row[2] for row in result.rows]
+        assert np.array_equal(
+            inc, tape.scores.max(axis=1) - tape.scores[np.arange(200), actions])
 
-    def test_three_round_hand_enumeration(self):
+    def test_three_round_hand_enumeration(self, monkeypatch):
         # A=2, X=1, H=1: the benchmark is simply the larger mean each round
+        params = HmmParams(1, 1, np.array([1.0]), np.array([[1.0]]), np.array([[1.0]]))
         phi = TransferFunction.from_table(
             np.array([[[1.0]], [[0.5]]]), rescale=False
         )
         spec = RewardSpec(theta_star=np.array([[0.8]]), c_theta=1.0,
                           noise=NoiseModel.gaussian(0.0))
-        ledger = RegretLedger(horizon=3)
-        b = np.array([1.0])
-        for action in (0, 1, 1):
-            record_round(ledger, b, 0, action, spec, phi)
+        monkeypatch.setattr(runner, "RandomPolicy",
+                            scripted_policy(lambda t: [0, 1, 1][t - 1], []))
+        result, _ = run_cell(params, spec, phi, 3, "random")
         # benchmark = 0.8 each round; values: 0.8, 0.4, 0.4
-        assert ledger.total == pytest.approx(0.8)
+        assert [row[4] for row in result.rows] == [0.0, 0.4, 0.4]
+        assert result.regret_total == pytest.approx(0.8)
 
     def test_single_action_has_zero_regret(self):
+        params = HmmParams(1, 1, np.array([1.0]), np.array([[1.0]]), np.array([[1.0]]))
         phi = TransferFunction.from_table(np.array([[[0.9]]]), rescale=False)
         spec = RewardSpec(theta_star=np.array([[0.7]]), c_theta=1.0,
                           noise=NoiseModel.gaussian(0.1))
-        ledger = RegretLedger(horizon=5)
-        for _ in range(5):
-            record_round(ledger, np.array([1.0]), 0, 0, spec, phi)
-        assert ledger.total == 0.0
+        result, _ = run_cell(params, spec, phi, 5, "random")
+        assert result.regret_total == 0.0
 
-    def test_instantaneous_burn_in(self, toy_world):
-        phi, spec = toy_world
-        ledger = RegretLedger(horizon=100)
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            record_round(ledger, rng.dirichlet([1, 1]), int(rng.integers(2)),
-                         int(rng.integers(3)), spec, phi)
-        assert len(ledger.instantaneous(burn_in=0.02)) == 98
-        assert ledger.total == pytest.approx(sum(ledger.increments()))
+    def test_total_sums_increments_left_to_right(self, toy_world):
+        params, phi, spec = toy_world
+        result, _ = run_cell(params, spec, phi, 100, "random")
+        total = 0.0
+        for row in result.rows:
+            total += row[4]
+        assert result.regret_total == total
 
 
 class TestFitRate:
