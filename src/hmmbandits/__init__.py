@@ -19,19 +19,20 @@ from .hmm import (
 )
 from .spectral import (
     EstimatedHmm,
-    MomentAccumulator,
     MomentSet,
     SpectralWorkspace,
     accumulate_moments,
     align,
     postprocess,
+    relabel,
     spectral_estimate,
 )
 from .beliefs import (
     BeliefErrorBudget,
-    OnlineBeliefEstimator,
     belief_error_trace,
     dump_belief_trace,
+    refit_schedule,
+    scheduled_beliefs,
     u_belief,
 )
 from .environment import (

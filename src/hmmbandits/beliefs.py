@@ -1,8 +1,13 @@
 """Belief estimation on top of estimated HMM parameters: the known
-belief-error budget function, the online subroutine that couples moment
-accumulation, periodic re-estimation, label alignment, and filtering (the
-Bayes filter itself lives in :mod:`hmmbandits.hmm`), and side-by-side
-belief-error traces against the true filter.
+belief-error budget function, the belief subroutine (periodic spectral
+re-estimation of the context prefix with label alignment, then filtering
+under the scheduled estimates; the Bayes filter itself lives in
+:mod:`hmmbandits.hmm`), and side-by-side belief-error traces against the
+true filter.
+
+The estimated beliefs depend on the contexts, the refit period and the
+estimator seed only, never on actions or rewards, so a run computes them
+for the whole stream before its policy loop.
 """
 
 from __future__ import annotations
@@ -19,7 +24,13 @@ from .errors import (
     ShapeMismatch,
 )
 from .hmm import ForwardFilter, HmmParams, filter_trace
-from .spectral import EstimatedHmm, MomentAccumulator, align, postprocess, spectral_estimate
+from .spectral import (
+    EstimatedHmm,
+    accumulate_moments,
+    align,
+    postprocess,
+    spectral_estimate,
+)
 
 
 @dataclass(frozen=True)
@@ -55,144 +66,83 @@ def u_belief(budget: BeliefErrorBudget, t: int) -> float:
     )
 
 
-class OnlineBeliefEstimator:
-    """The belief-estimation subroutine driven by the raw context stream.
+MIN_FIT = 8  # shortest prefix the belief subroutine re-estimates from
 
-    Feeds contexts to a streaming moment accumulator; every ``refit_every``
-    rounds (once at least ``min_fit`` contexts are available) it re-runs the
-    spectral estimator, aligns labels against the previous estimate, and
-    re-filters the whole prefix from scratch under the new parameters.
-    Between refits the filter advances incrementally.  Before the first
-    successful estimate the belief is uniform.
 
-    ``exact_refilter=True`` re-filters the prefix on every round (quadratic
-    cost; fidelity experiments only).  A refresh that fails (rank-deficient
-    or near-singular moments, or no diagonalizable rotation, all routine on
-    short prefixes) keeps the previous estimate and is counted in
-    ``refit_failures``.
+def refit_schedule(
+    contexts, num_states: int, num_contexts: int, refit_every: int, seed: int
+) -> tuple[list, int]:
+    """Periodic spectral re-estimation over the prefixes of a context stream.
+
+    At every round ``t`` with ``t % refit_every == 0`` and ``t >= MIN_FIT``
+    the moments of ``contexts[:t]`` are re-estimated, post-processed, and
+    aligned against the previous estimate; a refit after ``k`` successful
+    ones draws its rotations from ``seed + 7919 * (k + 1)``.  A refit that fails
+    (rank-deficient or near-singular moments, or no diagonalizable rotation,
+    all routine on short prefixes) keeps the previous estimate and is
+    counted.  Returns the ``(t, estimate)`` pair of every refit round once an
+    estimate exists, and the number of failed refits.
     """
-
-    def __init__(
-        self,
-        num_states: int,
-        num_contexts: int,
-        refit_every: int,
-        seed: int,
-        exact_refilter: bool = False,
-        min_fit: int = 8,
-        initial_guess: np.ndarray | None = None,
-    ):
-        if refit_every < 1:
-            raise ShapeMismatch("refit_every must be >= 1")
-        self.num_states = int(num_states)
-        self.num_contexts = int(num_contexts)
-        self.refit_every = int(refit_every)
-        self.seed = int(seed)
-        self.exact_refilter = bool(exact_refilter)
-        self.min_fit = max(3, int(min_fit))
-        self.initial_guess = (
-            np.full(self.num_states, 1.0 / self.num_states)
-            if initial_guess is None
-            else np.asarray(initial_guess, dtype=float)
-        )
-        self.accumulator = MomentAccumulator(self.num_contexts)
-        self.contexts: list[int] = []
-        self.estimate: EstimatedHmm | None = None
-        self.params_version = 0
-        self.refit_failures = 0
-        self._filter: ForwardFilter | None = None
-        self._uniform = np.full(self.num_states, 1.0 / self.num_states)
-
-    @property
-    def round(self) -> int:
-        return len(self.contexts)
-
-    def _try_refit(self) -> None:
+    if refit_every < 1:
+        raise ShapeMismatch("refit_every must be >= 1")
+    contexts = np.asarray(contexts, dtype=np.int64)
+    schedule = []
+    estimate: EstimatedHmm | None = None
+    successes = failures = 0
+    for t in range(refit_every, contexts.size + 1, refit_every):
+        if t < MIN_FIT:
+            continue
         try:
             fresh = spectral_estimate(
-                self.accumulator.snapshot(),
-                self.num_states,
-                # fresh rotation stream per refit, reproducible across runs
-                seed=self.seed + 7919 * (self.params_version + 1),
+                accumulate_moments(contexts[:t], num_contexts),
+                num_states,
+                seed=seed + 7919 * (successes + 1),
             )
         except (RankDeficient, NearSingularPivot, DiagonalizationFailed):
-            # insufficient data at this refresh; keep filtering with the
-            # previous estimate and try again at the next boundary
-            self.refit_failures += 1
-            return
-        fresh = postprocess(fresh)
-        self.estimate = align(self.estimate, fresh)
-        self.params_version += 1
-        self._filter = ForwardFilter(
-            self.estimate.transition_hat,
-            self.estimate.emission_hat,
-            prior=self.initial_guess,
-            on_degenerate="uniform",
-        )
-
-    def observe(self, context: int) -> np.ndarray:
-        """Append one context and return the estimated belief ``b_hat_t``.
-
-        A refit round (and every round under ``exact_refilter``) re-filters
-        the whole prefix from scratch under the current estimate (the O(t)
-        cost paid at every refresh); other rounds advance incrementally.
-        """
-        x = int(context)
-        self.contexts.append(x)
-        self.accumulator.append(x)
-        t = len(self.contexts)
-        refit = t % self.refit_every == 0 and t >= self.min_fit
-        if refit:
-            self._try_refit()
-        if self._filter is None:
-            return self._uniform.copy()
-        if refit or self.exact_refilter:
-            return self._filter.restart(self.contexts).copy()
-        return self._filter.step(x).copy()
+            failures += 1
+        else:
+            estimate = align(estimate, postprocess(fresh))
+            successes += 1
+        if estimate is not None:
+            schedule.append((t, estimate))
+    return schedule, failures
 
 
-def _estimated_trace(estimates_schedule, contexts, num_states: int) -> np.ndarray:
-    """Scheduled-estimate filter beliefs, round by round.
+def scheduled_beliefs(schedule, contexts, num_states: int) -> np.ndarray:
+    """Beliefs of the filter running on scheduled estimates, one row per round.
 
-    ``estimates_schedule`` is either one :class:`EstimatedHmm` (active from
-    round 1) or a sequence of ``(round, estimate)`` pairs with ascending
-    activation rounds; at each activation the estimated filter re-filters the
-    prefix from scratch under the new parameters.
+    ``schedule`` is either one :class:`EstimatedHmm` (active from round 1) or
+    a sequence of ``(round, estimate)`` pairs.  Rows before the first pair are
+    uniform.  At each pair's round the filter re-filters the prefix up to and
+    including that round from the uniform prior under the pair's estimate
+    (the last one given for a round wins); other rounds take one Bayes step.
     """
-    if isinstance(estimates_schedule, EstimatedHmm):
-        schedule = [(1, estimates_schedule)]
-    else:
-        schedule = sorted(estimates_schedule, key=lambda pair: pair[0])
-    if not schedule or schedule[0][0] > 1:
-        raise ShapeMismatch("schedule must provide an estimate from round 1")
-
+    if isinstance(schedule, EstimatedHmm):
+        schedule = [(1, schedule)]
+    xs = np.asarray(contexts, dtype=np.int64)
+    active = dict(schedule)
+    if any(t < 1 for t in active):
+        raise ShapeMismatch("scheduled rounds start at 1")
+    starts = sorted(t for t in active if t <= xs.size)
     uniform = np.full(num_states, 1.0 / num_states)
-    estimated = np.empty((contexts.size, num_states))
-    est_filter: ForwardFilter | None = None
-    next_idx = 0
-    for t, x in enumerate(contexts, start=1):
-        while next_idx < len(schedule) and schedule[next_idx][0] <= t:
-            est = schedule[next_idx][1]
-            est_filter = ForwardFilter(
-                est.transition_hat,
-                est.emission_hat,
-                prior=uniform,
-                on_degenerate="uniform",
-            )
-            if t > 1:
-                est_filter.restart(contexts[: t - 1])
-            next_idx += 1
-        assert est_filter is not None
-        estimated[t - 1] = est_filter.step(int(x))
-    return estimated
+    beliefs = np.tile(uniform, (xs.size, 1))
+    steps = xs.tolist()
+    for start, stop in zip(starts, starts[1:] + [xs.size]):
+        est = active[start]
+        est_filter = ForwardFilter(
+            est.transition_hat, est.emission_hat, prior=uniform, on_degenerate="uniform"
+        )
+        beliefs[start - 1] = est_filter.restart(xs[:start])
+        for i in range(start, stop):
+            beliefs[i] = est_filter.step(steps[i])
+    return beliefs
 
 
 def belief_gaps(truth: np.ndarray, estimates_schedule, contexts) -> np.ndarray:
     """Per-round ``||b_hat_t - b_t||_1`` gaps between the true beliefs
     ``truth`` (rows of :func:`hmmbandits.hmm.filter_trace` over ``contexts``)
     and the filter running on scheduled estimates."""
-    contexts = np.asarray(contexts, dtype=np.int64)
-    estimated = _estimated_trace(estimates_schedule, contexts, truth.shape[1])
+    estimated = scheduled_beliefs(estimates_schedule, contexts, truth.shape[1])
     return np.abs(truth - estimated).sum(axis=1)
 
 
@@ -214,23 +164,13 @@ def dump_belief_trace(
 ) -> None:
     """Write the side-by-side filter comparison as CSV
     (``round, b1..bH, b1_hat..bH_hat, l1_gap``)."""
-    contexts = np.asarray(contexts, dtype=np.int64)
     truth = filter_trace(true_params, contexts)
     H = true_params.num_states
-    estimated = _estimated_trace(estimates_schedule, contexts, H)
+    estimated = scheduled_beliefs(estimates_schedule, contexts, H)
     gaps = np.abs(truth - estimated).sum(axis=1)
-    header = (
-        ["round"]
-        + [f"b{h + 1}" for h in range(H)]
-        + [f"b{h + 1}_hat" for h in range(H)]
-        + ["l1_gap"]
-    )
-    lines = [",".join(header)]
-    for t in range(truth.shape[0]):
-        parts = [str(t + 1)]
-        parts += [repr(float(v)) for v in truth[t]]
-        parts += [repr(float(v)) for v in estimated[t]]
-        parts.append(repr(float(gaps[t])))
-        lines.append(",".join(parts))
+    names = [f"b{h + 1}" for h in range(H)]
+    lines = [",".join(["round"] + names + [f"{n}_hat" for n in names] + ["l1_gap"])]
+    for t, row in enumerate(np.column_stack([truth, estimated, gaps]), start=1):
+        lines.append(",".join([str(t)] + [repr(float(v)) for v in row]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -30,7 +30,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--emit-oracle-columns", action="store_true")
-    parser.add_argument("--exact-refilter", action="store_true")
     parser.add_argument("--plugin-gamma", action="store_true")
     parser.add_argument("--bonus-scope", choices=("full", "partial"), default=None)
 
@@ -46,7 +45,6 @@ def _load(args) -> ExperimentConfig:
         workers=args.workers,
         master_seed=master_seed,
         emit_oracle_columns=args.emit_oracle_columns,
-        exact_refilter=args.exact_refilter,
         plugin_gamma=args.plugin_gamma,
         bonus_scope=args.bonus_scope,
     )

@@ -69,10 +69,23 @@ seeds = <int count, or explicit list of ints>
 master_seed = <int>       overridden by LBL_SEED env var, then --seed
 out = <directory>
 emit_oracle_columns = true | false
-exact_refilter = true | false
 plugin_gamma = true | false
 workers = <int>
 """
+
+
+def _schema_keys(schema: str) -> dict[str, set]:
+    """Accepted keys per section, lower-cased as ``configparser`` reads them."""
+    keys: dict[str, set] = {}
+    for line in schema.splitlines():
+        if line.startswith("["):
+            section = keys.setdefault(line.strip("[]"), set())
+        elif "=" in line:
+            section.add(line.split("=", 1)[0].strip().lower())
+    return keys
+
+
+SCHEMA_KEYS = _schema_keys(CONFIG_SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -97,7 +110,6 @@ class RunSettings:
     master_seed: int = 0
     out: str = "results"
     emit_oracle_columns: bool = False
-    exact_refilter: bool = False
     plugin_gamma: bool = False
     workers: int = 1
 
@@ -288,7 +300,6 @@ def _parse_run(section) -> RunSettings:
         master_seed=int(section.get("master_seed", "0")),
         out=section.get("out", "results"),
         emit_oracle_columns=section.getboolean("emit_oracle_columns", fallback=False),
-        exact_refilter=section.getboolean("exact_refilter", fallback=False),
         plugin_gamma=section.getboolean("plugin_gamma", fallback=False),
         workers=int(section.get("workers", "1")),
     )
@@ -303,6 +314,10 @@ def parse_config(text: str) -> ExperimentConfig:
     for name in ("hmm", "reward", "run"):
         if name not in parser:
             raise ConfigError(f"missing required section [{name}]")
+    for name in parser.sections():
+        for key in parser[name]:
+            if key not in SCHEMA_KEYS.get(name, ()):
+                raise ConfigError(f"unknown key '{key}' in [{name}]")
     params = _parse_hmm(parser["hmm"])
     reward, phi = _parse_reward(parser["reward"], params)
     policy = _parse_policy(parser["policy"] if "policy" in parser else {})
@@ -328,7 +343,6 @@ def apply_overrides(
     workers: int | None = None,
     master_seed: int | None = None,
     emit_oracle_columns: bool | None = None,
-    exact_refilter: bool | None = None,
     plugin_gamma: bool | None = None,
     bonus_scope: str | None = None,
 ) -> ExperimentConfig:
@@ -342,8 +356,6 @@ def apply_overrides(
         run = replace(run, master_seed=master_seed)
     if emit_oracle_columns:
         run = replace(run, emit_oracle_columns=True)
-    if exact_refilter:
-        run = replace(run, exact_refilter=True)
     if plugin_gamma:
         run = replace(run, plugin_gamma=True)
     if bonus_scope is not None:
@@ -394,7 +406,6 @@ def config_snapshot(config: ExperimentConfig) -> str:
         "master_seed": str(config.run.master_seed),
         "out": config.run.out,
         "emit_oracle_columns": str(config.run.emit_oracle_columns).lower(),
-        "exact_refilter": str(config.run.exact_refilter).lower(),
         "plugin_gamma": str(config.run.plugin_gamma).lower(),
         "workers": str(config.run.workers),
     }

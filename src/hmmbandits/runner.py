@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .beliefs import OnlineBeliefEstimator, belief_gaps
+from .beliefs import belief_gaps, refit_schedule, scheduled_beliefs
 from .config import ExperimentConfig, config_snapshot
 from .environment import sample_tape
 from .errors import ConfigError, HmmBanditsError, ShapeMismatch
@@ -27,7 +27,7 @@ from .policies import (
     RandomPolicy,
     StagePlan,
 )
-from .spectral import accumulate_moments, postprocess, spectral_estimate, align
+from .spectral import accumulate_moments, align, postprocess, relabel, spectral_estimate
 
 GAMMA_CAP = 1.0 - 1e-6
 
@@ -115,19 +115,31 @@ def simulate_cell(
     policy_rng = np.random.default_rng(policy_ss)
     policy, lam, ell = _build_policy(config, policy_name, horizon, policy_rng)
 
+    # every arm's beliefs are functions of the contexts alone: fix them first
+    H = config.params.num_states
     is_learner = policy_name in ("boxA", "boxB")
-    use_spectral = is_learner and config.policy.beliefs == "spectral"
-    estimator = None
-    if use_spectral:
-        estimator = OnlineBeliefEstimator(
-            num_states=config.params.num_states,
-            num_contexts=config.params.num_contexts,
-            refit_every=config.resolve_refit_every(policy_name, horizon),
+    refit_failures, final_estimate, plugin_gammas = 0, None, {}
+    if is_learner and config.policy.beliefs == "spectral":
+        schedule, refit_failures = refit_schedule(
+            tape.contexts,
+            H,
+            config.params.num_contexts,
+            config.resolve_refit_every(policy_name, horizon),
             seed=int(estimator_ss.generate_state(1)[0]),
-            exact_refilter=config.run.exact_refilter,
         )
-    last_version = 0
-    uniform = np.full(config.params.num_states, 1.0 / config.params.num_states)
+        beliefs = scheduled_beliefs(schedule, tape.contexts, H)
+        if schedule:
+            final_estimate = schedule[-1][1].to_text()
+        if config.run.plugin_gamma:
+            previous = None
+            for t, est in schedule:
+                if est is not previous:
+                    plugin_gammas[t] = _plugin_gamma(est.transition_hat)
+                previous = est
+    elif policy_name == "random":
+        beliefs = np.broadcast_to(np.full(H, 1.0 / H), (horizon, H))
+    else:
+        beliefs = tape.beliefs
 
     contexts, hidden = tape.contexts.tolist(), tape.hidden.tolist()
     rewards, scores = tape.rewards, tape.scores
@@ -137,41 +149,25 @@ def simulate_cell(
     rows = []
     emit_oracle = config.run.emit_oracle_columns
     for i, x in enumerate(contexts):
-        t, b_true = i + 1, tape.beliefs[i]
-        if estimator is not None:
-            b_hat = estimator.observe(x)
-            if config.run.plugin_gamma and estimator.params_version != last_version:
-                last_version = estimator.params_version
-                policy.set_gamma(_plugin_gamma(estimator.estimate.transition_hat))
-        elif is_learner:
-            b_hat = b_true
-        else:
-            b_hat = None
-        if policy_name == "oracle":
-            policy_belief = b_true
-        elif is_learner:
-            policy_belief = b_hat
-        else:
-            policy_belief = uniform
-        a = policy.act(t, x, policy_belief)
+        t, belief = i + 1, beliefs[i]
+        if t in plugin_gammas:
+            policy.set_gamma(plugin_gammas[t])
+        a = policy.act(t, x, belief)
         if not 0 <= a < num_actions:
             raise ShapeMismatch(f"action {a} outside the action set")
         # .item gives Python floats, which the CSV writer renders with repr
         reward = rewards.item(i, a)
-        policy.update(t, x, policy_belief, a, reward)
+        policy.update(t, x, belief, a, reward)
         # pseudo-regret against the true belief, whatever the policy acted on
         inc = benchmark.item(i) - scores.item(i, a)
         regret_total += inc
         if emit_oracle:
             rows.append(
-                (t, x, a, reward, inc, hidden[i], b_true,
-                 None if b_hat is None else np.array(b_hat))
+                (t, x, a, reward, inc, hidden[i], tape.beliefs[i],
+                 np.array(belief) if is_learner else None)
             )
         else:
             rows.append((t, x, a, reward, inc))
-    final_estimate = None
-    if estimator is not None and estimator.estimate is not None:
-        final_estimate = estimator.estimate.to_text()
     return CellResult(
         policy=policy_name,
         horizon=horizon,
@@ -180,7 +176,7 @@ def simulate_cell(
         rows=rows,
         lam=lam,
         ell=ell,
-        refit_failures=estimator.refit_failures if estimator is not None else 0,
+        refit_failures=refit_failures,
         duration=time.perf_counter() - start,
         estimate_text=final_estimate,
     )
@@ -315,8 +311,6 @@ def _orient_to_truth(estimate, transition: np.ndarray, emission: np.ndarray):
 
     Estimated labels are arbitrary, so all truth-facing diagnostics are
     reported under the identifying permutation."""
-    from dataclasses import replace as dc_replace
-
     H = transition.shape[0]
     best = None
     for perm in itertools.permutations(range(H)):
@@ -328,14 +322,7 @@ def _orient_to_truth(estimate, transition: np.ndarray, emission: np.ndarray):
         if best is None or m_err + e_err < best[1] + best[2]:
             best = (idx, m_err, e_err)
     idx, m_err, e_err = best
-    oriented = dc_replace(
-        estimate,
-        raw_transition=estimate.raw_transition[np.ix_(idx, idx)],
-        raw_emission=estimate.raw_emission[:, idx],
-        transition_hat=estimate.transition_hat[np.ix_(idx, idx)],
-        emission_hat=estimate.emission_hat[:, idx],
-    )
-    return oriented, m_err, e_err
+    return relabel(estimate, idx), m_err, e_err
 
 
 def estimation_curves(config: ExperimentConfig, echo=print) -> list:

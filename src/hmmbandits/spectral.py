@@ -43,50 +43,13 @@ class MomentSet:
     sample_count: int
 
 
-class MomentAccumulator:
-    """Streaming counts behind :class:`MomentSet`; O(1) work per new context."""
-
-    def __init__(self, num_contexts: int):
-        X = int(num_contexts)
-        self.num_contexts = X
-        self.counts31 = np.zeros((X, X), dtype=np.int64)
-        self.counts32 = np.zeros((X, X), dtype=np.int64)
-        self.counts312 = np.zeros((X, X, X), dtype=np.int64)
-        self.length = 0
-        self._prev1 = -1  # x_{n-1}
-        self._prev2 = -1  # x_{n-2}
-
-    def append(self, context: int) -> None:
-        x = int(context)
-        if not 0 <= x < self.num_contexts:
-            raise ShapeMismatch(f"context {x} outside [0, {self.num_contexts})")
-        self.length += 1
-        if self.length >= 3:
-            # new triple centered at s = n-1: (x_n, x_{n-2}, x_{n-1})
-            self.counts31[x, self._prev2] += 1
-            self.counts32[x, self._prev1] += 1
-            self.counts312[x, self._prev2, self._prev1] += 1
-        self._prev2 = self._prev1
-        self._prev1 = x
-
-    def extend(self, contexts) -> None:
-        for x in contexts:
-            self.append(x)
-
-    def snapshot(self) -> MomentSet:
-        if self.length < 3:
-            raise TooShort("need at least 3 contexts to form a moment triple")
-        n = float(self.length - 2)
-        return MomentSet(
-            p31=self.counts31 / n,
-            p32=self.counts32 / n,
-            p312=self.counts312 / n,
-            sample_count=self.length,
-        )
-
-
 def accumulate_moments(contexts, num_contexts: int | None = None) -> MomentSet:
-    """Batch moment computation (vectorized counterpart of the accumulator)."""
+    """Moment tables of a context stream from one count of its triples.
+
+    Each triple ``(x_{s+1}, x_{s-1}, x_s)`` is counted at the flat index
+    ``(x_{s+1} * X + x_{s-1}) * X + x_s``; the pairwise tables are integer
+    marginals of the triple counts.
+    """
     x = np.asarray(contexts, dtype=np.int64)
     if x.size < 3:
         raise TooShort("need at least 3 contexts to form a moment triple")
@@ -94,15 +57,13 @@ def accumulate_moments(contexts, num_contexts: int | None = None) -> MomentSet:
     if x.min() < 0 or x.max() >= X:
         raise ShapeMismatch("context indices outside [0, X)")
     n = x.size - 2
-    nxt, prv, cur = x[2:], x[:-2], x[1:-1]
-    c31 = np.zeros((X, X), dtype=np.int64)
-    c32 = np.zeros((X, X), dtype=np.int64)
-    c312 = np.zeros((X, X, X), dtype=np.int64)
-    np.add.at(c31, (nxt, prv), 1)
-    np.add.at(c32, (nxt, cur), 1)
-    np.add.at(c312, (nxt, prv, cur), 1)
+    flat = (x[2:] * X + x[:-2]) * X + x[1:-1]
+    c312 = np.bincount(flat, minlength=X**3).reshape(X, X, X)
     return MomentSet(
-        p31=c31 / n, p32=c32 / n, p312=c312 / n, sample_count=int(x.size)
+        p31=c312.sum(axis=2) / n,
+        p32=c312.sum(axis=1) / n,
+        p312=c312 / n,
+        sample_count=int(x.size),
     )
 
 
@@ -336,18 +297,18 @@ def align(previous: EstimatedHmm | None, fresh: EstimatedHmm) -> EstimatedHmm:
         if cost < best_cost:
             best_cost, best_perm = cost, perm
     assert best_perm is not None
-    idx = list(best_perm)
+    return replace(relabel(fresh, best_perm), label_permutation=best_perm)
+
+
+def relabel(estimate: EstimatedHmm, perm) -> EstimatedHmm:
+    """``estimate`` with state ``h`` taken from state ``perm[h]``: transition
+    rows and columns and emission columns are permuted alike."""
+    idx = list(perm)
+    m_hat, e_hat = estimate.transition_hat, estimate.emission_hat
     return replace(
-        fresh,
-        raw_transition=fresh.raw_transition[np.ix_(idx, idx)],
-        raw_emission=fresh.raw_emission[:, idx],
-        transition_hat=(
-            None
-            if fresh.transition_hat is None
-            else fresh.transition_hat[np.ix_(idx, idx)]
-        ),
-        emission_hat=(
-            None if fresh.emission_hat is None else fresh.emission_hat[:, idx]
-        ),
-        label_permutation=best_perm,
+        estimate,
+        raw_transition=estimate.raw_transition[np.ix_(idx, idx)],
+        raw_emission=estimate.raw_emission[:, idx],
+        transition_hat=None if m_hat is None else m_hat[np.ix_(idx, idx)],
+        emission_hat=None if e_hat is None else e_hat[:, idx],
     )

@@ -2,7 +2,10 @@
 
 Everything here is written directly from the defining formulas (path
 enumeration, explicit counting, batch closed forms) and deliberately shares
-no code with the package paths it checks.
+no code with the package paths it checks.  The one exception is
+:func:`reference_online_beliefs`, which checks the scheduling of the belief
+subroutine bit for bit and so calls the package's estimator and filter
+kernels, writing only the round-by-round control flow itself.
 """
 
 from __future__ import annotations
@@ -69,6 +72,66 @@ def count_moments(contexts, num_contexts: int):
         p32[nxt, cur] += 1
         p312[nxt, prv, cur] += 1
     return p31 / (t - 2), p32 / (t - 2), p312 / (t - 2)
+
+
+def stream_triple_counts(contexts, num_contexts: int):
+    """Running triple counts ``(c31, c32, c312)`` after each context, with one
+    update per round once a triple exists; yields the same arrays each round."""
+    X = num_contexts
+    c31 = np.zeros((X, X), dtype=np.int64)
+    c32 = np.zeros((X, X), dtype=np.int64)
+    c312 = np.zeros((X, X, X), dtype=np.int64)
+    xs = [int(x) for x in contexts]
+    for t, x in enumerate(xs, start=1):
+        if t >= 3:  # new triple (x_t, x_{t-2}, x_{t-1}) centred at round t-1
+            c31[x, xs[t - 3]] += 1
+            c32[x, xs[t - 2]] += 1
+            c312[x, xs[t - 3], xs[t - 2]] += 1
+        yield c31, c32, c312
+
+
+def reference_online_beliefs(contexts, H: int, X: int, refit_every: int, seed: int):
+    """The per-round belief-estimation protocol, written straight through.
+
+    Round ``t`` adds ``x_t`` to streaming triple counts.  When ``t`` is a
+    multiple of ``refit_every`` and ``t >= 8`` it re-estimates from the counts
+    with rotation seed ``seed + 7919 * (successes + 1)``; a failed refit keeps
+    the previous estimate and is counted.  Once an estimate exists, a refit
+    round re-filters the whole prefix from the uniform prior and any other
+    round takes one Bayes step; before that the belief is uniform.  Returns
+    ``(beliefs, failures, final estimate or None)``.
+    """
+    from hmmbandits.errors import DiagonalizationFailed, NearSingularPivot, RankDeficient
+    from hmmbandits.hmm import forward_pass, forward_step
+    from hmmbandits.spectral import MomentSet, align, postprocess, spectral_estimate
+
+    xs = [int(x) for x in contexts]
+    uniform = np.full(H, 1.0 / H)
+    estimate, belief = None, uniform
+    successes = failures = 0
+    beliefs = []
+    for t, (c31, c32, c312) in enumerate(stream_triple_counts(xs, X), start=1):
+        refit = t % refit_every == 0 and t >= 8
+        if refit:
+            n = float(t - 2)
+            moments = MomentSet(p31=c31 / n, p32=c32 / n, p312=c312 / n, sample_count=t)
+            try:
+                fresh = spectral_estimate(moments, H, seed=seed + 7919 * (successes + 1))
+            except (RankDeficient, NearSingularPivot, DiagonalizationFailed):
+                failures += 1
+            else:
+                estimate = align(estimate, postprocess(fresh))
+                successes += 1
+        if estimate is None:
+            belief = uniform
+        elif refit:
+            belief = forward_pass(estimate.transition_hat, estimate.emission_hat,
+                                  uniform, xs[:t])
+        else:
+            belief, _ = forward_step(belief, uniform, estimate.transition_hat,
+                                     estimate.emission_hat, xs[t - 1], "uniform")
+        beliefs.append(belief)
+    return np.array(beliefs).reshape(len(xs), H), failures, estimate
 
 
 def population_moments(params):

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from hmmbandits import (
     BeliefErrorBudget,
     EstimatedHmm,
-    OnlineBeliefEstimator,
     belief_error_trace,
     filter_trace,
     postprocess,
+    refit_schedule,
     sample_trajectory,
+    scheduled_beliefs,
     true_belief_filter,
     u_belief,
 )
@@ -19,7 +20,7 @@ from hmmbandits.errors import ShapeMismatch
 from hmmbandits.hmm import ForwardFilter, forward_pass, forward_step
 
 from conftest import random_hmm
-from oracles import u_belief_reference
+from oracles import reference_online_beliefs, u_belief_reference
 
 
 def oracle_estimate(params) -> EstimatedHmm:
@@ -187,24 +188,28 @@ class TestBeliefErrorTrace:
         assert float(first[-1]) == pytest.approx(0.0, abs=1e-12)
 
 
+def online_beliefs(contexts, H, X, refit_every, seed):
+    """The belief subroutine over a whole stream: schedule, beliefs, failures."""
+    schedule, failures = refit_schedule(contexts, H, X, refit_every, seed)
+    return schedule, scheduled_beliefs(schedule, contexts, H), failures
+
+
 class TestOnlineBeliefEstimator:
+    """``refit_schedule`` + ``scheduled_beliefs``, the belief subroutine."""
+
     def test_uniform_before_first_estimate(self, reference_params):
         traj = sample_trajectory(reference_params, 30, seed=4)
-        est = OnlineBeliefEstimator(2, 4, refit_every=100, seed=0)
-        beliefs = [est.observe(int(x)) for x in traj.contexts]
-        assert all(np.allclose(b, [0.5, 0.5]) for b in beliefs)
-        assert est.estimate is None
+        schedule, beliefs, _ = online_beliefs(traj.contexts, 2, 4, 100, 0)
+        assert np.array_equal(beliefs, np.full((30, 2), 0.5))
+        assert schedule == []
 
     def test_refits_and_beliefs_become_informative(self, reference_params):
         # internal state labels are arbitrary: diagnostics against the truth
         # are taken under the identifying (best global) permutation
         traj = sample_trajectory(reference_params, 30_000, seed=5)
-        est = OnlineBeliefEstimator(2, 4, refit_every=2500, seed=0)
-        beliefs = np.array([est.observe(int(x)) for x in traj.contexts])
-        assert est.params_version >= 10
-        filt = ForwardFilter(reference_params.transition, reference_params.emission,
-                             prior=reference_params.initial_dist)
-        truth = np.array([filt.step(int(x)).copy() for x in traj.contexts])
+        schedule, beliefs, _ = online_beliefs(traj.contexts, 2, 4, 2500, 0)
+        assert len({id(est) for _, est in schedule}) >= 10
+        truth = filter_trace(reference_params, traj.contexts)
         late = slice(15_000, None)
         gap = min(
             float(np.median(np.abs(beliefs[late] - truth[late]).sum(axis=1))),
@@ -215,30 +220,49 @@ class TestOnlineBeliefEstimator:
 
     def test_determinism(self, reference_params):
         traj = sample_trajectory(reference_params, 1500, seed=6)
-        runs = []
-        for _ in range(2):
-            est = OnlineBeliefEstimator(2, 4, refit_every=250, seed=9)
-            runs.append(np.array([est.observe(int(x)) for x in traj.contexts]))
+        runs = [online_beliefs(traj.contexts, 2, 4, 250, 9)[1] for _ in range(2)]
         assert np.array_equal(runs[0], runs[1])
 
-    def test_exact_refilter_matches_default_between_refits(self, reference_params):
+    def test_rows_match_prefix_refilter(self, reference_params):
+        # every row is the belief after re-filtering its whole prefix from
+        # the uniform prior under the estimate active at that round
         traj = sample_trajectory(reference_params, 600, seed=7)
-        default = OnlineBeliefEstimator(2, 4, refit_every=200, seed=1)
-        exact = OnlineBeliefEstimator(2, 4, refit_every=200, seed=1,
-                                      exact_refilter=True)
-        got_default = np.array([default.observe(int(x)) for x in traj.contexts])
-        got_exact = np.array([exact.observe(int(x)) for x in traj.contexts])
-        # identical estimates and an identical recursion: the incremental path
-        # must agree with per-round re-filtering to floating-point noise
-        assert np.max(np.abs(got_default - got_exact)) < 1e-9
+        schedule, beliefs, _ = online_beliefs(traj.contexts, 2, 4, 200, 1)
+        assert [t for t, _ in schedule] == [200, 400, 600]
+        for t in range(1, 601):
+            active = [est for start, est in schedule if start <= t]
+            if not active:
+                assert np.array_equal(beliefs[t - 1], [0.5, 0.5])
+                continue
+            est = active[-1]
+            want = forward_pass(est.transition_hat, est.emission_hat,
+                                np.full(2, 0.5), traj.contexts[:t])
+            assert np.max(np.abs(beliefs[t - 1] - want)) < 1e-12
 
     def test_rank_deficient_stream_keeps_uniform(self):
-        est = OnlineBeliefEstimator(2, 2, refit_every=10, seed=0)
-        for _ in range(40):
-            belief = est.observe(0)
-        assert est.estimate is None
-        assert est.refit_failures > 0
-        assert belief == pytest.approx([0.5, 0.5])
+        schedule, beliefs, failures = online_beliefs(np.zeros(40, dtype=int), 2, 2, 10, 0)
+        assert schedule == []
+        assert failures > 0
+        assert beliefs[-1] == pytest.approx([0.5, 0.5])
+
+    def test_failed_refits_before_and_after_first_success(self):
+        # an HMM stretch then a structureless one: the refit at round 10 fails
+        # before any estimate exists, the one at round 200 after a success
+        rng = np.random.default_rng(6)
+        params = random_hmm(rng, 3, 3, min_entry=0.05)
+        contexts = np.concatenate([sample_trajectory(params, 100, seed=6).contexts,
+                                   rng.integers(0, 3, size=300)])
+        schedule, beliefs, failures = online_beliefs(contexts, 3, 3, 10, 6)
+        kept = [t for (t, est), (_, prev) in zip(schedule[1:], schedule) if est is prev]
+        assert schedule[0][0] == 20 and kept == [200] and failures == 2
+        assert np.array_equal(beliefs[:19], np.full((19, 3), 1 / 3))
+        # the failed refit still re-filters the prefix under the kept estimate
+        est = dict(schedule)[200]
+        assert np.array_equal(beliefs[199], forward_pass(
+            est.transition_hat, est.emission_hat, np.full(3, 1 / 3), contexts[:200]))
+        want, want_failures, want_estimate = reference_online_beliefs(contexts, 3, 3, 10, 6)
+        assert np.array_equal(beliefs, want) and failures == want_failures
+        assert schedule[-1][1].to_text() == want_estimate.to_text()
 
     def test_spectral_beliefs_improve_with_data(self, reference_params):
         # direction of the consistency statement: longer prefixes give a
@@ -246,19 +270,59 @@ class TestOnlineBeliefEstimator:
         medians = {}
         for horizon in (1000, 30_000):
             traj = sample_trajectory(reference_params, horizon, seed=8)
-            est = OnlineBeliefEstimator(2, 4, refit_every=max(100, horizon // 8),
-                                        seed=2)
-            beliefs = np.array([est.observe(int(x)) for x in traj.contexts])
-            filt = ForwardFilter(reference_params.transition,
-                                 reference_params.emission,
-                                 prior=reference_params.initial_dist)
-            truth = np.array([filt.step(int(x)).copy() for x in traj.contexts])
+            _, beliefs, _ = online_beliefs(traj.contexts, 2, 4,
+                                           max(100, horizon // 8), 2)
+            truth = filter_trace(reference_params, traj.contexts)
             back = slice(horizon // 2, None)
             medians[horizon] = min(
                 float(np.median(np.abs(beliefs[back] - truth[back]).sum(axis=1))),
                 float(np.median(np.abs(beliefs[back, ::-1] - truth[back]).sum(axis=1))),
             )
         assert medians[30_000] < medians[1000]
+
+
+@st.composite
+def context_streams(draw):
+    """Streams of up to 400 contexts glued from HMM, constant, cyclic and
+    i.i.d. segments.  A constant or short start makes early refits fail; a
+    structureless stretch after an HMM one can make a later refit fail."""
+    H = draw(st.integers(1, 3))
+    X = draw(st.integers(H, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    segments = draw(st.lists(
+        st.tuples(st.sampled_from(("hmm", "constant", "cycle", "iid")),
+                  st.integers(1, 200)),
+        min_size=1, max_size=4))
+    parts = []
+    for kind, length in segments:
+        width = int(rng.integers(1, X + 1))
+        if kind == "hmm":
+            params = random_hmm(rng, H, X, min_entry=0.05)
+            parts.append(sample_trajectory(params, length, seed=int(rng.integers(2**31))).contexts)
+        elif kind == "constant":
+            parts.append(np.full(length, rng.integers(X)))
+        elif kind == "cycle":
+            parts.append(np.arange(length) % width)
+        else:
+            parts.append(rng.integers(0, width, size=length))
+    contexts = np.concatenate(parts)[:400]
+    refit_every = draw(st.integers(1, 40))
+    return contexts, H, X, refit_every, draw(st.integers(0, 2**31))
+
+
+@settings(deadline=None, max_examples=80)
+@given(context_streams())
+def test_online_beliefs_match_reference_protocol(stream):
+    contexts, H, X, refit_every, seed = stream
+    schedule, beliefs, failures = online_beliefs(contexts, H, X, refit_every, seed)
+    want, want_failures, want_estimate = reference_online_beliefs(
+        contexts, H, X, refit_every, seed)
+    assert np.array_equal(beliefs, want)
+    assert failures == want_failures
+    final = schedule[-1][1] if schedule else None
+    assert (final is None) == (want_estimate is None)
+    if final is not None:
+        assert final.to_text() == want_estimate.to_text()
 
 
 @settings(deadline=None, max_examples=30)

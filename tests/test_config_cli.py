@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +87,27 @@ class TestConfigParsing:
         cfg = parse_config(text)
         assert cfg.run.seeds == (5, 9, 13)
 
+    def test_unknown_key_named_with_section(self, tmp_path):
+        text = MINIMAL.format(out=str(tmp_path)).replace(
+            "seeds = 2", "seeds = 2\nplugin_gama = true")
+        with pytest.raises(ConfigError, match=r"'plugin_gama' in \[run\]"):
+            parse_config(text)
+
+    def test_removed_exact_refilter_key_rejected(self, tmp_path):
+        text = MINIMAL.format(out=str(tmp_path)).replace(
+            "seeds = 2", "seeds = 2\nexact_refilter = false")
+        with pytest.raises(ConfigError, match=r"'exact_refilter' in \[run\]"):
+            parse_config(text)
+
+    def test_schema_lists_every_snapshot_key(self, tmp_path):
+        from hmmbandits.config import SCHEMA_KEYS
+
+        cfg = parse_config(MINIMAL.format(out=str(tmp_path)))
+        snapshot = parse_config(config_snapshot(cfg))
+        assert snapshot.run == cfg.run
+        assert set(SCHEMA_KEYS) == {"hmm", "reward", "policy", "run"}
+        assert "exact_refilter" not in SCHEMA_KEYS["run"]
+
     def test_overrides(self, tmp_path):
         cfg = parse_config(MINIMAL.format(out=str(tmp_path)))
         cfg2 = apply_overrides(cfg, out="elsewhere", master_seed=99,
@@ -151,6 +174,11 @@ class TestCli:
         assert cli_main(["simulate", "--config", path]) == 0
         assert (out / "summary.csv").exists()
 
+    def test_removed_exact_refilter_flag_is_usage_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, out=str(tmp_path / "run"))
+        assert cli_main(["simulate", path, "--exact-refilter"]) == 1
+        assert "--exact-refilter" in capsys.readouterr().err
+
     def test_missing_config_argument(self, capsys):
         assert cli_main(["simulate"]) == 1
         assert "required" in capsys.readouterr().err
@@ -195,9 +223,12 @@ class TestCli:
         assert len(curves) == 3
 
     def test_console_script_entry_point(self, tmp_path):
+        # the child imports the package from this checkout's src/
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         result = subprocess.run(
             [sys.executable, "-m", "hmmbandits", "print-config-schema"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
         )
         assert result.returncode == 0
         assert "[hmm]" in result.stdout
@@ -310,24 +341,12 @@ class TestRunModes:
         assert captured["policy"].cfg.gamma != baseline_gamma
         assert 0.0 <= captured["policy"].cfg.gamma < 1.0
 
-    def test_exact_refilter_cell_matches_default_between_refits(self, tmp_path):
-        from dataclasses import replace
-
-        cfg = parse_config(MINIMAL.format(out=str(tmp_path)))
-        cfg = apply_overrides(cfg, master_seed=32)
-        cfg = replace(cfg, policy=replace(cfg.policy, policies=("boxB",)))
-        exact = apply_overrides(cfg, exact_refilter=True)
-        rows_default = simulate_cell(cfg, "boxB", 250, 0).rows
-        rows_exact = simulate_cell(exact, "boxB", 250, 0).rows
-        # same estimates, same recursion: identical transcripts up to float noise
-        assert [r[2] for r in rows_default] == [r[2] for r in rows_exact]
-
 
 class TestTranscriptReplay:
     def test_actions_are_functions_of_observables(self, tmp_path):
         """Replaying recorded contexts and rewards through fresh learner
         components reproduces the action sequence exactly."""
-        from hmmbandits import OnlineBeliefEstimator
+        from hmmbandits import refit_schedule, scheduled_beliefs
         from hmmbandits.runner import learner_seed_sequence, _build_policy
 
         cfg = parse_config(MINIMAL.format(out=str(tmp_path)))
@@ -344,13 +363,14 @@ class TestTranscriptReplay:
         policy_ss, estimator_ss = learner_seed_sequence(21, "boxB", horizon, 0).spawn(2)
         policy, _, _ = _build_policy(cfg, "boxB", horizon,
                                      np.random.default_rng(policy_ss))
-        estimator = OnlineBeliefEstimator(
-            2, 2, refit_every=cfg.resolve_refit_every("boxB", horizon),
+        schedule, _ = refit_schedule(
+            contexts, 2, 2, cfg.resolve_refit_every("boxB", horizon),
             seed=int(estimator_ss.generate_state(1)[0]),
         )
+        beliefs = scheduled_beliefs(schedule, contexts, 2)
         replayed = []
         for t in range(1, horizon + 1):
-            b_hat = estimator.observe(contexts[t - 1])
+            b_hat = beliefs[t - 1]
             a = policy.act(t, contexts[t - 1], b_hat)
             replayed.append(a)
             policy.update(t, contexts[t - 1], b_hat, a, rewards[t - 1])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,18 +7,23 @@ from hypothesis import strategies as st
 
 from hmmbandits import (
     EstimatedHmm,
-    MomentAccumulator,
     MomentSet,
     accumulate_moments,
     align,
     postprocess,
+    relabel,
     sample_trajectory,
     spectral_estimate,
 )
 from hmmbandits.errors import NonFinite, RankDeficient, ShapeMismatch, TooShort
 
 from conftest import random_hmm
-from oracles import best_permutation_distance, count_moments, population_moments
+from oracles import (
+    best_permutation_distance,
+    count_moments,
+    population_moments,
+    stream_triple_counts,
+)
 
 
 def population_moment_set(params) -> MomentSet:
@@ -52,16 +59,18 @@ class TestMoments:
             assert np.all(table >= 0)
 
     def test_incremental_matches_batch(self):
+        # streaming triple counts after every round equal the batch tables
+        # of that prefix, bit for bit
         rng = np.random.default_rng(1)
         stream = rng.integers(0, 4, size=157)
-        acc = MomentAccumulator(4)
-        acc.extend(stream)
-        batch = accumulate_moments(stream, num_contexts=4)
-        inc = acc.snapshot()
-        assert np.array_equal(inc.p31, batch.p31)
-        assert np.array_equal(inc.p32, batch.p32)
-        assert np.array_equal(inc.p312, batch.p312)
-        assert inc.sample_count == batch.sample_count == 157
+        for t, (c31, c32, c312) in enumerate(stream_triple_counts(stream, 4), start=1):
+            if t < 3:
+                continue
+            batch = accumulate_moments(stream[:t], num_contexts=4)
+            assert np.array_equal(c31 / (t - 2), batch.p31)
+            assert np.array_equal(c32 / (t - 2), batch.p32)
+            assert np.array_equal(c312 / (t - 2), batch.p312)
+            assert batch.sample_count == t
 
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(2)
@@ -75,10 +84,20 @@ class TestMoments:
     def test_too_short(self):
         with pytest.raises(TooShort):
             accumulate_moments([0, 1], num_contexts=2)
-        acc = MomentAccumulator(2)
-        acc.extend([0, 1])
         with pytest.raises(TooShort):
-            acc.snapshot()
+            accumulate_moments([], num_contexts=2)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 5).flatmap(lambda X: st.tuples(
+        st.just(X), st.lists(st.integers(0, X - 1), min_size=3, max_size=120))))
+    def test_prefixes_match_counting_oracle_exactly(self, case):
+        X, stream = case
+        for t in range(3, len(stream) + 1):
+            ms = accumulate_moments(stream[:t], num_contexts=X)
+            p31, p32, p312 = count_moments(stream[:t], X)
+            assert np.array_equal(ms.p31, p31)
+            assert np.array_equal(ms.p32, p32)
+            assert np.array_equal(ms.p312, p312)
 
 
 class TestSpectralEstimate:
@@ -254,6 +273,21 @@ class TestAlign:
         fresh = _estimate_from([[0.3, 0.7], [0.2, 0.8]], [[0.6, 0.6], [0.4, 0.4]])
         aligned = align(prev, fresh)
         assert aligned.label_permutation == (0, 1)
+
+    def test_relabel_permutes_states_and_keeps_record(self):
+        m = np.arange(9.0).reshape(3, 3)
+        e = np.arange(12.0).reshape(4, 3)
+        est = replace(_estimate_from(m, e), label_permutation=(0, 1, 2))
+        moved = relabel(est, (2, 0, 1))
+        for h, src in enumerate((2, 0, 1)):
+            assert np.array_equal(moved.emission_hat[:, h], e[:, src])
+            assert np.array_equal(moved.raw_emission[:, h], e[:, src])
+            for g, dst in enumerate((2, 0, 1)):
+                assert moved.transition_hat[h, g] == m[src, dst]
+                assert moved.raw_transition[h, g] == m[src, dst]
+        assert moved.label_permutation == (0, 1, 2)
+        raw_only = relabel(EstimatedHmm(raw_transition=m, raw_emission=e), (1, 2, 0))
+        assert raw_only.transition_hat is None and raw_only.emission_hat is None
 
     def test_label_pinning_across_rotation_seeds(self, reference_params):
         # The first estimate pins the labels: later estimates agree after
