@@ -49,8 +49,6 @@ from .policies import (
     BonusConfig,
     BoxAPolicy,
     BoxBPolicy,
-    OraclePolicy,
-    RandomPolicy,
     StagePlan,
     USchedule,
     oracle_act,

@@ -65,7 +65,7 @@ refit_every = auto | <int>  auto: ell for boxA, ceil(sqrt(T)) for boxB
 
 [run]
 horizons = <ints>
-seeds = <int count, or explicit list of ints>
+seeds = <count n >= 1 for indices 0..n-1, or a list of distinct indices >= 0>
 master_seed = <int>       overridden by LBL_SEED env var, then --seed
 out = <directory>
 emit_oracle_columns = true | false
@@ -121,7 +121,6 @@ class ExperimentConfig:
     phi: TransferFunction
     policy: PolicySettings
     run: RunSettings
-    raw_text: str = ""
 
     def resolve_lambda(self, policy: str, horizon: int) -> float:
         if self.policy.lam != "auto":
@@ -294,6 +293,10 @@ def _parse_run(section) -> RunSettings:
         raise ConfigError("horizons must be positive integers")
     seeds_raw = _ints(section.get("seeds", "1"))
     seeds = tuple(range(seeds_raw[0])) if len(seeds_raw) == 1 else tuple(seeds_raw)
+    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ConfigError(
+            "seeds must be a count of at least 1 or distinct non-negative indices"
+        )
     return RunSettings(
         horizons=horizons,
         seeds=seeds,
@@ -323,9 +326,7 @@ def parse_config(text: str) -> ExperimentConfig:
     policy = _parse_policy(parser["policy"] if "policy" in parser else {})
     run = _parse_run(parser["run"])
     validate(params)  # shape-level sanity; regularity is reported downstream
-    return ExperimentConfig(
-        params=params, reward=reward, phi=phi, policy=policy, run=run, raw_text=text
-    )
+    return ExperimentConfig(params=params, reward=reward, phi=phi, policy=policy, run=run)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -366,7 +367,11 @@ def apply_overrides(
 
 
 def config_snapshot(config: ExperimentConfig) -> str:
-    """Canonical INI snapshot of the fully resolved configuration."""
+    """Canonical INI snapshot of the parsed configuration.
+
+    Hyperparameters set to ``auto`` are written as ``auto``: they resolve
+    per policy and horizon when a cell runs.
+    """
     parser = configparser.ConfigParser()
     p = config.params
     parser["hmm"] = {

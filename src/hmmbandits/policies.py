@@ -1,10 +1,12 @@
-"""Decision strategies: staged LinUCB on estimated beliefs, its per-round
-(non-staged) variant, the oracle benchmark policy, and a uniform-random
-baseline; plus the belief-budget schedule and the two action-vectorized
-confidence-bonus kernels the LinUCB policies score with.
+"""Decision strategies: staged LinUCB on estimated beliefs and its per-round
+(non-staged) variant, plus the belief-budget schedule and the two
+action-vectorized confidence-bonus kernels they score with, and the oracle
+decision rule ``oracle_act``.
 
-All policies act on the observation ``(t, x_t, belief)`` only: contexts and
-beliefs derived from them, plus the policy's own action/reward history.
+Both policies act on the observation ``(t, x_t, belief)`` only: contexts and
+beliefs derived from them, plus the policy's own action/reward history.  The
+random and oracle baselines read neither, so ``runner.simulate_cell`` builds
+their actions as array expressions over the environment tape.
 """
 
 from __future__ import annotations
@@ -220,8 +222,6 @@ class BoxAPolicy:
     replaces the bonus formula (plumbing tests).
     """
 
-    name = "boxA"
-
     def __init__(
         self,
         phi: TransferFunction,
@@ -295,8 +295,6 @@ class BoxBPolicy:
     with a direct re-solve every ``resolve_every`` rounds to cap drift.
     """
 
-    name = "boxB"
-
     def __init__(
         self,
         phi: TransferFunction,
@@ -341,42 +339,6 @@ class BoxBPolicy:
             self._theta = np.linalg.solve(self._gram, self._moment)
         else:
             self._theta = self._gram_inv @ self._moment
-
-    def set_gamma(self, gamma: float) -> None:
-        """Kept for interface parity; the per-round bonus does not use gamma."""
-        self.cfg = replace(self.cfg, gamma=float(gamma))
-
-
-class OraclePolicy:
-    """Benchmark policy: argmax of the true belief-weighted mean reward."""
-
-    name = "oracle"
-
-    def __init__(self, phi: TransferFunction, theta_star: np.ndarray):
-        self.phi = phi
-        self.theta_star = np.asarray(theta_star, dtype=float)
-
-    def act(self, t: int, context: int, belief: np.ndarray) -> int:
-        return oracle_act(self.phi, self.theta_star, context, belief)
-
-    def update(self, t: int, context: int, belief: np.ndarray, action: int, reward: float) -> None:
-        pass
-
-
-class RandomPolicy:
-    """Uniform-random baseline."""
-
-    name = "random"
-
-    def __init__(self, num_actions: int, rng: np.random.Generator):
-        self.num_actions = int(num_actions)
-        self.rng = rng
-
-    def act(self, t: int, context: int, belief: np.ndarray) -> int:
-        return int(self.rng.integers(self.num_actions))
-
-    def update(self, t: int, context: int, belief: np.ndarray, action: int, reward: float) -> None:
-        pass
 
 
 def oracle_act(phi: TransferFunction, theta_star: np.ndarray, context: int, true_belief: np.ndarray) -> int:

@@ -23,8 +23,6 @@ from .policies import (
     BonusConfig,
     BoxAPolicy,
     BoxBPolicy,
-    OraclePolicy,
-    RandomPolicy,
     StagePlan,
 )
 from .spectral import accumulate_moments, align, postprocess, relabel, spectral_estimate
@@ -55,16 +53,25 @@ def learner_seed_sequence(
 
 @dataclass
 class CellResult:
+    """One cell's transcript as columns; the last three only under
+    ``emit_oracle_columns`` (``learner_beliefs`` for the learners only)."""
+
     policy: str
     horizon: int
     seed_index: int
     regret_total: float
-    rows: list
+    contexts: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    increments: np.ndarray
     lam: float
     ell: int
     refit_failures: int
     duration: float
     estimate_text: str | None = None
+    hidden: np.ndarray | None = None
+    true_beliefs: np.ndarray | None = None
+    learner_beliefs: np.ndarray | None = None
 
 
 def _plugin_gamma(transition_hat: np.ndarray) -> float:
@@ -74,15 +81,11 @@ def _plugin_gamma(transition_hat: np.ndarray) -> float:
     return float(np.clip(1.0 - eps / mx, 0.0, GAMMA_CAP))
 
 
-def _build_policy(config: ExperimentConfig, name: str, horizon: int, policy_rng):
+def _build_policy(config: ExperimentConfig, name: str, horizon: int):
+    """The LinUCB learner ``name`` (boxA or boxB) of one cell."""
     phi = config.phi
     ps = config.policy
     lam = config.resolve_lambda(name, horizon)
-    ell = config.resolve_ell(horizon)
-    if name == "oracle":
-        return OraclePolicy(phi, config.reward.theta_star), lam, ell
-    if name == "random":
-        return RandomPolicy(phi.num_actions, policy_rng), lam, ell
     cfg = BonusConfig(
         delta=ps.delta,
         gamma=config.resolve_gamma(),
@@ -96,89 +99,90 @@ def _build_policy(config: ExperimentConfig, name: str, horizon: int, policy_rng)
         known_beliefs=(ps.beliefs == "oracle"),
     )
     if name == "boxA":
-        return BoxAPolicy(phi, StagePlan(ell, horizon), cfg, lam), lam, ell
+        return BoxAPolicy(phi, StagePlan(config.resolve_ell(horizon), horizon), cfg, lam)
     if name == "boxB":
-        return BoxBPolicy(phi, cfg, lam), lam, ell
+        return BoxBPolicy(phi, cfg, lam)
     raise ConfigError(f"unknown policy '{name}'")
 
 
 def simulate_cell(
     config: ExperimentConfig, policy_name: str, horizon: int, seed_index: int
 ) -> CellResult:
-    """Run one (policy, horizon, seed) cell and collect its round transcript."""
+    """Run one (policy, horizon, seed) cell and collect its transcript.
+
+    The random and oracle arms read neither rewards nor learner beliefs, so
+    their actions are array expressions over the tape; only the LinUCB
+    learners step round by round.
+    """
     start = time.perf_counter()
     env_ss = environment_seed_sequence(config.run.master_seed, horizon, seed_index)
     policy_ss, estimator_ss = learner_seed_sequence(
         config.run.master_seed, policy_name, horizon, seed_index
     ).spawn(2)
     tape = sample_tape(config.params, config.reward, config.phi, horizon, seed=env_ss)
-    policy_rng = np.random.default_rng(policy_ss)
-    policy, lam, ell = _build_policy(config, policy_name, horizon, policy_rng)
-
-    # every arm's beliefs are functions of the contexts alone: fix them first
-    H = config.params.num_states
-    is_learner = policy_name in ("boxA", "boxB")
-    refit_failures, final_estimate, plugin_gammas = 0, None, {}
-    if is_learner and config.policy.beliefs == "spectral":
-        schedule, refit_failures = refit_schedule(
-            tape.contexts,
-            H,
-            config.params.num_contexts,
-            config.resolve_refit_every(policy_name, horizon),
-            seed=int(estimator_ss.generate_state(1)[0]),
+    refit_failures, final_estimate, beliefs = 0, None, None
+    if policy_name == "random":
+        actions = np.random.default_rng(policy_ss).integers(
+            config.phi.num_actions, size=horizon
         )
-        beliefs = scheduled_beliefs(schedule, tape.contexts, H)
-        if schedule:
-            final_estimate = schedule[-1][1].to_text()
-        if config.run.plugin_gamma:
-            previous = None
-            for t, est in schedule:
-                if est is not previous:
-                    plugin_gammas[t] = _plugin_gamma(est.transition_hat)
-                previous = est
-    elif policy_name == "random":
-        beliefs = np.broadcast_to(np.full(H, 1.0 / H), (horizon, H))
+    elif policy_name == "oracle":
+        actions = tape.scores.argmax(axis=1)
     else:
-        beliefs = tape.beliefs
-
-    contexts, hidden = tape.contexts.tolist(), tape.hidden.tolist()
-    rewards, scores = tape.rewards, tape.scores
-    benchmark = scores.max(axis=1)
-    num_actions = config.phi.num_actions
-    regret_total = 0.0
-    rows = []
-    emit_oracle = config.run.emit_oracle_columns
-    for i, x in enumerate(contexts):
-        t, belief = i + 1, beliefs[i]
-        if t in plugin_gammas:
-            policy.set_gamma(plugin_gammas[t])
-        a = policy.act(t, x, belief)
-        if not 0 <= a < num_actions:
-            raise ShapeMismatch(f"action {a} outside the action set")
-        # .item gives Python floats, which the CSV writer renders with repr
-        reward = rewards.item(i, a)
-        policy.update(t, x, belief, a, reward)
-        # pseudo-regret against the true belief, whatever the policy acted on
-        inc = benchmark.item(i) - scores.item(i, a)
-        regret_total += inc
-        if emit_oracle:
-            rows.append(
-                (t, x, a, reward, inc, hidden[i], tape.beliefs[i],
-                 np.array(belief) if is_learner else None)
+        policy = _build_policy(config, policy_name, horizon)
+        # the learner's beliefs are functions of the contexts alone: fix them first
+        plugin_gammas = {}
+        if config.policy.beliefs == "spectral":
+            H = config.params.num_states
+            schedule, refit_failures = refit_schedule(
+                tape.contexts,
+                H,
+                config.params.num_contexts,
+                config.resolve_refit_every(policy_name, horizon),
+                seed=int(estimator_ss.generate_state(1)[0]),
             )
+            beliefs = scheduled_beliefs(schedule, tape.contexts, H)
+            if schedule:
+                final_estimate = schedule[-1][1].to_text()
+            if config.run.plugin_gamma and policy_name == "boxA":
+                # a kept estimate resets the same gamma: the stage width is unchanged
+                plugin_gammas = {t: _plugin_gamma(est.transition_hat) for t, est in schedule}
         else:
-            rows.append((t, x, a, reward, inc))
+            beliefs = tape.beliefs
+        actions = np.empty(horizon, dtype=np.int64)
+        rewards, num_actions = tape.rewards, config.phi.num_actions
+        for i, x in enumerate(tape.contexts.tolist()):
+            t, belief = i + 1, beliefs[i]
+            if t in plugin_gammas:
+                policy.set_gamma(plugin_gammas[t])
+            a = policy.act(t, x, belief)
+            if not 0 <= a < num_actions:
+                raise ShapeMismatch(f"action {a} outside the action set")
+            # .item gives a Python float, as the reward a policy is shown
+            policy.update(t, x, belief, a, rewards.item(i, a))
+            actions[i] = a
+
+    rounds = np.arange(horizon)
+    # pseudo-regret against the true belief, whatever the policy acted on;
+    # cumsum adds left to right (np.sum's pairwise order can round differently)
+    increments = tape.scores.max(axis=1) - tape.scores[rounds, actions]
+    emit_oracle = config.run.emit_oracle_columns
     return CellResult(
         policy=policy_name,
         horizon=horizon,
         seed_index=seed_index,
-        regret_total=regret_total,
-        rows=rows,
-        lam=lam,
-        ell=ell,
+        regret_total=float(np.cumsum(increments)[-1]),
+        contexts=tape.contexts,
+        actions=actions,
+        rewards=tape.rewards[rounds, actions],
+        increments=increments,
+        lam=config.resolve_lambda(policy_name, horizon),
+        ell=config.resolve_ell(horizon),
         refit_failures=refit_failures,
         duration=time.perf_counter() - start,
         estimate_text=final_estimate,
+        hidden=tape.hidden if emit_oracle else None,
+        true_beliefs=tape.beliefs if emit_oracle else None,
+        learner_beliefs=beliefs if emit_oracle else None,
     )
 
 
@@ -190,31 +194,30 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _round_csv_text(result: CellResult, emit_oracle: bool, num_states: int) -> str:
-    lines = []
+    # .tolist() gives Python ints and floats, which render with str and repr
+    header = ["t", "x", "a", "r", "regret_inc"]
+    columns = [
+        map(str, range(1, result.horizon + 1)),
+        map(str, result.contexts.tolist()),
+        map(str, result.actions.tolist()),
+        map(repr, result.rewards.tolist()),
+        map(repr, result.increments.tolist()),
+    ]
     if emit_oracle:
-        bcols = [f"b{h + 1}" for h in range(num_states)]
-        bhat = [f"b{h + 1}_hat" for h in range(num_states)]
-        lines.append(",".join(["t", "x", "a", "r", "regret_inc", "h"] + bcols + bhat))
-        for t, x, a, r, inc, h, b_true, b_hat in result.rows:
-            parts = [str(t), str(x), str(a), repr(r), repr(inc), str(h)]
-            parts += [repr(float(v)) for v in b_true]
-            parts += ["" for _ in range(num_states)] if b_hat is None else [
-                repr(float(v)) for v in b_hat
-            ]
-            lines.append(",".join(parts))
-    else:
-        lines.append("t,x,a,r,regret_inc")
-        for t, x, a, r, inc in result.rows:
-            lines.append(f"{t},{x},{a},{r!r},{inc!r}")
+        header += ["h"] + [f"b{h + 1}" for h in range(num_states)]
+        header += [f"b{h + 1}_hat" for h in range(num_states)]
+        columns.append(map(str, result.hidden.tolist()))
+        columns += [map(repr, col) for col in result.true_beliefs.T.tolist()]
+        if result.learner_beliefs is None:  # the baselines keep empty cells
+            columns += [itertools.repeat("")] * num_states
+        else:
+            columns += [map(repr, col) for col in result.learner_beliefs.T.tolist()]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 
 def _cell_filename(result: CellResult) -> str:
     return f"{result.policy}_T{result.horizon}_s{result.seed_index}.csv"
-
-
-def _run_cell_star(args) -> CellResult:
-    return simulate_cell(*args)
 
 
 def run_experiment(config: ExperimentConfig, echo=print) -> int:
@@ -236,12 +239,9 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
         # on a non-stationary prefix are biased early, so flag it (no error)
         echo("warning: initial distribution is not stationary for M; "
              "spectral estimates assume a stationary context stream")
-    cells = [
-        (config, policy, horizon, seed_index)
-        for policy, horizon, seed_index in itertools.product(
-            config.policy.policies, config.run.horizons, range(len(config.run.seeds))
-        )
-    ]
+    cells = list(itertools.product(
+        config.policy.policies, config.run.horizons, config.run.seeds
+    ))
     _atomic_write(os.path.join(out_dir, "config_snapshot.ini"), config_snapshot(config))
 
     num_states = config.params.num_states
@@ -252,7 +252,7 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
         # single-writer funnel: completed cells land on disk immediately, so
         # an interrupted grid preserves them next to the FAILED marker
         csv_text = _round_csv_text(result, config.run.emit_oracle_columns, num_states)
-        final_cum = sum(row[4] for row in result.rows)
+        final_cum = float(result.increments.sum())
         if abs(final_cum - result.regret_total) > 1e-6:
             raise ShapeMismatch("summary regret does not match per-round CSV")
         _atomic_write(os.path.join(out_dir, _cell_filename(result)), csv_text)
@@ -275,11 +275,11 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
     try:
         if config.run.workers > 1:
             with ProcessPoolExecutor(max_workers=config.run.workers) as pool:
-                for result in pool.map(_run_cell_star, cells):
+                for result in pool.map(simulate_cell, itertools.repeat(config), *zip(*cells)):
                     write_cell(result)
         else:
             for cell in cells:
-                write_cell(_run_cell_star(cell))
+                write_cell(simulate_cell(config, *cell))
     except HmmBanditsError as exc:
         _atomic_write(
             os.path.join(out_dir, "FAILED"),
@@ -347,7 +347,7 @@ def estimation_curves(config: ExperimentConfig, echo=print) -> list:
     checkpoints = sorted(config.run.horizons)
     longest = checkpoints[-1]
     sums = np.zeros((len(checkpoints), 3))
-    for seed_index in range(len(config.run.seeds)):
+    for seed_index in config.run.seeds:
         ss = learner_seed_sequence(
             config.run.master_seed, "estimate", longest, seed_index
         )

@@ -4,7 +4,6 @@ import pytest
 import hmmbandits.runner as runner
 from hmmbandits import ExperimentConfig, HmmParams, sample_tape
 from hmmbandits.config import PolicySettings, RunSettings
-from hmmbandits.policies import RandomPolicy
 
 
 @pytest.fixture
@@ -51,10 +50,10 @@ def random_hmm(rng: np.random.Generator, H: int, X: int, min_entry: float = 0.0,
 
 
 def cell_config(params, spec, phi, horizon, policies=("random",), master_seed=5,
-                emit_oracle_columns=False):
+                emit_oracle_columns=False, beliefs="spectral"):
     return ExperimentConfig(
         params=params, reward=spec, phi=phi,
-        policy=PolicySettings(policies=policies),
+        policy=PolicySettings(policies=policies, beliefs=beliefs),
         run=RunSettings(horizons=(horizon,), seeds=(0,), master_seed=master_seed,
                         emit_oracle_columns=emit_oracle_columns),
     )
@@ -67,10 +66,12 @@ def cell_tape(config, horizon):
 
 
 def scripted_policy(choose, log):
-    """A stand-in for the random arm: ``choose(t)`` picks the action, and
-    every ``act``/``update`` call is appended to ``log``."""
+    """A stand-in for ``runner._build_policy``: a learner arm then runs a
+    scripted policy, where ``choose(t)`` picks the action and every
+    ``act``/``update`` call is appended to ``log``.  Run it on a
+    ``beliefs = "oracle"`` config, so the arm acts on the tape's beliefs."""
 
-    class Scripted(RandomPolicy):
+    class Scripted:
         def act(self, t, context, belief):
             log.append(("act", t, context, np.array(belief)))
             return choose(t)
@@ -78,4 +79,4 @@ def scripted_policy(choose, log):
         def update(self, t, context, belief, action, reward):
             log.append(("update", t, action, reward))
 
-    return Scripted
+    return lambda config, name, horizon: Scripted()

@@ -2,10 +2,12 @@
 
 Everything here is written directly from the defining formulas (path
 enumeration, explicit counting, batch closed forms) and deliberately shares
-no code with the package paths it checks.  The one exception is
+no code with the package paths it checks.  Two exceptions:
 :func:`reference_online_beliefs`, which checks the scheduling of the belief
 subroutine bit for bit and so calls the package's estimator and filter
-kernels, writing only the round-by-round control flow itself.
+kernels, writing only the round-by-round control flow itself; and
+:func:`reference_baseline_cell`, which picks the oracle's actions with the
+package's decision rule ``oracle_act``.
 """
 
 from __future__ import annotations
@@ -358,3 +360,36 @@ def reference_environment_path(params, spec, phi_table: np.ndarray, horizon: int
         h = draw(np.cumsum(M[h]), latent.random())
     return (np.array(hidden), np.array(contexts), np.array(beliefs),
             np.array(rewards), np.array(scores))
+
+
+def reference_baseline_cell(params, spec, phi, horizon: int, env_seed, policy_seed,
+                            policy: str):
+    """One random or oracle cell, round by round.
+
+    The path is :func:`reference_environment_path` under ``env_seed``.  Round
+    ``t`` picks ``a_t`` by one scalar ``integers(A)`` draw on the generator of
+    ``policy_seed`` (random) or by ``oracle_act`` on the true belief
+    (oracle), reveals the reward entry of ``a_t``, and adds the increment
+    ``max_a scores[t, a] - scores[t, a_t]`` to a running total, left to right.
+    Returns ``(hidden, contexts, beliefs, actions, rewards, increments)`` as
+    arrays and the total.
+    """
+    from hmmbandits.policies import oracle_act
+
+    hidden, contexts, beliefs, rewards, scores = reference_environment_path(
+        params, spec, phi.table, horizon, env_seed)
+    rng = np.random.default_rng(policy_seed)
+    actions, chosen, increments = [], [], []
+    total = 0.0
+    for t in range(horizon):
+        if policy == "random":
+            a = int(rng.integers(phi.num_actions))
+        else:
+            a = oracle_act(phi, spec.theta_star, int(contexts[t]), beliefs[t])
+        inc = float(max(scores[t])) - float(scores[t, a])
+        actions.append(a)
+        chosen.append(float(rewards[t, a]))
+        increments.append(inc)
+        total += inc
+    return (hidden, contexts, beliefs, np.array(actions), np.array(chosen),
+            np.array(increments)), total

@@ -177,8 +177,7 @@ def test_criterion_5_oracle_zero_regret():
     for config in instances:
         for T, seed in itertools.product((512, 4096), range(3)):
             result = simulate_cell(config, "oracle", T, seed)
-            increments = [row[4] for row in result.rows]
-            worst = max(worst, max(increments), result.regret_total)
+            worst = max(worst, float(result.increments.max()), result.regret_total)
     ok = worst == 0.0
     report(5, "oracle pseudo-regret is exactly zero", ok, f"max increment {worst}")
     assert worst == 0.0
@@ -271,9 +270,12 @@ def test_criterion_8_belief_state_reduction_at_degenerate_beliefs():
     identical = True
     for policy in ("boxA", "boxB"):
         for seed in (0, 1):
-            rows_b = simulate_cell(belief_cfg, policy, 800, seed).rows
-            rows_s = simulate_cell(state_cfg, policy, 800, seed).rows
-            identical &= rows_b == rows_s
+            cell_b = simulate_cell(belief_cfg, policy, 800, seed)
+            cell_s = simulate_cell(state_cfg, policy, 800, seed)
+            identical &= all(
+                np.array_equal(getattr(cell_b, name), getattr(cell_s, name))
+                for name in ("contexts", "actions", "rewards", "increments")
+            )
     report(8, "belief-dependent = state-dependent at one-hot beliefs", identical)
     assert identical
 

@@ -87,6 +87,30 @@ class TestConfigParsing:
         cfg = parse_config(text)
         assert cfg.run.seeds == (5, 9, 13)
 
+    @pytest.mark.parametrize("seeds", ["0", "-2", "3 -1", "4 4", "1 2 1"])
+    def test_bad_seeds_rejected(self, tmp_path, seeds):
+        text = MINIMAL.format(out=str(tmp_path)).replace("seeds = 2", f"seeds = {seeds}")
+        with pytest.raises(ConfigError, match="seeds"):
+            parse_config(text)
+
+    def test_seed_list_runs_the_listed_indices(self, tmp_path):
+        # seeds = 5 7 runs the cells of indices 5 and 7 of a seeds = 8 run
+        listed, counted = tmp_path / "listed", tmp_path / "counted"
+        path = write_config(tmp_path, MINIMAL.replace("seeds = 2", "seeds = 5 7"),
+                            out=str(listed))
+        assert cli_main(["simulate", path]) == 0
+        path = write_config(tmp_path, MINIMAL.replace("seeds = 2", "seeds = 8"),
+                            out=str(counted))
+        assert cli_main(["simulate", path]) == 0
+        names = sorted(p.name for p in listed.iterdir()
+                       if p.suffix == ".csv" and p.name != "summary.csv")
+        assert names == [f"{pol}_T{T}_s{s}.csv" for pol in ("oracle", "random")
+                         for T in (32, 64) for s in (5, 7)]
+        for name in names:
+            assert (listed / name).read_bytes() == (counted / name).read_bytes()
+        summary = (listed / "summary.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[2] for line in summary] == ["5", "7"] * 4
+
     def test_unknown_key_named_with_section(self, tmp_path):
         text = MINIMAL.format(out=str(tmp_path)).replace(
             "seeds = 2", "seeds = 2\nplugin_gama = true")
@@ -151,12 +175,19 @@ class TestCli:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_worker_count_does_not_change_artifacts(self, tmp_path):
-        out1, out2 = tmp_path / "w1", tmp_path / "w2"
-        path = write_config(tmp_path, out="unused")
-        assert cli_main(["simulate", path, "--out", str(out1)]) == 0
-        assert cli_main(["simulate", path, "--out", str(out2), "--workers", "2"]) == 0
-        for name in sorted(p.name for p in out1.iterdir() if p.suffix == ".csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        # the learner arms too, so their columns and estimates cross the pool
+        text = MINIMAL.replace("policy = oracle random", "policy = boxA boxB oracle random")
+        path = write_config(tmp_path, text, out="unused")
+        for k, flags in enumerate([[], ["--emit-oracle-columns"]]):
+            out1, out2 = tmp_path / f"w1_{k}", tmp_path / f"w2_{k}"
+            assert cli_main(["simulate", path, "--out", str(out1)] + flags) == 0
+            assert cli_main(["simulate", path, "--out", str(out2), "--workers", "2"]
+                            + flags) == 0
+            names = sorted(p.name for p in out1.iterdir() if p.suffix in (".csv", ".txt"))
+            assert sum(name.endswith(".estimate.txt") for name in names) == 8
+            assert len(names) == 8 + 16 + 1  # estimates, cells, summary
+            for name in names:
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_lbl_seed_env_override(self, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "e1", tmp_path / "e2"
@@ -287,6 +318,7 @@ class TestAtomicity:
         row = body[1].split(",")
         assert len(row) == 10
         assert float(row[6]) + float(row[7]) == pytest.approx(1.0)
+        assert float(row[8]) + float(row[9]) == pytest.approx(1.0)  # the learner's belief
         # the learner-side estimate is serialized as a flat decimal block
         est_text = (out / "boxB_T40_s0.estimate.txt").read_text()
         from hmmbandits import EstimatedHmm
@@ -315,8 +347,6 @@ class TestRunModes:
         cfg = parse_config(MINIMAL.format(out=str(tmp_path)))
         cfg = apply_overrides(cfg, plugin_gamma=True, master_seed=31)
         cfg = replace(cfg, policy=replace(cfg.policy, policies=("boxA",)))
-        from hmmbandits.runner import _build_policy, environment_seed_sequence
-
         # run a cell long enough for at least one estimator refresh, then
         # confirm the policy's gamma was swapped away from the true-M value
         result = simulate_cell(cfg, "boxA", 300, 0)
@@ -328,10 +358,9 @@ class TestRunModes:
         captured = {}
         original = runner._build_policy
 
-        def capture(config, name, horizon, rng):
-            policy, lam, ell = original(config, name, horizon, rng)
-            captured["policy"] = policy
-            return policy, lam, ell
+        def capture(config, name, horizon):
+            captured["policy"] = original(config, name, horizon)
+            return captured["policy"]
 
         runner._build_policy = capture
         try:
@@ -356,13 +385,12 @@ class TestTranscriptReplay:
         cfg = replace(cfg, policy=replace(cfg.policy, policies=("boxB",)))
         horizon = 300
         result = simulate_cell(cfg, "boxB", horizon, 0)
-        contexts = [row[1] for row in result.rows]
-        actions = [row[2] for row in result.rows]
-        rewards = [row[3] for row in result.rows]
+        contexts = result.contexts.tolist()
+        actions = result.actions.tolist()
+        rewards = result.rewards.tolist()
 
-        policy_ss, estimator_ss = learner_seed_sequence(21, "boxB", horizon, 0).spawn(2)
-        policy, _, _ = _build_policy(cfg, "boxB", horizon,
-                                     np.random.default_rng(policy_ss))
+        _, estimator_ss = learner_seed_sequence(21, "boxB", horizon, 0).spawn(2)
+        policy = _build_policy(cfg, "boxB", horizon)
         schedule, _ = refit_schedule(
             contexts, 2, 2, cfg.resolve_refit_every("boxB", horizon),
             seed=int(estimator_ss.generate_state(1)[0]),

@@ -190,7 +190,10 @@ class TestEnvironmentProtocol:
         assert tape.rewards.shape == tape.scores.shape == (5, 3)
         result = simulate_cell(cell_config(reference_params, spec3, phi3, 5),
                                "random", 5, 0)
-        assert [row[0] for row in result.rows] == [1, 2, 3, 4, 5]
+        for name in ("contexts", "actions", "rewards", "increments"):
+            assert getattr(result, name).shape == (5,)
+        csv_rows = runner._round_csv_text(result, False, 2).splitlines()[1:]
+        assert [int(line.split(",")[0]) for line in csv_rows] == [1, 2, 3, 4, 5]
         with pytest.raises(ShapeMismatch):
             sample_tape(reference_params, spec3, phi3, 0, seed=2)
 
@@ -199,10 +202,12 @@ class TestEnvironmentProtocol:
                                           monkeypatch, bad):
         # a negative index would otherwise wrap around the reward row
         log = []
-        monkeypatch.setattr(runner, "RandomPolicy",
+        monkeypatch.setattr(runner, "_build_policy",
                             scripted_policy(lambda t: 0 if t < 3 else bad, log))
+        config = cell_config(reference_params, spec3, phi3, 5, policies=("boxB",),
+                             beliefs="oracle")
         with pytest.raises(ShapeMismatch):
-            simulate_cell(cell_config(reference_params, spec3, phi3, 5), "random", 5, 0)
+            simulate_cell(config, "boxB", 5, 0)
         assert [e[:2] for e in log if e[0] == "update"] == [("update", 1), ("update", 2)]
 
     def test_paired_paths_across_policies(self, reference_params, spec3, phi3):
@@ -210,12 +215,13 @@ class TestEnvironmentProtocol:
         config = cell_config(reference_params, spec3, phi3, 40,
                              policies=("random", "oracle"), emit_oracle_columns=True)
         tape = cell_tape(config, 40)
-        random_rows = simulate_cell(config, "random", 40, 0).rows
-        oracle_rows = simulate_cell(config, "oracle", 40, 0).rows
-        assert [r[1] for r in random_rows] == [r[1] for r in oracle_rows]
-        assert [r[5] for r in random_rows] == [r[5] for r in oracle_rows]
-        for rows in (random_rows, oracle_rows):
-            assert [r[3] for r in rows] == [tape.rewards[r[0] - 1, r[2]] for r in rows]
+        random_arm = simulate_cell(config, "random", 40, 0)
+        oracle_arm = simulate_cell(config, "oracle", 40, 0)
+        assert np.array_equal(random_arm.contexts, oracle_arm.contexts)
+        assert np.array_equal(random_arm.hidden, oracle_arm.hidden)
+        for arm in (random_arm, oracle_arm):
+            assert arm.rewards.tolist() == [
+                tape.rewards[t, a] for t, a in enumerate(arm.actions.tolist())]
 
     def test_same_action_same_reward_across_runs(self, reference_params, spec3, phi3):
         first = sample_tape(reference_params, spec3, phi3, 30, seed=12)
@@ -236,38 +242,15 @@ class TestEnvironmentProtocol:
 
 
 class TestInformationBarrier:
-    def test_probe_policy_sees_only_allowed_inputs(self, reference_params, spec3, phi3):
+    def test_probe_policy_sees_only_allowed_inputs(self, reference_params, spec3, phi3,
+                                                   monkeypatch):
         """The policy boundary carries exactly (t, x_t, belief) plus the
         policy's own past actions and rewards."""
-        from hmmbandits import ExperimentConfig, simulate_cell
-        from hmmbandits.config import PolicySettings, RunSettings
-
         seen = []
-        import hmmbandits.policies as pol
-
-        class ProbePolicy(pol.RandomPolicy):
-            def act(self, t, context, belief):
-                seen.append(("act", t, context, np.array(belief)))
-                return 0
-
-            def update(self, t, context, belief, action, reward):
-                seen.append(("update", t, action, float(reward)))
-
-        config = ExperimentConfig(
-            params=reference_params, reward=spec3, phi=phi3,
-            policy=PolicySettings(policies=("random",)),
-            run=RunSettings(horizons=(15,), seeds=(0,), master_seed=5),
-        )
-        original = pol.RandomPolicy
-        pol.RandomPolicy = ProbePolicy
-        try:
-            import hmmbandits.runner as runner
-            runner.RandomPolicy = ProbePolicy
-            simulate_cell(config, "random", 15, 0)
-        finally:
-            pol.RandomPolicy = original
-            import hmmbandits.runner as runner
-            runner.RandomPolicy = original
+        monkeypatch.setattr(runner, "_build_policy", scripted_policy(lambda t: 0, seen))
+        config = cell_config(reference_params, spec3, phi3, 15, policies=("boxB",),
+                             beliefs="oracle")
+        simulate_cell(config, "boxB", 15, 0)
         acts = [e for e in seen if e[0] == "act"]
         assert len(acts) == 15
         for i, entry in enumerate(acts):
@@ -286,14 +269,15 @@ def test_reward_vector_only_chosen_entry_revealed(seed):
     theta, c_theta = sample_theta(phi, 2, np.random.default_rng(0))
     spec = RewardSpec(theta_star=theta, c_theta=c_theta,
                       noise=NoiseModel.gaussian(0.05))
-    config = cell_config(params, spec, phi, 4, master_seed=seed)
+    config = cell_config(params, spec, phi, 4, policies=("boxB",), master_seed=seed,
+                         beliefs="oracle")
     log = []
-    original = runner.RandomPolicy
-    runner.RandomPolicy = scripted_policy(lambda t: t % 2, log)
+    original = runner._build_policy
+    runner._build_policy = scripted_policy(lambda t: t % 2, log)
     try:
-        simulate_cell(config, "random", 4, 0)
+        simulate_cell(config, "boxB", 4, 0)
     finally:
-        runner.RandomPolicy = original
+        runner._build_policy = original
     tape = cell_tape(config, 4)
     updates = [e for e in log if e[0] == "update"]
     assert [(t, a) for _, t, a, _ in updates] == [(t, t % 2) for t in range(1, 5)]

@@ -17,11 +17,13 @@ from hmmbandits import (
     check_staged_elliptic_potential,
     fit_rate,
     run_lemma_trials,
+    sample_theta,
     simulate_cell,
 )
-from hmmbandits.errors import InsufficientData, ShapeMismatch, SingularA
+from hmmbandits.errors import ConfigError, InsufficientData, ShapeMismatch, SingularA
 
-from conftest import cell_config, cell_tape, scripted_policy
+from conftest import cell_config, cell_tape, random_hmm, scripted_policy
+from oracles import reference_baseline_cell
 
 
 @pytest.fixture
@@ -35,9 +37,9 @@ def toy_world():
     return params, phi, spec
 
 
-def run_cell(params, spec, phi, horizon, policy):
+def run_cell(params, spec, phi, horizon, policy, beliefs="spectral"):
     """``simulate_cell`` of one arm at seed index 0, and its tape."""
-    config = cell_config(params, spec, phi, horizon, policies=(policy,))
+    config = cell_config(params, spec, phi, horizon, policies=(policy,), beliefs=beliefs)
     return simulate_cell(config, policy, horizon, 0), cell_tape(config, horizon)
 
 
@@ -49,18 +51,18 @@ class TestRegretLedger:
         params, phi, spec = toy_world
         result, _ = run_cell(params, spec, phi, 60, "oracle")
         assert result.regret_total == 0.0
-        assert all(row[4] == 0.0 for row in result.rows)
+        assert all(inc == 0.0 for inc in result.increments.tolist())
 
     def test_increments_bounded_and_monotone(self, toy_world):
         params, phi, spec = toy_world
         result, tape = run_cell(params, spec, phi, 200, "random")
-        inc = np.array([row[4] for row in result.rows])
+        inc = result.increments
+        assert inc.shape == (200,)
         assert np.all(inc >= 0.0)
         assert np.all(inc <= 2.0)
         assert inc.max() > 0.0
-        actions = [row[2] for row in result.rows]
         assert np.array_equal(
-            inc, tape.scores.max(axis=1) - tape.scores[np.arange(200), actions])
+            inc, tape.scores.max(axis=1) - tape.scores[np.arange(200), result.actions])
 
     def test_three_round_hand_enumeration(self, monkeypatch):
         # A=2, X=1, H=1: the benchmark is simply the larger mean each round
@@ -70,11 +72,12 @@ class TestRegretLedger:
         )
         spec = RewardSpec(theta_star=np.array([[0.8]]), c_theta=1.0,
                           noise=NoiseModel.gaussian(0.0))
-        monkeypatch.setattr(runner, "RandomPolicy",
+        monkeypatch.setattr(runner, "_build_policy",
                             scripted_policy(lambda t: [0, 1, 1][t - 1], []))
-        result, _ = run_cell(params, spec, phi, 3, "random")
+        result, _ = run_cell(params, spec, phi, 3, "boxB", beliefs="oracle")
         # benchmark = 0.8 each round; values: 0.8, 0.4, 0.4
-        assert [row[4] for row in result.rows] == [0.0, 0.4, 0.4]
+        assert result.actions.tolist() == [0, 1, 1]
+        assert result.increments.tolist() == [0.0, 0.4, 0.4]
         assert result.regret_total == pytest.approx(0.8)
 
     def test_single_action_has_zero_regret(self):
@@ -89,9 +92,65 @@ class TestRegretLedger:
         params, phi, spec = toy_world
         result, _ = run_cell(params, spec, phi, 100, "random")
         total = 0.0
-        for row in result.rows:
-            total += row[4]
+        for inc in result.increments.tolist():
+            total += inc
         assert result.regret_total == total
+
+    def test_unknown_policy_rejected(self, toy_world):
+        params, phi, spec = toy_world
+        config = cell_config(params, spec, phi, 10, policies=("thompson",))
+        with pytest.raises(ConfigError, match="thompson"):
+            simulate_cell(config, "thompson", 10, 0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=150),
+    st.sampled_from(["state_dependent", "belief_dependent"]),
+    st.sampled_from(["sampled", "flat", "zero"]),
+    st.booleans(),
+)
+def test_baseline_arms_match_reference_cell(seed, H, X, A, T, model, theta_kind, emit):
+    """The random and oracle arms' columns equal a round-by-round cell."""
+    rng = np.random.default_rng(seed)
+    params = random_hmm(rng, H, X, min_entry=0.02)
+    table = rng.normal(size=(A, X, 2))
+    if theta_kind != "sampled":
+        table[1::2] = table[0]  # duplicate actions: argmax ties
+    phi = TransferFunction.from_table(table)
+    theta, c_theta = sample_theta(phi, H, rng)
+    if theta_kind == "flat":  # state-independent
+        theta = np.tile(theta[:1], (H, 1))
+    elif theta_kind == "zero":
+        theta = np.zeros_like(theta)
+    spec = RewardSpec(theta_star=theta, c_theta=c_theta,
+                      noise=NoiseModel.gaussian(0.1), model=model)
+    config = cell_config(params, spec, phi, T, policies=("random", "oracle"),
+                         master_seed=seed, emit_oracle_columns=emit)
+    for policy in ("random", "oracle"):
+        result = simulate_cell(config, policy, T, 0)
+        env_ss = runner.environment_seed_sequence(seed, T, 0)
+        policy_ss, _ = runner.learner_seed_sequence(seed, policy, T, 0).spawn(2)
+        want, total = reference_baseline_cell(params, spec, phi, T, env_ss,
+                                              policy_ss, policy)
+        hidden, contexts, beliefs, actions, rewards, increments = want
+        assert np.array_equal(result.contexts, contexts)
+        assert np.array_equal(result.actions, actions)
+        assert np.array_equal(result.rewards, rewards)
+        assert np.array_equal(result.increments, increments)
+        assert result.regret_total == total
+        assert result.learner_beliefs is None
+        if emit:
+            assert np.array_equal(result.hidden, hidden)
+            assert np.array_equal(result.true_beliefs, beliefs)
+        else:
+            assert result.hidden is None and result.true_beliefs is None
+        if policy == "oracle":
+            assert total == 0.0
 
 
 class TestFitRate:

@@ -9,7 +9,6 @@ from hmmbandits import (
     BonusConfig,
     BoxAPolicy,
     BoxBPolicy,
-    RandomPolicy,
     StagePlan,
     TransferFunction,
     USchedule,
@@ -23,6 +22,7 @@ from hmmbandits import (
 from hmmbandits.beliefs import BeliefErrorBudget
 from hmmbandits.errors import ShapeMismatch, StageNotFrozen
 
+from conftest import cell_config
 from oracles import (
     batch_ridge,
     box_a_bonus_reference,
@@ -545,8 +545,18 @@ class TestActSelection:
             }
             assert picks == {1}
 
-    def test_random_policy_uses_own_stream(self):
-        rng = np.random.default_rng(8)
-        policy = RandomPolicy(3, rng)
-        picks = {policy.act(t, 0, np.array([0.5, 0.5])) for t in range(50)}
-        assert picks <= {0, 1, 2} and len(picks) > 1
+    def test_random_policy_uses_own_stream(self, reference_params):
+        # the random arm draws one integers(A) per round from the first child
+        # of its learner-side seed sequence, not from an environment stream
+        from hmmbandits import NoiseModel, RewardSpec, sample_theta, simulate_cell
+        from hmmbandits.runner import learner_seed_sequence
+
+        phi = build_phi(A=3, X=4)
+        theta, c_theta = sample_theta(phi, 2, np.random.default_rng(8))
+        spec = RewardSpec(theta_star=theta, c_theta=c_theta, noise=NoiseModel.gaussian(0.1))
+        config = cell_config(reference_params, spec, phi, 50, master_seed=8)
+        result = simulate_cell(config, "random", 50, 0)
+        policy_ss, _ = learner_seed_sequence(8, "random", 50, 0).spawn(2)
+        rng = np.random.default_rng(policy_ss)
+        assert result.actions.tolist() == [int(rng.integers(3)) for _ in range(50)]
+        assert set(result.actions.tolist()) == {0, 1, 2}
