@@ -50,12 +50,11 @@ from .policies import (
     BoxAPolicy,
     BoxBPolicy,
     StagePlan,
-    USchedule,
     oracle_act,
     per_round_bonus,
     staged_bonus,
     staged_width,
-    tensor_feature,
+    u_schedule,
 )
 from .evaluation import (
     RateFit,

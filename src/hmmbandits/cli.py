@@ -38,7 +38,11 @@ def _load(args) -> ExperimentConfig:
     config = load_config(args.config)
     master_seed = args.seed
     if master_seed is None and "LBL_SEED" in os.environ:
-        master_seed = int(os.environ["LBL_SEED"])
+        raw = os.environ["LBL_SEED"]
+        try:
+            master_seed = int(raw)
+        except ValueError as exc:
+            raise ConfigError(f"LBL_SEED must be an integer, got {raw!r}") from exc
     return apply_overrides(
         config,
         out=args.out,

@@ -64,7 +64,7 @@ beliefs = spectral | oracle
 refit_every = auto | <int>  auto: ell for boxA, ceil(sqrt(T)) for boxB
 
 [run]
-horizons = <ints>
+horizons = <distinct ints >= 1>
 seeds = <count n >= 1 for indices 0..n-1, or a list of distinct indices >= 0>
 master_seed = <int>       overridden by LBL_SEED env var, then --seed
 out = <directory>
@@ -170,28 +170,36 @@ def _ints(raw: str) -> list:
     return [int(v) for v in raw.replace(",", " ").split()]
 
 
-def _auto_or_float(raw: str):
-    raw = raw.strip()
-    return "auto" if raw == "auto" else float(raw)
+def _auto(convert):
+    """``convert``, except that ``auto`` stays ``auto``."""
+    return lambda raw: "auto" if raw.strip() == "auto" else convert(raw)
 
 
-def _auto_or_int(raw: str):
-    raw = raw.strip()
-    return "auto" if raw == "auto" else int(raw)
+def _bool(raw: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
 
 
-def _require(section, key: str, section_name: str) -> str:
-    if key not in section:
-        raise ConfigError(f"missing required key '{key}' in [{section_name}]")
-    return section[key]
+def _reader(section, section_name: str):
+    """``read(key, convert, default)``: ``convert`` of the value of ``key``,
+    or of ``default`` when the key is absent; no default makes the key
+    required.  A value ``convert`` rejects is a ConfigError naming the key."""
+
+    def read(key: str, convert=str.strip, default: str | None = None):
+        if key not in section and default is None:
+            raise ConfigError(f"missing required key '{key}' in [{section_name}]")
+        raw = section.get(key, default)
+        try:
+            return convert(raw)
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"malformed value {raw!r} for '{key}' in [{section_name}]") from exc
+
+    return read
 
 
 def _parse_hmm(section) -> HmmParams:
-    H = int(_require(section, "H", "hmm"))
-    X = int(_require(section, "X", "hmm"))
-    pi = _floats(_require(section, "pi", "hmm"))
-    m_flat = _floats(_require(section, "M", "hmm"))
-    e_flat = _floats(_require(section, "E", "hmm"))
+    read = _reader(section, "hmm")
+    H, X = read("H", int), read("X", int)
+    pi, m_flat, e_flat = read("pi", _floats), read("M", _floats), read("E", _floats)
     if m_flat.size != H * H:
         raise ConfigError(f"M must have {H * H} entries, got {m_flat.size}")
     if e_flat.size != X * H:
@@ -209,18 +217,18 @@ def _parse_hmm(section) -> HmmParams:
 
 
 def _parse_reward(section, params: HmmParams) -> tuple[RewardSpec, TransferFunction]:
-    model = section.get("model", STATE_DEPENDENT).strip()
+    read = _reader(section, "reward")
+    model = read("model", default=STATE_DEPENDENT)
     if model not in (STATE_DEPENDENT, BELIEF_DEPENDENT):
         raise ConfigError(f"unknown reward model '{model}'")
-    transfer = section.get("transfer", "one_hot_action").strip()
-    A = int(section.get("num_actions", "2"))
+    transfer = read("transfer", default="one_hot_action")
+    A = read("num_actions", int, "2")
     if transfer == "one_hot_action":
         phi = TransferFunction.one_hot_action(A, params.num_contexts)
     elif transfer == "action_context_outer":
         phi = TransferFunction.action_context_outer(A, params.num_contexts)
     elif transfer == "table":
-        d = int(_require(section, "d", "reward"))
-        flat = _floats(_require(section, "phi", "reward"))
+        d, flat = read("d", int), read("phi", _floats)
         if flat.size != A * params.num_contexts * d:
             raise ConfigError("phi table has the wrong number of entries")
         phi = TransferFunction.from_table(
@@ -229,24 +237,24 @@ def _parse_reward(section, params: HmmParams) -> tuple[RewardSpec, TransferFunct
     else:
         raise ConfigError(f"unknown transfer kind '{transfer}'")
 
-    noise_kind = section.get("noise", "gaussian").strip()
+    noise_kind = read("noise", default="gaussian")
     if noise_kind == "gaussian":
-        noise = NoiseModel.gaussian(float(section.get("v_eta", "0.1")))
+        noise = NoiseModel.gaussian(read("v_eta", float, "0.1"))
     elif noise_kind == "bounded_uniform":
-        noise = NoiseModel.bounded_uniform(float(section.get("c_eta", "0.01")))
+        noise = NoiseModel.bounded_uniform(read("c_eta", float, "0.01"))
     else:
         raise ConfigError(f"unknown noise kind '{noise_kind}'")
 
     if "theta" in section:
-        theta = _floats(section["theta"])
+        theta = read("theta", _floats)
         if theta.size != params.num_states * phi.dim:
             raise ConfigError("theta must have H*d entries")
         theta = theta.reshape(params.num_states, phi.dim)
         c_theta = float(np.linalg.norm(theta, axis=1).max())
     else:
-        rng = np.random.default_rng(int(section.get("theta_seed", "0")))
+        rng = np.random.default_rng(read("theta_seed", int, "0"))
         theta, c_theta = sample_theta(
-            phi, params.num_states, rng, target=float(section.get("theta_target", "0.9"))
+            phi, params.num_states, rng, target=read("theta_target", float, "0.9")
         )
     spec = RewardSpec(theta_star=theta, c_theta=c_theta, noise=noise, model=model)
     try:
@@ -257,41 +265,43 @@ def _parse_reward(section, params: HmmParams) -> tuple[RewardSpec, TransferFunct
 
 
 def _parse_policy(section) -> PolicySettings:
-    names = tuple(section.get("policy", "boxA").split())
+    read = _reader(section, "policy")
+    names = tuple(read("policy", str.split, "boxA"))
     for name in names:
         if name not in KNOWN_POLICIES:
             raise ConfigError(
                 f"unknown policy '{name}'; expected one of {KNOWN_POLICIES}"
             )
-    scope = section.get("bonus_scope", "full").strip()
+    scope = read("bonus_scope", default="full")
     if scope not in ("full", "partial"):
         raise ConfigError("bonus_scope must be 'full' or 'partial'")
-    beliefs = section.get("beliefs", "spectral").strip()
+    beliefs = read("beliefs", default="spectral")
     if beliefs not in ("spectral", "oracle"):
         raise ConfigError("beliefs must be 'spectral' or 'oracle'")
-    delta = float(section.get("delta", "0.1"))
+    delta = read("delta", float, "0.1")
     if not 0.0 < delta < 1.0:
         raise ConfigError("delta must lie in (0, 1)")
     return PolicySettings(
         policies=names,
         delta=delta,
-        lam=_auto_or_float(section.get("lambda", "auto")),
-        ell=_auto_or_int(section.get("ell", "auto")),
-        gamma=_auto_or_float(section.get("gamma", "auto")),
-        c_theta=_auto_or_float(section.get("c_theta", "auto")),
-        c_eta=_auto_or_float(section.get("c_eta", "auto")),
-        v_eta=_auto_or_float(section.get("v_eta", "auto")),
+        lam=read("lambda", _auto(float), "auto"),
+        ell=read("ell", _auto(int), "auto"),
+        gamma=read("gamma", _auto(float), "auto"),
+        c_theta=read("c_theta", _auto(float), "auto"),
+        c_eta=read("c_eta", _auto(float), "auto"),
+        v_eta=read("v_eta", _auto(float), "auto"),
         bonus_scope=scope,
         beliefs=beliefs,
-        refit_every=_auto_or_int(section.get("refit_every", "auto")),
+        refit_every=read("refit_every", _auto(int), "auto"),
     )
 
 
 def _parse_run(section) -> RunSettings:
-    horizons = tuple(_ints(_require(section, "horizons", "run")))
-    if not horizons or any(T < 1 for T in horizons):
-        raise ConfigError("horizons must be positive integers")
-    seeds_raw = _ints(section.get("seeds", "1"))
+    read = _reader(section, "run")
+    horizons = tuple(read("horizons", _ints))
+    if not horizons or min(horizons) < 1 or len(set(horizons)) < len(horizons):
+        raise ConfigError("horizons must be distinct positive integers")
+    seeds_raw = read("seeds", _ints, "1")
     seeds = tuple(range(seeds_raw[0])) if len(seeds_raw) == 1 else tuple(seeds_raw)
     if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
         raise ConfigError(
@@ -300,11 +310,11 @@ def _parse_run(section) -> RunSettings:
     return RunSettings(
         horizons=horizons,
         seeds=seeds,
-        master_seed=int(section.get("master_seed", "0")),
+        master_seed=read("master_seed", int, "0"),
         out=section.get("out", "results"),
-        emit_oracle_columns=section.getboolean("emit_oracle_columns", fallback=False),
-        plugin_gamma=section.getboolean("plugin_gamma", fallback=False),
-        workers=int(section.get("workers", "1")),
+        emit_oracle_columns=read("emit_oracle_columns", _bool, "false"),
+        plugin_gamma=read("plugin_gamma", _bool, "false"),
+        workers=read("workers", int, "1"),
     )
 
 

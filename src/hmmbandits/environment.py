@@ -5,9 +5,9 @@ and the environment tape.
 Nothing the environment draws depends on the policy: only the index of the
 revealed reward entry does.  So a cell's whole path (hidden states, contexts,
 true beliefs, full reward vectors and oracle-side scores) is drawn up front
-as one :class:`EnvironmentTape`; the simulation loop reveals ``(t, x_t)`` and
-the chosen entry of each reward vector, and hidden states never cross the
-policy boundary.
+as one :class:`EnvironmentTape`; the simulation loop shows a learner ``t``,
+the rows ``b_t (x) phi(a, x_t)`` and the chosen entry of each reward vector,
+and hidden states never cross the policy boundary.
 """
 
 from __future__ import annotations

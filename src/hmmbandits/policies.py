@@ -3,14 +3,16 @@
 action-vectorized confidence-bonus kernels they score with, and the oracle
 decision rule ``oracle_act``.
 
-Both policies act on the observation ``(t, x_t, belief)`` only: contexts and
-beliefs derived from them, plus the policy's own action/reward history.  The
-random and oracle baselines read neither, so ``runner.simulate_cell`` builds
-their actions as array expressions over the environment tape.
+Rewards are linear in the rows ``b_t (x) phi(a, x_t)``, so both policies are
+LinUCB over them: ``act(t, feats)`` sees round ``t``'s ``(A, H*d)`` block,
+one row per action, and ``update(v, reward)`` the chosen row and its reward.
+The random and oracle baselines read neither, so ``runner.simulate_cell``
+builds their actions as array expressions over the environment tape.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass, replace
@@ -19,14 +21,9 @@ import numpy as np
 
 from .beliefs import BeliefErrorBudget, u_belief
 from .errors import ShapeMismatch, StageNotFrozen
-from .hmm import Belief
 from .environment import TransferFunction
 
-
-def tensor_feature(belief, phi_vec: np.ndarray) -> np.ndarray:
-    """``b (x) phi``: block ``h`` of the output is ``b(h) * phi``."""
-    probs = belief.probs if isinstance(belief, Belief) else np.asarray(belief, dtype=float)
-    return (probs[:, None] * np.asarray(phi_vec, dtype=float)[None, :]).ravel()
+RESOLVE_EVERY = 1000  # BoxBPolicy re-solves its ridge directly this often
 
 
 @dataclass(frozen=True)
@@ -82,40 +79,18 @@ class BonusConfig:
             raise ShapeMismatch("bonus_scope must be 'full' or 'partial'")
 
 
-class USchedule:
-    """The belief budget ``u(t) = u_belief(t)`` of one policy and its prefix
-    sums ``u(1) + ... + u(k)``, each value computed once, on first use.
-
-    The budget is zero throughout under known beliefs.  Prefix sums
-    accumulate left to right, in round order.
+def u_schedule(cfg: BonusConfig, horizon: int) -> tuple[array, array]:
+    """The belief budget ``u[t] = u_belief(t)`` of rounds ``1..horizon`` and
+    its prefix sums ``prefix[k] = u(1) + ... + u(k)``, added left to right;
+    slot 0 of both is 0.0.  The budget is zero throughout under known beliefs.
     """
-
-    def __init__(self, cfg: BonusConfig):
-        self._budget = (
-            None if cfg.known_beliefs
-            else BeliefErrorBudget(H=cfg.H, X=cfg.X, delta=cfg.delta / 2.0)
-        )
-        self._values = array("d", [0.0])  # _values[t] = u(t); slot 0 is unused
-        self._prefix = array("d", [0.0])  # _prefix[k] = u(1) + ... + u(k)
-
-    def _extend(self, upto: int) -> None:
-        values, prefix, budget = self._values, self._prefix, self._budget
-        for t in range(len(values), upto + 1):
-            u = 0.0 if budget is None else u_belief(budget, t)
-            values.append(u)
-            prefix.append(prefix[-1] + u)
-
-    def __call__(self, t: int) -> float:
-        if t < 1:
-            raise ShapeMismatch("t must be >= 1")
-        if t >= len(self._values):
-            self._extend(t)
-        return self._values[t]
-
-    def prefix(self, upto: int) -> float:
-        if upto >= len(self._prefix):
-            self._extend(upto)
-        return self._prefix[upto]
+    budget = (
+        None if cfg.known_beliefs
+        else BeliefErrorBudget(H=cfg.H, X=cfg.X, delta=cfg.delta / 2.0)
+    )
+    u = array("d", [0.0])
+    u.extend(0.0 if budget is None else u_belief(budget, t) for t in range(1, horizon + 1))
+    return u, array("d", itertools.accumulate(u))
 
 
 def staged_width(
@@ -199,80 +174,49 @@ def per_round_bonus(
     return u_t + mahal * width
 
 
-class _FeatureTable:
-    """Per-context feature matrices ``(A, H*d)`` for a fixed belief."""
-
-    def __init__(self, phi: TransferFunction, num_states: int):
-        self.phi = phi
-        self.H = num_states
-        self.A = phi.num_actions
-        self.d = phi.dim
-
-    def all_actions(self, context: int, belief: np.ndarray) -> np.ndarray:
-        block = belief[None, :, None] * self.phi.table[:, context][:, None, :]
-        return block.reshape(self.A, self.H * self.d)
-
-
 class BoxAPolicy:
     """Staged LinUCB on estimated beliefs.
 
     The scoring estimate and the Gram matrix are frozen at the last stage
-    boundary; every round's feature still enters the accumulating ridge so
-    the boundary refresh sees the whole prefix.  ``bonus_override(t, a)``
-    replaces the bonus formula (plumbing tests).
+    boundary; every round's row still enters the accumulating ridge so the
+    boundary refresh sees the whole prefix.
     """
 
-    def __init__(
-        self,
-        phi: TransferFunction,
-        plan: StagePlan,
-        cfg: BonusConfig,
-        lam: float,
-        bonus_override=None,
-    ):
-        self.phi = phi
+    def __init__(self, plan: StagePlan, cfg: BonusConfig, lam: float):
         self.plan = plan
         self.cfg = cfg
         self.lam = float(lam)
-        self.bonus_override = bonus_override
-        self._features = _FeatureTable(phi, cfg.H)
-        dH = cfg.H * phi.dim
+        dH = cfg.H * cfg.d
         self._gram = self.lam * np.eye(dH)
         self._moment = np.zeros(dH)
         self._rounds = 0
-        self._u = USchedule(cfg)
+        self._u, self._u_prefix = u_schedule(cfg, plan.horizon)
         # frozen snapshot used for scoring and bonuses
         self._theta_frozen = np.full(dH, 1.0 / self.lam)
         self._gram_frozen_inv = np.eye(dH) / self.lam
         self._frozen_rounds = 0
-        self.theta_version = 0
         self._width: tuple[int, tuple[float, float]] | None = None
 
     def _stage_width(self, s_t: int) -> tuple[float, float]:
         """:func:`staged_width` of stage ``s_t``, computed once per stage."""
         if self._width is None or self._width[0] != s_t:
-            u_prefix = self._u.prefix(self._frozen_rounds)
+            u_prefix = self._u_prefix[self._frozen_rounds]
             self._width = (s_t, staged_width(self.cfg, self.plan, self.lam, s_t, u_prefix))
         return self._width[1]
 
-    def act(self, t: int, context: int, belief: np.ndarray) -> int:
-        feats = self._features.all_actions(context, np.asarray(belief, dtype=float))
-        scores = feats @ self._theta_frozen
-        if self.bonus_override is not None:
-            bonuses = np.array([self.bonus_override(t, a) for a in range(len(scores))])
-        else:
-            width = None
-            if t > self.plan.stage_length:
-                s_t = self.plan.stage_of(t)
-                if self._frozen_rounds != (s_t - 1) * self.plan.stage_length:
-                    raise StageNotFrozen("frozen ridge is out of step with the stage plan")
-                width = self._stage_width(s_t)
-            bonuses = staged_bonus(self.cfg, self.plan, self.lam, t, feats,
-                                   self._gram_frozen_inv, self._u(t), width)
-        return int(np.argmax(scores + bonuses))
+    def act(self, t: int, feats: np.ndarray) -> int:
+        """Index of the row of round ``t``'s ``feats`` with the largest UCB."""
+        s_t = self.plan.stage_of(t)
+        width = None
+        if s_t > 1:
+            if self._frozen_rounds != (s_t - 1) * self.plan.stage_length:
+                raise StageNotFrozen("frozen ridge is out of step with the stage plan")
+            width = self._stage_width(s_t)
+        bonuses = staged_bonus(self.cfg, self.plan, self.lam, t, feats,
+                               self._gram_frozen_inv, self._u[t], width)
+        return int(np.argmax(feats @ self._theta_frozen + bonuses))
 
-    def update(self, t: int, context: int, belief: np.ndarray, action: int, reward: float) -> None:
-        v = tensor_feature(np.asarray(belief, dtype=float), self.phi.phi(action, context))
+    def update(self, v: np.ndarray, reward: float) -> None:
         self._gram += np.outer(v, v)
         self._moment += v * float(reward)
         self._rounds += 1
@@ -280,7 +224,6 @@ class BoxAPolicy:
             self._theta_frozen = np.linalg.solve(self._gram, self._moment)
             self._gram_frozen_inv = np.linalg.inv(self._gram)
             self._frozen_rounds = self._rounds
-            self.theta_version += 1
 
     def set_gamma(self, gamma: float) -> None:
         """Swap the forgetting rate fed to the bonus (plugin-gamma mode)."""
@@ -292,49 +235,36 @@ class BoxBPolicy:
     """LinUCB on estimated beliefs with per-round updates (no stages).
 
     The Gram inverse is maintained by rank-one (Sherman-Morrison) updates
-    with a direct re-solve every ``resolve_every`` rounds to cap drift.
+    with a direct re-solve every ``RESOLVE_EVERY`` rounds to cap drift.
     """
 
-    def __init__(
-        self,
-        phi: TransferFunction,
-        cfg: BonusConfig,
-        lam: float,
-        resolve_every: int = 1000,
-        bonus_override=None,
-    ):
-        self.phi = phi
+    def __init__(self, cfg: BonusConfig, lam: float, horizon: int):
         self.cfg = cfg
         self.lam = float(lam)
-        self.resolve_every = int(resolve_every)
-        self.bonus_override = bonus_override
-        self._features = _FeatureTable(phi, cfg.H)
-        dH = cfg.H * phi.dim
+        self.horizon = int(horizon)
+        dH = cfg.H * cfg.d
         self._gram = self.lam * np.eye(dH)
         self._moment = np.zeros(dH)
         self._gram_inv = np.eye(dH) / self.lam
         self._theta = np.full(dH, 1.0 / self.lam)
         self._rounds = 0
-        self._u = USchedule(cfg)
+        self._u, self._u_prefix = u_schedule(cfg, horizon)
 
-    def act(self, t: int, context: int, belief: np.ndarray) -> int:
-        feats = self._features.all_actions(context, np.asarray(belief, dtype=float))
-        scores = feats @ self._theta
-        if self.bonus_override is not None:
-            bonuses = np.array([self.bonus_override(t, a) for a in range(len(scores))])
-        else:
-            bonuses = per_round_bonus(self.cfg, self.lam, t, feats, self._gram_inv,
-                                      self._u(t), self._u.prefix(self._rounds))
-        return int(np.argmax(scores + bonuses))
+    def act(self, t: int, feats: np.ndarray) -> int:
+        """Index of the row of round ``t``'s ``feats`` with the largest UCB."""
+        if not 1 <= t <= self.horizon:
+            raise ShapeMismatch(f"round {t} outside [1, {self.horizon}]")
+        bonuses = per_round_bonus(self.cfg, self.lam, t, feats, self._gram_inv,
+                                  self._u[t], self._u_prefix[self._rounds])
+        return int(np.argmax(feats @ self._theta + bonuses))
 
-    def update(self, t: int, context: int, belief: np.ndarray, action: int, reward: float) -> None:
-        v = tensor_feature(np.asarray(belief, dtype=float), self.phi.phi(action, context))
+    def update(self, v: np.ndarray, reward: float) -> None:
         self._gram += np.outer(v, v)
         self._moment += v * float(reward)
         w = self._gram_inv @ v
         self._gram_inv -= np.outer(w, w) / (1.0 + float(v @ w))
         self._rounds += 1
-        if self._rounds % self.resolve_every == 0:
+        if self._rounds % RESOLVE_EVERY == 0:
             self._gram_inv = np.linalg.inv(self._gram)
             self._theta = np.linalg.solve(self._gram, self._moment)
         else:

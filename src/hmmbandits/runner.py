@@ -99,9 +99,9 @@ def _build_policy(config: ExperimentConfig, name: str, horizon: int):
         known_beliefs=(ps.beliefs == "oracle"),
     )
     if name == "boxA":
-        return BoxAPolicy(phi, StagePlan(config.resolve_ell(horizon), horizon), cfg, lam)
+        return BoxAPolicy(StagePlan(config.resolve_ell(horizon), horizon), cfg, lam)
     if name == "boxB":
-        return BoxBPolicy(phi, cfg, lam)
+        return BoxBPolicy(cfg, lam, horizon)
     raise ConfigError(f"unknown policy '{name}'")
 
 
@@ -112,7 +112,7 @@ def simulate_cell(
 
     The random and oracle arms read neither rewards nor learner beliefs, so
     their actions are array expressions over the tape; only the LinUCB
-    learners step round by round.
+    learners step round by round, on the rows ``b_t (x) phi(a, x_t)``.
     """
     start = time.perf_counter()
     env_ss = environment_seed_sequence(config.run.master_seed, horizon, seed_index)
@@ -149,16 +149,18 @@ def simulate_cell(
         else:
             beliefs = tape.beliefs
         actions = np.empty(horizon, dtype=np.int64)
-        rewards, num_actions = tape.rewards, config.phi.num_actions
+        rewards, phi = tape.rewards, config.phi
+        A, Hd = phi.num_actions, config.params.num_states * phi.dim
         for i, x in enumerate(tape.contexts.tolist()):
-            t, belief = i + 1, beliefs[i]
+            t = i + 1
             if t in plugin_gammas:
                 policy.set_gamma(plugin_gammas[t])
-            a = policy.act(t, x, belief)
-            if not 0 <= a < num_actions:
+            feats = (beliefs[i][None, :, None] * phi.table[:, x][:, None, :]).reshape(A, Hd)
+            a = policy.act(t, feats)
+            if not 0 <= a < A:
                 raise ShapeMismatch(f"action {a} outside the action set")
             # .item gives a Python float, as the reward a policy is shown
-            policy.update(t, x, belief, a, rewards.item(i, a))
+            policy.update(feats[a], rewards.item(i, a))
             actions[i] = a
 
     rounds = np.arange(horizon)
@@ -252,9 +254,6 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
         # single-writer funnel: completed cells land on disk immediately, so
         # an interrupted grid preserves them next to the FAILED marker
         csv_text = _round_csv_text(result, config.run.emit_oracle_columns, num_states)
-        final_cum = float(result.increments.sum())
-        if abs(final_cum - result.regret_total) > 1e-6:
-            raise ShapeMismatch("summary regret does not match per-round CSV")
         _atomic_write(os.path.join(out_dir, _cell_filename(result)), csv_text)
         if result.estimate_text is not None:
             _atomic_write(

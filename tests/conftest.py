@@ -67,16 +67,19 @@ def cell_tape(config, horizon):
 
 def scripted_policy(choose, log):
     """A stand-in for ``runner._build_policy``: a learner arm then runs a
-    scripted policy, where ``choose(t)`` picks the action and every
-    ``act``/``update`` call is appended to ``log``.  Run it on a
-    ``beliefs = "oracle"`` config, so the arm acts on the tape's beliefs."""
+    scripted policy, where ``choose(t)`` picks the action.  ``act`` appends
+    ``("act", t, feats)`` to ``log`` and ``update`` appends ``("update", t,
+    a, reward, v)``, with the round and action of the last ``act``.  Run it
+    on a ``beliefs = "oracle"`` config, so the arm acts on the tape's
+    beliefs."""
 
     class Scripted:
-        def act(self, t, context, belief):
-            log.append(("act", t, context, np.array(belief)))
-            return choose(t)
+        def act(self, t, feats):
+            log.append(("act", t, np.array(feats)))
+            self.last = (t, choose(t))
+            return self.last[1]
 
-        def update(self, t, context, belief, action, reward):
-            log.append(("update", t, action, reward))
+        def update(self, v, reward):
+            log.append(("update", *self.last, reward, np.array(v)))
 
     return lambda config, name, horizon: Scripted()

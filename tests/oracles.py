@@ -238,7 +238,7 @@ def reference_box_a_actions(
     beliefs,
     reward_matrix: np.ndarray,
     *, lam, ell, horizon, delta, gamma, c_theta, c_eta, H, X,
-    known_beliefs=False,
+    scope="full", known_beliefs=False,
 ):
     """Straight-line staged-LinUCB loop written directly from its statement.
 
@@ -262,7 +262,7 @@ def reference_box_a_actions(
             bonus = box_a_bonus_reference(
                 d=d, H=H, X=X, lam=lam, ell=ell, horizon=horizon, delta=delta,
                 gamma=gamma, c_theta=c_theta, c_eta=c_eta, gram=frozen_gram,
-                belief=b, phi_vec=phi_table[a, x], t=t,
+                belief=b, phi_vec=phi_table[a, x], t=t, scope=scope,
                 known_beliefs=known_beliefs,
             )
             ucb[a] = score + bonus

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,6 +94,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="seeds"):
             parse_config(text)
 
+    @pytest.mark.parametrize("horizons", ["32 32", "0", "64 -1", "16 32 16"])
+    def test_bad_horizons_rejected(self, tmp_path, horizons):
+        # a repeated horizon would run its cells twice and list them twice
+        text = MINIMAL.format(out=str(tmp_path)).replace(
+            "horizons = 32 64", f"horizons = {horizons}")
+        with pytest.raises(ConfigError, match="horizons"):
+            parse_config(text)
+
     def test_seed_list_runs_the_listed_indices(self, tmp_path):
         # seeds = 5 7 runs the cells of indices 5 and 7 of a seeds = 8 run
         listed, counted = tmp_path / "listed", tmp_path / "counted"
@@ -152,6 +161,27 @@ class TestCli:
         path.write_text("[hmm]\nH = 2\n")
         assert cli_main(["simulate", str(path)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new,named", [
+        ("horizons = 32 64", "horizons = 3OO", r"'horizons' in \[run\]"),
+        ("v_eta = 0.1", "v_eta = x", r"'v_eta' in \[reward\]"),
+        ("seeds = 2", "seeds = 2\nworkers = two", r"'workers' in \[run\]"),
+        ("seeds = 2", "seeds = 2\nplugin_gamma = maybe", r"'plugin_gamma' in \[run\]"),
+        ("policy = oracle random", "policy = oracle random\nlambda = 1.5.2",
+         r"'lambda' in \[policy\]"),
+        ("H = 2", "H = two", r"'H' in \[hmm\]"),
+        (None, None, "LBL_SEED"),
+    ])
+    def test_malformed_value_exit_2(self, tmp_path, monkeypatch, capsys, old, new, named):
+        if old is None:
+            monkeypatch.setenv("LBL_SEED", "12x")
+        text = MINIMAL if old is None else MINIMAL.replace(old, new)
+        path = write_config(tmp_path, text, out=str(tmp_path / "run"))
+        assert cli_main(["simulate", path]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert re.search(named, err)
+        assert not (tmp_path / "run").exists()
 
     def test_simulate_oracle_regret_zero(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -336,8 +366,10 @@ class TestAtomicity:
             row = dict(zip(header, line.split(",")))
             csv_name = f"{row['policy']}_T{row['T']}_s{row['seed']}.csv"
             body = (out / csv_name).read_text().strip().splitlines()[1:]
-            total = sum(float(ln.split(",")[4]) for ln in body)
-            assert total == pytest.approx(float(row["R_T"]), abs=1e-9)
+            total = 0.0  # left to right, as the cell sums its increments
+            for ln in body:
+                total += float(ln.split(",")[4])
+            assert total == float(row["R_T"])
 
 
 class TestRunModes:
@@ -396,10 +428,12 @@ class TestTranscriptReplay:
             seed=int(estimator_ss.generate_state(1)[0]),
         )
         beliefs = scheduled_beliefs(schedule, contexts, 2)
+        table = cfg.phi.table
         replayed = []
         for t in range(1, horizon + 1):
-            b_hat = beliefs[t - 1]
-            a = policy.act(t, contexts[t - 1], b_hat)
+            x, b_hat = contexts[t - 1], beliefs[t - 1]
+            feats = np.array([np.kron(b_hat, table[a, x]) for a in range(len(table))])
+            a = policy.act(t, feats)
             replayed.append(a)
-            policy.update(t, contexts[t - 1], b_hat, a, rewards[t - 1])
+            policy.update(feats[a], rewards[t - 1])
         assert replayed == actions

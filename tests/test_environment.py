@@ -244,19 +244,21 @@ class TestEnvironmentProtocol:
 class TestInformationBarrier:
     def test_probe_policy_sees_only_allowed_inputs(self, reference_params, spec3, phi3,
                                                    monkeypatch):
-        """The policy boundary carries exactly (t, x_t, belief) plus the
-        policy's own past actions and rewards."""
+        """The policy boundary carries exactly t and the round's rows
+        b_t (x) phi(a, x_t), one per action, plus the reward of the chosen row."""
         seen = []
         monkeypatch.setattr(runner, "_build_policy", scripted_policy(lambda t: 0, seen))
         config = cell_config(reference_params, spec3, phi3, 15, policies=("boxB",),
                              beliefs="oracle")
         simulate_cell(config, "boxB", 15, 0)
+        tape = cell_tape(config, 15)
         acts = [e for e in seen if e[0] == "act"]
         assert len(acts) == 15
-        for i, entry in enumerate(acts):
-            assert entry[1] == i + 1          # round index
-            assert isinstance(entry[2], int)  # context index only
-            assert entry[3].shape == (2,)     # a belief vector, nothing else
+        for i, (_, t, feats) in enumerate(acts):
+            assert t == i + 1  # round index
+            x, b = int(tape.contexts[i]), tape.beliefs[i]
+            want = np.array([np.kron(b, phi3.table[a, x]) for a in range(3)])
+            assert np.array_equal(feats, want)
 
 
 @settings(deadline=None, max_examples=25)
@@ -279,11 +281,13 @@ def test_reward_vector_only_chosen_entry_revealed(seed):
     finally:
         runner._build_policy = original
     tape = cell_tape(config, 4)
+    blocks = [e[2] for e in log if e[0] == "act"]
     updates = [e for e in log if e[0] == "update"]
-    assert [(t, a) for _, t, a, _ in updates] == [(t, t % 2) for t in range(1, 5)]
-    for _, t, a, reward in updates:
+    assert [(t, a) for _, t, a, _, _ in updates] == [(t, t % 2) for t in range(1, 5)]
+    for _, t, a, reward, v in updates:
         assert type(reward) is float
         assert reward == tape.rewards[t - 1, a]
+        assert np.array_equal(v, blocks[t - 1][a])
 
 
 @settings(deadline=None, max_examples=60)

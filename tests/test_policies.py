@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hmmbandits.policies as policies
 from hmmbandits import (
     BonusConfig,
     BoxAPolicy,
     BoxBPolicy,
     StagePlan,
     TransferFunction,
-    USchedule,
     oracle_act,
     per_round_bonus,
     staged_bonus,
     staged_width,
-    tensor_feature,
     u_belief,
+    u_schedule,
 )
 from hmmbandits.beliefs import BeliefErrorBudget
 from hmmbandits.errors import ShapeMismatch, StageNotFrozen
@@ -50,23 +50,46 @@ def random_gram(rng, dim, lam, rounds, shrink=1.0):
     return gram
 
 
+def rows(belief, phi_vecs):
+    """The rows ``belief (x) phi_vec``, one per vector of ``phi_vecs``."""
+    return np.array([np.kron(belief, p) for p in np.atleast_2d(phi_vecs)])
+
+
 def box_a_bonus(cfg, plan, lam, gram, belief, phi_vecs, t):
     """Staged kernel on the rows ``belief (x) phi_vec``, Gram frozen at the
     last stage boundary."""
-    u = USchedule(cfg)
-    feats = np.array([tensor_feature(belief, p) for p in np.atleast_2d(phi_vecs)])
+    u, prefix = u_schedule(cfg, t)
     width = None
     if t > plan.stage_length:
         s_t = plan.stage_of(t)
-        width = staged_width(cfg, plan, lam, s_t, u.prefix((s_t - 1) * plan.stage_length))
-    return staged_bonus(cfg, plan, lam, t, feats, np.linalg.inv(gram), u(t), width)
+        width = staged_width(cfg, plan, lam, s_t, prefix[(s_t - 1) * plan.stage_length])
+    return staged_bonus(cfg, plan, lam, t, rows(belief, phi_vecs), np.linalg.inv(gram),
+                        u[t], width)
 
 
 def box_b_bonus(cfg, lam, gram, belief, phi_vecs, t):
     """Per-round kernel on the rows ``belief (x) phi_vec`` after ``t - 1`` rounds."""
-    u = USchedule(cfg)
-    feats = np.array([tensor_feature(belief, p) for p in np.atleast_2d(phi_vecs)])
-    return per_round_bonus(cfg, lam, t, feats, np.linalg.inv(gram), u(t), u.prefix(t - 1))
+    u, prefix = u_schedule(cfg, t)
+    return per_round_bonus(cfg, lam, t, rows(belief, phi_vecs), np.linalg.inv(gram),
+                           u[t], prefix[t - 1])
+
+
+def blocks(table, contexts, beliefs):
+    """Every round's rows ``b_t (x) phi(a, x_t)``, one per action of the
+    ``(A, X, d)`` transfer ``table``."""
+    for t, (x, b) in enumerate(zip(contexts, beliefs), start=1):
+        yield t, rows(b, table[:, int(x)])
+
+
+def play(policy, table, contexts, beliefs, rewards):
+    """Run ``policy`` on the stream; ``rewards[t-1, a]`` is action ``a``'s
+    reward in round ``t``.  Returns the actions."""
+    actions = []
+    for t, feats in blocks(table, contexts, beliefs):
+        a = policy.act(t, feats)
+        policy.update(feats[a], rewards[t - 1, a])
+        actions.append(a)
+    return actions
 
 
 class TestRidge:
@@ -75,7 +98,7 @@ class TestRidge:
     @staticmethod
     def policy(lam, H=2, phi=None):
         phi = TransferFunction.one_hot_action(2, 2) if phi is None else phi
-        return BoxBPolicy(phi, make_cfg(H=H, X=max(H, 2), d=phi.dim), lam=lam)
+        return BoxBPolicy(make_cfg(H=H, X=max(H, 2), d=phi.dim), lam=lam, horizon=50)
 
     def test_initialization_contract(self):
         policy = self.policy(lam=2.0)
@@ -86,14 +109,14 @@ class TestRidge:
 
     def test_zero_feature_only_counts(self):
         policy = self.policy(lam=1.0)
-        policy.update(1, 0, np.zeros(2), 0, reward=5.0)
+        policy.update(np.zeros(4), reward=5.0)
         assert np.allclose(policy._gram, np.eye(4))
         assert np.allclose(policy._moment, 0.0)
         assert policy._rounds == 1
 
     def test_scalar_single_update(self):
         policy = self.policy(lam=1.0, H=1, phi=TransferFunction.one_hot_action(1, 1))
-        policy.update(1, 0, np.array([1.0]), 0, reward=2.0)
+        policy.update(np.array([1.0]), reward=2.0)
         assert policy._gram[0, 0] == pytest.approx(2.0)
         assert policy._theta[0] == pytest.approx(1.0)
 
@@ -103,72 +126,75 @@ class TestRidge:
         phi = TransferFunction.from_table(rng.normal(size=(A, X, 3)))
         policy = self.policy(lam=lam, phi=phi)
         feats, rewards = [], []
-        for t in range(1, 51):
+        for _ in range(50):
             x, a, b = int(rng.integers(X)), int(rng.integers(A)), rng.dirichlet(np.ones(2))
-            feats.append(tensor_feature(b, phi.phi(a, x)))
+            feats.append(np.kron(b, phi.phi(a, x)))
             rewards.append(rng.normal())
-            policy.update(t, x, b, a, rewards[-1])
+            policy.update(feats[-1], rewards[-1])
         want = batch_ridge(np.asarray(feats), np.asarray(rewards), lam)
         assert np.max(np.abs(policy._theta - want)) < 1e-8
 
     def test_gram_dominates_lambda(self):
         rng = np.random.default_rng(5)
         policy = self.policy(lam=1.5)
-        for t in range(1, 31):
-            policy.update(t, int(rng.integers(2)), rng.dirichlet(np.ones(2)),
-                          int(rng.integers(2)), rng.normal())
+        phi = TransferFunction.one_hot_action(2, 2)
+        for _ in range(30):
+            x, b, a = int(rng.integers(2)), rng.dirichlet(np.ones(2)), int(rng.integers(2))
+            policy.update(np.kron(b, phi.phi(a, x)), rng.normal())
         assert np.linalg.eigvalsh(policy._gram).min() >= 1.5 - 1e-9
 
 
 class TestUSchedule:
     def test_values_and_left_to_right_prefix(self):
-        cfg = make_cfg()
-        u = USchedule(cfg)
+        u, prefix = u_schedule(make_cfg(), 59)
+        assert len(u) == len(prefix) == 60
         budget = BeliefErrorBudget(H=2, X=4, delta=0.05)
         running = 0.0
         for t in range(1, 60):
-            assert u(t) == u_belief(budget, t)
-            assert u(t) == pytest.approx(u_belief_reference(2, 4, 0.05, t), rel=1e-12)
-            assert u.prefix(t - 1) == running
+            assert u[t] == u_belief(budget, t)
+            assert u[t] == pytest.approx(u_belief_reference(2, 4, 0.05, t), rel=1e-12)
+            assert prefix[t - 1] == running
             running += u_belief(budget, t)
-        assert u.prefix(0) == 0.0
+        assert prefix[59] == running
+        assert u[0] == prefix[0] == 0.0
 
     def test_known_beliefs_zero(self):
-        u = USchedule(make_cfg(known_beliefs=True))
-        assert u(500) == 0.0 and u.prefix(500) == 0.0
+        u, prefix = u_schedule(make_cfg(known_beliefs=True), 500)
+        assert len(u) == 501 and not any(u) and not any(prefix)
 
     def test_invalid_round(self):
-        with pytest.raises(ShapeMismatch):
-            USchedule(make_cfg())(0)
+        # a schedule lookup would return slot 0 at t = 0 and wrap for t < 0
+        cfg = make_cfg(H=2, X=2, d=2)
+        feats = rows(np.array([0.5, 0.5]), build_phi().table[:, 0])
+        for policy in (BoxAPolicy(StagePlan(4, 10), cfg, lam=2.0),
+                       BoxBPolicy(cfg, lam=2.0, horizon=10)):
+            for t in (0, -1, 11):
+                with pytest.raises(ShapeMismatch):
+                    policy.act(t, feats)
 
     @pytest.mark.parametrize("name", ["boxA", "boxB"])
     def test_one_budget_evaluation_per_round(self, name, monkeypatch):
-        import hmmbandits.policies as policies
-
         calls = []
         real = policies.u_belief
         monkeypatch.setattr(policies, "u_belief",
                             lambda budget, t: calls.append(t) or real(budget, t))
         rng = np.random.default_rng(11)
         T = 60
-        phi = build_phi()
         contexts, beliefs, rewards = synthetic_stream(rng, T)
         cfg = make_cfg(H=2, X=2, d=2)
-        policy = (BoxAPolicy(phi, StagePlan(7, T), cfg, lam=2.0) if name == "boxA"
-                  else BoxBPolicy(phi, cfg, lam=2.0))
-        for t in range(1, T + 1):
-            a = policy.act(t, int(contexts[t - 1]), beliefs[t - 1])
-            policy.update(t, int(contexts[t - 1]), beliefs[t - 1], a, rewards[t - 1, a])
+        policy = (BoxAPolicy(StagePlan(7, T), cfg, lam=2.0) if name == "boxA"
+                  else BoxBPolicy(cfg, lam=2.0, horizon=T))
+        play(policy, build_phi().table, contexts, beliefs, rewards)
         assert sorted(calls) == list(range(1, T + 1))
 
 
 class TestTensorFeature:
     def test_one_hot_belief_selects_block(self):
-        out = tensor_feature(np.array([0.0, 1.0]), np.array([0.3, 0.4]))
+        out = np.kron(np.array([0.0, 1.0]), np.array([0.3, 0.4]))
         assert np.allclose(out, [0.0, 0.0, 0.3, 0.4])
 
     def test_uniform_belief_worked_example(self):
-        out = tensor_feature(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+        out = np.kron(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
         assert np.allclose(out, [0.5, 0.0, 0.5, 0.0])
         assert np.linalg.norm(out) == pytest.approx(1.0 / math.sqrt(2.0))
 
@@ -179,7 +205,7 @@ class TestTensorFeature:
         H, d = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         belief = rng.dirichlet(np.ones(H))
         phi_vec = rng.normal(size=d)
-        out = tensor_feature(belief, phi_vec)
+        out = np.kron(belief, phi_vec)
         assert np.linalg.norm(out) <= np.linalg.norm(phi_vec) + 1e-12
 
 
@@ -230,7 +256,7 @@ class TestBonusBoxA:
         belief = np.array([0.3, 0.7])
         phi_vec = np.array([0.2, 0.1, 0.0])
         got = box_a_bonus(cfg, plan, 2.0, gram, belief, phi_vec, t=7)[0]
-        v = tensor_feature(belief, phi_vec)
+        v = np.kron(belief, phi_vec)
         norm = np.linalg.norm(np.linalg.solve(gram, v))
         s_t, s_T, ell, lam, delta = 2, 4, 5, 2.0, 0.1
         want = norm * (
@@ -246,15 +272,15 @@ class TestBonusBoxA:
         cfg = make_cfg()
         plan = StagePlan(stage_length=5, horizon=25)
         gram = random_gram(rng, 6, lam=2.0, rounds=5, shrink=2.0)
-        u = USchedule(cfg)
+        u, _ = u_schedule(cfg, 8)
         slopes = []
         for _ in range(6):
             belief = rng.dirichlet(np.ones(2))
             phi_vec = rng.normal(size=3) / 2.0
-            v = tensor_feature(belief, phi_vec)
+            v = np.kron(belief, phi_vec)
             norm = float(np.linalg.norm(np.linalg.solve(gram, v)))
             eps = box_a_bonus(cfg, plan, 2.0, gram, belief, phi_vec, t=8)[0]
-            slopes.append((eps - u(8)) / norm)
+            slopes.append((eps - u[8]) / norm)
         assert np.ptp(slopes) < 1e-8
         assert slopes[0] > 0
 
@@ -268,21 +294,21 @@ class TestBonusBoxA:
             f = rng.normal(size=6) / 4.0
             gram += np.outer(f, f)
         belief, phi_vec = np.array([0.6, 0.4]), np.array([0.3, 0.0, 0.1])
-        v = tensor_feature(belief, phi_vec)
+        v = np.kron(belief, phi_vec)
         norm = float(np.linalg.norm(np.linalg.solve(gram, v)))
         got_full = box_a_bonus(cfg_full, plan, 2.0, gram, belief, phi_vec, t=6)[0]
         got_partial = box_a_bonus(cfg_partial, plan, 2.0, gram, belief, phi_vec, t=6)[0]
-        u = USchedule(cfg_full)
-        tail = 2 * 1 * 0.5 / 0.5 + sum(u(tau) for tau in range(1, 5))
+        u, _ = u_schedule(cfg_full, 4)
+        tail = 2 * 1 * 0.5 / 0.5 + sum(u[tau] for tau in range(1, 5))
         assert got_full - got_partial == pytest.approx((norm - 1.0) * tail, rel=1e-9)
 
     def test_stage_not_frozen_guard(self):
         cfg = make_cfg(H=2, X=2, d=2)
-        policy = BoxAPolicy(build_phi(), StagePlan(4, 16), cfg, lam=2.0)
-        belief = np.array([0.5, 0.5])
-        policy.update(1, 0, belief, 0, 0.0)  # one round into stage 1
+        policy = BoxAPolicy(StagePlan(4, 16), cfg, lam=2.0)
+        feats = rows(np.array([0.5, 0.5]), build_phi().table[:, 0])
+        policy.update(feats[0], 0.0)  # one round into stage 1
         with pytest.raises(StageNotFrozen):
-            policy.act(6, 0, belief)
+            policy.act(6, feats)
 
 
 class TestBonusBoxB:
@@ -301,10 +327,10 @@ class TestBonusBoxB:
         lam = 1e14
         gram = lam * np.eye(6)
         belief, phi_vec = np.array([0.5, 0.5]), np.array([0.5, 0.1, 0.0])
-        v = tensor_feature(belief, phi_vec)
+        v = np.kron(belief, phi_vec)
         assert float(v @ np.linalg.solve(gram, v)) ** 0.5 < 1e-7
         got, zero = box_b_bonus(cfg, lam, gram, belief, [phi_vec, np.zeros(3)], t=50)
-        u50 = USchedule(cfg)(50)
+        u50 = u_schedule(cfg, 50)[0][50]
         limit = u50 + math.sqrt(2) * cfg.c_theta * np.linalg.norm(v)
         assert got == pytest.approx(limit, rel=1e-4)
         assert zero == pytest.approx(u50, rel=1e-12)
@@ -313,7 +339,7 @@ class TestBonusBoxB:
         cfg = make_cfg(known_beliefs=True)
         lam = 9.0
         belief, phi_vec = np.array([0.4, 0.6]), np.array([0.3, 0.2, 0.1])
-        v = tensor_feature(belief, phi_vec)
+        v = np.kron(belief, phi_vec)
         got = box_b_bonus(cfg, lam, lam * np.eye(6), belief, phi_vec, t=10)[0]
         width = math.sqrt(lam * 2) * cfg.c_theta + cfg.v_eta * math.sqrt(
             2 * math.log(20.0) + 6 * math.log(1.0 + 10 / (lam * 6))
@@ -357,13 +383,8 @@ class TestBoxAPolicy:
         phi = build_phi()
         contexts, beliefs, rewards = synthetic_stream(rng, T)
         cfg = make_cfg(H=2, X=2, d=2)
-        policy = BoxAPolicy(phi, StagePlan(ell, T), cfg, lam)
-        actions = []
-        for t in range(1, T + 1):
-            a = policy.act(t, int(contexts[t - 1]), beliefs[t - 1])
-            policy.update(t, int(contexts[t - 1]), beliefs[t - 1], a,
-                          rewards[t - 1, a])
-            actions.append(a)
+        actions = play(BoxAPolicy(StagePlan(ell, T), cfg, lam), phi.table,
+                       contexts, beliefs, rewards)
         want = reference_box_a_actions(
             phi.table, contexts, beliefs, rewards,
             lam=lam, ell=ell, horizon=T, delta=0.1, gamma=0.5,
@@ -377,15 +398,14 @@ class TestBoxAPolicy:
         phi = build_phi()
         contexts, beliefs, rewards = synthetic_stream(rng, T)
         cfg = make_cfg(H=2, X=2, d=2)
-        policy = BoxAPolicy(phi, StagePlan(ell, T), cfg, lam=2.0)
-        versions = []
-        for t in range(1, T + 1):
-            a = policy.act(t, int(contexts[t - 1]), beliefs[t - 1])
-            versions.append(policy.theta_version)
-            policy.update(t, int(contexts[t - 1]), beliefs[t - 1], a,
-                          rewards[t - 1, a])
+        policy = BoxAPolicy(StagePlan(ell, T), cfg, lam=2.0)
+        frozen = []
+        for t, feats in blocks(phi.table, contexts, beliefs):
+            a = policy.act(t, feats)
+            frozen.append(policy._frozen_rounds)
+            policy.update(feats[a], rewards[t - 1, a])
         # theta used in round t was computed at the last stage boundary
-        assert versions == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
+        assert frozen == [0, 0, 0, 0, 4, 4, 4, 4, 8, 8, 8, 8]
         assert policy._frozen_rounds == 12
 
     def test_frozen_ridge_solves_boundary_system(self):
@@ -394,11 +414,8 @@ class TestBoxAPolicy:
         phi = build_phi()
         contexts, beliefs, rewards = synthetic_stream(rng, T)
         cfg = make_cfg(H=2, X=2, d=2)
-        policy = BoxAPolicy(phi, StagePlan(ell, T), cfg, lam=1.0)
-        for t in range(1, T + 1):
-            a = policy.act(t, int(contexts[t - 1]), beliefs[t - 1])
-            policy.update(t, int(contexts[t - 1]), beliefs[t - 1], a,
-                          rewards[t - 1, a])
+        policy = BoxAPolicy(StagePlan(ell, T), cfg, lam=1.0)
+        play(policy, phi.table, contexts, beliefs, rewards)
         # T is a stage boundary: the frozen snapshot is the current ridge
         assert np.allclose(policy._gram @ policy._theta_frozen, policy._moment, atol=1e-10)
         assert np.allclose(policy._gram_frozen_inv @ policy._gram, np.eye(4), atol=1e-10)
@@ -412,13 +429,7 @@ class TestBoxBPolicy:
         phi = build_phi(A=A)
         contexts, beliefs, rewards = synthetic_stream(rng, T, A=A)
         cfg = make_cfg(H=2, X=2, d=A)
-        policy = BoxBPolicy(phi, cfg, lam)
-        actions = []
-        for t in range(1, T + 1):
-            a = policy.act(t, int(contexts[t - 1]), beliefs[t - 1])
-            policy.update(t, int(contexts[t - 1]), beliefs[t - 1], a,
-                          rewards[t - 1, a])
-            actions.append(a)
+        actions = play(BoxBPolicy(cfg, lam, T), phi.table, contexts, beliefs, rewards)
         want = reference_box_b_actions(
             phi.table, contexts, beliefs, rewards,
             lam=lam, horizon=T, delta=0.1, c_theta=1.2, v_eta=0.1, H=2, X=2,
@@ -431,11 +442,10 @@ class TestBoxBPolicy:
         phi = build_phi()
         contexts, beliefs, rewards = synthetic_stream(rng, T)
         cfg = make_cfg(H=2, X=2, d=2)
-        policy = BoxBPolicy(phi, cfg, lam=math.sqrt(T), resolve_every=1000)
-        for t in range(1, T + 1):
-            a = policy.act(t, int(contexts[t - 1]), beliefs[t - 1])
-            policy.update(t, int(contexts[t - 1]), beliefs[t - 1], a,
-                          rewards[t - 1, a])
+        policy = BoxBPolicy(cfg, lam=math.sqrt(T), horizon=T)
+        for t, feats in blocks(phi.table, contexts, beliefs):
+            a = policy.act(t, feats)
+            policy.update(feats[a], rewards[t - 1, a])
             if t in (999, 1999, T):
                 # the rank-one updates drift most right before a re-solve
                 direct = np.linalg.inv(policy._gram)
@@ -447,37 +457,71 @@ class TestBoxBPolicy:
         phi = build_phi()
         contexts, beliefs, rewards = synthetic_stream(rng, T)
         cfg = make_cfg(H=2, X=2, d=2)
-        policy = BoxBPolicy(phi, cfg, lam=3.0)
-        feats, obs = [], []
-        for t in range(1, T + 1):
-            a = policy.act(t, int(contexts[t - 1]), beliefs[t - 1])
-            f = tensor_feature(beliefs[t - 1], phi.phi(a, int(contexts[t - 1])))
-            feats.append(f)
+        policy = BoxBPolicy(cfg, lam=3.0, horizon=T)
+        feats_seen, obs = [], []
+        for t, feats in blocks(phi.table, contexts, beliefs):
+            a = policy.act(t, feats)
+            feats_seen.append(feats[a])
             obs.append(rewards[t - 1, a])
-            policy.update(t, int(contexts[t - 1]), beliefs[t - 1], a, obs[-1])
-        want = batch_ridge(np.asarray(feats), np.asarray(obs), 3.0)
+            policy.update(feats[a], obs[-1])
+        want = batch_ridge(np.asarray(feats_seen), np.asarray(obs), 3.0)
         assert np.max(np.abs(policy._theta - want)) < 1e-8
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=120),
+    st.sampled_from(["full", "partial"]),
+    st.booleans(),
+)
+def test_row_policies_match_straight_line_references(seed, H, d, A, T, scope, known):
+    """Both learners, driven by rows alone, pick the actions of the
+    straight-line loops on continuous beliefs, transfers and rewards."""
+    rng = np.random.default_rng(seed)
+    X = int(rng.integers(H, 4))  # the belief budget needs X >= H
+    table = rng.normal(size=(A, X, d))
+    contexts = rng.integers(0, X, size=T)
+    beliefs = rng.dirichlet(np.ones(H), size=T)
+    rewards = rng.normal(scale=10.0 ** rng.uniform(0, 4), size=(T, A))  # vs. bonus widths
+    ell, lam = int(rng.integers(1, T + 1)), float(rng.uniform(0.5, 10.0))
+    cfg = make_cfg(H=H, X=X, d=d, bonus_scope=scope, known_beliefs=known)
+    common = dict(lam=lam, horizon=T, delta=0.1, c_theta=1.2, H=H, X=X,
+                  known_beliefs=known)
+    got = play(BoxAPolicy(StagePlan(ell, T), cfg, lam), table, contexts, beliefs, rewards)
+    assert got == reference_box_a_actions(table, contexts, beliefs, rewards, ell=ell,
+                                          gamma=0.5, c_eta=0.01, scope=scope, **common)
+    got = play(BoxBPolicy(cfg, lam, T), table, contexts, beliefs, rewards)
+    assert got == reference_box_b_actions(table, contexts, beliefs, rewards,
+                                          v_eta=0.1, **common)
+
+
+def forced_bonuses(monkeypatch, bonus):
+    """Replace both bonus kernels by ``bonus(t, a)`` for every action ``a``."""
+    def rows_bonus(t, feats):
+        return np.array([bonus(t, a) for a in range(len(feats))])
+
+    monkeypatch.setattr(policies, "staged_bonus",
+                        lambda cfg, plan, lam, t, feats, *rest: rows_bonus(t, feats))
+    monkeypatch.setattr(policies, "per_round_bonus",
+                        lambda cfg, lam, t, feats, *rest: rows_bonus(t, feats))
+
+
 class TestEquivalenceAndConsistency:
-    def test_box_a_ell_one_equals_box_b_with_forced_bonuses(self):
+    def test_box_a_ell_one_equals_box_b_with_forced_bonuses(self, monkeypatch):
         rng = np.random.default_rng(5)
         T = 40
         phi = build_phi()
         contexts, beliefs, rewards = synthetic_stream(rng, T)
-        forced = lambda t, a: 0.25 / (t + a + 1)
+        forced_bonuses(monkeypatch, lambda t, a: 0.25 / (t + a + 1))
         cfg = make_cfg(H=2, X=2, d=2)
-        box_a = BoxAPolicy(phi, StagePlan(1, T), cfg, lam=2.0, bonus_override=forced)
-        box_b = BoxBPolicy(phi, cfg, lam=2.0, bonus_override=forced)
-        act_a, act_b = [], []
-        for t in range(1, T + 1):
-            x, b = int(contexts[t - 1]), beliefs[t - 1]
-            a1 = box_a.act(t, x, b)
-            a2 = box_b.act(t, x, b)
-            act_a.append(a1)
-            act_b.append(a2)
-            box_a.update(t, x, b, a1, rewards[t - 1, a1])
-            box_b.update(t, x, b, a2, rewards[t - 1, a2])
+        act_a = play(BoxAPolicy(StagePlan(1, T), cfg, lam=2.0), phi.table,
+                     contexts, beliefs, rewards)
+        act_b = play(BoxBPolicy(cfg, lam=2.0, horizon=T), phi.table,
+                     contexts, beliefs, rewards)
         assert act_a == act_b
 
     def test_ridge_consistency_noiseless(self):
@@ -487,14 +531,14 @@ class TestEquivalenceAndConsistency:
         theta_star = rng.normal(size=H * d)
         theta_star /= np.linalg.norm(theta_star) * 1.2
         phi = build_phi(A=d)
-        policy = BoxBPolicy(phi, make_cfg(H=H, X=2, d=d), lam)
+        policy = BoxBPolicy(make_cfg(H=H, X=2, d=d), lam, horizon=5000)
         feats = []
-        for t in range(1, 5001):
+        for _ in range(5000):
             b = rng.dirichlet(np.ones(H))
             a = int(rng.integers(d))
-            f = tensor_feature(b, phi.phi(a, 0))
+            f = np.kron(b, phi.phi(a, 0))
             feats.append(f)
-            policy.update(t, 0, b, a, float(f @ theta_star))
+            policy.update(f, float(f @ theta_star))
         gram = np.asarray(feats).T @ np.asarray(feats)
         assert np.linalg.eigvalsh(gram).min() > 100.0  # grows linearly
         assert np.linalg.norm(policy._theta - theta_star) < 0.05
@@ -502,33 +546,27 @@ class TestEquivalenceAndConsistency:
 
 class TestActSelection:
     def test_tie_breaks_to_smallest_index(self):
-        phi = TransferFunction.from_table(
-            np.stack([np.full((2, 2), 0.5), np.full((2, 2), 0.5)]), rescale=False
-        )
+        table = np.full((2, 2, 2), 0.5)
         cfg = make_cfg(H=2, X=2, d=2)
-        policy = BoxAPolicy(phi, StagePlan(4, 8), cfg, lam=1.0)
-        assert policy.act(1, 0, np.array([0.5, 0.5])) == 0
+        policy = BoxAPolicy(StagePlan(4, 8), cfg, lam=1.0)
+        assert policy.act(1, rows(np.array([0.5, 0.5]), table[:, 0])) == 0
 
-    def test_dominant_bonus_wins(self):
-        phi = build_phi()
+    def test_dominant_bonus_wins(self, monkeypatch):
+        forced_bonuses(monkeypatch, lambda t, a: 100.0 if a == 1 else 0.0)
         cfg = make_cfg(H=2, X=2, d=2)
-        boost = lambda t, a: 100.0 if a == 1 else 0.0
-        policy = BoxAPolicy(phi, StagePlan(4, 8), cfg, lam=1.0, bonus_override=boost)
-        assert policy.act(1, 0, np.array([0.5, 0.5])) == 1
+        policy = BoxAPolicy(StagePlan(4, 8), cfg, lam=1.0)
+        assert policy.act(1, rows(np.array([0.5, 0.5]), build_phi().table[:, 0])) == 1
 
-    def test_argmax_invariant_to_constant_shift(self):
+    def test_argmax_invariant_to_constant_shift(self, monkeypatch):
         rng = np.random.default_rng(7)
-        phi = build_phi()
-        cfg = make_cfg(H=2, X=2, d=2)
-        base = BoxBPolicy(phi, cfg, lam=2.0)
-        shifted = BoxBPolicy(phi, cfg, lam=2.0,
-                             bonus_override=lambda t, a: 7.0)
-        flat = BoxBPolicy(phi, cfg, lam=2.0,
-                          bonus_override=lambda t, a: 0.0)
+        table = build_phi().table
+        policy = BoxBPolicy(make_cfg(H=2, X=2, d=2), lam=2.0, horizon=5)
         for _ in range(20):
-            x = int(rng.integers(2))
-            b = rng.dirichlet(np.ones(2))
-            assert shifted.act(5, x, b) == flat.act(5, x, b)
+            feats = rows(rng.dirichlet(np.ones(2)), table[:, int(rng.integers(2))])
+            forced_bonuses(monkeypatch, lambda t, a: 7.0)
+            shifted = policy.act(5, feats)
+            forced_bonuses(monkeypatch, lambda t, a: 0.0)
+            assert shifted == policy.act(5, feats)
 
     def test_oracle_examples(self):
         phi = build_phi(A=3, X=2)
