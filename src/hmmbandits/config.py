@@ -40,28 +40,28 @@ E = <X*H decimals>        emission matrix, column-major (column h = nu_h)
 [reward]
 model = state_dependent | belief_dependent
 transfer = one_hot_action | action_context_outer | table
-num_actions = <int>
+num_actions = <int >= 1>
 d = <int>                 table transfer only
 phi = <A*X*d decimals>    table transfer only (action-major, then context)
 theta = <H*d decimals>    optional; row per state
 theta_seed = <int>        generation recipe when theta absent
 theta_target = <decimal>  max |phi . theta| after joint rescale (default 0.9)
 noise = gaussian | bounded_uniform
-v_eta = <decimal>         gaussian std (c_eta = v_eta^2)
-c_eta = <decimal>         bounded_uniform second moment (v_eta = sqrt(3 c_eta))
+v_eta = <decimal >= 0>    gaussian std (c_eta = v_eta^2)
+c_eta = <decimal >= 0>    bounded_uniform second moment (v_eta = sqrt(3 c_eta))
 
 [policy]
 policy = <names>          one or more of: boxA boxB oracle random
 delta = <decimal in (0,1)>
-lambda = auto | <decimal> auto: T^(3/4) for boxA, T^(1/2) for boxB
-ell = auto | <int>        auto: ceil(T^(3/4))
-gamma = auto | <decimal>  auto: forgetting rate of the true transition matrix
-c_theta = auto | <decimal>
-c_eta = auto | <decimal>
-v_eta = auto | <decimal>
+lambda = auto | <decimal > 0>  auto: T^(3/4) for boxA, T^(1/2) for boxB
+ell = auto | <int >= 1>   auto: ceil(T^(3/4))
+gamma = auto | <decimal in [0,1)>  auto: forgetting rate of the true transition matrix
+c_theta = auto | <decimal >= 0>
+c_eta = auto | <decimal >= 0>
+v_eta = auto | <decimal >= 0>
 bonus_scope = full | partial
 beliefs = spectral | oracle
-refit_every = auto | <int>  auto: ell for boxA, ceil(sqrt(T)) for boxB
+refit_every = auto | <int >= 1>  auto: ell for boxA, ceil(sqrt(T)) for boxB
 
 [run]
 horizons = <distinct ints >= 1>
@@ -70,7 +70,7 @@ master_seed = <int>       overridden by LBL_SEED env var, then --seed
 out = <directory>
 emit_oracle_columns = true | false
 plugin_gamma = true | false
-workers = <int>
+workers = <int >= 1>
 """
 
 
@@ -179,19 +179,32 @@ def _bool(raw: str) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
 
 
-def _reader(section, section_name: str):
-    """``read(key, convert, default)``: ``convert`` of the value of ``key``,
-    or of ``default`` when the key is absent; no default makes the key
-    required.  A value ``convert`` rejects is a ConfigError naming the key."""
+# (test, wording) ranges for ``read``'s ``bound``; written so that NaN fails
+_POSITIVE = (lambda v: v > 0, "> 0")
+_AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+_NONNEGATIVE = (lambda v: v >= 0, ">= 0")
+_UNIT_INTERVAL = (lambda v: 0 <= v < 1, "in [0, 1)")
+_OPEN_UNIT_INTERVAL = (lambda v: 0 < v < 1, "in (0, 1)")
 
-    def read(key: str, convert=str.strip, default: str | None = None):
+
+def _reader(section, section_name: str):
+    """``read(key, convert, default, bound)``: ``convert`` of the value of
+    ``key``, or of ``default`` when the key is absent; no default makes the
+    key required.  A value ``convert`` rejects, or one outside ``bound`` (one
+    of the ranges above; ``auto`` is always in range), is a ConfigError
+    naming the key."""
+
+    def read(key: str, convert=str.strip, default: str | None = None, bound=None):
         if key not in section and default is None:
             raise ConfigError(f"missing required key '{key}' in [{section_name}]")
         raw = section.get(key, default)
         try:
-            return convert(raw)
+            value = convert(raw)
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"malformed value {raw!r} for '{key}' in [{section_name}]") from exc
+        if bound is not None and value != "auto" and not bound[0](value):
+            raise ConfigError(f"'{key}' in [{section_name}] must be {bound[1]}, got {raw!r}")
+        return value
 
     return read
 
@@ -222,7 +235,7 @@ def _parse_reward(section, params: HmmParams) -> tuple[RewardSpec, TransferFunct
     if model not in (STATE_DEPENDENT, BELIEF_DEPENDENT):
         raise ConfigError(f"unknown reward model '{model}'")
     transfer = read("transfer", default="one_hot_action")
-    A = read("num_actions", int, "2")
+    A = read("num_actions", int, "2", _AT_LEAST_ONE)
     if transfer == "one_hot_action":
         phi = TransferFunction.one_hot_action(A, params.num_contexts)
     elif transfer == "action_context_outer":
@@ -239,9 +252,9 @@ def _parse_reward(section, params: HmmParams) -> tuple[RewardSpec, TransferFunct
 
     noise_kind = read("noise", default="gaussian")
     if noise_kind == "gaussian":
-        noise = NoiseModel.gaussian(read("v_eta", float, "0.1"))
+        noise = NoiseModel.gaussian(read("v_eta", float, "0.1", _NONNEGATIVE))
     elif noise_kind == "bounded_uniform":
-        noise = NoiseModel.bounded_uniform(read("c_eta", float, "0.01"))
+        noise = NoiseModel.bounded_uniform(read("c_eta", float, "0.01", _NONNEGATIVE))
     else:
         raise ConfigError(f"unknown noise kind '{noise_kind}'")
 
@@ -278,21 +291,18 @@ def _parse_policy(section) -> PolicySettings:
     beliefs = read("beliefs", default="spectral")
     if beliefs not in ("spectral", "oracle"):
         raise ConfigError("beliefs must be 'spectral' or 'oracle'")
-    delta = read("delta", float, "0.1")
-    if not 0.0 < delta < 1.0:
-        raise ConfigError("delta must lie in (0, 1)")
     return PolicySettings(
         policies=names,
-        delta=delta,
-        lam=read("lambda", _auto(float), "auto"),
-        ell=read("ell", _auto(int), "auto"),
-        gamma=read("gamma", _auto(float), "auto"),
-        c_theta=read("c_theta", _auto(float), "auto"),
-        c_eta=read("c_eta", _auto(float), "auto"),
-        v_eta=read("v_eta", _auto(float), "auto"),
+        delta=read("delta", float, "0.1", _OPEN_UNIT_INTERVAL),
+        lam=read("lambda", _auto(float), "auto", _POSITIVE),
+        ell=read("ell", _auto(int), "auto", _AT_LEAST_ONE),
+        gamma=read("gamma", _auto(float), "auto", _UNIT_INTERVAL),
+        c_theta=read("c_theta", _auto(float), "auto", _NONNEGATIVE),
+        c_eta=read("c_eta", _auto(float), "auto", _NONNEGATIVE),
+        v_eta=read("v_eta", _auto(float), "auto", _NONNEGATIVE),
         bonus_scope=scope,
         beliefs=beliefs,
-        refit_every=read("refit_every", _auto(int), "auto"),
+        refit_every=read("refit_every", _auto(int), "auto", _AT_LEAST_ONE),
     )
 
 
@@ -314,7 +324,7 @@ def _parse_run(section) -> RunSettings:
         out=section.get("out", "results"),
         emit_oracle_columns=read("emit_oracle_columns", _bool, "false"),
         plugin_gamma=read("plugin_gamma", _bool, "false"),
-        workers=read("workers", int, "1"),
+        workers=read("workers", int, "1", _AT_LEAST_ONE),
     )
 
 
@@ -362,6 +372,8 @@ def apply_overrides(
     if out is not None:
         run = replace(run, out=out)
     if workers is not None:
+        if workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {workers}")
         run = replace(run, workers=workers)
     if master_seed is not None:
         run = replace(run, master_seed=master_seed)

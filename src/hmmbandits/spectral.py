@@ -7,7 +7,6 @@ Pipeline: ``accumulate_moments -> spectral_estimate -> postprocess -> align``.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -279,6 +278,11 @@ def align(previous: EstimatedHmm | None, fresh: EstimatedHmm) -> EstimatedHmm:
     The permutation minimizes the worst-column Euclidean distance
     ``max_h || nu_prev_h - nu_fresh_perm(h) ||_2`` (ties: lexicographically
     smallest permutation); with no previous estimate the labels are kept.
+    It is found as a bottleneck assignment over the H x H distance matrix
+    (Gabow & Tarjan 1988): the optimal worst distance ``c*`` is the smallest
+    entry whose pairs ``cost <= c*`` hold a perfect matching, and each
+    position in turn takes the smallest column that leaves one for the rest
+    (Kuhn's augmenting paths decide both), in O(H^5) rather than O(H! H).
     """
     H = fresh.num_states
     if previous is None:
@@ -287,17 +291,48 @@ def align(previous: EstimatedHmm | None, fresh: EstimatedHmm) -> EstimatedHmm:
         raise ShapeMismatch("cannot align estimates with different H")
     prev_cols = _emission_columns(previous)
     fresh_cols = _emission_columns(fresh)
-    best_perm = None
-    best_cost = np.inf
-    for perm in itertools.permutations(range(H)):
-        cost = max(
-            float(np.linalg.norm(prev_cols[:, h] - fresh_cols[:, perm[h]]))
-            for h in range(H)
-        )
-        if cost < best_cost:
-            best_cost, best_perm = cost, perm
-    assert best_perm is not None
+    cost = [
+        [float(np.linalg.norm(prev_cols[:, h] - fresh_cols[:, j])) for j in range(H)]
+        for h in range(H)
+    ]
+    if not np.all(np.isfinite(cost)):
+        raise NonFinite("cannot align emission columns with non-finite distances")
+    levels = sorted({c for row in cost for c in row})
+    lo, hi = 0, len(levels) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _has_matching(cost, levels[mid], []):
+            hi = mid
+        else:
+            lo = mid + 1
+    bound = levels[lo]
+    perm: list[int] = []
+    for h in range(H):
+        perm.append(next(
+            j for j in range(H)
+            if j not in perm and cost[h][j] <= bound and _has_matching(cost, bound, perm + [j])
+        ))
+    best_perm = tuple(perm)
     return replace(relabel(fresh, best_perm), label_permutation=best_perm)
+
+
+def _has_matching(cost, bound: float, fixed: list) -> bool:
+    """Whether rows ``len(fixed)..H-1`` can take distinct columns outside
+    ``fixed`` (the columns of rows ``0..len(fixed)-1``) with every
+    ``cost[row][col] <= bound``: Kuhn's augmenting-path matching."""
+    free = [j for j in range(len(cost)) if j not in fixed]
+    owner: dict[int, int] = {}
+
+    def augment(row: int, seen: set) -> bool:
+        for j in free:
+            if j not in seen and cost[row][j] <= bound:
+                seen.add(j)
+                if j not in owner or augment(owner[j], seen):
+                    owner[j] = row
+                    return True
+        return False
+
+    return all(augment(row, set()) for row in range(len(fixed), len(cost)))
 
 
 def relabel(estimate: EstimatedHmm, perm) -> EstimatedHmm:

@@ -174,6 +174,24 @@ def best_permutation_distance(est: np.ndarray, truth: np.ndarray, axis: str) -> 
     return best
 
 
+def reference_align(prev_cols: np.ndarray, fresh_cols: np.ndarray) -> tuple:
+    """The first permutation, in lexicographic order over all H!, whose worst
+    column distance ``max_h ||prev_cols[:, h] - fresh_cols[:, perm[h]]||_2``
+    is strictly below every earlier one's: the label alignment by enumeration."""
+    H = prev_cols.shape[1]
+    best_perm = None
+    best_cost = np.inf
+    for perm in itertools.permutations(range(H)):
+        cost = max(
+            float(np.linalg.norm(prev_cols[:, h] - fresh_cols[:, perm[h]]))
+            for h in range(H)
+        )
+        if cost < best_cost:
+            best_cost, best_perm = cost, perm
+    assert best_perm is not None
+    return best_perm
+
+
 def u_belief_reference(H: int, X: int, delta: float, t: int) -> float:
     """Direct transcription of the belief-error budget formula."""
     if t == 1:

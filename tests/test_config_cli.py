@@ -183,6 +183,42 @@ class TestCli:
         assert re.search(named, err)
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("old,new,flags,named", [
+        ("policy = oracle random", "policy = boxB\nlambda = -1", [], r"'lambda' in \[policy\]"),
+        ("policy = oracle random", "policy = boxB\nlambda = nan", [], r"'lambda' in \[policy\]"),
+        ("policy = oracle random", "policy = boxB\nc_eta = -1", [], r"'c_eta' in \[policy\]"),
+        ("num_actions = 2", "num_actions = 0", [], r"'num_actions' in \[reward\]"),
+        ("policy = oracle random", "policy = boxA\nell = 0", [], r"'ell' in \[policy\]"),
+        ("policy = oracle random", "policy = boxB\nrefit_every = 0", [],
+         r"'refit_every' in \[policy\]"),
+        ("policy = oracle random", "policy = boxB\ngamma = 1.5", [], r"'gamma' in \[policy\]"),
+        ("policy = oracle random", "policy = boxB\ngamma = -0.1", [], r"'gamma' in \[policy\]"),
+        ("policy = oracle random", "policy = boxB\nc_theta = -1", [],
+         r"'c_theta' in \[policy\]"),
+        ("policy = oracle random", "policy = boxB\nv_eta = -1", [], r"'v_eta' in \[policy\]"),
+        ("v_eta = 0.1", "v_eta = -1", [], r"'v_eta' in \[reward\]"),
+        ("policy = oracle random", "policy = oracle random\ndelta = 1", [],
+         r"'delta' in \[policy\]"),
+        ("seeds = 2", "seeds = 2\nworkers = 0", [], r"'workers' in \[run\]"),
+        (None, None, ["--workers", "0"], "--workers"),
+    ])
+    def test_out_of_range_value_exit_2(self, tmp_path, capsys, old, new, flags, named):
+        text = MINIMAL if old is None else MINIMAL.replace(old, new)
+        path = write_config(tmp_path, text, out=str(tmp_path / "run"))
+        assert cli_main(["simulate", path, *flags]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert re.search(named, err)
+        assert not (tmp_path / "run").exists()
+
+    def test_auto_and_boundary_values_accepted(self, tmp_path):
+        text = MINIMAL.replace("policy = oracle random", (
+            "policy = boxA boxB\nlambda = auto\nell = 1\ngamma = 0\nc_theta = 0\n"
+            "c_eta = 0\nv_eta = 0\nrefit_every = 1"))
+        cfg = parse_config(text.replace("seeds = 2", "seeds = 2\nworkers = 1").format(out="x"))
+        assert cfg.policy.lam == "auto" and cfg.policy.ell == 1 and cfg.policy.gamma == 0.0
+        assert cfg.run.workers == 1
+
     def test_simulate_oracle_regret_zero(self, tmp_path, capsys):
         out = tmp_path / "run"
         path = write_config(tmp_path, out=str(out))

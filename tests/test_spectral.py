@@ -22,6 +22,7 @@ from oracles import (
     best_permutation_distance,
     count_moments,
     population_moments,
+    reference_align,
     stream_triple_counts,
 )
 
@@ -274,6 +275,12 @@ class TestAlign:
         aligned = align(prev, fresh)
         assert aligned.label_permutation == (0, 1)
 
+    def test_non_finite_columns_rejected(self):
+        prev = _estimate_from(np.eye(2), [[0.9, 0.2], [0.1, 0.8]])
+        fresh = _estimate_from(np.eye(2), [[np.nan, 0.2], [0.1, 0.8]])
+        with pytest.raises(NonFinite):
+            align(prev, fresh)
+
     def test_relabel_permutes_states_and_keeps_record(self):
         m = np.arange(9.0).reshape(3, 3)
         e = np.arange(12.0).reshape(4, 3)
@@ -310,6 +317,50 @@ class TestAlign:
                 est.emission_hat[:, ::-1] - later[0].emission_hat
             )
             assert identity_gap < swapped_gap
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        H=st.integers(min_value=1, max_value=6),
+        extra=st.integers(min_value=0, max_value=2),
+        integer_columns=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_enumeration(self, H, extra, integer_columns, seed):
+        # small-integer columns make many column distances tie exactly, so
+        # the tie rule (first permutation in lexicographic order) is exercised
+        rng = np.random.default_rng(seed)
+        X = H + extra
+
+        def columns():
+            if integer_columns:
+                return rng.integers(0, 3, size=(X, H)).astype(float)
+            return rng.dirichlet(np.ones(X), size=H).T
+
+        prev = _estimate_from(rng.dirichlet(np.ones(H), size=H), columns())
+        fresh = _estimate_from(rng.dirichlet(np.ones(H), size=H), columns())
+        perm = reference_align(prev.emission_hat, fresh.emission_hat)
+        aligned = align(prev, fresh)
+        assert aligned.label_permutation == perm
+        expected = relabel(fresh, perm)
+        assert np.array_equal(aligned.emission_hat, expected.emission_hat)
+        assert np.array_equal(aligned.transition_hat, expected.transition_hat)
+
+    def test_planted_permutation_at_twelve_states(self):
+        # 12! = 479,001,600 permutations: out of reach for enumeration
+        rng = np.random.default_rng(12)
+        H, X = 12, 14
+        m, e = _random_stochastic(rng, H, X)
+        gaps = [np.linalg.norm(e[:, g] - e[:, h]) for g in range(H) for h in range(g)]
+        noise = 1e-6 * min(gaps)
+        planted = rng.permutation(H)
+        fresh = _estimate_from(
+            m[np.ix_(planted, planted)],
+            e[:, planted] + rng.uniform(-noise, noise, size=(X, H)),
+        )
+        aligned = align(_estimate_from(m, e), fresh)
+        assert aligned.label_permutation == tuple(int(h) for h in np.argsort(planted))
+        assert np.abs(aligned.emission_hat - e).max() <= noise
+        assert np.array_equal(aligned.transition_hat, m)
 
 
 def _random_stochastic(rng, H, X):
