@@ -5,7 +5,6 @@ per-round LinUCB policies, and pseudo-regret evaluation."""
 __version__ = "0.1.0"
 
 from .hmm import (
-    Belief,
     HmmDiagnostics,
     HmmParams,
     Trajectory,
@@ -14,7 +13,6 @@ from .hmm import (
     forgetting_rate,
     sample_trajectory,
     stationary_distribution,
-    true_belief_filter,
     validate,
 )
 from .spectral import (
@@ -29,7 +27,6 @@ from .spectral import (
 )
 from .beliefs import (
     BeliefErrorBudget,
-    belief_error_trace,
     dump_belief_trace,
     refit_schedule,
     scheduled_beliefs,

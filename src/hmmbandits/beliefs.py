@@ -1,9 +1,9 @@
 """Belief estimation on top of estimated HMM parameters: the known
 belief-error budget function, the belief subroutine (periodic spectral
 re-estimation of the context prefix with label alignment, then filtering
-under the scheduled estimates; the Bayes filter itself lives in
-:mod:`hmmbandits.hmm`), and side-by-side belief-error traces against the
-true filter.
+under the scheduled estimates through :func:`hmmbandits.hmm.forward_pass`
+and :func:`hmmbandits.hmm.forward_step`), and side-by-side belief-error
+traces against the true filter.
 
 The estimated beliefs depend on the contexts, the refit period and the
 estimator seed only, never on actions or rewards, so a run computes them
@@ -23,7 +23,7 @@ from .errors import (
     RankDeficient,
     ShapeMismatch,
 )
-from .hmm import ForwardFilter, HmmParams, filter_trace
+from .hmm import HmmParams, filter_trace, forward_pass, forward_step
 from .spectral import (
     EstimatedHmm,
     accumulate_moments,
@@ -111,14 +111,12 @@ def refit_schedule(
 def scheduled_beliefs(schedule, contexts, num_states: int) -> np.ndarray:
     """Beliefs of the filter running on scheduled estimates, one row per round.
 
-    ``schedule`` is either one :class:`EstimatedHmm` (active from round 1) or
-    a sequence of ``(round, estimate)`` pairs.  Rows before the first pair are
-    uniform.  At each pair's round the filter re-filters the prefix up to and
-    including that round from the uniform prior under the pair's estimate
-    (the last one given for a round wins); other rounds take one Bayes step.
+    ``schedule`` is a sequence of ``(round, estimate)`` pairs.  Rows before
+    the first pair are uniform.  At each pair's round the filter re-filters
+    the prefix up to and including that round from the uniform prior under
+    the pair's estimate (the last one given for a round wins); other rounds
+    take one Bayes step.
     """
-    if isinstance(schedule, EstimatedHmm):
-        schedule = [(1, schedule)]
     xs = np.asarray(contexts, dtype=np.int64)
     active = dict(schedule)
     if any(t < 1 for t in active):
@@ -128,13 +126,12 @@ def scheduled_beliefs(schedule, contexts, num_states: int) -> np.ndarray:
     beliefs = np.tile(uniform, (xs.size, 1))
     steps = xs.tolist()
     for start, stop in zip(starts, starts[1:] + [xs.size]):
-        est = active[start]
-        est_filter = ForwardFilter(
-            est.transition_hat, est.emission_hat, prior=uniform, on_degenerate="uniform"
-        )
-        beliefs[start - 1] = est_filter.restart(xs[:start])
+        M, E = active[start].transition_hat, active[start].emission_hat
+        belief = forward_pass(M, E, uniform, xs[:start])
+        beliefs[start - 1] = belief
         for i in range(start, stop):
-            beliefs[i] = est_filter.step(steps[i])
+            belief = forward_step(belief, uniform, M, E, steps[i], "uniform")
+            beliefs[i] = belief
     return beliefs
 
 
@@ -144,16 +141,6 @@ def belief_gaps(truth: np.ndarray, estimates_schedule, contexts) -> np.ndarray:
     and the filter running on scheduled estimates."""
     estimated = scheduled_beliefs(estimates_schedule, contexts, truth.shape[1])
     return np.abs(truth - estimated).sum(axis=1)
-
-
-def belief_error_trace(
-    true_params: HmmParams,
-    estimates_schedule,
-    contexts,
-) -> np.ndarray:
-    """Per-round ``||b_hat_t - b_t||_1`` gaps between the true filter and the
-    filter running on scheduled estimates (diagnostic mode; truth required)."""
-    return belief_gaps(filter_trace(true_params, contexts), estimates_schedule, contexts)
 
 
 def dump_belief_trace(

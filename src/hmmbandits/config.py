@@ -24,7 +24,7 @@ from .environment import (
     check_reward_bounds,
     sample_theta,
 )
-from .errors import ConfigError, ShapeMismatch
+from .errors import ConfigError, NotMixing, ShapeMismatch
 from .hmm import HmmParams, forgetting_rate, validate
 
 KNOWN_POLICIES = ("boxA", "boxB", "oracle", "random")
@@ -45,7 +45,7 @@ d = <int>                 table transfer only
 phi = <A*X*d decimals>    table transfer only (action-major, then context)
 theta = <H*d decimals>    optional; row per state
 theta_seed = <int>        generation recipe when theta absent
-theta_target = <decimal>  max |phi . theta| after joint rescale (default 0.9)
+theta_target = <decimal in (0,1]>  max |phi . theta| after joint rescale (default 0.9)
 noise = gaussian | bounded_uniform
 v_eta = <decimal >= 0>    gaussian std (c_eta = v_eta^2)
 c_eta = <decimal >= 0>    bounded_uniform second moment (v_eta = sqrt(3 c_eta))
@@ -185,6 +185,7 @@ _AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
 _NONNEGATIVE = (lambda v: v >= 0, ">= 0")
 _UNIT_INTERVAL = (lambda v: 0 <= v < 1, "in [0, 1)")
 _OPEN_UNIT_INTERVAL = (lambda v: 0 < v < 1, "in (0, 1)")
+_HALF_OPEN_UNIT_INTERVAL = (lambda v: 0 < v <= 1, "in (0, 1]")
 
 
 def _reader(section, section_name: str):
@@ -266,9 +267,8 @@ def _parse_reward(section, params: HmmParams) -> tuple[RewardSpec, TransferFunct
         c_theta = float(np.linalg.norm(theta, axis=1).max())
     else:
         rng = np.random.default_rng(read("theta_seed", int, "0"))
-        theta, c_theta = sample_theta(
-            phi, params.num_states, rng, target=read("theta_target", float, "0.9")
-        )
+        target = read("theta_target", float, "0.9", _HALF_OPEN_UNIT_INTERVAL)
+        theta, c_theta = sample_theta(phi, params.num_states, rng, target=target)
     spec = RewardSpec(theta_star=theta, c_theta=c_theta, noise=noise, model=model)
     try:
         check_reward_bounds(spec, phi)
@@ -328,6 +328,22 @@ def _parse_run(section) -> RunSettings:
     )
 
 
+def _check_learner_inputs(params: HmmParams, policy: PolicySettings) -> None:
+    """What a listed learner needs of the instance: ``H <= X`` for spectral
+    beliefs, a transition matrix without zero entries for ``gamma = auto``."""
+    learners = " ".join(name for name in policy.policies if name in ("boxA", "boxB"))
+    H, X = params.num_states, params.num_contexts
+    if learners and policy.beliefs == "spectral" and H > X:
+        raise ConfigError(f"'beliefs' = spectral in [policy] needs H <= X in [hmm] "
+                          f"for {learners}, got H = {H}, X = {X}")
+    if learners and policy.gamma == "auto":
+        try:
+            forgetting_rate(params)
+        except NotMixing as exc:
+            raise ConfigError(f"'gamma' in [policy] is auto, but the forgetting rate "
+                              f"is undefined: {exc}; set gamma in [0, 1)") from exc
+
+
 def parse_config(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
@@ -345,6 +361,7 @@ def parse_config(text: str) -> ExperimentConfig:
     reward, phi = _parse_reward(parser["reward"], params)
     policy = _parse_policy(parser["policy"] if "policy" in parser else {})
     run = _parse_run(parser["run"])
+    _check_learner_inputs(params, policy)
     validate(params)  # shape-level sanity; regularity is reported downstream
     return ExperimentConfig(params=params, reward=reward, phi=phi, policy=policy, run=run)
 

@@ -161,8 +161,8 @@ def sample_theta(
     target: float = 0.9,
 ) -> tuple[np.ndarray, float]:
     """Draw Gaussian state parameters, jointly rescaled so the largest mean
-    reward magnitude over the ``(a, x, h)`` grid equals ``target`` (strictly
-    inside the unit bound); returns the parameters and the realized norm bound.
+    reward magnitude over the ``(a, x, h)`` grid equals ``target`` in (0, 1];
+    returns the parameters and the realized norm bound.
     """
     theta = rng.normal(size=(num_states, phi.dim))
     vals = np.einsum("axd,hd->axh", phi.table, theta)

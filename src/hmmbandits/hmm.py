@@ -19,7 +19,6 @@ import numpy as np
 from .errors import DegenerateLikelihood, NotMixing, ShapeMismatch, TooLarge
 
 PROB_ATOL = 1e-12
-BELIEF_ATOL = 1e-10
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -88,19 +87,6 @@ class Trajectory:
         object.__setattr__(self, "contexts", np.asarray(self.contexts, dtype=np.int64))
         if len(self.hidden) != self.horizon or len(self.contexts) != self.horizon:
             raise ShapeMismatch("hidden/context lengths must equal horizon")
-
-
-@dataclass(frozen=True)
-class Belief:
-    """Posterior distribution over hidden states after ``round`` contexts."""
-
-    probs: np.ndarray
-    round: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "probs", _freeze(self.probs))
-        if np.any(self.probs < 0) or abs(self.probs.sum() - 1.0) > BELIEF_ATOL:
-            raise ShapeMismatch("belief must be a probability vector")
 
 
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
@@ -189,8 +175,8 @@ def forward_step(
     emission: np.ndarray,
     context: int,
     on_degenerate: str = "raise",
-) -> tuple[np.ndarray, float]:
-    """One Bayes forward update; returns the new belief and the normalizer.
+) -> np.ndarray:
+    """One Bayes forward update; returns the new belief.
 
     ``belief is None`` applies the initial update from ``prior``; otherwise the
     belief is propagated through ``transition`` and reweighted by the emission
@@ -206,11 +192,11 @@ def forward_step(
     if norm <= 0.0 or not np.isfinite(norm):
         if on_degenerate == "uniform":
             H = transition.shape[0]
-            return np.full(H, 1.0 / H), 0.0
+            return np.full(H, 1.0 / H)
         raise DegenerateLikelihood(
             f"context {context} has zero likelihood under all states"
         )
-    return unnorm / norm, norm
+    return unnorm / norm
 
 
 def forward_pass(
@@ -272,77 +258,19 @@ def forward_pass(
     return scan(belief, xs[k * chunk :])
 
 
-class ForwardFilter:
-    """Incremental Bayes filter; renormalizes at every step.
-
-    The per-step renormalization (divide by the running sum) keeps the
-    recursion stable over horizons of ~1e6 rounds.  :meth:`restart`
-    re-filters a whole prefix from the prior through :func:`forward_pass`.
-    """
-
-    def __init__(
-        self,
-        transition: np.ndarray,
-        emission: np.ndarray,
-        prior: np.ndarray | None = None,
-        on_degenerate: str = "raise",
-    ):
-        self.transition = np.asarray(transition, dtype=float)
-        self.emission = np.asarray(emission, dtype=float)
-        H = self.transition.shape[0]
-        self.prior = (
-            np.full(H, 1.0 / H) if prior is None else np.asarray(prior, dtype=float)
-        )
-        self.on_degenerate = on_degenerate
-        self.belief: np.ndarray | None = None
-        self.round = 0
-
-    def step(self, context: int) -> np.ndarray:
-        self.belief, _ = forward_step(
-            self.belief,
-            self.prior,
-            self.transition,
-            self.emission,
-            context,
-            self.on_degenerate,
-        )
-        self.round += 1
-        return self.belief
-
-    def run(self, contexts) -> np.ndarray:
-        for x in contexts:
-            self.step(int(x))
-        assert self.belief is not None
-        return self.belief
-
-    def restart(self, contexts) -> np.ndarray:
-        """Forget the current belief and re-filter ``contexts`` from the prior."""
-        self.belief = forward_pass(
-            self.transition, self.emission, self.prior, contexts, self.on_degenerate
-        )
-        self.round = len(contexts)
-        return self.belief
-
-
 def filter_trace(params: HmmParams, contexts) -> np.ndarray:
-    """Exact beliefs ``b_1..b_t``, one row per round, by stepping the forward
-    recursion under the true parameters."""
+    """Exact beliefs ``b_t(h) = P(h_t = h | x_{1:t})``, one row per round, by
+    stepping the forward recursion under the true parameters."""
     contexts = np.asarray(contexts, dtype=np.int64)
     if contexts.size == 0:
         raise ShapeMismatch("contexts must be non-empty")
-    filt = ForwardFilter(
-        params.transition, params.emission, prior=params.initial_dist
-    )
+    M, E, prior = params.transition, params.emission, params.initial_dist
     trace = np.empty((contexts.size, params.num_states))
+    belief = None
     for i, x in enumerate(contexts.tolist()):
-        trace[i] = filt.step(x)
+        belief = forward_step(belief, prior, M, E, x)
+        trace[i] = belief
     return trace
-
-
-def true_belief_filter(params: HmmParams, contexts) -> Belief:
-    """Exact posterior ``b_t(h) = P(h_t = h | x_{1:t})`` via the forward recursion."""
-    trace = filter_trace(params, contexts)
-    return Belief(probs=trace[-1], round=trace.shape[0])
 
 
 def forgetting_rate(params: HmmParams) -> float:

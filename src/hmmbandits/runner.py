@@ -371,7 +371,7 @@ def estimation_curves(config: ExperimentConfig, echo=print) -> list:
             oriented, m_err, e_err = _orient_to_truth(
                 estimate, params.transition, params.emission
             )
-            gaps = belief_gaps(truth[:t], oriented, prefix)
+            gaps = belief_gaps(truth[:t], [(1, oriented)], prefix)
             gap = float(np.median(gaps[t // 2 :]))
             sums[k] += (m_err, e_err, gap)
     n = len(config.run.seeds)

@@ -49,6 +49,21 @@ def random_hmm(rng: np.random.Generator, H: int, X: int, min_entry: float = 0.0,
                      transition=M, emission=E)
 
 
+def sparse_estimate(rng, H: int, X: int, zero_row: bool):
+    """Estimate-like parameters with zero entries (as clipping leaves them):
+    a zero emission row makes that context impossible under every state."""
+    M = rng.uniform(size=(H, H)) * (rng.uniform(size=(H, H)) > 0.2)
+    M[np.arange(H), rng.integers(H, size=H)] += 0.1
+    M /= M.sum(axis=1, keepdims=True)
+    E = rng.uniform(size=(X, H)) * (rng.uniform(size=(X, H)) > 0.3)
+    if zero_row:
+        E[rng.integers(X)] = 0.0
+    live = np.flatnonzero(E.sum(axis=1) > 0) if zero_row else np.arange(X)
+    E[rng.choice(live) if live.size else 0] += 0.1
+    E /= E.sum(axis=0, keepdims=True)
+    return M, E
+
+
 def cell_config(params, spec, phi, horizon, policies=("random",), master_seed=5,
                 emit_oracle_columns=False, beliefs="spectral"):
     return ExperimentConfig(

@@ -2,12 +2,14 @@
 
 Everything here is written directly from the defining formulas (path
 enumeration, explicit counting, batch closed forms) and deliberately shares
-no code with the package paths it checks.  Two exceptions:
-:func:`reference_online_beliefs`, which checks the scheduling of the belief
-subroutine bit for bit and so calls the package's estimator and filter
-kernels, writing only the round-by-round control flow itself; and
-:func:`reference_baseline_cell`, which picks the oracle's actions with the
-package's decision rule ``oracle_act``.
+no code with the package paths it checks.  The exceptions:
+:func:`reference_online_beliefs` and :func:`reference_scheduled_beliefs`,
+which check the scheduling of the belief subroutine bit for bit and so call
+the package's estimator and filter kernels, writing only the round-by-round
+control flow themselves; :func:`stepwise_filter`, the one-step-at-a-time
+loop over ``forward_step`` that the batched ``forward_pass`` is checked
+against; and :func:`reference_baseline_cell`, which picks the oracle's
+actions with the package's decision rule ``oracle_act``.
 """
 
 from __future__ import annotations
@@ -130,10 +132,48 @@ def reference_online_beliefs(contexts, H: int, X: int, refit_every: int, seed: i
             belief = forward_pass(estimate.transition_hat, estimate.emission_hat,
                                   uniform, xs[:t])
         else:
-            belief, _ = forward_step(belief, uniform, estimate.transition_hat,
-                                     estimate.emission_hat, xs[t - 1], "uniform")
+            belief = forward_step(belief, uniform, estimate.transition_hat,
+                                  estimate.emission_hat, xs[t - 1], "uniform")
         beliefs.append(belief)
     return np.array(beliefs).reshape(len(xs), H), failures, estimate
+
+
+def stepwise_filter(transition, emission, prior, contexts, on_degenerate="uniform"):
+    """Belief after filtering ``contexts`` from ``prior``, one ``forward_step``
+    per context."""
+    from hmmbandits.hmm import forward_step
+
+    belief = None
+    for x in contexts:
+        belief = forward_step(belief, prior, transition, emission, int(x), on_degenerate)
+    return belief
+
+
+def reference_scheduled_beliefs(schedule, contexts, H: int) -> np.ndarray:
+    """The beliefs of a ``(round, estimate)`` schedule, round by round.
+
+    Round ``t`` with pairs takes the estimate of the last of them and
+    re-filters ``x_1..x_t`` from the uniform prior; any other round takes one
+    ``forward_step`` under the current estimate, or stays uniform before the
+    first.  Pairs past the last round are never reached.
+    """
+    from hmmbandits.hmm import forward_pass, forward_step
+
+    xs = [int(x) for x in contexts]
+    uniform = np.full(H, 1.0 / H)
+    estimate, belief = None, uniform
+    beliefs = []
+    for t in range(1, len(xs) + 1):
+        given = [est for start, est in schedule if start == t]
+        if given:
+            estimate = given[-1]
+            belief = forward_pass(estimate.transition_hat, estimate.emission_hat,
+                                  uniform, xs[:t])
+        elif estimate is not None:
+            belief = forward_step(belief, uniform, estimate.transition_hat,
+                                  estimate.emission_hat, xs[t - 1], "uniform")
+        beliefs.append(belief)
+    return np.array(beliefs).reshape(len(xs), H)
 
 
 def population_moments(params):

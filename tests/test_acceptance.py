@@ -29,7 +29,7 @@ from hmmbandits import (
     spectral_estimate,
     postprocess,
     accumulate_moments,
-    true_belief_filter,
+    filter_trace,
 )
 from hmmbandits.cli import main as cli_main
 from hmmbandits.config import ExperimentConfig, PolicySettings, RunSettings
@@ -76,7 +76,7 @@ def test_criterion_1_filter_oracle_equivalence():
         params = random_hmm(rng, H, X, min_entry=0.02)
         t = int(rng.integers(1, 9))
         contexts = rng.integers(0, X, size=t)
-        got = true_belief_filter(params, contexts).probs
+        got = filter_trace(params, contexts)[-1]
         want = enumerate_posterior(params, contexts)
         worst = max(worst, float(np.abs(got - want).sum()))
     elapsed = time.perf_counter() - start

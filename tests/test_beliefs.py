@@ -6,21 +6,24 @@ from hypothesis import strategies as st
 from hmmbandits import (
     BeliefErrorBudget,
     EstimatedHmm,
-    belief_error_trace,
     filter_trace,
     postprocess,
     refit_schedule,
     sample_trajectory,
     scheduled_beliefs,
-    true_belief_filter,
     u_belief,
 )
 from hmmbandits.beliefs import belief_gaps
 from hmmbandits.errors import ShapeMismatch
-from hmmbandits.hmm import ForwardFilter, forward_pass, forward_step
+from hmmbandits.hmm import forward_pass, forward_step
 
-from conftest import random_hmm
-from oracles import reference_online_beliefs, u_belief_reference
+from conftest import random_hmm, sparse_estimate
+from oracles import (
+    reference_online_beliefs,
+    reference_scheduled_beliefs,
+    stepwise_filter,
+    u_belief_reference,
+)
 
 
 def oracle_estimate(params) -> EstimatedHmm:
@@ -63,24 +66,19 @@ class TestUBelief:
             u_belief(BeliefErrorBudget(2, 4, 0.1), 0)
 
 
-def estimate_filter(est: EstimatedHmm, prior=None) -> ForwardFilter:
-    """The filter the online estimator runs on post-processed estimates."""
-    return ForwardFilter(est.transition_hat, est.emission_hat, prior=prior,
-                         on_degenerate="uniform")
-
-
 class TestFilterStep:
-    """The incremental filter and the batched pass under estimated parameters."""
+    """The one-step update and the batched pass under estimated parameters."""
 
     def test_oracle_parameters_track_true_filter(self, reference_params):
         traj = sample_trajectory(reference_params, 300, seed=0)
         est = oracle_estimate(reference_params)
-        truth = true_belief_filter(reference_params, traj.contexts)
-        stepped = estimate_filter(est, reference_params.initial_dist).run(traj.contexts)
+        truth = filter_trace(reference_params, traj.contexts)[-1]
+        stepped = stepwise_filter(est.transition_hat, est.emission_hat,
+                                  reference_params.initial_dist, traj.contexts)
         batched = forward_pass(est.transition_hat, est.emission_hat,
                                reference_params.initial_dist, traj.contexts)
-        assert np.max(np.abs(stepped - truth.probs)) < 1e-12
-        assert np.max(np.abs(batched - truth.probs)) < 1e-12
+        assert np.max(np.abs(stepped - truth)) < 1e-12
+        assert np.max(np.abs(batched - truth)) < 1e-12
 
     def test_uninformative_emissions_follow_markov_prior(self):
         M = np.array([[0.7, 0.3], [0.2, 0.8]])
@@ -89,11 +87,11 @@ class TestFilterStep:
             transition_hat=M, emission_hat=np.array([[0.5, 0.5], [0.5, 0.5]]),
         )
         prior = np.array([0.5, 0.5])
-        filt = estimate_filter(est, prior)
         expected = prior.copy()
+        belief = None
         xs = [0, 1, 1, 0]
         for t, x in enumerate(xs):
-            belief = filt.step(x)
+            belief = forward_step(belief, prior, M, est.emission_hat, x, "uniform")
             if t > 0:
                 expected = M.T @ expected
             assert belief == pytest.approx(expected, abs=1e-12)
@@ -102,9 +100,11 @@ class TestFilterStep:
 
     def test_first_update_worked_example(self, two_state_params):
         est = oracle_estimate(two_state_params)
-        assert estimate_filter(est).step(0) == pytest.approx([8 / 11, 3 / 11], abs=1e-12)
-        assert estimate_filter(est).restart([0]) == pytest.approx([8 / 11, 3 / 11],
-                                                                  abs=1e-12)
+        M, E, uniform = est.transition_hat, est.emission_hat, np.full(2, 0.5)
+        assert forward_step(None, uniform, M, E, 0) == pytest.approx([8 / 11, 3 / 11],
+                                                                     abs=1e-12)
+        assert forward_pass(M, E, uniform, [0]) == pytest.approx([8 / 11, 3 / 11],
+                                                                 abs=1e-12)
 
     def test_degenerate_resets_to_uniform(self):
         est = EstimatedHmm(
@@ -113,8 +113,9 @@ class TestFilterStep:
             transition_hat=np.array([[0.5, 0.5], [0.5, 0.5]]),
             emission_hat=np.array([[1.0, 1.0], [0.0, 0.0]]),
         )
-        assert estimate_filter(est).step(1) == pytest.approx([0.5, 0.5])
-        assert estimate_filter(est).restart([0, 1]) == pytest.approx([0.5, 0.5])
+        M, E, uniform = est.transition_hat, est.emission_hat, np.full(2, 0.5)
+        assert forward_step(None, uniform, M, E, 1, "uniform") == pytest.approx([0.5, 0.5])
+        assert forward_pass(M, E, uniform, [0, 1]) == pytest.approx([0.5, 0.5])
 
 
 def test_likelihood_scale_invariance(two_state_params):
@@ -122,9 +123,9 @@ def test_likelihood_scale_invariance(two_state_params):
     belief = np.array([0.3, 0.7])
     scaled = two_state_params.emission.copy()
     scaled[0, :] *= 7.5
-    base, _ = forward_step(belief, belief, two_state_params.transition,
-                           two_state_params.emission, 0)
-    alt, _ = forward_step(belief, belief, two_state_params.transition, scaled, 0)
+    base = forward_step(belief, belief, two_state_params.transition,
+                        two_state_params.emission, 0)
+    alt = forward_step(belief, belief, two_state_params.transition, scaled, 0)
     assert np.max(np.abs(base - alt)) < 1e-15
 
 
@@ -139,7 +140,8 @@ class TestBeliefErrorTrace:
         )
         # estimated filter starts from the uniform prior; on a stationary
         # symmetric instance that equals the true initial distribution
-        gaps = belief_error_trace(reference_params, est, traj.contexts)
+        gaps = belief_gaps(filter_trace(reference_params, traj.contexts), [(1, est)],
+                           traj.contexts)
         assert np.max(gaps) < 1e-12
 
     def test_perturbed_truth_stays_bounded(self, reference_params):
@@ -149,14 +151,16 @@ class TestBeliefErrorTrace:
             raw_emission=raw_e,
         ))
         traj = sample_trajectory(reference_params, 400, seed=2)
-        gaps = belief_error_trace(reference_params, perturbed, traj.contexts)
+        gaps = belief_gaps(filter_trace(reference_params, traj.contexts),
+                           [(1, perturbed)], traj.contexts)
         assert np.max(gaps) <= 2.0
         assert np.median(gaps) < 0.2
 
     def test_schedule_refilters_at_activation(self, reference_params):
         traj = sample_trajectory(reference_params, 50, seed=3)
         est = oracle_estimate(reference_params)
-        gaps = belief_error_trace(reference_params, [(1, est), (25, est)], traj.contexts)
+        gaps = belief_gaps(filter_trace(reference_params, traj.contexts),
+                           [(1, est), (25, est)], traj.contexts)
         assert np.max(gaps) < 1e-12
 
     def test_one_truth_pass_serves_every_prefix(self, reference_params):
@@ -169,8 +173,9 @@ class TestBeliefErrorTrace:
         traj = sample_trajectory(reference_params, 400, seed=5)
         truth = filter_trace(reference_params, traj.contexts)
         for t in (1, 64, 250, 400):
-            want = belief_error_trace(reference_params, est, traj.contexts[:t])
-            assert np.array_equal(belief_gaps(truth[:t], est, traj.contexts[:t]), want)
+            prefix = traj.contexts[:t]
+            want = belief_gaps(filter_trace(reference_params, prefix), [(1, est)], prefix)
+            assert np.array_equal(belief_gaps(truth[:t], [(1, est)], prefix), want)
 
     def test_dump_csv_schema(self, reference_params, tmp_path):
         from hmmbandits import dump_belief_trace
@@ -178,7 +183,7 @@ class TestBeliefErrorTrace:
         traj = sample_trajectory(reference_params, 40, seed=4)
         est = oracle_estimate(reference_params)
         path = tmp_path / "trace.csv"
-        dump_belief_trace(str(path), reference_params, est, traj.contexts)
+        dump_belief_trace(str(path), reference_params, [(1, est)], traj.contexts)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "round,b1,b2,b1_hat,b2_hat,l1_gap"
         assert len(lines) == 41
@@ -325,6 +330,29 @@ def test_online_beliefs_match_reference_protocol(stream):
         assert final.to_text() == want_estimate.to_text()
 
 
+@settings(deadline=None, max_examples=100)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 3),
+       st.integers(2, 5), st.integers(1, 300), st.integers(0, 4), st.booleans())
+def test_scheduled_beliefs_on_degenerate_paths(seed, H, X, T, draws, at_end):
+    # zero emission rows make contexts impossible under every state, inside
+    # stepped segments and inside the 64-step chunks of the refit pass; the
+    # schedule may end with a pair at round T (an empty tail segment) and
+    # always repeats a round (the last pair given for it wins)
+    rng = np.random.default_rng(seed)
+
+    def estimate():
+        M, E = sparse_estimate(rng, H, X, zero_row=True)
+        return EstimatedHmm(raw_transition=M, raw_emission=E,
+                            transition_hat=M, emission_hat=E)
+
+    contexts = rng.integers(0, X, size=T)
+    rounds = sorted(rng.integers(1, T + 1, size=draws).tolist()) + [T] * at_end
+    schedule = [(t, estimate()) for t in rounds or [1]]
+    schedule.append((schedule[int(rng.integers(len(schedule)))][0], estimate()))
+    assert np.array_equal(scheduled_beliefs(schedule, contexts, H),
+                          reference_scheduled_beliefs(schedule, contexts, H))
+
+
 @settings(deadline=None, max_examples=30)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_filtering_consistency_under_estimates(seed):
@@ -339,7 +367,8 @@ def test_filtering_consistency_under_estimates(seed):
         raw_emission=rng.normal(size=(X, H)),
     ))
     xs = rng.integers(0, X, size=12)
-    for belief in (estimate_filter(est).run(xs), forward_pass(
-            est.transition_hat, est.emission_hat, np.full(H, 1.0 / H), xs)):
+    uniform = np.full(H, 1.0 / H)
+    for belief in (stepwise_filter(est.transition_hat, est.emission_hat, uniform, xs),
+                   forward_pass(est.transition_hat, est.emission_hat, uniform, xs)):
         assert abs(belief.sum() - 1.0) < 1e-10
         assert np.all(belief >= 0)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hmmbandits import parse_config, simulate_cell
+from hmmbandits import check_reward_bounds, parse_config, simulate_cell
 from hmmbandits.cli import main as cli_main
 from hmmbandits.config import apply_overrides, config_snapshot
 from hmmbandits.errors import ConfigError
@@ -201,6 +201,12 @@ class TestCli:
          r"'delta' in \[policy\]"),
         ("seeds = 2", "seeds = 2\nworkers = 0", [], r"'workers' in \[run\]"),
         (None, None, ["--workers", "0"], "--workers"),
+        ("theta_seed = 3", "theta_seed = 3\ntheta_target = -1", [],
+         r"'theta_target' in \[reward\] must be in \(0, 1\]"),
+        ("theta_seed = 3", "theta_seed = 3\ntheta_target = 0", [],
+         r"'theta_target' in \[reward\] must be in \(0, 1\]"),
+        ("theta_seed = 3", "theta_seed = 3\ntheta_target = 1.5", [],
+         r"'theta_target' in \[reward\] must be in \(0, 1\]"),
     ])
     def test_out_of_range_value_exit_2(self, tmp_path, capsys, old, new, flags, named):
         text = MINIMAL if old is None else MINIMAL.replace(old, new)
@@ -215,9 +221,39 @@ class TestCli:
         text = MINIMAL.replace("policy = oracle random", (
             "policy = boxA boxB\nlambda = auto\nell = 1\ngamma = 0\nc_theta = 0\n"
             "c_eta = 0\nv_eta = 0\nrefit_every = 1"))
+        text = text.replace("theta_seed = 3", "theta_seed = 3\ntheta_target = 1")
         cfg = parse_config(text.replace("seeds = 2", "seeds = 2\nworkers = 1").format(out="x"))
         assert cfg.policy.lam == "auto" and cfg.policy.ell == 1 and cfg.policy.gamma == 0.0
         assert cfg.run.workers == 1
+        assert check_reward_bounds(cfg.reward, cfg.phi) == pytest.approx(1.0, abs=1e-12)
+
+    def test_spectral_learner_with_more_states_than_contexts_exit_2(self, tmp_path, capsys):
+        three_states = MINIMAL.replace(
+            "H = 2\nX = 2\npi = 0.5 0.5\nM = 0.8 0.2 0.3 0.7\nE = 0.7 0.3 0.2 0.8",
+            "H = 3\nX = 2\npi = 0.5 0.25 0.25\nM = 0.8 0.1 0.1 0.1 0.8 0.1 0.1 0.1 0.8\n"
+            "E = 0.7 0.3 0.5 0.5 0.2 0.8")
+        text = three_states.replace("policy = oracle random", "policy = random boxB")
+        path = write_config(tmp_path, text, out=str(tmp_path / "run"))
+        assert cli_main(["simulate", path]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"'beliefs' = spectral in \[policy\] needs H <= X", err)
+        assert not (tmp_path / "run").exists()
+        # the baselines and learners on known beliefs need no estimate
+        assert parse_config(three_states.format(out="x")).params.num_states == 3
+        parse_config(text.replace("boxB", "boxB\nbeliefs = oracle").format(out="x"))
+
+    def test_auto_gamma_on_non_mixing_chain_exit_2(self, tmp_path, capsys):
+        sticky = MINIMAL.replace("M = 0.8 0.2 0.3 0.7", "M = 1.0 0.0 0.3 0.7")
+        text = sticky.replace("policy = oracle random", "policy = random boxA")
+        path = write_config(tmp_path, text, out=str(tmp_path / "run"))
+        assert cli_main(["simulate", path]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"'gamma' in \[policy\] is auto", err)
+        assert not (tmp_path / "run").exists()
+        # an explicit gamma, or no learner, leaves the forgetting rate unused
+        cfg = parse_config(text.replace("boxA", "boxA\ngamma = 0.5").format(out="x"))
+        assert cfg.resolve_gamma() == 0.5
+        parse_config(sticky.format(out="x"))
 
     def test_simulate_oracle_regret_zero(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -437,6 +473,12 @@ class TestRunModes:
             runner._build_policy = original
         assert captured["policy"].cfg.gamma != baseline_gamma
         assert 0.0 <= captured["policy"].cfg.gamma < 1.0
+
+    def test_plugin_gamma_caps_degenerate_estimates(self):
+        from hmmbandits.runner import GAMMA_CAP, _plugin_gamma
+
+        assert _plugin_gamma(np.array([[1.0, 0.0], [0.3, 0.7]])) == GAMMA_CAP
+        assert _plugin_gamma(np.zeros((2, 2))) == GAMMA_CAP
 
 
 class TestTranscriptReplay:

@@ -10,11 +10,11 @@ from hmmbandits import (
     RewardSpec,
     TransferFunction,
     check_reward_bounds,
+    filter_trace,
     mean_reward,
     sample_tape,
     sample_theta,
     simulate_cell,
-    true_belief_filter,
 )
 from hmmbandits.errors import ModelMismatch, ShapeMismatch
 
@@ -232,7 +232,7 @@ class TestEnvironmentProtocol:
     def test_true_belief_matches_exact_filter(self, reference_params, spec3, phi3):
         tape = sample_tape(reference_params, spec3, phi3, 20, seed=13)
         for t in range(1, 21):
-            want = true_belief_filter(reference_params, tape.contexts[:t]).probs
+            want = filter_trace(reference_params, tape.contexts[:t])[-1]
             assert np.max(np.abs(tape.beliefs[t - 1] - want)) < 1e-12
 
     def test_tape_is_read_only(self, reference_params, spec3, phi3):

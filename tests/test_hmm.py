@@ -8,17 +8,21 @@ from hypothesis import strategies as st
 from hmmbandits import (
     HmmParams,
     check_forgetting,
+    filter_trace,
     forgetting_rate,
     sample_trajectory,
     stationary_distribution,
-    true_belief_filter,
     validate,
 )
 from hmmbandits.errors import DegenerateLikelihood, NotMixing, ShapeMismatch, TooLarge
-from hmmbandits.hmm import ForwardFilter, forward_pass
+from hmmbandits.hmm import forward_pass
 
-from conftest import random_hmm
-from oracles import conditional_terminal_distribution, enumerate_posterior
+from conftest import random_hmm, sparse_estimate
+from oracles import (
+    conditional_terminal_distribution,
+    enumerate_posterior,
+    stepwise_filter,
+)
 
 
 def smallest_singular_2x2(A: np.ndarray) -> float:
@@ -124,12 +128,12 @@ class TestTrueBeliefFilter:
                            np.array([[0.3, 0.7], [0.7, 0.3]]),
                            np.array([[0.6, 0.6], [0.4, 0.4]]))
         for t in (1, 3, 8):
-            belief = true_belief_filter(params, [0, 1, 0, 1, 1, 0, 0, 1][:t])
-            assert belief.probs == pytest.approx([0.5, 0.5], abs=1e-12)
+            belief = filter_trace(params, [0, 1, 0, 1, 1, 0, 0, 1][:t])[-1]
+            assert belief == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_single_observation_worked_example(self, two_state_params):
-        belief = true_belief_filter(two_state_params, [0])
-        assert belief.probs == pytest.approx([8 / 11, 3 / 11], abs=1e-12)
+        belief = filter_trace(two_state_params, [0])[-1]
+        assert belief == pytest.approx([8 / 11, 3 / 11], abs=1e-12)
 
     def test_matches_path_enumeration(self):
         rng = np.random.default_rng(2024)
@@ -138,7 +142,7 @@ class TestTrueBeliefFilter:
             params = random_hmm(rng, H, X, min_entry=0.05)
             t = int(rng.integers(1, 9))
             contexts = rng.integers(0, X, size=t)
-            got = true_belief_filter(params, contexts).probs
+            got = filter_trace(params, contexts)[-1]
             want = enumerate_posterior(params, contexts)
             assert np.max(np.abs(got - want)) < 1e-10
 
@@ -147,17 +151,15 @@ class TestTrueBeliefFilter:
                            np.array([[0.5, 0.5], [0.5, 0.5]]),
                            np.array([[1.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(DegenerateLikelihood):
-            true_belief_filter(params, [1])
+            filter_trace(params, [1])
 
     def test_empty_contexts_rejected(self, two_state_params):
         with pytest.raises(ShapeMismatch):
-            true_belief_filter(two_state_params, [])
+            filter_trace(two_state_params, [])
 
     def test_long_horizon_stability(self, reference_params):
         traj = sample_trajectory(reference_params, 50_000, seed=5)
-        filt = ForwardFilter(reference_params.transition, reference_params.emission,
-                             prior=reference_params.initial_dist)
-        belief = filt.run(traj.contexts)
+        belief = filter_trace(reference_params, traj.contexts)[-1]
         assert belief.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.all(belief >= 0)
 
@@ -169,24 +171,9 @@ def test_belief_normalization_property(seed, t):
     H, X = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     params = random_hmm(rng, H, X, min_entry=0.02)
     contexts = rng.integers(0, X, size=t)
-    belief = true_belief_filter(params, contexts)
-    assert abs(belief.probs.sum() - 1.0) < 1e-10
-    assert np.all(belief.probs >= 0)
-
-
-def sparse_estimate(rng, H: int, X: int, zero_row: bool):
-    """Estimate-like parameters with zero entries (as clipping leaves them):
-    a zero emission row makes that context impossible under every state."""
-    M = rng.uniform(size=(H, H)) * (rng.uniform(size=(H, H)) > 0.2)
-    M[np.arange(H), rng.integers(H, size=H)] += 0.1
-    M /= M.sum(axis=1, keepdims=True)
-    E = rng.uniform(size=(X, H)) * (rng.uniform(size=(X, H)) > 0.3)
-    if zero_row:
-        E[rng.integers(X)] = 0.0
-    live = np.flatnonzero(E.sum(axis=1) > 0) if zero_row else np.arange(X)
-    E[rng.choice(live) if live.size else 0] += 0.1
-    E /= E.sum(axis=0, keepdims=True)
-    return M, E
+    belief = filter_trace(params, contexts)[-1]
+    assert abs(belief.sum() - 1.0) < 1e-10
+    assert np.all(belief >= 0)
 
 
 class TestForwardPass:
@@ -202,13 +189,9 @@ class TestForwardPass:
         M, E = sparse_estimate(rng, H, X, zero_row)
         prior = rng.dirichlet(np.ones(H))
         contexts = rng.integers(0, X, size=t)
-        filt = ForwardFilter(M, E, prior=prior, on_degenerate="uniform")
-        want = filt.run(contexts)
+        want = stepwise_filter(M, E, prior, contexts)
         got = forward_pass(M, E, prior, contexts)
         assert np.max(np.abs(got - want)) <= 1e-12
-        restarted = ForwardFilter(M, E, prior=prior, on_degenerate="uniform")
-        assert np.array_equal(restarted.restart(contexts), got)
-        assert restarted.round == t
 
     def test_zero_likelihood_inside_a_chunk(self):
         # context 2 is impossible in every state: the chunk holding it falls
@@ -216,18 +199,17 @@ class TestForwardPass:
         M = np.array([[0.9, 0.1], [0.2, 0.8]])
         E = np.array([[0.9, 0.1], [0.1, 0.9], [0.0, 0.0]])
         contexts = np.array([0] * 100 + [2] + [1] * 3)
-        filt = ForwardFilter(M, E, on_degenerate="uniform")
-        filt.run(contexts[:101])
-        assert filt.belief == pytest.approx([0.5, 0.5])
-        assert np.max(np.abs(forward_pass(M, E, np.full(2, 0.5), contexts)
-                             - filt.run(contexts[101:]))) <= 1e-12
+        uniform = np.full(2, 0.5)
+        assert stepwise_filter(M, E, uniform, contexts[:101]) == pytest.approx([0.5, 0.5])
+        assert np.max(np.abs(forward_pass(M, E, uniform, contexts)
+                             - stepwise_filter(M, E, uniform, contexts))) <= 1e-12
 
     def test_raise_mode_matches_step(self):
         M = np.array([[0.9, 0.1], [0.2, 0.8]])
         E = np.array([[0.9, 0.1], [0.1, 0.9], [0.0, 0.0]])
         contexts = [0] * 70 + [2]
         with pytest.raises(DegenerateLikelihood):
-            ForwardFilter(M, E).run(contexts)
+            stepwise_filter(M, E, np.full(2, 0.5), contexts, on_degenerate="raise")
         with pytest.raises(DegenerateLikelihood):
             forward_pass(M, E, np.full(2, 0.5), contexts, on_degenerate="raise")
         with pytest.raises(ShapeMismatch):
