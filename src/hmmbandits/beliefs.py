@@ -17,20 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DiagonalizationFailed,
-    NearSingularPivot,
-    RankDeficient,
-    ShapeMismatch,
-)
+from .errors import EstimationFailed, ShapeMismatch
 from .hmm import HmmParams, filter_trace, forward_pass, forward_step
-from .spectral import (
-    EstimatedHmm,
-    accumulate_moments,
-    align,
-    postprocess,
-    spectral_estimate,
-)
+from .spectral import EstimatedHmm, accumulate_moments, align, spectral_estimate
 
 
 @dataclass(frozen=True)
@@ -75,13 +64,14 @@ def refit_schedule(
     """Periodic spectral re-estimation over the prefixes of a context stream.
 
     At every round ``t`` with ``t % refit_every == 0`` and ``t >= MIN_FIT``
-    the moments of ``contexts[:t]`` are re-estimated, post-processed, and
-    aligned against the previous estimate; a refit after ``k`` successful
-    ones draws its rotations from ``seed + 7919 * (k + 1)``.  A refit that fails
-    (rank-deficient or near-singular moments, or no diagonalizable rotation,
-    all routine on short prefixes) keeps the previous estimate and is
-    counted.  Returns the ``(t, estimate)`` pair of every refit round once an
-    estimate exists, and the number of failed refits.
+    the moments of ``contexts[:t]`` are re-estimated and aligned against the
+    previous estimate; a refit after ``k`` successful ones draws its rotations
+    from ``seed + 7919 * (k + 1)``.  A refit that fails
+    (:class:`~hmmbandits.errors.EstimationFailed`: rank-deficient or
+    near-singular moments, or no diagonalizable rotation, all routine on
+    short prefixes) keeps the previous estimate and is counted.  Returns the
+    ``(t, estimate)`` pair of every refit round once an estimate exists, and
+    the number of failed refits.
     """
     if refit_every < 1:
         raise ShapeMismatch("refit_every must be >= 1")
@@ -93,15 +83,14 @@ def refit_schedule(
         if t < MIN_FIT:
             continue
         try:
-            fresh = spectral_estimate(
+            estimate = align(estimate, spectral_estimate(
                 accumulate_moments(contexts[:t], num_contexts),
                 num_states,
                 seed=seed + 7919 * (successes + 1),
-            )
-        except (RankDeficient, NearSingularPivot, DiagonalizationFailed):
+            ))
+        except EstimationFailed:
             failures += 1
         else:
-            estimate = align(estimate, postprocess(fresh))
             successes += 1
         if estimate is not None:
             schedule.append((t, estimate))

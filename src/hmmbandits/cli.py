@@ -68,6 +68,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_check_lemmas(args) -> int:
+    if args.trials < 1:
+        print(f"check-lemmas: --trials must be >= 1, got {args.trials}", file=sys.stderr)
+        return 1
     results = run_lemma_trials(args.trials, seed=args.seed or 0)
     trials = results.pop("trials")
     all_pass = True

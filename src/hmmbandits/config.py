@@ -61,7 +61,7 @@ c_eta = auto | <decimal >= 0>
 v_eta = auto | <decimal >= 0>
 bonus_scope = full | partial
 beliefs = spectral | oracle
-refit_every = auto | <int >= 1>  auto: ell for boxA, ceil(sqrt(T)) for boxB
+refit_every = auto | <int >= 1>  auto: ell for boxA, max(3, ceil(sqrt(T))) for boxB
 
 [run]
 horizons = <distinct ints >= 1>

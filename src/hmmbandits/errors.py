@@ -25,15 +25,20 @@ class TooShort(HmmBanditsError):
     """The context stream is too short to form any moment triple."""
 
 
-class NearSingularPivot(HmmBanditsError):
+class EstimationFailed(HmmBanditsError):
+    """The spectral estimator found no estimate in these moments, as is
+    routine on short context prefixes."""
+
+
+class NearSingularPivot(EstimationFailed):
     """A pivot matrix inside the spectral estimator is numerically singular."""
 
 
-class DiagonalizationFailed(HmmBanditsError):
+class DiagonalizationFailed(EstimationFailed):
     """No drawn rotation produced a real, well-conditioned eigensystem."""
 
 
-class RankDeficient(HmmBanditsError):
+class RankDeficient(EstimationFailed):
     """The pairwise moment matrix does not have the requested rank."""
 
 

@@ -18,14 +18,14 @@ from . import __version__
 from .beliefs import belief_gaps, refit_schedule, scheduled_beliefs
 from .config import ExperimentConfig, config_snapshot
 from .environment import sample_tape
-from .errors import ConfigError, HmmBanditsError, ShapeMismatch
+from .errors import ConfigError, EstimationFailed, HmmBanditsError, ShapeMismatch
 from .policies import (
     BonusConfig,
     BoxAPolicy,
     BoxBPolicy,
     StagePlan,
 )
-from .spectral import accumulate_moments, align, postprocess, relabel, spectral_estimate
+from .spectral import EstimatedHmm, accumulate_moments, align, relabel, spectral_estimate
 
 GAMMA_CAP = 1.0 - 1e-6
 
@@ -332,18 +332,15 @@ def estimation_curves(config: ExperimentConfig, echo=print) -> list:
     """
     from .hmm import filter_trace, sample_trajectory
 
-    from .errors import DiagonalizationFailed, NearSingularPivot, RankDeficient
-    from .spectral import EstimatedHmm
-
     params = config.params
     H, X = params.num_states, params.num_contexts
-    uniform_estimate = EstimatedHmm(
-        raw_transition=np.full((H, H), 1.0 / H),
-        raw_emission=np.full((X, H), 1.0 / X),
-        transition_hat=np.full((H, H), 1.0 / H),
-        emission_hat=np.full((X, H), 1.0 / X),
-    )
+    # not through postprocess: renormalizing a row of 1/n moves its last bit
+    # for some n (6, 7, 13, ...), and the curves pin these values
+    uniform_estimate = EstimatedHmm(np.full((H, H), 1.0 / H), np.full((X, H), 1.0 / X))
     checkpoints = sorted(config.run.horizons)
+    if checkpoints[0] < 3:
+        raise ConfigError(f"'horizons' in [run] must be >= 3 for estimate "
+                          f"(a moment triple needs 3 contexts), got {checkpoints[0]}")
     longest = checkpoints[-1]
     sums = np.zeros((len(checkpoints), 3))
     for seed_index in config.run.seeds:
@@ -354,20 +351,17 @@ def estimation_curves(config: ExperimentConfig, echo=print) -> list:
         trajectory = sample_trajectory(params, longest, seed=traj_seed)
         # every checkpoint prefix extends the last: filter the truth once
         truth = filter_trace(params, trajectory.contexts)
-        previous = None
+        estimate = None
         for k, t in enumerate(checkpoints):
             prefix = trajectory.contexts[:t]
             moments = accumulate_moments(prefix, params.num_contexts)
             try:
-                fresh = postprocess(
-                    spectral_estimate(moments, params.num_states, seed=traj_seed + k)
-                )
-            except (RankDeficient, NearSingularPivot, DiagonalizationFailed):
+                fresh = spectral_estimate(moments, params.num_states, seed=traj_seed + k)
+            except EstimationFailed:
                 # small-sample pathology: score the checkpoint as the
                 # no-information estimate and keep the curve well-defined
                 fresh = uniform_estimate
-            estimate = align(previous, fresh)
-            previous = estimate
+            estimate = align(estimate, fresh)
             oriented, m_err, e_err = _orient_to_truth(
                 estimate, params.transition, params.emission
             )

@@ -2,7 +2,8 @@
 stream, post-processing to valid stochastic matrices, and the permutation
 alignment that keeps hidden-state labels consistent across re-estimations.
 
-Pipeline: ``accumulate_moments -> spectral_estimate -> postprocess -> align``.
+Pipeline: ``accumulate_moments -> spectral_estimate -> align``;
+``spectral_estimate`` ends in :func:`postprocess`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ COND_LIMIT = 1e12
 RANK_TOL = 1e-12
 IMAG_TOL = 1e-6
 RETRY_BUDGET = 10
-MOMENT_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class MomentSet:
     sample_count: int
 
 
-def accumulate_moments(contexts, num_contexts: int | None = None) -> MomentSet:
+def accumulate_moments(contexts, num_contexts: int) -> MomentSet:
     """Moment tables of a context stream from one count of its triples.
 
     Each triple ``(x_{s+1}, x_{s-1}, x_s)`` is counted at the flat index
@@ -52,7 +52,7 @@ def accumulate_moments(contexts, num_contexts: int | None = None) -> MomentSet:
     x = np.asarray(contexts, dtype=np.int64)
     if x.size < 3:
         raise TooShort("need at least 3 contexts to form a moment triple")
-    X = int(num_contexts) if num_contexts is not None else int(x.max()) + 1
+    X = int(num_contexts)
     if x.min() < 0 or x.max() >= X:
         raise ShapeMismatch("context indices outside [0, X)")
     n = x.size - 2
@@ -80,34 +80,24 @@ class SpectralWorkspace:
 
 @dataclass(frozen=True)
 class EstimatedHmm:
-    """Spectral estimate of ``(M, E)``.
-
-    ``raw_*`` are the direct estimator outputs (possibly with small negative
-    entries); ``*_hat`` are the post-processed stochastic matrices, ``None``
-    until :func:`postprocess` runs.  ``label_permutation`` records the
-    relabeling applied by :func:`align` relative to the previous estimate.
+    """Stochastic estimate of ``(M, E)``: rows of ``transition_hat`` and
+    columns of ``emission_hat`` are distributions.  ``label_permutation``
+    records the relabeling applied by :func:`align` relative to the previous
+    estimate.
     """
 
-    raw_transition: np.ndarray             # (H, H)
-    raw_emission: np.ndarray               # (X, H)
-    transition_hat: np.ndarray | None = None
-    emission_hat: np.ndarray | None = None
+    transition_hat: np.ndarray             # (H, H)
+    emission_hat: np.ndarray               # (X, H)
     label_permutation: tuple[int, ...] = ()
     workspace: SpectralWorkspace | None = field(default=None, repr=False)
 
     @property
     def num_states(self) -> int:
-        return self.raw_transition.shape[0]
-
-    @property
-    def num_contexts(self) -> int:
-        return self.raw_emission.shape[0]
+        return self.transition_hat.shape[0]
 
     def to_text(self) -> str:
         """Flat decimal block: M row-major, then E column-major, then perm."""
-        if self.transition_hat is None or self.emission_hat is None:
-            raise ValueError("serialize post-processed estimates only")
-        H, X = self.num_states, self.num_contexts
+        X, H = self.emission_hat.shape
         lines = [
             f"H {H} X {X}",
             "M " + " ".join(repr(float(v)) for v in self.transition_hat.ravel(order="C")),
@@ -126,13 +116,7 @@ class EstimatedHmm:
             (X, H), order="F"
         )
         perm = tuple(int(v) for v in lines[3].split()[1:])
-        return EstimatedHmm(
-            raw_transition=m,
-            raw_emission=e,
-            transition_hat=m,
-            emission_hat=e,
-            label_permutation=perm,
-        )
+        return EstimatedHmm(m, e, label_permutation=perm)
 
 
 def _fix_svd_signs(basis: np.ndarray) -> np.ndarray:
@@ -150,7 +134,7 @@ def _contract(p312: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def spectral_estimate(moments: MomentSet, H: int, seed: int) -> EstimatedHmm:
-    """Estimate raw ``(M, E)`` from moment tables (labels arbitrary, unaligned).
+    """Estimate ``(M, E)`` from moment tables (labels arbitrary, unaligned).
 
     SVDs of the pairwise tables give the subspace bases; the triple table is
     contracted along random directions drawn from ``seed`` and simultaneously
@@ -161,7 +145,8 @@ def spectral_estimate(moments: MomentSet, H: int, seed: int) -> EstimatedHmm:
 
     Eigenvector sign ambiguity scales rows of the raw transition estimate by
     an arbitrary sign; rows are flipped to have nonnegative sums, since they
-    estimate probability distributions.
+    estimate probability distributions.  The raw matrices then go through
+    :func:`postprocess`, so the estimate is stochastic.
     """
     X = moments.p31.shape[0]
     if H > X:
@@ -187,8 +172,6 @@ def spectral_estimate(moments: MomentSet, H: int, seed: int) -> EstimatedHmm:
         return (u3.T @ _contract(moments.p312, z) @ u1) @ pivot_inv
 
     rng = np.random.default_rng(seed)
-    r_mat = None
-    gamma = None
     for _ in range(RETRY_BUDGET):
         q, _ = np.linalg.qr(rng.normal(size=(H, H)))
         b1 = contracted_b(u2 @ q[0])
@@ -206,7 +189,7 @@ def spectral_estimate(moments: MomentSet, H: int, seed: int) -> EstimatedHmm:
             continue
         r_mat, gamma = candidate, q
         break
-    if r_mat is None or gamma is None:
+    else:
         raise DiagonalizationFailed(
             f"no real well-conditioned eigensystem in {RETRY_BUDGET} rotations"
         )
@@ -227,49 +210,40 @@ def spectral_estimate(moments: MomentSet, H: int, seed: int) -> EstimatedHmm:
     row_signs = np.where(raw_m.sum(axis=1) < 0, -1.0, 1.0)
     raw_m = raw_m * row_signs[:, None]
 
-    return EstimatedHmm(
-        raw_transition=raw_m,
-        raw_emission=obs_factor,
-        label_permutation=tuple(range(H)),
-        workspace=SpectralWorkspace(
-            u1=u1, u2=u2, u3=u3, gamma_rotation=gamma, r_matrix=r_mat, l_matrix=l_mat
-        ),
+    workspace = SpectralWorkspace(
+        u1=u1, u2=u2, u3=u3, gamma_rotation=gamma, r_matrix=r_mat, l_matrix=l_mat
     )
+    return replace(postprocess(raw_m, obs_factor), workspace=workspace)
 
 
 def _clip_normalize(vectors: np.ndarray) -> np.ndarray:
     """Clip negatives and renormalize each row to a distribution (uniform if zero)."""
     clipped = np.clip(vectors, 0.0, None)
     sums = clipped.sum(axis=1)
-    dim = vectors.shape[1]
-    out = np.where(
+    return np.where(
         (sums > 0.0)[:, None],
         clipped / np.where(sums > 0.0, sums, 1.0)[:, None],
-        np.full_like(clipped, 1.0 / dim),
+        np.full_like(clipped, 1.0 / vectors.shape[1]),
     )
-    return out
 
 
-def postprocess(raw: EstimatedHmm) -> EstimatedHmm:
-    """Clip small negative entries and renormalize to valid stochastic matrices.
+def postprocess(transition, emission) -> EstimatedHmm:
+    """The stochastic estimate, with identity labels, made from a raw ``(M, E)``.
 
     Rows of the transition and columns of the emission are projected by
-    clipping to zero and dividing by the sum; an all-zero row or column falls
-    back to the uniform distribution.  Idempotent on valid inputs.
+    clipping negative entries to zero and dividing by the sum; an all-zero
+    row or column falls back to the uniform distribution.  Idempotent on
+    valid inputs.
     """
-    m_src = raw.transition_hat if raw.transition_hat is not None else raw.raw_transition
-    e_src = raw.emission_hat if raw.emission_hat is not None else raw.raw_emission
-    if not (np.all(np.isfinite(m_src)) and np.all(np.isfinite(e_src))):
+    transition = np.asarray(transition, dtype=float)
+    emission = np.asarray(emission, dtype=float)
+    if not (np.all(np.isfinite(transition)) and np.all(np.isfinite(emission))):
         raise NonFinite("raw estimates contain non-finite entries")
-    m_hat = _clip_normalize(np.asarray(m_src, dtype=float))
-    e_hat = _clip_normalize(np.asarray(e_src, dtype=float).T).T
-    return replace(raw, transition_hat=m_hat, emission_hat=e_hat)
-
-
-def _emission_columns(estimate: EstimatedHmm) -> np.ndarray:
-    if estimate.emission_hat is not None:
-        return estimate.emission_hat
-    return estimate.raw_emission
+    return EstimatedHmm(
+        _clip_normalize(transition),
+        _clip_normalize(emission.T).T,
+        label_permutation=tuple(range(transition.shape[0])),
+    )
 
 
 def align(previous: EstimatedHmm | None, fresh: EstimatedHmm) -> EstimatedHmm:
@@ -289,8 +263,7 @@ def align(previous: EstimatedHmm | None, fresh: EstimatedHmm) -> EstimatedHmm:
         return replace(fresh, label_permutation=tuple(range(H)))
     if previous.num_states != H:
         raise ShapeMismatch("cannot align estimates with different H")
-    prev_cols = _emission_columns(previous)
-    fresh_cols = _emission_columns(fresh)
+    prev_cols, fresh_cols = previous.emission_hat, fresh.emission_hat
     cost = [
         [float(np.linalg.norm(prev_cols[:, h] - fresh_cols[:, j])) for j in range(H)]
         for h in range(H)
@@ -339,11 +312,8 @@ def relabel(estimate: EstimatedHmm, perm) -> EstimatedHmm:
     """``estimate`` with state ``h`` taken from state ``perm[h]``: transition
     rows and columns and emission columns are permuted alike."""
     idx = list(perm)
-    m_hat, e_hat = estimate.transition_hat, estimate.emission_hat
     return replace(
         estimate,
-        raw_transition=estimate.raw_transition[np.ix_(idx, idx)],
-        raw_emission=estimate.raw_emission[:, idx],
-        transition_hat=None if m_hat is None else m_hat[np.ix_(idx, idx)],
-        emission_hat=None if e_hat is None else e_hat[:, idx],
+        transition_hat=estimate.transition_hat[np.ix_(idx, idx)],
+        emission_hat=estimate.emission_hat[:, idx],
     )

@@ -105,9 +105,9 @@ def reference_online_beliefs(contexts, H: int, X: int, refit_every: int, seed: i
     round takes one Bayes step; before that the belief is uniform.  Returns
     ``(beliefs, failures, final estimate or None)``.
     """
-    from hmmbandits.errors import DiagonalizationFailed, NearSingularPivot, RankDeficient
+    from hmmbandits.errors import EstimationFailed
     from hmmbandits.hmm import forward_pass, forward_step
-    from hmmbandits.spectral import MomentSet, align, postprocess, spectral_estimate
+    from hmmbandits.spectral import MomentSet, align, spectral_estimate
 
     xs = [int(x) for x in contexts]
     uniform = np.full(H, 1.0 / H)
@@ -121,10 +121,10 @@ def reference_online_beliefs(contexts, H: int, X: int, refit_every: int, seed: i
             moments = MomentSet(p31=c31 / n, p32=c32 / n, p312=c312 / n, sample_count=t)
             try:
                 fresh = spectral_estimate(moments, H, seed=seed + 7919 * (successes + 1))
-            except (RankDeficient, NearSingularPivot, DiagonalizationFailed):
+            except EstimationFailed:
                 failures += 1
             else:
-                estimate = align(estimate, postprocess(fresh))
+                estimate = align(estimate, fresh)
                 successes += 1
         if estimate is None:
             belief = uniform

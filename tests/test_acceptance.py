@@ -27,7 +27,6 @@ from hmmbandits import (
     sample_trajectory,
     simulate_cell,
     spectral_estimate,
-    postprocess,
     accumulate_moments,
     filter_trace,
 )
@@ -104,7 +103,7 @@ def test_criterion_2_population_moment_recovery():
         from hmmbandits import MomentSet
 
         moments = MomentSet(p31=p31, p32=p32, p312=p312, sample_count=10**9)
-        est = postprocess(spectral_estimate(moments, H=2, seed=produced))
+        est = spectral_estimate(moments, H=2, seed=produced)
         worst = max(
             worst,
             best_permutation_distance(est.transition_hat, params.transition, "both"),
@@ -134,7 +133,7 @@ def test_criterion_3_spectral_consistency_direction():
         for t in (1000, 100_000):
             moments = accumulate_moments(traj.contexts[:t], params.num_contexts)
             try:
-                est = postprocess(spectral_estimate(moments, H=2, seed=seed))
+                est = spectral_estimate(moments, H=2, seed=seed)
             except DiagonalizationFailed:
                 # a small-sample moment set can have a complex eigenstructure
                 # for every contraction direction: score it as the

@@ -27,12 +27,7 @@ from oracles import (
 
 
 def oracle_estimate(params) -> EstimatedHmm:
-    return EstimatedHmm(
-        raw_transition=params.transition.copy(),
-        raw_emission=params.emission.copy(),
-        transition_hat=params.transition.copy(),
-        emission_hat=params.emission.copy(),
-    )
+    return EstimatedHmm(params.transition.copy(), params.emission.copy())
 
 
 class TestUBelief:
@@ -82,10 +77,7 @@ class TestFilterStep:
 
     def test_uninformative_emissions_follow_markov_prior(self):
         M = np.array([[0.7, 0.3], [0.2, 0.8]])
-        est = EstimatedHmm(
-            raw_transition=M, raw_emission=np.array([[0.5, 0.5], [0.5, 0.5]]),
-            transition_hat=M, emission_hat=np.array([[0.5, 0.5], [0.5, 0.5]]),
-        )
+        est = EstimatedHmm(M, np.array([[0.5, 0.5], [0.5, 0.5]]))
         prior = np.array([0.5, 0.5])
         expected = prior.copy()
         belief = None
@@ -107,12 +99,8 @@ class TestFilterStep:
                                                                  abs=1e-12)
 
     def test_degenerate_resets_to_uniform(self):
-        est = EstimatedHmm(
-            raw_transition=np.array([[0.5, 0.5], [0.5, 0.5]]),
-            raw_emission=np.array([[1.0, 1.0], [0.0, 0.0]]),
-            transition_hat=np.array([[0.5, 0.5], [0.5, 0.5]]),
-            emission_hat=np.array([[1.0, 1.0], [0.0, 0.0]]),
-        )
+        est = EstimatedHmm(np.array([[0.5, 0.5], [0.5, 0.5]]),
+                           np.array([[1.0, 1.0], [0.0, 0.0]]))
         M, E, uniform = est.transition_hat, est.emission_hat, np.full(2, 0.5)
         assert forward_step(None, uniform, M, E, 1, "uniform") == pytest.approx([0.5, 0.5])
         assert forward_pass(M, E, uniform, [0, 1]) == pytest.approx([0.5, 0.5])
@@ -132,12 +120,7 @@ def test_likelihood_scale_invariance(two_state_params):
 class TestBeliefErrorTrace:
     def test_truth_gives_zero_gaps(self, reference_params):
         traj = sample_trajectory(reference_params, 500, seed=1)
-        est = EstimatedHmm(
-            raw_transition=reference_params.transition.copy(),
-            raw_emission=reference_params.emission.copy(),
-            transition_hat=reference_params.transition.copy(),
-            emission_hat=reference_params.emission.copy(),
-        )
+        est = oracle_estimate(reference_params)
         # estimated filter starts from the uniform prior; on a stationary
         # symmetric instance that equals the true initial distribution
         gaps = belief_gaps(filter_trace(reference_params, traj.contexts), [(1, est)],
@@ -146,10 +129,7 @@ class TestBeliefErrorTrace:
 
     def test_perturbed_truth_stays_bounded(self, reference_params):
         raw_e = np.clip(reference_params.emission + 0.01, 0, None)
-        perturbed = postprocess(EstimatedHmm(
-            raw_transition=reference_params.transition.copy(),
-            raw_emission=raw_e,
-        ))
+        perturbed = postprocess(reference_params.transition, raw_e)
         traj = sample_trajectory(reference_params, 400, seed=2)
         gaps = belief_gaps(filter_trace(reference_params, traj.contexts),
                            [(1, perturbed)], traj.contexts)
@@ -166,10 +146,7 @@ class TestBeliefErrorTrace:
     def test_one_truth_pass_serves_every_prefix(self, reference_params):
         # estimation_curves filters the longest trajectory once and slices it
         raw_e = np.clip(reference_params.emission + 0.02, 0, None)
-        est = postprocess(EstimatedHmm(
-            raw_transition=reference_params.transition.copy(),
-            raw_emission=raw_e,
-        ))
+        est = postprocess(reference_params.transition, raw_e)
         traj = sample_trajectory(reference_params, 400, seed=5)
         truth = filter_trace(reference_params, traj.contexts)
         for t in (1, 64, 250, 400):
@@ -342,8 +319,7 @@ def test_scheduled_beliefs_on_degenerate_paths(seed, H, X, T, draws, at_end):
 
     def estimate():
         M, E = sparse_estimate(rng, H, X, zero_row=True)
-        return EstimatedHmm(raw_transition=M, raw_emission=E,
-                            transition_hat=M, emission_hat=E)
+        return EstimatedHmm(M, E)
 
     contexts = rng.integers(0, X, size=T)
     rounds = sorted(rng.integers(1, T + 1, size=draws).tolist()) + [T] * at_end
@@ -362,10 +338,7 @@ def test_filtering_consistency_under_estimates(seed):
     if X < H:
         H, X = X, H if H >= X else X  # keep X >= H irrelevant here; filters only
     params = random_hmm(rng, H, X, min_entry=0.02)
-    est = postprocess(EstimatedHmm(
-        raw_transition=rng.normal(size=(H, H)),
-        raw_emission=rng.normal(size=(X, H)),
-    ))
+    est = postprocess(rng.normal(size=(H, H)), rng.normal(size=(X, H)))
     xs = rng.integers(0, X, size=12)
     uniform = np.full(H, 1.0 / H)
     for belief in (stepwise_filter(est.transition_hat, est.emission_hat, uniform, xs),

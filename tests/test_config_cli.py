@@ -322,6 +322,13 @@ class TestCli:
         assert "elliptic_potential: 5/5 ok" in out
         assert "forgetting: 5/5 ok" in out
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_check_lemmas_without_trials_is_usage_error(self, capsys, trials):
+        assert cli_main(["check-lemmas", "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert "--trials" in captured.err
+        assert captured.out == ""
+
     def test_fit_rate_on_synthetic_sqrt_data(self, tmp_path, capsys):
         results = tmp_path / "results"
         results.mkdir()
@@ -354,6 +361,16 @@ class TestCli:
         curves = (out / "estimation_curves.csv").read_text().splitlines()
         assert curves[0] == "t,frobenius_M_err,frobenius_E_err,median_l1_belief_gap"
         assert len(curves) == 3
+
+    def test_estimate_too_short_horizon_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "est"
+        text = MINIMAL.format(out=str(out)).replace("horizons = 32 64", "horizons = 2 64")
+        path = tmp_path / "exp.ini"
+        path.write_text(text)
+        assert cli_main(["estimate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"configuration error: 'horizons' in \[run\]", err)
+        assert not (out / "estimation_curves.csv").exists()
 
     def test_console_script_entry_point(self, tmp_path):
         # the child imports the package from this checkout's src/

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hmmbandits import (
     EstimatedHmm,
@@ -15,7 +16,15 @@ from hmmbandits import (
     sample_trajectory,
     spectral_estimate,
 )
-from hmmbandits.errors import NonFinite, RankDeficient, ShapeMismatch, TooShort
+from hmmbandits.errors import (
+    DiagonalizationFailed,
+    EstimationFailed,
+    NearSingularPivot,
+    NonFinite,
+    RankDeficient,
+    ShapeMismatch,
+    TooShort,
+)
 
 from conftest import random_hmm
 from oracles import (
@@ -82,6 +91,14 @@ class TestMoments:
         assert np.allclose(ms.p32, p32)
         assert np.allclose(ms.p312, p312)
 
+    def test_tables_sized_by_declared_count(self):
+        # a prefix that never shows the top contexts still gets X x X tables
+        ms = accumulate_moments([0, 1, 0, 1], num_contexts=4)
+        assert ms.p31.shape == ms.p32.shape == (4, 4)
+        assert ms.p312.shape == (4, 4, 4)
+        with pytest.raises(TypeError):
+            accumulate_moments([0, 1, 0, 1])
+
     def test_too_short(self):
         with pytest.raises(TooShort):
             accumulate_moments([0, 1], num_contexts=2)
@@ -114,7 +131,7 @@ class TestSpectralEstimate:
 
     def test_population_recovery_two_states(self, reference_params):
         ms = population_moment_set(reference_params)
-        est = postprocess(spectral_estimate(ms, H=2, seed=0))
+        est = spectral_estimate(ms, H=2, seed=0)
         m_err = best_permutation_distance(
             est.transition_hat, reference_params.transition, axis="both"
         )
@@ -127,7 +144,7 @@ class TestSpectralEstimate:
     def test_population_recovery_three_states(self):
         rng = np.random.default_rng(5)
         params = random_hmm(rng, 3, 5, min_entry=0.15, stationary=True)
-        est = postprocess(spectral_estimate(population_moment_set(params), H=3, seed=1))
+        est = spectral_estimate(population_moment_set(params), H=3, seed=1)
         assert best_permutation_distance(est.transition_hat, params.transition, "both") < 1e-6
         assert best_permutation_distance(est.emission_hat, params.emission, "columns") < 1e-6
 
@@ -136,8 +153,22 @@ class TestSpectralEstimate:
         ms = accumulate_moments(traj.contexts, num_contexts=4)
         a = spectral_estimate(ms, H=2, seed=3)
         b = spectral_estimate(ms, H=2, seed=3)
-        assert np.array_equal(a.raw_transition, b.raw_transition)
-        assert np.array_equal(a.raw_emission, b.raw_emission)
+        assert np.array_equal(a.transition_hat, b.transition_hat)
+        assert np.array_equal(a.emission_hat, b.emission_hat)
+
+    def test_estimate_is_stochastic(self, reference_params):
+        traj = sample_trajectory(reference_params, 3000, seed=0)
+        est = spectral_estimate(accumulate_moments(traj.contexts, 4), H=2, seed=3)
+        assert np.all(est.transition_hat >= 0) and np.all(est.emission_hat >= 0)
+        assert np.allclose(est.transition_hat.sum(axis=1), 1.0, atol=1e-12)
+        assert np.allclose(est.emission_hat.sum(axis=0), 1.0, atol=1e-12)
+        assert est.label_permutation == (0, 1)
+
+    def test_routine_failures_share_a_base(self):
+        for exc in (RankDeficient, NearSingularPivot, DiagonalizationFailed):
+            assert issubclass(exc, EstimationFailed)
+        for exc in (NonFinite, TooShort, ShapeMismatch):
+            assert not issubclass(exc, EstimationFailed)
 
     def test_workspace_invariants(self, reference_params):
         est = spectral_estimate(population_moment_set(reference_params), H=2, seed=0)
@@ -153,7 +184,7 @@ class TestSpectralEstimate:
             for seed in range(3):
                 traj = sample_trajectory(reference_params, t, seed=seed)
                 ms = accumulate_moments(traj.contexts, num_contexts=4)
-                est = postprocess(spectral_estimate(ms, H=2, seed=seed))
+                est = spectral_estimate(ms, H=2, seed=seed)
                 errs.append(best_permutation_distance(
                     est.transition_hat, reference_params.transition, "both"
                 ))
@@ -163,38 +194,22 @@ class TestSpectralEstimate:
 
 class TestPostprocess:
     def test_clip_then_renormalize_column(self):
-        raw = EstimatedHmm(
-            raw_transition=np.array([[1.0]]),
-            raw_emission=np.array([[-0.05], [0.55], [0.5]]),
-        )
-        est = postprocess(raw)
+        est = postprocess(np.array([[1.0]]), np.array([[-0.05], [0.55], [0.5]]))
         assert est.emission_hat[:, 0] == pytest.approx([0.0, 11 / 21, 10 / 21])
 
     def test_stochastic_input_unchanged(self, reference_params):
-        raw = EstimatedHmm(
-            raw_transition=reference_params.transition.copy(),
-            raw_emission=reference_params.emission.copy(),
-        )
-        est = postprocess(raw)
+        est = postprocess(reference_params.transition, reference_params.emission)
         assert np.allclose(est.transition_hat, reference_params.transition)
         assert np.allclose(est.emission_hat, reference_params.emission)
 
     def test_zero_column_becomes_uniform(self):
-        raw = EstimatedHmm(
-            raw_transition=np.array([[0.0]]),
-            raw_emission=np.array([[0.0], [0.0], [0.0]]),
-        )
-        est = postprocess(raw)
+        est = postprocess(np.array([[0.0]]), np.array([[0.0], [0.0], [0.0]]))
         assert est.emission_hat[:, 0] == pytest.approx([1 / 3, 1 / 3, 1 / 3])
         assert est.transition_hat[0, 0] == pytest.approx(1.0)
 
     def test_nonfinite_rejected(self):
-        raw = EstimatedHmm(
-            raw_transition=np.array([[np.nan]]),
-            raw_emission=np.array([[1.0]]),
-        )
         with pytest.raises(NonFinite):
-            postprocess(raw)
+            postprocess(np.array([[np.nan]]), np.array([[1.0]]))
 
 
 @settings(deadline=None, max_examples=40)
@@ -203,12 +218,8 @@ def test_postprocess_idempotent(seed):
     rng = np.random.default_rng(seed)
     H = int(rng.integers(1, 4))
     X = int(rng.integers(H, 5))
-    raw = EstimatedHmm(
-        raw_transition=rng.normal(size=(H, H)),
-        raw_emission=rng.normal(size=(X, H)),
-    )
-    once = postprocess(raw)
-    twice = postprocess(once)
+    once = postprocess(rng.normal(size=(H, H)), rng.normal(size=(X, H)))
+    twice = postprocess(once.transition_hat, once.emission_hat)
     assert np.allclose(once.transition_hat, twice.transition_hat, atol=1e-15)
     assert np.allclose(once.emission_hat, twice.emission_hat, atol=1e-15)
     assert np.all(once.transition_hat >= 0)
@@ -216,13 +227,46 @@ def test_postprocess_idempotent(seed):
     assert np.allclose(once.emission_hat.sum(axis=0), 1.0, atol=1e-12)
 
 
+_RAW_ENTRIES = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def raw_matrices(draw):
+    """Raw ``(M, E)`` with negative entries and some all-zero transition
+    rows and emission columns."""
+    H = draw(st.integers(1, 4))
+    X = draw(st.integers(H, 6))
+    m = draw(arrays(np.float64, (H, H), elements=_RAW_ENTRIES))
+    e = draw(arrays(np.float64, (X, H), elements=_RAW_ENTRIES))
+    m[draw(st.lists(st.integers(0, H - 1), max_size=H))] = 0.0
+    e[:, draw(st.lists(st.integers(0, H - 1), max_size=H))] = 0.0
+    return m, e
+
+
+@settings(deadline=None, max_examples=150)
+@given(raw_matrices(), st.sampled_from([np.nan, np.inf, -np.inf]), st.booleans(),
+       st.integers(min_value=0))
+def test_postprocess_on_raw_matrices(raw, bad, in_emission, where):
+    m, e = raw
+    est = postprocess(m, e)
+    H = m.shape[0]
+    assert np.all(est.transition_hat >= 0) and np.all(est.emission_hat >= 0)
+    assert np.abs(est.transition_hat.sum(axis=1) - 1.0).max() <= 1e-12
+    assert np.abs(est.emission_hat.sum(axis=0) - 1.0).max() <= 1e-12
+    assert est.label_permutation == tuple(range(H))
+    back = EstimatedHmm.from_text(est.to_text())
+    assert np.array_equal(back.transition_hat, est.transition_hat)
+    assert np.array_equal(back.emission_hat, est.emission_hat)
+    assert back.label_permutation == est.label_permutation
+    target = e if in_emission else m
+    target.flat[where % target.size] = bad
+    with pytest.raises(NonFinite):
+        postprocess(m, e)
+
+
 def _estimate_from(transition, emission) -> EstimatedHmm:
-    return EstimatedHmm(
-        raw_transition=np.asarray(transition, dtype=float),
-        raw_emission=np.asarray(emission, dtype=float),
-        transition_hat=np.asarray(transition, dtype=float),
-        emission_hat=np.asarray(emission, dtype=float),
-    )
+    return EstimatedHmm(np.asarray(transition, dtype=float),
+                        np.asarray(emission, dtype=float))
 
 
 class TestAlign:
@@ -288,23 +332,19 @@ class TestAlign:
         moved = relabel(est, (2, 0, 1))
         for h, src in enumerate((2, 0, 1)):
             assert np.array_equal(moved.emission_hat[:, h], e[:, src])
-            assert np.array_equal(moved.raw_emission[:, h], e[:, src])
             for g, dst in enumerate((2, 0, 1)):
                 assert moved.transition_hat[h, g] == m[src, dst]
-                assert moved.raw_transition[h, g] == m[src, dst]
         assert moved.label_permutation == (0, 1, 2)
-        raw_only = relabel(EstimatedHmm(raw_transition=m, raw_emission=e), (1, 2, 0))
-        assert raw_only.transition_hat is None and raw_only.emission_hat is None
 
     def test_label_pinning_across_rotation_seeds(self, reference_params):
         # The first estimate pins the labels: later estimates agree after
         # alignment no matter which internal ordering the rotation produced.
         traj = sample_trajectory(reference_params, 60_000, seed=4)
         ms_early = accumulate_moments(traj.contexts[:20_000], num_contexts=4)
-        first = align(None, postprocess(spectral_estimate(ms_early, 2, seed=0)))
+        first = align(None, spectral_estimate(ms_early, 2, seed=0))
         ms_late = accumulate_moments(traj.contexts, num_contexts=4)
         later = [
-            align(first, postprocess(spectral_estimate(ms_late, 2, seed=s)))
+            align(first, spectral_estimate(ms_late, 2, seed=s))
             for s in (1, 2, 3)
         ]
         # different rotations perturb values at the sampling-noise level but
@@ -373,9 +413,7 @@ def _random_stochastic(rng, H, X):
 
 class TestSerialization:
     def test_round_trip(self, reference_params):
-        est = postprocess(
-            spectral_estimate(population_moment_set(reference_params), 2, seed=0)
-        )
+        est = spectral_estimate(population_moment_set(reference_params), 2, seed=0)
         text = est.to_text()
         back = EstimatedHmm.from_text(text)
         assert np.array_equal(back.transition_hat, est.transition_hat)
