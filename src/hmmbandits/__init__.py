@@ -64,6 +64,6 @@ from .evaluation import (
     run_lemma_trials,
 )
 from .config import ExperimentConfig, load_config, parse_config
-from .runner import estimation_curves, run_experiment, simulate_cell
+from .runner import estimation_curves, run_experiment, simulate_cell, simulate_group
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -61,8 +61,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     config = _load(args)
-    os.makedirs(config.run.out, exist_ok=True)
     rows = estimation_curves(config)
+    os.makedirs(config.run.out, exist_ok=True)
     write_estimation_csv(rows, os.path.join(config.run.out, "estimation_curves.csv"))
     return 0
 

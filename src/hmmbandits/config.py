@@ -280,6 +280,10 @@ def _parse_reward(section, params: HmmParams) -> tuple[RewardSpec, TransferFunct
 def _parse_policy(section) -> PolicySettings:
     read = _reader(section, "policy")
     names = tuple(read("policy", str.split, "boxA"))
+    if not names or len(set(names)) < len(names):
+        # a repeated arm would write its cell twice and count it twice
+        raise ConfigError(f"'policy' in [policy] must list distinct policy names, "
+                          f"got {' '.join(names)!r}")
     for name in names:
         if name not in KNOWN_POLICIES:
             raise ConfigError(

@@ -6,7 +6,7 @@ decision rule ``oracle_act``.
 Rewards are linear in the rows ``b_t (x) phi(a, x_t)``, so both policies are
 LinUCB over them: ``act(t, feats)`` sees round ``t``'s ``(A, H*d)`` block,
 one row per action, and ``update(v, reward)`` the chosen row and its reward.
-The random and oracle baselines read neither, so ``runner.simulate_cell``
+The random and oracle baselines read neither, so ``runner.play_arm``
 builds their actions as array expressions over the environment tape.
 """
 

@@ -1,6 +1,7 @@
-"""Experiment orchestration: one simulation cell per (policy, horizon, seed),
-deterministic seed derivation, atomic artifact writing, and the estimation
-error-curve diagnostic behind the ``estimate`` subcommand.
+"""Experiment orchestration: one environment tape per (horizon, seed) group,
+played by every policy arm of the grid, deterministic seed derivation, atomic
+artifact writing, and the estimation error-curve diagnostic behind the
+``estimate`` subcommand.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ import itertools
 import json
 import os
 import time
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -17,7 +19,7 @@ import numpy as np
 from . import __version__
 from .beliefs import belief_gaps, refit_schedule, scheduled_beliefs
 from .config import ExperimentConfig, config_snapshot
-from .environment import sample_tape
+from .environment import EnvironmentTape, sample_tape
 from .errors import ConfigError, EstimationFailed, HmmBanditsError, ShapeMismatch
 from .policies import (
     BonusConfig,
@@ -105,21 +107,27 @@ def _build_policy(config: ExperimentConfig, name: str, horizon: int):
     raise ConfigError(f"unknown policy '{name}'")
 
 
-def simulate_cell(
-    config: ExperimentConfig, policy_name: str, horizon: int, seed_index: int
+def draw_tape(config: ExperimentConfig, horizon: int, seed_index: int) -> EnvironmentTape:
+    """The environment tape that every arm of the (horizon, seed) group faces."""
+    env_ss = environment_seed_sequence(config.run.master_seed, horizon, seed_index)
+    return sample_tape(config.params, config.reward, config.phi, horizon, seed=env_ss)
+
+
+def play_arm(
+    config: ExperimentConfig, policy_name: str, tape: EnvironmentTape, seed_index: int
 ) -> CellResult:
-    """Run one (policy, horizon, seed) cell and collect its transcript.
+    """Play one arm on ``tape`` (the tape of its (horizon, seed) group) and
+    collect its transcript; ``duration`` counts the arm alone.
 
     The random and oracle arms read neither rewards nor learner beliefs, so
     their actions are array expressions over the tape; only the LinUCB
     learners step round by round, on the rows ``b_t (x) phi(a, x_t)``.
     """
     start = time.perf_counter()
-    env_ss = environment_seed_sequence(config.run.master_seed, horizon, seed_index)
+    horizon = tape.contexts.size
     policy_ss, estimator_ss = learner_seed_sequence(
         config.run.master_seed, policy_name, horizon, seed_index
     ).spawn(2)
-    tape = sample_tape(config.params, config.reward, config.phi, horizon, seed=env_ss)
     refit_failures, final_estimate, beliefs = 0, None, None
     if policy_name == "random":
         actions = np.random.default_rng(policy_ss).integers(
@@ -188,6 +196,27 @@ def simulate_cell(
     )
 
 
+def simulate_group(
+    config: ExperimentConfig, horizon: int, seed_index: int, policies: Sequence[str]
+) -> list[CellResult]:
+    """Draw the (horizon, seed) tape once and play every arm of ``policies``
+    on it, in the order given.  The tape draw is charged to the first arm's
+    ``duration``."""
+    start = time.perf_counter()
+    tape = draw_tape(config, horizon, seed_index)
+    drawn = time.perf_counter() - start
+    results = [play_arm(config, name, tape, seed_index) for name in policies]
+    results[0].duration += drawn
+    return results
+
+
+def simulate_cell(
+    config: ExperimentConfig, policy_name: str, horizon: int, seed_index: int
+) -> CellResult:
+    """Run one (policy, horizon, seed) cell: the one-arm group."""
+    return simulate_group(config, horizon, seed_index, [policy_name])[0]
+
+
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp-{os.getpid()}"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -218,13 +247,17 @@ def _round_csv_text(result: CellResult, emit_oracle: bool, num_states: int) -> s
     return "\n".join(lines) + "\n"
 
 
-def _cell_filename(result: CellResult) -> str:
-    return f"{result.policy}_T{result.horizon}_s{result.seed_index}.csv"
+def _cell_filename(policy: str, horizon: int, seed_index: int) -> str:
+    return f"{policy}_T{horizon}_s{seed_index}.csv"
 
 
 def run_experiment(config: ExperimentConfig, echo=print) -> int:
     """Execute the (policy x horizon x seed) grid and write artifacts.
 
+    Each (horizon, seed) group draws its tape once and plays the policies on
+    it in the configured order; with ``workers > 1`` the groups, not the
+    cells, go to the process pool.  ``summary.csv`` and ``manifest.json``
+    list the cells policy-major whatever the order groups complete in.
     Artifacts are written atomically (temp file + rename); a crash leaves a
     ``FAILED`` marker next to whatever was completed.  Returns the process
     exit code: 0 on success, 3 on numerical failure.
@@ -233,52 +266,59 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
     os.makedirs(out_dir, exist_ok=True)
     from .hmm import validate
 
+    policies = config.policy.policies
     uses_spectral = config.policy.beliefs == "spectral" and any(
-        name in ("boxA", "boxB") for name in config.policy.policies
+        name in ("boxA", "boxB") for name in policies
     )
     if uses_spectral and not validate(config.params).is_stationary_init:
         # the spectral moment equations assume a stationary start; estimates
         # on a non-stationary prefix are biased early, so flag it (no error)
         echo("warning: initial distribution is not stationary for M; "
              "spectral estimates assume a stationary context stream")
-    cells = list(itertools.product(
-        config.policy.policies, config.run.horizons, config.run.seeds
-    ))
+    groups = list(itertools.product(config.run.horizons, config.run.seeds))
     _atomic_write(os.path.join(out_dir, "config_snapshot.ini"), config_snapshot(config))
 
     num_states = config.params.num_states
-    summary_lines = ["policy,T,seed,R_T,lambda,ell,beliefs"]
-    results: list[CellResult] = []
+    # per written cell, by file name; a transcript is dropped once on disk
+    summary_rows: dict[str, str] = {}
+    durations: dict[str, float] = {}
+    refit_failures: dict[str, int] = {}
 
-    def write_cell(result: CellResult) -> None:
+    def write_group(results: list[CellResult]) -> None:
         # single-writer funnel: completed cells land on disk immediately, so
         # an interrupted grid preserves them next to the FAILED marker
-        csv_text = _round_csv_text(result, config.run.emit_oracle_columns, num_states)
-        _atomic_write(os.path.join(out_dir, _cell_filename(result)), csv_text)
-        if result.estimate_text is not None:
-            _atomic_write(
-                os.path.join(out_dir, _cell_filename(result)[:-4] + ".estimate.txt"),
-                result.estimate_text,
+        for result in results:
+            name = _cell_filename(result.policy, result.horizon, result.seed_index)
+            # unnamed, one arm's CSV text is freed before the next arm's is built
+            _atomic_write(os.path.join(out_dir, name),
+                          _round_csv_text(result, config.run.emit_oracle_columns, num_states))
+            if result.estimate_text is not None:
+                _atomic_write(
+                    os.path.join(out_dir, name[:-4] + ".estimate.txt"),
+                    result.estimate_text,
+                )
+            summary_rows[name] = (
+                f"{result.policy},{result.horizon},{result.seed_index},"
+                f"{result.regret_total!r},{result.lam!r},{result.ell},"
+                f"{config.policy.beliefs}"
             )
-        summary_lines.append(
-            f"{result.policy},{result.horizon},{result.seed_index},"
-            f"{result.regret_total!r},{result.lam!r},{result.ell},"
-            f"{config.policy.beliefs}"
-        )
-        results.append(result)
-        echo(
-            f"{result.policy} T={result.horizon} seed={result.seed_index} "
-            f"R_T={result.regret_total:.4f} ({result.duration:.2f}s)"
-        )
+            durations[name] = result.duration
+            refit_failures[name] = result.refit_failures
+            echo(
+                f"{result.policy} T={result.horizon} seed={result.seed_index} "
+                f"R_T={result.regret_total:.4f} ({result.duration:.2f}s)"
+            )
 
+    workers = min(config.run.workers, len(groups))
     try:
-        if config.run.workers > 1:
-            with ProcessPoolExecutor(max_workers=config.run.workers) as pool:
-                for result in pool.map(simulate_cell, itertools.repeat(config), *zip(*cells)):
-                    write_cell(result)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for results in pool.map(simulate_group, itertools.repeat(config),
+                                        *zip(*groups), itertools.repeat(policies)):
+                    write_group(results)
         else:
-            for cell in cells:
-                write_cell(simulate_cell(config, *cell))
+            for horizon, seed_index in groups:
+                write_group(simulate_group(config, horizon, seed_index, policies))
     except HmmBanditsError as exc:
         _atomic_write(
             os.path.join(out_dir, "FAILED"),
@@ -287,16 +327,15 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
         echo(f"FAILED: {type(exc).__name__}: {exc}")
         return 3
 
+    names = [_cell_filename(*cell) for cell in itertools.product(
+        policies, config.run.horizons, config.run.seeds)]
+    summary_lines = ["policy,T,seed,R_T,lambda,ell,beliefs"] + [summary_rows[n] for n in names]
     _atomic_write(os.path.join(out_dir, "summary.csv"), "\n".join(summary_lines) + "\n")
     manifest = {
         "version": __version__,
-        "cells": len(results),
-        "durations": {
-            _cell_filename(r): round(r.duration, 6) for r in results
-        },
-        "refit_failures": {
-            _cell_filename(r): r.refit_failures for r in results if r.refit_failures
-        },
+        "cells": len(names),
+        "durations": {n: round(durations[n], 6) for n in names},
+        "refit_failures": {n: refit_failures[n] for n in names if refit_failures[n]},
     }
     _atomic_write(
         os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=2) + "\n"
@@ -341,6 +380,9 @@ def estimation_curves(config: ExperimentConfig, echo=print) -> list:
     if checkpoints[0] < 3:
         raise ConfigError(f"'horizons' in [run] must be >= 3 for estimate "
                           f"(a moment triple needs 3 contexts), got {checkpoints[0]}")
+    if H > X:
+        raise ConfigError(f"'H' in [hmm] must be <= X for estimate (the spectral "
+                          f"method needs rank-H moments), got H = {H}, X = {X}")
     longest = checkpoints[-1]
     sums = np.zeros((len(checkpoints), 3))
     for seed_index in config.run.seeds:

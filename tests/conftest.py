@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-import hmmbandits.runner as runner
-from hmmbandits import ExperimentConfig, HmmParams, sample_tape
+from hmmbandits import ExperimentConfig, HmmParams
 from hmmbandits.config import PolicySettings, RunSettings
 
 
@@ -72,12 +71,6 @@ def cell_config(params, spec, phi, horizon, policies=("random",), master_seed=5,
         run=RunSettings(horizons=(horizon,), seeds=(0,), master_seed=master_seed,
                         emit_oracle_columns=emit_oracle_columns),
     )
-
-
-def cell_tape(config, horizon):
-    """The tape ``simulate_cell`` draws for seed index 0."""
-    ss = runner.environment_seed_sequence(config.run.master_seed, horizon, 0)
-    return sample_tape(config.params, config.reward, config.phi, horizon, ss)
 
 
 def scripted_policy(choose, log):

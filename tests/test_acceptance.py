@@ -32,6 +32,7 @@ from hmmbandits import (
 )
 from hmmbandits.cli import main as cli_main
 from hmmbandits.config import ExperimentConfig, PolicySettings, RunSettings
+from hmmbandits.runner import draw_tape, play_arm
 
 from conftest import random_hmm
 from oracles import best_permutation_distance, enumerate_posterior, population_moments
@@ -39,6 +40,9 @@ from oracles import best_permutation_distance, enumerate_posterior, population_m
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "reference.ini"
 HORIZONS = (4096, 8192, 16384, 32768, 65536)
 NUM_SEEDS = 10
+# (policy, beliefs) arms of criteria 6 and 7
+GRID_ARMS = (("boxB", "spectral"), ("boxB", "oracle"), ("boxA", "spectral"),
+             ("random", "spectral"))
 _GRID_CACHE: dict = {}
 
 
@@ -47,17 +51,23 @@ def reference_config() -> "ExperimentConfig":
 
 
 def grid_regrets(policy: str, beliefs: str) -> dict:
-    """Final regrets per horizon/seed for one policy arm (cached)."""
-    key = (policy, beliefs)
-    if key not in _GRID_CACHE:
-        config = reference_config()
-        config = replace(config, policy=replace(config.policy, beliefs=beliefs))
-        _GRID_CACHE[key] = {
-            T: [simulate_cell(config, policy, T, s).regret_total
-                for s in range(NUM_SEEDS)]
-            for T in HORIZONS
-        }
-    return _GRID_CACHE[key]
+    """Final regrets per horizon/seed for one arm of ``GRID_ARMS`` (cached).
+
+    The first call plays all four arms on each (T, seed) tape, drawn once:
+    the tape does not read ``beliefs``, so the two belief modes share it.
+    """
+    if not _GRID_CACHE:
+        base = reference_config()
+        configs = {b: replace(base, policy=replace(base.policy, beliefs=b))
+                   for b in ("spectral", "oracle")}
+        regrets = {arm: {T: [] for T in HORIZONS} for arm in GRID_ARMS}
+        for T, s in itertools.product(HORIZONS, range(NUM_SEEDS)):
+            tape = draw_tape(base, T, s)
+            for policy_name, mode in GRID_ARMS:
+                result = play_arm(configs[mode], policy_name, tape, s)
+                regrets[policy_name, mode][T].append(result.regret_total)
+        _GRID_CACHE.update(regrets)
+    return _GRID_CACHE[policy, beliefs]
 
 
 def report(criterion: int, name: str, ok: bool, detail: str = "") -> None:

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -37,6 +38,12 @@ seeds = 2
 master_seed = 11
 out = {out}
 """
+
+
+TWO_STATES = "H = 2\nX = 2\npi = 0.5 0.5\nM = 0.8 0.2 0.3 0.7\nE = 0.7 0.3 0.2 0.8"
+# H > X: no spectral estimate exists
+THREE_STATES = ("H = 3\nX = 2\npi = 0.5 0.25 0.25\nM = 0.8 0.1 0.1 0.1 0.8 0.1 0.1 0.1 0.8\n"
+                "E = 0.7 0.3 0.5 0.5 0.2 0.8")
 
 
 def write_config(tmp_path, text=None, **fmt):
@@ -207,6 +214,11 @@ class TestCli:
          r"'theta_target' in \[reward\] must be in \(0, 1\]"),
         ("theta_seed = 3", "theta_seed = 3\ntheta_target = 1.5", [],
          r"'theta_target' in \[reward\] must be in \(0, 1\]"),
+        ("policy = oracle random", "policy = random random", [],
+         r"'policy' in \[policy\] must list distinct"),
+        ("policy = oracle random", "policy = oracle random boxA oracle", [],
+         r"'policy' in \[policy\] must list distinct"),
+        ("policy = oracle random", "policy =", [], r"'policy' in \[policy\] must list distinct"),
     ])
     def test_out_of_range_value_exit_2(self, tmp_path, capsys, old, new, flags, named):
         text = MINIMAL if old is None else MINIMAL.replace(old, new)
@@ -228,10 +240,7 @@ class TestCli:
         assert check_reward_bounds(cfg.reward, cfg.phi) == pytest.approx(1.0, abs=1e-12)
 
     def test_spectral_learner_with_more_states_than_contexts_exit_2(self, tmp_path, capsys):
-        three_states = MINIMAL.replace(
-            "H = 2\nX = 2\npi = 0.5 0.5\nM = 0.8 0.2 0.3 0.7\nE = 0.7 0.3 0.2 0.8",
-            "H = 3\nX = 2\npi = 0.5 0.25 0.25\nM = 0.8 0.1 0.1 0.1 0.8 0.1 0.1 0.1 0.8\n"
-            "E = 0.7 0.3 0.5 0.5 0.2 0.8")
+        three_states = MINIMAL.replace(TWO_STATES, THREE_STATES)
         text = three_states.replace("policy = oracle random", "policy = random boxB")
         path = write_config(tmp_path, text, out=str(tmp_path / "run"))
         assert cli_main(["simulate", path]) == 2
@@ -290,6 +299,12 @@ class TestCli:
             assert len(names) == 8 + 16 + 1  # estimates, cells, summary
             for name in names:
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+            # the pool runs (T, seed) groups; the manifest stays policy-major
+            policy_major = [f"{p}_T{T}_s{s}.csv" for p in ("boxA", "boxB", "oracle", "random")
+                            for T in (32, 64) for s in (0, 1)]
+            for out in (out1, out2):
+                manifest = json.loads((out / "manifest.json").read_text())
+                assert list(manifest["durations"]) == policy_major
 
     def test_lbl_seed_env_override(self, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "e1", tmp_path / "e2"
@@ -370,7 +385,15 @@ class TestCli:
         assert cli_main(["estimate", str(path)]) == 2
         err = capsys.readouterr().err
         assert re.search(r"configuration error: 'horizons' in \[run\]", err)
-        assert not (out / "estimation_curves.csv").exists()
+        assert not out.exists()
+
+    def test_estimate_more_states_than_contexts_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "est"
+        path = write_config(tmp_path, MINIMAL.replace(TWO_STATES, THREE_STATES), out=str(out))
+        assert cli_main(["estimate", path]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"configuration error: 'H' in \[hmm\] must be <= X", err)
+        assert not out.exists()
 
     def test_console_script_entry_point(self, tmp_path):
         # the child imports the package from this checkout's src/
@@ -389,7 +412,7 @@ class TestAtomicity:
         import hmmbandits.runner as runner
         from hmmbandits.errors import DiagonalizationFailed
 
-        original = runner.simulate_cell
+        original = runner.play_arm
         calls = {"n": 0}
 
         def explode_on_third(*args, **kwargs):
@@ -398,13 +421,14 @@ class TestAtomicity:
                 raise DiagonalizationFailed("injected failure")
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(runner, "simulate_cell", explode_on_third)
+        monkeypatch.setattr(runner, "play_arm", explode_on_third)
         out = tmp_path / "boom"
         path = write_config(tmp_path, out=str(out))
         assert cli_main(["simulate", path]) == 3
         assert (out / "FAILED").exists()
         assert "DiagonalizationFailed" in (out / "FAILED").read_text()
-        # the two completed cells were preserved, each fully written
+        # the third arm is the first of the second (T, seed) group: the two
+        # cells of the completed group were preserved, each fully written
         csvs = sorted(p for p in out.iterdir() if p.suffix == ".csv"
                       and p.name != "summary.csv")
         assert len(csvs) == 2

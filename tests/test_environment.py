@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,10 +17,12 @@ from hmmbandits import (
     sample_tape,
     sample_theta,
     simulate_cell,
+    simulate_group,
 )
 from hmmbandits.errors import ModelMismatch, ShapeMismatch
+from hmmbandits.runner import CellResult, draw_tape
 
-from conftest import cell_config, cell_tape, random_hmm, scripted_policy
+from conftest import cell_config, random_hmm, scripted_policy
 from oracles import reference_environment_path
 
 
@@ -214,7 +218,7 @@ class TestEnvironmentProtocol:
         # same seed => identical latent/context/noise path no matter the actions
         config = cell_config(reference_params, spec3, phi3, 40,
                              policies=("random", "oracle"), emit_oracle_columns=True)
-        tape = cell_tape(config, 40)
+        tape = draw_tape(config, 40, 0)
         random_arm = simulate_cell(config, "random", 40, 0)
         oracle_arm = simulate_cell(config, "oracle", 40, 0)
         assert np.array_equal(random_arm.contexts, oracle_arm.contexts)
@@ -251,7 +255,7 @@ class TestInformationBarrier:
         config = cell_config(reference_params, spec3, phi3, 15, policies=("boxB",),
                              beliefs="oracle")
         simulate_cell(config, "boxB", 15, 0)
-        tape = cell_tape(config, 15)
+        tape = draw_tape(config, 15, 0)
         acts = [e for e in seen if e[0] == "act"]
         assert len(acts) == 15
         for i, (_, t, feats) in enumerate(acts):
@@ -280,7 +284,7 @@ def test_reward_vector_only_chosen_entry_revealed(seed):
         simulate_cell(config, "boxB", 4, 0)
     finally:
         runner._build_policy = original
-    tape = cell_tape(config, 4)
+    tape = draw_tape(config, 4, 0)
     blocks = [e[2] for e in log if e[0] == "act"]
     updates = [e for e in log if e[0] == "update"]
     assert [(t, a) for _, t, a, _, _ in updates] == [(t, t % 2) for t in range(1, 5)]
@@ -326,3 +330,42 @@ def test_tape_matches_scalar_reference(seed, H, X, A, T, model, noise_kind, leve
                     mean_reward(belief_spec, phi, a, x, b), rel=1e-12, abs=1e-15)
                 assert tape.rewards[t, a] == pytest.approx(
                     mean_reward(spec, phi, a, x, target), rel=1e-12, abs=1e-15)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=0, max_value=3),
+    st.lists(st.sampled_from(["boxA", "boxB", "oracle", "random"]),
+             min_size=1, max_size=4, unique=True),
+    st.sampled_from(["spectral", "oracle"]),
+    st.booleans(),
+)
+def test_group_play_equals_independent_cells(seed, H, extra_contexts, A, T, seed_index,
+                                             policies, beliefs, emit_oracle):
+    """Arms played in turn on one shared tape, in any order, give the cells
+    that each draw their own tape: no arm sees what another did."""
+    rng = np.random.default_rng(seed)
+    params = random_hmm(rng, H, H + extra_contexts, min_entry=0.02)
+    phi = TransferFunction.from_table(rng.normal(size=(A, params.num_contexts, 2)),
+                                      rescale=True)
+    theta, c_theta = sample_theta(phi, H, rng)
+    spec = RewardSpec(theta_star=theta, c_theta=c_theta, noise=NoiseModel.gaussian(0.1))
+    config = cell_config(params, spec, phi, T, policies=tuple(policies), master_seed=seed,
+                         emit_oracle_columns=emit_oracle, beliefs=beliefs)
+    group = simulate_group(config, T, seed_index, policies)
+    assert [r.policy for r in group] == policies
+    for got in group:
+        want = simulate_cell(config, got.policy, T, seed_index)
+        for field in dataclasses.fields(CellResult):
+            if field.name == "duration":
+                continue
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, np.ndarray):
+                assert isinstance(a, np.ndarray) and np.array_equal(a, b), field.name
+            else:
+                assert a == b, field.name

@@ -21,8 +21,9 @@ from hmmbandits import (
     simulate_cell,
 )
 from hmmbandits.errors import ConfigError, InsufficientData, ShapeMismatch, SingularA
+from hmmbandits.runner import draw_tape
 
-from conftest import cell_config, cell_tape, random_hmm, scripted_policy
+from conftest import cell_config, random_hmm, scripted_policy
 from oracles import reference_baseline_cell
 
 
@@ -40,7 +41,7 @@ def toy_world():
 def run_cell(params, spec, phi, horizon, policy, beliefs="spectral"):
     """``simulate_cell`` of one arm at seed index 0, and its tape."""
     config = cell_config(params, spec, phi, horizon, policies=(policy,), beliefs=beliefs)
-    return simulate_cell(config, policy, horizon, 0), cell_tape(config, horizon)
+    return simulate_cell(config, policy, horizon, 0), draw_tape(config, horizon, 0)
 
 
 class TestRegretLedger:
