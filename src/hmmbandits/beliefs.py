@@ -2,8 +2,8 @@
 belief-error budget function, the belief subroutine (periodic spectral
 re-estimation of the context prefix with label alignment, then filtering
 under the scheduled estimates through :func:`hmmbandits.hmm.forward_pass`
-and :func:`hmmbandits.hmm.forward_step`), and side-by-side belief-error
-traces against the true filter.
+and :func:`hmmbandits.hmm.forward_step`), and the per-round belief gaps
+against the true filter.
 
 The estimated beliefs depend on the contexts, the refit period and the
 estimator seed only, never on actions or rewards, so a run computes them
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationFailed, ShapeMismatch
-from .hmm import HmmParams, filter_trace, forward_pass, forward_step
+from .hmm import forward_pass, forward_step
 from .spectral import EstimatedHmm, accumulate_moments, align, spectral_estimate
 
 
@@ -130,23 +130,3 @@ def belief_gaps(truth: np.ndarray, estimates_schedule, contexts) -> np.ndarray:
     and the filter running on scheduled estimates."""
     estimated = scheduled_beliefs(estimates_schedule, contexts, truth.shape[1])
     return np.abs(truth - estimated).sum(axis=1)
-
-
-def dump_belief_trace(
-    path: str,
-    true_params: HmmParams,
-    estimates_schedule,
-    contexts,
-) -> None:
-    """Write the side-by-side filter comparison as CSV
-    (``round, b1..bH, b1_hat..bH_hat, l1_gap``)."""
-    truth = filter_trace(true_params, contexts)
-    H = true_params.num_states
-    estimated = scheduled_beliefs(estimates_schedule, contexts, H)
-    gaps = np.abs(truth - estimated).sum(axis=1)
-    names = [f"b{h + 1}" for h in range(H)]
-    lines = [",".join(["round"] + names + [f"{n}_hat" for n in names] + ["l1_gap"])]
-    for t, row in enumerate(np.column_stack([truth, estimated, gaps]), start=1):
-        lines.append(",".join([str(t)] + [repr(float(v)) for v in row]))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

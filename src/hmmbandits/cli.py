@@ -71,6 +71,9 @@ def _cmd_check_lemmas(args) -> int:
     if args.trials < 1:
         print(f"check-lemmas: --trials must be >= 1, got {args.trials}", file=sys.stderr)
         return 1
+    if args.seed is not None and args.seed < 0:
+        print(f"check-lemmas: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return 1
     results = run_lemma_trials(args.trials, seed=args.seed or 0)
     trials = results.pop("trials")
     all_pass = True

@@ -44,7 +44,7 @@ num_actions = <int >= 1>
 d = <int>                 table transfer only
 phi = <A*X*d decimals>    table transfer only (action-major, then context)
 theta = <H*d decimals>    optional; row per state
-theta_seed = <int>        generation recipe when theta absent
+theta_seed = <int >= 0>   generation recipe when theta absent
 theta_target = <decimal in (0,1]>  max |phi . theta| after joint rescale (default 0.9)
 noise = gaussian | bounded_uniform
 v_eta = <decimal >= 0>    gaussian std (c_eta = v_eta^2)
@@ -66,7 +66,7 @@ refit_every = auto | <int >= 1>  auto: ell for boxA, max(3, ceil(sqrt(T))) for b
 [run]
 horizons = <distinct ints >= 1>
 seeds = <count n >= 1 for indices 0..n-1, or a list of distinct indices >= 0>
-master_seed = <int>       overridden by LBL_SEED env var, then --seed
+master_seed = <int >= 0>  overridden by LBL_SEED env var, then --seed
 out = <directory>
 emit_oracle_columns = true | false
 plugin_gamma = true | false
@@ -245,9 +245,7 @@ def _parse_reward(section, params: HmmParams) -> tuple[RewardSpec, TransferFunct
         d, flat = read("d", int), read("phi", _floats)
         if flat.size != A * params.num_contexts * d:
             raise ConfigError("phi table has the wrong number of entries")
-        phi = TransferFunction.from_table(
-            flat.reshape(A, params.num_contexts, d), rescale=True
-        )
+        phi = TransferFunction.from_table(flat.reshape(A, params.num_contexts, d))
     else:
         raise ConfigError(f"unknown transfer kind '{transfer}'")
 
@@ -266,7 +264,7 @@ def _parse_reward(section, params: HmmParams) -> tuple[RewardSpec, TransferFunct
         theta = theta.reshape(params.num_states, phi.dim)
         c_theta = float(np.linalg.norm(theta, axis=1).max())
     else:
-        rng = np.random.default_rng(read("theta_seed", int, "0"))
+        rng = np.random.default_rng(read("theta_seed", int, "0", _NONNEGATIVE))
         target = read("theta_target", float, "0.9", _HALF_OPEN_UNIT_INTERVAL)
         theta, c_theta = sample_theta(phi, params.num_states, rng, target=target)
     spec = RewardSpec(theta_star=theta, c_theta=c_theta, noise=noise, model=model)
@@ -324,7 +322,7 @@ def _parse_run(section) -> RunSettings:
     return RunSettings(
         horizons=horizons,
         seeds=seeds,
-        master_seed=read("master_seed", int, "0"),
+        master_seed=read("master_seed", int, "0", _NONNEGATIVE),
         out=section.get("out", "results"),
         emit_oracle_columns=read("emit_oracle_columns", _bool, "false"),
         plugin_gamma=read("plugin_gamma", _bool, "false"),
@@ -349,7 +347,7 @@ def _check_learner_inputs(params: HmmParams, policy: PolicySettings) -> None:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -397,6 +395,8 @@ def apply_overrides(
             raise ConfigError(f"--workers must be >= 1, got {workers}")
         run = replace(run, workers=workers)
     if master_seed is not None:
+        if master_seed < 0:
+            raise ConfigError(f"--seed and LBL_SEED must be >= 0, got {master_seed}")
         run = replace(run, master_seed=master_seed)
     if emit_oracle_columns:
         run = replace(run, emit_oracle_columns=True)
@@ -415,7 +415,7 @@ def config_snapshot(config: ExperimentConfig) -> str:
     Hyperparameters set to ``auto`` are written as ``auto``: they resolve
     per policy and horizon when a cell runs.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     p = config.params
     parser["hmm"] = {
         "H": str(p.num_states),

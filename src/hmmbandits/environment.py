@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelMismatch, ShapeMismatch
+from .errors import ShapeMismatch
 from .hmm import HmmParams, filter_trace, sample_chain
 
 STATE_DEPENDENT = "state_dependent"
@@ -57,9 +57,6 @@ class TransferFunction:
     def dim(self) -> int:
         return self.table.shape[2]
 
-    def phi(self, action: int, context: int) -> np.ndarray:
-        return self.table[action, context]
-
     @staticmethod
     def one_hot_action(num_actions: int, num_contexts: int) -> "TransferFunction":
         """``phi(a, x) = e_a`` in ``R^A`` (context enters only through beliefs)."""
@@ -79,10 +76,11 @@ class TransferFunction:
         return TransferFunction(kind="action_context_outer", table=table)
 
     @staticmethod
-    def from_table(table: np.ndarray, rescale: bool = True) -> "TransferFunction":
+    def from_table(table: np.ndarray) -> "TransferFunction":
+        """A free-form table, jointly rescaled into the unit ball if needed."""
         table = np.asarray(table, dtype=float)
         max_norm = float(np.linalg.norm(table, axis=2).max())
-        if max_norm > 1.0 and rescale:
+        if max_norm > 1.0:
             table = table / max_norm
         return TransferFunction(kind="table", table=table)
 
@@ -172,26 +170,6 @@ def sample_theta(
     theta = theta * (target / worst)
     c_theta = float(np.linalg.norm(theta, axis=1).max())
     return theta, c_theta
-
-
-def mean_reward(
-    spec: RewardSpec, phi: TransferFunction, action: int, context: int, h_or_belief
-) -> float:
-    """Mean reward of the configured model.
-
-    ``state_dependent`` expects a state index and returns
-    ``phi(a, x)^T theta_h``; ``belief_dependent`` expects a belief vector and
-    returns ``phi(a, x)^T sum_h b(h) theta_h``.
-    """
-    vec = phi.phi(action, context)
-    if spec.model == STATE_DEPENDENT:
-        if not np.isscalar(h_or_belief) and not isinstance(h_or_belief, (int, np.integer)):
-            raise ModelMismatch("state_dependent model expects a state index")
-        return float(vec @ spec.theta_star[int(h_or_belief)])
-    belief = np.asarray(h_or_belief, dtype=float)
-    if belief.ndim != 1 or belief.shape[0] != spec.num_states:
-        raise ModelMismatch("belief_dependent model expects a length-H belief vector")
-    return float(vec @ (spec.theta_star.T @ belief))
 
 
 @dataclass(frozen=True)

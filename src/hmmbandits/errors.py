@@ -50,10 +50,6 @@ class StageNotFrozen(HmmBanditsError):
     """The ridge estimate was updated inside the current stage."""
 
 
-class ModelMismatch(HmmBanditsError):
-    """Reward-model kind does not match the supplied state/belief argument."""
-
-
 class SingularA(HmmBanditsError):
     """Matrix argument of the determinant identity is singular."""
 

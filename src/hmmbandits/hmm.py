@@ -89,15 +89,6 @@ class Trajectory:
             raise ShapeMismatch("hidden/context lengths must equal horizon")
 
 
-def stationary_distribution(transition: np.ndarray) -> np.ndarray:
-    """Stationary distribution of a row-stochastic matrix (left eigenvector)."""
-    vals, vecs = np.linalg.eig(transition.T)
-    idx = int(np.argmin(np.abs(vals - 1.0)))
-    pi = np.real(vecs[:, idx])
-    pi = np.abs(pi)
-    return pi / pi.sum()
-
-
 def validate(params: HmmParams) -> HmmDiagnostics:
     """Compute regularity diagnostics for the spectral estimator.
 

@@ -1,7 +1,6 @@
 """Decision strategies: staged LinUCB on estimated beliefs and its per-round
 (non-staged) variant, plus the belief-budget schedule and the two
-action-vectorized confidence-bonus kernels they score with, and the oracle
-decision rule ``oracle_act``.
+action-vectorized confidence-bonus kernels they score with.
 
 Rewards are linear in the rows ``b_t (x) phi(a, x_t)``, so both policies are
 LinUCB over them: ``act(t, feats)`` sees round ``t``'s ``(A, H*d)`` block,
@@ -21,7 +20,6 @@ import numpy as np
 
 from .beliefs import BeliefErrorBudget, u_belief
 from .errors import ShapeMismatch, StageNotFrozen
-from .environment import TransferFunction
 
 RESOLVE_EVERY = 1000  # BoxBPolicy re-solves its ridge directly this often
 
@@ -269,9 +267,3 @@ class BoxBPolicy:
             self._theta = np.linalg.solve(self._gram, self._moment)
         else:
             self._theta = self._gram_inv @ self._moment
-
-
-def oracle_act(phi: TransferFunction, theta_star: np.ndarray, context: int, true_belief: np.ndarray) -> int:
-    """Functional form of the oracle decision rule (smallest-index tie-break)."""
-    scores = phi.table[:, context] @ (np.asarray(theta_star).T @ np.asarray(true_belief))
-    return int(np.argmax(scores))

@@ -8,7 +8,7 @@ Pipeline: ``accumulate_moments -> spectral_estimate -> align``;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,18 +67,6 @@ def accumulate_moments(contexts, num_contexts: int) -> MomentSet:
 
 
 @dataclass(frozen=True)
-class SpectralWorkspace:
-    """Intermediate factors of one spectral estimation (kept for diagnostics)."""
-
-    u1: np.ndarray              # (X, H) right singular basis of p31
-    u2: np.ndarray              # (X, H) right singular basis of p32
-    u3: np.ndarray              # (X, H) left singular basis of p31
-    gamma_rotation: np.ndarray  # (H, H) invertible contraction-direction matrix
-    r_matrix: np.ndarray        # (H, H) shared eigenvector basis, unit-norm columns
-    l_matrix: np.ndarray        # (H, H) eigenvalue table
-
-
-@dataclass(frozen=True)
 class EstimatedHmm:
     """Stochastic estimate of ``(M, E)``: rows of ``transition_hat`` and
     columns of ``emission_hat`` are distributions.  ``label_permutation``
@@ -89,7 +77,6 @@ class EstimatedHmm:
     transition_hat: np.ndarray             # (H, H)
     emission_hat: np.ndarray               # (X, H)
     label_permutation: tuple[int, ...] = ()
-    workspace: SpectralWorkspace | None = field(default=None, repr=False)
 
     @property
     def num_states(self) -> int:
@@ -209,11 +196,7 @@ def spectral_estimate(moments: MomentSet, H: int, seed: int) -> EstimatedHmm:
     raw_m = np.linalg.solve(proj, r_mat).T
     row_signs = np.where(raw_m.sum(axis=1) < 0, -1.0, 1.0)
     raw_m = raw_m * row_signs[:, None]
-
-    workspace = SpectralWorkspace(
-        u1=u1, u2=u2, u3=u3, gamma_rotation=gamma, r_matrix=r_mat, l_matrix=l_mat
-    )
-    return replace(postprocess(raw_m, obs_factor), workspace=workspace)
+    return postprocess(raw_m, obs_factor)
 
 
 def _clip_normalize(vectors: np.ndarray) -> np.ndarray:

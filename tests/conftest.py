@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hmmbandits import ExperimentConfig, HmmParams
-from hmmbandits.config import PolicySettings, RunSettings
+from hmmbandits.config import ExperimentConfig, PolicySettings, RunSettings
+from hmmbandits.hmm import HmmParams
 
 
 @pytest.fixture

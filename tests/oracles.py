@@ -8,8 +8,7 @@ which check the scheduling of the belief subroutine bit for bit and so call
 the package's estimator and filter kernels, writing only the round-by-round
 control flow themselves; :func:`stepwise_filter`, the one-step-at-a-time
 loop over ``forward_step`` that the batched ``forward_pass`` is checked
-against; and :func:`reference_baseline_cell`, which picks the oracle's
-actions with the package's decision rule ``oracle_act``.
+against.
 """
 
 from __future__ import annotations
@@ -59,6 +58,14 @@ def conditional_terminal_distribution(params, start_state, contexts) -> np.ndarr
     if total <= 0:
         return None
     return weights / total
+
+
+def stationary_distribution(transition: np.ndarray) -> np.ndarray:
+    """Stationary distribution of a row-stochastic matrix (left eigenvector)."""
+    vals, vecs = np.linalg.eig(transition.T)
+    idx = int(np.argmin(np.abs(vals - 1.0)))
+    pi = np.abs(np.real(vecs[:, idx]))
+    return pi / pi.sum()
 
 
 def count_moments(contexts, num_contexts: int):
@@ -420,6 +427,23 @@ def reference_environment_path(params, spec, phi_table: np.ndarray, horizon: int
             np.array(rewards), np.array(scores))
 
 
+def mean_reward(spec, phi, action: int, context: int, h_or_belief) -> float:
+    """Mean reward of ``spec``'s model: ``phi(a, x)^T theta_h`` for a state
+    index under ``state_dependent``, ``phi(a, x)^T sum_h b(h) theta_h`` for a
+    belief vector under ``belief_dependent``."""
+    vec = phi.table[action, context]
+    if spec.model == "state_dependent":
+        return float(vec @ spec.theta_star[int(h_or_belief)])
+    return float(vec @ (spec.theta_star.T @ np.asarray(h_or_belief, dtype=float)))
+
+
+def oracle_act(phi, theta_star: np.ndarray, context: int, true_belief: np.ndarray) -> int:
+    """The oracle decision rule: the action whose mean under the true belief
+    is largest (smallest index on ties)."""
+    scores = phi.table[:, context] @ (np.asarray(theta_star).T @ np.asarray(true_belief))
+    return int(np.argmax(scores))
+
+
 def reference_baseline_cell(params, spec, phi, horizon: int, env_seed, policy_seed,
                             policy: str):
     """One random or oracle cell, round by round.
@@ -432,8 +456,6 @@ def reference_baseline_cell(params, spec, phi, horizon: int, env_seed, policy_se
     Returns ``(hidden, contexts, beliefs, actions, rewards, increments)`` as
     arrays and the total.
     """
-    from hmmbandits.policies import oracle_act
-
     hidden, contexts, beliefs, rewards, scores = reference_environment_path(
         params, spec, phi.table, horizon, env_seed)
     rng = np.random.default_rng(policy_seed)

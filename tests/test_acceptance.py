@@ -15,24 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from hmmbandits import (
-    HmmParams,
-    NoiseModel,
-    RewardSpec,
-    TransferFunction,
-    fit_rate,
-    load_config,
-    run_lemma_trials,
-    sample_theta,
-    sample_trajectory,
-    simulate_cell,
-    spectral_estimate,
-    accumulate_moments,
-    filter_trace,
-)
 from hmmbandits.cli import main as cli_main
-from hmmbandits.config import ExperimentConfig, PolicySettings, RunSettings
-from hmmbandits.runner import draw_tape, play_arm
+from hmmbandits.config import ExperimentConfig, PolicySettings, RunSettings, load_config
+from hmmbandits.environment import NoiseModel, RewardSpec, TransferFunction, sample_theta
+from hmmbandits.evaluation import fit_rate, run_lemma_trials
+from hmmbandits.hmm import HmmParams, filter_trace, sample_trajectory
+from hmmbandits.runner import draw_tape, play_arm, simulate_cell
+from hmmbandits.spectral import accumulate_moments, spectral_estimate
 
 from conftest import random_hmm
 from oracles import best_permutation_distance, enumerate_posterior, population_moments
@@ -103,14 +92,14 @@ def test_criterion_2_population_moment_recovery():
     worst = 0.0
     while produced < 20:
         params = random_hmm(rng, 2, 4, min_entry=0.1, stationary=True)
-        from hmmbandits import validate
+        from hmmbandits.hmm import validate
 
         diag = validate(params)
         if diag.eps_M < 0.1 or diag.sigma_min_E < 0.1:
             continue
         produced += 1
         p31, p32, p312 = population_moments(params)
-        from hmmbandits import MomentSet
+        from hmmbandits.spectral import MomentSet
 
         moments = MomentSet(p31=p31, p32=p32, p312=p312, sample_count=10**9)
         est = spectral_estimate(moments, H=2, seed=produced)

@@ -3,19 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmmbandits import (
+from hmmbandits.beliefs import (
     BeliefErrorBudget,
-    EstimatedHmm,
-    filter_trace,
-    postprocess,
+    belief_gaps,
     refit_schedule,
-    sample_trajectory,
     scheduled_beliefs,
     u_belief,
 )
-from hmmbandits.beliefs import belief_gaps
 from hmmbandits.errors import ShapeMismatch
-from hmmbandits.hmm import forward_pass, forward_step
+from hmmbandits.hmm import filter_trace, forward_pass, forward_step, sample_trajectory
+from hmmbandits.spectral import EstimatedHmm, postprocess
 
 from conftest import random_hmm, sparse_estimate
 from oracles import (
@@ -153,21 +150,6 @@ class TestBeliefErrorTrace:
             prefix = traj.contexts[:t]
             want = belief_gaps(filter_trace(reference_params, prefix), [(1, est)], prefix)
             assert np.array_equal(belief_gaps(truth[:t], [(1, est)], prefix), want)
-
-    def test_dump_csv_schema(self, reference_params, tmp_path):
-        from hmmbandits import dump_belief_trace
-
-        traj = sample_trajectory(reference_params, 40, seed=4)
-        est = oracle_estimate(reference_params)
-        path = tmp_path / "trace.csv"
-        dump_belief_trace(str(path), reference_params, [(1, est)], traj.contexts)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "round,b1,b2,b1_hat,b2_hat,l1_gap"
-        assert len(lines) == 41
-        first = lines[1].split(",")
-        assert first[0] == "1"
-        assert float(first[1]) + float(first[2]) == pytest.approx(1.0)
-        assert float(first[-1]) == pytest.approx(0.0, abs=1e-12)
 
 
 def online_beliefs(contexts, H, X, refit_every, seed):

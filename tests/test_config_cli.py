@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hmmbandits import check_reward_bounds, parse_config, simulate_cell
 from hmmbandits.cli import main as cli_main
-from hmmbandits.config import apply_overrides, config_snapshot
+from hmmbandits.config import apply_overrides, config_snapshot, parse_config
+from hmmbandits.environment import check_reward_bounds
 from hmmbandits.errors import ConfigError
+from hmmbandits.runner import simulate_cell
 
 MINIMAL = """
 [hmm]
@@ -219,8 +220,17 @@ class TestCli:
         ("policy = oracle random", "policy = oracle random boxA oracle", [],
          r"'policy' in \[policy\] must list distinct"),
         ("policy = oracle random", "policy =", [], r"'policy' in \[policy\] must list distinct"),
+        ("master_seed = 11", "master_seed = -5", [], r"'master_seed' in \[run\] must be >= 0"),
+        ("theta_seed = 3", "theta_seed = -2", [], r"'theta_seed' in \[reward\] must be >= 0"),
+        (None, None, ["--seed", "-1"], "--seed and LBL_SEED must be >= 0"),
+        (None, None, {"LBL_SEED": "-1"}, "--seed and LBL_SEED must be >= 0"),
     ])
-    def test_out_of_range_value_exit_2(self, tmp_path, capsys, old, new, flags, named):
+    def test_out_of_range_value_exit_2(self, tmp_path, monkeypatch, capsys, old, new, flags,
+                                       named):
+        if isinstance(flags, dict):  # environment variables in place of flags
+            for key, value in flags.items():
+                monkeypatch.setenv(key, value)
+            flags = []
         text = MINIMAL if old is None else MINIMAL.replace(old, new)
         path = write_config(tmp_path, text, out=str(tmp_path / "run"))
         assert cli_main(["simulate", path, *flags]) == 2
@@ -316,6 +326,16 @@ class TestCli:
         for name in sorted(p.name for p in out1.iterdir() if p.suffix == ".csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_percent_sign_in_out_is_kept(self, tmp_path, monkeypatch):
+        # values are read and written verbatim: no configparser interpolation
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, out="res%1")
+        assert cli_main(["simulate", path]) == 0
+        assert cli_main(["simulate", path, "--out", "res%%2"]) == 0
+        for out in ("res%1", "res%%2"):  # the snapshot is config_snapshot(cfg)
+            snapshot = (tmp_path / out / "config_snapshot.ini").read_text()
+            assert parse_config(snapshot).run.out == out
+
     def test_config_flag_form(self, tmp_path):
         out = tmp_path / "flagform"
         path = write_config(tmp_path, out=str(out))
@@ -342,6 +362,12 @@ class TestCli:
         assert cli_main(["check-lemmas", "--trials", trials]) == 1
         captured = capsys.readouterr()
         assert "--trials" in captured.err
+        assert captured.out == ""
+
+    def test_check_lemmas_negative_seed_is_usage_error(self, capsys):
+        assert cli_main(["check-lemmas", "--trials", "5", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert "--seed" in captured.err
         assert captured.out == ""
 
     def test_fit_rate_on_synthetic_sqrt_data(self, tmp_path, capsys):
@@ -464,7 +490,7 @@ class TestAtomicity:
         assert float(row[8]) + float(row[9]) == pytest.approx(1.0)  # the learner's belief
         # the learner-side estimate is serialized as a flat decimal block
         est_text = (out / "boxB_T40_s0.estimate.txt").read_text()
-        from hmmbandits import EstimatedHmm
+        from hmmbandits.spectral import EstimatedHmm
 
         est = EstimatedHmm.from_text(est_text)
         assert est.transition_hat.shape == (2, 2)
@@ -526,7 +552,7 @@ class TestTranscriptReplay:
     def test_actions_are_functions_of_observables(self, tmp_path):
         """Replaying recorded contexts and rewards through fresh learner
         components reproduces the action sequence exactly."""
-        from hmmbandits import refit_schedule, scheduled_beliefs
+        from hmmbandits.beliefs import refit_schedule, scheduled_beliefs
         from hmmbandits.runner import learner_seed_sequence, _build_policy
 
         cfg = parse_config(MINIMAL.format(out=str(tmp_path)))

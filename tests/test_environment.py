@@ -6,24 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmmbandits.runner as runner
-from hmmbandits import (
-    HmmParams,
+from hmmbandits.environment import (
     NoiseModel,
     RewardSpec,
     TransferFunction,
     check_reward_bounds,
-    filter_trace,
-    mean_reward,
     sample_tape,
     sample_theta,
-    simulate_cell,
-    simulate_group,
 )
-from hmmbandits.errors import ModelMismatch, ShapeMismatch
-from hmmbandits.runner import CellResult, draw_tape
+from hmmbandits.errors import ShapeMismatch
+from hmmbandits.hmm import HmmParams, filter_trace
+from hmmbandits.runner import CellResult, draw_tape, simulate_cell, simulate_group
 
 from conftest import cell_config, random_hmm, scripted_policy
-from oracles import reference_environment_path
+from oracles import mean_reward, reference_environment_path
 
 
 @pytest.fixture
@@ -45,23 +41,23 @@ class TestTransferFunction:
         assert phi.dim == 3
         norms = np.linalg.norm(phi.table, axis=2)
         assert np.allclose(norms, 1.0)
-        assert np.array_equal(phi.phi(1, 2), [0.0, 1.0, 0.0])
+        assert np.array_equal(phi.table[1, 2], [0.0, 1.0, 0.0])
 
     def test_action_context_outer_is_unit_norm(self):
         phi = TransferFunction.action_context_outer(2, 3)
         assert phi.dim == 6
         assert np.allclose(np.linalg.norm(phi.table, axis=2), 1.0)
-        assert phi.phi(1, 2)[1 * 3 + 2] == 1.0
+        assert phi.table[1, 2, 1 * 3 + 2] == 1.0
 
     def test_table_rescaled_to_unit_ball(self):
         rng = np.random.default_rng(0)
         table = 3.0 * rng.normal(size=(2, 3, 4))
-        phi = TransferFunction.from_table(table, rescale=True)
+        phi = TransferFunction.from_table(table)
         assert np.linalg.norm(phi.table, axis=2).max() <= 1.0 + 1e-12
 
     def test_oversized_table_rejected_without_rescale(self):
         with pytest.raises(ShapeMismatch):
-            TransferFunction.from_table(np.full((1, 1, 2), 5.0), rescale=False)
+            TransferFunction(kind="table", table=np.full((1, 1, 2), 5.0))
 
 
 class TestNoiseModel:
@@ -108,19 +104,11 @@ class TestMeanReward:
     def test_concrete_dot_product(self):
         # d=2 table instance checked by hand: phi=(0.6,0.8)/sqrt(2), theta=(0.5,0.25)
         table = np.array([[[0.6, 0.8]]]) / np.sqrt(2.0)
-        phi = TransferFunction.from_table(table, rescale=False)
+        phi = TransferFunction.from_table(table)
         spec = RewardSpec(theta_star=np.array([[0.5, 0.25]]), c_theta=1.0,
                           noise=NoiseModel.gaussian(0.0))
         want = (0.6 * 0.5 + 0.8 * 0.25) / np.sqrt(2.0)
         assert mean_reward(spec, phi, 0, 0, 0) == pytest.approx(want, abs=1e-15)
-
-    def test_model_mismatch(self, spec3, phi3):
-        with pytest.raises(ModelMismatch):
-            mean_reward(spec3, phi3, 0, 0, np.array([0.5, 0.5]))
-        belief_spec = RewardSpec(theta_star=spec3.theta_star, c_theta=spec3.c_theta,
-                                 noise=spec3.noise, model="belief_dependent")
-        with pytest.raises(ModelMismatch):
-            mean_reward(belief_spec, phi3, 0, 0, 1)
 
     def test_belief_average_identity(self, spec3, phi3):
         # averaging state-dependent means over h ~ b equals the belief model
@@ -351,8 +339,7 @@ def test_group_play_equals_independent_cells(seed, H, extra_contexts, A, T, seed
     that each draw their own tape: no arm sees what another did."""
     rng = np.random.default_rng(seed)
     params = random_hmm(rng, H, H + extra_contexts, min_entry=0.02)
-    phi = TransferFunction.from_table(rng.normal(size=(A, params.num_contexts, 2)),
-                                      rescale=True)
+    phi = TransferFunction.from_table(rng.normal(size=(A, params.num_contexts, 2)))
     theta, c_theta = sample_theta(phi, H, rng)
     spec = RewardSpec(theta_star=theta, c_theta=c_theta, noise=NoiseModel.gaussian(0.1))
     config = cell_config(params, spec, phi, T, policies=tuple(policies), master_seed=seed,

@@ -6,22 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmmbandits.runner as runner
-from hmmbandits import (
-    HmmParams,
-    NoiseModel,
-    RewardSpec,
-    TransferFunction,
+from hmmbandits.environment import NoiseModel, RewardSpec, TransferFunction, sample_theta
+from hmmbandits.errors import ConfigError, InsufficientData, ShapeMismatch, SingularA
+from hmmbandits.evaluation import (
     check_determinant_trace,
     check_elliptic_potential,
     check_matrix_determinant_lemma,
     check_staged_elliptic_potential,
     fit_rate,
     run_lemma_trials,
-    sample_theta,
-    simulate_cell,
 )
-from hmmbandits.errors import ConfigError, InsufficientData, ShapeMismatch, SingularA
-from hmmbandits.runner import draw_tape
+from hmmbandits.hmm import HmmParams
+from hmmbandits.runner import draw_tape, simulate_cell
 
 from conftest import cell_config, random_hmm, scripted_policy
 from oracles import reference_baseline_cell
@@ -68,9 +64,7 @@ class TestRegretLedger:
     def test_three_round_hand_enumeration(self, monkeypatch):
         # A=2, X=1, H=1: the benchmark is simply the larger mean each round
         params = HmmParams(1, 1, np.array([1.0]), np.array([[1.0]]), np.array([[1.0]]))
-        phi = TransferFunction.from_table(
-            np.array([[[1.0]], [[0.5]]]), rescale=False
-        )
+        phi = TransferFunction.from_table(np.array([[[1.0]], [[0.5]]]))
         spec = RewardSpec(theta_star=np.array([[0.8]]), c_theta=1.0,
                           noise=NoiseModel.gaussian(0.0))
         monkeypatch.setattr(runner, "_build_policy",
@@ -83,7 +77,7 @@ class TestRegretLedger:
 
     def test_single_action_has_zero_regret(self):
         params = HmmParams(1, 1, np.array([1.0]), np.array([[1.0]]), np.array([[1.0]]))
-        phi = TransferFunction.from_table(np.array([[[0.9]]]), rescale=False)
+        phi = TransferFunction.from_table(np.array([[[0.9]]]))
         spec = RewardSpec(theta_star=np.array([[0.7]]), c_theta=1.0,
                           noise=NoiseModel.gaussian(0.1))
         result, _ = run_cell(params, spec, phi, 5, "random")

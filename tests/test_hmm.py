@@ -5,22 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmmbandits import (
+from hmmbandits.errors import DegenerateLikelihood, NotMixing, ShapeMismatch, TooLarge
+from hmmbandits.hmm import (
     HmmParams,
     check_forgetting,
     filter_trace,
     forgetting_rate,
+    forward_pass,
     sample_trajectory,
-    stationary_distribution,
     validate,
 )
-from hmmbandits.errors import DegenerateLikelihood, NotMixing, ShapeMismatch, TooLarge
-from hmmbandits.hmm import forward_pass
 
 from conftest import random_hmm, sparse_estimate
 from oracles import (
     conditional_terminal_distribution,
     enumerate_posterior,
+    stationary_distribution,
     stepwise_filter,
 )
 

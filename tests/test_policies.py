@@ -6,27 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmmbandits.policies as policies
-from hmmbandits import (
+from hmmbandits.beliefs import BeliefErrorBudget, u_belief
+from hmmbandits.environment import TransferFunction
+from hmmbandits.errors import ShapeMismatch, StageNotFrozen
+from hmmbandits.policies import (
     BonusConfig,
     BoxAPolicy,
     BoxBPolicy,
     StagePlan,
-    TransferFunction,
-    oracle_act,
     per_round_bonus,
     staged_bonus,
     staged_width,
-    u_belief,
     u_schedule,
 )
-from hmmbandits.beliefs import BeliefErrorBudget
-from hmmbandits.errors import ShapeMismatch, StageNotFrozen
 
 from conftest import cell_config
 from oracles import (
     batch_ridge,
     box_a_bonus_reference,
     box_b_bonus_reference,
+    oracle_act,
     reference_box_a_actions,
     reference_box_b_actions,
     u_belief_reference,
@@ -128,7 +127,7 @@ class TestRidge:
         feats, rewards = [], []
         for _ in range(50):
             x, a, b = int(rng.integers(X)), int(rng.integers(A)), rng.dirichlet(np.ones(2))
-            feats.append(np.kron(b, phi.phi(a, x)))
+            feats.append(np.kron(b, phi.table[a, x]))
             rewards.append(rng.normal())
             policy.update(feats[-1], rewards[-1])
         want = batch_ridge(np.asarray(feats), np.asarray(rewards), lam)
@@ -140,7 +139,7 @@ class TestRidge:
         phi = TransferFunction.one_hot_action(2, 2)
         for _ in range(30):
             x, b, a = int(rng.integers(2)), rng.dirichlet(np.ones(2)), int(rng.integers(2))
-            policy.update(np.kron(b, phi.phi(a, x)), rng.normal())
+            policy.update(np.kron(b, phi.table[a, x]), rng.normal())
         assert np.linalg.eigvalsh(policy._gram).min() >= 1.5 - 1e-9
 
 
@@ -536,7 +535,7 @@ class TestEquivalenceAndConsistency:
         for _ in range(5000):
             b = rng.dirichlet(np.ones(H))
             a = int(rng.integers(d))
-            f = np.kron(b, phi.phi(a, 0))
+            f = np.kron(b, phi.table[a, 0])
             feats.append(f)
             policy.update(f, float(f @ theta_star))
         gram = np.asarray(feats).T @ np.asarray(feats)
@@ -586,7 +585,8 @@ class TestActSelection:
     def test_random_policy_uses_own_stream(self, reference_params):
         # the random arm draws one integers(A) per round from the first child
         # of its learner-side seed sequence, not from an environment stream
-        from hmmbandits import NoiseModel, RewardSpec, sample_theta, simulate_cell
+        from hmmbandits.environment import NoiseModel, RewardSpec, sample_theta
+        from hmmbandits.runner import simulate_cell
         from hmmbandits.runner import learner_seed_sequence
 
         phi = build_phi(A=3, X=4)

@@ -6,16 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hmmbandits import (
-    EstimatedHmm,
-    MomentSet,
-    accumulate_moments,
-    align,
-    postprocess,
-    relabel,
-    sample_trajectory,
-    spectral_estimate,
-)
 from hmmbandits.errors import (
     DiagonalizationFailed,
     EstimationFailed,
@@ -24,6 +14,16 @@ from hmmbandits.errors import (
     RankDeficient,
     ShapeMismatch,
     TooShort,
+)
+from hmmbandits.hmm import sample_trajectory
+from hmmbandits.spectral import (
+    EstimatedHmm,
+    MomentSet,
+    accumulate_moments,
+    align,
+    postprocess,
+    relabel,
+    spectral_estimate,
 )
 
 from conftest import random_hmm
@@ -169,13 +169,6 @@ class TestSpectralEstimate:
             assert issubclass(exc, EstimationFailed)
         for exc in (NonFinite, TooShort, ShapeMismatch):
             assert not issubclass(exc, EstimationFailed)
-
-    def test_workspace_invariants(self, reference_params):
-        est = spectral_estimate(population_moment_set(reference_params), H=2, seed=0)
-        ws = est.workspace
-        for basis in (ws.u1, ws.u2, ws.u3):
-            assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-8)
-        assert np.allclose(np.linalg.norm(ws.r_matrix, axis=0), 1.0, atol=1e-8)
 
     def test_sampled_consistency_direction(self, reference_params):
         errors = {}

@@ -1,0 +1,44 @@
+"""The package surface: what ``import hmmbandits`` binds, and no dead imports.
+
+Callers reach every name through the submodule that defines it
+(``hmmbandits.runner.run_experiment``), so the package object must bind each
+submodule; nothing else is re-exported.
+"""
+
+import ast
+from pathlib import Path
+
+import hmmbandits
+
+SUBMODULES = ("beliefs", "config", "environment", "errors", "evaluation", "hmm",
+              "policies", "runner", "spectral")
+PACKAGE_DIR = Path(hmmbandits.__file__).parent
+
+
+def test_import_binds_every_submodule():
+    for name in SUBMODULES:
+        module = getattr(hmmbandits, name, None)
+        assert module is not None, name
+        assert module.__name__ == f"hmmbandits.{name}"
+
+
+def _unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ binds the submodules for callers; the test above covers it
+    paths = sorted(p for p in PACKAGE_DIR.glob("*.py") if p.name != "__init__.py")
+    assert paths
+    unused = {p.name: _unused_imports(p.read_text(encoding="utf-8")) for p in paths}
+    assert not {name: found for name, found in unused.items() if found}
