@@ -67,7 +67,7 @@ refit_every = auto | <int >= 1>  auto: ell for boxA, max(3, ceil(sqrt(T))) for b
 horizons = <distinct ints >= 1>
 seeds = <count n >= 1 for indices 0..n-1, or a list of distinct indices >= 0>
 master_seed = <int >= 0>  overridden by LBL_SEED env var, then --seed
-out = <directory>
+out = <directory>  non-empty; no leading or trailing whitespace, no ';' or '#' after whitespace
 emit_oracle_columns = true | false
 plugin_gamma = true | false
 workers = <int >= 1>
@@ -308,6 +308,33 @@ def _parse_policy(section) -> PolicySettings:
     )
 
 
+def _ini_parser() -> configparser.ConfigParser:
+    return configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+
+
+def _check_out(out: str, where: str) -> str:
+    """``out`` if ``config_snapshot`` writes it back to itself: not empty, and
+    read back by :func:`parse_config` unchanged (which strips whitespace at
+    the ends and cuts an inline comment at ``;`` or ``#`` after whitespace)."""
+    if not out:
+        raise ConfigError(f"{where} must name an output directory, got an empty value")
+    written = configparser.ConfigParser(interpolation=None)
+    written["run"] = {"out": out}
+    buf = io.StringIO()
+    written.write(buf)
+    try:
+        back = _ini_parser()
+        back.read_string(buf.getvalue())
+        same = back["run"].get("out") == out
+    except configparser.Error:
+        same = False
+    if not same:
+        raise ConfigError(f"{where} = {out!r} does not read back unchanged from "
+                          "config_snapshot.ini: drop leading or trailing whitespace "
+                          "and any ';' or '#' that follows whitespace")
+    return out
+
+
 def _parse_run(section) -> RunSettings:
     read = _reader(section, "run")
     horizons = tuple(read("horizons", _ints))
@@ -323,7 +350,7 @@ def _parse_run(section) -> RunSettings:
         horizons=horizons,
         seeds=seeds,
         master_seed=read("master_seed", int, "0", _NONNEGATIVE),
-        out=section.get("out", "results"),
+        out=_check_out(section.get("out", "results"), "'out' in [run]"),
         emit_oracle_columns=read("emit_oracle_columns", _bool, "false"),
         plugin_gamma=read("plugin_gamma", _bool, "false"),
         workers=read("workers", int, "1", _AT_LEAST_ONE),
@@ -347,7 +374,7 @@ def _check_learner_inputs(params: HmmParams, policy: PolicySettings) -> None:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    parser = _ini_parser()
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -389,7 +416,7 @@ def apply_overrides(
     run = config.run
     policy = config.policy
     if out is not None:
-        run = replace(run, out=out)
+        run = replace(run, out=_check_out(out, "--out"))
     if workers is not None:
         if workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {workers}")

@@ -190,63 +190,139 @@ def forward_step(
     return unnorm / norm
 
 
+CHUNK = 64            # steps per chunk product in forward_pass
+TILE_BYTES = 2**18    # bytes per (H, H, pairs) operand of a forward_pass tile
+
+
+def layout_groups(transitions) -> list[np.ndarray]:
+    """Indices of ``transitions`` grouped by the memory layout of ``M^T``.
+
+    BLAS gemv rounds differently for C- and F-ordered matrices, so a stacked
+    matvec reproduces the one-at-a-time ``M^T @ b`` bit for bit only over
+    lanes whose matrices share the layout the one-at-a-time code used.
+    """
+    fortran = np.array([bool(M.T.flags.f_contiguous) for M in transitions])
+    return [lanes for lanes in (np.flatnonzero(fortran), np.flatnonzero(~fortran))
+            if lanes.size]
+
+
+def _with_layout(mats: np.ndarray, fortran: bool) -> np.ndarray:
+    """``mats`` (a stack of matrices) with every matrix C- or F-ordered."""
+    if fortran:
+        return np.ascontiguousarray(mats.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return np.ascontiguousarray(mats)
+
+
 def forward_pass(
-    transition: np.ndarray,
-    emission: np.ndarray,
+    models,
     prior: np.ndarray,
     contexts,
+    ends,
     on_degenerate: str = "uniform",
 ) -> np.ndarray:
-    """Belief after filtering ``contexts`` from ``prior`` in one batched pass.
+    """Beliefs after filtering ``contexts[:ends[k]]`` from ``prior`` under
+    ``models[k] = (transition, emission)``, one row per model, in one pass.
 
-    The recursion is a normalized product of per-context update matrices
-    ``W_x = diag(nu(x, .)) M^T``; products over 64-step chunks are batched
-    across chunks in one vectorized pass, normalizing once per chunk.  A
-    chunk whose product annihilates the belief (possible only through
-    zero emission entries) falls back to the per-step scan, so a
-    zero-likelihood context is handled exactly as by :func:`forward_step`:
-    a reset to uniform, or :class:`DegenerateLikelihood` under
+    ``ends`` are sorted and lie in ``[1, len(contexts)]``.  The recursion is
+    a normalized product of per-context update matrices ``W_x = diag(nu(x,
+    .)) M^T``.  Every prefix cuts its contexts after the first into the same
+    64-step chunks, so the products of all (model, chunk) pairs are built
+    together, one tile of pairs at a time, as ``(H, H, pairs)`` arrays summed
+    over the inner index in order (the bits of a per-model ``einsum``).  At
+    each chunk index one stacked matvec normalizes every model still
+    running; the tails shorter than a chunk step in lockstep.  A chunk whose
+    product annihilates the belief (possible only through zero emission
+    entries) is re-run one context at a time for that model alone, so a
+    zero-likelihood context is handled as by :func:`forward_step`: a reset
+    to uniform, or :class:`DegenerateLikelihood` under
     ``on_degenerate="raise"``.
+
+    Models are filtered per :func:`layout_groups`, and every stacked matrix
+    takes the layout of its model's ``M^T``, so each row equals, bit for
+    bit, the straight single-prefix pass over that model.
     """
     contexts = np.asarray(contexts, dtype=np.int64)
-    if contexts.size == 0:
-        raise ShapeMismatch("contexts must be non-empty")
-    H = transition.shape[0]
+    ends = np.asarray(ends, dtype=np.int64)
+    if len(models) == 0 or ends.shape != (len(models),):
+        raise ShapeMismatch("need one prefix end per model")
+    if ends[0] < 1 or ends[-1] > contexts.size or np.any(np.diff(ends) < 0):
+        raise ShapeMismatch("prefix ends must be sorted and lie in [1, len(contexts)]")
+    beliefs = np.empty((len(models), np.asarray(prior).size))
+    for lanes in layout_groups([M for M, _ in models]):
+        beliefs[lanes] = _group_pass([models[k] for k in lanes], prior, contexts,
+                                     ends[lanes], on_degenerate)
+    return beliefs
+
+
+def _group_pass(models, prior, contexts, ends, on_degenerate):
+    """:func:`forward_pass` over models whose ``M^T`` share one layout."""
+    K, H = len(models), np.asarray(prior).size
+    fortran = bool(models[0][0].T.flags.f_contiguous)
+    emissions = np.stack([E for _, E in models])                   # (K, X, H)
+    X = emissions.shape[1]
+    transitions_t = np.stack([M for M, _ in models]).swapaxes(1, 2)
+    steps = _with_layout(emissions[:, :, :, None] * transitions_t[:, None], fortran)
     uniform = np.full(H, 1.0 / H)
-    transition_t = transition.T
-    step_mats = np.stack([emission[x][:, None] * transition_t
-                          for x in range(emission.shape[0])])
-
-    def renormalize(vec, x):
-        s = float(vec.sum())
-        if s > 0.0:
-            return vec / s
-        if on_degenerate == "uniform":
-            return uniform.copy()
-        raise DegenerateLikelihood(f"context {x} has zero likelihood under all states")
-
-    def scan(vec, xs):
-        for x in xs:
-            vec = renormalize(step_mats[x] @ vec, x)
-        return vec
-
-    belief = renormalize(emission[contexts[0]] * prior, contexts[0])
     xs = contexts[1:]
-    chunk = 64
-    k = xs.size // chunk
-    if k:
-        mats = step_mats[xs[: k * chunk]].reshape(k, chunk, H, H)
-        prod = mats[:, 0]
-        for i in range(1, chunk):
-            prod = np.einsum("kij,kjl->kil", mats[:, i], prod)
-        for block in range(k):
-            vec = prod[block] @ belief
-            s = float(vec.sum())
-            if s > 0.0:
-                belief = vec / s
-            else:
-                belief = scan(belief, xs[block * chunk : (block + 1) * chunk])
-    return scan(belief, xs[k * chunk :])
+
+    def renormalize(vecs, x):
+        s = vecs.sum(axis=1)
+        ok = s > 0.0
+        out = vecs / np.where(ok, s, 1.0)[:, None]
+        if not ok.all():
+            if on_degenerate != "uniform":
+                raise DegenerateLikelihood(
+                    f"context {x[~ok][0]} has zero likelihood under all states")
+            out[~ok] = uniform
+        return out
+
+    beliefs = renormalize(emissions[:, contexts[0]] * prior, np.full(K, contexts[0]))
+
+    def scan(lanes, first, count):
+        # lanes step over xs[first : first + count], one context at a time
+        order = np.argsort(-count, kind="stable")
+        lanes, first, count = lanes[order], first[order], count[order]
+        for offset in range(int(count[0])):
+            n = int(np.count_nonzero(count > offset))
+            sel, x = lanes[:n], xs[first[:n] + offset]
+            vecs = np.matmul(steps[sel, x], beliefs[sel, :, None])[:, :, 0]
+            beliefs[sel] = renormalize(vecs, x)
+
+    chunks = (ends - 1) // CHUNK              # full chunks of each prefix, ascending
+    if chunks[-1]:
+        # chunk c is run by the models with chunks > c, a suffix of the lanes
+        counts = K - np.searchsorted(chunks, np.arange(chunks[-1]), side="right")
+        cum = np.concatenate([[0], np.cumsum(counts)])
+        flat = steps.transpose(2, 3, 0, 1).reshape(H * H, K * X)
+        cap = max(1, TILE_BYTES // (8 * H * H))
+        for p0 in range(0, int(cum[-1]), cap):
+            pairs = np.arange(p0, min(p0 + cap, int(cum[-1])))
+            pc = np.searchsorted(cum, pairs, side="right") - 1
+            pk = K - counts[pc] + (pairs - cum[pc])
+            cols, at = pk * X, pc * CHUNK
+            prod = np.take(flat, cols + xs[at], axis=1).reshape(H, H, -1)
+            new, tmp = np.empty_like(prod), np.empty_like(prod)
+            for i in range(1, CHUNK):
+                a = np.take(flat, cols + xs[at + i], axis=1).reshape(H, H, -1)
+                np.multiply(a[:, 0, None], prod[None, 0], out=new)
+                for j in range(1, H):
+                    np.multiply(a[:, j, None], prod[None, j], out=tmp)
+                    new += tmp
+                prod, new = new, prod
+            mats = _with_layout(prod.transpose(2, 0, 1), fortran)
+            del prod, new, tmp
+            cuts = [0, *(np.flatnonzero(np.diff(pc)) + 1), pairs.size]
+            for lo, hi in zip(cuts, cuts[1:]):
+                sel, c = pk[lo:hi], int(pc[lo])
+                vecs = np.matmul(mats[lo:hi], beliefs[sel, :, None])[:, :, 0]
+                s = vecs.sum(axis=1)
+                ok = s > 0.0
+                beliefs[sel[ok]] = vecs[ok] / s[ok, None]
+                if not ok.all():
+                    dead = sel[~ok]
+                    scan(dead, np.full(dead.size, c * CHUNK), np.full(dead.size, CHUNK))
+    scan(np.arange(K), chunks * CHUNK, ends - 1 - chunks * CHUNK)
+    return beliefs
 
 
 def filter_trace(params: HmmParams, contexts) -> np.ndarray:

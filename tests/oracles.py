@@ -5,10 +5,11 @@ enumeration, explicit counting, batch closed forms) and deliberately shares
 no code with the package paths it checks.  The exceptions:
 :func:`reference_online_beliefs` and :func:`reference_scheduled_beliefs`,
 which check the scheduling of the belief subroutine bit for bit and so call
-the package's estimator and filter kernels, writing only the round-by-round
+the package's estimator and ``forward_step``, writing only the round-by-round
 control flow themselves; :func:`stepwise_filter`, the one-step-at-a-time
-loop over ``forward_step`` that the batched ``forward_pass`` is checked
-against.
+loop over ``forward_step``; and :func:`reference_forward_pass`, the
+straight single-prefix chunked pass whose bits the package's batched
+``forward_pass`` must reproduce for every prefix.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def reference_online_beliefs(contexts, H: int, X: int, refit_every: int, seed: i
     ``(beliefs, failures, final estimate or None)``.
     """
     from hmmbandits.errors import EstimationFailed
-    from hmmbandits.hmm import forward_pass, forward_step
+    from hmmbandits.hmm import forward_step
     from hmmbandits.spectral import MomentSet, align, spectral_estimate
 
     xs = [int(x) for x in contexts]
@@ -136,8 +137,8 @@ def reference_online_beliefs(contexts, H: int, X: int, refit_every: int, seed: i
         if estimate is None:
             belief = uniform
         elif refit:
-            belief = forward_pass(estimate.transition_hat, estimate.emission_hat,
-                                  uniform, xs[:t])
+            belief = reference_forward_pass(estimate.transition_hat, estimate.emission_hat,
+                                            uniform, xs[:t])
         else:
             belief = forward_step(belief, uniform, estimate.transition_hat,
                                   estimate.emission_hat, xs[t - 1], "uniform")
@@ -156,6 +157,59 @@ def stepwise_filter(transition, emission, prior, contexts, on_degenerate="unifor
     return belief
 
 
+def reference_forward_pass(transition, emission, prior, contexts, on_degenerate="uniform"):
+    """Belief after filtering one prefix ``contexts`` from ``prior``: the
+    straight chunked pass.
+
+    The per-context update matrices ``W_x = diag(nu(x, .)) M^T`` are
+    multiplied over 64-step chunks with one ``einsum`` per step across the
+    chunks, and the belief is normalized once per chunk; a chunk whose
+    product annihilates the belief is re-run one context at a time, as is
+    the tail after the last full chunk.
+    """
+    from hmmbandits.errors import DegenerateLikelihood, ShapeMismatch
+
+    contexts = np.asarray(contexts, dtype=np.int64)
+    if contexts.size == 0:
+        raise ShapeMismatch("contexts must be non-empty")
+    H = transition.shape[0]
+    uniform = np.full(H, 1.0 / H)
+    transition_t = transition.T
+    step_mats = np.stack([emission[x][:, None] * transition_t
+                          for x in range(emission.shape[0])])
+
+    def renormalize(vec, x):
+        s = float(vec.sum())
+        if s > 0.0:
+            return vec / s
+        if on_degenerate == "uniform":
+            return uniform.copy()
+        raise DegenerateLikelihood(f"context {x} has zero likelihood under all states")
+
+    def scan(vec, xs):
+        for x in xs:
+            vec = renormalize(step_mats[x] @ vec, x)
+        return vec
+
+    belief = renormalize(emission[contexts[0]] * prior, contexts[0])
+    xs = contexts[1:]
+    chunk = 64
+    k = xs.size // chunk
+    if k:
+        mats = step_mats[xs[: k * chunk]].reshape(k, chunk, H, H)
+        prod = mats[:, 0]
+        for i in range(1, chunk):
+            prod = np.einsum("kij,kjl->kil", mats[:, i], prod)
+        for block in range(k):
+            vec = prod[block] @ belief
+            s = float(vec.sum())
+            if s > 0.0:
+                belief = vec / s
+            else:
+                belief = scan(belief, xs[block * chunk : (block + 1) * chunk])
+    return scan(belief, xs[k * chunk :])
+
+
 def reference_scheduled_beliefs(schedule, contexts, H: int) -> np.ndarray:
     """The beliefs of a ``(round, estimate)`` schedule, round by round.
 
@@ -164,7 +218,7 @@ def reference_scheduled_beliefs(schedule, contexts, H: int) -> np.ndarray:
     ``forward_step`` under the current estimate, or stays uniform before the
     first.  Pairs past the last round are never reached.
     """
-    from hmmbandits.hmm import forward_pass, forward_step
+    from hmmbandits.hmm import forward_step
 
     xs = [int(x) for x in contexts]
     uniform = np.full(H, 1.0 / H)
@@ -174,8 +228,8 @@ def reference_scheduled_beliefs(schedule, contexts, H: int) -> np.ndarray:
         given = [est for start, est in schedule if start == t]
         if given:
             estimate = given[-1]
-            belief = forward_pass(estimate.transition_hat, estimate.emission_hat,
-                                  uniform, xs[:t])
+            belief = reference_forward_pass(estimate.transition_hat, estimate.emission_hat,
+                                            uniform, xs[:t])
         elif estimate is not None:
             belief = forward_step(belief, uniform, estimate.transition_hat,
                                   estimate.emission_hat, xs[t - 1], "uniform")

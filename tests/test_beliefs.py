@@ -16,6 +16,7 @@ from hmmbandits.spectral import EstimatedHmm, postprocess
 
 from conftest import random_hmm, sparse_estimate
 from oracles import (
+    reference_forward_pass,
     reference_online_beliefs,
     reference_scheduled_beliefs,
     stepwise_filter,
@@ -25,6 +26,12 @@ from oracles import (
 
 def oracle_estimate(params) -> EstimatedHmm:
     return EstimatedHmm(params.transition.copy(), params.emission.copy())
+
+
+def refilter(estimate: EstimatedHmm, prior, contexts) -> np.ndarray:
+    """``forward_pass`` of one estimate over the whole of ``contexts``."""
+    return forward_pass([(estimate.transition_hat, estimate.emission_hat)], prior,
+                        contexts, [len(contexts)])[0]
 
 
 class TestUBelief:
@@ -67,8 +74,7 @@ class TestFilterStep:
         truth = filter_trace(reference_params, traj.contexts)[-1]
         stepped = stepwise_filter(est.transition_hat, est.emission_hat,
                                   reference_params.initial_dist, traj.contexts)
-        batched = forward_pass(est.transition_hat, est.emission_hat,
-                               reference_params.initial_dist, traj.contexts)
+        batched = refilter(est, reference_params.initial_dist, traj.contexts)
         assert np.max(np.abs(stepped - truth)) < 1e-12
         assert np.max(np.abs(batched - truth)) < 1e-12
 
@@ -84,23 +90,21 @@ class TestFilterStep:
             if t > 0:
                 expected = M.T @ expected
             assert belief == pytest.approx(expected, abs=1e-12)
-            assert forward_pass(M, est.emission_hat, prior, xs[: t + 1]) == pytest.approx(
-                expected, abs=1e-12)
+            assert refilter(est, prior, xs[: t + 1]) == pytest.approx(expected, abs=1e-12)
 
     def test_first_update_worked_example(self, two_state_params):
         est = oracle_estimate(two_state_params)
         M, E, uniform = est.transition_hat, est.emission_hat, np.full(2, 0.5)
         assert forward_step(None, uniform, M, E, 0) == pytest.approx([8 / 11, 3 / 11],
                                                                      abs=1e-12)
-        assert forward_pass(M, E, uniform, [0]) == pytest.approx([8 / 11, 3 / 11],
-                                                                 abs=1e-12)
+        assert refilter(est, uniform, [0]) == pytest.approx([8 / 11, 3 / 11], abs=1e-12)
 
     def test_degenerate_resets_to_uniform(self):
         est = EstimatedHmm(np.array([[0.5, 0.5], [0.5, 0.5]]),
                            np.array([[1.0, 1.0], [0.0, 0.0]]))
         M, E, uniform = est.transition_hat, est.emission_hat, np.full(2, 0.5)
         assert forward_step(None, uniform, M, E, 1, "uniform") == pytest.approx([0.5, 0.5])
-        assert forward_pass(M, E, uniform, [0, 1]) == pytest.approx([0.5, 0.5])
+        assert refilter(est, uniform, [0, 1]) == pytest.approx([0.5, 0.5])
 
 
 def test_likelihood_scale_invariance(two_state_params):
@@ -189,18 +193,20 @@ class TestOnlineBeliefEstimator:
 
     def test_rows_match_prefix_refilter(self, reference_params):
         # every row is the belief after re-filtering its whole prefix from
-        # the uniform prior under the estimate active at that round
+        # the uniform prior under the estimate active at that round: one
+        # batched pass over all 600 prefixes, each checked against the
+        # straight single-prefix pass
         traj = sample_trajectory(reference_params, 600, seed=7)
         schedule, beliefs, _ = online_beliefs(traj.contexts, 2, 4, 200, 1)
         assert [t for t, _ in schedule] == [200, 400, 600]
-        for t in range(1, 601):
-            active = [est for start, est in schedule if start <= t]
-            if not active:
-                assert np.array_equal(beliefs[t - 1], [0.5, 0.5])
-                continue
-            est = active[-1]
-            want = forward_pass(est.transition_hat, est.emission_hat,
-                                np.full(2, 0.5), traj.contexts[:t])
+        assert np.array_equal(beliefs[:199], np.full((199, 2), 0.5))
+        rounds = range(200, 601)
+        active = [[est for start, est in schedule if start <= t][-1] for t in rounds]
+        models = [(est.transition_hat, est.emission_hat) for est in active]
+        refilters = forward_pass(models, np.full(2, 0.5), traj.contexts, rounds)
+        for t, (M, E), want in zip(rounds, models, refilters):
+            assert np.array_equal(want, reference_forward_pass(
+                M, E, np.full(2, 0.5), traj.contexts[:t]))
             assert np.max(np.abs(beliefs[t - 1] - want)) < 1e-12
 
     def test_rank_deficient_stream_keeps_uniform(self):
@@ -222,8 +228,7 @@ class TestOnlineBeliefEstimator:
         assert np.array_equal(beliefs[:19], np.full((19, 3), 1 / 3))
         # the failed refit still re-filters the prefix under the kept estimate
         est = dict(schedule)[200]
-        assert np.array_equal(beliefs[199], forward_pass(
-            est.transition_hat, est.emission_hat, np.full(3, 1 / 3), contexts[:200]))
+        assert np.array_equal(beliefs[199], refilter(est, np.full(3, 1 / 3), contexts[:200]))
         want, want_failures, want_estimate = reference_online_beliefs(contexts, 3, 3, 10, 6)
         assert np.array_equal(beliefs, want) and failures == want_failures
         assert schedule[-1][1].to_text() == want_estimate.to_text()
@@ -290,18 +295,22 @@ def test_online_beliefs_match_reference_protocol(stream):
 
 
 @settings(deadline=None, max_examples=100)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 3),
-       st.integers(2, 5), st.integers(1, 300), st.integers(0, 4), st.booleans())
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 6),
+       st.integers(2, 8), st.integers(1, 700), st.integers(0, 12), st.booleans())
 def test_scheduled_beliefs_on_degenerate_paths(seed, H, X, T, draws, at_end):
     # zero emission rows make contexts impossible under every state, inside
     # stepped segments and inside the 64-step chunks of the refit pass; the
     # schedule may end with a pair at round T (an empty tail segment) and
-    # always repeats a round (the last pair given for it wins)
+    # always repeats a round (the last pair given for it wins).  Up to a
+    # dozen refits share chunks and leave ragged segments, and C- and
+    # F-ordered transitions are mixed: BLAS rounds the two layouts'
+    # matvecs differently, so the stacked steps must keep each one's layout
     rng = np.random.default_rng(seed)
+    X = max(X, H)
 
     def estimate():
-        M, E = sparse_estimate(rng, H, X, zero_row=True)
-        return EstimatedHmm(M, E)
+        M, E = sparse_estimate(rng, H, X, zero_row=bool(rng.random() < 0.7))
+        return EstimatedHmm(np.asfortranarray(M) if rng.random() < 0.5 else M, E)
 
     contexts = rng.integers(0, X, size=T)
     rounds = sorted(rng.integers(1, T + 1, size=draws).tolist()) + [T] * at_end
@@ -324,6 +333,6 @@ def test_filtering_consistency_under_estimates(seed):
     xs = rng.integers(0, X, size=12)
     uniform = np.full(H, 1.0 / H)
     for belief in (stepwise_filter(est.transition_hat, est.emission_hat, uniform, xs),
-                   forward_pass(est.transition_hat, est.emission_hat, uniform, xs)):
+                   refilter(est, uniform, xs)):
         assert abs(belief.sum() - 1.0) < 1e-10
         assert np.all(belief >= 0)

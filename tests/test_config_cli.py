@@ -336,6 +336,40 @@ class TestCli:
             snapshot = (tmp_path / out / "config_snapshot.ini").read_text()
             assert parse_config(snapshot).run.out == out
 
+    @pytest.mark.parametrize("command", ["simulate", "estimate"])
+    @pytest.mark.parametrize("source,named", [("file", r"'out' in \[run\]"),
+                                              ("flag", "--out")])
+    def test_empty_out_exit_2(self, tmp_path, monkeypatch, capsys, command, source, named):
+        # a configuration error before any cell or curve runs, not a traceback
+        # from creating a directory with an empty name
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, out="" if source == "file" else "kept")
+        flags = ["--out", ""] if source == "flag" else []
+        assert cli_main([command, path, *flags]) == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"configuration error: {named} must name an output directory", err)
+        assert os.listdir(tmp_path) == ["exp.ini"]
+
+    @pytest.mark.parametrize("out", ["sc ;x", "sc #x", "sc\t;x", " sc", "sc ", "\tsc"])
+    def test_out_that_does_not_read_back_exit_2(self, tmp_path, monkeypatch, capsys, out):
+        # config_snapshot.ini would read back as another directory: parse_config
+        # strips the ends and cuts an inline comment after whitespace
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, out="kept")
+        for command in ("simulate", "estimate"):
+            assert cli_main([command, path, "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert f"configuration error: --out = {out!r} does not read back" in err
+        assert os.listdir(tmp_path) == ["exp.ini"]
+        with pytest.raises(ConfigError, match="--out"):
+            apply_overrides(parse_config(MINIMAL.format(out="kept")), out=out)
+
+    def test_comment_characters_without_whitespace_are_kept(self, tmp_path):
+        cfg = apply_overrides(parse_config(MINIMAL.format(out="kept")), out="a;b#c")
+        assert parse_config(config_snapshot(cfg)).run.out == "a;b#c"
+        with pytest.raises(ConfigError, match=r"'out' in \[run\] must name"):
+            parse_config(MINIMAL.format(out=""))
+
     def test_config_flag_form(self, tmp_path):
         out = tmp_path / "flagform"
         path = write_config(tmp_path, out=str(out))

@@ -20,6 +20,7 @@ from conftest import random_hmm, sparse_estimate
 from oracles import (
     conditional_terminal_distribution,
     enumerate_posterior,
+    reference_forward_pass,
     stationary_distribution,
     stepwise_filter,
 )
@@ -176,33 +177,63 @@ def test_belief_normalization_property(seed, t):
     assert np.all(belief >= 0)
 
 
+def pass_one(M, E, prior, contexts, on_degenerate="uniform"):
+    """``forward_pass`` over a single model and the whole stream (K = 1)."""
+    return forward_pass([(M, E)], prior, contexts, [len(contexts)], on_degenerate)[0]
+
+
 class TestForwardPass:
     @settings(deadline=None, max_examples=150)
     @given(st.integers(min_value=0, max_value=2**32 - 1),
            st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=5),
            st.integers(min_value=1, max_value=300), st.booleans())
     def test_matches_stepwise_filter(self, seed, H, X, t, zero_row):
-        # the batched pass crosses 64-step chunk boundaries and, through the
-        # zero entries, the uniform-reset fallback of the per-step scan
+        # K = 1: the batched pass crosses 64-step chunk boundaries and, through
+        # the zero entries, the uniform-reset fallback of the per-step scan
         rng = np.random.default_rng(seed)
         zero_row = zero_row and X >= 2
         M, E = sparse_estimate(rng, H, X, zero_row)
+        if rng.random() < 0.5:
+            M = np.asfortranarray(M)
         prior = rng.dirichlet(np.ones(H))
         contexts = rng.integers(0, X, size=t)
-        want = stepwise_filter(M, E, prior, contexts)
-        got = forward_pass(M, E, prior, contexts)
-        assert np.max(np.abs(got - want)) <= 1e-12
+        got = pass_one(M, E, prior, contexts)
+        assert np.array_equal(got, reference_forward_pass(M, E, prior, contexts))
+        assert np.max(np.abs(got - stepwise_filter(M, E, prior, contexts))) <= 1e-12
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 6),
+           st.integers(1, 700), st.integers(1, 12))
+    def test_many_models_match_reference(self, seed, H, t, K):
+        # K > 1: C- and F-ordered transitions mixed, repeated and ragged
+        # prefix ends, so chunks are shared and tails differ in length
+        rng = np.random.default_rng(seed)
+        X = int(rng.integers(max(H, 2), 9))
+        models = []
+        for _ in range(K):
+            M, E = sparse_estimate(rng, H, X, zero_row=bool(rng.random() < 0.5))
+            models.append((np.asfortranarray(M) if rng.random() < 0.5 else M, E))
+        prior = rng.dirichlet(np.ones(H))
+        contexts = rng.integers(0, X, size=t)
+        ends = np.sort(rng.integers(1, t + 1, size=K))
+        got = forward_pass(models, prior, contexts, ends)
+        for (M, E), end, row in zip(models, ends, got):
+            assert np.array_equal(row, reference_forward_pass(M, E, prior, contexts[:end]))
 
     def test_zero_likelihood_inside_a_chunk(self):
         # context 2 is impossible in every state: the chunk holding it falls
-        # back to the per-step scan and resets to uniform there
+        # back to the per-step scan and resets to uniform there, for the
+        # model whose prefix reaches it and not for the shorter one
         M = np.array([[0.9, 0.1], [0.2, 0.8]])
         E = np.array([[0.9, 0.1], [0.1, 0.9], [0.0, 0.0]])
-        contexts = np.array([0] * 100 + [2] + [1] * 3)
+        contexts = np.array([0] * 100 + [2] + [1] * 30)
         uniform = np.full(2, 0.5)
         assert stepwise_filter(M, E, uniform, contexts[:101]) == pytest.approx([0.5, 0.5])
-        assert np.max(np.abs(forward_pass(M, E, uniform, contexts)
-                             - stepwise_filter(M, E, uniform, contexts))) <= 1e-12
+        ends = [100, 104, 131]
+        got = forward_pass([(M, E)] * 3, uniform, contexts, ends)
+        for end, row in zip(ends, got):
+            assert np.array_equal(row, reference_forward_pass(M, E, uniform, contexts[:end]))
+            assert np.max(np.abs(row - stepwise_filter(M, E, uniform, contexts[:end]))) <= 1e-12
 
     def test_raise_mode_matches_step(self):
         M = np.array([[0.9, 0.1], [0.2, 0.8]])
@@ -211,9 +242,17 @@ class TestForwardPass:
         with pytest.raises(DegenerateLikelihood):
             stepwise_filter(M, E, np.full(2, 0.5), contexts, on_degenerate="raise")
         with pytest.raises(DegenerateLikelihood):
-            forward_pass(M, E, np.full(2, 0.5), contexts, on_degenerate="raise")
+            pass_one(M, E, np.full(2, 0.5), contexts, on_degenerate="raise")
+        with pytest.raises(DegenerateLikelihood):
+            forward_pass([(M, E)] * 2, np.full(2, 0.5), contexts, [3, 71], "raise")
+
+    def test_rejects_bad_prefix_ends(self):
+        M, E, uniform = np.full((2, 2), 0.5), np.full((3, 2), 1 / 3), np.full(2, 0.5)
+        for ends in ([1], [0, 2], [3, 2], [2, 5], [1, 2, 3]):
+            with pytest.raises(ShapeMismatch):
+                forward_pass([(M, E)] * 2, uniform, [0, 1, 2, 0], ends)
         with pytest.raises(ShapeMismatch):
-            forward_pass(M, E, np.full(2, 0.5), [])
+            pass_one(M, E, uniform, [])
 
 
 class TestForgettingRate:
