@@ -8,12 +8,9 @@ The estimated beliefs depend on the contexts, the refit period and the
 estimator seed only, never on actions or rewards, so a run computes them
 for the whole stream before its policy loop: every refit's prefix
 re-filter in one :func:`hmmbandits.hmm.forward_pass`, then the rounds
-between refits in lockstep, one stacked Bayes step per round offset across
-the segments.  Stacked matvecs round like the one-at-a-time ones only
-between matrices of one memory layout, so the segments step in
-:func:`hmmbandits.hmm.layout_groups`, and a group of one segment steps with
-:func:`hmmbandits.hmm.forward_step`; the beliefs are bit for bit those of
-one re-filter per refit and one ``forward_step`` per round.
+between refits in one :func:`hmmbandits.hmm.forward_steps`, which advances
+the segments in lockstep; the beliefs are bit for bit those of one
+re-filter per refit and one ``forward_step`` per round.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EstimationFailed, ShapeMismatch
-from .hmm import forward_pass, forward_step, layout_groups
+from .hmm import forward_pass, forward_steps
 from .spectral import EstimatedHmm, accumulate_moments, align, spectral_estimate
 
 
@@ -112,12 +109,8 @@ def scheduled_beliefs(schedule, contexts, num_states: int) -> np.ndarray:
     the pair's estimate (the last one given for a round wins); other rounds
     take one Bayes step.
 
-    All re-filters run in one :func:`hmmbandits.hmm.forward_pass`.  The
-    segments between refits then advance in lockstep: one stacked step per
-    round offset covers every segment of a layout group (see
-    :func:`hmmbandits.hmm.layout_groups`), with the operations of
-    :func:`hmmbandits.hmm.forward_step`, and a group of one segment calls
-    ``forward_step`` itself.
+    All re-filters run in one :func:`hmmbandits.hmm.forward_pass`, and the
+    segments between refits in one :func:`hmmbandits.hmm.forward_steps`.
     """
     xs = np.asarray(contexts, dtype=np.int64)
     active = dict(schedule)
@@ -133,34 +126,7 @@ def scheduled_beliefs(schedule, contexts, num_states: int) -> np.ndarray:
     beliefs[np.array(starts) - 1] = refits
     # a segment steps up to the row before the next refit row
     stops = [t - 1 for t in starts[1:]] + [xs.size]
-    steps = xs.tolist()
-    for lanes in layout_groups([M for M, _ in models]):
-        if lanes.size == 1:
-            k = int(lanes[0])
-            (M, E), belief = models[k], refits[k]
-            for i in range(starts[k], stops[k]):
-                belief = forward_step(belief, uniform, M, E, steps[i], "uniform")
-                beliefs[i] = belief
-            continue
-        # lanes by segment length, longest first: the running ones are a prefix
-        lanes = sorted(lanes.tolist(), key=lambda k: starts[k] - stops[k])
-        rows = np.array([starts[k] for k in lanes])
-        lengths = np.array([stops[k] - starts[k] for k in lanes])
-        # np.stack keeps the layout its inputs share: each lane's M^T is
-        # laid out as forward_step's transition.T
-        transitions_t = np.stack([models[k][0] for k in lanes]).swapaxes(1, 2)
-        emissions = np.stack([models[k][1] for k in lanes])
-        state = refits[lanes]
-        for offset in range(int(lengths[0])):
-            n = int(np.count_nonzero(lengths > offset))
-            at = rows[:n] + offset
-            unnorm = emissions[np.arange(n), xs[at]] * np.matmul(
-                transitions_t[:n], state[:n, :, None])[:, :, 0]
-            norm = unnorm.sum(axis=1)
-            ok = (norm > 0.0) & np.isfinite(norm)
-            state[:n] = unnorm / np.where(ok, norm, 1.0)[:, None]
-            state[np.flatnonzero(~ok)] = uniform
-            beliefs[at] = state[:n]
+    forward_steps(models, refits, xs, starts, stops, beliefs)
     return beliefs
 
 

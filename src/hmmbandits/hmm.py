@@ -194,15 +194,17 @@ CHUNK = 64            # steps per chunk product in forward_pass
 TILE_BYTES = 2**18    # bytes per (H, H, pairs) operand of a forward_pass tile
 
 
-def layout_groups(transitions) -> list[np.ndarray]:
-    """Indices of ``transitions`` grouped by the memory layout of ``M^T``.
+def _layout_groups(transitions) -> list[tuple[bool, np.ndarray]]:
+    """Indices of ``transitions`` grouped by the memory layout of ``M^T``,
+    with whether that layout is Fortran order.
 
     BLAS gemv rounds differently for C- and F-ordered matrices, so a stacked
     matvec reproduces the one-at-a-time ``M^T @ b`` bit for bit only over
     lanes whose matrices share the layout the one-at-a-time code used.
     """
     fortran = np.array([bool(M.T.flags.f_contiguous) for M in transitions])
-    return [lanes for lanes in (np.flatnonzero(fortran), np.flatnonzero(~fortran))
+    return [(f, lanes) for f, lanes in ((True, np.flatnonzero(fortran)),
+                                        (False, np.flatnonzero(~fortran)))
             if lanes.size]
 
 
@@ -211,6 +213,59 @@ def _with_layout(mats: np.ndarray, fortran: bool) -> np.ndarray:
     if fortran:
         return np.ascontiguousarray(mats.swapaxes(-1, -2)).swapaxes(-1, -2)
     return np.ascontiguousarray(mats)
+
+
+def _lockstep(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lanes of ``counts`` steps each, longest first, and for every offset
+    below the longest the number of lanes still running at it (a prefix of
+    that order)."""
+    order = np.argsort(-counts, kind="stable")
+    ranked = -counts[order]                   # ascending
+    return order, np.searchsorted(ranked, -np.arange(-ranked[0]), side="left")
+
+
+def forward_steps(models, beliefs, contexts, starts, stops, out) -> None:
+    """Run filter segments in lockstep, one belief row per round.
+
+    Segment ``k`` starts from ``beliefs[k]`` and takes one
+    :func:`forward_step` under ``models[k] = (transition, emission)`` for
+    each context ``contexts[i]``, ``starts[k] <= i < stops[k]``, writing the
+    belief after it to ``out[i]``; a zero-likelihood context resets to
+    uniform.  Segments must not overlap.  One stacked step per round offset
+    covers every segment of a layout group (see :func:`_layout_groups`),
+    with each ``M^T`` stacked in its own layout, and a group of one segment
+    calls ``forward_step`` itself, so each row is ``forward_step``'s bit for
+    bit.
+    """
+    xs = np.asarray(contexts, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    stops = np.asarray(stops, dtype=np.int64)
+    H = out.shape[1]
+    uniform = np.full(H, 1.0 / H)
+    for fortran, lanes in _layout_groups([M for M, _ in models]):
+        if lanes.size == 1:
+            k = int(lanes[0])
+            (M, E), belief, start = models[k], beliefs[k], int(starts[k])
+            for i, x in enumerate(xs[start:stops[k]].tolist(), start):
+                belief = forward_step(belief, uniform, M, E, x, "uniform")
+                out[i] = belief
+            continue
+        order, running = _lockstep(stops[lanes] - starts[lanes])
+        lanes = lanes[order]
+        rows = starts[lanes]
+        transitions_t = _with_layout(
+            np.stack([models[k][0] for k in lanes]).swapaxes(1, 2), fortran)
+        emissions = np.stack([models[k][1] for k in lanes])
+        state = np.array(beliefs[lanes], dtype=float)
+        for offset, n in enumerate(running.tolist()):
+            at = rows[:n] + offset
+            unnorm = emissions[np.arange(n), xs[at]] * np.matmul(
+                transitions_t[:n], state[:n, :, None])[:, :, 0]
+            norm = unnorm.sum(axis=1)
+            ok = (norm > 0.0) & np.isfinite(norm)
+            state[:n] = unnorm / np.where(ok, norm, 1.0)[:, None]
+            state[np.flatnonzero(~ok)] = uniform
+            out[at] = state[:n]
 
 
 def forward_pass(
@@ -237,7 +292,7 @@ def forward_pass(
     to uniform, or :class:`DegenerateLikelihood` under
     ``on_degenerate="raise"``.
 
-    Models are filtered per :func:`layout_groups`, and every stacked matrix
+    Models are filtered per :func:`_layout_groups`, and every stacked matrix
     takes the layout of its model's ``M^T``, so each row equals, bit for
     bit, the straight single-prefix pass over that model.
     """
@@ -248,16 +303,15 @@ def forward_pass(
     if ends[0] < 1 or ends[-1] > contexts.size or np.any(np.diff(ends) < 0):
         raise ShapeMismatch("prefix ends must be sorted and lie in [1, len(contexts)]")
     beliefs = np.empty((len(models), np.asarray(prior).size))
-    for lanes in layout_groups([M for M, _ in models]):
-        beliefs[lanes] = _group_pass([models[k] for k in lanes], prior, contexts,
-                                     ends[lanes], on_degenerate)
+    for fortran, lanes in _layout_groups([M for M, _ in models]):
+        beliefs[lanes] = _group_pass([models[k] for k in lanes], fortran, prior,
+                                     contexts, ends[lanes], on_degenerate)
     return beliefs
 
 
-def _group_pass(models, prior, contexts, ends, on_degenerate):
+def _group_pass(models, fortran, prior, contexts, ends, on_degenerate):
     """:func:`forward_pass` over models whose ``M^T`` share one layout."""
     K, H = len(models), np.asarray(prior).size
-    fortran = bool(models[0][0].T.flags.f_contiguous)
     emissions = np.stack([E for _, E in models])                   # (K, X, H)
     X = emissions.shape[1]
     transitions_t = np.stack([M for M, _ in models]).swapaxes(1, 2)
@@ -280,10 +334,9 @@ def _group_pass(models, prior, contexts, ends, on_degenerate):
 
     def scan(lanes, first, count):
         # lanes step over xs[first : first + count], one context at a time
-        order = np.argsort(-count, kind="stable")
-        lanes, first, count = lanes[order], first[order], count[order]
-        for offset in range(int(count[0])):
-            n = int(np.count_nonzero(count > offset))
+        order, running = _lockstep(count)
+        lanes, first = lanes[order], first[order]
+        for offset, n in enumerate(running.tolist()):
             sel, x = lanes[:n], xs[first[:n] + offset]
             vecs = np.matmul(steps[sel, x], beliefs[sel, :, None])[:, :, 0]
             beliefs[sel] = renormalize(vecs, x)

@@ -12,6 +12,8 @@ from hmmbandits.hmm import (
     filter_trace,
     forgetting_rate,
     forward_pass,
+    forward_step,
+    forward_steps,
     sample_trajectory,
     validate,
 )
@@ -206,9 +208,10 @@ class TestForwardPass:
            st.integers(1, 700), st.integers(1, 12))
     def test_many_models_match_reference(self, seed, H, t, K):
         # K > 1: C- and F-ordered transitions mixed, repeated and ragged
-        # prefix ends, so chunks are shared and tails differ in length
+        # prefix ends, so chunks are shared and tails differ in length; H
+        # may exceed X
         rng = np.random.default_rng(seed)
-        X = int(rng.integers(max(H, 2), 9))
+        X = int(rng.integers(2, 9))
         models = []
         for _ in range(K):
             M, E = sparse_estimate(rng, H, X, zero_row=bool(rng.random() < 0.5))
@@ -253,6 +256,32 @@ class TestForwardPass:
                 forward_pass([(M, E)] * 2, uniform, [0, 1, 2, 0], ends)
         with pytest.raises(ShapeMismatch):
             pass_one(M, E, uniform, [])
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 6),
+       st.integers(2, 8), st.integers(1, 300), st.integers(1, 8))
+def test_forward_steps_match_forward_step(seed, H, X, T, K):
+    # disjoint ragged segments (some empty) under C- and F-ordered
+    # transitions, H may exceed X, zero emission rows reset to uniform:
+    # every row is forward_step's bit for bit
+    rng = np.random.default_rng(seed)
+    models = []
+    for _ in range(K):
+        M, E = sparse_estimate(rng, H, X, zero_row=True)
+        models.append((np.asfortranarray(M) if rng.random() < 0.5 else M, E))
+    beliefs = rng.dirichlet(np.ones(H), size=K)
+    contexts = rng.integers(0, X, size=T)
+    cuts = np.sort(rng.integers(0, T + 1, size=2 * K))
+    starts, stops = cuts[0::2], cuts[1::2]
+    got = np.full((T, H), np.nan)
+    forward_steps(models, beliefs, contexts, starts, stops, got)
+    want = np.full((T, H), np.nan)
+    for (M, E), belief, start, stop in zip(models, beliefs, starts, stops):
+        for i in range(start, stop):
+            belief = forward_step(belief, None, M, E, contexts[i], "uniform")
+            want[i] = belief
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestForgettingRate:
