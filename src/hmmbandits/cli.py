@@ -85,6 +85,8 @@ def _cmd_check_lemmas(args) -> int:
 
 
 def _cmd_fit_rate(args) -> int:
+    if args.out == "":
+        raise ConfigError("--out must name an output directory, got an empty value")
     groups = read_summaries(args.results_dir)
     if not groups:
         print("no summary.csv found", file=sys.stderr)
@@ -104,7 +106,7 @@ def _cmd_fit_rate(args) -> int:
         }
     text = json.dumps(report, indent=2)
     print(text)
-    if args.out:
+    if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "rate_fit.json"), "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

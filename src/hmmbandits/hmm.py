@@ -191,7 +191,8 @@ def forward_step(
 
 
 CHUNK = 64            # steps per chunk product in forward_pass
-TILE_BYTES = 2**18    # bytes per (H, H, pairs) operand of a forward_pass tile
+TILE_BYTES = 2**18    # bytes per tile: a forward_pass (H, H, pairs) operand, a
+                      # learner's block of rows, its outer products
 
 
 def _layout_groups(transitions) -> list[tuple[bool, np.ndarray]]:

@@ -3,10 +3,12 @@
 action-vectorized confidence-bonus kernels they score with.
 
 Rewards are linear in the rows ``b_t (x) phi(a, x_t)``, so both policies are
-LinUCB over them: ``act(t, feats)`` sees round ``t``'s ``(A, H*d)`` block,
-one row per action, and ``update(v, reward)`` the chosen row and its reward.
-The random and oracle baselines read neither, so ``runner.play_arm``
-builds their actions as array expressions over the environment tape.
+LinUCB over them: ``play(first_round, feats, rewards)`` takes an
+``(n, A, H*d)`` block of rounds, one row per action, with every action's
+reward, and returns the actions; a round's choice reads that round's rows
+and the rewards of the rows chosen before it.  The random and oracle
+baselines read neither, so ``runner.play_arm`` builds their actions as array
+expressions over the environment tape.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 
 from .beliefs import BeliefErrorBudget, u_belief
 from .errors import ShapeMismatch, StageNotFrozen
+from .hmm import TILE_BYTES
 
 RESOLVE_EVERY = 1000  # BoxBPolicy re-solves its ridge directly this often
 
@@ -142,6 +145,23 @@ def staged_bonus(
     return u_t + np.sqrt(np.einsum("ij,ij->i", w, w)) * factor + tail
 
 
+def per_round_widths(cfg: BonusConfig, lam: float, rounds, u_prefix) -> list[float]:
+    """Width of the per-round bonus in each round ``t`` of ``rounds``: the
+    accumulated belief budget ``u_prefix[t - 1]`` over ``sqrt(lam)``, the
+    regularization bias, and the self-normalized deviation width.  The terms
+    that do not depend on ``t`` are evaluated once."""
+    dH = cfg.d * cfg.H
+    root_lam = math.sqrt(lam)
+    bias = math.sqrt(lam * cfg.H) * cfg.c_theta
+    confidence = 2.0 * math.log(2.0 / cfg.delta)
+    lam_dH = lam * dH
+    return [
+        u_prefix[t - 1] / root_lam + bias
+        + cfg.v_eta * math.sqrt(confidence + dH * math.log(1.0 + t / lam_dH))
+        for t in rounds
+    ]
+
+
 def per_round_bonus(
     cfg: BonusConfig,
     lam: float,
@@ -149,27 +169,66 @@ def per_round_bonus(
     feats: np.ndarray,
     gram_inv: np.ndarray,
     u_t: float,
-    u_prefix: float,
+    width: float,
 ) -> np.ndarray:
     """Per-round confidence bonus of every row ``b (x) phi`` of ``feats``.
 
     ``1 + sqrt(d)/lam`` at ``t = 1``; afterwards ``u_t`` plus the
-    Mahalanobis norm ``||b (x) phi||_{G_{t-1}^{-1}}`` times the width: the
-    accumulated belief budget ``u_prefix`` over ``sqrt(lam)``, the
-    regularization bias, and the self-normalized deviation width.
+    Mahalanobis norm ``||b (x) phi||_{G_{t-1}^{-1}}`` times ``width``, the
+    :func:`per_round_widths` entry of round ``t``.
     """
     if t == 1:
         return np.full(len(feats), 1.0 + math.sqrt(cfg.d) / lam)
     w = feats @ gram_inv
     mahal = np.sqrt(np.maximum(np.einsum("ij,ij->i", w, feats), 0.0))
-    dH = cfg.d * cfg.H
-    width = (
-        u_prefix / math.sqrt(lam)
-        + math.sqrt(lam * cfg.H) * cfg.c_theta
-        + cfg.v_eta
-        * math.sqrt(2.0 * math.log(2.0 / cfg.delta) + dH * math.log(1.0 + t / (lam * dH)))
-    )
     return u_t + mahal * width
+
+
+def _add_in_order(total: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """``total + terms[0] + terms[1] + ...`` added left to right: the bits of
+    one ``+=`` per term.  ``terms`` is overwritten."""
+    terms[0] += total
+    return np.add.accumulate(terms, axis=0, out=terms)[-1].copy()
+
+
+def _add_outer_products(gram: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``gram`` plus ``np.outer(v, v)`` for every row ``v`` of ``rows``, in
+    order, with the outer products built ``TILE_BYTES`` at a time."""
+    cap = max(1, TILE_BYTES // (8 * gram.size))
+    for lo in range(0, len(rows), cap):
+        v = rows[lo:lo + cap]
+        gram = _add_in_order(gram, v[:, :, None] * v[:, None, :])
+    return gram
+
+
+# A row's UCB ``f @ theta + (u_t + ||f @ G^{-1}||_2 * factor + tail)``,
+# computed with its sums in any order, lies within 6.1 gamma_k S of its exact
+# value (Higham 2002, sec. 3.1): k = dH + 2, gamma_k = k u / (1 - k u), and
+# S = |f| @ |theta| + |factor| ||(|f| @ |G^{-1}|)||_2 + |u_t| + |tail|, or
+# |f| @ |theta| + |bonus| for the constant bonus of stage 1.  So two orders
+# differ by at most 12.2 gamma_k S; the guard allows GUARD_FACTOR.
+GUARD_FACTOR = 32.0
+
+
+def _argmax_unsettled(ucb: np.ndarray, magnitude: np.ndarray, dH: int) -> np.ndarray:
+    """Rounds (rows of ``ucb``) whose batched argmax may differ from the
+    per-round one: a non-finite entry, or an entry whose gap to the top
+    entry is within the sum of their rounding bounds (exact ties included)."""
+    k = dH + 2
+    u = np.finfo(float).eps / 2.0
+    err = GUARD_FACTOR * (k * u / (1.0 - k * u)) * magnitude
+    rows = np.arange(len(ucb))
+    best = ucb.argmax(axis=1)
+    clear = ucb[rows, best][:, None] - ucb > err[rows, best][:, None] + err
+    clear[rows, best] = True
+    settled = clear.all(axis=1) & np.isfinite(ucb).all(axis=1) & np.isfinite(err).all(axis=1)
+    return ~settled
+
+
+def _check_block(first_round: int, rounds: int, horizon: int) -> None:
+    last = first_round + rounds - 1
+    if rounds < 1 or first_round < 1 or last > horizon:
+        raise ShapeMismatch(f"rounds {first_round}..{last} outside [1, {horizon}]")
 
 
 class BoxAPolicy:
@@ -177,7 +236,9 @@ class BoxAPolicy:
 
     The scoring estimate and the Gram matrix are frozen at the last stage
     boundary; every round's row still enters the accumulating ridge so the
-    boundary refresh sees the whole prefix.
+    boundary refresh sees the whole prefix.  So a stage's actions are two
+    batched products and an argmax; a round whose batched argmax the
+    rounding bound cannot settle is rescored with the per-round products.
     """
 
     def __init__(self, plan: StagePlan, cfg: BonusConfig, lam: float):
@@ -202,26 +263,60 @@ class BoxAPolicy:
             self._width = (s_t, staged_width(self.cfg, self.plan, self.lam, s_t, u_prefix))
         return self._width[1]
 
-    def act(self, t: int, feats: np.ndarray) -> int:
-        """Index of the row of round ``t``'s ``feats`` with the largest UCB."""
-        s_t = self.plan.stage_of(t)
-        width = None
-        if s_t > 1:
-            if self._frozen_rounds != (s_t - 1) * self.plan.stage_length:
-                raise StageNotFrozen("frozen ridge is out of step with the stage plan")
-            width = self._stage_width(s_t)
-        bonuses = staged_bonus(self.cfg, self.plan, self.lam, t, feats,
-                               self._gram_frozen_inv, self._u[t], width)
-        return int(np.argmax(feats @ self._theta_frozen + bonuses))
+    def play(self, first_round: int, feats: np.ndarray, rewards: np.ndarray) -> np.ndarray:
+        """Actions of rounds ``first_round, first_round + 1, ...``: round
+        ``first_round + i`` offers the ``(A, H*d)`` block ``feats[i]``, and
+        action ``a`` earns ``rewards[i, a]``."""
+        n = len(feats)
+        _check_block(first_round, n, self.plan.horizon)
+        if first_round != self._rounds + 1:
+            raise StageNotFrozen("frozen ridge is out of step with the stage plan")
+        ell = self.plan.stage_length
+        actions = np.empty(n, dtype=np.int64)
+        lo = 0
+        while lo < n:
+            t = first_round + lo
+            hi = min(n, lo + ell - (t - 1) % ell)  # the rest of t's stage
+            block = actions[lo:hi] = self._stage_actions(t, feats[lo:hi])
+            picked = np.arange(hi - lo), block
+            rows = feats[lo:hi][picked]
+            self._gram = _add_outer_products(self._gram, rows)
+            self._moment = _add_in_order(self._moment, rows * rewards[lo:hi][picked][:, None])
+            self._rounds += hi - lo
+            if self._rounds % ell == 0:
+                self._theta_frozen = np.linalg.solve(self._gram, self._moment)
+                self._gram_frozen_inv = np.linalg.inv(self._gram)
+                self._frozen_rounds = self._rounds
+            lo = hi
+        return actions
 
-    def update(self, v: np.ndarray, reward: float) -> None:
-        self._gram += np.outer(v, v)
-        self._moment += v * float(reward)
-        self._rounds += 1
-        if self._rounds % self.plan.stage_length == 0:
-            self._theta_frozen = np.linalg.solve(self._gram, self._moment)
-            self._gram_frozen_inv = np.linalg.inv(self._gram)
-            self._frozen_rounds = self._rounds
+    def _stage_actions(self, t: int, feats: np.ndarray) -> np.ndarray:
+        """Actions of the rounds ``t, t + 1, ...`` of one stage."""
+        n, A, dH = feats.shape
+        s_t = self.plan.stage_of(t)
+        width = self._stage_width(s_t) if s_t > 1 else None
+        theta, gram_inv = self._theta_frozen, self._gram_frozen_inv
+        flat = feats.reshape(n * A, dH)
+        u = np.repeat(np.frombuffer(self._u)[t:t + n], A)
+        bonus = staged_bonus(self.cfg, self.plan, self.lam, t, flat, gram_inv, u, width)
+        ucb = flat @ theta + bonus
+        abs_flat = np.abs(flat)
+        magnitude = abs_flat @ np.abs(theta)
+        if width is None:
+            magnitude += np.abs(bonus)
+        else:
+            m = abs_flat @ np.abs(gram_inv)
+            factor, tail = width
+            magnitude += (abs(factor) * np.sqrt(np.einsum("ij,ij->i", m, m))
+                          + (np.abs(u) + abs(tail)))
+        ucb, magnitude = ucb.reshape(n, A), magnitude.reshape(n, A)
+        actions = ucb.argmax(axis=1)
+        for i in np.flatnonzero(_argmax_unsettled(ucb, magnitude, dH)).tolist():
+            rows = feats[i].copy()
+            bonuses = staged_bonus(self.cfg, self.plan, self.lam, t + i, rows, gram_inv,
+                                   self._u[t + i], width)
+            actions[i] = np.argmax(rows @ theta + bonuses)
+        return actions
 
     def set_gamma(self, gamma: float) -> None:
         """Swap the forgetting rate fed to the bonus (plugin-gamma mode)."""
@@ -233,7 +328,9 @@ class BoxBPolicy:
     """LinUCB on estimated beliefs with per-round updates (no stages).
 
     The Gram inverse is maintained by rank-one (Sherman-Morrison) updates
-    with a direct re-solve every ``RESOLVE_EVERY`` rounds to cap drift.
+    with a direct re-solve every ``RESOLVE_EVERY`` rounds to cap drift; the
+    Gram matrix itself is only read there, so its terms are added in order
+    at those rounds and at the end of a block.
     """
 
     def __init__(self, cfg: BonusConfig, lam: float, horizon: int):
@@ -248,22 +345,36 @@ class BoxBPolicy:
         self._rounds = 0
         self._u, self._u_prefix = u_schedule(cfg, horizon)
 
-    def act(self, t: int, feats: np.ndarray) -> int:
-        """Index of the row of round ``t``'s ``feats`` with the largest UCB."""
-        if not 1 <= t <= self.horizon:
-            raise ShapeMismatch(f"round {t} outside [1, {self.horizon}]")
-        bonuses = per_round_bonus(self.cfg, self.lam, t, feats, self._gram_inv,
-                                  self._u[t], self._u_prefix[self._rounds])
-        return int(np.argmax(feats @ self._theta + bonuses))
-
-    def update(self, v: np.ndarray, reward: float) -> None:
-        self._gram += np.outer(v, v)
-        self._moment += v * float(reward)
-        w = self._gram_inv @ v
-        self._gram_inv -= np.outer(w, w) / (1.0 + float(v @ w))
-        self._rounds += 1
-        if self._rounds % RESOLVE_EVERY == 0:
-            self._gram_inv = np.linalg.inv(self._gram)
-            self._theta = np.linalg.solve(self._gram, self._moment)
-        else:
-            self._theta = self._gram_inv @ self._moment
+    def play(self, first_round: int, feats: np.ndarray, rewards: np.ndarray) -> np.ndarray:
+        """Actions of rounds ``first_round, first_round + 1, ...``, with the
+        conventions of :meth:`BoxAPolicy.play`."""
+        n = len(feats)
+        _check_block(first_round, n, self.horizon)
+        if first_round != self._rounds + 1:
+            raise ShapeMismatch(f"round {first_round} does not follow round {self._rounds}")
+        cfg, lam, u = self.cfg, self.lam, self._u
+        rounds = range(first_round, first_round + n)
+        widths = per_round_widths(cfg, lam, rounds, self._u_prefix)
+        moment, gram_inv, theta = self._moment, self._gram_inv, self._theta
+        actions = np.empty(n, dtype=np.int64)
+        picked = np.empty((n, feats.shape[2]))
+        added = 0  # rows of picked already in the Gram matrix
+        for i, (t, width, reward) in enumerate(zip(rounds, widths, rewards.tolist())):
+            f = feats[i]
+            a = (f @ theta + per_round_bonus(cfg, lam, t, f, gram_inv, u[t], width)).argmax()
+            v = picked[i] = f[a]
+            actions[i] = a
+            moment += v * reward[a]
+            w = gram_inv @ v
+            gram_inv -= (w[:, None] * w) / (1.0 + v @ w)
+            if t % RESOLVE_EVERY == 0:
+                self._gram = _add_outer_products(self._gram, picked[added:i + 1])
+                added = i + 1
+                gram_inv = np.linalg.inv(self._gram)
+                theta = np.linalg.solve(self._gram, moment)
+            else:
+                theta = gram_inv @ moment
+        self._gram = _add_outer_products(self._gram, picked[added:])
+        self._gram_inv, self._theta = gram_inv, theta
+        self._rounds += n
+        return actions

@@ -21,6 +21,7 @@ from .beliefs import belief_gaps, refit_schedule, scheduled_beliefs
 from .config import ExperimentConfig, config_snapshot
 from .environment import EnvironmentTape, sample_tape
 from .errors import ConfigError, EstimationFailed, HmmBanditsError, ShapeMismatch
+from .hmm import TILE_BYTES
 from .policies import (
     BonusConfig,
     BoxAPolicy,
@@ -120,8 +121,8 @@ def play_arm(
     collect its transcript; ``duration`` counts the arm alone.
 
     The random and oracle arms read neither rewards nor learner beliefs, so
-    their actions are array expressions over the tape; only the LinUCB
-    learners step round by round, on the rows ``b_t (x) phi(a, x_t)``.
+    their actions are array expressions over the tape; the LinUCB learners
+    play the rows ``b_t (x) phi(a, x_t)`` in blocks of rounds.
     """
     start = time.perf_counter()
     horizon = tape.contexts.size
@@ -157,19 +158,21 @@ def play_arm(
         else:
             beliefs = tape.beliefs
         actions = np.empty(horizon, dtype=np.int64)
-        rewards, phi = tape.rewards, config.phi
+        phi = config.phi
         A, Hd = phi.num_actions, config.params.num_states * phi.dim
-        for i, x in enumerate(tape.contexts.tolist()):
-            t = i + 1
-            if t in plugin_gammas:
-                policy.set_gamma(plugin_gammas[t])
-            feats = (beliefs[i][None, :, None] * phi.table[:, x][:, None, :]).reshape(A, Hd)
-            a = policy.act(t, feats)
-            if not 0 <= a < A:
-                raise ShapeMismatch(f"action {a} outside the action set")
-            # .item gives a Python float, as the reward a policy is shown
-            policy.update(feats[a], rewards.item(i, a))
-            actions[i] = a
+        # blocks of at most TILE_BYTES, cut where the plug-in gamma changes
+        cap = max(1, TILE_BYTES // (8 * A * Hd))
+        starts = sorted({*range(0, horizon, cap),
+                         *(t - 1 for t in plugin_gammas if 1 <= t <= horizon)})
+        for lo, hi in zip(starts, starts[1:] + [horizon]):
+            if lo + 1 in plugin_gammas:
+                policy.set_gamma(plugin_gammas[lo + 1])
+            # one elementwise product: the rows b_t (x) phi(a, x_t) of every round
+            table = phi.table[:, tape.contexts[lo:hi]].transpose(1, 0, 2)
+            feats = (beliefs[lo:hi, None, :, None] * table[:, :, None, :]).reshape(hi - lo, A, Hd)
+            actions[lo:hi] = policy.play(lo + 1, feats, tape.rewards[lo:hi])
+        if actions.min() < 0 or actions.max() >= A:
+            raise ShapeMismatch("an action outside the action set")
 
     rounds = np.arange(horizon)
     # pseudo-regret against the true belief, whatever the policy acted on;

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -75,19 +77,22 @@ def cell_config(params, spec, phi, horizon, policies=("random",), master_seed=5,
 
 def scripted_policy(choose, log):
     """A stand-in for ``runner._build_policy``: a learner arm then runs a
-    scripted policy, where ``choose(t)`` picks the action.  ``act`` appends
-    ``("act", t, feats)`` to ``log`` and ``update`` appends ``("update", t,
-    a, reward, v)``, with the round and action of the last ``act``.  Run it
-    on a ``beliefs = "oracle"`` config, so the arm acts on the tape's
+    scripted policy, where ``choose(t)`` picks the action.  For each round
+    ``t`` of a block, ``play`` appends ``("act", t, feats)`` to ``log`` and,
+    for an action inside the action set, ``("update", t, a, reward, v)`` with
+    the chosen row and reward, as a round-by-round learner would see them.
+    Run it on a ``beliefs = "oracle"`` config, so the arm acts on the tape's
     beliefs."""
 
     class Scripted:
-        def act(self, t, feats):
-            log.append(("act", t, np.array(feats)))
-            self.last = (t, choose(t))
-            return self.last[1]
-
-        def update(self, v, reward):
-            log.append(("update", *self.last, reward, np.array(v)))
+        def play(self, first_round, feats, rewards):
+            actions = []
+            for t, block, row in zip(itertools.count(first_round), feats, rewards.tolist()):
+                log.append(("act", t, np.array(block)))
+                a = choose(t)
+                if 0 <= a < len(block):
+                    log.append(("update", t, a, row[a], np.array(block[a])))
+                actions.append(a)
+            return np.array(actions, dtype=np.int64)
 
     return lambda config, name, horizon: Scripted()

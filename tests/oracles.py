@@ -7,9 +7,12 @@ no code with the package paths it checks.  The exceptions:
 which check the scheduling of the belief subroutine bit for bit and so call
 the package's estimator and ``forward_step``, writing only the round-by-round
 control flow themselves; :func:`stepwise_filter`, the one-step-at-a-time
-loop over ``forward_step``; and :func:`reference_forward_pass`, the
+loop over ``forward_step``; :func:`reference_forward_pass`, the
 straight single-prefix chunked pass whose bits the package's batched
-``forward_pass`` must reproduce for every prefix.
+``forward_pass`` must reproduce for every prefix; and :class:`StepwiseBoxA`
+and :class:`StepwiseBoxB`, the learners' round-by-round ``act``/``update``
+loops whose bits the block ``play`` must reproduce, which take the belief
+budget from ``u_schedule`` and the stage width from ``staged_width``.
 """
 
 from __future__ import annotations
@@ -433,6 +436,115 @@ def reference_box_b_actions(
         moment = moment + feat * reward_matrix[t - 1, a_t]
         theta = np.linalg.solve(gram, moment)
     return actions
+
+
+class _Stepwise:
+    def play(self, first_round, feats, rewards):
+        """The learner's ``play``, one round at a time: ``act`` on a fresh
+        copy of each round's block, then ``update`` with the chosen row and
+        its reward."""
+        actions = []
+        for i, block in enumerate(np.asarray(feats)):
+            feats_t = block.copy()
+            a = self.act(first_round + i, feats_t)
+            self.update(feats_t[a], rewards[i][a])
+            actions.append(a)
+        return np.array(actions, dtype=np.int64)
+
+
+class StepwiseBoxA(_Stepwise):
+    """Staged LinUCB one round at a time: ``act`` scores round ``t``'s
+    ``(A, H*d)`` block with the ridge frozen at the last stage boundary,
+    ``update`` adds the chosen row and refreezes at a boundary."""
+
+    def __init__(self, plan, cfg, lam):
+        from hmmbandits.policies import u_schedule
+
+        self.plan, self.cfg, self.lam = plan, cfg, float(lam)
+        dH = cfg.H * cfg.d
+        self._gram = self.lam * np.eye(dH)
+        self._moment = np.zeros(dH)
+        self._rounds = 0
+        self._u, self._u_prefix = u_schedule(cfg, plan.horizon)
+        self._theta_frozen = np.full(dH, 1.0 / self.lam)
+        self._gram_frozen_inv = np.eye(dH) / self.lam
+        self._frozen_rounds = 0
+
+    def act(self, t, feats):
+        from hmmbandits.policies import staged_width
+
+        if t <= self.plan.stage_length:
+            bonuses = np.full(len(feats), 1.0 + math.sqrt(self.cfg.d) / self.lam)
+        else:
+            s_t = self.plan.stage_of(t)
+            assert self._frozen_rounds == (s_t - 1) * self.plan.stage_length
+            factor, tail = staged_width(self.cfg, self.plan, self.lam, s_t,
+                                        self._u_prefix[self._frozen_rounds])
+            w = feats @ self._gram_frozen_inv
+            bonuses = self._u[t] + np.sqrt(np.einsum("ij,ij->i", w, w)) * factor + tail
+        return int(np.argmax(feats @ self._theta_frozen + bonuses))
+
+    def update(self, v, reward):
+        self._gram += np.outer(v, v)
+        self._moment += v * float(reward)
+        self._rounds += 1
+        if self._rounds % self.plan.stage_length == 0:
+            self._theta_frozen = np.linalg.solve(self._gram, self._moment)
+            self._gram_frozen_inv = np.linalg.inv(self._gram)
+            self._frozen_rounds = self._rounds
+
+    def set_gamma(self, gamma):
+        from dataclasses import replace
+
+        self.cfg = replace(self.cfg, gamma=float(gamma))
+
+
+class StepwiseBoxB(_Stepwise):
+    """Per-round LinUCB one round at a time, with Sherman-Morrison updates of
+    the Gram inverse and a direct re-solve every ``RESOLVE_EVERY`` rounds."""
+
+    def __init__(self, cfg, lam, horizon):
+        from hmmbandits.policies import u_schedule
+
+        self.cfg, self.lam, self.horizon = cfg, float(lam), int(horizon)
+        dH = cfg.H * cfg.d
+        self._gram = self.lam * np.eye(dH)
+        self._moment = np.zeros(dH)
+        self._gram_inv = np.eye(dH) / self.lam
+        self._theta = np.full(dH, 1.0 / self.lam)
+        self._rounds = 0
+        self._u, self._u_prefix = u_schedule(cfg, horizon)
+
+    def act(self, t, feats):
+        cfg, lam = self.cfg, self.lam
+        if t == 1:
+            bonuses = np.full(len(feats), 1.0 + math.sqrt(cfg.d) / lam)
+        else:
+            w = feats @ self._gram_inv
+            mahal = np.sqrt(np.maximum(np.einsum("ij,ij->i", w, feats), 0.0))
+            dH = cfg.d * cfg.H
+            width = (
+                self._u_prefix[self._rounds] / math.sqrt(lam)
+                + math.sqrt(lam * cfg.H) * cfg.c_theta
+                + cfg.v_eta * math.sqrt(2.0 * math.log(2.0 / cfg.delta)
+                                        + dH * math.log(1.0 + t / (lam * dH)))
+            )
+            bonuses = self._u[t] + mahal * width
+        return int(np.argmax(feats @ self._theta + bonuses))
+
+    def update(self, v, reward):
+        from hmmbandits.policies import RESOLVE_EVERY
+
+        self._gram += np.outer(v, v)
+        self._moment += v * float(reward)
+        w = self._gram_inv @ v
+        self._gram_inv -= np.outer(w, w) / (1.0 + float(v @ w))
+        self._rounds += 1
+        if self._rounds % RESOLVE_EVERY == 0:
+            self._gram_inv = np.linalg.inv(self._gram)
+            self._theta = np.linalg.solve(self._gram, self._moment)
+        else:
+            self._theta = self._gram_inv @ self._moment
 
 
 def reference_environment_path(params, spec, phi_table: np.ndarray, horizon: int, seed):

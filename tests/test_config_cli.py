@@ -418,6 +418,18 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["demo"]["slope"] == pytest.approx(0.5, abs=1e-9)
 
+    def test_fit_rate_empty_out_exit_2(self, tmp_path, monkeypatch, capsys):
+        # an empty --out is a configuration error, not a silently skipped write
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "summary.csv").write_text("policy,T,seed,R_T\ndemo,128,0,1.0\n")
+        assert cli_main(["fit-rate", str(tmp_path), "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert "configuration error: --out must name an output directory" in captured.err
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == ["summary.csv"]
+        assert cli_main(["fit-rate", str(tmp_path), "--out", "fit"]) == 0
+        assert (tmp_path / "fit" / "rate_fit.json").exists()
+
     def test_print_config_schema(self, capsys):
         assert cli_main(["print-config-schema"]) == 0
         out = capsys.readouterr().out
@@ -608,11 +620,9 @@ class TestTranscriptReplay:
         )
         beliefs = scheduled_beliefs(schedule, contexts, 2)
         table = cfg.phi.table
-        replayed = []
-        for t in range(1, horizon + 1):
-            x, b_hat = contexts[t - 1], beliefs[t - 1]
-            feats = np.array([np.kron(b_hat, table[a, x]) for a in range(len(table))])
-            a = policy.act(t, feats)
-            replayed.append(a)
-            policy.update(feats[a], rewards[t - 1])
+        feats = np.array([[np.kron(b_hat, row) for row in table[:, x]]
+                          for x, b_hat in zip(contexts, beliefs)])
+        # whichever action a round picks earns the recorded reward
+        recorded = np.repeat(np.array(rewards)[:, None], len(table), axis=1)
+        replayed = policy.play(1, feats, recorded).tolist()
         assert replayed == actions

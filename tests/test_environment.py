@@ -236,8 +236,8 @@ class TestEnvironmentProtocol:
 class TestInformationBarrier:
     def test_probe_policy_sees_only_allowed_inputs(self, reference_params, spec3, phi3,
                                                    monkeypatch):
-        """The policy boundary carries exactly t and the round's rows
-        b_t (x) phi(a, x_t), one per action, plus the reward of the chosen row."""
+        """The policy boundary carries the rounds of a block and each round's
+        rows b_t (x) phi(a, x_t), one per action, plus the rounds' rewards."""
         seen = []
         monkeypatch.setattr(runner, "_build_policy", scripted_policy(lambda t: 0, seen))
         config = cell_config(reference_params, spec3, phi3, 15, policies=("boxB",),
@@ -272,6 +272,9 @@ def test_reward_vector_only_chosen_entry_revealed(seed):
         simulate_cell(config, "boxB", 4, 0)
     finally:
         runner._build_policy = original
+    # play is handed every action's reward of its rounds; a learner reads the
+    # chosen entry only (test_policies pins both learners to round-by-round
+    # act/update loops that see nothing else)
     tape = draw_tape(config, 4, 0)
     blocks = [e[2] for e in log if e[0] == "act"]
     updates = [e for e in log if e[0] == "update"]

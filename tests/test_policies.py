@@ -15,6 +15,7 @@ from hmmbandits.policies import (
     BoxBPolicy,
     StagePlan,
     per_round_bonus,
+    per_round_widths,
     staged_bonus,
     staged_width,
     u_schedule,
@@ -30,6 +31,7 @@ from oracles import (
     reference_box_b_actions,
     u_belief_reference,
 )
+from oracles import StepwiseBoxA, StepwiseBoxB
 
 
 def make_cfg(**overrides) -> BonusConfig:
@@ -69,26 +71,27 @@ def box_a_bonus(cfg, plan, lam, gram, belief, phi_vecs, t):
 def box_b_bonus(cfg, lam, gram, belief, phi_vecs, t):
     """Per-round kernel on the rows ``belief (x) phi_vec`` after ``t - 1`` rounds."""
     u, prefix = u_schedule(cfg, t)
+    width = per_round_widths(cfg, lam, [t], prefix)[0]
     return per_round_bonus(cfg, lam, t, rows(belief, phi_vecs), np.linalg.inv(gram),
-                           u[t], prefix[t - 1])
+                           u[t], width)
 
 
 def blocks(table, contexts, beliefs):
-    """Every round's rows ``b_t (x) phi(a, x_t)``, one per action of the
-    ``(A, X, d)`` transfer ``table``."""
-    for t, (x, b) in enumerate(zip(contexts, beliefs), start=1):
-        yield t, rows(b, table[:, int(x)])
+    """The ``(T, A, H*d)`` block of every round's rows ``b_t (x) phi(a, x_t)``,
+    one per action of the ``(A, X, d)`` transfer ``table``."""
+    return np.stack([rows(b, table[:, int(x)]) for x, b in zip(contexts, beliefs)])
 
 
 def play(policy, table, contexts, beliefs, rewards):
-    """Run ``policy`` on the stream; ``rewards[t-1, a]`` is action ``a``'s
-    reward in round ``t``.  Returns the actions."""
-    actions = []
-    for t, feats in blocks(table, contexts, beliefs):
-        a = policy.act(t, feats)
-        policy.update(feats[a], rewards[t - 1, a])
-        actions.append(a)
-    return actions
+    """Run ``policy`` on the stream in one block; ``rewards[t-1, a]`` is
+    action ``a``'s reward in round ``t``.  Returns the actions."""
+    return policy.play(1, blocks(table, contexts, beliefs), np.asarray(rewards)).tolist()
+
+
+def update(policy, v, reward):
+    """Add the row ``v`` with ``reward`` to ``policy``'s ridge: the next
+    round, offered ``v`` as its only action."""
+    policy.play(policy._rounds + 1, np.reshape(v, (1, 1, -1)), np.array([[reward]]))
 
 
 class TestRidge:
@@ -108,14 +111,14 @@ class TestRidge:
 
     def test_zero_feature_only_counts(self):
         policy = self.policy(lam=1.0)
-        policy.update(np.zeros(4), reward=5.0)
+        update(policy, np.zeros(4), reward=5.0)
         assert np.allclose(policy._gram, np.eye(4))
         assert np.allclose(policy._moment, 0.0)
         assert policy._rounds == 1
 
     def test_scalar_single_update(self):
         policy = self.policy(lam=1.0, H=1, phi=TransferFunction.one_hot_action(1, 1))
-        policy.update(np.array([1.0]), reward=2.0)
+        update(policy, np.array([1.0]), reward=2.0)
         assert policy._gram[0, 0] == pytest.approx(2.0)
         assert policy._theta[0] == pytest.approx(1.0)
 
@@ -129,7 +132,8 @@ class TestRidge:
             x, a, b = int(rng.integers(X)), int(rng.integers(A)), rng.dirichlet(np.ones(2))
             feats.append(np.kron(b, phi.table[a, x]))
             rewards.append(rng.normal())
-            policy.update(feats[-1], rewards[-1])
+        # one block of 50 one-action rounds
+        policy.play(1, np.asarray(feats)[:, None, :], np.asarray(rewards)[:, None])
         want = batch_ridge(np.asarray(feats), np.asarray(rewards), lam)
         assert np.max(np.abs(policy._theta - want)) < 1e-8
 
@@ -139,7 +143,7 @@ class TestRidge:
         phi = TransferFunction.one_hot_action(2, 2)
         for _ in range(30):
             x, b, a = int(rng.integers(2)), rng.dirichlet(np.ones(2)), int(rng.integers(2))
-            policy.update(np.kron(b, phi.table[a, x]), rng.normal())
+            update(policy, np.kron(b, phi.table[a, x]), rng.normal())
         assert np.linalg.eigvalsh(policy._gram).min() >= 1.5 - 1e-9
 
 
@@ -164,12 +168,15 @@ class TestUSchedule:
     def test_invalid_round(self):
         # a schedule lookup would return slot 0 at t = 0 and wrap for t < 0
         cfg = make_cfg(H=2, X=2, d=2)
-        feats = rows(np.array([0.5, 0.5]), build_phi().table[:, 0])
+        feats = rows(np.array([0.5, 0.5]), build_phi().table[:, 0])[None]
         for policy in (BoxAPolicy(StagePlan(4, 10), cfg, lam=2.0),
                        BoxBPolicy(cfg, lam=2.0, horizon=10)):
             for t in (0, -1, 11):
                 with pytest.raises(ShapeMismatch):
-                    policy.act(t, feats)
+                    policy.play(t, feats, np.zeros((1, 2)))
+            # nor may a block run past the horizon
+            with pytest.raises(ShapeMismatch):
+                policy.play(1, np.repeat(feats, 11, axis=0), np.zeros((11, 2)))
 
     @pytest.mark.parametrize("name", ["boxA", "boxB"])
     def test_one_budget_evaluation_per_round(self, name, monkeypatch):
@@ -305,9 +312,9 @@ class TestBonusBoxA:
         cfg = make_cfg(H=2, X=2, d=2)
         policy = BoxAPolicy(StagePlan(4, 16), cfg, lam=2.0)
         feats = rows(np.array([0.5, 0.5]), build_phi().table[:, 0])
-        policy.update(feats[0], 0.0)  # one round into stage 1
+        update(policy, feats[0], 0.0)  # one round into stage 1
         with pytest.raises(StageNotFrozen):
-            policy.act(6, feats)
+            policy.play(6, feats[None], np.zeros((1, 2)))
 
 
 class TestBonusBoxB:
@@ -399,10 +406,9 @@ class TestBoxAPolicy:
         cfg = make_cfg(H=2, X=2, d=2)
         policy = BoxAPolicy(StagePlan(ell, T), cfg, lam=2.0)
         frozen = []
-        for t, feats in blocks(phi.table, contexts, beliefs):
-            a = policy.act(t, feats)
+        for t, feats in enumerate(blocks(phi.table, contexts, beliefs), start=1):
             frozen.append(policy._frozen_rounds)
-            policy.update(feats[a], rewards[t - 1, a])
+            policy.play(t, feats[None], rewards[t - 1:t])
         # theta used in round t was computed at the last stage boundary
         assert frozen == [0, 0, 0, 0, 4, 4, 4, 4, 8, 8, 8, 8]
         assert policy._frozen_rounds == 12
@@ -442,13 +448,12 @@ class TestBoxBPolicy:
         contexts, beliefs, rewards = synthetic_stream(rng, T)
         cfg = make_cfg(H=2, X=2, d=2)
         policy = BoxBPolicy(cfg, lam=math.sqrt(T), horizon=T)
-        for t, feats in blocks(phi.table, contexts, beliefs):
-            a = policy.act(t, feats)
-            policy.update(feats[a], rewards[t - 1, a])
-            if t in (999, 1999, T):
-                # the rank-one updates drift most right before a re-solve
-                direct = np.linalg.inv(policy._gram)
-                assert np.max(np.abs(policy._gram_inv - direct)) <= 1e-8
+        feats = blocks(phi.table, contexts, beliefs)
+        for lo, t in ((0, 999), (999, 1999), (1999, T)):
+            policy.play(lo + 1, feats[lo:t], rewards[lo:t])
+            # the rank-one updates drift most right before a re-solve
+            direct = np.linalg.inv(policy._gram)
+            assert np.max(np.abs(policy._gram_inv - direct)) <= 1e-8
 
     def test_theta_tracks_batch_solution(self):
         rng = np.random.default_rng(4)
@@ -457,13 +462,10 @@ class TestBoxBPolicy:
         contexts, beliefs, rewards = synthetic_stream(rng, T)
         cfg = make_cfg(H=2, X=2, d=2)
         policy = BoxBPolicy(cfg, lam=3.0, horizon=T)
-        feats_seen, obs = [], []
-        for t, feats in blocks(phi.table, contexts, beliefs):
-            a = policy.act(t, feats)
-            feats_seen.append(feats[a])
-            obs.append(rewards[t - 1, a])
-            policy.update(feats[a], obs[-1])
-        want = batch_ridge(np.asarray(feats_seen), np.asarray(obs), 3.0)
+        feats = blocks(phi.table, contexts, beliefs)
+        actions = policy.play(1, feats, rewards)
+        picked = np.arange(T), actions
+        want = batch_ridge(feats[picked], rewards[picked], 3.0)
         assert np.max(np.abs(policy._theta - want)) < 1e-8
 
 
@@ -498,10 +500,12 @@ def test_row_policies_match_straight_line_references(seed, H, d, A, T, scope, kn
                                           v_eta=0.1, **common)
 
 
-def forced_bonuses(monkeypatch, bonus):
-    """Replace both bonus kernels by ``bonus(t, a)`` for every action ``a``."""
+def forced_bonuses(monkeypatch, bonus, A=2):
+    """Replace both bonus kernels by ``bonus(t, a)`` for every action ``a``;
+    a kernel scoring a stage's rounds ``t, t + 1, ...`` at once sees their
+    ``A`` rows each, in round order."""
     def rows_bonus(t, feats):
-        return np.array([bonus(t, a) for a in range(len(feats))])
+        return np.array([bonus(t + i // A, i % A) for i in range(len(feats))])
 
     monkeypatch.setattr(policies, "staged_bonus",
                         lambda cfg, plan, lam, t, feats, *rest: rows_bonus(t, feats))
@@ -535,10 +539,11 @@ class TestEquivalenceAndConsistency:
         for _ in range(5000):
             b = rng.dirichlet(np.ones(H))
             a = int(rng.integers(d))
-            f = np.kron(b, phi.table[a, 0])
-            feats.append(f)
-            policy.update(f, float(f @ theta_star))
-        gram = np.asarray(feats).T @ np.asarray(feats)
+            feats.append(np.kron(b, phi.table[a, 0]))
+        feats = np.asarray(feats)
+        # one-action rounds: the policy's ridge sees exactly these rows
+        policy.play(1, feats[:, None, :], (feats @ theta_star)[:, None])
+        gram = feats.T @ feats
         assert np.linalg.eigvalsh(gram).min() > 100.0  # grows linearly
         assert np.linalg.norm(policy._theta - theta_star) < 0.05
 
@@ -548,24 +553,30 @@ class TestActSelection:
         table = np.full((2, 2, 2), 0.5)
         cfg = make_cfg(H=2, X=2, d=2)
         policy = BoxAPolicy(StagePlan(4, 8), cfg, lam=1.0)
-        assert policy.act(1, rows(np.array([0.5, 0.5]), table[:, 0])) == 0
+        feats = rows(np.array([0.5, 0.5]), table[:, 0])[None]
+        assert policy.play(1, feats, np.zeros((1, 2))).tolist() == [0]
 
     def test_dominant_bonus_wins(self, monkeypatch):
         forced_bonuses(monkeypatch, lambda t, a: 100.0 if a == 1 else 0.0)
         cfg = make_cfg(H=2, X=2, d=2)
         policy = BoxAPolicy(StagePlan(4, 8), cfg, lam=1.0)
-        assert policy.act(1, rows(np.array([0.5, 0.5]), build_phi().table[:, 0])) == 1
+        feats = rows(np.array([0.5, 0.5]), build_phi().table[:, 0])[None]
+        assert policy.play(1, feats, np.zeros((1, 2))).tolist() == [1]
 
     def test_argmax_invariant_to_constant_shift(self, monkeypatch):
         rng = np.random.default_rng(7)
         table = build_phi().table
-        policy = BoxBPolicy(make_cfg(H=2, X=2, d=2), lam=2.0, horizon=5)
+
+        def first_action(feats):  # on a fresh policy: the same ridge every time
+            policy = BoxBPolicy(make_cfg(H=2, X=2, d=2), lam=2.0, horizon=5)
+            return policy.play(1, feats[None], np.zeros((1, 2))).tolist()
+
         for _ in range(20):
             feats = rows(rng.dirichlet(np.ones(2)), table[:, int(rng.integers(2))])
             forced_bonuses(monkeypatch, lambda t, a: 7.0)
-            shifted = policy.act(5, feats)
+            shifted = first_action(feats)
             forced_bonuses(monkeypatch, lambda t, a: 0.0)
-            assert shifted == policy.act(5, feats)
+            assert shifted == first_action(feats)
 
     def test_oracle_examples(self):
         phi = build_phi(A=3, X=2)
@@ -598,3 +609,84 @@ class TestActSelection:
         rng = np.random.default_rng(policy_ss)
         assert result.actions.tolist() == [int(rng.integers(3)) for _ in range(50)]
         assert set(result.actions.tolist()) == {0, 1, 2}
+
+
+# (H, d) with H * d from 1 to 24, including 9, 12, 18 and 24
+ROW_SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (1, 6), (2, 4),
+              (3, 3), (4, 3), (2, 6), (3, 6), (2, 9), (4, 6), (3, 8)]
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from(ROW_SHAPES),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=150),
+    st.sampled_from(["full", "partial"]),
+    st.booleans(),
+    st.sampled_from(["normal", "one_hot", "repeated"]),
+)
+def test_play_matches_stepwise_loop(seed, shape, A, T, scope, known, transfer):
+    """``play`` over random splits of the rounds gives the actions and the
+    final ridge of the round-by-round act/update loop bit for bit, with a
+    plug-in gamma swapped in at a random round.  ``one_hot`` rows tie exactly
+    while theta is constant (stage 1); ``repeated`` offers action 0's row
+    again as action 1 in every round."""
+    rng = np.random.default_rng(seed)
+    H, d = shape
+    X = int(rng.integers(H, H + 3))  # the belief budget needs X >= H
+    if transfer == "one_hot":
+        table = np.zeros((A, X, d))
+        table[np.arange(A), :, np.arange(A) % d] = 1.0
+    else:
+        table = rng.normal(size=(A, X, d))
+        if transfer == "repeated" and A > 1:
+            table[1] = table[0]
+    contexts = rng.integers(0, X, size=T)
+    beliefs = rng.dirichlet(np.ones(H), size=T)
+    feats = blocks(table, contexts, beliefs)
+    rewards = rng.normal(scale=10.0 ** rng.uniform(0, 4), size=(T, A))
+    ell, lam = int(rng.integers(1, T + 1)), float(rng.uniform(0.5, 10.0))
+    swap, gamma = int(rng.integers(1, T + 1)), float(rng.uniform(0.0, 0.9))
+    cuts = sorted({0, swap - 1, *rng.integers(0, T, size=int(rng.integers(0, 6))).tolist()})
+    cfg = make_cfg(H=H, X=X, d=d, bonus_scope=scope, known_beliefs=known)
+    plan = StagePlan(ell, T)
+    pairs = [(BoxAPolicy(plan, cfg, lam), StepwiseBoxA(plan, cfg, lam)),
+             (BoxBPolicy(cfg, lam, T), StepwiseBoxB(cfg, lam, T))]
+    for policy, stepwise in pairs:
+        for lo, hi in zip(cuts, cuts[1:] + [T]):
+            if lo + 1 == swap and isinstance(policy, BoxAPolicy):
+                policy.set_gamma(gamma)
+                stepwise.set_gamma(gamma)
+            got = policy.play(lo + 1, feats[lo:hi], rewards[lo:hi])
+            want = stepwise.play(lo + 1, feats[lo:hi], rewards[lo:hi])
+            assert np.array_equal(got, want)
+        names = (["_theta_frozen", "_gram_frozen_inv"] if isinstance(policy, BoxAPolicy)
+                 else ["_gram_inv", "_theta"])
+        for name in ["_gram", "_moment", *names]:
+            assert np.array_equal(getattr(policy, name), getattr(stepwise, name)), name
+
+
+@pytest.mark.parametrize("tile_rounds", [1, 7, 64, 2000])
+def test_cells_match_stepwise_learners(reference_params, monkeypatch, tile_rounds):
+    """Learner cells, played in tiles of ``tile_rounds`` rounds with the
+    plug-in gamma swapped in at every refit, take the actions of the
+    round-by-round learners."""
+    from dataclasses import replace
+
+    from hmmbandits import runner
+    from hmmbandits.environment import NoiseModel, RewardSpec, sample_theta
+
+    phi = build_phi(A=3, X=4)
+    theta, c_theta = sample_theta(phi, 2, np.random.default_rng(9))
+    spec = RewardSpec(theta_star=theta, c_theta=c_theta, noise=NoiseModel.gaussian(0.1))
+    config = cell_config(reference_params, spec, phi, 400, policies=("boxA", "boxB"))
+    config = replace(config, run=replace(config.run, plugin_gamma=True),
+                     policy=replace(config.policy, ell=30, refit_every=25))
+    monkeypatch.setattr(runner, "TILE_BYTES", tile_rounds * 8 * 3 * 2 * 3)
+    got = runner.simulate_group(config, 400, 0, ["boxA", "boxB"])
+    monkeypatch.setattr(runner, "BoxAPolicy", StepwiseBoxA)
+    monkeypatch.setattr(runner, "BoxBPolicy", StepwiseBoxB)
+    want = runner.simulate_group(config, 400, 0, ["boxA", "boxB"])
+    for a, b in zip(got, want):
+        assert np.array_equal(a.actions, b.actions)
