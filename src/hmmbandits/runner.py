@@ -170,9 +170,9 @@ def play_arm(
             # one elementwise product: the rows b_t (x) phi(a, x_t) of every round
             table = phi.table[:, tape.contexts[lo:hi]].transpose(1, 0, 2)
             feats = (beliefs[lo:hi, None, :, None] * table[:, :, None, :]).reshape(hi - lo, A, Hd)
-            actions[lo:hi] = policy.play(lo + 1, feats, tape.rewards[lo:hi])
-        if actions.min() < 0 or actions.max() >= A:
-            raise ShapeMismatch("an action outside the action set")
+            block = actions[lo:hi] = policy.play(lo + 1, feats, tape.rewards[lo:hi])
+            if block.min() < 0 or block.max() >= A:
+                raise ShapeMismatch("an action outside the action set")
 
     rounds = np.arange(horizon)
     # pseudo-regret against the true belief, whatever the policy acted on;

@@ -192,15 +192,18 @@ class TestEnvironmentProtocol:
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_out_of_range_action_rejected(self, reference_params, spec3, phi3,
                                           monkeypatch, bad):
-        # a negative index would otherwise wrap around the reward row
+        # a negative index would otherwise wrap around the reward row; with
+        # one-round blocks the arm stops at the block of the bad action
         log = []
         monkeypatch.setattr(runner, "_build_policy",
                             scripted_policy(lambda t: 0 if t < 3 else bad, log))
+        monkeypatch.setattr(runner, "TILE_BYTES", 1)
         config = cell_config(reference_params, spec3, phi3, 5, policies=("boxB",),
                              beliefs="oracle")
         with pytest.raises(ShapeMismatch):
             simulate_cell(config, "boxB", 5, 0)
-        assert [e[:2] for e in log if e[0] == "update"] == [("update", 1), ("update", 2)]
+        assert [e[:2] for e in log] == [("act", 1), ("update", 1), ("act", 2),
+                                        ("update", 2), ("act", 3)]
 
     def test_paired_paths_across_policies(self, reference_params, spec3, phi3):
         # same seed => identical latent/context/noise path no matter the actions
@@ -253,36 +256,57 @@ class TestInformationBarrier:
             assert np.array_equal(feats, want)
 
 
-@settings(deadline=None, max_examples=25)
-@given(st.integers(min_value=0, max_value=2**31 - 1))
-def test_reward_vector_only_chosen_entry_revealed(seed):
-    params = HmmParams(2, 2, np.array([0.5, 0.5]),
-                       np.array([[0.7, 0.3], [0.4, 0.6]]),
-                       np.array([[0.8, 0.2], [0.2, 0.8]]))
-    phi = TransferFunction.one_hot_action(2, 2)
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.sampled_from(["boxA", "boxB"]),
+    st.sampled_from(["spectral", "oracle"]),
+    st.sampled_from([1, 3, 7, 64]),
+    st.integers(min_value=0, max_value=60),
+)
+def test_reward_vector_only_chosen_entry_revealed(seed, name, beliefs, tile_rounds, cut):
+    """The learners are handed every reward of their block's rounds but read
+    only the chosen entry of each round, and none of a later round: blanking
+    the rest of the reward vector leaves the actions and the final ridge state
+    unchanged, and blanking every reward from round ``cut + 1`` on leaves the
+    first ``cut`` actions unchanged."""
+    params = HmmParams(2, 4, np.array([0.5, 0.5]),
+                       np.array([[0.7, 0.3], [0.3, 0.7]]),
+                       np.array([[0.4, 0.1], [0.3, 0.2], [0.2, 0.3], [0.1, 0.4]]))
+    phi = TransferFunction.one_hot_action(3, 4)
     theta, c_theta = sample_theta(phi, 2, np.random.default_rng(0))
     spec = RewardSpec(theta_star=theta, c_theta=c_theta,
-                      noise=NoiseModel.gaussian(0.05))
-    config = cell_config(params, spec, phi, 4, policies=("boxB",), master_seed=seed,
-                         beliefs="oracle")
-    log = []
-    original = runner._build_policy
-    runner._build_policy = scripted_policy(lambda t: t % 2, log)
+                      noise=NoiseModel.gaussian(0.1))
+    config = cell_config(params, spec, phi, 60, policies=(name,), master_seed=seed,
+                         beliefs=beliefs)
+    config = dataclasses.replace(
+        config, run=dataclasses.replace(config.run, plugin_gamma=True),
+        policy=dataclasses.replace(config.policy, ell=5, refit_every=10))
+    built = []
+
+    def build(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    original, original_tile = runner._build_policy, runner.TILE_BYTES
+    runner._build_policy, runner.TILE_BYTES = build, tile_rounds * 8 * 3 * 2 * 3
     try:
-        simulate_cell(config, "boxB", 4, 0)
+        tape = draw_tape(config, 60, 0)
+        full = runner.play_arm(config, name, tape, 0)
+        rounds = np.arange(60)
+        chosen = np.full_like(tape.rewards, np.nan)
+        chosen[rounds, full.actions] = tape.rewards[rounds, full.actions]
+        masked = runner.play_arm(config, name, dataclasses.replace(tape, rewards=chosen.copy()), 0)
+        chosen[cut:] = np.nan
+        prefix = runner.play_arm(config, name, dataclasses.replace(tape, rewards=chosen), 0)
     finally:
-        runner._build_policy = original
-    # play is handed every action's reward of its rounds; a learner reads the
-    # chosen entry only (test_policies pins both learners to round-by-round
-    # act/update loops that see nothing else)
-    tape = draw_tape(config, 4, 0)
-    blocks = [e[2] for e in log if e[0] == "act"]
-    updates = [e for e in log if e[0] == "update"]
-    assert [(t, a) for _, t, a, _, _ in updates] == [(t, t % 2) for t in range(1, 5)]
-    for _, t, a, reward, v in updates:
-        assert type(reward) is float
-        assert reward == tape.rewards[t - 1, a]
-        assert np.array_equal(v, blocks[t - 1][a])
+        runner._build_policy, runner.TILE_BYTES = original, original_tile
+    assert np.array_equal(masked.actions, full.actions)
+    assert np.array_equal(prefix.actions[:cut], full.actions[:cut])
+    names = (["_theta_frozen", "_gram_frozen_inv"] if name == "boxA"
+             else ["_gram_inv", "_theta"])
+    for field in ["_gram", "_moment", *names]:
+        assert np.array_equal(getattr(built[1], field), getattr(built[0], field)), field
 
 
 @settings(deadline=None, max_examples=60)
