@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .config import CONFIG_SCHEMA, ExperimentConfig, apply_overrides, load_config
+from .config import BONUS_SCOPES, CONFIG_SCHEMA, ExperimentConfig, apply_overrides, load_config
 from .errors import ConfigError, HmmBanditsError, InsufficientData
 from .evaluation import fit_rate, read_summaries, run_lemma_trials
 from .runner import estimation_curves, run_experiment, write_estimation_csv
@@ -31,7 +31,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--emit-oracle-columns", action="store_true")
     parser.add_argument("--plugin-gamma", action="store_true")
-    parser.add_argument("--bonus-scope", choices=("full", "partial"), default=None)
+    parser.add_argument("--bonus-scope", choices=BONUS_SCOPES, default=None)
 
 
 def _load(args) -> ExperimentConfig:

@@ -3,7 +3,8 @@
 Key names are the contract; the syntax is plain ``configparser`` INI.  Arrays
 are whitespace-separated decimals: ``M`` row-major, ``E`` column-major
 (column ``h`` is the context distribution of state ``h``), ``theta`` row per
-state.  ``auto`` values resolve per policy and horizon at run time.
+state.  ``auto`` values resolve once per cell, into the cell's
+:class:`~hmmbandits.policies.CellPlan` (:meth:`ExperimentConfig.plan`).
 """
 
 from __future__ import annotations
@@ -26,8 +27,11 @@ from .environment import (
 )
 from .errors import ConfigError, NotMixing, ShapeMismatch
 from .hmm import HmmParams, forgetting_rate, validate
+from .policies import CellPlan
 
 KNOWN_POLICIES = ("boxA", "boxB", "oracle", "random")
+LEARNERS = ("boxA", "boxB")
+BONUS_SCOPES = ("full", "partial")
 
 CONFIG_SCHEMA = """\
 [hmm]
@@ -122,44 +126,39 @@ class ExperimentConfig:
     policy: PolicySettings
     run: RunSettings
 
-    def resolve_lambda(self, policy: str, horizon: int) -> float:
-        if self.policy.lam != "auto":
-            return float(self.policy.lam)
-        if policy == "boxA":
-            return float(horizon) ** 0.75
-        return math.sqrt(float(horizon))
+    def plan(self, policy: str, horizon: int) -> CellPlan:
+        """The values the ``policy`` arm plays with at ``horizon``, every
+        ``auto`` resolved: ``lambda = T^(3/4)`` for boxA and ``sqrt(T)``
+        otherwise, ``ell = ceil(T^(3/4))``, ``refit_every = ell`` for boxA
+        and ``max(3, ceil(sqrt(T)))`` otherwise, ``gamma`` the forgetting
+        rate of ``M``, and ``c_theta``, ``c_eta``, ``v_eta`` the reward
+        model's.  The baselines read no ``gamma``: theirs is None, so they
+        also run on a chain that does not mix."""
+        ps, T, noise = self.policy, float(horizon), self.reward.noise
+        box_a = policy == "boxA"
+        ell = _resolved(ps.ell, math.ceil(T ** 0.75))
+        gamma = None
+        if policy in LEARNERS:
+            gamma = forgetting_rate(self.params) if ps.gamma == "auto" else ps.gamma
+        return CellPlan(
+            policy, int(horizon),
+            lam=_resolved(ps.lam, T ** 0.75 if box_a else math.sqrt(T)),
+            ell=ell,
+            refit_every=_resolved(ps.refit_every,
+                                  ell if box_a else max(3, math.ceil(math.sqrt(T)))),
+            delta=ps.delta,
+            gamma=gamma,
+            c_theta=_resolved(ps.c_theta, self.reward.c_theta),
+            c_eta=_resolved(ps.c_eta, noise.c_eta),
+            v_eta=_resolved(ps.v_eta, noise.v_eta),
+            H=self.params.num_states, X=self.params.num_contexts, d=self.phi.dim,
+            bonus_scope=ps.bonus_scope, known_beliefs=ps.beliefs == "oracle",
+        )
 
-    def resolve_ell(self, horizon: int) -> int:
-        if self.policy.ell != "auto":
-            return int(self.policy.ell)
-        return math.ceil(float(horizon) ** 0.75)
 
-    def resolve_refit_every(self, policy: str, horizon: int) -> int:
-        if self.policy.refit_every != "auto":
-            return int(self.policy.refit_every)
-        if policy == "boxA":
-            return self.resolve_ell(horizon)
-        return max(3, math.ceil(math.sqrt(float(horizon))))
-
-    def resolve_gamma(self) -> float:
-        if self.policy.gamma != "auto":
-            return float(self.policy.gamma)
-        return forgetting_rate(self.params)
-
-    def resolve_c_theta(self) -> float:
-        if self.policy.c_theta != "auto":
-            return float(self.policy.c_theta)
-        return self.reward.c_theta
-
-    def resolve_c_eta(self) -> float:
-        if self.policy.c_eta != "auto":
-            return float(self.policy.c_eta)
-        return self.reward.noise.c_eta
-
-    def resolve_v_eta(self) -> float:
-        if self.policy.v_eta != "auto":
-            return float(self.policy.v_eta)
-        return self.reward.noise.v_eta
+def _resolved(value, default):
+    """``value``, or ``default`` where it is ``auto``."""
+    return default if value == "auto" else value
 
 
 def _floats(raw: str) -> np.ndarray:
@@ -186,6 +185,10 @@ _NONNEGATIVE = (lambda v: v >= 0, ">= 0")
 _UNIT_INTERVAL = (lambda v: 0 <= v < 1, "in [0, 1)")
 _OPEN_UNIT_INTERVAL = (lambda v: 0 < v < 1, "in (0, 1)")
 _HALF_OPEN_UNIT_INTERVAL = (lambda v: 0 < v <= 1, "in (0, 1]")
+
+
+def _one_of(*choices):
+    return (lambda v: v in choices, f"one of {', '.join(choices)}")
 
 
 def _reader(section, section_name: str):
@@ -287,12 +290,6 @@ def _parse_policy(section) -> PolicySettings:
             raise ConfigError(
                 f"unknown policy '{name}'; expected one of {KNOWN_POLICIES}"
             )
-    scope = read("bonus_scope", default="full")
-    if scope not in ("full", "partial"):
-        raise ConfigError("bonus_scope must be 'full' or 'partial'")
-    beliefs = read("beliefs", default="spectral")
-    if beliefs not in ("spectral", "oracle"):
-        raise ConfigError("beliefs must be 'spectral' or 'oracle'")
     return PolicySettings(
         policies=names,
         delta=read("delta", float, "0.1", _OPEN_UNIT_INTERVAL),
@@ -302,8 +299,8 @@ def _parse_policy(section) -> PolicySettings:
         c_theta=read("c_theta", _auto(float), "auto", _NONNEGATIVE),
         c_eta=read("c_eta", _auto(float), "auto", _NONNEGATIVE),
         v_eta=read("v_eta", _auto(float), "auto", _NONNEGATIVE),
-        bonus_scope=scope,
-        beliefs=beliefs,
+        bonus_scope=read("bonus_scope", default="full", bound=_one_of(*BONUS_SCOPES)),
+        beliefs=read("beliefs", default="spectral", bound=_one_of("spectral", "oracle")),
         refit_every=read("refit_every", _auto(int), "auto", _AT_LEAST_ONE),
     )
 
@@ -360,7 +357,7 @@ def _parse_run(section) -> RunSettings:
 def _check_learner_inputs(params: HmmParams, policy: PolicySettings) -> None:
     """What a listed learner needs of the instance: ``H <= X`` for spectral
     beliefs, a transition matrix without zero entries for ``gamma = auto``."""
-    learners = " ".join(name for name in policy.policies if name in ("boxA", "boxB"))
+    learners = " ".join(name for name in policy.policies if name in LEARNERS)
     H, X = params.num_states, params.num_contexts
     if learners and policy.beliefs == "spectral" and H > X:
         raise ConfigError(f"'beliefs' = spectral in [policy] needs H <= X in [hmm] "
@@ -430,8 +427,8 @@ def apply_overrides(
     if plugin_gamma:
         run = replace(run, plugin_gamma=True)
     if bonus_scope is not None:
-        if bonus_scope not in ("full", "partial"):
-            raise ConfigError("bonus_scope must be 'full' or 'partial'")
+        if bonus_scope not in BONUS_SCOPES:
+            raise ConfigError(f"--bonus-scope must be one of {BONUS_SCOPES}")
         policy = replace(policy, bonus_scope=bonus_scope)
     return replace(config, run=run, policy=policy)
 
@@ -440,7 +437,7 @@ def config_snapshot(config: ExperimentConfig) -> str:
     """Canonical INI snapshot of the parsed configuration.
 
     Hyperparameters set to ``auto`` are written as ``auto``: they resolve
-    per policy and horizon when a cell runs.
+    once per cell, and ``manifest.json`` lists each cell's resolved plan.
     """
     parser = configparser.ConfigParser(interpolation=None)
     p = config.params

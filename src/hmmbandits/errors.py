@@ -46,10 +46,6 @@ class NonFinite(HmmBanditsError):
     """Input contains NaN or infinite entries."""
 
 
-class StageNotFrozen(HmmBanditsError):
-    """The ridge estimate was updated inside the current stage."""
-
-
 class SingularA(HmmBanditsError):
     """Matrix argument of the determinant identity is singular."""
 

@@ -1,6 +1,8 @@
 """Decision strategies: staged LinUCB on estimated beliefs and its per-round
 (non-staged) variant, plus the belief-budget schedule and the two
-action-vectorized confidence-bonus kernels they score with.
+action-vectorized confidence-bonus kernels they score with.  All of them
+read one :class:`CellPlan`, the cell's values with every ``auto`` of the
+configuration resolved once (``ExperimentConfig.plan``).
 
 Rewards are linear in the rows ``b_t (x) phi(a, x_t)``, so both policies are
 LinUCB over them: ``play(first_round, feats, rewards)`` takes an
@@ -21,47 +23,33 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .beliefs import BeliefErrorBudget, u_belief
-from .errors import ShapeMismatch, StageNotFrozen
+from .errors import ShapeMismatch
 from .hmm import TILE_BYTES
 
 RESOLVE_EVERY = 1000  # BoxBPolicy re-solves its ridge directly this often
 
 
 @dataclass(frozen=True)
-class StagePlan:
-    """Block structure of the staged strategy: round ``t`` is in stage
-    ``ceil(t / stage_length)``."""
+class CellPlan:
+    """Every value one (policy, horizon) cell plays with.
 
-    stage_length: int
-    horizon: int
-
-    def __post_init__(self):
-        if self.stage_length < 1 or self.horizon < 1:
-            raise ShapeMismatch("stage_length and horizon must be >= 1")
-
-    @property
-    def num_stages(self) -> int:
-        return -(-self.horizon // self.stage_length)
-
-    def stage_of(self, t: int) -> int:
-        if not 1 <= t <= self.horizon:
-            raise ShapeMismatch(f"round {t} outside [1, {self.horizon}]")
-        return -(-t // self.stage_length)
-
-
-@dataclass(frozen=True)
-class BonusConfig:
-    """Inputs of the confidence bonuses.
-
+    ``lam`` is the ridge regularizer, round ``t`` is in stage
+    ``ceil(t / ell)``, and the estimator refits every ``refit_every`` rounds.
     ``gamma``, ``c_theta``, ``c_eta``, ``v_eta`` are treated as available to
-    the learner.  ``known_beliefs=True`` zeroes every belief-error term (the
+    the learner; ``gamma`` is None for the baselines, which read only ``lam``
+    and ``ell``.  ``known_beliefs`` zeroes every belief-error term (the
     oracle-belief ablation).  ``bonus_scope`` selects whether the Gram-norm
     factor multiplies the full five-term parenthesis of the staged bonus
-    (``"full"``, default) or only its first three terms (``"partial"``).
+    (``"full"``) or only its first three terms (``"partial"``).
     """
 
+    policy: str
+    horizon: int
+    lam: float
+    ell: int
+    refit_every: int
     delta: float
-    gamma: float
+    gamma: float | None
     c_theta: float
     c_eta: float
     v_eta: float
@@ -71,32 +59,32 @@ class BonusConfig:
     bonus_scope: str = "full"
     known_beliefs: bool = False
 
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ShapeMismatch("delta must lie in (0, 1)")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ShapeMismatch("gamma must lie in [0, 1)")
-        if self.bonus_scope not in ("full", "partial"):
-            raise ShapeMismatch("bonus_scope must be 'full' or 'partial'")
+    @property
+    def num_stages(self) -> int:
+        return -(-self.horizon // self.ell)
+
+    def stage_of(self, t: int) -> int:
+        if not 1 <= t <= self.horizon:
+            raise ShapeMismatch(f"round {t} outside [1, {self.horizon}]")
+        return -(-t // self.ell)
 
 
-def u_schedule(cfg: BonusConfig, horizon: int) -> tuple[array, array]:
+def u_schedule(plan: CellPlan) -> tuple[array, array]:
     """The belief budget ``u[t] = u_belief(t)`` of rounds ``1..horizon`` and
     its prefix sums ``prefix[k] = u(1) + ... + u(k)``, added left to right;
     slot 0 of both is 0.0.  The budget is zero throughout under known beliefs.
     """
     budget = (
-        None if cfg.known_beliefs
-        else BeliefErrorBudget(H=cfg.H, X=cfg.X, delta=cfg.delta / 2.0)
+        None if plan.known_beliefs
+        else BeliefErrorBudget(H=plan.H, X=plan.X, delta=plan.delta / 2.0)
     )
     u = array("d", [0.0])
-    u.extend(0.0 if budget is None else u_belief(budget, t) for t in range(1, horizon + 1))
+    u.extend(0.0 if budget is None else u_belief(budget, t)
+             for t in range(1, plan.horizon + 1))
     return u, array("d", itertools.accumulate(u))
 
 
-def staged_width(
-    cfg: BonusConfig, plan: StagePlan, lam: float, s_t: int, u_prefix: float
-) -> tuple[float, float]:
+def staged_width(plan: CellPlan, s_t: int, u_prefix: float) -> tuple[float, float]:
     """``(factor, tail)`` of the staged bonus in stage ``s_t >= 2``.
 
     ``factor`` multiplies the Gram norm ``||G^{-1} (b (x) phi)||_2`` and is
@@ -106,25 +94,21 @@ def staged_width(
     belief budget up to the last stage boundary.  ``bonus_scope="partial"``
     moves the last two terms out of ``factor`` into the additive ``tail``.
     """
-    ell = plan.stage_length
-    s_T = plan.num_stages
-    gam, delta = cfg.gamma, cfg.delta
-    t1 = lam * math.sqrt(cfg.H) * cfg.c_theta
+    ell, s_T, gam, delta = plan.ell, plan.num_stages, plan.gamma, plan.delta
+    t1 = plan.lam * math.sqrt(plan.H) * plan.c_theta
     t2 = 4.0 * math.sqrt(
         s_T * (s_t - 1) * (1.0 + s_t * gam) * ell / (delta * (1.0 - gam))
     )
-    t3 = math.sqrt(4.0 * s_T / delta * cfg.c_eta * (s_t - 1) * ell)
+    t3 = math.sqrt(4.0 * s_T / delta * plan.c_eta * (s_t - 1) * ell)
     t4 = 2.0 * (s_t - 1) * gam / (1.0 - gam)
     t5 = u_prefix
-    if cfg.bonus_scope == "full":
+    if plan.bonus_scope == "full":
         return t1 + t2 + t3 + t4 + t5, 0.0
     return t1 + t2 + t3, t4 + t5
 
 
 def staged_bonus(
-    cfg: BonusConfig,
-    plan: StagePlan,
-    lam: float,
+    plan: CellPlan,
     t: int,
     feats: np.ndarray,
     gram_inv: np.ndarray,
@@ -138,33 +122,32 @@ def staged_bonus(
     inverse frozen at the last stage boundary and ``(factor, tail)`` the
     :func:`staged_width` of round ``t``'s stage.
     """
-    if t <= plan.stage_length:
-        return np.full(len(feats), 1.0 + math.sqrt(cfg.d) / lam)
+    if t <= plan.ell:
+        return np.full(len(feats), 1.0 + math.sqrt(plan.d) / plan.lam)
     factor, tail = width
     w = feats @ gram_inv
     return u_t + np.sqrt(np.einsum("ij,ij->i", w, w)) * factor + tail
 
 
-def per_round_widths(cfg: BonusConfig, lam: float, rounds, u_prefix) -> list[float]:
+def per_round_widths(plan: CellPlan, rounds, u_prefix) -> list[float]:
     """Width of the per-round bonus in each round ``t`` of ``rounds``: the
     accumulated belief budget ``u_prefix[t - 1]`` over ``sqrt(lam)``, the
     regularization bias, and the self-normalized deviation width.  The terms
     that do not depend on ``t`` are evaluated once."""
-    dH = cfg.d * cfg.H
+    lam, dH = plan.lam, plan.d * plan.H
     root_lam = math.sqrt(lam)
-    bias = math.sqrt(lam * cfg.H) * cfg.c_theta
-    confidence = 2.0 * math.log(2.0 / cfg.delta)
+    bias = math.sqrt(lam * plan.H) * plan.c_theta
+    confidence = 2.0 * math.log(2.0 / plan.delta)
     lam_dH = lam * dH
     return [
         u_prefix[t - 1] / root_lam + bias
-        + cfg.v_eta * math.sqrt(confidence + dH * math.log(1.0 + t / lam_dH))
+        + plan.v_eta * math.sqrt(confidence + dH * math.log(1.0 + t / lam_dH))
         for t in rounds
     ]
 
 
 def per_round_bonus(
-    cfg: BonusConfig,
-    lam: float,
+    plan: CellPlan,
     t: int,
     feats: np.ndarray,
     gram_inv: np.ndarray,
@@ -178,7 +161,7 @@ def per_round_bonus(
     :func:`per_round_widths` entry of round ``t``.
     """
     if t == 1:
-        return np.full(len(feats), 1.0 + math.sqrt(cfg.d) / lam)
+        return np.full(len(feats), 1.0 + math.sqrt(plan.d) / plan.lam)
     w = feats @ gram_inv
     mahal = np.sqrt(np.maximum(np.einsum("ij,ij->i", w, feats), 0.0))
     return u_t + mahal * width
@@ -225,10 +208,14 @@ def _argmax_unsettled(ucb: np.ndarray, magnitude: np.ndarray, dH: int) -> np.nda
     return ~settled
 
 
-def _check_block(first_round: int, rounds: int, horizon: int) -> None:
+def _check_block(first_round: int, rounds: int, played: int, horizon: int) -> None:
+    """A block of ``rounds`` rounds from ``first_round`` on must lie in
+    ``[1, horizon]`` and follow the ``played`` rounds before it."""
     last = first_round + rounds - 1
     if rounds < 1 or first_round < 1 or last > horizon:
         raise ShapeMismatch(f"rounds {first_round}..{last} outside [1, {horizon}]")
+    if first_round != played + 1:
+        raise ShapeMismatch(f"round {first_round} does not follow round {played}")
 
 
 class BoxAPolicy:
@@ -241,18 +228,16 @@ class BoxAPolicy:
     rounding bound cannot settle is rescored with the per-round products.
     """
 
-    def __init__(self, plan: StagePlan, cfg: BonusConfig, lam: float):
+    def __init__(self, plan: CellPlan):
         self.plan = plan
-        self.cfg = cfg
-        self.lam = float(lam)
-        dH = cfg.H * cfg.d
-        self._gram = self.lam * np.eye(dH)
+        dH = plan.H * plan.d
+        self._gram = plan.lam * np.eye(dH)
         self._moment = np.zeros(dH)
         self._rounds = 0
-        self._u, self._u_prefix = u_schedule(cfg, plan.horizon)
+        self._u, self._u_prefix = u_schedule(plan)
         # frozen snapshot used for scoring and bonuses
-        self._theta_frozen = np.full(dH, 1.0 / self.lam)
-        self._gram_frozen_inv = np.eye(dH) / self.lam
+        self._theta_frozen = np.full(dH, 1.0 / plan.lam)
+        self._gram_frozen_inv = np.eye(dH) / plan.lam
         self._frozen_rounds = 0
         self._width: tuple[int, tuple[float, float]] | None = None
 
@@ -260,7 +245,7 @@ class BoxAPolicy:
         """:func:`staged_width` of stage ``s_t``, computed once per stage."""
         if self._width is None or self._width[0] != s_t:
             u_prefix = self._u_prefix[self._frozen_rounds]
-            self._width = (s_t, staged_width(self.cfg, self.plan, self.lam, s_t, u_prefix))
+            self._width = (s_t, staged_width(self.plan, s_t, u_prefix))
         return self._width[1]
 
     def play(self, first_round: int, feats: np.ndarray, rewards: np.ndarray) -> np.ndarray:
@@ -268,10 +253,8 @@ class BoxAPolicy:
         ``first_round + i`` offers the ``(A, H*d)`` block ``feats[i]``, and
         action ``a`` earns ``rewards[i, a]``."""
         n = len(feats)
-        _check_block(first_round, n, self.plan.horizon)
-        if first_round != self._rounds + 1:
-            raise StageNotFrozen("frozen ridge is out of step with the stage plan")
-        ell = self.plan.stage_length
+        _check_block(first_round, n, self._rounds, self.plan.horizon)
+        ell = self.plan.ell
         actions = np.empty(n, dtype=np.int64)
         lo = 0
         while lo < n:
@@ -298,7 +281,7 @@ class BoxAPolicy:
         theta, gram_inv = self._theta_frozen, self._gram_frozen_inv
         flat = feats.reshape(n * A, dH)
         u = np.repeat(np.frombuffer(self._u)[t:t + n], A)
-        bonus = staged_bonus(self.cfg, self.plan, self.lam, t, flat, gram_inv, u, width)
+        bonus = staged_bonus(self.plan, t, flat, gram_inv, u, width)
         ucb = flat @ theta + bonus
         abs_flat = np.abs(flat)
         magnitude = abs_flat @ np.abs(theta)
@@ -313,14 +296,13 @@ class BoxAPolicy:
         actions = ucb.argmax(axis=1)
         for i in np.flatnonzero(_argmax_unsettled(ucb, magnitude, dH)).tolist():
             rows = feats[i].copy()
-            bonuses = staged_bonus(self.cfg, self.plan, self.lam, t + i, rows, gram_inv,
-                                   self._u[t + i], width)
+            bonuses = staged_bonus(self.plan, t + i, rows, gram_inv, self._u[t + i], width)
             actions[i] = np.argmax(rows @ theta + bonuses)
         return actions
 
     def set_gamma(self, gamma: float) -> None:
         """Swap the forgetting rate fed to the bonus (plugin-gamma mode)."""
-        self.cfg = replace(self.cfg, gamma=float(gamma))
+        self.plan = replace(self.plan, gamma=float(gamma))
         self._width = None
 
 
@@ -333,35 +315,31 @@ class BoxBPolicy:
     at those rounds and at the end of a block.
     """
 
-    def __init__(self, cfg: BonusConfig, lam: float, horizon: int):
-        self.cfg = cfg
-        self.lam = float(lam)
-        self.horizon = int(horizon)
-        dH = cfg.H * cfg.d
-        self._gram = self.lam * np.eye(dH)
+    def __init__(self, plan: CellPlan):
+        self.plan = plan
+        dH = plan.H * plan.d
+        self._gram = plan.lam * np.eye(dH)
         self._moment = np.zeros(dH)
-        self._gram_inv = np.eye(dH) / self.lam
-        self._theta = np.full(dH, 1.0 / self.lam)
+        self._gram_inv = np.eye(dH) / plan.lam
+        self._theta = np.full(dH, 1.0 / plan.lam)
         self._rounds = 0
-        self._u, self._u_prefix = u_schedule(cfg, horizon)
+        self._u, self._u_prefix = u_schedule(plan)
 
     def play(self, first_round: int, feats: np.ndarray, rewards: np.ndarray) -> np.ndarray:
         """Actions of rounds ``first_round, first_round + 1, ...``, with the
         conventions of :meth:`BoxAPolicy.play`."""
         n = len(feats)
-        _check_block(first_round, n, self.horizon)
-        if first_round != self._rounds + 1:
-            raise ShapeMismatch(f"round {first_round} does not follow round {self._rounds}")
-        cfg, lam, u = self.cfg, self.lam, self._u
+        plan, u = self.plan, self._u
+        _check_block(first_round, n, self._rounds, plan.horizon)
         rounds = range(first_round, first_round + n)
-        widths = per_round_widths(cfg, lam, rounds, self._u_prefix)
+        widths = per_round_widths(plan, rounds, self._u_prefix)
         moment, gram_inv, theta = self._moment, self._gram_inv, self._theta
         actions = np.empty(n, dtype=np.int64)
         picked = np.empty((n, feats.shape[2]))
         added = 0  # rows of picked already in the Gram matrix
         for i, (t, width, reward) in enumerate(zip(rounds, widths, rewards.tolist())):
             f = feats[i]
-            a = (f @ theta + per_round_bonus(cfg, lam, t, f, gram_inv, u[t], width)).argmax()
+            a = (f @ theta + per_round_bonus(plan, t, f, gram_inv, u[t], width)).argmax()
             v = picked[i] = f[a]
             actions[i] = a
             moment += v * reward[a]

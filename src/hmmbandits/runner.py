@@ -12,22 +12,17 @@ import os
 import time
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__
 from .beliefs import belief_gaps, refit_schedule, scheduled_beliefs
-from .config import ExperimentConfig, config_snapshot
+from .config import LEARNERS, ExperimentConfig, config_snapshot
 from .environment import EnvironmentTape, sample_tape
 from .errors import ConfigError, EstimationFailed, HmmBanditsError, ShapeMismatch
 from .hmm import TILE_BYTES
-from .policies import (
-    BonusConfig,
-    BoxAPolicy,
-    BoxBPolicy,
-    StagePlan,
-)
+from .policies import BoxAPolicy, BoxBPolicy, CellPlan
 from .spectral import EstimatedHmm, accumulate_moments, align, relabel, spectral_estimate
 
 GAMMA_CAP = 1.0 - 1e-6
@@ -56,19 +51,17 @@ def learner_seed_sequence(
 
 @dataclass
 class CellResult:
-    """One cell's transcript as columns; the last three only under
-    ``emit_oracle_columns`` (``learner_beliefs`` for the learners only)."""
+    """One cell's transcript as columns, with the plan it played; the last
+    three only under ``emit_oracle_columns`` (``learner_beliefs`` for the
+    learners only)."""
 
-    policy: str
-    horizon: int
+    plan: CellPlan
     seed_index: int
     regret_total: float
     contexts: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
     increments: np.ndarray
-    lam: float
-    ell: int
     refit_failures: int
     duration: float
     estimate_text: str | None = None
@@ -84,28 +77,13 @@ def _plugin_gamma(transition_hat: np.ndarray) -> float:
     return float(np.clip(1.0 - eps / mx, 0.0, GAMMA_CAP))
 
 
-def _build_policy(config: ExperimentConfig, name: str, horizon: int):
-    """The LinUCB learner ``name`` (boxA or boxB) of one cell."""
-    phi = config.phi
-    ps = config.policy
-    lam = config.resolve_lambda(name, horizon)
-    cfg = BonusConfig(
-        delta=ps.delta,
-        gamma=config.resolve_gamma(),
-        c_theta=config.resolve_c_theta(),
-        c_eta=config.resolve_c_eta(),
-        v_eta=config.resolve_v_eta(),
-        H=config.params.num_states,
-        X=config.params.num_contexts,
-        d=phi.dim,
-        bonus_scope=ps.bonus_scope,
-        known_beliefs=(ps.beliefs == "oracle"),
-    )
-    if name == "boxA":
-        return BoxAPolicy(StagePlan(config.resolve_ell(horizon), horizon), cfg, lam)
-    if name == "boxB":
-        return BoxBPolicy(cfg, lam, horizon)
-    raise ConfigError(f"unknown policy '{name}'")
+def _build_policy(plan: CellPlan):
+    """The LinUCB learner (boxA or boxB) that ``plan`` names."""
+    if plan.policy == "boxA":
+        return BoxAPolicy(plan)
+    if plan.policy == "boxB":
+        return BoxBPolicy(plan)
+    raise ConfigError(f"unknown policy '{plan.policy}'")
 
 
 def draw_tape(config: ExperimentConfig, horizon: int, seed_index: int) -> EnvironmentTape:
@@ -125,7 +103,8 @@ def play_arm(
     play the rows ``b_t (x) phi(a, x_t)`` in blocks of rounds.
     """
     start = time.perf_counter()
-    horizon = tape.contexts.size
+    plan = config.plan(policy_name, tape.contexts.size)
+    horizon = plan.horizon
     policy_ss, estimator_ss = learner_seed_sequence(
         config.run.master_seed, policy_name, horizon, seed_index
     ).spawn(2)
@@ -137,19 +116,15 @@ def play_arm(
     elif policy_name == "oracle":
         actions = tape.scores.argmax(axis=1)
     else:
-        policy = _build_policy(config, policy_name, horizon)
+        policy = _build_policy(plan)
         # the learner's beliefs are functions of the contexts alone: fix them first
         plugin_gammas = {}
-        if config.policy.beliefs == "spectral":
-            H = config.params.num_states
+        if not plan.known_beliefs:
             schedule, refit_failures = refit_schedule(
-                tape.contexts,
-                H,
-                config.params.num_contexts,
-                config.resolve_refit_every(policy_name, horizon),
+                tape.contexts, plan.H, plan.X, plan.refit_every,
                 seed=int(estimator_ss.generate_state(1)[0]),
             )
-            beliefs = scheduled_beliefs(schedule, tape.contexts, H)
+            beliefs = scheduled_beliefs(schedule, tape.contexts, plan.H)
             if schedule:
                 final_estimate = schedule[-1][1].to_text()
             if config.run.plugin_gamma and policy_name == "boxA":
@@ -159,7 +134,7 @@ def play_arm(
             beliefs = tape.beliefs
         actions = np.empty(horizon, dtype=np.int64)
         phi = config.phi
-        A, Hd = phi.num_actions, config.params.num_states * phi.dim
+        A, Hd = phi.num_actions, plan.H * plan.d
         # blocks of at most TILE_BYTES, cut where the plug-in gamma changes
         cap = max(1, TILE_BYTES // (8 * A * Hd))
         starts = sorted({*range(0, horizon, cap),
@@ -180,16 +155,13 @@ def play_arm(
     increments = tape.scores.max(axis=1) - tape.scores[rounds, actions]
     emit_oracle = config.run.emit_oracle_columns
     return CellResult(
-        policy=policy_name,
-        horizon=horizon,
+        plan=plan,
         seed_index=seed_index,
         regret_total=float(np.cumsum(increments)[-1]),
         contexts=tape.contexts,
         actions=actions,
         rewards=tape.rewards[rounds, actions],
         increments=increments,
-        lam=config.resolve_lambda(policy_name, horizon),
-        ell=config.resolve_ell(horizon),
         refit_failures=refit_failures,
         duration=time.perf_counter() - start,
         estimate_text=final_estimate,
@@ -231,7 +203,7 @@ def _round_csv_text(result: CellResult, emit_oracle: bool, num_states: int) -> s
     # .tolist() gives Python ints and floats, which render with str and repr
     header = ["t", "x", "a", "r", "regret_inc"]
     columns = [
-        map(str, range(1, result.horizon + 1)),
+        map(str, range(1, result.plan.horizon + 1)),
         map(str, result.contexts.tolist()),
         map(str, result.actions.tolist()),
         map(repr, result.rewards.tolist()),
@@ -271,7 +243,7 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
 
     policies = config.policy.policies
     uses_spectral = config.policy.beliefs == "spectral" and any(
-        name in ("boxA", "boxB") for name in policies
+        name in LEARNERS for name in policies
     )
     if uses_spectral and not validate(config.params).is_stationary_init:
         # the spectral moment equations assume a stationary start; estimates
@@ -285,13 +257,15 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
     # per written cell, by file name; a transcript is dropped once on disk
     summary_rows: dict[str, str] = {}
     durations: dict[str, float] = {}
+    plans: dict[str, dict] = {}
     refit_failures: dict[str, int] = {}
 
     def write_group(results: list[CellResult]) -> None:
         # single-writer funnel: completed cells land on disk immediately, so
         # an interrupted grid preserves them next to the FAILED marker
         for result in results:
-            name = _cell_filename(result.policy, result.horizon, result.seed_index)
+            plan = result.plan
+            name = _cell_filename(plan.policy, plan.horizon, result.seed_index)
             # unnamed, one arm's CSV text is freed before the next arm's is built
             _atomic_write(os.path.join(out_dir, name),
                           _round_csv_text(result, config.run.emit_oracle_columns, num_states))
@@ -301,14 +275,15 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
                     result.estimate_text,
                 )
             summary_rows[name] = (
-                f"{result.policy},{result.horizon},{result.seed_index},"
-                f"{result.regret_total!r},{result.lam!r},{result.ell},"
+                f"{plan.policy},{plan.horizon},{result.seed_index},"
+                f"{result.regret_total!r},{plan.lam!r},{plan.ell},"
                 f"{config.policy.beliefs}"
             )
             durations[name] = result.duration
+            plans[name] = asdict(plan)
             refit_failures[name] = result.refit_failures
             echo(
-                f"{result.policy} T={result.horizon} seed={result.seed_index} "
+                f"{plan.policy} T={plan.horizon} seed={result.seed_index} "
                 f"R_T={result.regret_total:.4f} ({result.duration:.2f}s)"
             )
 
@@ -338,6 +313,7 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
         "version": __version__,
         "cells": len(names),
         "durations": {n: round(durations[n], 6) for n in names},
+        "plans": {n: plans[n] for n in names},
         "refit_failures": {n: refit_failures[n] for n in names if refit_failures[n]},
     }
     _atomic_write(

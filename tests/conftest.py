@@ -95,4 +95,4 @@ def scripted_policy(choose, log):
                 actions.append(a)
             return np.array(actions, dtype=np.int64)
 
-    return lambda config, name, horizon: Scripted()
+    return lambda plan: Scripted()

@@ -457,29 +457,29 @@ class StepwiseBoxA(_Stepwise):
     ``(A, H*d)`` block with the ridge frozen at the last stage boundary,
     ``update`` adds the chosen row and refreezes at a boundary."""
 
-    def __init__(self, plan, cfg, lam):
+    def __init__(self, plan):
         from hmmbandits.policies import u_schedule
 
-        self.plan, self.cfg, self.lam = plan, cfg, float(lam)
-        dH = cfg.H * cfg.d
-        self._gram = self.lam * np.eye(dH)
+        self.plan = plan
+        dH = plan.H * plan.d
+        self._gram = plan.lam * np.eye(dH)
         self._moment = np.zeros(dH)
         self._rounds = 0
-        self._u, self._u_prefix = u_schedule(cfg, plan.horizon)
-        self._theta_frozen = np.full(dH, 1.0 / self.lam)
-        self._gram_frozen_inv = np.eye(dH) / self.lam
+        self._u, self._u_prefix = u_schedule(plan)
+        self._theta_frozen = np.full(dH, 1.0 / plan.lam)
+        self._gram_frozen_inv = np.eye(dH) / plan.lam
         self._frozen_rounds = 0
 
     def act(self, t, feats):
         from hmmbandits.policies import staged_width
 
-        if t <= self.plan.stage_length:
-            bonuses = np.full(len(feats), 1.0 + math.sqrt(self.cfg.d) / self.lam)
+        plan = self.plan
+        if t <= plan.ell:
+            bonuses = np.full(len(feats), 1.0 + math.sqrt(plan.d) / plan.lam)
         else:
-            s_t = self.plan.stage_of(t)
-            assert self._frozen_rounds == (s_t - 1) * self.plan.stage_length
-            factor, tail = staged_width(self.cfg, self.plan, self.lam, s_t,
-                                        self._u_prefix[self._frozen_rounds])
+            s_t = plan.stage_of(t)
+            assert self._frozen_rounds == (s_t - 1) * plan.ell
+            factor, tail = staged_width(plan, s_t, self._u_prefix[self._frozen_rounds])
             w = feats @ self._gram_frozen_inv
             bonuses = self._u[t] + np.sqrt(np.einsum("ij,ij->i", w, w)) * factor + tail
         return int(np.argmax(feats @ self._theta_frozen + bonuses))
@@ -488,7 +488,7 @@ class StepwiseBoxA(_Stepwise):
         self._gram += np.outer(v, v)
         self._moment += v * float(reward)
         self._rounds += 1
-        if self._rounds % self.plan.stage_length == 0:
+        if self._rounds % self.plan.ell == 0:
             self._theta_frozen = np.linalg.solve(self._gram, self._moment)
             self._gram_frozen_inv = np.linalg.inv(self._gram)
             self._frozen_rounds = self._rounds
@@ -496,38 +496,38 @@ class StepwiseBoxA(_Stepwise):
     def set_gamma(self, gamma):
         from dataclasses import replace
 
-        self.cfg = replace(self.cfg, gamma=float(gamma))
+        self.plan = replace(self.plan, gamma=float(gamma))
 
 
 class StepwiseBoxB(_Stepwise):
     """Per-round LinUCB one round at a time, with Sherman-Morrison updates of
     the Gram inverse and a direct re-solve every ``RESOLVE_EVERY`` rounds."""
 
-    def __init__(self, cfg, lam, horizon):
+    def __init__(self, plan):
         from hmmbandits.policies import u_schedule
 
-        self.cfg, self.lam, self.horizon = cfg, float(lam), int(horizon)
-        dH = cfg.H * cfg.d
-        self._gram = self.lam * np.eye(dH)
+        self.plan = plan
+        dH = plan.H * plan.d
+        self._gram = plan.lam * np.eye(dH)
         self._moment = np.zeros(dH)
-        self._gram_inv = np.eye(dH) / self.lam
-        self._theta = np.full(dH, 1.0 / self.lam)
+        self._gram_inv = np.eye(dH) / plan.lam
+        self._theta = np.full(dH, 1.0 / plan.lam)
         self._rounds = 0
-        self._u, self._u_prefix = u_schedule(cfg, horizon)
+        self._u, self._u_prefix = u_schedule(plan)
 
     def act(self, t, feats):
-        cfg, lam = self.cfg, self.lam
+        plan, lam = self.plan, self.plan.lam
         if t == 1:
-            bonuses = np.full(len(feats), 1.0 + math.sqrt(cfg.d) / lam)
+            bonuses = np.full(len(feats), 1.0 + math.sqrt(plan.d) / lam)
         else:
             w = feats @ self._gram_inv
             mahal = np.sqrt(np.maximum(np.einsum("ij,ij->i", w, feats), 0.0))
-            dH = cfg.d * cfg.H
+            dH = plan.d * plan.H
             width = (
                 self._u_prefix[self._rounds] / math.sqrt(lam)
-                + math.sqrt(lam * cfg.H) * cfg.c_theta
-                + cfg.v_eta * math.sqrt(2.0 * math.log(2.0 / cfg.delta)
-                                        + dH * math.log(1.0 + t / (lam * dH)))
+                + math.sqrt(lam * plan.H) * plan.c_theta
+                + plan.v_eta * math.sqrt(2.0 * math.log(2.0 / plan.delta)
+                                         + dH * math.log(1.0 + t / (lam * dH)))
             )
             bonuses = self._u[t] + mahal * width
         return int(np.argmax(feats @ self._theta + bonuses))

@@ -84,12 +84,18 @@ class TestConfigParsing:
 
     def test_auto_resolutions(self, tmp_path):
         cfg = parse_config(MINIMAL.format(out=str(tmp_path)))
-        assert cfg.resolve_lambda("boxA", 4096) == pytest.approx(4096 ** 0.75)
-        assert cfg.resolve_lambda("boxB", 4096) == pytest.approx(64.0)
-        assert cfg.resolve_ell(4096) == 512
-        assert cfg.resolve_refit_every("boxA", 4096) == 512
-        assert cfg.resolve_refit_every("boxB", 4096) == 64
-        assert cfg.resolve_gamma() == pytest.approx(1.0 - 0.2 / 0.8)
+        box_a, box_b, random = (cfg.plan(name, 4096) for name in ("boxA", "boxB", "random"))
+        assert box_a.lam == pytest.approx(4096 ** 0.75)
+        assert box_b.lam == random.lam == pytest.approx(64.0)
+        assert box_a.ell == box_b.ell == random.ell == 512
+        assert box_a.refit_every == 512
+        assert box_b.refit_every == 64
+        assert box_a.gamma == box_b.gamma == pytest.approx(1.0 - 0.2 / 0.8)
+        assert random.gamma is None  # the baselines read no forgetting rate
+        assert (box_a.c_theta, box_a.c_eta, box_a.v_eta) == (
+            cfg.reward.c_theta, cfg.reward.noise.c_eta, cfg.reward.noise.v_eta)
+        assert (box_a.H, box_a.X, box_a.d) == (2, 2, 2)
+        assert box_a.bonus_scope == "full" and not box_a.known_beliefs
 
     def test_explicit_seed_list(self, tmp_path):
         text = MINIMAL.format(out=str(tmp_path)).replace("seeds = 2", "seeds = 5 9 13")
@@ -208,6 +214,10 @@ class TestCli:
         ("policy = oracle random", "policy = oracle random\ndelta = 1", [],
          r"'delta' in \[policy\]"),
         ("seeds = 2", "seeds = 2\nworkers = 0", [], r"'workers' in \[run\]"),
+        ("policy = oracle random", "policy = boxA\nbonus_scope = half", [],
+         r"'bonus_scope' in \[policy\] must be one of full, partial, got 'half'"),
+        ("policy = oracle random", "policy = boxA\nbeliefs = exact", [],
+         r"'beliefs' in \[policy\] must be one of spectral, oracle, got 'exact'"),
         (None, None, ["--workers", "0"], "--workers"),
         ("theta_seed = 3", "theta_seed = 3\ntheta_target = -1", [],
          r"'theta_target' in \[reward\] must be in \(0, 1\]"),
@@ -271,8 +281,19 @@ class TestCli:
         assert not (tmp_path / "run").exists()
         # an explicit gamma, or no learner, leaves the forgetting rate unused
         cfg = parse_config(text.replace("boxA", "boxA\ngamma = 0.5").format(out="x"))
-        assert cfg.resolve_gamma() == 0.5
+        assert cfg.plan("boxA", 64).gamma == 0.5
         parse_config(sticky.format(out="x"))
+
+    def test_baselines_on_non_mixing_chain_run(self, tmp_path):
+        # gamma = auto is undefined here, and neither baseline reads it
+        text = MINIMAL.replace("M = 0.8 0.2 0.3 0.7", "M = 1.0 0.0 0.3 0.7").replace(
+            "policy = oracle random", "policy = random oracle\ngamma = auto")
+        out = tmp_path / "run"
+        assert cli_main(["simulate", write_config(tmp_path, text, out=str(out))]) == 0
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert len(summary) == 1 + 2 * 2 * 2
+        plans = json.loads((out / "manifest.json").read_text())["plans"]
+        assert [plan["gamma"] for plan in plans.values()] == [None] * 8
 
     def test_simulate_oracle_regret_zero(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -568,15 +589,15 @@ class TestRunModes:
         # confirm the policy's gamma was swapped away from the true-M value
         result = simulate_cell(cfg, "boxA", 300, 0)
         assert result.regret_total >= 0.0
-        baseline_gamma = cfg.resolve_gamma()
+        baseline_gamma = cfg.plan("boxA", 300).gamma
         # re-run while keeping a handle on the policy object
         import hmmbandits.runner as runner
 
         captured = {}
         original = runner._build_policy
 
-        def capture(config, name, horizon):
-            captured["policy"] = original(config, name, horizon)
+        def capture(plan):
+            captured["policy"] = original(plan)
             return captured["policy"]
 
         runner._build_policy = capture
@@ -584,8 +605,8 @@ class TestRunModes:
             simulate_cell(cfg, "boxA", 300, 0)
         finally:
             runner._build_policy = original
-        assert captured["policy"].cfg.gamma != baseline_gamma
-        assert 0.0 <= captured["policy"].cfg.gamma < 1.0
+        assert captured["policy"].plan.gamma != baseline_gamma
+        assert 0.0 <= captured["policy"].plan.gamma < 1.0
 
     def test_plugin_gamma_caps_degenerate_estimates(self):
         from hmmbandits.runner import GAMMA_CAP, _plugin_gamma
@@ -613,9 +634,10 @@ class TestTranscriptReplay:
         rewards = result.rewards.tolist()
 
         _, estimator_ss = learner_seed_sequence(21, "boxB", horizon, 0).spawn(2)
-        policy = _build_policy(cfg, "boxB", horizon)
+        plan = cfg.plan("boxB", horizon)
+        policy = _build_policy(plan)
         schedule, _ = refit_schedule(
-            contexts, 2, 2, cfg.resolve_refit_every("boxB", horizon),
+            contexts, 2, 2, plan.refit_every,
             seed=int(estimator_ss.generate_state(1)[0]),
         )
         beliefs = scheduled_beliefs(schedule, contexts, 2)

@@ -372,9 +372,9 @@ def test_group_play_equals_independent_cells(seed, H, extra_contexts, A, T, seed
     config = cell_config(params, spec, phi, T, policies=tuple(policies), master_seed=seed,
                          emit_oracle_columns=emit_oracle, beliefs=beliefs)
     group = simulate_group(config, T, seed_index, policies)
-    assert [r.policy for r in group] == policies
+    assert [r.plan.policy for r in group] == policies
     for got in group:
-        want = simulate_cell(config, got.policy, T, seed_index)
+        want = simulate_cell(config, got.plan.policy, T, seed_index)
         for field in dataclasses.fields(CellResult):
             if field.name == "duration":
                 continue

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 import hmmbandits.policies as policies
 from hmmbandits.beliefs import BeliefErrorBudget, u_belief
 from hmmbandits.environment import TransferFunction
-from hmmbandits.errors import ShapeMismatch, StageNotFrozen
+from hmmbandits.errors import ShapeMismatch
 from hmmbandits.policies import (
-    BonusConfig,
     BoxAPolicy,
     BoxBPolicy,
-    StagePlan,
+    CellPlan,
     per_round_bonus,
     per_round_widths,
     staged_bonus,
@@ -34,11 +33,11 @@ from oracles import (
 from oracles import StepwiseBoxA, StepwiseBoxB
 
 
-def make_cfg(**overrides) -> BonusConfig:
-    base = dict(delta=0.1, gamma=0.5, c_theta=1.2, c_eta=0.01, v_eta=0.1,
-                H=2, X=4, d=3)
+def make_plan(**overrides) -> CellPlan:
+    base = dict(policy="boxA", horizon=64, lam=2.0, ell=4, refit_every=4, delta=0.1,
+                gamma=0.5, c_theta=1.2, c_eta=0.01, v_eta=0.1, H=2, X=4, d=3)
     base.update(overrides)
-    return BonusConfig(**base)
+    return CellPlan(**base)
 
 
 def random_gram(rng, dim, lam, rounds, shrink=1.0):
@@ -56,24 +55,22 @@ def rows(belief, phi_vecs):
     return np.array([np.kron(belief, p) for p in np.atleast_2d(phi_vecs)])
 
 
-def box_a_bonus(cfg, plan, lam, gram, belief, phi_vecs, t):
+def box_a_bonus(plan, gram, belief, phi_vecs, t):
     """Staged kernel on the rows ``belief (x) phi_vec``, Gram frozen at the
     last stage boundary."""
-    u, prefix = u_schedule(cfg, t)
+    u, prefix = u_schedule(plan)
     width = None
-    if t > plan.stage_length:
+    if t > plan.ell:
         s_t = plan.stage_of(t)
-        width = staged_width(cfg, plan, lam, s_t, prefix[(s_t - 1) * plan.stage_length])
-    return staged_bonus(cfg, plan, lam, t, rows(belief, phi_vecs), np.linalg.inv(gram),
-                        u[t], width)
+        width = staged_width(plan, s_t, prefix[(s_t - 1) * plan.ell])
+    return staged_bonus(plan, t, rows(belief, phi_vecs), np.linalg.inv(gram), u[t], width)
 
 
-def box_b_bonus(cfg, lam, gram, belief, phi_vecs, t):
+def box_b_bonus(plan, gram, belief, phi_vecs, t):
     """Per-round kernel on the rows ``belief (x) phi_vec`` after ``t - 1`` rounds."""
-    u, prefix = u_schedule(cfg, t)
-    width = per_round_widths(cfg, lam, [t], prefix)[0]
-    return per_round_bonus(cfg, lam, t, rows(belief, phi_vecs), np.linalg.inv(gram),
-                           u[t], width)
+    u, prefix = u_schedule(plan)
+    width = per_round_widths(plan, [t], prefix)[0]
+    return per_round_bonus(plan, t, rows(belief, phi_vecs), np.linalg.inv(gram), u[t], width)
 
 
 def blocks(table, contexts, beliefs):
@@ -100,7 +97,7 @@ class TestRidge:
     @staticmethod
     def policy(lam, H=2, phi=None):
         phi = TransferFunction.one_hot_action(2, 2) if phi is None else phi
-        return BoxBPolicy(make_cfg(H=H, X=max(H, 2), d=phi.dim), lam=lam, horizon=50)
+        return BoxBPolicy(make_plan(H=H, X=max(H, 2), d=phi.dim, lam=lam, horizon=50))
 
     def test_initialization_contract(self):
         policy = self.policy(lam=2.0)
@@ -149,7 +146,7 @@ class TestRidge:
 
 class TestUSchedule:
     def test_values_and_left_to_right_prefix(self):
-        u, prefix = u_schedule(make_cfg(), 59)
+        u, prefix = u_schedule(make_plan(horizon=59))
         assert len(u) == len(prefix) == 60
         budget = BeliefErrorBudget(H=2, X=4, delta=0.05)
         running = 0.0
@@ -162,15 +159,14 @@ class TestUSchedule:
         assert u[0] == prefix[0] == 0.0
 
     def test_known_beliefs_zero(self):
-        u, prefix = u_schedule(make_cfg(known_beliefs=True), 500)
+        u, prefix = u_schedule(make_plan(known_beliefs=True, horizon=500))
         assert len(u) == 501 and not any(u) and not any(prefix)
 
     def test_invalid_round(self):
         # a schedule lookup would return slot 0 at t = 0 and wrap for t < 0
-        cfg = make_cfg(H=2, X=2, d=2)
+        plan = make_plan(H=2, X=2, d=2, horizon=10)
         feats = rows(np.array([0.5, 0.5]), build_phi().table[:, 0])[None]
-        for policy in (BoxAPolicy(StagePlan(4, 10), cfg, lam=2.0),
-                       BoxBPolicy(cfg, lam=2.0, horizon=10)):
+        for policy in (BoxAPolicy(plan), BoxBPolicy(plan)):
             for t in (0, -1, 11):
                 with pytest.raises(ShapeMismatch):
                     policy.play(t, feats, np.zeros((1, 2)))
@@ -187,9 +183,8 @@ class TestUSchedule:
         rng = np.random.default_rng(11)
         T = 60
         contexts, beliefs, rewards = synthetic_stream(rng, T)
-        cfg = make_cfg(H=2, X=2, d=2)
-        policy = (BoxAPolicy(StagePlan(7, T), cfg, lam=2.0) if name == "boxA"
-                  else BoxBPolicy(cfg, lam=2.0, horizon=T))
+        plan = make_plan(H=2, X=2, d=2, ell=7, horizon=T)
+        policy = BoxAPolicy(plan) if name == "boxA" else BoxBPolicy(plan)
         play(policy, build_phi().table, contexts, beliefs, rewards)
         assert sorted(calls) == list(range(1, T + 1))
 
@@ -215,14 +210,14 @@ class TestTensorFeature:
         assert np.linalg.norm(out) <= np.linalg.norm(phi_vec) + 1e-12
 
 
-class TestStagePlan:
+class TestCellPlan:
     def test_stage_indexing(self):
-        plan = StagePlan(stage_length=4, horizon=10)
+        plan = make_plan(ell=4, horizon=10)
         assert plan.num_stages == 3
         assert [plan.stage_of(t) for t in (1, 4, 5, 8, 9, 10)] == [1, 1, 2, 2, 3, 3]
 
     def test_bounds(self):
-        plan = StagePlan(stage_length=4, horizon=10)
+        plan = make_plan(ell=4, horizon=10)
         with pytest.raises(ShapeMismatch):
             plan.stage_of(0)
         with pytest.raises(ShapeMismatch):
@@ -231,22 +226,20 @@ class TestStagePlan:
 
 class TestBonusBoxA:
     def test_first_stage_constant(self):
-        cfg = make_cfg(d=4)
-        plan = StagePlan(stage_length=8, horizon=64)
-        got = box_a_bonus(cfg, plan, 2.0, 2.0 * np.eye(8), np.array([0.5, 0.5]),
+        plan = make_plan(d=4, ell=8, horizon=64)
+        got = box_a_bonus(plan, 2.0 * np.eye(8), np.array([0.5, 0.5]),
                           [np.ones(4) / 2, np.zeros(4)], t=3)
         assert got == pytest.approx([2.0, 2.0])  # 1 + sqrt(4)/2
 
     def test_matches_reference_recomputation(self):
         rng = np.random.default_rng(6)
-        plan = StagePlan(stage_length=5, horizon=40)
         gram = random_gram(rng, 6, lam=3.0, rounds=10, shrink=1.5)  # two stages
         belief = rng.dirichlet(np.ones(2))
         phi_vecs = rng.normal(size=(3, 3)) / 3.0
         for scope in ("full", "partial"):
-            cfg = make_cfg(bonus_scope=scope)
+            plan = make_plan(bonus_scope=scope, lam=3.0, ell=5, horizon=40)
             for t in (11, 13, 15):
-                got = box_a_bonus(cfg, plan, 3.0, gram, belief, phi_vecs, t)
+                got = box_a_bonus(plan, gram, belief, phi_vecs, t)
                 want = [box_a_bonus_reference(
                     d=3, H=2, X=4, lam=3.0, ell=5, horizon=40, delta=0.1, gamma=0.5,
                     c_theta=1.2, c_eta=0.01, gram=gram, belief=belief,
@@ -256,44 +249,41 @@ class TestBonusBoxA:
 
     def test_gamma_zero_drops_drift_terms(self):
         rng = np.random.default_rng(7)
-        cfg = make_cfg(gamma=0.0, known_beliefs=True)
-        plan = StagePlan(stage_length=5, horizon=20)
+        plan = make_plan(gamma=0.0, known_beliefs=True, ell=5, horizon=20)
         gram = random_gram(rng, 6, lam=2.0, rounds=5, shrink=2.0)
         belief = np.array([0.3, 0.7])
         phi_vec = np.array([0.2, 0.1, 0.0])
-        got = box_a_bonus(cfg, plan, 2.0, gram, belief, phi_vec, t=7)[0]
+        got = box_a_bonus(plan, gram, belief, phi_vec, t=7)[0]
         v = np.kron(belief, phi_vec)
         norm = np.linalg.norm(np.linalg.solve(gram, v))
         s_t, s_T, ell, lam, delta = 2, 4, 5, 2.0, 0.1
         want = norm * (
-            lam * math.sqrt(2) * cfg.c_theta
+            lam * math.sqrt(2) * plan.c_theta
             + 4.0 * math.sqrt(s_T * 1 * 1.0 * ell / (delta * 1.0))
-            + math.sqrt(4.0 * s_T / delta * cfg.c_eta * 1 * ell)
+            + math.sqrt(4.0 * s_T / delta * plan.c_eta * 1 * ell)
         )
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_affine_in_gram_norm(self):
         # epsilon - u(t) is linear in ||G^{-1} v|| with a positive slope
         rng = np.random.default_rng(8)
-        cfg = make_cfg()
-        plan = StagePlan(stage_length=5, horizon=25)
+        plan = make_plan(ell=5, horizon=25)
         gram = random_gram(rng, 6, lam=2.0, rounds=5, shrink=2.0)
-        u, _ = u_schedule(cfg, 8)
+        u, _ = u_schedule(plan)
         slopes = []
         for _ in range(6):
             belief = rng.dirichlet(np.ones(2))
             phi_vec = rng.normal(size=3) / 2.0
             v = np.kron(belief, phi_vec)
             norm = float(np.linalg.norm(np.linalg.solve(gram, v)))
-            eps = box_a_bonus(cfg, plan, 2.0, gram, belief, phi_vec, t=8)[0]
+            eps = box_a_bonus(plan, gram, belief, phi_vec, t=8)[0]
             slopes.append((eps - u[8]) / norm)
         assert np.ptp(slopes) < 1e-8
         assert slopes[0] > 0
 
     def test_partial_scope_moves_tail_outside(self):
-        cfg_full = make_cfg()
-        cfg_partial = make_cfg(bonus_scope="partial")
-        plan = StagePlan(stage_length=4, horizon=16)
+        plan_full = make_plan(ell=4, horizon=16)
+        plan_partial = make_plan(ell=4, horizon=16, bonus_scope="partial")
         rng = np.random.default_rng(9)
         gram = 2.0 * np.eye(6)
         for _ in range(4):
@@ -302,25 +292,32 @@ class TestBonusBoxA:
         belief, phi_vec = np.array([0.6, 0.4]), np.array([0.3, 0.0, 0.1])
         v = np.kron(belief, phi_vec)
         norm = float(np.linalg.norm(np.linalg.solve(gram, v)))
-        got_full = box_a_bonus(cfg_full, plan, 2.0, gram, belief, phi_vec, t=6)[0]
-        got_partial = box_a_bonus(cfg_partial, plan, 2.0, gram, belief, phi_vec, t=6)[0]
-        u, _ = u_schedule(cfg_full, 4)
+        got_full = box_a_bonus(plan_full, gram, belief, phi_vec, t=6)[0]
+        got_partial = box_a_bonus(plan_partial, gram, belief, phi_vec, t=6)[0]
+        u, _ = u_schedule(plan_full)
         tail = 2 * 1 * 0.5 / 0.5 + sum(u[tau] for tau in range(1, 5))
         assert got_full - got_partial == pytest.approx((norm - 1.0) * tail, rel=1e-9)
 
-    def test_stage_not_frozen_guard(self):
-        cfg = make_cfg(H=2, X=2, d=2)
-        policy = BoxAPolicy(StagePlan(4, 16), cfg, lam=2.0)
-        feats = rows(np.array([0.5, 0.5]), build_phi().table[:, 0])
-        update(policy, feats[0], 0.0)  # one round into stage 1
-        with pytest.raises(StageNotFrozen):
-            policy.play(6, feats[None], np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("name", ["boxA", "boxB"])
+def test_stage_not_frozen_guard(name):
+    """A block must start at the round after the last one played: skipping
+    ahead would score it with a ridge (and, for boxA, a frozen stage) that
+    is out of step with its rounds."""
+    plan = make_plan(H=2, X=2, d=2, horizon=16)
+    policy = BoxAPolicy(plan) if name == "boxA" else BoxBPolicy(plan)
+    feats = rows(np.array([0.5, 0.5]), build_phi().table[:, 0])
+    update(policy, feats[0], 0.0)  # one round into stage 1
+    for first_round in (1, 3, 6):
+        with pytest.raises(ShapeMismatch, match="does not follow round 1"):
+            policy.play(first_round, feats[None], np.zeros((1, 2)))
 
 
 class TestBonusBoxB:
     def test_round_one_constant(self):
-        cfg = make_cfg()
-        got = box_b_bonus(cfg, 4.0, 4.0 * np.eye(6), np.array([0.5, 0.5]),
+        plan = make_plan(lam=4.0)
+        got = box_b_bonus(plan, 4.0 * np.eye(6), np.array([0.5, 0.5]),
                           [np.zeros(3), np.ones(3) / 2], t=1)
         assert got == pytest.approx([1.0 + math.sqrt(3) / 4.0] * 2)
 
@@ -329,25 +326,25 @@ class TestBonusBoxB:
         # surviving width term is the regularization bias sqrt(lam H) C_theta,
         # whose product converges to sqrt(H) C_theta ||v||_2; with a zero
         # feature the bonus reduces exactly to the belief budget
-        cfg = make_cfg()
         lam = 1e14
+        plan = make_plan(lam=lam)
         gram = lam * np.eye(6)
         belief, phi_vec = np.array([0.5, 0.5]), np.array([0.5, 0.1, 0.0])
         v = np.kron(belief, phi_vec)
         assert float(v @ np.linalg.solve(gram, v)) ** 0.5 < 1e-7
-        got, zero = box_b_bonus(cfg, lam, gram, belief, [phi_vec, np.zeros(3)], t=50)
-        u50 = u_schedule(cfg, 50)[0][50]
-        limit = u50 + math.sqrt(2) * cfg.c_theta * np.linalg.norm(v)
+        got, zero = box_b_bonus(plan, gram, belief, [phi_vec, np.zeros(3)], t=50)
+        u50 = u_schedule(plan)[0][50]
+        limit = u50 + math.sqrt(2) * plan.c_theta * np.linalg.norm(v)
         assert got == pytest.approx(limit, rel=1e-4)
         assert zero == pytest.approx(u50, rel=1e-12)
 
     def test_isotropic_gram_closed_form(self):
-        cfg = make_cfg(known_beliefs=True)
         lam = 9.0
+        plan = make_plan(known_beliefs=True, lam=lam)
         belief, phi_vec = np.array([0.4, 0.6]), np.array([0.3, 0.2, 0.1])
         v = np.kron(belief, phi_vec)
-        got = box_b_bonus(cfg, lam, lam * np.eye(6), belief, phi_vec, t=10)[0]
-        width = math.sqrt(lam * 2) * cfg.c_theta + cfg.v_eta * math.sqrt(
+        got = box_b_bonus(plan, lam * np.eye(6), belief, phi_vec, t=10)[0]
+        width = math.sqrt(lam * 2) * plan.c_theta + plan.v_eta * math.sqrt(
             2 * math.log(20.0) + 6 * math.log(1.0 + 10 / (lam * 6))
         )
         assert got == pytest.approx(np.linalg.norm(v) / math.sqrt(lam) * width, rel=1e-12)
@@ -362,8 +359,8 @@ class TestBonusBoxB:
         belief = rng.dirichlet(np.ones(2))
         phi_vecs = rng.normal(size=(3, 2)) / 2.0
         for known in (False, True):
-            cfg = make_cfg(d=2, H=2, known_beliefs=known)
-            got = box_b_bonus(cfg, lam, gram, belief, phi_vecs, t=10)
+            plan = make_plan(d=2, H=2, known_beliefs=known, lam=lam)
+            got = box_b_bonus(plan, gram, belief, phi_vecs, t=10)
             want = [box_b_bonus_reference(
                 d=2, H=2, X=4, lam=lam, delta=0.1, c_theta=1.2, v_eta=0.1,
                 gram=gram, belief=belief, phi_vec=phi_vec, t=10, known_beliefs=known,
@@ -388,9 +385,8 @@ class TestBoxAPolicy:
         T, ell, lam = 50, 10, 5.0
         phi = build_phi()
         contexts, beliefs, rewards = synthetic_stream(rng, T)
-        cfg = make_cfg(H=2, X=2, d=2)
-        actions = play(BoxAPolicy(StagePlan(ell, T), cfg, lam), phi.table,
-                       contexts, beliefs, rewards)
+        plan = make_plan(H=2, X=2, d=2, lam=lam, ell=ell, horizon=T)
+        actions = play(BoxAPolicy(plan), phi.table, contexts, beliefs, rewards)
         want = reference_box_a_actions(
             phi.table, contexts, beliefs, rewards,
             lam=lam, ell=ell, horizon=T, delta=0.1, gamma=0.5,
@@ -403,8 +399,7 @@ class TestBoxAPolicy:
         T, ell = 12, 4
         phi = build_phi()
         contexts, beliefs, rewards = synthetic_stream(rng, T)
-        cfg = make_cfg(H=2, X=2, d=2)
-        policy = BoxAPolicy(StagePlan(ell, T), cfg, lam=2.0)
+        policy = BoxAPolicy(make_plan(H=2, X=2, d=2, ell=ell, horizon=T))
         frozen = []
         for t, feats in enumerate(blocks(phi.table, contexts, beliefs), start=1):
             frozen.append(policy._frozen_rounds)
@@ -418,8 +413,7 @@ class TestBoxAPolicy:
         T, ell = 8, 4
         phi = build_phi()
         contexts, beliefs, rewards = synthetic_stream(rng, T)
-        cfg = make_cfg(H=2, X=2, d=2)
-        policy = BoxAPolicy(StagePlan(ell, T), cfg, lam=1.0)
+        policy = BoxAPolicy(make_plan(H=2, X=2, d=2, lam=1.0, ell=ell, horizon=T))
         play(policy, phi.table, contexts, beliefs, rewards)
         # T is a stage boundary: the frozen snapshot is the current ridge
         assert np.allclose(policy._gram @ policy._theta_frozen, policy._moment, atol=1e-10)
@@ -433,8 +427,8 @@ class TestBoxBPolicy:
         T, lam = 200, 5.0
         phi = build_phi(A=A)
         contexts, beliefs, rewards = synthetic_stream(rng, T, A=A)
-        cfg = make_cfg(H=2, X=2, d=A)
-        actions = play(BoxBPolicy(cfg, lam, T), phi.table, contexts, beliefs, rewards)
+        plan = make_plan(H=2, X=2, d=A, lam=lam, horizon=T)
+        actions = play(BoxBPolicy(plan), phi.table, contexts, beliefs, rewards)
         want = reference_box_b_actions(
             phi.table, contexts, beliefs, rewards,
             lam=lam, horizon=T, delta=0.1, c_theta=1.2, v_eta=0.1, H=2, X=2,
@@ -446,8 +440,7 @@ class TestBoxBPolicy:
         T = 2500
         phi = build_phi()
         contexts, beliefs, rewards = synthetic_stream(rng, T)
-        cfg = make_cfg(H=2, X=2, d=2)
-        policy = BoxBPolicy(cfg, lam=math.sqrt(T), horizon=T)
+        policy = BoxBPolicy(make_plan(H=2, X=2, d=2, lam=math.sqrt(T), horizon=T))
         feats = blocks(phi.table, contexts, beliefs)
         for lo, t in ((0, 999), (999, 1999), (1999, T)):
             policy.play(lo + 1, feats[lo:t], rewards[lo:t])
@@ -460,8 +453,7 @@ class TestBoxBPolicy:
         T = 300
         phi = build_phi()
         contexts, beliefs, rewards = synthetic_stream(rng, T)
-        cfg = make_cfg(H=2, X=2, d=2)
-        policy = BoxBPolicy(cfg, lam=3.0, horizon=T)
+        policy = BoxBPolicy(make_plan(H=2, X=2, d=2, lam=3.0, horizon=T))
         feats = blocks(phi.table, contexts, beliefs)
         actions = policy.play(1, feats, rewards)
         picked = np.arange(T), actions
@@ -489,13 +481,14 @@ def test_row_policies_match_straight_line_references(seed, H, d, A, T, scope, kn
     beliefs = rng.dirichlet(np.ones(H), size=T)
     rewards = rng.normal(scale=10.0 ** rng.uniform(0, 4), size=(T, A))  # vs. bonus widths
     ell, lam = int(rng.integers(1, T + 1)), float(rng.uniform(0.5, 10.0))
-    cfg = make_cfg(H=H, X=X, d=d, bonus_scope=scope, known_beliefs=known)
+    plan = make_plan(H=H, X=X, d=d, bonus_scope=scope, known_beliefs=known, lam=lam,
+                     ell=ell, horizon=T)
     common = dict(lam=lam, horizon=T, delta=0.1, c_theta=1.2, H=H, X=X,
                   known_beliefs=known)
-    got = play(BoxAPolicy(StagePlan(ell, T), cfg, lam), table, contexts, beliefs, rewards)
+    got = play(BoxAPolicy(plan), table, contexts, beliefs, rewards)
     assert got == reference_box_a_actions(table, contexts, beliefs, rewards, ell=ell,
                                           gamma=0.5, c_eta=0.01, scope=scope, **common)
-    got = play(BoxBPolicy(cfg, lam, T), table, contexts, beliefs, rewards)
+    got = play(BoxBPolicy(plan), table, contexts, beliefs, rewards)
     assert got == reference_box_b_actions(table, contexts, beliefs, rewards,
                                           v_eta=0.1, **common)
 
@@ -508,9 +501,9 @@ def forced_bonuses(monkeypatch, bonus, A=2):
         return np.array([bonus(t + i // A, i % A) for i in range(len(feats))])
 
     monkeypatch.setattr(policies, "staged_bonus",
-                        lambda cfg, plan, lam, t, feats, *rest: rows_bonus(t, feats))
+                        lambda plan, t, feats, *rest: rows_bonus(t, feats))
     monkeypatch.setattr(policies, "per_round_bonus",
-                        lambda cfg, lam, t, feats, *rest: rows_bonus(t, feats))
+                        lambda plan, t, feats, *rest: rows_bonus(t, feats))
 
 
 class TestEquivalenceAndConsistency:
@@ -520,11 +513,9 @@ class TestEquivalenceAndConsistency:
         phi = build_phi()
         contexts, beliefs, rewards = synthetic_stream(rng, T)
         forced_bonuses(monkeypatch, lambda t, a: 0.25 / (t + a + 1))
-        cfg = make_cfg(H=2, X=2, d=2)
-        act_a = play(BoxAPolicy(StagePlan(1, T), cfg, lam=2.0), phi.table,
-                     contexts, beliefs, rewards)
-        act_b = play(BoxBPolicy(cfg, lam=2.0, horizon=T), phi.table,
-                     contexts, beliefs, rewards)
+        plan = make_plan(H=2, X=2, d=2, ell=1, horizon=T)
+        act_a = play(BoxAPolicy(plan), phi.table, contexts, beliefs, rewards)
+        act_b = play(BoxBPolicy(plan), phi.table, contexts, beliefs, rewards)
         assert act_a == act_b
 
     def test_ridge_consistency_noiseless(self):
@@ -534,7 +525,7 @@ class TestEquivalenceAndConsistency:
         theta_star = rng.normal(size=H * d)
         theta_star /= np.linalg.norm(theta_star) * 1.2
         phi = build_phi(A=d)
-        policy = BoxBPolicy(make_cfg(H=H, X=2, d=d), lam, horizon=5000)
+        policy = BoxBPolicy(make_plan(H=H, X=2, d=d, lam=lam, horizon=5000))
         feats = []
         for _ in range(5000):
             b = rng.dirichlet(np.ones(H))
@@ -551,15 +542,13 @@ class TestEquivalenceAndConsistency:
 class TestActSelection:
     def test_tie_breaks_to_smallest_index(self):
         table = np.full((2, 2, 2), 0.5)
-        cfg = make_cfg(H=2, X=2, d=2)
-        policy = BoxAPolicy(StagePlan(4, 8), cfg, lam=1.0)
+        policy = BoxAPolicy(make_plan(H=2, X=2, d=2, lam=1.0, horizon=8))
         feats = rows(np.array([0.5, 0.5]), table[:, 0])[None]
         assert policy.play(1, feats, np.zeros((1, 2))).tolist() == [0]
 
     def test_dominant_bonus_wins(self, monkeypatch):
         forced_bonuses(monkeypatch, lambda t, a: 100.0 if a == 1 else 0.0)
-        cfg = make_cfg(H=2, X=2, d=2)
-        policy = BoxAPolicy(StagePlan(4, 8), cfg, lam=1.0)
+        policy = BoxAPolicy(make_plan(H=2, X=2, d=2, lam=1.0, horizon=8))
         feats = rows(np.array([0.5, 0.5]), build_phi().table[:, 0])[None]
         assert policy.play(1, feats, np.zeros((1, 2))).tolist() == [1]
 
@@ -568,7 +557,7 @@ class TestActSelection:
         table = build_phi().table
 
         def first_action(feats):  # on a fresh policy: the same ridge every time
-            policy = BoxBPolicy(make_cfg(H=2, X=2, d=2), lam=2.0, horizon=5)
+            policy = BoxBPolicy(make_plan(H=2, X=2, d=2, horizon=5))
             return policy.play(1, feats[None], np.zeros((1, 2))).tolist()
 
         for _ in range(20):
@@ -649,10 +638,9 @@ def test_play_matches_stepwise_loop(seed, shape, A, T, scope, known, transfer):
     ell, lam = int(rng.integers(1, T + 1)), float(rng.uniform(0.5, 10.0))
     swap, gamma = int(rng.integers(1, T + 1)), float(rng.uniform(0.0, 0.9))
     cuts = sorted({0, swap - 1, *rng.integers(0, T, size=int(rng.integers(0, 6))).tolist()})
-    cfg = make_cfg(H=H, X=X, d=d, bonus_scope=scope, known_beliefs=known)
-    plan = StagePlan(ell, T)
-    pairs = [(BoxAPolicy(plan, cfg, lam), StepwiseBoxA(plan, cfg, lam)),
-             (BoxBPolicy(cfg, lam, T), StepwiseBoxB(cfg, lam, T))]
+    plan = make_plan(H=H, X=X, d=d, bonus_scope=scope, known_beliefs=known, lam=lam,
+                     ell=ell, horizon=T)
+    pairs = [(BoxAPolicy(plan), StepwiseBoxA(plan)), (BoxBPolicy(plan), StepwiseBoxB(plan))]
     for policy, stepwise in pairs:
         for lo, hi in zip(cuts, cuts[1:] + [T]):
             if lo + 1 == swap and isinstance(policy, BoxAPolicy):

@@ -42,3 +42,27 @@ def test_no_module_imports_a_name_it_never_uses():
     assert paths
     unused = {p.name: _unused_imports(p.read_text(encoding="utf-8")) for p in paths}
     assert not {name: found for name, found in unused.items() if found}
+
+
+def _raised_names(source: str) -> set:
+    """Names of the exceptions a module raises: ``raise E``, ``raise E(...)``
+    and ``raise errors.E(...)``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, (ast.Name, ast.Attribute)):
+                names.add(exc.id if isinstance(exc, ast.Name) else exc.attr)
+    return names
+
+
+def test_every_error_class_is_raised():
+    # a class of errors.py that nothing raises, nor any subclass of it, is dead
+    raised = set().union(*(_raised_names(p.read_text(encoding="utf-8"))
+                           for p in PACKAGE_DIR.glob("*.py")))
+    classes = {name: cls for name, cls in vars(hmmbandits.errors).items()
+               if isinstance(cls, type) and cls.__module__ == "hmmbandits.errors"}
+    assert classes
+    dead = sorted(name for name, cls in classes.items()
+                  if not any(issubclass(classes[r], cls) for r in raised & classes.keys()))
+    assert not dead
