@@ -169,11 +169,6 @@ def _ints(raw: str) -> list:
     return [int(v) for v in raw.replace(",", " ").split()]
 
 
-def _auto(convert):
-    """``convert``, except that ``auto`` stays ``auto``."""
-    return lambda raw: "auto" if raw.strip() == "auto" else convert(raw)
-
-
 def _bool(raw: str) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
 
@@ -192,21 +187,24 @@ def _one_of(*choices):
 
 
 def _reader(section, section_name: str):
-    """``read(key, convert, default, bound)``: ``convert`` of the value of
-    ``key``, or of ``default`` when the key is absent; no default makes the
-    key required.  A value ``convert`` rejects, or one outside ``bound`` (one
-    of the ranges above; ``auto`` is always in range), is a ConfigError
-    naming the key."""
+    """``read(key, convert, default, bound, auto)``: ``convert`` of the value
+    of ``key``, or of ``default`` when the key is absent; no default makes the
+    key required.  With ``auto``, the value ``auto`` stays ``auto`` and skips
+    ``convert`` and ``bound``.  A value ``convert`` rejects, or one outside
+    ``bound`` (one of the ranges above), is a ConfigError naming the key."""
 
-    def read(key: str, convert=str.strip, default: str | None = None, bound=None):
+    def read(key: str, convert=str.strip, default: str | None = None, bound=None,
+             auto: bool = False):
         if key not in section and default is None:
             raise ConfigError(f"missing required key '{key}' in [{section_name}]")
         raw = section.get(key, default)
+        if auto and raw.strip() == "auto":
+            return "auto"
         try:
             value = convert(raw)
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"malformed value {raw!r} for '{key}' in [{section_name}]") from exc
-        if bound is not None and value != "auto" and not bound[0](value):
+        if bound is not None and not bound[0](value):
             raise ConfigError(f"'{key}' in [{section_name}] must be {bound[1]}, got {raw!r}")
         return value
 
@@ -293,15 +291,15 @@ def _parse_policy(section) -> PolicySettings:
     return PolicySettings(
         policies=names,
         delta=read("delta", float, "0.1", _OPEN_UNIT_INTERVAL),
-        lam=read("lambda", _auto(float), "auto", _POSITIVE),
-        ell=read("ell", _auto(int), "auto", _AT_LEAST_ONE),
-        gamma=read("gamma", _auto(float), "auto", _UNIT_INTERVAL),
-        c_theta=read("c_theta", _auto(float), "auto", _NONNEGATIVE),
-        c_eta=read("c_eta", _auto(float), "auto", _NONNEGATIVE),
-        v_eta=read("v_eta", _auto(float), "auto", _NONNEGATIVE),
+        lam=read("lambda", float, "auto", _POSITIVE, auto=True),
+        ell=read("ell", int, "auto", _AT_LEAST_ONE, auto=True),
+        gamma=read("gamma", float, "auto", _UNIT_INTERVAL, auto=True),
+        c_theta=read("c_theta", float, "auto", _NONNEGATIVE, auto=True),
+        c_eta=read("c_eta", float, "auto", _NONNEGATIVE, auto=True),
+        v_eta=read("v_eta", float, "auto", _NONNEGATIVE, auto=True),
         bonus_scope=read("bonus_scope", default="full", bound=_one_of(*BONUS_SCOPES)),
         beliefs=read("beliefs", default="spectral", bound=_one_of("spectral", "oracle")),
-        refit_every=read("refit_every", _auto(int), "auto", _AT_LEAST_ONE),
+        refit_every=read("refit_every", int, "auto", _AT_LEAST_ONE, auto=True),
     )
 
 

@@ -218,6 +218,10 @@ class TestCli:
          r"'bonus_scope' in \[policy\] must be one of full, partial, got 'half'"),
         ("policy = oracle random", "policy = boxA\nbeliefs = exact", [],
          r"'beliefs' in \[policy\] must be one of spectral, oracle, got 'exact'"),
+        ("policy = oracle random", "policy = boxA\nbonus_scope = auto", [],
+         r"'bonus_scope' in \[policy\] must be one of full, partial, got 'auto'"),
+        ("policy = oracle random", "policy = boxA\nbeliefs = auto", [],
+         r"'beliefs' in \[policy\] must be one of spectral, oracle, got 'auto'"),
         (None, None, ["--workers", "0"], "--workers"),
         ("theta_seed = 3", "theta_seed = 3\ntheta_target = -1", [],
          r"'theta_target' in \[reward\] must be in \(0, 1\]"),
