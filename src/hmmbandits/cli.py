@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .config import BONUS_SCOPES, CONFIG_SCHEMA, ExperimentConfig, apply_overrides, load_config
+from .config import CONFIG_SCHEMA, FLAG_KEYS, ExperimentConfig, apply_overrides, load_config
 from .errors import ConfigError, HmmBanditsError, InsufficientData
 from .evaluation import fit_rate, read_summaries, run_lemma_trials
 from .runner import estimation_curves, run_experiment, write_estimation_csv
@@ -26,32 +26,26 @@ COMMANDS = ("simulate", "estimate", "check-lemmas", "fit-rate", "print-config-sc
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=None, help="output directory override")
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None, help="master seed override")
-    parser.add_argument("--emit-oracle-columns", action="store_true")
-    parser.add_argument("--plugin-gamma", action="store_true")
-    parser.add_argument("--bonus-scope", choices=BONUS_SCOPES, default=None)
+    """One override flag per key of the configuration table that has one."""
+    for key in FLAG_KEYS:
+        if isinstance(key.default, bool):
+            kind = {"action": "store_true", "default": None}
+        else:
+            kind = {"type": key.convert, "choices": getattr(key.bound, "choices", None)}
+        parser.add_argument(key.flag, dest=key.attr,
+                            help=f"overrides '{key.name}' in [{key.section}]", **kind)
 
 
 def _load(args) -> ExperimentConfig:
     config = load_config(args.config)
-    master_seed = args.seed
-    if master_seed is None and "LBL_SEED" in os.environ:
+    overrides = {key.attr: getattr(args, key.attr) for key in FLAG_KEYS}
+    if overrides["master_seed"] is None and "LBL_SEED" in os.environ:
         raw = os.environ["LBL_SEED"]
         try:
-            master_seed = int(raw)
+            overrides["master_seed"] = int(raw)
         except ValueError as exc:
             raise ConfigError(f"LBL_SEED must be an integer, got {raw!r}") from exc
-    return apply_overrides(
-        config,
-        out=args.out,
-        workers=args.workers,
-        master_seed=master_seed,
-        emit_oracle_columns=args.emit_oracle_columns,
-        plugin_gamma=args.plugin_gamma,
-        bonus_scope=args.bonus_scope,
-    )
+    return apply_overrides(config, **overrides)
 
 
 def _cmd_simulate(args) -> int:

@@ -3,7 +3,9 @@
 Key names are the contract; the syntax is plain ``configparser`` INI.  Arrays
 are whitespace-separated decimals: ``M`` row-major, ``E`` column-major
 (column ``h`` is the context distribution of state ``h``), ``theta`` row per
-state.  ``auto`` values resolve once per cell, into the cell's
+state.  :data:`KEYS` holds one :class:`Key` per key, which the schema, the
+section readers, the settings classes, ``config_snapshot`` and the CLI
+overrides all read.  ``auto`` values resolve once per cell, into the cell's
 :class:`~hmmbandits.policies.CellPlan` (:meth:`ExperimentConfig.plan`).
 """
 
@@ -12,7 +14,9 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, make_dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,91 +35,229 @@ from .policies import CellPlan
 
 KNOWN_POLICIES = ("boxA", "boxB", "oracle", "random")
 LEARNERS = ("boxA", "boxB")
-BONUS_SCOPES = ("full", "partial")
-
-CONFIG_SCHEMA = """\
-[hmm]
-H = <int>                 number of hidden states
-X = <int>                 number of contexts
-pi = <H decimals>         initial distribution
-M = <H*H decimals>        transition matrix, row-major (M[h][h'] = P(h -> h'))
-E = <X*H decimals>        emission matrix, column-major (column h = nu_h)
-
-[reward]
-model = state_dependent | belief_dependent
-transfer = one_hot_action | action_context_outer | table
-num_actions = <int >= 1>
-d = <int>                 table transfer only
-phi = <A*X*d decimals>    table transfer only (action-major, then context)
-theta = <H*d decimals>    optional; row per state
-theta_seed = <int >= 0>   generation recipe when theta absent
-theta_target = <decimal in (0,1]>  max |phi . theta| after joint rescale (default 0.9)
-noise = gaussian | bounded_uniform
-v_eta = <decimal >= 0>    gaussian std (c_eta = v_eta^2)
-c_eta = <decimal >= 0>    bounded_uniform second moment (v_eta = sqrt(3 c_eta))
-
-[policy]
-policy = <names>          one or more of: boxA boxB oracle random
-delta = <decimal in (0,1)>
-lambda = auto | <decimal > 0>  auto: T^(3/4) for boxA, T^(1/2) for boxB
-ell = auto | <int >= 1>   auto: ceil(T^(3/4))
-gamma = auto | <decimal in [0,1)>  auto: forgetting rate of the true transition matrix
-c_theta = auto | <decimal >= 0>
-c_eta = auto | <decimal >= 0>
-v_eta = auto | <decimal >= 0>
-bonus_scope = full | partial
-beliefs = spectral | oracle
-refit_every = auto | <int >= 1>  auto: ell for boxA, max(3, ceil(sqrt(T))) for boxB
-
-[run]
-horizons = <distinct ints >= 1>
-seeds = <count n >= 1 for indices 0..n-1, or a list of distinct indices >= 0>
-master_seed = <int >= 0>  overridden by LBL_SEED env var, then --seed
-out = <directory>  non-empty; no leading or trailing whitespace, no ';' or '#' after whitespace
-emit_oracle_columns = true | false
-plugin_gamma = true | false
-workers = <int >= 1>
-"""
+SECTIONS = ("hmm", "reward", "policy", "run")
+REQUIRED = object()  # the default of a key that every config sets
 
 
-def _schema_keys(schema: str) -> dict[str, set]:
-    """Accepted keys per section, lower-cased as ``configparser`` reads them."""
-    keys: dict[str, set] = {}
-    for line in schema.splitlines():
-        if line.startswith("["):
-            section = keys.setdefault(line.strip("[]"), set())
-        elif "=" in line:
-            section.add(line.split("=", 1)[0].strip().lower())
-    return keys
+class Bound(NamedTuple):
+    """A key's range: a ``test`` of the value, its wording, any choices."""
+
+    test: Callable
+    wording: str
+    choices: tuple | None = None
 
 
-SCHEMA_KEYS = _schema_keys(CONFIG_SCHEMA)
+_GT0 = Bound(lambda v: v > 0, "> 0")
+_GE0 = Bound(lambda v: v >= 0, ">= 0")
+_GE1 = Bound(lambda v: v >= 1, ">= 1")
+_UNIT = Bound(lambda v: 0 <= v < 1, "in [0, 1)")
+_OPEN_UNIT = Bound(lambda v: 0 < v < 1, "in (0, 1)")
+_HALF_OPEN_UNIT = Bound(lambda v: 0 < v <= 1, "in (0, 1]")
+
+
+def _one_of(*choices: str) -> Bound:
+    return Bound(lambda v: v in choices, f"one of {', '.join(choices)}", choices)
+
+
+def _decimal(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite decimal {raw!r}")
+    return value
+
+
+def _floats(raw: str) -> np.ndarray:
+    return np.array([_decimal(v) for v in raw.replace(",", " ").split()])
+
+
+def _ints(raw: str) -> tuple:
+    return tuple(int(v) for v in raw.replace(",", " ").split())
+
+
+def _bool(raw: str) -> bool:
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+
+
+def _policy_names(raw: str) -> tuple:
+    names = tuple(raw.split())
+    if not names or len(set(names)) < len(names):
+        # a repeated arm would write its cell twice and count it twice
+        raise ConfigError(f"'policy' in [policy] must list distinct policy names, "
+                          f"got {' '.join(names)!r}")
+    for name in names:
+        if name not in KNOWN_POLICIES:
+            raise ConfigError(f"unknown policy '{name}'; expected one of {KNOWN_POLICIES}")
+    return names
+
+
+def _horizons(raw: str) -> tuple:
+    horizons = _ints(raw)
+    if not horizons or min(horizons) < 1 or len(set(horizons)) < len(horizons):
+        raise ConfigError("horizons must be distinct positive integers")
+    return horizons
+
+
+def _seeds(raw: str) -> tuple:
+    """One number ``n`` is the indices ``0..n-1``; a longer list is the indices."""
+    listed = _ints(raw)
+    seeds = tuple(range(listed[0])) if len(listed) == 1 else listed
+    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ConfigError("seeds must be a count of at least 1 or distinct non-negative indices")
+    return seeds
+
+
+def _ini_parser() -> configparser.ConfigParser:
+    return configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+
+
+def _ini_text(sections: dict) -> str:
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_dict(sections)
+    buf = io.StringIO()
+    parser.write(buf)
+    return buf.getvalue()
+
+
+def _check_out(out: str, where: str) -> str:
+    """``out`` if ``config_snapshot`` writes it back to itself: not empty, and
+    read back by :func:`parse_config` unchanged (which strips whitespace at
+    the ends and cuts an inline comment at ``;`` or ``#`` after whitespace)."""
+    if not out:
+        raise ConfigError(f"{where} must name an output directory, got an empty value")
+    try:
+        back = _ini_parser()
+        back.read_string(_ini_text({"run": {"out": out}}))
+        same = back["run"].get("out") == out
+    except configparser.Error:
+        same = False
+    if not same:
+        raise ConfigError(f"{where} = {out!r} does not read back unchanged from "
+                          "config_snapshot.ini: drop leading or trailing whitespace "
+                          "and any ';' or '#' that follows whitespace")
+    return out
 
 
 @dataclass(frozen=True)
-class PolicySettings:
-    policies: tuple
-    delta: float = 0.1
-    lam: str | float = "auto"
-    ell: str | int = "auto"
-    gamma: str | float = "auto"
-    c_theta: str | float = "auto"
-    c_eta: str | float = "auto"
-    v_eta: str | float = "auto"
-    bonus_scope: str = "full"
-    beliefs: str = "spectral"
-    refit_every: str | int = "auto"
+class Key:
+    """One key of ``[section]``: ``convert`` reads its text (a ValueError or
+    KeyError means malformed text; a ConfigError of its own passes through),
+    ``default`` is its value when absent (REQUIRED, or None for a key only
+    some branch reads), and ``bound`` is its range, a :class:`Bound` or a
+    ``check(value, where)``.  ``doc`` and ``note`` make its schema line; with
+    ``auto`` the text ``auto`` stays ``auto``.  ``attr`` is its settings
+    field, ``flag`` its CLI override."""
+
+    section: str
+    name: str
+    convert: Callable = str
+    default: object = None
+    bound: Bound | Callable | None = None
+    doc: str = ""
+    note: str = ""
+    auto: bool = False
+    attr: str = ""
+    flag: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "attr", self.attr or self.name)
+
+    def schema_line(self) -> str:
+        line = f"{self.name} = {'auto | ' if self.auto else ''}{self.doc}"
+        return f"{line:<24}  {self.note}" if self.note else line
+
+    def parse(self, raw: str):
+        where = f"'{self.name}' in [{self.section}]"
+        if self.auto and raw == "auto":
+            return "auto"
+        try:
+            value = self.convert(raw)
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"malformed value {raw!r} for {where}") from exc
+        return self.check(value, where, raw)
+
+    def check(self, value, where: str, raw: str | None = None):
+        """``value``, or a ConfigError naming ``where`` and showing ``raw``."""
+        if callable(self.bound):
+            return self.bound(value, where)
+        if self.bound is not None and not self.bound.test(value):
+            raise ConfigError(f"{where} must be {self.bound.wording}, "
+                              f"got {value if raw is None else raw!r}")
+        return value
 
 
-@dataclass(frozen=True)
-class RunSettings:
-    horizons: tuple
-    seeds: tuple
-    master_seed: int = 0
-    out: str = "results"
-    emit_oracle_columns: bool = False
-    plugin_gamma: bool = False
-    workers: int = 1
+KEYS = (
+    Key("hmm", "H", int, REQUIRED, _GE1, "<int >= 1>", "number of hidden states"),
+    Key("hmm", "X", int, REQUIRED, _GE1, "<int >= 1>", "number of contexts"),
+    Key("hmm", "pi", _floats, REQUIRED, None, "<H decimals>", "initial distribution"),
+    Key("hmm", "M", _floats, REQUIRED, None, "<H*H decimals>",
+        "transition matrix, row-major (M[h][h'] = P(h -> h'))"),
+    Key("hmm", "E", _floats, REQUIRED, None, "<X*H decimals>",
+        "emission matrix, column-major (column h = nu_h)"),
+    Key("reward", "model", str, STATE_DEPENDENT, None, "state_dependent | belief_dependent"),
+    Key("reward", "transfer", str, "one_hot_action", None,
+        "one_hot_action | action_context_outer | table"),
+    Key("reward", "num_actions", int, 2, _GE1, "<int >= 1>"),
+    Key("reward", "d", int, None, _GE1, "<int >= 1>", "table transfer only"),
+    Key("reward", "phi", _floats, None, None, "<A*X*d decimals>",
+        "table transfer only (action-major, then context)"),
+    Key("reward", "theta", _floats, None, None, "<H*d decimals>", "optional; row per state"),
+    Key("reward", "theta_seed", int, 0, _GE0, "<int >= 0>", "generation recipe when theta absent"),
+    Key("reward", "theta_target", _decimal, 0.9, _HALF_OPEN_UNIT, "<decimal in (0,1]>",
+        "max |phi . theta| after joint rescale (default 0.9)"),
+    Key("reward", "noise", str, "gaussian", None, "gaussian | bounded_uniform"),
+    Key("reward", "v_eta", _decimal, 0.1, _GE0, "<decimal >= 0>", "gaussian std (c_eta = v_eta^2)"),
+    Key("reward", "c_eta", _decimal, 0.01, _GE0, "<decimal >= 0>",
+        "bounded_uniform second moment (v_eta = sqrt(3 c_eta))"),
+    Key("policy", "policy", _policy_names, ("boxA",), None, "<names>",
+        "one or more of: boxA boxB oracle random", attr="policies"),
+    Key("policy", "delta", _decimal, 0.1, _OPEN_UNIT, "<decimal in (0,1)>"),
+    Key("policy", "lambda", _decimal, "auto", _GT0, "<decimal > 0>",
+        "auto: T^(3/4) for boxA, T^(1/2) for boxB", auto=True, attr="lam"),
+    Key("policy", "ell", int, "auto", _GE1, "<int >= 1>", "auto: ceil(T^(3/4))", auto=True),
+    Key("policy", "gamma", _decimal, "auto", _UNIT, "<decimal in [0,1)>",
+        "auto: forgetting rate of the true transition matrix", auto=True),
+    Key("policy", "c_theta", _decimal, "auto", _GE0, "<decimal >= 0>", auto=True),
+    Key("policy", "c_eta", _decimal, "auto", _GE0, "<decimal >= 0>", auto=True),
+    Key("policy", "v_eta", _decimal, "auto", _GE0, "<decimal >= 0>", auto=True),
+    Key("policy", "bonus_scope", str, "full", _one_of("full", "partial"), "full | partial",
+        flag="--bonus-scope"),
+    Key("policy", "beliefs", str, "spectral", _one_of("spectral", "oracle"), "spectral | oracle"),
+    Key("policy", "refit_every", int, "auto", _GE1, "<int >= 1>",
+        "auto: ell for boxA, max(3, ceil(sqrt(T))) for boxB", auto=True),
+    Key("run", "horizons", _horizons, REQUIRED, None, "<distinct ints >= 1>"),
+    Key("run", "seeds", _seeds, (0,), None,
+        "<count n >= 1 for indices 0..n-1, or a list of distinct indices >= 0>"),
+    Key("run", "master_seed", int, 0, _GE0, "<int >= 0>",
+        "overridden by LBL_SEED env var, then --seed", flag="--seed"),
+    Key("run", "out", str, "results", _check_out, "<directory>  non-empty; no leading or "
+        "trailing whitespace, no ';' or '#' after whitespace", flag="--out"),
+    Key("run", "emit_oracle_columns", _bool, False, None, "true | false",
+        flag="--emit-oracle-columns"),
+    Key("run", "plugin_gamma", _bool, False, None, "true | false", flag="--plugin-gamma"),
+    Key("run", "workers", int, 1, _GE1, "<int >= 1>", flag="--workers"),
+)
+FLAG_KEYS = tuple(key for key in KEYS if key.flag)
+CONFIG_SCHEMA = "\n".join(
+    f"[{section}]\n" + "".join(key.schema_line() + "\n" for key in KEYS if key.section == section)
+    for section in SECTIONS
+)
+# accepted keys per section, lower-cased as ``configparser`` reads them
+SCHEMA_KEYS = {section: {key.name.lower() for key in KEYS if key.section == section}
+               for section in SECTIONS}
+
+
+def _settings(name: str, section: str) -> type:
+    """A frozen dataclass with a field per key of ``section``, whose
+    default is the key's: the table is its one definition."""
+    return make_dataclass(name, [
+        (key.attr, object) if key.default is REQUIRED
+        else (key.attr, object, field(default=key.default))
+        for key in KEYS if key.section == section
+    ], frozen=True, namespace={"__module__": __name__})
+
+
+PolicySettings = _settings("PolicySettings", "policy")
+RunSettings = _settings("RunSettings", "run")
 
 
 @dataclass(frozen=True)
@@ -161,195 +303,81 @@ def _resolved(value, default):
     return default if value == "auto" else value
 
 
-def _floats(raw: str) -> np.ndarray:
-    return np.array([float(v) for v in raw.replace(",", " ").split()])
-
-
-def _ints(raw: str) -> list:
-    return [int(v) for v in raw.replace(",", " ").split()]
-
-
-def _bool(raw: str) -> bool:
-    return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
-
-
-# (test, wording) ranges for ``read``'s ``bound``; written so that NaN fails
-_POSITIVE = (lambda v: v > 0, "> 0")
-_AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
-_NONNEGATIVE = (lambda v: v >= 0, ">= 0")
-_UNIT_INTERVAL = (lambda v: 0 <= v < 1, "in [0, 1)")
-_OPEN_UNIT_INTERVAL = (lambda v: 0 < v < 1, "in (0, 1)")
-_HALF_OPEN_UNIT_INTERVAL = (lambda v: 0 < v <= 1, "in (0, 1]")
-
-
-def _one_of(*choices):
-    return (lambda v: v in choices, f"one of {', '.join(choices)}")
-
-
-def _reader(section, section_name: str):
-    """``read(key, convert, default, bound, auto)``: ``convert`` of the value
-    of ``key``, or of ``default`` when the key is absent; no default makes the
-    key required.  With ``auto``, the value ``auto`` stays ``auto`` and skips
-    ``convert`` and ``bound``.  A value ``convert`` rejects, or one outside
-    ``bound`` (one of the ranges above), is a ConfigError naming the key."""
-
-    def read(key: str, convert=str.strip, default: str | None = None, bound=None,
-             auto: bool = False):
-        if key not in section and default is None:
-            raise ConfigError(f"missing required key '{key}' in [{section_name}]")
-        raw = section.get(key, default)
-        if auto and raw.strip() == "auto":
-            return "auto"
-        try:
-            value = convert(raw)
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"malformed value {raw!r} for '{key}' in [{section_name}]") from exc
-        if bound is not None and not bound[0](value):
-            raise ConfigError(f"'{key}' in [{section_name}] must be {bound[1]}, got {raw!r}")
-        return value
-
-    return read
+def _read(section, name: str) -> dict:
+    """Every key of ``[name]`` by settings field: a present key converted and
+    checked, whichever branch reads it, and an absent one its default."""
+    values = {}
+    for key in (key for key in KEYS if key.section == name):
+        if key.name in section:
+            values[key.attr] = key.parse(section[key.name])
+        elif key.default is REQUIRED:
+            raise ConfigError(f"missing required key '{key.name}' in [{name}]")
+        else:
+            values[key.attr] = key.default
+    return values
 
 
 def _parse_hmm(section) -> HmmParams:
-    read = _reader(section, "hmm")
-    H, X = read("H", int), read("X", int)
-    pi, m_flat, e_flat = read("pi", _floats), read("M", _floats), read("E", _floats)
-    if m_flat.size != H * H:
-        raise ConfigError(f"M must have {H * H} entries, got {m_flat.size}")
-    if e_flat.size != X * H:
-        raise ConfigError(f"E must have {X * H} entries, got {e_flat.size}")
+    v = _read(section, "hmm")
+    H, X = v["H"], v["X"]
+    if v["M"].size != H * H:
+        raise ConfigError(f"M must have {H * H} entries, got {v['M'].size}")
+    if v["E"].size != X * H:
+        raise ConfigError(f"E must have {X * H} entries, got {v['E'].size}")
     try:
         return HmmParams(
             num_states=H,
             num_contexts=X,
-            initial_dist=pi,
-            transition=m_flat.reshape(H, H),
-            emission=e_flat.reshape((X, H), order="F"),
+            initial_dist=v["pi"],
+            transition=v["M"].reshape(H, H),
+            emission=v["E"].reshape((X, H), order="F"),
         )
     except ShapeMismatch as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _parse_reward(section, params: HmmParams) -> tuple[RewardSpec, TransferFunction]:
-    read = _reader(section, "reward")
-    model = read("model", default=STATE_DEPENDENT)
+    v = _read(section, "reward")
+    model, transfer, A = v["model"], v["transfer"], v["num_actions"]
     if model not in (STATE_DEPENDENT, BELIEF_DEPENDENT):
         raise ConfigError(f"unknown reward model '{model}'")
-    transfer = read("transfer", default="one_hot_action")
-    A = read("num_actions", int, "2", _AT_LEAST_ONE)
     if transfer == "one_hot_action":
         phi = TransferFunction.one_hot_action(A, params.num_contexts)
     elif transfer == "action_context_outer":
         phi = TransferFunction.action_context_outer(A, params.num_contexts)
     elif transfer == "table":
-        d, flat = read("d", int), read("phi", _floats)
+        d, flat = v["d"], v["phi"]
+        for name in ("d", "phi"):
+            if v[name] is None:
+                raise ConfigError(f"missing required key '{name}' in [reward]")
         if flat.size != A * params.num_contexts * d:
             raise ConfigError("phi table has the wrong number of entries")
         phi = TransferFunction.from_table(flat.reshape(A, params.num_contexts, d))
     else:
         raise ConfigError(f"unknown transfer kind '{transfer}'")
 
-    noise_kind = read("noise", default="gaussian")
-    if noise_kind == "gaussian":
-        noise = NoiseModel.gaussian(read("v_eta", float, "0.1", _NONNEGATIVE))
-    elif noise_kind == "bounded_uniform":
-        noise = NoiseModel.bounded_uniform(read("c_eta", float, "0.01", _NONNEGATIVE))
+    if v["noise"] == "gaussian":
+        noise = NoiseModel.gaussian(v["v_eta"])
+    elif v["noise"] == "bounded_uniform":
+        noise = NoiseModel.bounded_uniform(v["c_eta"])
     else:
-        raise ConfigError(f"unknown noise kind '{noise_kind}'")
+        raise ConfigError(f"unknown noise kind '{v['noise']}'")
 
-    if "theta" in section:
-        theta = read("theta", _floats)
-        if theta.size != params.num_states * phi.dim:
-            raise ConfigError("theta must have H*d entries")
-        theta = theta.reshape(params.num_states, phi.dim)
-        c_theta = float(np.linalg.norm(theta, axis=1).max())
-    else:
-        rng = np.random.default_rng(read("theta_seed", int, "0", _NONNEGATIVE))
-        target = read("theta_target", float, "0.9", _HALF_OPEN_UNIT_INTERVAL)
-        theta, c_theta = sample_theta(phi, params.num_states, rng, target=target)
-    spec = RewardSpec(theta_star=theta, c_theta=c_theta, noise=noise, model=model)
-    try:
+    theta = v["theta"]
+    if theta is not None and theta.size != params.num_states * phi.dim:
+        raise ConfigError("theta must have H*d entries")
+    try:  # a phi table of zeros has no theta to draw
+        if theta is None:
+            rng = np.random.default_rng(v["theta_seed"])
+            theta, c_theta = sample_theta(phi, params.num_states, rng, target=v["theta_target"])
+        else:
+            theta = theta.reshape(params.num_states, phi.dim)
+            c_theta = float(np.linalg.norm(theta, axis=1).max())
+        spec = RewardSpec(theta_star=theta, c_theta=c_theta, noise=noise, model=model)
         check_reward_bounds(spec, phi)
     except ShapeMismatch as exc:
         raise ConfigError(str(exc)) from exc
     return spec, phi
-
-
-def _parse_policy(section) -> PolicySettings:
-    read = _reader(section, "policy")
-    names = tuple(read("policy", str.split, "boxA"))
-    if not names or len(set(names)) < len(names):
-        # a repeated arm would write its cell twice and count it twice
-        raise ConfigError(f"'policy' in [policy] must list distinct policy names, "
-                          f"got {' '.join(names)!r}")
-    for name in names:
-        if name not in KNOWN_POLICIES:
-            raise ConfigError(
-                f"unknown policy '{name}'; expected one of {KNOWN_POLICIES}"
-            )
-    return PolicySettings(
-        policies=names,
-        delta=read("delta", float, "0.1", _OPEN_UNIT_INTERVAL),
-        lam=read("lambda", float, "auto", _POSITIVE, auto=True),
-        ell=read("ell", int, "auto", _AT_LEAST_ONE, auto=True),
-        gamma=read("gamma", float, "auto", _UNIT_INTERVAL, auto=True),
-        c_theta=read("c_theta", float, "auto", _NONNEGATIVE, auto=True),
-        c_eta=read("c_eta", float, "auto", _NONNEGATIVE, auto=True),
-        v_eta=read("v_eta", float, "auto", _NONNEGATIVE, auto=True),
-        bonus_scope=read("bonus_scope", default="full", bound=_one_of(*BONUS_SCOPES)),
-        beliefs=read("beliefs", default="spectral", bound=_one_of("spectral", "oracle")),
-        refit_every=read("refit_every", int, "auto", _AT_LEAST_ONE, auto=True),
-    )
-
-
-def _ini_parser() -> configparser.ConfigParser:
-    return configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
-
-
-def _check_out(out: str, where: str) -> str:
-    """``out`` if ``config_snapshot`` writes it back to itself: not empty, and
-    read back by :func:`parse_config` unchanged (which strips whitespace at
-    the ends and cuts an inline comment at ``;`` or ``#`` after whitespace)."""
-    if not out:
-        raise ConfigError(f"{where} must name an output directory, got an empty value")
-    written = configparser.ConfigParser(interpolation=None)
-    written["run"] = {"out": out}
-    buf = io.StringIO()
-    written.write(buf)
-    try:
-        back = _ini_parser()
-        back.read_string(buf.getvalue())
-        same = back["run"].get("out") == out
-    except configparser.Error:
-        same = False
-    if not same:
-        raise ConfigError(f"{where} = {out!r} does not read back unchanged from "
-                          "config_snapshot.ini: drop leading or trailing whitespace "
-                          "and any ';' or '#' that follows whitespace")
-    return out
-
-
-def _parse_run(section) -> RunSettings:
-    read = _reader(section, "run")
-    horizons = tuple(read("horizons", _ints))
-    if not horizons or min(horizons) < 1 or len(set(horizons)) < len(horizons):
-        raise ConfigError("horizons must be distinct positive integers")
-    seeds_raw = read("seeds", _ints, "1")
-    seeds = tuple(range(seeds_raw[0])) if len(seeds_raw) == 1 else tuple(seeds_raw)
-    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
-        raise ConfigError(
-            "seeds must be a count of at least 1 or distinct non-negative indices"
-        )
-    return RunSettings(
-        horizons=horizons,
-        seeds=seeds,
-        master_seed=read("master_seed", int, "0", _NONNEGATIVE),
-        out=_check_out(section.get("out", "results"), "'out' in [run]"),
-        emit_oracle_columns=read("emit_oracle_columns", _bool, "false"),
-        plugin_gamma=read("plugin_gamma", _bool, "false"),
-        workers=read("workers", int, "1", _AT_LEAST_ONE),
-    )
 
 
 def _check_learner_inputs(params: HmmParams, policy: PolicySettings) -> None:
@@ -383,8 +411,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"unknown key '{key}' in [{name}]")
     params = _parse_hmm(parser["hmm"])
     reward, phi = _parse_reward(parser["reward"], params)
-    policy = _parse_policy(parser["policy"] if "policy" in parser else {})
-    run = _parse_run(parser["run"])
+    policy = PolicySettings(**_read(parser["policy"] if "policy" in parser else {}, "policy"))
+    run = RunSettings(**_read(parser["run"], "run"))
     _check_learner_inputs(params, policy)
     validate(params)  # shape-level sanity; regularity is reported downstream
     return ExperimentConfig(params=params, reward=reward, phi=phi, policy=policy, run=run)
@@ -399,36 +427,32 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(text)
 
 
-def apply_overrides(
-    config: ExperimentConfig,
-    out: str | None = None,
-    workers: int | None = None,
-    master_seed: int | None = None,
-    emit_oracle_columns: bool | None = None,
-    plugin_gamma: bool | None = None,
-    bonus_scope: str | None = None,
-) -> ExperimentConfig:
-    run = config.run
-    policy = config.policy
-    if out is not None:
-        run = replace(run, out=_check_out(out, "--out"))
-    if workers is not None:
-        if workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {workers}")
-        run = replace(run, workers=workers)
-    if master_seed is not None:
-        if master_seed < 0:
-            raise ConfigError(f"--seed and LBL_SEED must be >= 0, got {master_seed}")
-        run = replace(run, master_seed=master_seed)
-    if emit_oracle_columns:
-        run = replace(run, emit_oracle_columns=True)
-    if plugin_gamma:
-        run = replace(run, plugin_gamma=True)
-    if bonus_scope is not None:
-        if bonus_scope not in BONUS_SCOPES:
-            raise ConfigError(f"--bonus-scope must be one of {BONUS_SCOPES}")
-        policy = replace(policy, bonus_scope=bonus_scope)
-    return replace(config, run=run, policy=policy)
+def apply_overrides(config: ExperimentConfig, **overrides) -> ExperimentConfig:
+    """``config`` with the overrides of :data:`FLAG_KEYS`, by settings field,
+    each checked like its key under its flag's name; None keeps a value."""
+    given = {"policy": {}, "run": {}}
+    for key in FLAG_KEYS:
+        value = overrides.pop(key.attr, None)
+        if value is not None:
+            where = key.flag + (" and LBL_SEED" if key.flag == "--seed" else "")
+            given[key.section][key.attr] = key.check(value, where)
+    if overrides:
+        raise TypeError(f"no override for {', '.join(sorted(overrides))}")
+    return replace(config, policy=replace(config.policy, **given["policy"]),
+                   run=replace(config.run, **given["run"]))
+
+
+def _text(value) -> str:
+    """``value`` as ``config_snapshot`` writes it, for its key to read back."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, np.ndarray):
+        return " ".join(repr(float(v)) for v in value.ravel())
+    if value == (0,):  # the one seed index 0, as a count: `seeds = 0` is no seeds
+        return "1"
+    if isinstance(value, tuple):
+        return " ".join(str(v) for v in value)
+    return str(value)
 
 
 def config_snapshot(config: ExperimentConfig) -> str:
@@ -437,48 +461,16 @@ def config_snapshot(config: ExperimentConfig) -> str:
     Hyperparameters set to ``auto`` are written as ``auto``: they resolve
     once per cell, and ``manifest.json`` lists each cell's resolved plan.
     """
-    parser = configparser.ConfigParser(interpolation=None)
-    p = config.params
-    parser["hmm"] = {
-        "H": str(p.num_states),
-        "X": str(p.num_contexts),
-        "pi": " ".join(repr(float(v)) for v in p.initial_dist),
-        "M": " ".join(repr(float(v)) for v in p.transition.ravel(order="C")),
-        "E": " ".join(repr(float(v)) for v in p.emission.ravel(order="F")),
+    p, reward, phi = config.params, config.reward, config.phi
+    values = {
+        "hmm": dict(H=p.num_states, X=p.num_contexts, pi=p.initial_dist, M=p.transition,
+                    E=p.emission.ravel(order="F")),
+        "reward": dict(model=reward.model, transfer=phi.kind, num_actions=phi.num_actions,
+                       d=phi.dim, phi=phi.table, theta=reward.theta_star,
+                       noise=reward.noise.kind, v_eta=reward.noise.v_eta,
+                       c_eta=reward.noise.c_eta),
+        "policy": vars(config.policy), "run": vars(config.run),
     }
-    parser["reward"] = {
-        "model": config.reward.model,
-        "transfer": config.phi.kind,
-        "num_actions": str(config.phi.num_actions),
-        "d": str(config.phi.dim),
-        "phi": " ".join(repr(float(v)) for v in config.phi.table.ravel(order="C")),
-        "theta": " ".join(repr(float(v)) for v in config.reward.theta_star.ravel(order="C")),
-        "noise": config.reward.noise.kind,
-        "v_eta": repr(config.reward.noise.v_eta),
-        "c_eta": repr(config.reward.noise.c_eta),
-    }
-    parser["policy"] = {
-        "policy": " ".join(config.policy.policies),
-        "delta": repr(config.policy.delta),
-        "lambda": str(config.policy.lam),
-        "ell": str(config.policy.ell),
-        "gamma": str(config.policy.gamma),
-        "c_theta": str(config.policy.c_theta),
-        "c_eta": str(config.policy.c_eta),
-        "v_eta": str(config.policy.v_eta),
-        "bonus_scope": config.policy.bonus_scope,
-        "beliefs": config.policy.beliefs,
-        "refit_every": str(config.policy.refit_every),
-    }
-    parser["run"] = {
-        "horizons": " ".join(str(T) for T in config.run.horizons),
-        "seeds": " ".join(str(s) for s in config.run.seeds),
-        "master_seed": str(config.run.master_seed),
-        "out": config.run.out,
-        "emit_oracle_columns": str(config.run.emit_oracle_columns).lower(),
-        "plugin_gamma": str(config.run.plugin_gamma).lower(),
-        "workers": str(config.run.workers),
-    }
-    buf = io.StringIO()
-    parser.write(buf)
-    return buf.getvalue()
+    return _ini_text({section: {key.name: _text(values[section][key.attr]) for key in KEYS
+                                if key.section == section and key.attr in values[section]}
+                      for section in SECTIONS})

@@ -80,7 +80,10 @@ class TransferFunction:
         """A free-form table, jointly rescaled into the unit ball if needed."""
         table = np.asarray(table, dtype=float)
         max_norm = float(np.linalg.norm(table, axis=2).max())
-        if max_norm > 1.0:
+        # a rescaled table can come out an ulp or two above norm 1; leaving such
+        # a table as it is makes the rescaling idempotent, so the table that
+        # config_snapshot.ini writes reads back bit for bit
+        if max_norm > 1.0 + 1e-12:
             table = table / max_norm
         return TransferFunction(kind="table", table=table)
 

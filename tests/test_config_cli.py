@@ -1,3 +1,5 @@
+import configparser
+import io
 import json
 import os
 import re
@@ -7,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hmmbandits.cli import main as cli_main
-from hmmbandits.config import apply_overrides, config_snapshot, parse_config
+from hmmbandits.config import KEYS, KNOWN_POLICIES, apply_overrides, config_snapshot, parse_config
 from hmmbandits.environment import check_reward_bounds
 from hmmbandits.errors import ConfigError
 from hmmbandits.runner import simulate_cell
@@ -165,6 +169,193 @@ class TestConfigParsing:
         assert cfg2.run.plugin_gamma
 
 
+SCHEMA_TEXT = """\
+[hmm]
+H = <int >= 1>            number of hidden states
+X = <int >= 1>            number of contexts
+pi = <H decimals>         initial distribution
+M = <H*H decimals>        transition matrix, row-major (M[h][h'] = P(h -> h'))
+E = <X*H decimals>        emission matrix, column-major (column h = nu_h)
+
+[reward]
+model = state_dependent | belief_dependent
+transfer = one_hot_action | action_context_outer | table
+num_actions = <int >= 1>
+d = <int >= 1>            table transfer only
+phi = <A*X*d decimals>    table transfer only (action-major, then context)
+theta = <H*d decimals>    optional; row per state
+theta_seed = <int >= 0>   generation recipe when theta absent
+theta_target = <decimal in (0,1]>  max |phi . theta| after joint rescale (default 0.9)
+noise = gaussian | bounded_uniform
+v_eta = <decimal >= 0>    gaussian std (c_eta = v_eta^2)
+c_eta = <decimal >= 0>    bounded_uniform second moment (v_eta = sqrt(3 c_eta))
+
+[policy]
+policy = <names>          one or more of: boxA boxB oracle random
+delta = <decimal in (0,1)>
+lambda = auto | <decimal > 0>  auto: T^(3/4) for boxA, T^(1/2) for boxB
+ell = auto | <int >= 1>   auto: ceil(T^(3/4))
+gamma = auto | <decimal in [0,1)>  auto: forgetting rate of the true transition matrix
+c_theta = auto | <decimal >= 0>
+c_eta = auto | <decimal >= 0>
+v_eta = auto | <decimal >= 0>
+bonus_scope = full | partial
+beliefs = spectral | oracle
+refit_every = auto | <int >= 1>  auto: ell for boxA, max(3, ceil(sqrt(T))) for boxB
+
+[run]
+horizons = <distinct ints >= 1>
+seeds = <count n >= 1 for indices 0..n-1, or a list of distinct indices >= 0>
+master_seed = <int >= 0>  overridden by LBL_SEED env var, then --seed
+out = <directory>  non-empty; no leading or trailing whitespace, no ';' or '#' after whitespace
+emit_oracle_columns = true | false
+plugin_gamma = true | false
+workers = <int >= 1>
+"""
+
+# a value outside the bound of each key that has one, as INI text
+OUT_OF_RANGE = {
+    ("hmm", "H"): "0", ("hmm", "X"): "0", ("reward", "num_actions"): "0",
+    ("reward", "d"): "0", ("reward", "theta_seed"): "-1", ("reward", "theta_target"): "0",
+    ("reward", "v_eta"): "-0.5", ("reward", "c_eta"): "-0.5", ("policy", "delta"): "1",
+    ("policy", "lambda"): "0", ("policy", "ell"): "0", ("policy", "gamma"): "1",
+    ("policy", "c_theta"): "-1", ("policy", "c_eta"): "-1", ("policy", "v_eta"): "-1",
+    ("policy", "bonus_scope"): "auto", ("policy", "beliefs"): "auto",
+    ("policy", "refit_every"): "0", ("run", "master_seed"): "-1", ("run", "out"): "",
+    ("run", "workers"): "0",
+}
+
+
+def with_keys(values: dict, text: str = MINIMAL) -> str:
+    """``text`` (formatted with ``out = x``) with each ``(section, name)`` of
+    ``values`` set to its text, or removed where that is None."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str
+    parser.read_string(text.format(out="x"))
+    for (section, name), value in values.items():
+        if not parser.has_section(section):
+            parser.add_section(section)
+        if value is None:
+            parser.remove_option(section, name)
+        else:
+            parser[section][name] = value
+    buf = io.StringIO()
+    parser.write(buf)
+    return buf.getvalue()
+
+
+def _decimal_text(low: float, high: float):
+    return st.floats(low, high, allow_nan=False).map(repr)
+
+
+def _maybe(strategy):
+    """A key's text, or None: the key is left out and takes its default."""
+    return st.one_of(st.none(), strategy)
+
+
+@st.composite
+def config_texts(draw):
+    """The text of every key of every section, drawn valid, or None where the
+    key is left out; the hmm instance is the minimal one."""
+    auto_or = lambda strategy: _maybe(st.one_of(st.just("auto"), strategy))  # noqa: E731
+    A, transfer = draw(st.integers(1, 3)), draw(st.sampled_from(
+        ["one_hot_action", "action_context_outer", "table"]))
+    d = draw(st.integers(1, 2)) if transfer == "table" else None
+    seeds = st.one_of(st.integers(1, 4).map(str), st.lists(
+        st.integers(0, 50), min_size=2, max_size=3, unique=True).map(
+        lambda s: " ".join(map(str, s))))
+    theta_given = draw(st.booleans())
+    values = {
+        ("hmm", "H"): "2", ("hmm", "X"): "2", ("hmm", "pi"): "0.5 0.5",
+        ("hmm", "M"): "0.8 0.2 0.3 0.7", ("hmm", "E"): "0.7 0.3 0.2 0.8",
+        ("reward", "model"): draw(_maybe(st.sampled_from(["state_dependent",
+                                                         "belief_dependent"]))),
+        ("reward", "transfer"): transfer,
+        ("reward", "num_actions"): str(A),
+        ("reward", "d"): None if d is None else str(d),
+        ("reward", "phi"): None if d is None else " ".join(draw(st.lists(  # none is 0
+            st.one_of(_decimal_text(-1, -0.1), _decimal_text(0.1, 1)),
+            min_size=A * 2 * d, max_size=A * 2 * d))),
+        ("reward", "theta"): None,
+        ("reward", "theta_seed"): draw(_maybe(st.integers(0, 2**32).map(str))),
+        ("reward", "theta_target"): draw(_maybe(_decimal_text(0.05, 1))),
+        ("reward", "noise"): draw(_maybe(st.sampled_from(["gaussian", "bounded_uniform"]))),
+        ("reward", "v_eta"): draw(_maybe(_decimal_text(0, 2))),
+        ("reward", "c_eta"): draw(_maybe(_decimal_text(0, 2))),
+        ("policy", "policy"): draw(_maybe(st.lists(st.sampled_from(KNOWN_POLICIES), min_size=1,
+                                                   unique=True).map(" ".join))),
+        ("policy", "delta"): draw(_maybe(_decimal_text(0.01, 0.99))),
+        ("policy", "lambda"): draw(auto_or(_decimal_text(1e-3, 1e3))),
+        ("policy", "ell"): draw(auto_or(st.integers(1, 100).map(str))),
+        ("policy", "gamma"): draw(auto_or(_decimal_text(0, 0.99))),
+        ("policy", "c_theta"): draw(auto_or(_decimal_text(0, 10))),
+        ("policy", "c_eta"): draw(auto_or(_decimal_text(0, 10))),
+        ("policy", "v_eta"): draw(auto_or(_decimal_text(0, 10))),
+        ("policy", "bonus_scope"): draw(_maybe(st.sampled_from(["full", "partial"]))),
+        ("policy", "beliefs"): draw(_maybe(st.sampled_from(["spectral", "oracle"]))),
+        ("policy", "refit_every"): draw(auto_or(st.integers(1, 100).map(str))),
+        ("run", "horizons"): " ".join(map(str, draw(st.lists(
+            st.integers(1, 5000), min_size=1, max_size=3, unique=True)))),
+        ("run", "seeds"): draw(_maybe(seeds)),
+        ("run", "master_seed"): draw(_maybe(st.integers(0, 2**63).map(str))),
+        ("run", "out"): draw(_maybe(st.from_regex(r"[\w./%-][\w./%;#-]{0,8}", fullmatch=True))),
+        ("run", "emit_oracle_columns"): draw(_maybe(st.sampled_from(["true", "no", "1", "off"]))),
+        ("run", "plugin_gamma"): draw(_maybe(st.sampled_from(["false", "yes", "0", "on"]))),
+        ("run", "workers"): draw(_maybe(st.integers(1, 8).map(str))),
+    }
+    if theta_given:  # |phi . theta| <= d * 0.4 < 1 for every transfer
+        dim = {"one_hot_action": A, "action_context_outer": 2 * A, "table": d}[transfer]
+        values[("reward", "theta")] = " ".join(draw(st.lists(
+            _decimal_text(-0.4, 0.4), min_size=2 * dim, max_size=2 * dim)))
+    return values
+
+
+def _same_config(a, b) -> bool:
+    return (a.policy == b.policy and a.run == b.run
+            and a.reward.model == b.reward.model and a.reward.noise == b.reward.noise
+            and a.reward.c_theta == b.reward.c_theta and a.phi.kind == b.phi.kind
+            and np.array_equal(a.reward.theta_star, b.reward.theta_star)
+            and np.array_equal(a.phi.table, b.phi.table)
+            and all(np.array_equal(getattr(a.params, f), getattr(b.params, f))
+                    for f in ("initial_dist", "transition", "emission")))
+
+
+ONE_SEED = {**{(key.section, key.name): None for key in KEYS},
+            ("hmm", "H"): "2", ("hmm", "X"): "2", ("hmm", "pi"): "0.5 0.5",
+            ("hmm", "M"): "0.8 0.2 0.3 0.7", ("hmm", "E"): "0.7 0.3 0.2 0.8",
+            ("run", "horizons"): "16", ("run", "seeds"): "1"}
+
+
+class TestKeyTable:
+    @settings(deadline=None, max_examples=150)
+    @given(config_texts())
+    @example(ONE_SEED)
+    def test_every_key_round_trips_through_the_snapshot(self, values):
+        assert set(values) == {(key.section, key.name) for key in KEYS}
+        cfg = parse_config(with_keys(values, "[hmm]\n[reward]\n[policy]\n[run]\n"))
+        back = parse_config(config_snapshot(cfg))
+        assert _same_config(cfg, back)
+        assert config_snapshot(back) == config_snapshot(cfg)
+
+    def test_one_seed_snapshot_reads_back(self, tmp_path):
+        cfg = parse_config(MINIMAL.format(out="x").replace("seeds = 2", "seeds = 1"))
+        assert cfg.run.seeds == (0,)
+        assert "seeds = 1\n" in config_snapshot(cfg)
+        assert parse_config(config_snapshot(cfg)).run.seeds == (0,)
+
+    @pytest.mark.parametrize("key", [key for key in KEYS if key.bound is not None],
+                             ids=lambda key: f"{key.section}.{key.name}")
+    def test_each_bound_rejects_a_value_outside_it(self, key):
+        raw = OUT_OF_RANGE[key.section, key.name]
+        with pytest.raises(ConfigError,
+                           match=rf"^'{key.name}' in \[{key.section}\] must (be|name) "):
+            parse_config(with_keys({(key.section, key.name): raw}))
+
+    def test_print_config_schema_text(self, capsys):
+        assert cli_main(["print-config-schema"]) == 0
+        assert capsys.readouterr().out == SCHEMA_TEXT + "\n"
+
+
 class TestCli:
     def test_unknown_subcommand_exit_1(self, capsys):
         assert cli_main(["frobnicate"]) == 1
@@ -236,6 +427,36 @@ class TestCli:
         ("policy = oracle random", "policy =", [], r"'policy' in \[policy\] must list distinct"),
         ("master_seed = 11", "master_seed = -5", [], r"'master_seed' in \[run\] must be >= 0"),
         ("theta_seed = 3", "theta_seed = -2", [], r"'theta_seed' in \[reward\] must be >= 0"),
+        # decimals must be finite
+        ("policy = oracle random", "policy = boxB\nlambda = inf", [],
+         r"malformed value 'inf' for 'lambda' in \[policy\]"),
+        ("policy = oracle random", "policy = boxA\nc_theta = inf", [],
+         r"malformed value 'inf' for 'c_theta' in \[policy\]"),
+        ("policy = oracle random", "policy = boxB\nv_eta = inf", [],
+         r"malformed value 'inf' for 'v_eta' in \[policy\]"),
+        ("v_eta = 0.1", "v_eta = inf", [], r"malformed value 'inf' for 'v_eta' in \[reward\]"),
+        ("theta_seed = 3", "theta = 0.1 nan 0.3 0.4", [], r"'theta' in \[reward\]"),
+        # sizes are at least 1
+        ("H = 2", "H = -1", [], r"'H' in \[hmm\] must be >= 1, got '-1'"),
+        ("X = 2", "X = 0", [], r"'X' in \[hmm\] must be >= 1, got '0'"),
+        ("transfer = one_hot_action", "transfer = table\nd = 0\nphi = 1 0 0 1", [],
+         r"'d' in \[reward\] must be >= 1, got '0'"),
+        # a present key is checked whichever branch reads it
+        ("noise = gaussian", "noise = gaussian\nc_eta = -5", [],
+         r"'c_eta' in \[reward\] must be >= 0, got '-5'"),
+        ("noise = gaussian\nv_eta = 0.1", "noise = bounded_uniform\nv_eta = -3", [],
+         r"'v_eta' in \[reward\] must be >= 0, got '-3'"),
+        ("theta_seed = 3", "theta = 0.1 0.2 0.3 0.4\ntheta_target = 7", [],
+         r"'theta_target' in \[reward\] must be in \(0, 1\], got '7'"),
+        ("theta_seed = 3", "theta = 0.1 0.2 0.3 0.4\ntheta_seed = -7", [],
+         r"'theta_seed' in \[reward\] must be >= 0, got '-7'"),
+        ("theta_seed = 3", "theta_seed = 3\nd = -4", [],
+         r"'d' in \[reward\] must be >= 1, got '-4'"),
+        ("theta_seed = 3", "theta_seed = 3\nphi = garbage", [],
+         r"malformed value 'garbage' for 'phi' in \[reward\]"),
+        # a table of zeros has no theta to draw: a configuration error, not exit 3
+        ("transfer = one_hot_action", "transfer = table\nd = 1\nphi = 0 0 0 0", [],
+         "configuration error: degenerate transfer/theta draw"),
         (None, None, ["--seed", "-1"], "--seed and LBL_SEED must be >= 0"),
         (None, None, {"LBL_SEED": "-1"}, "--seed and LBL_SEED must be >= 0"),
     ])

@@ -55,6 +55,15 @@ class TestTransferFunction:
         phi = TransferFunction.from_table(table)
         assert np.linalg.norm(phi.table, axis=2).max() <= 1.0 + 1e-12
 
+    def test_rescaled_table_is_a_fixed_point(self):
+        # config_snapshot.ini writes the rescaled table, and reading it back
+        # must give the same bits, though its norm rounded an ulp above 1
+        table = np.array([-1.0, -0.5, -1.0, -0.5, -0.5, -1.0, 0.8146287145582514,
+                          0.8250579932906069]).reshape(2, 2, 2)
+        once = TransferFunction.from_table(table).table
+        assert np.linalg.norm(once, axis=2).max() > 1.0
+        assert np.array_equal(TransferFunction.from_table(once).table, once)
+
     def test_oversized_table_rejected_without_rescale(self):
         with pytest.raises(ShapeMismatch):
             TransferFunction(kind="table", table=np.full((1, 1, 2), 5.0))

@@ -66,3 +66,17 @@ def test_every_error_class_is_raised():
     dead = sorted(name for name, cls in classes.items()
                   if not any(issubclass(classes[r], cls) for r in raised & classes.keys()))
     assert not dead
+
+
+def test_no_settings_field_has_a_second_default():
+    # the key table holds each key's one default; the settings classes take it
+    from dataclasses import MISSING, fields
+
+    from hmmbandits.config import KEYS, REQUIRED, PolicySettings, RunSettings
+
+    for cls, section in ((PolicySettings, "policy"), (RunSettings, "run")):
+        specs = {key.attr: key for key in KEYS if key.section == section}
+        assert [f.name for f in fields(cls)] == list(specs)
+        for f in fields(cls):
+            expected = MISSING if specs[f.name].default is REQUIRED else specs[f.name].default
+            assert f.default == expected, f.name
