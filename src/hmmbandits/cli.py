@@ -20,7 +20,7 @@ import sys
 from .config import CONFIG_SCHEMA, FLAG_KEYS, ExperimentConfig, apply_overrides, load_config
 from .errors import ConfigError, HmmBanditsError, InsufficientData
 from .evaluation import fit_rate, read_summaries, run_lemma_trials
-from .runner import estimation_curves, run_experiment, write_estimation_csv
+from .runner import _atomic_write, estimation_curves, run_experiment, write_estimation_csv
 
 COMMANDS = ("simulate", "estimate", "check-lemmas", "fit-rate", "print-config-schema")
 
@@ -102,8 +102,7 @@ def _cmd_fit_rate(args) -> int:
     print(text)
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "rate_fit.json"), "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _atomic_write(os.path.join(args.out, "rate_fit.json"), text + "\n")
     return 0
 
 

@@ -15,6 +15,7 @@ expressions over the environment tape.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from array import array
@@ -69,19 +70,26 @@ class CellPlan:
         return -(-t // self.ell)
 
 
-def u_schedule(plan: CellPlan) -> tuple[array, array]:
+def u_schedule(plan: CellPlan) -> tuple[memoryview, memoryview]:
     """The belief budget ``u[t] = u_belief(t)`` of rounds ``1..horizon`` and
     its prefix sums ``prefix[k] = u(1) + ... + u(k)``, added left to right;
     slot 0 of both is 0.0.  The budget is zero throughout under known beliefs.
+    Both are read-only, and the last schedule built is reused, so learners
+    built one after another on the same budget inputs (boxA and boxB of one
+    group) build it once.
     """
-    budget = (
-        None if plan.known_beliefs
-        else BeliefErrorBudget(H=plan.H, X=plan.X, delta=plan.delta / 2.0)
-    )
+    return _u_schedule(plan.H, plan.X, plan.delta, plan.horizon, plan.known_beliefs)
+
+
+@functools.lru_cache(maxsize=1)
+def _u_schedule(H: int, X: int, delta: float, horizon: int,
+                known_beliefs: bool) -> tuple[memoryview, memoryview]:
+    budget = None if known_beliefs else BeliefErrorBudget(H=H, X=X, delta=delta / 2.0)
     u = array("d", [0.0])
     u.extend(0.0 if budget is None else u_belief(budget, t)
-             for t in range(1, plan.horizon + 1))
-    return u, array("d", itertools.accumulate(u))
+             for t in range(1, horizon + 1))
+    prefix = array("d", itertools.accumulate(u))
+    return memoryview(u).toreadonly(), memoryview(prefix).toreadonly()
 
 
 def staged_width(plan: CellPlan, s_t: int, u_prefix: float) -> tuple[float, float]:
@@ -107,6 +115,18 @@ def staged_width(plan: CellPlan, s_t: int, u_prefix: float) -> tuple[float, floa
     return t1 + t2 + t3, t4 + t5
 
 
+def _products_in_order(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """``rows @ mat`` for a vector or a matrix ``mat``, every sum added
+    in index order, ``rows[:, 0] * mat[0] + rows[:, 1] * mat[1] + ...``, by
+    elementwise products and adds.  So a row gets the same bits alone as in
+    any batch, whatever the BLAS kernel or SIMD path."""
+    cols = rows.T if mat.ndim == 1 else rows.T[:, :, None]
+    total = cols[0] * mat[0]
+    for k in range(1, len(mat)):
+        total += cols[k] * mat[k]
+    return total
+
+
 def staged_bonus(
     plan: CellPlan,
     t: int,
@@ -125,8 +145,8 @@ def staged_bonus(
     if t <= plan.ell:
         return np.full(len(feats), 1.0 + math.sqrt(plan.d) / plan.lam)
     factor, tail = width
-    w = feats @ gram_inv
-    return u_t + np.sqrt(np.einsum("ij,ij->i", w, w)) * factor + tail
+    w = _products_in_order(feats, gram_inv)
+    return u_t + np.sqrt(_products_in_order(w * w, np.ones(len(gram_inv)))) * factor + tail
 
 
 def per_round_widths(plan: CellPlan, rounds, u_prefix) -> list[float]:
@@ -184,30 +204,6 @@ def _add_outer_products(gram: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return gram
 
 
-# A row's UCB ``f @ theta + (u_t + ||f @ G^{-1}||_2 * factor + tail)``,
-# computed with its sums in any order, lies within 6.1 gamma_k S of its exact
-# value (Higham 2002, sec. 3.1): k = dH + 2, gamma_k = k u / (1 - k u), and
-# S = |f| @ |theta| + |factor| ||(|f| @ |G^{-1}|)||_2 + |u_t| + |tail|, or
-# |f| @ |theta| + |bonus| for the constant bonus of stage 1.  So two orders
-# differ by at most 12.2 gamma_k S; the guard allows GUARD_FACTOR.
-GUARD_FACTOR = 32.0
-
-
-def _argmax_unsettled(ucb: np.ndarray, magnitude: np.ndarray, dH: int) -> np.ndarray:
-    """Rounds (rows of ``ucb``) whose batched argmax may differ from the
-    per-round one: a non-finite entry, or an entry whose gap to the top
-    entry is within the sum of their rounding bounds (exact ties included)."""
-    k = dH + 2
-    u = np.finfo(float).eps / 2.0
-    err = GUARD_FACTOR * (k * u / (1.0 - k * u)) * magnitude
-    rows = np.arange(len(ucb))
-    best = ucb.argmax(axis=1)
-    clear = ucb[rows, best][:, None] - ucb > err[rows, best][:, None] + err
-    clear[rows, best] = True
-    settled = clear.all(axis=1) & np.isfinite(ucb).all(axis=1) & np.isfinite(err).all(axis=1)
-    return ~settled
-
-
 def _check_block(first_round: int, rounds: int, played: int, horizon: int) -> None:
     """A block of ``rounds`` rounds from ``first_round`` on must lie in
     ``[1, horizon]`` and follow the ``played`` rounds before it."""
@@ -223,9 +219,9 @@ class BoxAPolicy:
 
     The scoring estimate and the Gram matrix are frozen at the last stage
     boundary; every round's row still enters the accumulating ridge so the
-    boundary refresh sees the whole prefix.  So a stage's actions are two
-    batched products and an argmax; a round whose batched argmax the
-    rounding bound cannot settle is rescored with the per-round products.
+    boundary refresh sees the whole prefix.  So a stage's actions are one
+    batched argmax over UCBs whose sums are added in index order, the
+    per-round argmax by construction.
     """
 
     def __init__(self, plan: CellPlan):
@@ -260,7 +256,7 @@ class BoxAPolicy:
         while lo < n:
             t = first_round + lo
             hi = min(n, lo + ell - (t - 1) % ell)  # the rest of t's stage
-            block = actions[lo:hi] = self._stage_actions(t, feats[lo:hi])
+            block = actions[lo:hi] = self._stage_ucb(t, feats[lo:hi]).argmax(axis=1)
             picked = np.arange(hi - lo), block
             rows = feats[lo:hi][picked]
             self._gram = _add_outer_products(self._gram, rows)
@@ -273,32 +269,15 @@ class BoxAPolicy:
             lo = hi
         return actions
 
-    def _stage_actions(self, t: int, feats: np.ndarray) -> np.ndarray:
-        """Actions of the rounds ``t, t + 1, ...`` of one stage."""
+    def _stage_ucb(self, t: int, feats: np.ndarray) -> np.ndarray:
+        """``(n, A)`` UCBs of the rounds ``t, t + 1, ...`` of one stage."""
         n, A, dH = feats.shape
         s_t = self.plan.stage_of(t)
         width = self._stage_width(s_t) if s_t > 1 else None
-        theta, gram_inv = self._theta_frozen, self._gram_frozen_inv
         flat = feats.reshape(n * A, dH)
         u = np.repeat(np.frombuffer(self._u)[t:t + n], A)
-        bonus = staged_bonus(self.plan, t, flat, gram_inv, u, width)
-        ucb = flat @ theta + bonus
-        abs_flat = np.abs(flat)
-        magnitude = abs_flat @ np.abs(theta)
-        if width is None:
-            magnitude += np.abs(bonus)
-        else:
-            m = abs_flat @ np.abs(gram_inv)
-            factor, tail = width
-            magnitude += (abs(factor) * np.sqrt(np.einsum("ij,ij->i", m, m))
-                          + (np.abs(u) + abs(tail)))
-        ucb, magnitude = ucb.reshape(n, A), magnitude.reshape(n, A)
-        actions = ucb.argmax(axis=1)
-        for i in np.flatnonzero(_argmax_unsettled(ucb, magnitude, dH)).tolist():
-            rows = feats[i].copy()
-            bonuses = staged_bonus(self.plan, t + i, rows, gram_inv, self._u[t + i], width)
-            actions[i] = np.argmax(rows @ theta + bonuses)
-        return actions
+        bonus = staged_bonus(self.plan, t, flat, self._gram_frozen_inv, u, width)
+        return (_products_in_order(flat, self._theta_frozen) + bonus).reshape(n, A)
 
     def set_gamma(self, gamma: float) -> None:
         """Swap the forgetting rate fed to the bonus (plugin-gamma mode)."""

@@ -438,6 +438,14 @@ def reference_box_b_actions(
     return actions
 
 
+def _dot_left_to_right(xs, ys) -> float:
+    """``xs[0] * ys[0] + xs[1] * ys[1] + ...`` in Python floats, left to right."""
+    total = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        total += x * y
+    return total
+
+
 class _Stepwise:
     def play(self, first_round, feats, rewards):
         """The learner's ``play``, one round at a time: ``act`` on a fresh
@@ -471,18 +479,27 @@ class StepwiseBoxA(_Stepwise):
         self._frozen_rounds = 0
 
     def act(self, t, feats):
+        """Score each row with Python floats, every sum added left to right
+        (``x0 * y0 + x1 * y1 + ...``), so the order is fixed by the formula
+        and not by a BLAS kernel or numpy's reductions."""
         from hmmbandits.policies import staged_width
 
         plan = self.plan
-        if t <= plan.ell:
-            bonuses = np.full(len(feats), 1.0 + math.sqrt(plan.d) / plan.lam)
-        else:
+        theta = self._theta_frozen.tolist()
+        if t > plan.ell:
             s_t = plan.stage_of(t)
             assert self._frozen_rounds == (s_t - 1) * plan.ell
             factor, tail = staged_width(plan, s_t, self._u_prefix[self._frozen_rounds])
-            w = feats @ self._gram_frozen_inv
-            bonuses = self._u[t] + np.sqrt(np.einsum("ij,ij->i", w, w)) * factor + tail
-        return int(np.argmax(feats @ self._theta_frozen + bonuses))
+            gram_inv_cols = list(zip(*self._gram_frozen_inv.tolist()))
+        ucbs = []
+        for f in feats.tolist():
+            if t <= plan.ell:
+                bonus = 1.0 + math.sqrt(plan.d) / plan.lam
+            else:
+                w = [_dot_left_to_right(f, col) for col in gram_inv_cols]
+                bonus = self._u[t] + math.sqrt(_dot_left_to_right(w, w)) * factor + tail
+            ucbs.append(_dot_left_to_right(f, theta) + bonus)
+        return int(np.argmax(ucbs))
 
     def update(self, v, reward):
         self._gram += np.outer(v, v)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +162,16 @@ class TestUSchedule:
         assert prefix[59] == running
         assert u[0] == prefix[0] == 0.0
 
+    def test_shared_between_learners_and_read_only(self):
+        # boxA and boxB of one group differ in policy, stage length and ridge,
+        # not in the values the schedule reads
+        u, prefix = u_schedule(make_plan(policy="boxA", ell=4, lam=2.0, horizon=40))
+        got = u_schedule(make_plan(policy="boxB", ell=9, lam=0.5, horizon=40))
+        assert got[0] is u and got[1] is prefix
+        with pytest.raises(TypeError):
+            u[1] = 0.0
+        assert not np.frombuffer(prefix).flags.writeable
+
     def test_known_beliefs_zero(self):
         u, prefix = u_schedule(make_plan(known_beliefs=True, horizon=500))
         assert len(u) == 501 and not any(u) and not any(prefix)
@@ -184,8 +198,13 @@ class TestUSchedule:
         T = 60
         contexts, beliefs, rewards = synthetic_stream(rng, T)
         plan = make_plan(H=2, X=2, d=2, ell=7, horizon=T)
+        policies._u_schedule.cache_clear()
         policy = BoxAPolicy(plan) if name == "boxA" else BoxBPolicy(plan)
         play(policy, build_phi().table, contexts, beliefs, rewards)
+        assert sorted(calls) == list(range(1, T + 1))
+        # the other learner of the same group reuses the schedule
+        other = BoxBPolicy(plan) if name == "boxA" else BoxAPolicy(plan)
+        play(other, build_phi().table, contexts, beliefs, rewards)
         assert sorted(calls) == list(range(1, T + 1))
 
 
@@ -613,14 +632,17 @@ ROW_SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (1, 6), (2
     st.integers(min_value=1, max_value=150),
     st.sampled_from(["full", "partial"]),
     st.booleans(),
-    st.sampled_from(["normal", "one_hot", "repeated"]),
+    st.sampled_from(["normal", "one_hot", "repeated", "reversed"]),
 )
 def test_play_matches_stepwise_loop(seed, shape, A, T, scope, known, transfer):
     """``play`` over random splits of the rounds gives the actions and the
     final ridge of the round-by-round act/update loop bit for bit, with a
     plug-in gamma swapped in at a random round.  ``one_hot`` rows tie exactly
     while theta is constant (stage 1); ``repeated`` offers action 0's row
-    again as action 1 in every round."""
+    again as action 1 in every round; ``reversed`` offers action 0's
+    transfer, its entries scaled by 10^k for k in [-8, 8], reversed as
+    action 1's, so under a constant theta the two UCBs add the same products
+    and differ only by the order of their sums."""
     rng = np.random.default_rng(seed)
     H, d = shape
     X = int(rng.integers(H, H + 3))  # the belief budget needs X >= H
@@ -629,8 +651,10 @@ def test_play_matches_stepwise_loop(seed, shape, A, T, scope, known, transfer):
         table[np.arange(A), :, np.arange(A) % d] = 1.0
     else:
         table = rng.normal(size=(A, X, d))
-        if transfer == "repeated" and A > 1:
-            table[1] = table[0]
+        if transfer == "reversed":
+            table[0] *= 10.0 ** rng.integers(-8, 9, size=(X, d))
+        if transfer in ("repeated", "reversed") and A > 1:
+            table[1] = table[0] if transfer == "repeated" else table[0, :, ::-1]
     contexts = rng.integers(0, X, size=T)
     beliefs = rng.dirichlet(np.ones(H), size=T)
     feats = blocks(table, contexts, beliefs)
@@ -678,3 +702,43 @@ def test_cells_match_stepwise_learners(reference_params, monkeypatch, tile_round
     want = runner.simulate_group(config, 400, 0, ["boxA", "boxB"])
     for a, b in zip(got, want):
         assert np.array_equal(a.actions, b.actions)
+
+
+# Scores one stage-1 block of boxA (theta replaced, bonus constant) and the
+# staged bonus of the same rows, and writes the bytes of both.  Every input
+# is built elementwise, with no BLAS call; the entries span 10^-8..10^8, so a
+# different summation order shows in the bits.
+STAGED_KERNELS = """
+import sys
+import numpy as np
+from hmmbandits.policies import BoxAPolicy, CellPlan, staged_bonus
+
+rng = np.random.default_rng(12)
+H, d, A, n = 3, 6, 3, 400
+dH = H * d
+scale = lambda shape: rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+feats = scale((n, A, dH))
+g = rng.uniform(-1.0, 1.0, size=(dH, dH))
+gram_inv = (g + g.T) / 2.0 + dH * np.eye(dH)
+plan = CellPlan(policy="boxA", horizon=2 * n, lam=1.0, ell=n, refit_every=n, delta=0.1,
+                gamma=0.5, c_theta=1.2, c_eta=0.01, v_eta=0.1, H=H, X=H, d=d)
+policy = BoxAPolicy(plan)
+policy._theta_frozen = scale(dH)
+ucb = policy._stage_ucb(1, feats)
+bonus = staged_bonus(plan, n + 1, feats.reshape(n * A, dH), gram_inv, 0.5, (3.0, 0.25))
+sys.stdout.buffer.write(ucb.tobytes() + bonus.tobytes())
+"""
+
+
+def test_staged_kernels_do_not_depend_on_blas_kernel():
+    """boxA's stage scores and the staged bonus have the same bytes under two
+    OpenBLAS kernels: their sums are added in index order, not by BLAS."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = [
+        subprocess.run([sys.executable, "-c", STAGED_KERNELS], capture_output=True, check=True,
+                       env=dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE=core)).stdout
+        for core in ("Haswell", "Prescott")
+    ]
+    assert len(out[0]) == 8 * 400 * 3 * 2
+    assert out[0] == out[1]
