@@ -22,7 +22,9 @@ PROB_ATOL = 1e-12
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+    """A read-only C-ordered float copy: every HMM matrix has this layout, so
+    the batched filters stack them as they come."""
+    out = np.array(a, dtype=float, order="C")
     out.flags.writeable = False
     return out
 
@@ -195,27 +197,6 @@ TILE_BYTES = 2**18    # bytes per tile: a forward_pass (H, H, pairs) operand, a
                       # learner's block of rows, its outer products
 
 
-def _layout_groups(transitions) -> list[tuple[bool, np.ndarray]]:
-    """Indices of ``transitions`` grouped by the memory layout of ``M^T``,
-    with whether that layout is Fortran order.
-
-    BLAS gemv rounds differently for C- and F-ordered matrices, so a stacked
-    matvec reproduces the one-at-a-time ``M^T @ b`` bit for bit only over
-    lanes whose matrices share the layout the one-at-a-time code used.
-    """
-    fortran = np.array([bool(M.T.flags.f_contiguous) for M in transitions])
-    return [(f, lanes) for f, lanes in ((True, np.flatnonzero(fortran)),
-                                        (False, np.flatnonzero(~fortran)))
-            if lanes.size]
-
-
-def _with_layout(mats: np.ndarray, fortran: bool) -> np.ndarray:
-    """``mats`` (a stack of matrices) with every matrix C- or F-ordered."""
-    if fortran:
-        return np.ascontiguousarray(mats.swapaxes(-1, -2)).swapaxes(-1, -2)
-    return np.ascontiguousarray(mats)
-
-
 def _lockstep(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lanes of ``counts`` steps each, longest first, and for every offset
     below the longest the number of lanes still running at it (a prefix of
@@ -232,41 +213,39 @@ def forward_steps(models, beliefs, contexts, starts, stops, out) -> None:
     :func:`forward_step` under ``models[k] = (transition, emission)`` for
     each context ``contexts[i]``, ``starts[k] <= i < stops[k]``, writing the
     belief after it to ``out[i]``; a zero-likelihood context resets to
-    uniform.  Segments must not overlap.  One stacked step per round offset
-    covers every segment of a layout group (see :func:`_layout_groups`),
-    with each ``M^T`` stacked in its own layout, and a group of one segment
-    calls ``forward_step`` itself, so each row is ``forward_step``'s bit for
-    bit.
+    uniform.  Segments must not overlap, and transitions must be C-ordered
+    (as :class:`HmmParams` and ``EstimatedHmm`` make them): their stacked
+    ``M^T`` slices then have the layout ``forward_step``'s gemv reads, so one
+    stacked step per round offset gives each row ``forward_step``'s bits.
+    One segment alone calls ``forward_step``: through a stack of one, the
+    ``ref-estimate`` benchmark (one segment per checkpoint) took 19 rather
+    than 8.3 us/round on a 2-vCPU VM.
     """
     xs = np.asarray(contexts, dtype=np.int64)
     starts = np.asarray(starts, dtype=np.int64)
     stops = np.asarray(stops, dtype=np.int64)
     H = out.shape[1]
     uniform = np.full(H, 1.0 / H)
-    for fortran, lanes in _layout_groups([M for M, _ in models]):
-        if lanes.size == 1:
-            k = int(lanes[0])
-            (M, E), belief, start = models[k], beliefs[k], int(starts[k])
-            for i, x in enumerate(xs[start:stops[k]].tolist(), start):
-                belief = forward_step(belief, uniform, M, E, x, "uniform")
-                out[i] = belief
-            continue
-        order, running = _lockstep(stops[lanes] - starts[lanes])
-        lanes = lanes[order]
-        rows = starts[lanes]
-        transitions_t = _with_layout(
-            np.stack([models[k][0] for k in lanes]).swapaxes(1, 2), fortran)
-        emissions = np.stack([models[k][1] for k in lanes])
-        state = np.array(beliefs[lanes], dtype=float)
-        for offset, n in enumerate(running.tolist()):
-            at = rows[:n] + offset
-            unnorm = emissions[np.arange(n), xs[at]] * np.matmul(
-                transitions_t[:n], state[:n, :, None])[:, :, 0]
-            norm = unnorm.sum(axis=1)
-            ok = (norm > 0.0) & np.isfinite(norm)
-            state[:n] = unnorm / np.where(ok, norm, 1.0)[:, None]
-            state[np.flatnonzero(~ok)] = uniform
-            out[at] = state[:n]
+    if len(models) == 1:
+        (M, E), belief = models[0], beliefs[0]
+        for i, x in enumerate(xs[starts[0]:stops[0]].tolist(), int(starts[0])):
+            belief = forward_step(belief, uniform, M, E, x, "uniform")
+            out[i] = belief
+        return
+    lanes, running = _lockstep(stops - starts)
+    rows = starts[lanes]
+    transitions_t = np.stack([models[k][0] for k in lanes]).swapaxes(1, 2)
+    emissions = np.stack([models[k][1] for k in lanes])
+    state = np.array(beliefs[lanes], dtype=float)
+    for offset, n in enumerate(running.tolist()):
+        at = rows[:n] + offset
+        unnorm = emissions[np.arange(n), xs[at]] * np.matmul(
+            transitions_t[:n], state[:n, :, None])[:, :, 0]
+        norm = unnorm.sum(axis=1)
+        ok = (norm > 0.0) & np.isfinite(norm)
+        state[:n] = unnorm / np.where(ok, norm, 1.0)[:, None]
+        state[np.flatnonzero(~ok)] = uniform
+        out[at] = state[:n]
 
 
 def forward_pass(
@@ -291,11 +270,10 @@ def forward_pass(
     entries) is re-run one context at a time for that model alone, so a
     zero-likelihood context is handled as by :func:`forward_step`: a reset
     to uniform, or :class:`DegenerateLikelihood` under
-    ``on_degenerate="raise"``.
-
-    Models are filtered per :func:`_layout_groups`, and every stacked matrix
-    takes the layout of its model's ``M^T``, so each row equals, bit for
-    bit, the straight single-prefix pass over that model.
+    ``on_degenerate="raise"``.  Transitions must be C-ordered (as
+    :class:`HmmParams` and ``EstimatedHmm`` make them); every stacked matrix
+    is then F-ordered like ``M^T``, and each row equals, bit for bit, the
+    straight single-prefix pass over its model.
     """
     contexts = np.asarray(contexts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
@@ -303,20 +281,12 @@ def forward_pass(
         raise ShapeMismatch("need one prefix end per model")
     if ends[0] < 1 or ends[-1] > contexts.size or np.any(np.diff(ends) < 0):
         raise ShapeMismatch("prefix ends must be sorted and lie in [1, len(contexts)]")
-    beliefs = np.empty((len(models), np.asarray(prior).size))
-    for fortran, lanes in _layout_groups([M for M, _ in models]):
-        beliefs[lanes] = _group_pass([models[k] for k in lanes], fortran, prior,
-                                     contexts, ends[lanes], on_degenerate)
-    return beliefs
-
-
-def _group_pass(models, fortran, prior, contexts, ends, on_degenerate):
-    """:func:`forward_pass` over models whose ``M^T`` share one layout."""
     K, H = len(models), np.asarray(prior).size
     emissions = np.stack([E for _, E in models])                   # (K, X, H)
     X = emissions.shape[1]
-    transitions_t = np.stack([M for M, _ in models]).swapaxes(1, 2)
-    steps = _with_layout(emissions[:, :, :, None] * transitions_t[:, None], fortran)
+    transitions = np.stack([M for M, _ in models])                 # (K, H, H)
+    steps = np.ascontiguousarray(
+        transitions[:, None] * emissions[:, :, None, :]).swapaxes(2, 3)
     uniform = np.full(H, 1.0 / H)
     xs = contexts[1:]
 
@@ -363,7 +333,7 @@ def _group_pass(models, fortran, prior, contexts, ends, on_degenerate):
                     np.multiply(a[:, j, None], prod[None, j], out=tmp)
                     new += tmp
                 prod, new = new, prod
-            mats = _with_layout(prod.transpose(2, 0, 1), fortran)
+            mats = np.ascontiguousarray(prod.transpose(2, 1, 0)).swapaxes(1, 2)
             del prod, new, tmp
             cuts = [0, *(np.flatnonzero(np.diff(pc)) + 1), pairs.size]
             for lo, hi in zip(cuts, cuts[1:]):

@@ -20,6 +20,7 @@ from .errors import (
     ShapeMismatch,
     TooShort,
 )
+from .hmm import _freeze
 
 COND_LIMIT = 1e12
 RANK_TOL = 1e-12
@@ -71,12 +72,17 @@ class EstimatedHmm:
     """Stochastic estimate of ``(M, E)``: rows of ``transition_hat`` and
     columns of ``emission_hat`` are distributions.  ``label_permutation``
     records the relabeling applied by :func:`align` relative to the previous
-    estimate.
+    estimate.  Both matrices are kept as read-only C-ordered copies, the
+    layout of :class:`hmmbandits.hmm.HmmParams`.
     """
 
     transition_hat: np.ndarray             # (H, H)
     emission_hat: np.ndarray               # (X, H)
     label_permutation: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "transition_hat", _freeze(self.transition_hat))
+        object.__setattr__(self, "emission_hat", _freeze(self.emission_hat))
 
     @property
     def num_states(self) -> int:
@@ -116,10 +122,6 @@ def _fix_svd_signs(basis: np.ndarray) -> np.ndarray:
     return out
 
 
-def _contract(p312: np.ndarray, z: np.ndarray) -> np.ndarray:
-    return np.einsum("ijk,k->ij", p312, z)
-
-
 def spectral_estimate(moments: MomentSet, H: int, seed: int) -> EstimatedHmm:
     """Estimate ``(M, E)`` from moment tables (labels arbitrary, unaligned).
 
@@ -156,7 +158,7 @@ def spectral_estimate(moments: MomentSet, H: int, seed: int) -> EstimatedHmm:
     pivot_inv = np.linalg.inv(pivot)
 
     def contracted_b(z: np.ndarray) -> np.ndarray:
-        return (u3.T @ _contract(moments.p312, z) @ u1) @ pivot_inv
+        return (u3.T @ np.einsum("ijk,k->ij", moments.p312, z) @ u1) @ pivot_inv
 
     rng = np.random.default_rng(seed)
     for _ in range(RETRY_BUDGET):

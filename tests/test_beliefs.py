@@ -303,9 +303,8 @@ def test_scheduled_beliefs_on_degenerate_paths(seed, H, X, T, draws, at_end):
     # schedule may end with a pair at round T (an empty tail segment) and
     # always repeats a round (the last pair given for it wins).  Up to a
     # dozen refits share chunks and leave ragged segments, H may exceed X,
-    # and C- and F-ordered transitions are mixed: BLAS rounds the two
-    # layouts' matvecs differently, so the stacked steps must keep each
-    # one's layout
+    # and C- and F-ordered transitions are mixed: EstimatedHmm stores both
+    # C-ordered, the one layout the stacked steps and forward_step share
     rng = np.random.default_rng(seed)
 
     def estimate():

@@ -15,7 +15,7 @@ from hmmbandits.errors import (
     ShapeMismatch,
     TooShort,
 )
-from hmmbandits.hmm import sample_trajectory
+from hmmbandits.hmm import HmmParams, sample_trajectory
 from hmmbandits.spectral import (
     EstimatedHmm,
     MomentSet,
@@ -412,3 +412,34 @@ class TestSerialization:
         assert np.array_equal(back.transition_hat, est.transition_hat)
         assert np.array_equal(back.emission_hat, est.emission_hat)
         assert back.label_permutation == est.label_permutation
+
+
+def _fortran(params):
+    return np.asfortranarray(params.transition), np.asfortranarray(params.emission)
+
+
+LAYOUT_BUILDS = {
+    "spectral_estimate": lambda p: spectral_estimate(population_moment_set(p), 2, seed=0),
+    "align(None, .)": lambda p: align(None, spectral_estimate(population_moment_set(p), 2, 0)),
+    "relabel": lambda p: relabel(spectral_estimate(population_moment_set(p), 2, 0), (1, 0)),
+    "postprocess of F-ordered raw": lambda p: postprocess(*_fortran(p)),
+    "from_text": lambda p: EstimatedHmm.from_text(
+        spectral_estimate(population_moment_set(p), 2, 0).to_text()),
+    "EstimatedHmm of F-ordered": lambda p: EstimatedHmm(*_fortran(p)),
+    "HmmParams of F-ordered": lambda p: HmmParams(2, 4, p.initial_dist, *_fortran(p)),
+}
+
+
+@pytest.mark.parametrize("build", sorted(LAYOUT_BUILDS))
+def test_every_hmm_matrix_is_c_ordered_and_read_only(build, reference_params):
+    # hmm.forward_pass and forward_steps stack transitions as they come:
+    # their bits match forward_step only for C-ordered matrices
+    model = LAYOUT_BUILDS[build](reference_params)
+    if isinstance(model, HmmParams):
+        transition, emission = model.transition, model.emission
+    else:
+        transition, emission = model.transition_hat, model.emission_hat
+    for mat in (transition, emission):
+        assert mat.flags.c_contiguous and not mat.flags.writeable
+    with pytest.raises(ValueError):
+        transition[0, 0] = 0.5
