@@ -9,9 +9,10 @@ estimator seed only, never on actions or rewards, so a run computes them
 for the whole stream before its policy loop: every refit's prefix
 re-filter in one :func:`hmmbandits.hmm.forward_pass`, then the rounds
 between refits in one :func:`hmmbandits.hmm.forward_steps`, which advances
-the segments in lockstep (a lone one steps faster with ``forward_step``);
-the beliefs are bit for bit those of one re-filter per refit and one
-``forward_step`` per round.
+the segments in lockstep (a lone one, as in ``estimation_curves``, steps in
+the filter's one-step kernel on Python floats, which is faster than a stack
+of one); the beliefs are bit for bit those of one re-filter per refit and
+one ``forward_step`` per round.
 """
 
 from __future__ import annotations

@@ -459,9 +459,15 @@ def config_snapshot(config: ExperimentConfig) -> str:
     """Canonical INI snapshot of the parsed configuration.
 
     Hyperparameters set to ``auto`` are written as ``auto``: they resolve
-    once per cell, and ``manifest.json`` lists each cell's resolved plan.
+    once per cell, and ``manifest.json`` lists each cell's resolved plan.  A
+    single seed index other than 0 raises :class:`ConfigError`: ``seeds``
+    reads one number as a count, so the INI form cannot hold it.
     """
     p, reward, phi = config.params, config.reward, config.phi
+    if len(config.run.seeds) == 1 and config.run.seeds != (0,):
+        # one number reads back as a count, and the INI form has no list of one
+        raise ConfigError(f"'seeds' in [run] cannot write the one seed index "
+                          f"{config.run.seeds[0]}: it would read back as a count")
     values = {
         "hmm": dict(H=p.num_states, X=p.num_contexts, pi=p.initial_dist, M=p.transition,
                     E=p.emission.ravel(order="F")),

@@ -210,8 +210,9 @@ def sample_tape(
     the emissions and the reward noise, so the path does not depend on the
     policy and every policy faces the identical path under the same seed
     (paired comparisons).  Each round's scores (and belief-dependent means)
-    are one matvec ``phi[:, x_t] @ (theta^T b_t)``; state-dependent means
-    come from the table of matvecs ``phi[:, x] @ theta_h``.
+    have the bits of one matvec ``phi[:, x_t] @ (theta^T b_t)``, computed for
+    all rounds in stacked matmuls; state-dependent means come from the table
+    of matvecs ``phi[:, x] @ theta_h``.
     """
     if spec.num_states != params.num_states:
         raise ShapeMismatch("theta_star rows must match num_states")
@@ -229,9 +230,23 @@ def sample_tape(
     )
     beliefs = filter_trace(params, contexts)
     theta = spec.theta_star
+    # Stacked matmuls: numpy runs each slice as the per-round gemv or dot.
+    # Some OpenBLAS kernels (Prescott) round a dot (d = 1 or A = 1) by the
+    # 16-byte alignment of its vector, which a fresh per-round vector has, so
+    # the beliefs and the weights theta^T b_t are read from rows padded to an
+    # even number of doubles (a context's weight rows are taken with their
+    # padding, which is sliced off after).
+    H, d = params.num_states, phi.dim
+    rows = beliefs
+    if H % 2:
+        rows = np.empty((horizon, H + 1))[:, :H]
+        rows[:] = beliefs
+    weights = np.empty((horizon, d + d % 2, 1))
+    np.matmul(theta.T, rows[:, :, None], out=weights[:, :d])
     scores = np.empty((horizon, phi.num_actions))
-    for i, x in enumerate(contexts.tolist()):
-        scores[i] = phi.table[:, x] @ (theta.T @ beliefs[i])
+    for x in range(params.num_contexts):
+        rounds = np.flatnonzero(contexts == x)
+        scores[rounds] = np.matmul(phi.table[:, x], weights[rounds][:, :d])[:, :, 0]
     if spec.model == STATE_DEPENDENT:
         state_means = np.array([
             [phi.table[:, x] @ theta[h] for h in range(params.num_states)]

@@ -11,6 +11,8 @@ distribution under state ``h``.
 from __future__ import annotations
 
 import itertools
+import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -161,6 +163,45 @@ def sample_trajectory(params: HmmParams, horizon: int, seed: int) -> Trajectory:
     return Trajectory(hidden=hidden, contexts=contexts, horizon=horizon)
 
 
+def _bayes_steps(belief, prior, transition, emission, contexts, on_degenerate):
+    """The forward recursion over ``contexts``: the beliefs after each step,
+    flat in one ``array("d")``, row after row.
+
+    ``belief is None`` starts with the initial update from ``prior``.  Each
+    later step makes one numpy call, the gemv ``transition.T @ belief`` on a
+    fresh array; the emission product, the normalizer and the division run on
+    Python floats with the bits of the numpy forms: below 8 terms numpy sums
+    left to right, from 8 up it adds in pairs, so there ``np.add.reduce``
+    keeps the normalizer.  A normalizer that is not positive and finite
+    (the observation impossible under every state) raises
+    :class:`DegenerateLikelihood` or, under ``on_degenerate="uniform"``,
+    resets to the uniform distribution.
+    """
+    H = transition.shape[0]
+    transition_t = transition.T
+    rows = emission.tolist()
+    uniform = [1.0 / H] * H
+    pairwise = H >= 8
+    flat = array("d")
+    for x in contexts:
+        prop = (prior if belief is None else transition_t @ belief).tolist()
+        unnorm = [e * p for e, p in zip(rows[x], prop)]
+        if pairwise:
+            norm = float(np.add.reduce(unnorm))
+        else:
+            norm = 0.0
+            for u in unnorm:
+                norm += u
+        if not 0.0 < norm < math.inf:
+            if on_degenerate != "uniform":
+                raise DegenerateLikelihood(f"context {x} has zero likelihood under all states")
+            belief = uniform
+        else:
+            belief = [u / norm for u in unnorm]
+        flat.extend(belief)
+    return flat
+
+
 def forward_step(
     belief: np.ndarray | None,
     prior: np.ndarray,
@@ -177,19 +218,8 @@ def forward_step(
     impossible under every state: depending on ``on_degenerate`` this raises
     :class:`DegenerateLikelihood` or resets to the uniform distribution.
     """
-    if belief is None:
-        unnorm = emission[context, :] * prior
-    else:
-        unnorm = emission[context, :] * (transition.T @ belief)
-    norm = float(unnorm.sum())
-    if norm <= 0.0 or not np.isfinite(norm):
-        if on_degenerate == "uniform":
-            H = transition.shape[0]
-            return np.full(H, 1.0 / H)
-        raise DegenerateLikelihood(
-            f"context {context} has zero likelihood under all states"
-        )
-    return unnorm / norm
+    return np.frombuffer(_bayes_steps(belief, prior, transition, emission, [int(context)],
+                                      on_degenerate))
 
 
 CHUNK = 64            # steps per chunk product in forward_pass
@@ -217,9 +247,9 @@ def forward_steps(models, beliefs, contexts, starts, stops, out) -> None:
     (as :class:`HmmParams` and ``EstimatedHmm`` make them): their stacked
     ``M^T`` slices then have the layout ``forward_step``'s gemv reads, so one
     stacked step per round offset gives each row ``forward_step``'s bits.
-    One segment alone calls ``forward_step``: through a stack of one, the
-    ``ref-estimate`` benchmark (one segment per checkpoint) took 19 rather
-    than 8.3 us/round on a 2-vCPU VM.
+    One segment alone steps in the one-step kernel on Python floats: through
+    a stack of one, the ``ref-estimate`` benchmark (one segment per
+    checkpoint) took 17.5-18.1 rather than 5.1-5.7 us/round on a 2-vCPU VM.
     """
     xs = np.asarray(contexts, dtype=np.int64)
     starts = np.asarray(starts, dtype=np.int64)
@@ -227,10 +257,9 @@ def forward_steps(models, beliefs, contexts, starts, stops, out) -> None:
     H = out.shape[1]
     uniform = np.full(H, 1.0 / H)
     if len(models) == 1:
-        (M, E), belief = models[0], beliefs[0]
-        for i, x in enumerate(xs[starts[0]:stops[0]].tolist(), int(starts[0])):
-            belief = forward_step(belief, uniform, M, E, x, "uniform")
-            out[i] = belief
+        (M, E), lo, hi = models[0], int(starts[0]), int(stops[0])
+        flat = _bayes_steps(beliefs[0], uniform, M, E, xs[lo:hi].tolist(), "uniform")
+        out[lo:hi] = np.frombuffer(flat).reshape(hi - lo, H)
         return
     lanes, running = _lockstep(stops - starts)
     rows = starts[lanes]
@@ -355,13 +384,9 @@ def filter_trace(params: HmmParams, contexts) -> np.ndarray:
     contexts = np.asarray(contexts, dtype=np.int64)
     if contexts.size == 0:
         raise ShapeMismatch("contexts must be non-empty")
-    M, E, prior = params.transition, params.emission, params.initial_dist
-    trace = np.empty((contexts.size, params.num_states))
-    belief = None
-    for i, x in enumerate(contexts.tolist()):
-        belief = forward_step(belief, prior, M, E, x)
-        trace[i] = belief
-    return trace
+    flat = _bayes_steps(None, params.initial_dist, params.transition, params.emission,
+                        contexts.tolist(), "raise")
+    return np.frombuffer(flat).reshape(contexts.size, params.num_states)
 
 
 def forgetting_rate(params: HmmParams) -> float:

@@ -6,6 +6,7 @@ artifact writing, and the estimation error-curve diagnostic behind the
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import json
 import os
@@ -13,6 +14,7 @@ import time
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -68,6 +70,23 @@ class CellResult:
     hidden: np.ndarray | None = None
     true_beliefs: np.ndarray | None = None
     learner_beliefs: np.ndarray | None = None
+
+
+def blas_core() -> str | None:
+    """The OpenBLAS core that numpy's BLAS products run on (the detected CPU,
+    or ``OPENBLAS_CORETYPE``), by ``scipy_openblas_get_corename64_`` of the
+    OpenBLAS library in the wheel's ``numpy.libs``; None when there is no
+    such library.  Products that go through BLAS round by core, so artifacts
+    can differ between cores."""
+    for path in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
 
 
 def _plugin_gamma(transition_hat: np.ndarray) -> float:
@@ -311,6 +330,7 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
     _atomic_write(os.path.join(out_dir, "summary.csv"), "\n".join(summary_lines) + "\n")
     manifest = {
         "version": __version__,
+        "blas_core": blas_core(),
         "cells": len(names),
         "durations": {n: round(durations[n], 6) for n in names},
         "plans": {n: plans[n] for n in names},

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,3 +100,17 @@ def scripted_policy(choose, log):
             return np.array(actions, dtype=np.int64)
 
     return lambda plan: Scripted()
+
+
+TESTS_DIR = Path(__file__).resolve().parent
+
+
+def run_under_blas_core(script: str, core: str) -> bytes:
+    """Standard output of ``python -c script`` with OpenBLAS forced onto the
+    kernel ``core`` (``OPENBLAS_CORETYPE``), importable: the package under
+    ``src/`` and the test helpers (``conftest``, ``oracles``)."""
+    paths = (str(TESTS_DIR.parent / "src"), str(TESTS_DIR), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p),
+               OPENBLAS_CORETYPE=core)
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, check=True,
+                          env=env).stdout

@@ -3,12 +3,14 @@
 Everything here is written directly from the defining formulas (path
 enumeration, explicit counting, batch closed forms) and deliberately shares
 no code with the package paths it checks.  The exceptions:
-:func:`reference_online_beliefs` and :func:`reference_scheduled_beliefs`,
-which check the scheduling of the belief subroutine bit for bit and so call
-the package's estimator and ``forward_step``, writing only the round-by-round
-control flow themselves; :func:`stepwise_filter`, the one-step-at-a-time
-loop over ``forward_step``; :func:`reference_forward_pass`, the
-straight single-prefix chunked pass whose bits the package's batched
+:func:`reference_step`, the one Bayes step on numpy arrays whose bits the
+package's filter kernel must reproduce; :func:`reference_online_beliefs`
+and :func:`reference_scheduled_beliefs`, which check the scheduling of the
+belief subroutine bit for bit and so call the package's estimator, writing
+only the round-by-round control flow and the Bayes steps themselves;
+:func:`stepwise_filter`, the one-step-at-a-time loop over
+:func:`reference_step`; :func:`reference_forward_pass`, the straight
+single-prefix chunked pass whose bits the package's batched
 ``forward_pass`` must reproduce for every prefix; and :class:`StepwiseBoxA`
 and :class:`StepwiseBoxB`, the learners' round-by-round ``act``/``update``
 loops whose bits the block ``play`` must reproduce, which take the belief
@@ -117,7 +119,6 @@ def reference_online_beliefs(contexts, H: int, X: int, refit_every: int, seed: i
     ``(beliefs, failures, final estimate or None)``.
     """
     from hmmbandits.errors import EstimationFailed
-    from hmmbandits.hmm import forward_step
     from hmmbandits.spectral import MomentSet, align, spectral_estimate
 
     xs = [int(x) for x in contexts]
@@ -143,20 +144,43 @@ def reference_online_beliefs(contexts, H: int, X: int, refit_every: int, seed: i
             belief = reference_forward_pass(estimate.transition_hat, estimate.emission_hat,
                                             uniform, xs[:t])
         else:
-            belief = forward_step(belief, uniform, estimate.transition_hat,
-                                  estimate.emission_hat, xs[t - 1], "uniform")
+            belief = reference_step(belief, uniform, estimate.transition_hat,
+                                    estimate.emission_hat, xs[t - 1], "uniform")
         beliefs.append(belief)
     return np.array(beliefs).reshape(len(xs), H), failures, estimate
 
 
-def stepwise_filter(transition, emission, prior, contexts, on_degenerate="uniform"):
-    """Belief after filtering ``contexts`` from ``prior``, one ``forward_step``
-    per context."""
-    from hmmbandits.hmm import forward_step
+def reference_step(belief, prior, transition, emission, context: int,
+                   on_degenerate: str = "raise") -> np.ndarray:
+    """One Bayes forward update on numpy arrays: ``prior`` reweighted by the
+    likelihood of ``context`` when ``belief`` is None, else ``belief``
+    propagated through ``transition`` (one gemv) and reweighted.  A
+    normalizer that is not positive and finite raises
+    ``DegenerateLikelihood`` or, under ``on_degenerate="uniform"``, gives
+    the uniform distribution."""
+    from hmmbandits.errors import DegenerateLikelihood
 
+    if belief is None:
+        unnorm = emission[context, :] * prior
+    else:
+        unnorm = emission[context, :] * (transition.T @ belief)
+    norm = float(unnorm.sum())
+    if norm <= 0.0 or not np.isfinite(norm):
+        if on_degenerate == "uniform":
+            H = transition.shape[0]
+            return np.full(H, 1.0 / H)
+        raise DegenerateLikelihood(
+            f"context {context} has zero likelihood under all states"
+        )
+    return unnorm / norm
+
+
+def stepwise_filter(transition, emission, prior, contexts, on_degenerate="uniform"):
+    """Belief after filtering ``contexts`` from ``prior``, one
+    :func:`reference_step` per context."""
     belief = None
     for x in contexts:
-        belief = forward_step(belief, prior, transition, emission, int(x), on_degenerate)
+        belief = reference_step(belief, prior, transition, emission, int(x), on_degenerate)
     return belief
 
 
@@ -218,11 +242,9 @@ def reference_scheduled_beliefs(schedule, contexts, H: int) -> np.ndarray:
 
     Round ``t`` with pairs takes the estimate of the last of them and
     re-filters ``x_1..x_t`` from the uniform prior; any other round takes one
-    ``forward_step`` under the current estimate, or stays uniform before the
-    first.  Pairs past the last round are never reached.
+    :func:`reference_step` under the current estimate, or stays uniform
+    before the first.  Pairs past the last round are never reached.
     """
-    from hmmbandits.hmm import forward_step
-
     xs = [int(x) for x in contexts]
     uniform = np.full(H, 1.0 / H)
     estimate, belief = None, uniform
@@ -234,8 +256,8 @@ def reference_scheduled_beliefs(schedule, contexts, H: int) -> np.ndarray:
             belief = reference_forward_pass(estimate.transition_hat, estimate.emission_hat,
                                             uniform, xs[:t])
         elif estimate is not None:
-            belief = forward_step(belief, uniform, estimate.transition_hat,
-                                  estimate.emission_hat, xs[t - 1], "uniform")
+            belief = reference_step(belief, uniform, estimate.transition_hat,
+                                    estimate.emission_hat, xs[t - 1], "uniform")
         beliefs.append(belief)
     return np.array(beliefs).reshape(len(xs), H)
 

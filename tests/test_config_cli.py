@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,9 @@ from hmmbandits.cli import main as cli_main
 from hmmbandits.config import KEYS, KNOWN_POLICIES, apply_overrides, config_snapshot, parse_config
 from hmmbandits.environment import check_reward_bounds
 from hmmbandits.errors import ConfigError
-from hmmbandits.runner import simulate_cell
+from hmmbandits.runner import blas_core, simulate_cell
+
+from conftest import run_under_blas_core
 
 MINIMAL = """
 [hmm]
@@ -343,6 +346,19 @@ class TestKeyTable:
         assert "seeds = 1\n" in config_snapshot(cfg)
         assert parse_config(config_snapshot(cfg)).run.seeds == (0,)
 
+    @pytest.mark.parametrize("seeds", [(0,), (0, 1), (5, 7)])
+    def test_seed_indices_round_trip_through_the_snapshot(self, seeds):
+        cfg = parse_config(MINIMAL.format(out="x"))
+        cfg = replace(cfg, run=replace(cfg.run, seeds=seeds))
+        assert parse_config(config_snapshot(cfg)).run.seeds == seeds
+
+    def test_one_seed_index_other_than_0_is_refused(self):
+        # `seeds = 5` would read back as the five indices 0..4
+        cfg = parse_config(MINIMAL.format(out="x"))
+        cfg = replace(cfg, run=replace(cfg.run, seeds=(5,)))
+        with pytest.raises(ConfigError, match="'seeds' in \\[run\\]"):
+            config_snapshot(cfg)
+
     @pytest.mark.parametrize("key", [key for key in KEYS if key.bound is not None],
                              ids=lambda key: f"{key.section}.{key.name}")
     def test_each_bound_rejects_a_value_outside_it(self, key):
@@ -530,6 +546,14 @@ class TestCli:
             row = dict(zip(header, line.split(",")))
             if row["policy"] == "oracle":
                 assert float(row["R_T"]) == 0.0
+
+    def test_manifest_names_the_blas_core(self, tmp_path):
+        out = tmp_path / "run"
+        assert cli_main(["simulate", write_config(tmp_path, out=str(out))]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["blas_core"] == blas_core()
+        script = "from hmmbandits.runner import blas_core; print(blas_core())"
+        assert run_under_blas_core(script, "Haswell") == b"Haswell\n"
 
     def test_simulate_determinism_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,8 +1,9 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hmmbandits.runner as runner
@@ -18,7 +19,7 @@ from hmmbandits.errors import ShapeMismatch
 from hmmbandits.hmm import HmmParams, filter_trace
 from hmmbandits.runner import CellResult, draw_tape, simulate_cell, simulate_group
 
-from conftest import cell_config, random_hmm, scripted_policy
+from conftest import cell_config, random_hmm, run_under_blas_core, scripted_policy
 from oracles import mean_reward, reference_environment_path
 
 
@@ -318,22 +319,27 @@ def test_reward_vector_only_chosen_entry_revealed(seed, name, beliefs, tile_roun
         assert np.array_equal(getattr(built[1], field), getattr(built[0], field)), field
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None, max_examples=80)
 @given(
     st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=9),
     st.integers(min_value=1, max_value=3),
-    st.integers(min_value=1, max_value=3),
-    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=7),
     st.integers(min_value=1, max_value=200),
     st.sampled_from(["state_dependent", "belief_dependent"]),
     st.sampled_from(["gaussian", "bounded_uniform"]),
     st.sampled_from([0.0, 0.05, 0.5]),
 )
-def test_tape_matches_scalar_reference(seed, H, X, A, T, model, noise_kind, level):
-    """Bulk draws reproduce the per-round protocol with scalar draws exactly."""
+@example(seed=3, H=3, X=2, A=1, d=3, T=50, model="belief_dependent",
+         noise_kind="gaussian", level=0.0)
+def test_tape_matches_scalar_reference(seed, H, X, A, d, T, model, noise_kind, level):
+    """Bulk draws reproduce the per-round protocol with scalar draws exactly:
+    the stacked score products have each round's bits, also for a dot (one
+    action, or d = 1) on odd-length rows."""
     rng = np.random.default_rng(seed)
     params = random_hmm(rng, H, X, min_entry=0.02)
-    phi = TransferFunction.from_table(rng.normal(size=(A, X, 2)))
+    phi = TransferFunction.from_table(rng.normal(size=(A, X, d)))
     theta, c_theta = sample_theta(phi, H, rng)
     noise = (NoiseModel.gaussian(level) if noise_kind == "gaussian"
              else NoiseModel.bounded_uniform(level))
@@ -354,6 +360,70 @@ def test_tape_matches_scalar_reference(seed, H, X, A, T, model, noise_kind, leve
                     mean_reward(belief_spec, phi, a, x, b), rel=1e-12, abs=1e-15)
                 assert tape.rewards[t, a] == pytest.approx(
                     mean_reward(spec, phi, a, x, target), rel=1e-12, abs=1e-15)
+
+
+# Runs the filter kernel (forward_step, filter_trace, a lone forward_steps
+# segment) and sample_tape on small fixed cases and prints, as JSON, whether
+# each equals its per-round numpy reference on the same OpenBLAS kernel.
+FILTER_AND_TAPE = """
+import json
+import numpy as np
+from conftest import random_hmm, sparse_estimate
+from oracles import reference_environment_path, reference_step
+from hmmbandits.environment import (NoiseModel, RewardSpec, TransferFunction, sample_tape,
+                                    sample_theta)
+from hmmbandits.hmm import filter_trace, forward_step, forward_steps
+
+rng = np.random.default_rng(19)
+equal = {}
+for H in range(1, 10):
+    M, E = sparse_estimate(rng, H, 4, zero_row=True)
+    uniform = np.full(H, 1.0 / H)
+    xs = rng.integers(0, 4, size=80)
+    want, got, a, b = [], [], None, None
+    for x in xs.tolist():
+        a = reference_step(a, uniform, M, E, x, "uniform")
+        b = forward_step(b, uniform, M, E, x, "uniform")
+        want.append(a)
+        got.append(b)
+    equal[f"forward_step H={H}"] = np.array_equal(got, want)
+    first = rng.dirichlet(np.ones(H), size=1)
+    rows, a = np.empty((80, H)), first[0]
+    forward_steps([(M, E)], first, xs, [0], [80], rows)
+    want = []
+    for x in xs.tolist():
+        a = reference_step(a, None, M, E, x, "uniform")
+        want.append(a)
+    equal[f"forward_steps H={H}"] = np.array_equal(rows, want)
+    params = random_hmm(rng, H, 4, min_entry=0.02)
+    want, a = [], None
+    for x in xs.tolist():
+        a = reference_step(a, params.initial_dist, params.transition, params.emission, x)
+        want.append(a)
+    equal[f"filter_trace H={H}"] = np.array_equal(filter_trace(params, xs), want)
+for H, A, d in [(3, 1, 3), (5, 1, 1), (2, 3, 3), (9, 4, 7), (1, 1, 2), (4, 2, 1), (7, 2, 5)]:
+    params = random_hmm(rng, H, 3, min_entry=0.02)
+    phi = TransferFunction.from_table(rng.normal(size=(A, 3, d)))
+    theta, c_theta = sample_theta(phi, H, rng)
+    spec = RewardSpec(theta_star=theta, c_theta=c_theta, noise=NoiseModel.gaussian(0.1),
+                      model="belief_dependent")
+    tape = sample_tape(params, spec, phi, 150, 7)
+    want = reference_environment_path(params, spec, phi.table, 150, 7)
+    equal[f"tape H={H} A={A} d={d}"] = all(
+        np.array_equal(getattr(tape, name), value)
+        for name, value in zip(("hidden", "contexts", "beliefs", "rewards", "scores"), want))
+print(json.dumps(equal))
+"""
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_filter_and_tape_match_reference_under_blas_kernel(core):
+    """On each OpenBLAS kernel the filter kernel and the stacked tape scores
+    equal that kernel's own per-round numpy reference (the bytes themselves
+    may differ between kernels)."""
+    equal = json.loads(run_under_blas_core(FILTER_AND_TAPE, core))
+    assert len(equal) == 3 * 9 + 7
+    assert [name for name, same in equal.items() if not same] == []
 
 
 @settings(deadline=None, max_examples=30)

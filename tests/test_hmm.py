@@ -1,8 +1,9 @@
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hmmbandits.errors import DegenerateLikelihood, NotMixing, ShapeMismatch, TooLarge
@@ -23,6 +24,7 @@ from oracles import (
     conditional_terminal_distribution,
     enumerate_posterior,
     reference_forward_pass,
+    reference_step,
     stationary_distribution,
     stepwise_filter,
 )
@@ -259,7 +261,8 @@ class TestForwardPass:
        st.integers(2, 8), st.integers(1, 300), st.integers(1, 8))
 def test_forward_steps_match_forward_step(seed, H, X, T, K):
     # disjoint ragged segments (some empty), H may exceed X, zero emission
-    # rows reset to uniform: every row is forward_step's bit for bit
+    # rows reset to uniform: every row is forward_step's (the reference
+    # step's) bit for bit
     rng = np.random.default_rng(seed)
     models = [sparse_estimate(rng, H, X, zero_row=True) for _ in range(K)]
     beliefs = rng.dirichlet(np.ones(H), size=K)
@@ -271,9 +274,64 @@ def test_forward_steps_match_forward_step(seed, H, X, T, K):
     want = np.full((T, H), np.nan)
     for (M, E), belief, start, stop in zip(models, beliefs, starts, stops):
         for i in range(start, stop):
-            belief = forward_step(belief, None, M, E, contexts[i], "uniform")
+            belief = reference_step(belief, None, M, E, contexts[i], "uniform")
             want[i] = belief
     assert np.array_equal(got, want, equal_nan=True)
+
+
+def reference_trace(belief, prior, M, E, contexts, on_degenerate):
+    """Rows of :func:`reference_step` over ``contexts``, and whether a step
+    raised ``DegenerateLikelihood`` (the rows then stop before it)."""
+    rows, raised = [], False
+    try:
+        for x in contexts:
+            belief = reference_step(belief, prior, M, E, int(x), on_degenerate)
+            rows.append(belief)
+    except DegenerateLikelihood:
+        raised = True
+    return np.array(rows).reshape(-1, M.shape[0]), raised
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 9),
+       st.integers(1, 6), st.integers(1, 120), st.booleans(),
+       st.sampled_from(["raise", "uniform"]))
+@example(seed=1, H=8, X=3, T=60, zero_row=False, on_degenerate="raise")
+@example(seed=2, H=9, X=4, T=60, zero_row=True, on_degenerate="uniform")
+def test_bayes_step_kernel_matches_reference_step(seed, H, X, T, zero_row, on_degenerate):
+    """forward_step, filter_trace and a lone forward_steps segment share one
+    kernel that steps on Python floats; each row is the numpy reference
+    step's bit for bit, on either side of numpy's pairwise sums (H >= 8), with
+    zero emission rows raising or resetting to uniform as asked."""
+    rng = np.random.default_rng(seed)
+    M, E = sparse_estimate(rng, H, X, zero_row)
+    prior = rng.dirichlet(np.ones(H))
+    contexts = rng.integers(0, X, size=T)
+
+    want, raised = reference_trace(None, prior, M, E, contexts, on_degenerate)
+    got, belief = [], None
+    with pytest.raises(DegenerateLikelihood) if raised else nullcontext():
+        for x in contexts.tolist():
+            belief = forward_step(belief, prior, M, E, x, on_degenerate)
+            got.append(belief)
+    assert np.array_equal(np.array(got).reshape(-1, H), want)
+
+    params = HmmParams(H, X, prior, M, E)
+    want, raised = reference_trace(None, prior, params.transition, params.emission,
+                                   contexts, "raise")
+    if raised:
+        with pytest.raises(DegenerateLikelihood):
+            filter_trace(params, contexts)
+    else:
+        assert np.array_equal(filter_trace(params, contexts), want)
+
+    start = int(rng.integers(0, T + 1))
+    first = rng.dirichlet(np.ones(H), size=1)
+    got = np.full((T, H), np.nan)
+    forward_steps([(M, E)], first, contexts, [start], [T], got)
+    want, _ = reference_trace(first[0], None, M, E, contexts[start:], "uniform")
+    assert np.isnan(got[:start]).all()
+    assert np.array_equal(got[start:], want)
 
 
 class TestForgettingRate:

@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +20,7 @@ from hmmbandits.policies import (
     u_schedule,
 )
 
-from conftest import cell_config
+from conftest import cell_config, run_under_blas_core
 from oracles import (
     batch_ridge,
     box_a_bonus_reference,
@@ -733,12 +729,6 @@ sys.stdout.buffer.write(ucb.tobytes() + bonus.tobytes())
 def test_staged_kernels_do_not_depend_on_blas_kernel():
     """boxA's stage scores and the staged bonus have the same bytes under two
     OpenBLAS kernels: their sums are added in index order, not by BLAS."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = [
-        subprocess.run([sys.executable, "-c", STAGED_KERNELS], capture_output=True, check=True,
-                       env=dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE=core)).stdout
-        for core in ("Haswell", "Prescott")
-    ]
+    out = [run_under_blas_core(STAGED_KERNELS, core) for core in ("Haswell", "Prescott")]
     assert len(out[0]) == 8 * 400 * 3 * 2
     assert out[0] == out[1]
