@@ -168,23 +168,29 @@ def _bayes_steps(belief, prior, transition, emission, contexts, on_degenerate):
     flat in one ``array("d")``, row after row.
 
     ``belief is None`` starts with the initial update from ``prior``.  Each
-    later step makes one numpy call, the gemv ``transition.T @ belief`` on a
-    fresh array; the emission product, the normalizer and the division run on
-    Python floats with the bits of the numpy forms: below 8 terms numpy sums
-    left to right, from 8 up it adds in pairs, so there ``np.add.reduce``
-    keeps the normalizer.  A normalizer that is not positive and finite
-    (the observation impossible under every state) raises
+    step makes one numpy call, the gemv ``np.dot(transition.T, belief)``:
+    the first on the caller's ``belief``, the later ones on one vector that
+    every step overwrites with its new belief through a memoryview, so no
+    step pays numpy's conversion of a list into an array.  The
+    emission product, the normalizer and the division run on Python floats
+    with the bits of the numpy forms: below 8 terms numpy sums left to
+    right, from 8 up it adds in pairs, so there ``np.add.reduce`` keeps the
+    normalizer.  A normalizer that is not positive and finite (the
+    observation impossible under every state) raises
     :class:`DegenerateLikelihood` or, under ``on_degenerate="uniform"``,
     resets to the uniform distribution.
     """
     H = transition.shape[0]
     transition_t = transition.T
     rows = emission.tolist()
-    uniform = [1.0 / H] * H
+    uniform = array("d", [1.0 / H] * H)
     pairwise = H >= 8
+    vec = np.empty(H)
+    view = memoryview(vec)
+    raw = view.cast("B")
     flat = array("d")
     for x in contexts:
-        prop = (prior if belief is None else transition_t @ belief).tolist()
+        prop = (prior if belief is None else np.dot(transition_t, belief)).tolist()
         unnorm = [e * p for e, p in zip(rows[x], prop)]
         if pairwise:
             norm = float(np.add.reduce(unnorm))
@@ -195,10 +201,12 @@ def _bayes_steps(belief, prior, transition, emission, contexts, on_degenerate):
         if not 0.0 < norm < math.inf:
             if on_degenerate != "uniform":
                 raise DegenerateLikelihood(f"context {x} has zero likelihood under all states")
-            belief = uniform
+            view[:] = uniform
         else:
-            belief = [u / norm for u in unnorm]
-        flat.extend(belief)
+            for i, u in enumerate(unnorm):
+                view[i] = u / norm
+        flat.frombytes(raw)
+        belief = vec
     return flat
 
 
@@ -272,8 +280,11 @@ def forward_steps(models, beliefs, contexts, starts, stops, out) -> None:
             transitions_t[:n], state[:n, :, None])[:, :, 0]
         norm = unnorm.sum(axis=1)
         ok = (norm > 0.0) & np.isfinite(norm)
-        state[:n] = unnorm / np.where(ok, norm, 1.0)[:, None]
-        state[np.flatnonzero(~ok)] = uniform
+        if ok.all():
+            np.divide(unnorm, norm[:, None], out=state[:n])
+        else:
+            state[:n] = unnorm / np.where(ok, norm, 1.0)[:, None]
+            state[np.flatnonzero(~ok)] = uniform
         out[at] = state[:n]
 
 

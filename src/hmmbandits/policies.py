@@ -169,22 +169,35 @@ def per_round_widths(plan: CellPlan, rounds, u_prefix) -> list[float]:
 def per_round_bonus(
     plan: CellPlan,
     t: int,
-    feats: np.ndarray,
-    gram_inv: np.ndarray,
+    mahal_sq: list[float],
     u_t: float,
     width: float,
-) -> np.ndarray:
-    """Per-round confidence bonus of every row ``b (x) phi`` of ``feats``.
+) -> list[float]:
+    """Per-round confidence bonus of the rows ``b (x) phi`` whose squared
+    Mahalanobis norms ``||b (x) phi||^2_{G_{t-1}^{-1}}`` are ``mahal_sq``.
 
-    ``1 + sqrt(d)/lam`` at ``t = 1``; afterwards ``u_t`` plus the
-    Mahalanobis norm ``||b (x) phi||_{G_{t-1}^{-1}}`` times ``width``, the
-    :func:`per_round_widths` entry of round ``t``.
+    ``1 + sqrt(d)/lam`` at ``t = 1``; afterwards ``u_t`` plus the norm times
+    ``width``, the :func:`per_round_widths` entry of round ``t``.  Python
+    floats with the semantics of ``np.sqrt(np.maximum(q, 0.0))``: a square
+    rounded below zero counts as zero, and NaN stays NaN.
     """
     if t == 1:
-        return np.full(len(feats), 1.0 + math.sqrt(plan.d) / plan.lam)
-    w = feats @ gram_inv
-    mahal = np.sqrt(np.maximum(np.einsum("ij,ij->i", w, feats), 0.0))
-    return u_t + mahal * width
+        return [1.0 + math.sqrt(plan.d) / plan.lam] * len(mahal_sq)
+    sqrt = math.sqrt
+    return [u_t + sqrt(0.0 if q < 0.0 else q) * width for q in mahal_sq]
+
+
+def _ucb_argmax(scores: list[float], bonus: list[float]) -> int:
+    """``np.argmax(scores + bonus)`` on Python floats: the first NaN sum if
+    there is one, else the first maximum."""
+    at, best = 0, scores[0] + bonus[0]
+    for i, (s, b) in enumerate(zip(scores, bonus)):
+        ucb = s + b
+        if ucb != ucb:
+            return i
+        if ucb > best:
+            at, best = i, ucb
+    return at
 
 
 def _add_in_order(total: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -306,32 +319,44 @@ class BoxBPolicy:
 
     def play(self, first_round: int, feats: np.ndarray, rewards: np.ndarray) -> np.ndarray:
         """Actions of rounds ``first_round, first_round + 1, ...``, with the
-        conventions of :meth:`BoxAPolicy.play`."""
+        conventions of :meth:`BoxAPolicy.play`.
+
+        A round makes five BLAS products, ``f θ``, ``f G⁻¹``, ``G⁻¹ v``,
+        ``v·w`` and ``G⁻¹ m``, and one ``einsum`` for the squared norms.
+        The bonus, the UCB sum and the argmax run on Python floats, and the
+        moment and rank-one steps write into buffers of the block."""
         n = len(feats)
         plan, u = self.plan, self._u
         _check_block(first_round, n, self._rounds, plan.horizon)
         rounds = range(first_round, first_round + n)
         widths = per_round_widths(plan, rounds, self._u_prefix)
         moment, gram_inv, theta = self._moment, self._gram_inv, self._theta
-        actions = np.empty(n, dtype=np.int64)
-        picked = np.empty((n, feats.shape[2]))
-        added = 0  # rows of picked already in the Gram matrix
+        dH = feats.shape[2]
+        step, w, outer = np.empty(dH), np.empty(dH), np.empty((dH, dH))
+        w_col = w[:, None]
+        actions = []
+        added = 0  # chosen rows already in the Gram matrix
         for i, (t, width, reward) in enumerate(zip(rounds, widths, rewards.tolist())):
             f = feats[i]
-            a = (f @ theta + per_round_bonus(plan, t, f, gram_inv, u[t], width)).argmax()
-            v = picked[i] = f[a]
-            actions[i] = a
-            moment += v * reward[a]
-            w = gram_inv @ v
-            gram_inv -= (w[:, None] * w) / (1.0 + v @ w)
+            mahal_sq = np.einsum("ij,ij->i", np.dot(f, gram_inv), f).tolist()
+            bonus = per_round_bonus(plan, t, mahal_sq, u[t], width)
+            a = _ucb_argmax(np.dot(f, theta).tolist(), bonus)
+            actions.append(a)
+            v = f[a]
+            moment += np.multiply(v, reward[a], out=step)
+            np.dot(gram_inv, v, out=w)
+            np.multiply(w_col, w, out=outer)
+            outer /= 1.0 + np.dot(v, w)
+            gram_inv -= outer
             if t % RESOLVE_EVERY == 0:
-                self._gram = _add_outer_products(self._gram, picked[added:i + 1])
+                self._gram = _add_outer_products(
+                    self._gram, feats[np.arange(added, i + 1), actions[added:]])
                 added = i + 1
                 gram_inv = np.linalg.inv(self._gram)
                 theta = np.linalg.solve(self._gram, moment)
             else:
-                theta = gram_inv @ moment
-        self._gram = _add_outer_products(self._gram, picked[added:])
+                theta = np.dot(gram_inv, moment)
+        self._gram = _add_outer_products(self._gram, feats[np.arange(added, n), actions[added:]])
         self._gram_inv, self._theta = gram_inv, theta
         self._rounds += n
-        return actions
+        return np.array(actions, dtype=np.int64)

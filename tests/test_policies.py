@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 
 import numpy as np
@@ -67,10 +69,13 @@ def box_a_bonus(plan, gram, belief, phi_vecs, t):
 
 
 def box_b_bonus(plan, gram, belief, phi_vecs, t):
-    """Per-round kernel on the rows ``belief (x) phi_vec`` after ``t - 1`` rounds."""
+    """Per-round kernel on the rows ``belief (x) phi_vec`` after ``t - 1``
+    rounds, their squared Mahalanobis norms taken as boxB takes them."""
     u, prefix = u_schedule(plan)
     width = per_round_widths(plan, [t], prefix)[0]
-    return per_round_bonus(plan, t, rows(belief, phi_vecs), np.linalg.inv(gram), u[t], width)
+    feats = rows(belief, phi_vecs)
+    mahal_sq = np.einsum("ij,ij->i", feats @ np.linalg.inv(gram), feats).tolist()
+    return np.array(per_round_bonus(plan, t, mahal_sq, u[t], width))
 
 
 def blocks(table, contexts, beliefs):
@@ -382,6 +387,30 @@ class TestBonusBoxB:
             ) for phi_vec in phi_vecs]
             assert got == pytest.approx(want, rel=1e-12)
 
+    def test_python_float_ucb_matches_numpy_argmax(self):
+        """boxB's bonus and UCB argmax on Python floats equal the numpy forms
+        for squares below zero, of either zero sign, NaN and infinite, on
+        exact ties and NaN scores: a NaN UCB wins at its first position, as
+        under ``np.argmax``, also after a finite maximum."""
+        plan = make_plan(d=2, H=2, lam=3.0)
+        rng = np.random.default_rng(21)
+        theta, row = rng.normal(size=4), rng.normal(size=4)
+        other, nan_row = rng.normal(size=4), np.array([0.5, math.nan, 0.0, 1.0])
+        specials = [-1e-300, -0.0, 0.0, math.nan, math.inf, 1.0, 4.0]
+        for q in itertools.product(specials, repeat=3):
+            for middle in (row, other, nan_row):  # rows 0 and 2 tie in score
+                f = np.array([row, middle, row])
+                for u_t, width in ((0.0, 1.0), (0.5, 3.0)):
+                    bonus = per_round_bonus(plan, 5, list(q), u_t, width)
+                    want = u_t + np.sqrt(np.maximum(np.array(q), 0.0)) * width
+                    assert np.array_equal(bonus, want, equal_nan=True)
+                    got = policies._ucb_argmax(np.dot(f, theta).tolist(), bonus)
+                    assert got == np.argmax(f @ theta + want)
+        scores = [0.25, 0.25, 0.25]
+        for q, first in [([4.0, 0.0, math.nan], 2), ([math.nan, 4.0, math.nan], 0),
+                         ([1.0, 4.0, 4.0], 1), ([-1e-300, -0.0, 0.0], 0)]:
+            assert policies._ucb_argmax(scores, per_round_bonus(plan, 5, q, 0.5, 3.0)) == first
+
 
 def build_phi(A=2, X=2):
     return TransferFunction.one_hot_action(A, X)
@@ -509,16 +538,17 @@ def test_row_policies_match_straight_line_references(seed, H, d, A, T, scope, kn
 
 
 def forced_bonuses(monkeypatch, bonus, A=2):
-    """Replace both bonus kernels by ``bonus(t, a)`` for every action ``a``;
-    a kernel scoring a stage's rounds ``t, t + 1, ...`` at once sees their
-    ``A`` rows each, in round order."""
-    def rows_bonus(t, feats):
-        return np.array([bonus(t + i // A, i % A) for i in range(len(feats))])
+    """Replace both bonus kernels by ``bonus(t, a)`` for every action ``a``.
+    Each kernel's third argument holds one entry per row (boxA's rows,
+    boxB's squared norms); a kernel scoring a stage's rounds ``t, t + 1,
+    ...`` at once sees their ``A`` rows each, in round order."""
+    def rows_bonus(t, per_row):
+        return np.array([bonus(t + i // A, i % A) for i in range(len(per_row))])
 
     monkeypatch.setattr(policies, "staged_bonus",
                         lambda plan, t, feats, *rest: rows_bonus(t, feats))
     monkeypatch.setattr(policies, "per_round_bonus",
-                        lambda plan, t, feats, *rest: rows_bonus(t, feats))
+                        lambda plan, t, mahal_sq, *rest: rows_bonus(t, mahal_sq))
 
 
 class TestEquivalenceAndConsistency:
@@ -732,3 +762,49 @@ def test_staged_kernels_do_not_depend_on_blas_kernel():
     out = [run_under_blas_core(STAGED_KERNELS, core) for core in ("Haswell", "Prescott")]
     assert len(out[0]) == 8 * 400 * 3 * 2
     assert out[0] == out[1]
+
+
+# Plays boxB against the round-by-round StepwiseBoxB, which takes its
+# products with @, over four blocks and two direct re-solves, one at the end
+# of a block and one inside a block, on one-hot rows: every first-round UCB
+# ties exactly, as do the scores of actions not played yet.  Prints, as
+# JSON, whether the actions and the final Gram inverse and estimate bytes
+# agree for each (H, A).
+BOX_B_KERNELS = """
+import json
+import numpy as np
+from oracles import StepwiseBoxB
+from hmmbandits.environment import TransferFunction
+from hmmbandits.policies import RESOLVE_EVERY, BoxBPolicy, CellPlan
+
+rng = np.random.default_rng(20)
+T = 2 * RESOLVE_EVERY + 300
+equal = {}
+for H, A in [(2, 3), (3, 3), (1, 2), (4, 1), (2, 4), (5, 2), (3, 5)]:
+    table = TransferFunction.one_hot_action(A, H).table
+    contexts = rng.integers(0, H, size=T)
+    beliefs = rng.dirichlet(np.ones(H), size=T)
+    rows = table[:, contexts].transpose(1, 0, 2)
+    feats = (beliefs[:, None, :, None] * rows[:, :, None, :]).reshape(T, A, H * A)
+    rewards = rng.normal(size=(T, A))
+    plan = CellPlan(policy="boxB", horizon=T, lam=float(np.sqrt(T)), ell=T, refit_every=T,
+                    delta=0.1, gamma=0.5, c_theta=1.2, c_eta=0.01, v_eta=0.1, H=H, X=H, d=A)
+    policy, stepwise = BoxBPolicy(plan), StepwiseBoxB(plan)
+    cuts = [0, 600, RESOLVE_EVERY, 1700, T]
+    got = [policy.play(lo + 1, feats[lo:hi], rewards[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    want = stepwise.play(1, feats, rewards)
+    equal[f"H={H} A={A}"] = (np.array_equal(np.concatenate(got), want)
+                             and policy._gram_inv.tobytes() == stepwise._gram_inv.tobytes()
+                             and policy._theta.tobytes() == stepwise._theta.tobytes())
+print(json.dumps(equal))
+"""
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_box_b_matches_stepwise_under_blas_kernel(core):
+    """On each OpenBLAS kernel boxB's products through ``np.dot`` take the
+    bits of the stepwise loop's ``@``: the same actions, Gram inverse and
+    estimate (the bytes themselves may differ between kernels)."""
+    equal = json.loads(run_under_blas_core(BOX_B_KERNELS, core))
+    assert len(equal) == 7
+    assert [name for name, same in equal.items() if not same] == []
