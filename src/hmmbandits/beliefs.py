@@ -5,14 +5,13 @@ under the scheduled estimates), and the per-round belief gaps against the
 true filter.
 
 The estimated beliefs depend on the contexts, the refit period and the
-estimator seed only, never on actions or rewards, so a run computes them
-for the whole stream before its policy loop: every refit's prefix
-re-filter in one :func:`hmmbandits.hmm.forward_pass`, then the rounds
-between refits in one :func:`hmmbandits.hmm.forward_steps`, which advances
-the segments in lockstep (a lone one, as in ``estimation_curves``, steps in
-the filter's one-step kernel on Python floats, which is faster than a stack
-of one); the beliefs are bit for bit those of one re-filter per refit and
-one ``forward_step`` per round.
+estimator seed only, so a run computes them before its policy loop, bit for
+bit as one refit, re-filter and Bayes step at a time would.  The prefix
+moments and the seed-free stage of all refits run stacked, a tile at a time
+(``spectral.prefix_tables`` and ``subspaces``); the seeded stage runs per
+refit, in order, as each refit's seed counts the successes before it.  All
+re-filters run in one ``hmm.forward_pass``, the rounds between refits in
+one ``hmm.forward_steps``.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import numpy as np
 
 from .errors import EstimationFailed, ShapeMismatch
 from .hmm import forward_pass, forward_steps
-from .spectral import EstimatedHmm, accumulate_moments, align, spectral_estimate
+from .spectral import EstimatedHmm, align, prefix_tables, subspaces
 
 
 @dataclass(frozen=True)
@@ -72,27 +71,22 @@ def refit_schedule(
     the moments of ``contexts[:t]`` are re-estimated and aligned against the
     previous estimate; a refit after ``k`` successful ones draws its rotations
     from ``seed + 7919 * (k + 1)``.  A refit that fails
-    (:class:`~hmmbandits.errors.EstimationFailed`: rank-deficient or
-    near-singular moments, or no diagonalizable rotation, all routine on
-    short prefixes) keeps the previous estimate and is counted.  Returns the
-    ``(t, estimate)`` pair of every refit round once an estimate exists, and
-    the number of failed refits.
+    (:class:`~hmmbandits.errors.EstimationFailed`, routine on short prefixes)
+    keeps the previous estimate and is counted.  Returns the ``(t,
+    estimate)`` pair of every refit round once an estimate exists, and the
+    number of failed refits.
     """
     if refit_every < 1:
         raise ShapeMismatch("refit_every must be >= 1")
-    contexts = np.asarray(contexts, dtype=np.int64)
+    ends = [t for t in range(refit_every, len(contexts) + 1, refit_every) if t >= MIN_FIT]
     schedule = []
     estimate: EstimatedHmm | None = None
     successes = failures = 0
-    for t in range(refit_every, contexts.size + 1, refit_every):
-        if t < MIN_FIT:
-            continue
+    tiles = prefix_tables(contexts, num_contexts, ends) if ends else ()
+    stages = (stage for tables in tiles for stage in subspaces(*tables, num_states))
+    for t, stage in zip(ends, stages):
         try:
-            estimate = align(estimate, spectral_estimate(
-                accumulate_moments(contexts[:t], num_contexts),
-                num_states,
-                seed=seed + 7919 * (successes + 1),
-            ))
+            estimate = align(estimate, stage.estimate(seed + 7919 * (successes + 1)))
         except EstimationFailed:
             failures += 1
         else:
@@ -110,9 +104,6 @@ def scheduled_beliefs(schedule, contexts, num_states: int) -> np.ndarray:
     the prefix up to and including that round from the uniform prior under
     the pair's estimate (the last one given for a round wins); other rounds
     take one Bayes step.
-
-    All re-filters run in one :func:`hmmbandits.hmm.forward_pass`, and the
-    segments between refits in one :func:`hmmbandits.hmm.forward_steps`.
     """
     xs = np.asarray(contexts, dtype=np.int64)
     active = dict(schedule)

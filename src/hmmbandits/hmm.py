@@ -163,22 +163,34 @@ def sample_trajectory(params: HmmParams, horizon: int, seed: int) -> Trajectory:
     return Trajectory(hidden=hidden, contexts=contexts, horizon=horizon)
 
 
+def _pairwise_sum(terms: list) -> float:
+    """numpy's sum of 8 or more float64 terms, on Python floats: eight
+    running sums added in pairs, then the rest in order; above 128 terms,
+    each half (split at a multiple of 8) summed so."""
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    r, stop = terms[:8], n - n % 8
+    for i in range(8, stop, 8):
+        r = [a + b for a, b in zip(r, terms[i:i + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for u in terms[stop:]:
+        total += u
+    return total
+
+
 def _bayes_steps(belief, prior, transition, emission, contexts, on_degenerate):
     """The forward recursion over ``contexts``: the beliefs after each step,
     flat in one ``array("d")``, row after row.
 
-    ``belief is None`` starts with the initial update from ``prior``.  Each
-    step makes one numpy call, the gemv ``np.dot(transition.T, belief)``:
-    the first on the caller's ``belief``, the later ones on one vector that
-    every step overwrites with its new belief through a memoryview, so no
-    step pays numpy's conversion of a list into an array.  The
-    emission product, the normalizer and the division run on Python floats
-    with the bits of the numpy forms: below 8 terms numpy sums left to
-    right, from 8 up it adds in pairs, so there ``np.add.reduce`` keeps the
-    normalizer.  A normalizer that is not positive and finite (the
-    observation impossible under every state) raises
+    ``belief is None`` starts from ``prior``.  Each step's one numpy call is
+    the gemv ``np.dot(transition.T, belief)``, on a vector each step
+    overwrites through a memoryview; the rest runs on Python floats with
+    numpy's bits (a sum of 8 or more terms by :func:`_pairwise_sum`).  A
+    normalizer that is not positive and finite raises
     :class:`DegenerateLikelihood` or, under ``on_degenerate="uniform"``,
-    resets to the uniform distribution.
+    resets to uniform.
     """
     H = transition.shape[0]
     transition_t = transition.T
@@ -193,7 +205,7 @@ def _bayes_steps(belief, prior, transition, emission, contexts, on_degenerate):
         prop = (prior if belief is None else np.dot(transition_t, belief)).tolist()
         unnorm = [e * p for e, p in zip(rows[x], prop)]
         if pairwise:
-            norm = float(np.add.reduce(unnorm))
+            norm = _pairwise_sum(unnorm)
         else:
             norm = 0.0
             for u in unnorm:
@@ -208,26 +220,6 @@ def _bayes_steps(belief, prior, transition, emission, contexts, on_degenerate):
         flat.frombytes(raw)
         belief = vec
     return flat
-
-
-def forward_step(
-    belief: np.ndarray | None,
-    prior: np.ndarray,
-    transition: np.ndarray,
-    emission: np.ndarray,
-    context: int,
-    on_degenerate: str = "raise",
-) -> np.ndarray:
-    """One Bayes forward update; returns the new belief.
-
-    ``belief is None`` applies the initial update from ``prior``; otherwise the
-    belief is propagated through ``transition`` and reweighted by the emission
-    likelihood of ``context``.  A zero normalizer means the observation is
-    impossible under every state: depending on ``on_degenerate`` this raises
-    :class:`DegenerateLikelihood` or resets to the uniform distribution.
-    """
-    return np.frombuffer(_bayes_steps(belief, prior, transition, emission, [int(context)],
-                                      on_degenerate))
 
 
 CHUNK = 64            # steps per chunk product in forward_pass
@@ -247,17 +239,13 @@ def _lockstep(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def forward_steps(models, beliefs, contexts, starts, stops, out) -> None:
     """Run filter segments in lockstep, one belief row per round.
 
-    Segment ``k`` starts from ``beliefs[k]`` and takes one
-    :func:`forward_step` under ``models[k] = (transition, emission)`` for
-    each context ``contexts[i]``, ``starts[k] <= i < stops[k]``, writing the
-    belief after it to ``out[i]``; a zero-likelihood context resets to
-    uniform.  Segments must not overlap, and transitions must be C-ordered
-    (as :class:`HmmParams` and ``EstimatedHmm`` make them): their stacked
-    ``M^T`` slices then have the layout ``forward_step``'s gemv reads, so one
-    stacked step per round offset gives each row ``forward_step``'s bits.
-    One segment alone steps in the one-step kernel on Python floats: through
-    a stack of one, the ``ref-estimate`` benchmark (one segment per
-    checkpoint) took 17.5-18.1 rather than 5.1-5.7 us/round on a 2-vCPU VM.
+    Segment ``k`` starts from ``beliefs[k]`` and takes one Bayes step under
+    ``models[k] = (transition, emission)`` for each context ``contexts[i]``,
+    ``starts[k] <= i < stops[k]``, writing the belief after it to
+    ``out[i]``; a zero-likelihood context resets to uniform.  Segments must
+    not overlap, and transitions must be C-ordered (as :class:`HmmParams` and
+    ``EstimatedHmm`` make them), so each stacked step has the bits of
+    :func:`_bayes_steps`, which steps a lone segment faster than a stack.
     """
     xs = np.asarray(contexts, dtype=np.int64)
     starts = np.asarray(starts, dtype=np.int64)
@@ -298,22 +286,18 @@ def forward_pass(
     """Beliefs after filtering ``contexts[:ends[k]]`` from ``prior`` under
     ``models[k] = (transition, emission)``, one row per model, in one pass.
 
-    ``ends`` are sorted and lie in ``[1, len(contexts)]``.  The recursion is
-    a normalized product of per-context update matrices ``W_x = diag(nu(x,
-    .)) M^T``.  Every prefix cuts its contexts after the first into the same
-    64-step chunks, so the products of all (model, chunk) pairs are built
-    together, one tile of pairs at a time, as ``(H, H, pairs)`` arrays summed
-    over the inner index in order (the bits of a per-model ``einsum``).  At
-    each chunk index one stacked matvec normalizes every model still
-    running; the tails shorter than a chunk step in lockstep.  A chunk whose
-    product annihilates the belief (possible only through zero emission
-    entries) is re-run one context at a time for that model alone, so a
-    zero-likelihood context is handled as by :func:`forward_step`: a reset
-    to uniform, or :class:`DegenerateLikelihood` under
-    ``on_degenerate="raise"``.  Transitions must be C-ordered (as
-    :class:`HmmParams` and ``EstimatedHmm`` make them); every stacked matrix
-    is then F-ordered like ``M^T``, and each row equals, bit for bit, the
-    straight single-prefix pass over its model.
+    ``ends`` are sorted and lie in ``[1, len(contexts)]``.  Every prefix
+    cuts its contexts after the first into the same 64-step chunks, whose
+    products of update matrices ``W_x = diag(nu(x, .)) M^T`` are built for
+    all (model, chunk) pairs together, a tile of ``(H, H, pairs)`` arrays at
+    a time, one ``np.einsum("ijp,jkp->ikp")`` per step (the contiguous index
+    is ``p``, so the products over ``j`` are added in order).  At each chunk
+    index one stacked matvec normalizes every model still running; the tails
+    step in lockstep.  A chunk that annihilates a belief (zero emission
+    entries) is re-run a context at a time, which resets a zero-likelihood
+    context to uniform or raises :class:`DegenerateLikelihood` under
+    ``on_degenerate="raise"``.  With C-ordered transitions each row equals
+    the straight single-prefix pass bit for bit.
     """
     contexts = np.asarray(contexts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
@@ -365,16 +349,11 @@ def forward_pass(
             pk = K - counts[pc] + (pairs - cum[pc])
             cols, at = pk * X, pc * CHUNK
             prod = np.take(flat, cols + xs[at], axis=1).reshape(H, H, -1)
-            new, tmp = np.empty_like(prod), np.empty_like(prod)
             for i in range(1, CHUNK):
                 a = np.take(flat, cols + xs[at + i], axis=1).reshape(H, H, -1)
-                np.multiply(a[:, 0, None], prod[None, 0], out=new)
-                for j in range(1, H):
-                    np.multiply(a[:, j, None], prod[None, j], out=tmp)
-                    new += tmp
-                prod, new = new, prod
+                prod = np.einsum("ijp,jkp->ikp", a, prod)
             mats = np.ascontiguousarray(prod.transpose(2, 1, 0)).swapaxes(1, 2)
-            del prod, new, tmp
+            del prod
             cuts = [0, *(np.flatnonzero(np.diff(pc)) + 1), pairs.size]
             for lo, hi in zip(cuts, cuts[1:]):
                 sel, c = pk[lo:hi], int(pc[lo])

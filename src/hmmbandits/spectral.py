@@ -3,24 +3,24 @@ stream, post-processing to valid stochastic matrices, and the permutation
 alignment that keeps hidden-state labels consistent across re-estimations.
 
 Pipeline: ``accumulate_moments -> spectral_estimate -> align``;
-``spectral_estimate`` ends in :func:`postprocess`.
+``spectral_estimate`` ends in :func:`postprocess`.  Its seed-free stage
+(:func:`subspaces`: SVDs, sign fix, rank and pivot checks, pivot inverse)
+runs stacked over many moment sets, such as the tiles of refit prefixes of
+a stream (:func:`prefix_tables`); its seeded stage
+(:meth:`Subspaces.estimate`) runs per moment set.  One moment set is a
+stack of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    DiagonalizationFailed,
-    NearSingularPivot,
-    NonFinite,
-    RankDeficient,
-    ShapeMismatch,
-    TooShort,
-)
-from .hmm import _freeze
+from .errors import (DiagonalizationFailed, NearSingularPivot, NonFinite, RankDeficient,
+                     ShapeMismatch, TooShort)
+from .hmm import TILE_BYTES, _freeze
 
 COND_LIMIT = 1e12
 RANK_TOL = 1e-12
@@ -44,27 +44,47 @@ class MomentSet:
 
 
 def accumulate_moments(contexts, num_contexts: int) -> MomentSet:
-    """Moment tables of a context stream from one count of its triples.
-
-    Each triple ``(x_{s+1}, x_{s-1}, x_s)`` is counted at the flat index
-    ``(x_{s+1} * X + x_{s-1}) * X + x_s``; the pairwise tables are integer
-    marginals of the triple counts.
-    """
+    """The moment tables of a whole context stream (:func:`prefix_tables`)."""
     x = np.asarray(contexts, dtype=np.int64)
     if x.size < 3:
         raise TooShort("need at least 3 contexts to form a moment triple")
+    p31, p32, p312 = next(prefix_tables(x, num_contexts, [x.size]))
+    return MomentSet(p31=p31[0], p32=p32[0], p312=p312[0], sample_count=int(x.size))
+
+
+def _stack(K: int, *shape) -> np.ndarray:
+    """``K`` empty C-ordered arrays, each 16-byte aligned as a fresh array is:
+    some OpenBLAS kernels (Prescott) round by their operands' alignment."""
+    size = math.prod(shape)
+    return np.empty((K, size + size % 2))[:, :size].reshape(K, *shape)
+
+
+def prefix_tables(contexts, num_contexts: int, ends):
+    """Yield the ``(p31, p32, p312)`` stacks of the prefixes ``contexts[:t]``
+    (``t`` in the sorted ``ends``, each at least 3), a tile of at most
+    ``hmm.TILE_BYTES`` of triple tables at a time, from one running count: a
+    tile's new triples ``(x_{s+1} * X + x_{s-1}) * X + x_s`` in one
+    ``np.bincount`` keyed by prefix, summed cumulatively; then marginals."""
     X = int(num_contexts)
+    x = np.asarray(contexts, dtype=np.int64)[:ends[-1]]
     if x.min() < 0 or x.max() >= X:
         raise ShapeMismatch("context indices outside [0, X)")
-    n = x.size - 2
     flat = (x[2:] * X + x[:-2]) * X + x[1:-1]
-    c312 = np.bincount(flat, minlength=X**3).reshape(X, X, X)
-    return MomentSet(
-        p31=c312.sum(axis=2) / n,
-        p32=c312.sum(axis=1) / n,
-        p312=c312 / n,
-        sample_count=int(x.size),
-    )
+    running = np.zeros(X**3, dtype=np.int64)
+    cap = max(1, TILE_BYTES // (8 * X**3))
+    for lo in range(0, len(ends), cap):
+        n = np.array(ends[lo:lo + cap], dtype=np.int64) - 2      # triples per prefix
+        first = ends[lo - 1] - 2 if lo else 0
+        key = np.repeat(np.arange(n.size), np.diff(n, prepend=first)) * X**3
+        counts = np.bincount(key + flat[first:n[-1]], minlength=n.size * X**3)
+        c312 = np.cumsum(counts.reshape(n.size, X**3), axis=0) + running
+        running = c312[-1]
+        c312, scale = c312.reshape(n.size, X, X, X), n[:, None, None]
+        p31, p32, p312 = _stack(n.size, X, X), _stack(n.size, X, X), _stack(n.size, X, X, X)
+        np.divide(c312.sum(axis=3), scale, out=p31)
+        np.divide(c312.sum(axis=2), scale, out=p32)
+        np.divide(c312, scale[..., None], out=p312)
+        yield p31, p32, p312
 
 
 @dataclass(frozen=True)
@@ -99,27 +119,91 @@ class EstimatedHmm:
         ]
         return "\n".join(lines) + "\n"
 
-    @staticmethod
-    def from_text(text: str) -> "EstimatedHmm":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        head = lines[0].split()
-        H, X = int(head[1]), int(head[3])
-        m = np.array([float(v) for v in lines[1].split()[1:]]).reshape(H, H)
-        e = np.array([float(v) for v in lines[2].split()[1:]]).reshape(
-            (X, H), order="F"
-        )
-        perm = tuple(int(v) for v in lines[3].split()[1:])
-        return EstimatedHmm(m, e, label_permutation=perm)
+
+@dataclass(frozen=True)
+class Subspaces:
+    """The seed-free stage of one moment set: ``sigma``, the H-th singular
+    value of ``p31``, the bases, and the pivot's inverse (None if singular)."""
+
+    p312: np.ndarray
+    sigma: float
+    u3: np.ndarray
+    u1: np.ndarray
+    u2: np.ndarray
+    pivot_inv: np.ndarray | None
+
+    def estimate(self, seed: int) -> EstimatedHmm:
+        """The seeded stage of :func:`spectral_estimate`, with ``seed``."""
+        H, u3, u1, u2, pivot_inv = self.u3.shape[1], self.u3, self.u1, self.u2, self.pivot_inv
+        if self.sigma < RANK_TOL:
+            raise RankDeficient(f"{H}-th singular value of p31 is {self.sigma:.3e} < {RANK_TOL}")
+        if pivot_inv is None:
+            raise NearSingularPivot("projected pairwise moment matrix is near singular")
+
+        def contracted_b(z: np.ndarray) -> np.ndarray:
+            return (u3.T @ np.einsum("ijk,k->ij", self.p312, z) @ u1) @ pivot_inv
+
+        rng = np.random.default_rng(seed)
+        for _ in range(RETRY_BUDGET):
+            q, _ = np.linalg.qr(rng.normal(size=(H, H)))
+            eigvals, eigvecs = np.linalg.eig(contracted_b(u2 @ q[0]))
+            radius = float(np.max(np.abs(eigvals)))
+            if float(np.max(np.abs(eigvals.imag))) > IMAG_TOL * max(radius, 1e-300):
+                continue
+            candidate = np.real(eigvecs)
+            norms = np.linalg.norm(candidate, axis=0)
+            if np.any(norms < 1e-12):
+                continue
+            candidate = candidate / norms
+            if np.linalg.cond(candidate) > COND_LIMIT:
+                continue
+            r_mat, gamma = candidate, q
+            break
+        else:
+            raise DiagonalizationFailed(
+                f"no real well-conditioned eigensystem in {RETRY_BUDGET} rotations")
+
+        r_inv = np.linalg.inv(r_mat)
+        l_mat = np.empty((H, H))
+        for h in range(H):
+            l_mat[h] = np.real(np.diag(r_inv @ contracted_b(u2 @ gamma[h]) @ r_mat))
+        # Box C writes the emission output as the transpose of obs_factor; the
+        # package-wide convention keeps emissions X x H (column h = nu_h).
+        obs_factor = u2 @ np.linalg.solve(gamma, l_mat)
+        proj = u3.T @ obs_factor
+        if np.linalg.cond(proj) > COND_LIMIT:
+            raise NearSingularPivot("projected observation factor is near singular")
+        raw_m = np.linalg.solve(proj, r_mat).T
+        raw_m = raw_m * np.where(raw_m.sum(axis=1) < 0, -1.0, 1.0)[:, None]
+        return postprocess(raw_m, obs_factor)
 
 
-def _fix_svd_signs(basis: np.ndarray) -> np.ndarray:
-    """Make each column's largest-magnitude entry positive (cross-run stability)."""
-    out = basis.copy()
-    for j in range(out.shape[1]):
-        k = int(np.argmax(np.abs(out[:, j])))
-        if out[k, j] < 0:
-            out[:, j] = -out[:, j]
-    return out
+def subspaces(p31: np.ndarray, p32: np.ndarray, p312: np.ndarray, H: int) -> list:
+    """The seed-free stage of a stack of moment sets, one :class:`Subspaces`
+    each: SVDs, sign fix (each basis column's largest entry positive), the
+    pivot ``u3^T p31 u1``, its condition and inverse, each one call over the
+    stack.  numpy runs a stacked SVD or inverse as the LAPACK call on each
+    matrix, and products read :func:`_stack` slices, so each keeps its bits."""
+    K, X, _ = p31.shape
+    if H > X:
+        raise ShapeMismatch(f"H = {H} must not exceed X = {X}")
+    u3_full, s31, v31t = np.linalg.svd(p31)
+    v32t = np.linalg.svd(p32)[2]
+    bases = []
+    for full in (u3_full, v31t.swapaxes(1, 2), v32t.swapaxes(1, 2)):
+        basis = _stack(K, X, H)
+        basis[...] = full[:, :, :H]
+        top = np.argmax(np.abs(basis), axis=1)[:, None, :]
+        np.negative(basis, out=basis, where=np.take_along_axis(basis, top, axis=1) < 0)
+        bases.append(basis)
+    u3, u1, u2 = bases
+    left, pivot, pivot_inv = _stack(K, H, X), _stack(K, H, H), _stack(K, H, H)
+    np.matmul(np.matmul(u3.swapaxes(1, 2), p31, out=left), u1, out=pivot)
+    ok = ~(s31[:, H - 1] < RANK_TOL) & ~(np.linalg.cond(pivot) > COND_LIMIT)
+    if ok.any():
+        pivot_inv[ok] = np.linalg.inv(pivot[ok])
+    return [Subspaces(p312[k], float(s31[k, H - 1]), u3[k], u1[k], u2[k],
+                      pivot_inv[k] if ok[k] else None) for k in range(K)]
 
 
 def spectral_estimate(moments: MomentSet, H: int, seed: int) -> EstimatedHmm:
@@ -131,74 +215,13 @@ def spectral_estimate(moments: MomentSet, H: int, seed: int) -> EstimatedHmm:
     descending order with index tie-break.  If the eigensystem is complex or
     defective beyond tolerance, a fresh rotation is drawn (budget of
     ``RETRY_BUDGET``); then :class:`DiagonalizationFailed` is raised.
-
-    Eigenvector sign ambiguity scales rows of the raw transition estimate by
-    an arbitrary sign; rows are flipped to have nonnegative sums, since they
-    estimate probability distributions.  The raw matrices then go through
-    :func:`postprocess`, so the estimate is stochastic.
+    Eigenvector signs are arbitrary, so the raw transition's rows are flipped
+    to nonnegative sums; :func:`postprocess` makes the estimate stochastic.
     """
-    X = moments.p31.shape[0]
-    if H > X:
-        raise ShapeMismatch(f"H = {H} must not exceed X = {X}")
     if moments.sample_count < 3:
         raise TooShort("moment set built from fewer than 3 contexts")
-    u3_full, s31, v31t = np.linalg.svd(moments.p31)
-    if s31[H - 1] < RANK_TOL:
-        raise RankDeficient(
-            f"{H}-th singular value of p31 is {s31[H - 1]:.3e} < {RANK_TOL}"
-        )
-    u3 = _fix_svd_signs(u3_full[:, :H])
-    u1 = _fix_svd_signs(v31t[:H, :].T)
-    _, _, v32t = np.linalg.svd(moments.p32)
-    u2 = _fix_svd_signs(v32t[:H, :].T)
-
-    pivot = u3.T @ moments.p31 @ u1
-    if np.linalg.cond(pivot) > COND_LIMIT:
-        raise NearSingularPivot("projected pairwise moment matrix is near singular")
-    pivot_inv = np.linalg.inv(pivot)
-
-    def contracted_b(z: np.ndarray) -> np.ndarray:
-        return (u3.T @ np.einsum("ijk,k->ij", moments.p312, z) @ u1) @ pivot_inv
-
-    rng = np.random.default_rng(seed)
-    for _ in range(RETRY_BUDGET):
-        q, _ = np.linalg.qr(rng.normal(size=(H, H)))
-        b1 = contracted_b(u2 @ q[0])
-        eigvals, eigvecs = np.linalg.eig(b1)
-        radius = float(np.max(np.abs(eigvals))) if H > 0 else 0.0
-        imag_limit = IMAG_TOL * max(radius, 1e-300)
-        if float(np.max(np.abs(eigvals.imag))) > imag_limit:
-            continue
-        candidate = np.real(eigvecs)
-        norms = np.linalg.norm(candidate, axis=0)
-        if np.any(norms < 1e-12):
-            continue
-        candidate = candidate / norms
-        if np.linalg.cond(candidate) > COND_LIMIT:
-            continue
-        r_mat, gamma = candidate, q
-        break
-    else:
-        raise DiagonalizationFailed(
-            f"no real well-conditioned eigensystem in {RETRY_BUDGET} rotations"
-        )
-
-    r_inv = np.linalg.inv(r_mat)
-    l_mat = np.empty((H, H))
-    for h in range(H):
-        bh = contracted_b(u2 @ gamma[h])
-        l_mat[h] = np.real(np.diag(r_inv @ bh @ r_mat))
-
-    # Box C writes the emission output as the transpose of obs_factor; the
-    # package-wide convention keeps emissions X x H (column h = nu_h).
-    obs_factor = u2 @ np.linalg.solve(gamma, l_mat)
-    proj = u3.T @ obs_factor
-    if np.linalg.cond(proj) > COND_LIMIT:
-        raise NearSingularPivot("projected observation factor is near singular")
-    raw_m = np.linalg.solve(proj, r_mat).T
-    row_signs = np.where(raw_m.sum(axis=1) < 0, -1.0, 1.0)
-    raw_m = raw_m * row_signs[:, None]
-    return postprocess(raw_m, obs_factor)
+    (stage,) = subspaces(moments.p31[None], moments.p32[None], moments.p312[None], H)
+    return stage.estimate(seed)
 
 
 def _clip_normalize(vectors: np.ndarray) -> np.ndarray:
@@ -237,47 +260,50 @@ def align(previous: EstimatedHmm | None, fresh: EstimatedHmm) -> EstimatedHmm:
     The permutation minimizes the worst-column Euclidean distance
     ``max_h || nu_prev_h - nu_fresh_perm(h) ||_2`` (ties: lexicographically
     smallest permutation); with no previous estimate the labels are kept.
-    It is found as a bottleneck assignment over the H x H distance matrix
-    (Gabow & Tarjan 1988): the optimal worst distance ``c*`` is the smallest
-    entry whose pairs ``cost <= c*`` hold a perfect matching, and each
-    position in turn takes the smallest column that leaves one for the rest
-    (Kuhn's augmenting paths decide both), in O(H^5) rather than O(H! H).
+    As a bottleneck assignment (Gabow & Tarjan 1988), the worst distance
+    ``c*`` is the smallest entry whose pairs ``cost <= c*`` hold a perfect
+    matching (Kuhn's augmenting paths; the search starts at the largest row
+    or column minimum), then each position takes the smallest column that
+    leaves a matching for the rest.  Each distance is ``sqrt(d.dot(d))`` of
+    one fresh difference ``d``, the bits of ``np.linalg.norm(d)``.
     """
     H = fresh.num_states
     if previous is None:
         return replace(fresh, label_permutation=tuple(range(H)))
     if previous.num_states != H:
         raise ShapeMismatch("cannot align estimates with different H")
-    prev_cols, fresh_cols = previous.emission_hat, fresh.emission_hat
-    cost = [
-        [float(np.linalg.norm(prev_cols[:, h] - fresh_cols[:, j])) for j in range(H)]
-        for h in range(H)
-    ]
-    if not np.all(np.isfinite(cost)):
+    cost = [[math.sqrt((d := prev - col).dot(d)) for col in fresh.emission_hat.T]
+            for prev in previous.emission_hat.T]
+    if not all(math.isfinite(c) for row in cost for c in row):
         raise NonFinite("cannot align emission columns with non-finite distances")
-    levels = sorted({c for row in cost for c in row})
-    lo, hi = 0, len(levels) - 1
+    floor = max(max(map(min, cost)), max(map(min, zip(*cost))))
+    levels = sorted({c for row in cost for c in row if c >= floor})
+    # the identity matches at the largest level, which bounds every entry
+    lo, hi, mid, match = 0, len(levels) - 1, 0, {h: h for h in range(H)}
     while lo < hi:
-        mid = (lo + hi) // 2
-        if _has_matching(cost, levels[mid], []):
-            hi = mid
-        else:
+        found = _matching(cost, levels[mid], [])
+        if found is None:
             lo = mid + 1
-    bound = levels[lo]
+        else:
+            hi, match = mid, found
+        mid = (lo + hi) // 2
     perm: list[int] = []
     for h in range(H):
-        perm.append(next(
-            j for j in range(H)
-            if j not in perm and cost[h][j] <= bound and _has_matching(cost, bound, perm + [j])
-        ))
-    best_perm = tuple(perm)
-    return replace(relabel(fresh, best_perm), label_permutation=best_perm)
+        for j in range(H):
+            if j in perm or cost[h][j] > levels[lo]:
+                continue
+            found = match if j == match[h] else _matching(cost, levels[lo], perm + [j])
+            if found is not None:
+                match = found
+                break
+        perm.append(j)
+    return EstimatedHmm(fresh.transition_hat[np.ix_(perm, perm)], fresh.emission_hat[:, perm],
+                        tuple(perm))
 
 
-def _has_matching(cost, bound: float, fixed: list) -> bool:
-    """Whether rows ``len(fixed)..H-1`` can take distinct columns outside
-    ``fixed`` (the columns of rows ``0..len(fixed)-1``) with every
-    ``cost[row][col] <= bound``: Kuhn's augmenting-path matching."""
+def _matching(cost, bound: float, fixed: list) -> dict | None:
+    """``{row: column}`` for rows ``len(fixed)..``, distinct columns outside
+    ``fixed`` with ``cost[row][col] <= bound`` (Kuhn's augmenting paths)."""
     free = [j for j in range(len(cost)) if j not in fixed]
     owner: dict[int, int] = {}
 
@@ -290,7 +316,9 @@ def _has_matching(cost, bound: float, fixed: list) -> bool:
                     return True
         return False
 
-    return all(augment(row, set()) for row in range(len(fixed), len(cost)))
+    if not all(augment(row, set()) for row in range(len(fixed), len(cost))):
+        return None
+    return {row: j for j, row in owner.items()}
 
 
 def relabel(estimate: EstimatedHmm, perm) -> EstimatedHmm:

@@ -11,10 +11,16 @@ only the round-by-round control flow and the Bayes steps themselves;
 :func:`stepwise_filter`, the one-step-at-a-time loop over
 :func:`reference_step`; :func:`reference_forward_pass`, the straight
 single-prefix chunked pass whose bits the package's batched
-``forward_pass`` must reproduce for every prefix; and :class:`StepwiseBoxA`
+``forward_pass`` must reproduce for every prefix; :class:`StepwiseBoxA`
 and :class:`StepwiseBoxB`, the learners' round-by-round ``act``/``update``
 loops whose bits the block ``play`` must reproduce, which take the belief
-budget from ``u_schedule`` and the stage width from ``staged_width``.
+budget from ``u_schedule`` and the stage width from ``staged_width``;
+:func:`forward_step`, the package's one-step kernel on one context;
+:func:`reference_chunk_step`, the chunk-product step ``forward_pass`` must
+reproduce; and :func:`reference_refit_schedule`, the per-refit loop the
+batched refit pass must reproduce, with its own copies of the one-set
+moments, estimate and ``np.linalg.norm``-based alignment, which reuse the
+package's ``postprocess``, ``relabel`` and constants.
 """
 
 from __future__ import annotations
@@ -175,6 +181,29 @@ def reference_step(belief, prior, transition, emission, context: int,
     return unnorm / norm
 
 
+def forward_step(belief, prior, transition, emission, context: int,
+                 on_degenerate: str = "raise") -> np.ndarray:
+    """One Bayes forward update through the package's one-step kernel
+    (``hmm._bayes_steps`` on one context); returns the new belief."""
+    from hmmbandits.hmm import _bayes_steps
+
+    return np.frombuffer(_bayes_steps(belief, prior, transition, emission, [int(context)],
+                                      on_degenerate))
+
+
+def estimate_from_text(text: str):
+    """The ``EstimatedHmm`` of an ``EstimatedHmm.to_text`` block."""
+    from hmmbandits.spectral import EstimatedHmm
+
+    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    head = lines[0].split()
+    H, X = int(head[1]), int(head[3])
+    m = np.array([float(v) for v in lines[1].split()[1:]]).reshape(H, H)
+    e = np.array([float(v) for v in lines[2].split()[1:]]).reshape((X, H), order="F")
+    perm = tuple(int(v) for v in lines[3].split()[1:])
+    return EstimatedHmm(m, e, label_permutation=perm)
+
+
 def stepwise_filter(transition, emission, prior, contexts, on_degenerate="uniform"):
     """Belief after filtering ``contexts`` from ``prior``, one
     :func:`reference_step` per context."""
@@ -235,6 +264,174 @@ def reference_forward_pass(transition, emission, prior, contexts, on_degenerate=
             else:
                 belief = scan(belief, xs[block * chunk : (block + 1) * chunk])
     return scan(belief, xs[k * chunk :])
+
+
+def reference_chunk_step(a: np.ndarray, prod: np.ndarray) -> np.ndarray:
+    """One step of the chunk products over a tile of ``(H, H, pairs)``
+    arrays, ``new[i, k, p] = sum_j a[i, j, p] * prod[j, k, p]``, as the
+    elementwise products added in ``j`` order."""
+    new = a[:, 0, None] * prod[None, 0]
+    for j in range(1, a.shape[1]):
+        new += a[:, j, None] * prod[None, j]
+    return new
+
+
+def reference_moments(contexts, num_contexts: int):
+    """The moment tables of ``contexts`` from one ``np.bincount`` of its
+    triples (the one-prefix count, as a ``MomentSet``)."""
+    from hmmbandits.spectral import MomentSet
+
+    x = np.asarray(contexts, dtype=np.int64)
+    X = num_contexts
+    n = x.size - 2
+    c312 = np.bincount((x[2:] * X + x[:-2]) * X + x[1:-1], minlength=X**3).reshape(X, X, X)
+    return MomentSet(p31=c312.sum(axis=2) / n, p32=c312.sum(axis=1) / n, p312=c312 / n,
+                     sample_count=int(x.size))
+
+
+def _fix_svd_signs(basis: np.ndarray) -> np.ndarray:
+    """Make each column's largest-magnitude entry positive."""
+    out = basis.copy()
+    for j in range(out.shape[1]):
+        k = int(np.argmax(np.abs(out[:, j])))
+        if out[k, j] < 0:
+            out[:, j] = -out[:, j]
+    return out
+
+
+def reference_spectral_estimate(moments, H: int, seed: int):
+    """The spectral estimate of one moment set, every step on that set
+    alone: the SVDs, the sign fix column by column, the rank and pivot
+    checks, then the rotations drawn one at a time from ``seed``."""
+    from hmmbandits.errors import DiagonalizationFailed, NearSingularPivot, RankDeficient
+    from hmmbandits.spectral import COND_LIMIT, IMAG_TOL, RANK_TOL, RETRY_BUDGET, postprocess
+
+    u3_full, s31, v31t = np.linalg.svd(moments.p31)
+    if s31[H - 1] < RANK_TOL:
+        raise RankDeficient(f"{H}-th singular value of p31 is {s31[H - 1]:.3e} < {RANK_TOL}")
+    u3 = _fix_svd_signs(u3_full[:, :H])
+    u1 = _fix_svd_signs(v31t[:H, :].T)
+    _, _, v32t = np.linalg.svd(moments.p32)
+    u2 = _fix_svd_signs(v32t[:H, :].T)
+    pivot = u3.T @ moments.p31 @ u1
+    if np.linalg.cond(pivot) > COND_LIMIT:
+        raise NearSingularPivot("projected pairwise moment matrix is near singular")
+    pivot_inv = np.linalg.inv(pivot)
+
+    def contracted_b(z):
+        return (u3.T @ np.einsum("ijk,k->ij", moments.p312, z) @ u1) @ pivot_inv
+
+    rng = np.random.default_rng(seed)
+    for _ in range(RETRY_BUDGET):
+        q, _ = np.linalg.qr(rng.normal(size=(H, H)))
+        eigvals, eigvecs = np.linalg.eig(contracted_b(u2 @ q[0]))
+        radius = float(np.max(np.abs(eigvals)))
+        if float(np.max(np.abs(eigvals.imag))) > IMAG_TOL * max(radius, 1e-300):
+            continue
+        candidate = np.real(eigvecs)
+        norms = np.linalg.norm(candidate, axis=0)
+        if np.any(norms < 1e-12):
+            continue
+        candidate = candidate / norms
+        if np.linalg.cond(candidate) > COND_LIMIT:
+            continue
+        r_mat, gamma = candidate, q
+        break
+    else:
+        raise DiagonalizationFailed(f"no real well-conditioned eigensystem in {RETRY_BUDGET} "
+                                    "rotations")
+    r_inv = np.linalg.inv(r_mat)
+    l_mat = np.empty((H, H))
+    for h in range(H):
+        l_mat[h] = np.real(np.diag(r_inv @ contracted_b(u2 @ gamma[h]) @ r_mat))
+    obs_factor = u2 @ np.linalg.solve(gamma, l_mat)
+    proj = u3.T @ obs_factor
+    if np.linalg.cond(proj) > COND_LIMIT:
+        raise NearSingularPivot("projected observation factor is near singular")
+    raw_m = np.linalg.solve(proj, r_mat).T
+    raw_m = raw_m * np.where(raw_m.sum(axis=1) < 0, -1.0, 1.0)[:, None]
+    return postprocess(raw_m, obs_factor)
+
+
+def _has_matching(cost, bound: float, fixed: list) -> bool:
+    """Whether rows ``len(fixed)..`` take distinct columns outside ``fixed``
+    with every ``cost[row][col] <= bound`` (Kuhn's augmenting paths)."""
+    free = [j for j in range(len(cost)) if j not in fixed]
+    owner = {}
+
+    def augment(row, seen):
+        for j in free:
+            if j not in seen and cost[row][j] <= bound:
+                seen.add(j)
+                if j not in owner or augment(owner[j], seen):
+                    owner[j] = row
+                    return True
+        return False
+
+    return all(augment(row, set()) for row in range(len(fixed), len(cost)))
+
+
+def reference_norm_align(previous, fresh):
+    """The bottleneck label alignment with every column distance taken by
+    ``np.linalg.norm``: a binary search over all distinct distances, then
+    the smallest feasible column for each position, each checked anew."""
+    from dataclasses import replace
+
+    from hmmbandits.spectral import relabel
+
+    H = fresh.num_states
+    if previous is None:
+        return replace(fresh, label_permutation=tuple(range(H)))
+    prev_cols, fresh_cols = previous.emission_hat, fresh.emission_hat
+    cost = [[float(np.linalg.norm(prev_cols[:, h] - fresh_cols[:, j])) for j in range(H)]
+            for h in range(H)]
+    levels = sorted({c for row in cost for c in row})
+    lo, hi = 0, len(levels) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _has_matching(cost, levels[mid], []):
+            hi = mid
+        else:
+            lo = mid + 1
+    perm = []
+    for h in range(H):
+        perm.append(next(j for j in range(H) if j not in perm and cost[h][j] <= levels[lo]
+                         and _has_matching(cost, levels[lo], perm + [j])))
+    return replace(relabel(fresh, tuple(perm)), label_permutation=tuple(perm))
+
+
+def reference_refit_schedule(contexts, H: int, X: int, refit_every: int, seed: int,
+                             outcomes=None):
+    """The refits of a context stream one prefix at a time: at every round
+    ``t >= 8`` that ``refit_every`` divides, the moments of ``contexts[:t]``,
+    :func:`reference_spectral_estimate` with seed ``seed + 7919 * (successes
+    + 1)`` and :func:`reference_norm_align`; a failed refit keeps the
+    previous estimate.  Returns ``(schedule, failures)`` as
+    ``beliefs.refit_schedule`` does, and appends each refit's outcome (the
+    failure's class name, or ``"ok"``) to ``outcomes`` when given."""
+    from hmmbandits.errors import EstimationFailed
+
+    contexts = np.asarray(contexts, dtype=np.int64)
+    schedule, estimate = [], None
+    successes = failures = 0
+    for t in range(refit_every, contexts.size + 1, refit_every):
+        if t < 8:
+            continue
+        try:
+            fresh = reference_spectral_estimate(reference_moments(contexts[:t], X), H,
+                                                seed + 7919 * (successes + 1))
+            estimate = reference_norm_align(estimate, fresh)
+        except EstimationFailed as exc:
+            failures += 1
+            outcome = type(exc).__name__
+        else:
+            successes += 1
+            outcome = "ok"
+        if outcomes is not None:
+            outcomes.append(outcome)
+        if estimate is not None:
+            schedule.append((t, estimate))
+    return schedule, failures
 
 
 def reference_scheduled_beliefs(schedule, contexts, H: int) -> np.ndarray:

@@ -1,8 +1,13 @@
+import json
+import runpy
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmmbandits import spectral
 from hmmbandits.beliefs import (
     BeliefErrorBudget,
     belief_gaps,
@@ -11,13 +16,15 @@ from hmmbandits.beliefs import (
     u_belief,
 )
 from hmmbandits.errors import ShapeMismatch
-from hmmbandits.hmm import filter_trace, forward_pass, forward_step, sample_trajectory
+from hmmbandits.hmm import filter_trace, forward_pass, sample_trajectory
 from hmmbandits.spectral import EstimatedHmm, postprocess
 
-from conftest import random_hmm, sparse_estimate
+from conftest import TESTS_DIR, random_hmm, run_under_blas_core, sparse_estimate
 from oracles import (
+    forward_step,
     reference_forward_pass,
     reference_online_beliefs,
+    reference_refit_schedule,
     reference_scheduled_beliefs,
     stepwise_filter,
     u_belief_reference,
@@ -292,6 +299,113 @@ def test_online_beliefs_match_reference_protocol(stream):
     assert (final is None) == (want_estimate is None)
     if final is not None:
         assert final.to_text() == want_estimate.to_text()
+
+
+def assert_refits_match_loop(contexts, H, X, refit_every, seed) -> list:
+    """``refit_schedule`` equals the per-refit loop of the oracle bit for
+    bit (rounds, estimates, labels, failure count); returns the loop's
+    outcome per refit."""
+    outcomes = []
+    want, want_failures = reference_refit_schedule(contexts, H, X, refit_every, seed, outcomes)
+    got, failures = refit_schedule(contexts, H, X, refit_every, seed)
+    assert failures == want_failures
+    assert [t for t, _ in got] == [t for t, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert np.array_equal(a.transition_hat, b.transition_hat)
+        assert np.array_equal(a.emission_hat, b.emission_hat)
+        assert a.label_permutation == b.label_permutation
+    return outcomes
+
+
+def failing_streams():
+    """``(contexts, H, X, refit_every, seed)`` of two streams whose short
+    prefixes fail in every way: HMM contexts refit every 3 rounds (seeded
+    ``DiagonalizationFailed`` and ``NearSingularPivot``), and 20 zeros then
+    i.i.d. contexts refit every 4 rounds (``RankDeficient`` and
+    ``NearSingularPivot``)."""
+    params = random_hmm(np.random.default_rng(0), 3, 4, min_entry=0.05)
+    yield sample_trajectory(params, 120, seed=0).contexts, 3, 4, 3, 0
+    iid = np.random.default_rng(0).integers(0, 3, size=40)
+    yield np.concatenate([np.zeros(20, dtype=np.int64), iid]), 3, 3, 4, 0
+
+
+class TestRefitPass:
+    """The batched refit pass against the per-refit loop it replaces."""
+
+    def test_failing_prefixes(self):
+        outcomes = set()
+        for stream in failing_streams():
+            outcomes.update(assert_refits_match_loop(*stream))
+        assert {"RankDeficient", "NearSingularPivot", "DiagonalizationFailed"} <= outcomes
+
+    def test_wide_benchmark_instance(self):
+        # the wideH6-boxB benchmark cell at seed 0 (its tape and estimator
+        # seed): H = 6, X = 8, T = 16384, 128 refits in two tiles, three of
+        # them seeded DiagonalizationFailed failures
+        from hmmbandits.config import parse_config
+        from hmmbandits.runner import draw_tape, learner_seed_sequence
+
+        make = runpy.run_path(str(TESTS_DIR.parent / "perfbench" / "workloads.py"))["make"]
+        config = parse_config(make("wideH6-boxB", str(TESTS_DIR.parent), 0, "unused").ini)
+        plan = config.plan("boxB", 16384)
+        contexts = draw_tape(config, 16384, 0).contexts
+        estimator = learner_seed_sequence(config.run.master_seed, "boxB", 16384, 0).spawn(2)[1]
+        seed = int(estimator.generate_state(1)[0])
+        outcomes = assert_refits_match_loop(contexts, plan.H, plan.X, plan.refit_every, seed)
+        failed = [128 * (k + 1) for k, outcome in enumerate(outcomes) if outcome != "ok"]
+        assert len(outcomes) == 128 and failed == [256, 640, 2432]
+        assert outcomes.count("DiagonalizationFailed") == 3
+
+    @settings(deadline=None, max_examples=60)
+    @given(context_streams(), st.sampled_from([2**18, 4096, 64]))
+    def test_matches_per_refit_loop(self, stream, tile_bytes):
+        # small tiles split the refits into many tiles, down to one per tile
+        with mock.patch.object(spectral, "TILE_BYTES", tile_bytes):
+            assert_refits_match_loop(*stream)
+
+
+# Runs the refit pass and forward_pass on small cases and prints, as JSON,
+# whether each equals its one-at-a-time reference on the same OpenBLAS kernel.
+REFITS_AND_PASS = """
+import json
+import numpy as np
+from conftest import sparse_estimate
+from oracles import reference_forward_pass
+from test_beliefs import assert_refits_match_loop, failing_streams
+from hmmbandits.hmm import forward_pass
+
+def same(stream):
+    try:
+        assert_refits_match_loop(*stream)
+    except AssertionError:
+        return False
+    return True
+
+rng = np.random.default_rng(21)
+equal = {f"refits {k}": same(stream) for k, stream in enumerate(failing_streams())}
+for H, X in [(1, 3), (2, 5), (3, 5), (1, 1)]:
+    contexts = rng.integers(0, X, size=300)
+    equal[f"refits H={H} X={X}"] = same((contexts, H, X, 7, 3))
+for H in range(1, 10):
+    models = [sparse_estimate(rng, H, 5, zero_row=k == 0) for k in range(6)]
+    contexts = rng.integers(0, 5, size=400)
+    ends = np.sort(rng.integers(1, 401, size=6))
+    got = forward_pass(models, np.full(H, 1.0 / H), contexts, ends)
+    equal[f"forward_pass H={H}"] = all(
+        np.array_equal(row, reference_forward_pass(M, E, np.full(H, 1.0 / H), contexts[:end]))
+        for (M, E), end, row in zip(models, ends, got))
+print(json.dumps(equal))
+"""
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_refit_pass_and_forward_pass_under_blas_kernel(core):
+    """On each OpenBLAS kernel the stacked seed-free stage (the stacked
+    pivot products read 16-byte aligned slices) and the batched re-filter
+    equal that kernel's own one-at-a-time references."""
+    equal = json.loads(run_under_blas_core(REFITS_AND_PASS, core))
+    assert len(equal) == 2 + 4 + 9
+    assert [name for name, same in equal.items() if not same] == []
 
 
 @settings(deadline=None, max_examples=100)

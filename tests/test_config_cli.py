@@ -20,6 +20,7 @@ from hmmbandits.errors import ConfigError
 from hmmbandits.runner import blas_core, simulate_cell
 
 from conftest import run_under_blas_core
+from oracles import estimate_from_text
 
 MINIMAL = """
 [hmm]
@@ -807,9 +808,7 @@ class TestAtomicity:
         assert float(row[8]) + float(row[9]) == pytest.approx(1.0)  # the learner's belief
         # the learner-side estimate is serialized as a flat decimal block
         est_text = (out / "boxB_T40_s0.estimate.txt").read_text()
-        from hmmbandits.spectral import EstimatedHmm
-
-        est = EstimatedHmm.from_text(est_text)
+        est = estimate_from_text(est_text)
         assert est.transition_hat.shape == (2, 2)
 
     def test_summary_matches_per_round_csv(self, tmp_path):

@@ -369,10 +369,10 @@ FILTER_AND_TAPE = """
 import json
 import numpy as np
 from conftest import random_hmm, sparse_estimate
-from oracles import reference_environment_path, reference_step
+from oracles import forward_step, reference_environment_path, reference_step
 from hmmbandits.environment import (NoiseModel, RewardSpec, TransferFunction, sample_tape,
                                     sample_theta)
-from hmmbandits.hmm import filter_trace, forward_step, forward_steps
+from hmmbandits.hmm import filter_trace, forward_steps
 
 rng = np.random.default_rng(19)
 equal = {}

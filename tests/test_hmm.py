@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from hmmbandits.errors import DegenerateLikelihood, NotMixing, ShapeMismatch, TooLarge
 from hmmbandits.hmm import (
+    TILE_BYTES,
     HmmParams,
+    _pairwise_sum,
     check_forgetting,
     filter_trace,
     forgetting_rate,
     forward_pass,
-    forward_step,
     forward_steps,
     sample_trajectory,
     validate,
@@ -23,6 +24,8 @@ from conftest import random_hmm, sparse_estimate
 from oracles import (
     conditional_terminal_distribution,
     enumerate_posterior,
+    forward_step,
+    reference_chunk_step,
     reference_forward_pass,
     reference_step,
     stationary_distribution,
@@ -221,6 +224,20 @@ class TestForwardPass:
         for (M, E), end, row in zip(models, ends, got):
             assert np.array_equal(row, reference_forward_pass(M, E, prior, contexts[:end]))
 
+    def test_six_states_over_several_tiles_match_reference(self):
+        # H = 6 (the wide benchmark instance's size): 40 prefixes of up to
+        # 4,000 contexts make about 1,200 (model, chunk) pairs, more than the
+        # 910 of one tile, and zero entries reach the per-step fallback
+        rng = np.random.default_rng(21)
+        models = [sparse_estimate(rng, 6, 8, zero_row=k % 4 == 0) for k in range(40)]
+        prior = rng.dirichlet(np.ones(6))
+        contexts = rng.integers(0, 8, size=4000)
+        ends = np.sort(rng.integers(1, 4001, size=40))
+        assert ((ends - 1) // 64).sum() > TILE_BYTES // (8 * 36)
+        got = forward_pass(models, prior, contexts, ends)
+        for (M, E), end, row in zip(models, ends, got):
+            assert np.array_equal(row, reference_forward_pass(M, E, prior, contexts[:end]))
+
     def test_zero_likelihood_inside_a_chunk(self):
         # context 2 is impossible in every state: the chunk holding it falls
         # back to the per-step scan and resets to uniform there, for the
@@ -254,6 +271,58 @@ class TestForwardPass:
                 forward_pass([(M, E)] * 2, uniform, [0, 1, 2, 0], ends)
         with pytest.raises(ShapeMismatch):
             pass_one(M, E, uniform, [])
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 9),
+       st.one_of(st.just(1), st.integers(0, 455).map(lambda n: 2 * n + 1)),
+       st.floats(0.0, 0.6), st.integers(1, 5))
+def test_chunk_step_einsum_adds_products_in_order(seed, H, width, zeros, steps):
+    """forward_pass multiplies a tile's chunk products with one
+    ``np.einsum("ijp,jkp->ikp", a, prod)`` per step: the summed index j is
+    not the contiguous one, so each entry is the products added in j order,
+    bit for bit, over tiles of one pair and of odd widths up to 911, with
+    zero entries, through several chained steps."""
+    rng = np.random.default_rng(seed)
+
+    def tile():
+        a = rng.uniform(size=(H, H, width))
+        a[rng.uniform(size=a.shape) < zeros] = 0.0
+        return a
+
+    got = want = tile()
+    for _ in range(steps):
+        a = tile()
+        got = np.einsum("ijp,jkp->ikp", a, got)
+        want = reference_chunk_step(a, want)
+        assert np.array_equal(got, want)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.floats(0.0, 1e6), min_size=8, max_size=300),
+       st.lists(st.integers(-12, 0), min_size=300, max_size=300))
+def test_pairwise_sum_is_numpys(values, exponents):
+    terms = [v * 10.0**e for v, e in zip(values, exponents)]
+    assert _pairwise_sum(terms) == float(np.add.reduce(np.array(terms)))
+
+
+@pytest.mark.parametrize("H", [8, 9])
+def test_filter_kernel_at_eight_and_nine_states(H):
+    """From 8 states up numpy adds the normalizer in pairs: the kernel's
+    filter_trace and lone forward_steps segment are the reference step's
+    bits there, over zero entries and an impossible context."""
+    rng = np.random.default_rng(H)
+    M, E = sparse_estimate(rng, H, 6, zero_row=True)
+    contexts = rng.integers(0, 6, size=3000)
+    first = rng.dirichlet(np.ones(H), size=1)
+    want, _ = reference_trace(first[0], None, M, E, contexts, "uniform")
+    got = np.empty((3000, H))
+    forward_steps([(M, E)], first, contexts, [0], [3000], got)
+    assert np.array_equal(got, want)
+    params = random_hmm(rng, H, 6, min_entry=0.01)
+    want, _ = reference_trace(None, params.initial_dist, params.transition, params.emission,
+                              contexts, "raise")
+    assert np.array_equal(filter_trace(params, contexts), want)
 
 
 @settings(deadline=None, max_examples=100)

@@ -30,6 +30,7 @@ from conftest import random_hmm
 from oracles import (
     best_permutation_distance,
     count_moments,
+    estimate_from_text,
     population_moments,
     reference_align,
     stream_triple_counts,
@@ -247,7 +248,7 @@ def test_postprocess_on_raw_matrices(raw, bad, in_emission, where):
     assert np.abs(est.transition_hat.sum(axis=1) - 1.0).max() <= 1e-12
     assert np.abs(est.emission_hat.sum(axis=0) - 1.0).max() <= 1e-12
     assert est.label_permutation == tuple(range(H))
-    back = EstimatedHmm.from_text(est.to_text())
+    back = estimate_from_text(est.to_text())
     assert np.array_equal(back.transition_hat, est.transition_hat)
     assert np.array_equal(back.emission_hat, est.emission_hat)
     assert back.label_permutation == est.label_permutation
@@ -408,7 +409,7 @@ class TestSerialization:
     def test_round_trip(self, reference_params):
         est = spectral_estimate(population_moment_set(reference_params), 2, seed=0)
         text = est.to_text()
-        back = EstimatedHmm.from_text(text)
+        back = estimate_from_text(text)
         assert np.array_equal(back.transition_hat, est.transition_hat)
         assert np.array_equal(back.emission_hat, est.emission_hat)
         assert back.label_permutation == est.label_permutation
@@ -423,7 +424,7 @@ LAYOUT_BUILDS = {
     "align(None, .)": lambda p: align(None, spectral_estimate(population_moment_set(p), 2, 0)),
     "relabel": lambda p: relabel(spectral_estimate(population_moment_set(p), 2, 0), (1, 0)),
     "postprocess of F-ordered raw": lambda p: postprocess(*_fortran(p)),
-    "from_text": lambda p: EstimatedHmm.from_text(
+    "from_text": lambda p: estimate_from_text(
         spectral_estimate(population_moment_set(p), 2, 0).to_text()),
     "EstimatedHmm of F-ordered": lambda p: EstimatedHmm(*_fortran(p)),
     "HmmParams of F-ordered": lambda p: HmmParams(2, 4, p.initial_dist, *_fortran(p)),
