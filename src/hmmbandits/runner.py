@@ -2,10 +2,17 @@
 played by every policy arm of the grid, deterministic seed derivation, atomic
 artifact writing, and the estimation error-curve diagnostic behind the
 ``estimate`` subcommand.
+
+A group of two or more arms renders the CSV columns its arms take from the
+tape (``t``, ``x`` and, under ``emit_oracle_columns``, ``h`` and ``b1..bH``)
+once, and joins each arm's file from them and the arm's own columns.  A
+cell's ``duration`` counts its play alone (and the first arm's, the tape
+draw); writing is not counted.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import itertools
 import json
@@ -213,32 +220,59 @@ def simulate_cell(
 
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
-def _round_csv_text(result: CellResult, emit_oracle: bool, num_states: int) -> str:
+def _tape_columns(result: CellResult, emit_oracle: bool) -> tuple[list, list]:
+    """The columns every arm of a group takes from its tape, as one-pass
+    iterators: ``t, x`` before the arm's own columns and, under
+    ``emit_oracle``, ``h, b1..bH`` after them."""
     # .tolist() gives Python ints and floats, which render with str and repr
+    head = [map(str, range(1, result.plan.horizon + 1)), map(str, result.contexts.tolist())]
+    tail = []
+    if emit_oracle:
+        tail.append(map(str, result.hidden.tolist()))
+        tail += [map(repr, col) for col in result.true_beliefs.T.tolist()]
+    return head, tail
+
+
+def _shared_tape_columns(result: CellResult, emit_oracle: bool) -> tuple[list, list]:
+    """The tape columns rendered once, for every arm of a group of two or
+    more: each row's ``"t,x"`` and, under ``emit_oracle``, ``"h,b1,...,bH"``."""
+    return tuple([list(map(",".join, zip(*columns)))] if columns else []
+                 for columns in _tape_columns(result, emit_oracle))
+
+
+def _round_csv_text(result: CellResult, emit_oracle: bool, num_states: int,
+                    tape_columns: tuple[list, list]) -> str:
+    """One arm's per-round CSV: the group's ``tape_columns`` (from
+    ``_tape_columns`` or ``_shared_tape_columns``) around the arm's own
+    ``a, r, regret_inc`` and, under ``emit_oracle``, its ``b*_hat``."""
+    head, tail = tape_columns
     header = ["t", "x", "a", "r", "regret_inc"]
     columns = [
-        map(str, range(1, result.plan.horizon + 1)),
-        map(str, result.contexts.tolist()),
+        *head,
         map(str, result.actions.tolist()),
         map(repr, result.rewards.tolist()),
         map(repr, result.increments.tolist()),
+        *tail,
     ]
     if emit_oracle:
         header += ["h"] + [f"b{h + 1}" for h in range(num_states)]
         header += [f"b{h + 1}_hat" for h in range(num_states)]
-        columns.append(map(str, result.hidden.tolist()))
-        columns += [map(repr, col) for col in result.true_beliefs.T.tolist()]
         if result.learner_beliefs is None:  # the baselines keep empty cells
-            columns += [itertools.repeat("")] * num_states
+            columns.append(itertools.repeat("," * (num_states - 1)))
         else:
             columns += [map(repr, col) for col in result.learner_beliefs.T.tolist()]
-    lines = [",".join(header)] + [",".join(row) for row in zip(*columns)]
-    return "\n".join(lines) + "\n"
+    # the closing "" ends the text in a newline without a copy of it
+    return "\n".join(itertools.chain([",".join(header)], map(",".join, zip(*columns)), [""]))
 
 
 def _cell_filename(policy: str, horizon: int, seed_index: int) -> str:
@@ -253,7 +287,8 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
     cells, go to the process pool.  ``summary.csv`` and ``manifest.json``
     list the cells policy-major whatever the order groups complete in.
     Artifacts are written atomically (temp file + rename); a crash leaves a
-    ``FAILED`` marker next to whatever was completed.  Returns the process
+    ``FAILED`` marker next to whatever was completed.  An earlier run's
+    ``FAILED``, ``summary.csv`` and ``manifest.json`` are removed first.  Returns the process
     exit code: 0 on success, 3 on numerical failure.
     """
     out_dir = config.run.out
@@ -270,9 +305,14 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
         echo("warning: initial distribution is not stationary for M; "
              "spectral estimates assume a stationary context stream")
     groups = list(itertools.product(config.run.horizons, config.run.seeds))
+    # an earlier run's whole-run files would misreport this one
+    for stale in ("FAILED", "summary.csv", "manifest.json"):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, stale))
     _atomic_write(os.path.join(out_dir, "config_snapshot.ini"), config_snapshot(config))
 
     num_states = config.params.num_states
+    emit_oracle = config.run.emit_oracle_columns
     # per written cell, by file name; a transcript is dropped once on disk
     summary_rows: dict[str, str] = {}
     durations: dict[str, float] = {}
@@ -281,13 +321,16 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
 
     def write_group(results: list[CellResult]) -> None:
         # single-writer funnel: completed cells land on disk immediately, so
-        # an interrupted grid preserves them next to the FAILED marker
+        # an interrupted grid preserves them next to the FAILED marker;
+        # the tape's columns are rendered once when more than one arm reads them
+        tape_columns = (_shared_tape_columns if len(results) > 1 else _tape_columns)(
+            results[0], emit_oracle)
         for result in results:
             plan = result.plan
             name = _cell_filename(plan.policy, plan.horizon, result.seed_index)
             # unnamed, one arm's CSV text is freed before the next arm's is built
             _atomic_write(os.path.join(out_dir, name),
-                          _round_csv_text(result, config.run.emit_oracle_columns, num_states))
+                          _round_csv_text(result, emit_oracle, num_states, tape_columns))
             if result.estimate_text is not None:
                 _atomic_write(
                     os.path.join(out_dir, name[:-4] + ".estimate.txt"),

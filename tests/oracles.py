@@ -20,7 +20,9 @@ budget from ``u_schedule`` and the stage width from ``staged_width``;
 reproduce; and :func:`reference_refit_schedule`, the per-refit loop the
 batched refit pass must reproduce, with its own copies of the one-set
 moments, estimate and ``np.linalg.norm``-based alignment, which reuse the
-package's ``postprocess``, ``relabel`` and constants.
+package's ``postprocess``, ``relabel`` and constants; and
+:func:`reference_round_csv_text`, the per-arm CSV renderer whose bytes the
+group renderer must reproduce.
 """
 
 from __future__ import annotations
@@ -875,3 +877,29 @@ def reference_baseline_cell(params, spec, phi, horizon: int, env_seed, policy_se
         total += inc
     return (hidden, contexts, beliefs, np.array(actions), np.array(chosen),
             np.array(increments)), total
+
+
+def reference_round_csv_text(result, emit_oracle: bool, num_states: int) -> str:
+    """One arm's per-round CSV text, every column rendered from the arm's
+    own ``CellResult``: ``t,x,a,r,regret_inc`` and, under ``emit_oracle``,
+    ``h``, ``b1..bH`` and ``b1_hat..bH_hat`` (empty for the baselines)."""
+    # .tolist() gives Python ints and floats, which render with str and repr
+    header = ["t", "x", "a", "r", "regret_inc"]
+    columns = [
+        map(str, range(1, result.plan.horizon + 1)),
+        map(str, result.contexts.tolist()),
+        map(str, result.actions.tolist()),
+        map(repr, result.rewards.tolist()),
+        map(repr, result.increments.tolist()),
+    ]
+    if emit_oracle:
+        header += ["h"] + [f"b{h + 1}" for h in range(num_states)]
+        header += [f"b{h + 1}_hat" for h in range(num_states)]
+        columns.append(map(str, result.hidden.tolist()))
+        columns += [map(repr, col) for col in result.true_beliefs.T.tolist()]
+        if result.learner_beliefs is None:  # the baselines keep empty cells
+            columns += [itertools.repeat("")] * num_states
+        else:
+            columns += [map(repr, col) for col in result.learner_beliefs.T.tolist()]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"

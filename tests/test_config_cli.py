@@ -752,7 +752,8 @@ class TestCli:
 
 
 class TestAtomicity:
-    def test_failure_preserves_completed_cells_and_marker(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _explode_on_third(monkeypatch):
         import hmmbandits.runner as runner
         from hmmbandits.errors import DiagonalizationFailed
 
@@ -766,6 +767,9 @@ class TestAtomicity:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(runner, "play_arm", explode_on_third)
+
+    def test_failure_preserves_completed_cells_and_marker(self, tmp_path, monkeypatch):
+        self._explode_on_third(monkeypatch)
         out = tmp_path / "boom"
         path = write_config(tmp_path, out=str(out))
         assert cli_main(["simulate", path]) == 3
@@ -780,6 +784,56 @@ class TestAtomicity:
             lines = p.read_text().strip().splitlines()
             assert len(lines) == 1 + int(p.name.split("_T")[1].split("_")[0])
         assert not (out / "summary.csv").exists()
+
+    def test_success_after_failure_clears_marker(self, tmp_path, monkeypatch):
+        out = tmp_path / "rerun"
+        path = write_config(tmp_path, out=str(out))
+        with monkeypatch.context() as patch:
+            self._explode_on_third(patch)
+            assert cli_main(["simulate", path]) == 3
+        assert (out / "FAILED").exists()
+        assert cli_main(["simulate", path]) == 0
+        assert not (out / "FAILED").exists()
+        assert (out / "summary.csv").exists() and (out / "manifest.json").exists()
+
+    def test_failure_after_success_clears_whole_run_files(self, tmp_path, monkeypatch):
+        out = tmp_path / "rerun"
+        path = write_config(tmp_path, out=str(out))
+        assert cli_main(["simulate", path]) == 0
+        assert (out / "summary.csv").exists() and (out / "manifest.json").exists()
+        self._explode_on_third(monkeypatch)
+        assert cli_main(["simulate", path]) == 3
+        assert (out / "FAILED").exists()
+        assert not (out / "summary.csv").exists()
+        assert not (out / "manifest.json").exists()
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        import errno
+
+        import hmmbandits.runner as runner
+
+        class FullDisk:
+            """A text file whose writes fail as on a full disk."""
+
+            def __init__(self, *args, **kwargs):
+                self.fh = open(*args, **kwargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(runner, "open", FullDisk, raising=False)
+        out = tmp_path / "full"
+        path = write_config(tmp_path, out=str(out))
+        with pytest.raises(OSError, match="No space left"):
+            cli_main(["simulate", path])
+        # the first write (config_snapshot.ini) failed and left no temp file
+        assert os.listdir(out) == []
 
     def test_nonstationary_start_warns_for_spectral_runs(self, tmp_path, capsys):
         out = tmp_path / "warn"

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from hmmbandits.hmm import HmmParams, filter_trace
 from hmmbandits.runner import CellResult, draw_tape, simulate_cell, simulate_group
 
 from conftest import cell_config, random_hmm, run_under_blas_core, scripted_policy
-from oracles import mean_reward, reference_environment_path
+from oracles import mean_reward, reference_environment_path, reference_round_csv_text
 
 
 @pytest.fixture
@@ -194,7 +196,8 @@ class TestEnvironmentProtocol:
                                "random", 5, 0)
         for name in ("contexts", "actions", "rewards", "increments"):
             assert getattr(result, name).shape == (5,)
-        csv_rows = runner._round_csv_text(result, False, 2).splitlines()[1:]
+        text = runner._round_csv_text(result, False, 2, runner._tape_columns(result, False))
+        csv_rows = text.splitlines()[1:]
         assert [int(line.split(",")[0]) for line in csv_rows] == [1, 2, 3, 4, 5]
         with pytest.raises(ShapeMismatch):
             sample_tape(reference_params, spec3, phi3, 0, seed=2)
@@ -462,3 +465,65 @@ def test_group_play_equals_independent_cells(seed, H, extra_contexts, A, T, seed
                 assert isinstance(a, np.ndarray) and np.array_equal(a, b), field.name
             else:
                 assert a == b, field.name
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=60),
+    st.lists(st.sampled_from(["boxA", "boxB", "oracle", "random"]),
+             min_size=1, max_size=4, unique=True),
+    st.sampled_from(["oracle", "spectral"]),
+    st.booleans(),
+)
+@example(seed=0, H=1, T=1, policies=["random", "boxA"], beliefs="oracle", emit_oracle=True)
+@example(seed=1, H=2, T=60, policies=["boxA", "boxB"], beliefs="spectral", emit_oracle=True)
+def test_group_csv_bytes_equal_reference(seed, H, T, policies, beliefs, emit_oracle):
+    """The files run_experiment writes for a group, from tape columns it
+    renders once, hold the bytes of each arm rendered on its own.  Spectral
+    beliefs give each learner its own b*_hat columns; H = 1 gives the
+    baselines a tail of one empty cell."""
+    rng = np.random.default_rng(seed)
+    params = random_hmm(rng, H, H + 1, min_entry=0.02)
+    phi = TransferFunction.from_table(rng.normal(size=(2, params.num_contexts, 2)))
+    theta, c_theta = sample_theta(phi, H, rng)
+    spec = RewardSpec(theta_star=theta, c_theta=c_theta, noise=NoiseModel.gaussian(0.1))
+    config = cell_config(params, spec, phi, T, policies=tuple(policies), master_seed=seed,
+                         emit_oracle_columns=emit_oracle, beliefs=beliefs)
+    with tempfile.TemporaryDirectory() as out:
+        config = dataclasses.replace(config, run=dataclasses.replace(config.run, out=out))
+        assert runner.run_experiment(config, echo=lambda *_: None) == 0
+        for result in simulate_group(config, T, 0, policies):
+            got = (Path(out) / f"{result.plan.policy}_T{T}_s0.csv").read_bytes()
+            want = reference_round_csv_text(result, emit_oracle, H).encode()
+            assert got == want, result.plan.policy
+
+
+def test_tape_columns_shared_only_by_groups_of_several_arms(reference_params, spec3, phi3,
+                                                            tmp_path, monkeypatch):
+    """Each group of two or more arms renders its tape columns once, and
+    every arm of it renders from them; a one-arm group shares nothing."""
+    built, rendered = [], []
+    build, render = runner._shared_tape_columns, runner._round_csv_text
+
+    def build_spy(result, emit_oracle):
+        built.append(build(result, emit_oracle))
+        return built[-1]
+
+    def render_spy(result, emit_oracle, num_states, tape_columns):
+        rendered.append(tape_columns)
+        return render(result, emit_oracle, num_states, tape_columns)
+
+    monkeypatch.setattr(runner, "_shared_tape_columns", build_spy)
+    monkeypatch.setattr(runner, "_round_csv_text", render_spy)
+    for policies in (("random", "oracle", "boxA"), ("boxB",)):
+        config = cell_config(reference_params, spec3, phi3, 20, policies=policies,
+                             emit_oracle_columns=True, beliefs="oracle")
+        config = dataclasses.replace(config, run=dataclasses.replace(
+            config.run, horizons=(20, 30), seeds=(0, 1), out=str(tmp_path / policies[0])))
+        assert runner.run_experiment(config, echo=lambda *_: None) == 0
+    # four (horizon, seed) groups of three arms, then four of boxB alone
+    assert len(built) == 4 and len(rendered) == 16
+    assert [sum(columns is b for columns in rendered) for b in built] == [3] * 4
+    assert not any(columns is b for columns in rendered[12:] for b in built)
