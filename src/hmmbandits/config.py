@@ -30,7 +30,7 @@ from .environment import (
     sample_theta,
 )
 from .errors import ConfigError, NotMixing, ShapeMismatch
-from .hmm import HmmParams, forgetting_rate, validate
+from .hmm import HmmParams, forgetting_rate
 from .policies import CellPlan
 
 KNOWN_POLICIES = ("boxA", "boxB", "oracle", "random")
@@ -78,32 +78,16 @@ def _bool(raw: str) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
 
 
-def _policy_names(raw: str) -> tuple:
-    names = tuple(raw.split())
-    if not names or len(set(names)) < len(names):
-        # a repeated arm would write its cell twice and count it twice
-        raise ConfigError(f"'policy' in [policy] must list distinct policy names, "
-                          f"got {' '.join(names)!r}")
-    for name in names:
-        if name not in KNOWN_POLICIES:
-            raise ConfigError(f"unknown policy '{name}'; expected one of {KNOWN_POLICIES}")
-    return names
-
-
-def _horizons(raw: str) -> tuple:
-    horizons = _ints(raw)
-    if not horizons or min(horizons) < 1 or len(set(horizons)) < len(horizons):
-        raise ConfigError("horizons must be distinct positive integers")
-    return horizons
+def _distinct(test: Callable, wording: str) -> Bound:
+    """A non-empty list of distinct items, each passing ``test``: a repeated
+    arm, horizon or seed would write its cell twice and count it twice."""
+    return Bound(lambda v: len(set(v)) == len(v) > 0 and all(map(test, v)), wording)
 
 
 def _seeds(raw: str) -> tuple:
     """One number ``n`` is the indices ``0..n-1``; a longer list is the indices."""
     listed = _ints(raw)
-    seeds = tuple(range(listed[0])) if len(listed) == 1 else listed
-    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
-        raise ConfigError("seeds must be a count of at least 1 or distinct non-negative indices")
-    return seeds
+    return tuple(range(listed[0])) if len(listed) == 1 else listed
 
 
 def _ini_parser() -> configparser.ConfigParser:
@@ -208,8 +192,9 @@ KEYS = (
     Key("reward", "v_eta", _decimal, 0.1, _GE0, "<decimal >= 0>", "gaussian std (c_eta = v_eta^2)"),
     Key("reward", "c_eta", _decimal, 0.01, _GE0, "<decimal >= 0>",
         "bounded_uniform second moment (v_eta = sqrt(3 c_eta))"),
-    Key("policy", "policy", _policy_names, ("boxA",), None, "<names>",
-        "one or more of: boxA boxB oracle random", attr="policies"),
+    Key("policy", "policy", lambda raw: tuple(raw.split()), ("boxA",),
+        _distinct(KNOWN_POLICIES.__contains__, f"distinct names of {', '.join(KNOWN_POLICIES)}"),
+        "<names>", "one or more of: boxA boxB oracle random", attr="policies"),
     Key("policy", "delta", _decimal, 0.1, _OPEN_UNIT, "<decimal in (0,1)>"),
     Key("policy", "lambda", _decimal, "auto", _GT0, "<decimal > 0>",
         "auto: T^(3/4) for boxA, T^(1/2) for boxB", auto=True, attr="lam"),
@@ -224,8 +209,10 @@ KEYS = (
     Key("policy", "beliefs", str, "spectral", _one_of("spectral", "oracle"), "spectral | oracle"),
     Key("policy", "refit_every", int, "auto", _GE1, "<int >= 1>",
         "auto: ell for boxA, max(3, ceil(sqrt(T))) for boxB", auto=True),
-    Key("run", "horizons", _horizons, REQUIRED, None, "<distinct ints >= 1>"),
-    Key("run", "seeds", _seeds, (0,), None,
+    Key("run", "horizons", _ints, REQUIRED, _distinct(lambda v: v >= 1, "distinct ints >= 1"),
+        "<distinct ints >= 1>"),
+    Key("run", "seeds", _seeds, (0,),
+        _distinct(lambda v: v >= 0, "a count >= 1 or distinct indices >= 0"),
         "<count n >= 1 for indices 0..n-1, or a list of distinct indices >= 0>"),
     Key("run", "master_seed", int, 0, _GE0, "<int >= 0>",
         "overridden by LBL_SEED env var, then --seed", flag="--seed"),
@@ -414,7 +401,6 @@ def parse_config(text: str) -> ExperimentConfig:
     policy = PolicySettings(**_read(parser["policy"] if "policy" in parser else {}, "policy"))
     run = RunSettings(**_read(parser["run"], "run"))
     _check_learner_inputs(params, policy)
-    validate(params)  # shape-level sanity; regularity is reported downstream
     return ExperimentConfig(params=params, reward=reward, phi=phi, policy=policy, run=run)
 
 

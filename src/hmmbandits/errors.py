@@ -21,10 +21,6 @@ class TooLarge(HmmBanditsError):
     """Requested exhaustive enumeration exceeds the supported size bounds."""
 
 
-class TooShort(HmmBanditsError):
-    """The context stream is too short to form any moment triple."""
-
-
 class EstimationFailed(HmmBanditsError):
     """The spectral estimator found no estimate in these moments, as is
     routine on short context prefixes."""

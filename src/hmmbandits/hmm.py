@@ -1,5 +1,6 @@
-"""Ground-truth HMM representation, sampling, exact belief filtering, and
-forgetting-rate diagnostics.
+"""Ground-truth HMM representation, sampling, exact belief filtering, the
+regularity report of an instance (:func:`validate`), and forgetting-rate
+diagnostics.
 
 The hidden chain lives on ``[H]`` (0-based indices ``0..H-1`` in code), the
 finite context space on ``[X]``.  The transition matrix ``M`` is row-stochastic
@@ -98,7 +99,9 @@ def validate(params: HmmParams) -> HmmDiagnostics:
 
     Shape inconsistencies raise :class:`ShapeMismatch` (already enforced at
     construction); regularity violations are only *reported*, because the
-    exact filter and the simulator work without them.
+    exact filter and the simulator work without them.  ``run_experiment``
+    warns on ``is_stationary_init``; the benchmark (``perfbench/run.py``)
+    records the rest with its readings.
     """
     M, E, pi = params.transition, params.emission, params.initial_dist
     eps_M = float(M.min())

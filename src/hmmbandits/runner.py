@@ -1,7 +1,8 @@
 """Experiment orchestration: one environment tape per (horizon, seed) group,
 played by every policy arm of the grid, deterministic seed derivation, atomic
 artifact writing, and the estimation error-curve diagnostic behind the
-``estimate`` subcommand.
+``estimate`` subcommand, which runs the estimator stages of
+:mod:`hmmbandits.spectral` stacked over a seed's checkpoints.
 
 A group of two or more arms renders the CSV columns its arms take from the
 tape (``t``, ``x`` and, under ``emit_oracle_columns``, ``h`` and ``b1..bH``)
@@ -17,6 +18,7 @@ import ctypes
 import itertools
 import json
 import os
+import re
 import time
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -27,14 +29,16 @@ import numpy as np
 
 from . import __version__
 from .beliefs import belief_gaps, refit_schedule, scheduled_beliefs
-from .config import LEARNERS, ExperimentConfig, config_snapshot
+from .config import KNOWN_POLICIES, LEARNERS, ExperimentConfig, config_snapshot
 from .environment import EnvironmentTape, sample_tape
 from .errors import ConfigError, EstimationFailed, HmmBanditsError, ShapeMismatch
-from .hmm import TILE_BYTES
+from .hmm import TILE_BYTES, filter_trace, sample_trajectory, validate
 from .policies import BoxAPolicy, BoxBPolicy, CellPlan
-from .spectral import EstimatedHmm, accumulate_moments, align, relabel, spectral_estimate
+from .spectral import EstimatedHmm, align, prefix_tables, relabel, subspaces
 
 GAMMA_CAP = 1.0 - 1e-6
+# the per-cell files a run writes: <policy>_T<horizon>_s<seed>.csv and .estimate.txt
+CELL_FILE = re.compile(rf"({'|'.join(KNOWN_POLICIES)})_T[0-9]+_s[0-9]+\.(csv|estimate\.txt)")
 
 
 def environment_seed_sequence(
@@ -211,13 +215,6 @@ def simulate_group(
     return results
 
 
-def simulate_cell(
-    config: ExperimentConfig, policy_name: str, horizon: int, seed_index: int
-) -> CellResult:
-    """Run one (policy, horizon, seed) cell: the one-arm group."""
-    return simulate_group(config, horizon, seed_index, [policy_name])[0]
-
-
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp-{os.getpid()}"
     try:
@@ -288,13 +285,12 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
     list the cells policy-major whatever the order groups complete in.
     Artifacts are written atomically (temp file + rename); a crash leaves a
     ``FAILED`` marker next to whatever was completed.  An earlier run's
-    ``FAILED``, ``summary.csv`` and ``manifest.json`` are removed first.  Returns the process
-    exit code: 0 on success, 3 on numerical failure.
+    ``FAILED``, ``summary.csv``, ``manifest.json`` and per-cell files
+    (:data:`CELL_FILE`) are removed first.  Returns the process exit code: 0
+    on success, 3 on numerical failure.
     """
     out_dir = config.run.out
     os.makedirs(out_dir, exist_ok=True)
-    from .hmm import validate
-
     policies = config.policy.policies
     uses_spectral = config.policy.beliefs == "spectral" and any(
         name in LEARNERS for name in policies
@@ -305,10 +301,11 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
         echo("warning: initial distribution is not stationary for M; "
              "spectral estimates assume a stationary context stream")
     groups = list(itertools.product(config.run.horizons, config.run.seeds))
-    # an earlier run's whole-run files would misreport this one
-    for stale in ("FAILED", "summary.csv", "manifest.json"):
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(os.path.join(out_dir, stale))
+    # an earlier run's files would misreport this one
+    for stale in os.listdir(out_dir):
+        if stale in ("FAILED", "summary.csv", "manifest.json") or CELL_FILE.fullmatch(stale):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, stale))
     _atomic_write(os.path.join(out_dir, "config_snapshot.ini"), config_snapshot(config))
 
     num_states = config.params.num_states
@@ -410,9 +407,11 @@ def estimation_curves(config: ExperimentConfig, echo=print) -> list:
 
     Returns rows ``(t, frobenius_M_err, frobenius_E_err, median_l1_belief_gap)``
     where the belief gap is the median over the second half of the prefix.
+    Each seed's checkpoint prefixes take their moments from one running
+    count and their seed-free stage stacked (``spectral.prefix_tables`` and
+    ``subspaces``); checkpoint ``k`` draws its rotations from the
+    trajectory seed plus ``k``.
     """
-    from .hmm import filter_trace, sample_trajectory
-
     params = config.params
     H, X = params.num_states, params.num_contexts
     # not through postprocess: renormalizing a row of 1/n moves its last bit
@@ -435,12 +434,13 @@ def estimation_curves(config: ExperimentConfig, echo=print) -> list:
         trajectory = sample_trajectory(params, longest, seed=traj_seed)
         # every checkpoint prefix extends the last: filter the truth once
         truth = filter_trace(params, trajectory.contexts)
+        tiles = prefix_tables(trajectory.contexts, X, checkpoints)
+        stages = (stage for tables in tiles for stage in subspaces(*tables, H))
         estimate = None
-        for k, t in enumerate(checkpoints):
+        for k, (t, stage) in enumerate(zip(checkpoints, stages)):
             prefix = trajectory.contexts[:t]
-            moments = accumulate_moments(prefix, params.num_contexts)
             try:
-                fresh = spectral_estimate(moments, params.num_states, seed=traj_seed + k)
+                fresh = stage.estimate(traj_seed + k)
             except EstimationFailed:
                 # small-sample pathology: score the checkpoint as the
                 # no-information estimate and keep the curve well-defined

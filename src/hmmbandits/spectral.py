@@ -2,13 +2,13 @@
 stream, post-processing to valid stochastic matrices, and the permutation
 alignment that keeps hidden-state labels consistent across re-estimations.
 
-Pipeline: ``accumulate_moments -> spectral_estimate -> align``;
-``spectral_estimate`` ends in :func:`postprocess`.  Its seed-free stage
-(:func:`subspaces`: SVDs, sign fix, rank and pivot checks, pivot inverse)
-runs stacked over many moment sets, such as the tiles of refit prefixes of
-a stream (:func:`prefix_tables`); its seeded stage
-(:meth:`Subspaces.estimate`) runs per moment set.  One moment set is a
-stack of one.
+Pipeline: ``prefix_tables -> subspaces -> Subspaces.estimate -> align``;
+:meth:`Subspaces.estimate` ends in :func:`postprocess`.  The moment tables
+of many prefixes of a stream come from one running count
+(:func:`prefix_tables`), and their seed-free stage (:func:`subspaces`:
+SVDs, sign fix, rank and pivot checks, pivot inverse) runs stacked, a tile
+at a time; the seeded stage (:meth:`Subspaces.estimate`) runs per moment
+set.
 """
 
 from __future__ import annotations
@@ -19,37 +19,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (DiagonalizationFailed, NearSingularPivot, NonFinite, RankDeficient,
-                     ShapeMismatch, TooShort)
+                     ShapeMismatch)
 from .hmm import TILE_BYTES, _freeze
 
 COND_LIMIT = 1e12
 RANK_TOL = 1e-12
 IMAG_TOL = 1e-6
 RETRY_BUDGET = 10
-
-
-@dataclass(frozen=True)
-class MomentSet:
-    """Empirical co-occurrence tables over context triples ``(x_{s+1}, x_{s-1}, x_s)``.
-
-    ``p31[i, j]`` is the empirical probability of ``x_{s+1} = i, x_{s-1} = j``,
-    ``p32[i, k]`` of ``x_{s+1} = i, x_s = k``, and ``p312[i, j, k]`` the full
-    triple table; each sums to 1 over the ``sample_count - 2`` triples.
-    """
-
-    p31: np.ndarray
-    p32: np.ndarray
-    p312: np.ndarray
-    sample_count: int
-
-
-def accumulate_moments(contexts, num_contexts: int) -> MomentSet:
-    """The moment tables of a whole context stream (:func:`prefix_tables`)."""
-    x = np.asarray(contexts, dtype=np.int64)
-    if x.size < 3:
-        raise TooShort("need at least 3 contexts to form a moment triple")
-    p31, p32, p312 = next(prefix_tables(x, num_contexts, [x.size]))
-    return MomentSet(p31=p31[0], p32=p32[0], p312=p312[0], sample_count=int(x.size))
 
 
 def _stack(K: int, *shape) -> np.ndarray:
@@ -64,7 +40,12 @@ def prefix_tables(contexts, num_contexts: int, ends):
     (``t`` in the sorted ``ends``, each at least 3), a tile of at most
     ``hmm.TILE_BYTES`` of triple tables at a time, from one running count: a
     tile's new triples ``(x_{s+1} * X + x_{s-1}) * X + x_s`` in one
-    ``np.bincount`` keyed by prefix, summed cumulatively; then marginals."""
+    ``np.bincount`` keyed by prefix, summed cumulatively; then marginals.
+
+    Over the ``t - 2`` triples ``(x_{s+1}, x_{s-1}, x_s)`` of a prefix,
+    ``p31[i, j]`` is the empirical probability of ``x_{s+1} = i, x_{s-1} =
+    j``, ``p32[i, k]`` of ``x_{s+1} = i, x_s = k``, and ``p312[i, j, k]``
+    the full triple table."""
     X = int(num_contexts)
     x = np.asarray(contexts, dtype=np.int64)[:ends[-1]]
     if x.min() < 0 or x.max() >= X:
@@ -133,7 +114,16 @@ class Subspaces:
     pivot_inv: np.ndarray | None
 
     def estimate(self, seed: int) -> EstimatedHmm:
-        """The seeded stage of :func:`spectral_estimate`, with ``seed``."""
+        """Estimate ``(M, E)`` from this moment set (labels arbitrary, unaligned).
+
+        The triple table is contracted along random directions drawn from
+        ``seed`` and simultaneously diagonalized in the shared eigenbasis
+        ``R``.  If the eigensystem is complex or defective beyond tolerance,
+        a fresh rotation is drawn (budget of ``RETRY_BUDGET``); then
+        :class:`DiagonalizationFailed` is raised.  Eigenvector signs are
+        arbitrary, so the raw transition's rows are flipped to nonnegative
+        sums; :func:`postprocess` makes the estimate stochastic.
+        """
         H, u3, u1, u2, pivot_inv = self.u3.shape[1], self.u3, self.u1, self.u2, self.pivot_inv
         if self.sigma < RANK_TOL:
             raise RankDeficient(f"{H}-th singular value of p31 is {self.sigma:.3e} < {RANK_TOL}")
@@ -180,10 +170,11 @@ class Subspaces:
 
 def subspaces(p31: np.ndarray, p32: np.ndarray, p312: np.ndarray, H: int) -> list:
     """The seed-free stage of a stack of moment sets, one :class:`Subspaces`
-    each: SVDs, sign fix (each basis column's largest entry positive), the
-    pivot ``u3^T p31 u1``, its condition and inverse, each one call over the
-    stack.  numpy runs a stacked SVD or inverse as the LAPACK call on each
-    matrix, and products read :func:`_stack` slices, so each keeps its bits."""
+    each: SVDs (singular values descending, ties by index), sign fix (each
+    basis column's largest entry positive), the pivot ``u3^T p31 u1``, its
+    condition and inverse, each one call over the stack.  numpy runs a
+    stacked SVD or inverse as the LAPACK call on each matrix, and products
+    read :func:`_stack` slices, so each keeps its bits."""
     K, X, _ = p31.shape
     if H > X:
         raise ShapeMismatch(f"H = {H} must not exceed X = {X}")
@@ -204,24 +195,6 @@ def subspaces(p31: np.ndarray, p32: np.ndarray, p312: np.ndarray, H: int) -> lis
         pivot_inv[ok] = np.linalg.inv(pivot[ok])
     return [Subspaces(p312[k], float(s31[k, H - 1]), u3[k], u1[k], u2[k],
                       pivot_inv[k] if ok[k] else None) for k in range(K)]
-
-
-def spectral_estimate(moments: MomentSet, H: int, seed: int) -> EstimatedHmm:
-    """Estimate ``(M, E)`` from moment tables (labels arbitrary, unaligned).
-
-    SVDs of the pairwise tables give the subspace bases; the triple table is
-    contracted along random directions drawn from ``seed`` and simultaneously
-    diagonalized in the shared eigenbasis ``R``.  Singular values are taken in
-    descending order with index tie-break.  If the eigensystem is complex or
-    defective beyond tolerance, a fresh rotation is drawn (budget of
-    ``RETRY_BUDGET``); then :class:`DiagonalizationFailed` is raised.
-    Eigenvector signs are arbitrary, so the raw transition's rows are flipped
-    to nonnegative sums; :func:`postprocess` makes the estimate stochastic.
-    """
-    if moments.sample_count < 3:
-        raise TooShort("moment set built from fewer than 3 contexts")
-    (stage,) = subspaces(moments.p31[None], moments.p32[None], moments.p312[None], H)
-    return stage.estimate(seed)
 
 
 def _clip_normalize(vectors: np.ndarray) -> np.ndarray:

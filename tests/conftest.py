@@ -9,6 +9,8 @@ import pytest
 
 from hmmbandits.config import ExperimentConfig, PolicySettings, RunSettings
 from hmmbandits.hmm import HmmParams
+from hmmbandits.runner import simulate_group
+from hmmbandits.spectral import prefix_tables, subspaces
 
 
 @pytest.fixture
@@ -77,6 +79,25 @@ def cell_config(params, spec, phi, horizon, policies=("random",), master_seed=5,
         run=RunSettings(horizons=(horizon,), seeds=(0,), master_seed=master_seed,
                         emit_oracle_columns=emit_oracle_columns),
     )
+
+
+def simulate_cell(config, policy_name: str, horizon: int, seed_index: int):
+    """One (policy, horizon, seed) cell: the one-arm group."""
+    return simulate_group(config, horizon, seed_index, [policy_name])[0]
+
+
+def stream_moments(contexts, num_contexts: int):
+    """The moment tables ``(p31, p32, p312)`` of a whole context stream: its
+    one prefix through ``spectral.prefix_tables``."""
+    tables = next(prefix_tables(contexts, num_contexts, [len(contexts)]))
+    return tuple(table[0] for table in tables)
+
+
+def one_set_estimate(tables, H: int, seed: int):
+    """The package's estimate of one moment set ``(p31, p32, p312)``: a stack
+    of one through ``spectral.subspaces``, then its seeded stage."""
+    (stage,) = subspaces(*(table[None] for table in tables), H)
+    return stage.estimate(seed)
 
 
 def scripted_policy(choose, log):

@@ -20,7 +20,10 @@ budget from ``u_schedule`` and the stage width from ``staged_width``;
 reproduce; and :func:`reference_refit_schedule`, the per-refit loop the
 batched refit pass must reproduce, with its own copies of the one-set
 moments, estimate and ``np.linalg.norm``-based alignment, which reuse the
-package's ``postprocess``, ``relabel`` and constants; and
+package's ``postprocess``, ``relabel`` and constants;
+:func:`reference_estimation_curves`, the per-checkpoint loop the stacked
+``estimation_curves`` must reproduce, on the same copies and the package's
+scoring; and
 :func:`reference_round_csv_text`, the per-arm CSV renderer whose bytes the
 group renderer must reproduce.
 """
@@ -127,7 +130,7 @@ def reference_online_beliefs(contexts, H: int, X: int, refit_every: int, seed: i
     ``(beliefs, failures, final estimate or None)``.
     """
     from hmmbandits.errors import EstimationFailed
-    from hmmbandits.spectral import MomentSet, align, spectral_estimate
+    from hmmbandits.spectral import align, subspaces
 
     xs = [int(x) for x in contexts]
     uniform = np.full(H, 1.0 / H)
@@ -138,9 +141,9 @@ def reference_online_beliefs(contexts, H: int, X: int, refit_every: int, seed: i
         refit = t % refit_every == 0 and t >= 8
         if refit:
             n = float(t - 2)
-            moments = MomentSet(p31=c31 / n, p32=c32 / n, p312=c312 / n, sample_count=t)
+            (stage,) = subspaces((c31 / n)[None], (c32 / n)[None], (c312 / n)[None], H)
             try:
-                fresh = spectral_estimate(moments, H, seed=seed + 7919 * (successes + 1))
+                fresh = stage.estimate(seed + 7919 * (successes + 1))
             except EstimationFailed:
                 failures += 1
             else:
@@ -279,16 +282,13 @@ def reference_chunk_step(a: np.ndarray, prod: np.ndarray) -> np.ndarray:
 
 
 def reference_moments(contexts, num_contexts: int):
-    """The moment tables of ``contexts`` from one ``np.bincount`` of its
-    triples (the one-prefix count, as a ``MomentSet``)."""
-    from hmmbandits.spectral import MomentSet
-
+    """The moment tables ``(p31, p32, p312)`` of ``contexts`` from one
+    ``np.bincount`` of its triples (the one-prefix count)."""
     x = np.asarray(contexts, dtype=np.int64)
     X = num_contexts
     n = x.size - 2
     c312 = np.bincount((x[2:] * X + x[:-2]) * X + x[1:-1], minlength=X**3).reshape(X, X, X)
-    return MomentSet(p31=c312.sum(axis=2) / n, p32=c312.sum(axis=1) / n, p312=c312 / n,
-                     sample_count=int(x.size))
+    return c312.sum(axis=2) / n, c312.sum(axis=1) / n, c312 / n
 
 
 def _fix_svd_signs(basis: np.ndarray) -> np.ndarray:
@@ -302,26 +302,28 @@ def _fix_svd_signs(basis: np.ndarray) -> np.ndarray:
 
 
 def reference_spectral_estimate(moments, H: int, seed: int):
-    """The spectral estimate of one moment set, every step on that set
-    alone: the SVDs, the sign fix column by column, the rank and pivot
-    checks, then the rotations drawn one at a time from ``seed``."""
+    """The spectral estimate of one moment set ``(p31, p32, p312)``, every
+    step on that set alone: the SVDs, the sign fix column by column, the
+    rank and pivot checks, then the rotations drawn one at a time from
+    ``seed``."""
     from hmmbandits.errors import DiagonalizationFailed, NearSingularPivot, RankDeficient
     from hmmbandits.spectral import COND_LIMIT, IMAG_TOL, RANK_TOL, RETRY_BUDGET, postprocess
 
-    u3_full, s31, v31t = np.linalg.svd(moments.p31)
+    p31, p32, p312 = moments
+    u3_full, s31, v31t = np.linalg.svd(p31)
     if s31[H - 1] < RANK_TOL:
         raise RankDeficient(f"{H}-th singular value of p31 is {s31[H - 1]:.3e} < {RANK_TOL}")
     u3 = _fix_svd_signs(u3_full[:, :H])
     u1 = _fix_svd_signs(v31t[:H, :].T)
-    _, _, v32t = np.linalg.svd(moments.p32)
+    _, _, v32t = np.linalg.svd(p32)
     u2 = _fix_svd_signs(v32t[:H, :].T)
-    pivot = u3.T @ moments.p31 @ u1
+    pivot = u3.T @ p31 @ u1
     if np.linalg.cond(pivot) > COND_LIMIT:
         raise NearSingularPivot("projected pairwise moment matrix is near singular")
     pivot_inv = np.linalg.inv(pivot)
 
     def contracted_b(z):
-        return (u3.T @ np.einsum("ijk,k->ij", moments.p312, z) @ u1) @ pivot_inv
+        return (u3.T @ np.einsum("ijk,k->ij", p312, z) @ u1) @ pivot_inv
 
     rng = np.random.default_rng(seed)
     for _ in range(RETRY_BUDGET):
@@ -434,6 +436,46 @@ def reference_refit_schedule(contexts, H: int, X: int, refit_every: int, seed: i
         if estimate is not None:
             schedule.append((t, estimate))
     return schedule, failures
+
+
+def reference_estimation_curves(config):
+    """``runner.estimation_curves`` one checkpoint at a time: for each seed
+    and checkpoint ``k``, the prefix's :func:`reference_moments`,
+    :func:`reference_spectral_estimate` with seed ``traj_seed + k`` (the
+    uniform estimate if it fails) and :func:`reference_norm_align`, scored
+    by the package's truth orientation and belief gaps.  Returns the rows
+    ``(t, M_err, E_err, gap)``, each a mean over the seeds."""
+    from hmmbandits.beliefs import belief_gaps
+    from hmmbandits.errors import EstimationFailed
+    from hmmbandits.hmm import filter_trace, sample_trajectory
+    from hmmbandits.runner import _orient_to_truth, learner_seed_sequence
+    from hmmbandits.spectral import EstimatedHmm
+
+    params, run = config.params, config.run
+    H, X = params.num_states, params.num_contexts
+    uniform = EstimatedHmm(np.full((H, H), 1.0 / H), np.full((X, H), 1.0 / X))
+    checkpoints = sorted(run.horizons)
+    sums = np.zeros((len(checkpoints), 3))
+    for seed_index in run.seeds:
+        ss = learner_seed_sequence(run.master_seed, "estimate", checkpoints[-1], seed_index)
+        traj_seed = int(ss.generate_state(1)[0])
+        contexts = sample_trajectory(params, checkpoints[-1], seed=traj_seed).contexts
+        truth = filter_trace(params, contexts)
+        estimate = None
+        for k, t in enumerate(checkpoints):
+            try:
+                fresh = reference_spectral_estimate(reference_moments(contexts[:t], X), H,
+                                                    traj_seed + k)
+            except EstimationFailed:
+                fresh = uniform
+            estimate = reference_norm_align(estimate, fresh)
+            oriented, m_err, e_err = _orient_to_truth(estimate, params.transition,
+                                                      params.emission)
+            gaps = belief_gaps(truth[:t], [(1, oriented)], contexts[:t])
+            sums[k] += (m_err, e_err, float(np.median(gaps[t // 2:])))
+    n = len(run.seeds)
+    return [(t, sums[k, 0] / n, sums[k, 1] / n, sums[k, 2] / n)
+            for k, t in enumerate(checkpoints)]
 
 
 def reference_scheduled_beliefs(schedule, contexts, H: int) -> np.ndarray:

@@ -20,10 +20,9 @@ from hmmbandits.config import ExperimentConfig, PolicySettings, RunSettings, loa
 from hmmbandits.environment import NoiseModel, RewardSpec, TransferFunction, sample_theta
 from hmmbandits.evaluation import fit_rate, run_lemma_trials
 from hmmbandits.hmm import HmmParams, filter_trace, sample_trajectory
-from hmmbandits.runner import draw_tape, play_arm, simulate_cell
-from hmmbandits.spectral import accumulate_moments, spectral_estimate
+from hmmbandits.runner import draw_tape, play_arm
 
-from conftest import random_hmm
+from conftest import one_set_estimate, random_hmm, simulate_cell, stream_moments
 from oracles import best_permutation_distance, enumerate_posterior, population_moments
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "reference.ini"
@@ -98,11 +97,7 @@ def test_criterion_2_population_moment_recovery():
         if diag.eps_M < 0.1 or diag.sigma_min_E < 0.1:
             continue
         produced += 1
-        p31, p32, p312 = population_moments(params)
-        from hmmbandits.spectral import MomentSet
-
-        moments = MomentSet(p31=p31, p32=p32, p312=p312, sample_count=10**9)
-        est = spectral_estimate(moments, H=2, seed=produced)
+        est = one_set_estimate(population_moments(params), H=2, seed=produced)
         worst = max(
             worst,
             best_permutation_distance(est.transition_hat, params.transition, "both"),
@@ -130,9 +125,9 @@ def test_criterion_3_spectral_consistency_direction():
         traj = sample_trajectory(params, 100_000, seed=seed)
         errs = {}
         for t in (1000, 100_000):
-            moments = accumulate_moments(traj.contexts[:t], params.num_contexts)
+            moments = stream_moments(traj.contexts[:t], params.num_contexts)
             try:
-                est = spectral_estimate(moments, H=2, seed=seed)
+                est = one_set_estimate(moments, H=2, seed=seed)
             except DiagonalizationFailed:
                 # a small-sample moment set can have a complex eigenstructure
                 # for every contraction direction: score it as the

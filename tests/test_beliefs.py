@@ -24,6 +24,7 @@ from oracles import (
     forward_step,
     reference_forward_pass,
     reference_online_beliefs,
+    reference_estimation_curves,
     reference_refit_schedule,
     reference_scheduled_beliefs,
     stepwise_filter,
@@ -362,6 +363,40 @@ class TestRefitPass:
         # small tiles split the refits into many tiles, down to one per tile
         with mock.patch.object(spectral, "TILE_BYTES", tile_bytes):
             assert_refits_match_loop(*stream)
+
+
+
+@st.composite
+def estimation_configs(draw):
+    """An ``estimate`` run: H <= 4, X <= 5, checkpoints from 3 up (short
+    prefixes fail to estimate), 1 to 4 seeds."""
+    from hmmbandits.config import ExperimentConfig, PolicySettings, RunSettings
+
+    H = draw(st.integers(1, 4))
+    X = draw(st.integers(H, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    params = random_hmm(rng, H, X, min_entry=draw(st.sampled_from([0.0, 0.05])))
+    horizons = draw(st.lists(st.integers(3, 300), min_size=1, max_size=6, unique=True))
+    run = RunSettings(horizons=tuple(horizons), seeds=tuple(range(draw(st.integers(1, 4)))),
+                      master_seed=draw(st.integers(0, 2**32 - 1)))
+    return ExperimentConfig(params=params, reward=None, phi=None, policy=PolicySettings(),
+                            run=run)
+
+
+class TestEstimationCurves:
+    """The stacked checkpoint estimates of ``estimation_curves`` against the
+    per-checkpoint loop they replace."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(estimation_configs(), st.sampled_from([2**18, 64]))
+    def test_matches_per_checkpoint_loop(self, config, tile_bytes):
+        from hmmbandits.runner import estimation_curves
+
+        with mock.patch.object(spectral, "TILE_BYTES", tile_bytes):
+            got = estimation_curves(config, echo=lambda _: None)
+        want = reference_estimation_curves(config)
+        # repr shows each value's type and bits (np.float64(...)), as the CSV pins them
+        assert repr(got) == repr(want)
 
 
 # Runs the refit pass and forward_pass on small cases and prints, as JSON,

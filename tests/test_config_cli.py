@@ -17,9 +17,9 @@ from hmmbandits.cli import main as cli_main
 from hmmbandits.config import KEYS, KNOWN_POLICIES, apply_overrides, config_snapshot, parse_config
 from hmmbandits.environment import check_reward_bounds
 from hmmbandits.errors import ConfigError
-from hmmbandits.runner import blas_core, simulate_cell
+from hmmbandits.runner import blas_core
 
-from conftest import run_under_blas_core
+from conftest import run_under_blas_core, simulate_cell
 from oracles import estimate_from_text
 
 MINIMAL = """
@@ -226,7 +226,8 @@ OUT_OF_RANGE = {
     ("policy", "c_theta"): "-1", ("policy", "c_eta"): "-1", ("policy", "v_eta"): "-1",
     ("policy", "bonus_scope"): "auto", ("policy", "beliefs"): "auto",
     ("policy", "refit_every"): "0", ("run", "master_seed"): "-1", ("run", "out"): "",
-    ("run", "workers"): "0",
+    ("run", "workers"): "0", ("policy", "policy"): "boxA boxA", ("run", "horizons"): "0",
+    ("run", "seeds"): "0",
 }
 
 
@@ -438,10 +439,11 @@ class TestCli:
         ("theta_seed = 3", "theta_seed = 3\ntheta_target = 1.5", [],
          r"'theta_target' in \[reward\] must be in \(0, 1\]"),
         ("policy = oracle random", "policy = random random", [],
-         r"'policy' in \[policy\] must list distinct"),
+         r"'policy' in \[policy\] must be distinct names of boxA, boxB, oracle, random"),
         ("policy = oracle random", "policy = oracle random boxA oracle", [],
-         r"'policy' in \[policy\] must list distinct"),
-        ("policy = oracle random", "policy =", [], r"'policy' in \[policy\] must list distinct"),
+         r"'policy' in \[policy\] must be distinct names of boxA, boxB, oracle, random"),
+        ("policy = oracle random", "policy =", [],
+         r"'policy' in \[policy\] must be distinct names of boxA, boxB, oracle, random"),
         ("master_seed = 11", "master_seed = -5", [], r"'master_seed' in \[run\] must be >= 0"),
         ("theta_seed = 3", "theta_seed = -2", [], r"'theta_seed' in \[reward\] must be >= 0"),
         # decimals must be finite
@@ -476,6 +478,14 @@ class TestCli:
          "configuration error: degenerate transfer/theta draw"),
         (None, None, ["--seed", "-1"], "--seed and LBL_SEED must be >= 0"),
         (None, None, {"LBL_SEED": "-1"}, "--seed and LBL_SEED must be >= 0"),
+        # the list keys take the shared message too
+        ("policy = oracle random", "policy = thompson", [],
+         r"'policy' in \[policy\] must be distinct names of boxA, boxB, oracle, random, "
+         r"got 'thompson'"),
+        ("horizons = 32 64", "horizons = 16 32 16", [],
+         r"'horizons' in \[run\] must be distinct ints >= 1, got '16 32 16'"),
+        ("seeds = 2", "seeds = 0", [],
+         r"'seeds' in \[run\] must be a count >= 1 or distinct indices >= 0, got '0'"),
     ])
     def test_out_of_range_value_exit_2(self, tmp_path, monkeypatch, capsys, old, new, flags,
                                        named):
@@ -806,6 +816,25 @@ class TestAtomicity:
         assert (out / "FAILED").exists()
         assert not (out / "summary.csv").exists()
         assert not (out / "manifest.json").exists()
+
+    def test_rerun_removes_stale_cell_files(self, tmp_path):
+        # a re-run into the same directory keeps no cell file it does not write
+        out = tmp_path / "rerun"
+        text = MINIMAL.replace("policy = oracle random", "policy = boxB random")
+        path = write_config(tmp_path, text, out=str(out))
+        assert cli_main(["simulate", path]) == 0
+        assert (out / "boxB_T64_s1.estimate.txt").exists()
+        keep = ["boxB_T64_s1.csv.bak", "notes.txt", "boxC_T64_s1.csv", "random_T64.csv"]
+        for name in keep:
+            (out / name).write_text("not a cell file of this package\n")
+        # oracle beliefs write no estimate; one horizon drops the T = 64 cells
+        path = write_config(tmp_path, text.replace("policy = boxB random",
+                                                   "policy = boxB random\nbeliefs = oracle")
+                            .replace("horizons = 32 64", "horizons = 32"), out=str(out))
+        assert cli_main(["simulate", path]) == 0
+        cells = [f"{policy}_T32_s{seed}.csv" for policy in ("boxB", "random") for seed in (0, 1)]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            cells + keep + ["config_snapshot.ini", "manifest.json", "summary.csv"])
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
         import errno

@@ -19,9 +19,9 @@ from hmmbandits.environment import (
 )
 from hmmbandits.errors import ShapeMismatch
 from hmmbandits.hmm import HmmParams, filter_trace
-from hmmbandits.runner import CellResult, draw_tape, simulate_cell, simulate_group
+from hmmbandits.runner import CellResult, draw_tape, simulate_group
 
-from conftest import cell_config, random_hmm, run_under_blas_core, scripted_policy
+from conftest import cell_config, random_hmm, run_under_blas_core, scripted_policy, simulate_cell
 from oracles import mean_reward, reference_environment_path, reference_round_csv_text
 
 

@@ -17,9 +17,9 @@ from hmmbandits.evaluation import (
     run_lemma_trials,
 )
 from hmmbandits.hmm import HmmParams
-from hmmbandits.runner import draw_tape, simulate_cell
+from hmmbandits.runner import draw_tape
 
-from conftest import cell_config, random_hmm, scripted_policy
+from conftest import cell_config, random_hmm, scripted_policy, simulate_cell
 from oracles import reference_baseline_cell
 
 

@@ -22,7 +22,7 @@ from hmmbandits.policies import (
     u_schedule,
 )
 
-from conftest import cell_config, run_under_blas_core
+from conftest import cell_config, run_under_blas_core, simulate_cell
 from oracles import (
     batch_ridge,
     box_a_bonus_reference,
@@ -631,7 +631,6 @@ class TestActSelection:
         # the random arm draws one integers(A) per round from the first child
         # of its learner-side seed sequence, not from an environment stream
         from hmmbandits.environment import NoiseModel, RewardSpec, sample_theta
-        from hmmbandits.runner import simulate_cell
         from hmmbandits.runner import learner_seed_sequence
 
         phi = build_phi(A=3, X=4)

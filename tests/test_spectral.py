@@ -13,20 +13,11 @@ from hmmbandits.errors import (
     NonFinite,
     RankDeficient,
     ShapeMismatch,
-    TooShort,
 )
 from hmmbandits.hmm import HmmParams, sample_trajectory
-from hmmbandits.spectral import (
-    EstimatedHmm,
-    MomentSet,
-    accumulate_moments,
-    align,
-    postprocess,
-    relabel,
-    spectral_estimate,
-)
+from hmmbandits.spectral import EstimatedHmm, align, postprocess, prefix_tables, relabel
 
-from conftest import random_hmm
+from conftest import one_set_estimate, random_hmm, stream_moments
 from oracles import (
     best_permutation_distance,
     count_moments,
@@ -37,35 +28,26 @@ from oracles import (
 )
 
 
-def population_moment_set(params) -> MomentSet:
-    p31, p32, p312 = population_moments(params)
-    # sample_count is only a validity gate here; population tables are exact
-    return MomentSet(p31=p31, p32=p32, p312=p312, sample_count=10**9)
-
-
 class TestMoments:
     def test_constant_stream_concentrates(self):
-        ms = accumulate_moments([0] * 10, num_contexts=2)
-        assert ms.p31[0, 0] == pytest.approx(1.0)
-        assert ms.p31.sum() == pytest.approx(1.0)
+        p31, _, _ = stream_moments([0] * 10, num_contexts=2)
+        assert p31[0, 0] == pytest.approx(1.0)
+        assert p31.sum() == pytest.approx(1.0)
 
     def test_two_triple_stream_counts(self):
         # stream (1,2,1,2) in 1-based context labels; triples are
         # (x3,x1,x2)=(1,1,2) and (x4,x2,x3)=(2,2,1), recomputed by the
         # counting oracle below
         stream = [0, 1, 0, 1]
-        ms = accumulate_moments(stream, num_contexts=2)
-        p31, p32, p312 = count_moments(stream, 2)
-        assert np.allclose(ms.p31, p31)
-        assert np.allclose(ms.p32, p32)
-        assert np.allclose(ms.p312, p312)
-        assert ms.p31 == pytest.approx(np.diag([0.5, 0.5]))
+        tables = stream_moments(stream, num_contexts=2)
+        for table, want in zip(tables, count_moments(stream, 2)):
+            assert np.allclose(table, want)
+        assert tables[0] == pytest.approx(np.diag([0.5, 0.5]))
 
     def test_tables_are_distributions(self):
         rng = np.random.default_rng(0)
         stream = rng.integers(0, 3, size=200)
-        ms = accumulate_moments(stream, num_contexts=3)
-        for table in (ms.p31, ms.p32, ms.p312):
+        for table in stream_moments(stream, num_contexts=3):
             assert table.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(table >= 0)
 
@@ -77,34 +59,24 @@ class TestMoments:
         for t, (c31, c32, c312) in enumerate(stream_triple_counts(stream, 4), start=1):
             if t < 3:
                 continue
-            batch = accumulate_moments(stream[:t], num_contexts=4)
-            assert np.array_equal(c31 / (t - 2), batch.p31)
-            assert np.array_equal(c32 / (t - 2), batch.p32)
-            assert np.array_equal(c312 / (t - 2), batch.p312)
-            assert batch.sample_count == t
+            p31, p32, p312 = stream_moments(stream[:t], num_contexts=4)
+            assert np.array_equal(c31 / (t - 2), p31)
+            assert np.array_equal(c32 / (t - 2), p32)
+            assert np.array_equal(c312 / (t - 2), p312)
 
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(2)
         stream = rng.integers(0, 3, size=61)
-        ms = accumulate_moments(stream, num_contexts=3)
-        p31, p32, p312 = count_moments(stream, 3)
-        assert np.allclose(ms.p31, p31)
-        assert np.allclose(ms.p32, p32)
-        assert np.allclose(ms.p312, p312)
+        for table, want in zip(stream_moments(stream, num_contexts=3), count_moments(stream, 3)):
+            assert np.allclose(table, want)
 
     def test_tables_sized_by_declared_count(self):
         # a prefix that never shows the top contexts still gets X x X tables
-        ms = accumulate_moments([0, 1, 0, 1], num_contexts=4)
-        assert ms.p31.shape == ms.p32.shape == (4, 4)
-        assert ms.p312.shape == (4, 4, 4)
+        p31, p32, p312 = stream_moments([0, 1, 0, 1], num_contexts=4)
+        assert p31.shape == p32.shape == (4, 4)
+        assert p312.shape == (4, 4, 4)
         with pytest.raises(TypeError):
-            accumulate_moments([0, 1, 0, 1])
-
-    def test_too_short(self):
-        with pytest.raises(TooShort):
-            accumulate_moments([0, 1], num_contexts=2)
-        with pytest.raises(TooShort):
-            accumulate_moments([], num_contexts=2)
+            prefix_tables([0, 1, 0, 1], ends=[4])
 
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 5).flatmap(lambda X: st.tuples(
@@ -112,27 +84,24 @@ class TestMoments:
     def test_prefixes_match_counting_oracle_exactly(self, case):
         X, stream = case
         for t in range(3, len(stream) + 1):
-            ms = accumulate_moments(stream[:t], num_contexts=X)
-            p31, p32, p312 = count_moments(stream[:t], X)
-            assert np.array_equal(ms.p31, p31)
-            assert np.array_equal(ms.p32, p32)
-            assert np.array_equal(ms.p312, p312)
+            for table, want in zip(stream_moments(stream[:t], num_contexts=X),
+                                   count_moments(stream[:t], X)):
+                assert np.array_equal(table, want)
 
 
 class TestSpectralEstimate:
     def test_constant_stream_rank_deficient(self):
-        ms = accumulate_moments([0] * 50, num_contexts=2)
+        ms = stream_moments([0] * 50, num_contexts=2)
         with pytest.raises(RankDeficient):
-            spectral_estimate(ms, H=2, seed=0)
+            one_set_estimate(ms, H=2, seed=0)
 
     def test_h_larger_than_x_rejected(self):
-        ms = accumulate_moments([0, 1, 0, 1, 1, 0], num_contexts=2)
+        ms = stream_moments([0, 1, 0, 1, 1, 0], num_contexts=2)
         with pytest.raises(ShapeMismatch):
-            spectral_estimate(ms, H=3, seed=0)
+            one_set_estimate(ms, H=3, seed=0)
 
     def test_population_recovery_two_states(self, reference_params):
-        ms = population_moment_set(reference_params)
-        est = spectral_estimate(ms, H=2, seed=0)
+        est = one_set_estimate(population_moments(reference_params), H=2, seed=0)
         m_err = best_permutation_distance(
             est.transition_hat, reference_params.transition, axis="both"
         )
@@ -145,21 +114,21 @@ class TestSpectralEstimate:
     def test_population_recovery_three_states(self):
         rng = np.random.default_rng(5)
         params = random_hmm(rng, 3, 5, min_entry=0.15, stationary=True)
-        est = spectral_estimate(population_moment_set(params), H=3, seed=1)
+        est = one_set_estimate(population_moments(params), H=3, seed=1)
         assert best_permutation_distance(est.transition_hat, params.transition, "both") < 1e-6
         assert best_permutation_distance(est.emission_hat, params.emission, "columns") < 1e-6
 
     def test_determinism(self, reference_params):
         traj = sample_trajectory(reference_params, 3000, seed=0)
-        ms = accumulate_moments(traj.contexts, num_contexts=4)
-        a = spectral_estimate(ms, H=2, seed=3)
-        b = spectral_estimate(ms, H=2, seed=3)
+        ms = stream_moments(traj.contexts, num_contexts=4)
+        a = one_set_estimate(ms, H=2, seed=3)
+        b = one_set_estimate(ms, H=2, seed=3)
         assert np.array_equal(a.transition_hat, b.transition_hat)
         assert np.array_equal(a.emission_hat, b.emission_hat)
 
     def test_estimate_is_stochastic(self, reference_params):
         traj = sample_trajectory(reference_params, 3000, seed=0)
-        est = spectral_estimate(accumulate_moments(traj.contexts, 4), H=2, seed=3)
+        est = one_set_estimate(stream_moments(traj.contexts, 4), H=2, seed=3)
         assert np.all(est.transition_hat >= 0) and np.all(est.emission_hat >= 0)
         assert np.allclose(est.transition_hat.sum(axis=1), 1.0, atol=1e-12)
         assert np.allclose(est.emission_hat.sum(axis=0), 1.0, atol=1e-12)
@@ -168,7 +137,7 @@ class TestSpectralEstimate:
     def test_routine_failures_share_a_base(self):
         for exc in (RankDeficient, NearSingularPivot, DiagonalizationFailed):
             assert issubclass(exc, EstimationFailed)
-        for exc in (NonFinite, TooShort, ShapeMismatch):
+        for exc in (NonFinite, ShapeMismatch):
             assert not issubclass(exc, EstimationFailed)
 
     def test_sampled_consistency_direction(self, reference_params):
@@ -177,8 +146,8 @@ class TestSpectralEstimate:
             errs = []
             for seed in range(3):
                 traj = sample_trajectory(reference_params, t, seed=seed)
-                ms = accumulate_moments(traj.contexts, num_contexts=4)
-                est = spectral_estimate(ms, H=2, seed=seed)
+                ms = stream_moments(traj.contexts, num_contexts=4)
+                est = one_set_estimate(ms, H=2, seed=seed)
                 errs.append(best_permutation_distance(
                     est.transition_hat, reference_params.transition, "both"
                 ))
@@ -334,11 +303,11 @@ class TestAlign:
         # The first estimate pins the labels: later estimates agree after
         # alignment no matter which internal ordering the rotation produced.
         traj = sample_trajectory(reference_params, 60_000, seed=4)
-        ms_early = accumulate_moments(traj.contexts[:20_000], num_contexts=4)
-        first = align(None, spectral_estimate(ms_early, 2, seed=0))
-        ms_late = accumulate_moments(traj.contexts, num_contexts=4)
+        ms_early = stream_moments(traj.contexts[:20_000], num_contexts=4)
+        first = align(None, one_set_estimate(ms_early, 2, seed=0))
+        ms_late = stream_moments(traj.contexts, num_contexts=4)
         later = [
-            align(first, spectral_estimate(ms_late, 2, seed=s))
+            align(first, one_set_estimate(ms_late, 2, seed=s))
             for s in (1, 2, 3)
         ]
         # different rotations perturb values at the sampling-noise level but
@@ -407,7 +376,7 @@ def _random_stochastic(rng, H, X):
 
 class TestSerialization:
     def test_round_trip(self, reference_params):
-        est = spectral_estimate(population_moment_set(reference_params), 2, seed=0)
+        est = one_set_estimate(population_moments(reference_params), 2, seed=0)
         text = est.to_text()
         back = estimate_from_text(text)
         assert np.array_equal(back.transition_hat, est.transition_hat)
@@ -420,12 +389,12 @@ def _fortran(params):
 
 
 LAYOUT_BUILDS = {
-    "spectral_estimate": lambda p: spectral_estimate(population_moment_set(p), 2, seed=0),
-    "align(None, .)": lambda p: align(None, spectral_estimate(population_moment_set(p), 2, 0)),
-    "relabel": lambda p: relabel(spectral_estimate(population_moment_set(p), 2, 0), (1, 0)),
+    "spectral_estimate": lambda p: one_set_estimate(population_moments(p), 2, seed=0),
+    "align(None, .)": lambda p: align(None, one_set_estimate(population_moments(p), 2, 0)),
+    "relabel": lambda p: relabel(one_set_estimate(population_moments(p), 2, 0), (1, 0)),
     "postprocess of F-ordered raw": lambda p: postprocess(*_fortran(p)),
     "from_text": lambda p: estimate_from_text(
-        spectral_estimate(population_moment_set(p), 2, 0).to_text()),
+        one_set_estimate(population_moments(p), 2, 0).to_text()),
     "EstimatedHmm of F-ordered": lambda p: EstimatedHmm(*_fortran(p)),
     "HmmParams of F-ordered": lambda p: HmmParams(2, 4, p.initial_dist, *_fortran(p)),
 }

@@ -1,4 +1,5 @@
-"""The package surface: what ``import hmmbandits`` binds, and no dead imports.
+"""The package surface: what ``import hmmbandits`` binds, no dead imports, and
+no public name that nothing in the package refers to.
 
 Callers reach every name through the submodule that defines it
 (``hmmbandits.runner.run_experiment``), so the package object must bind each
@@ -65,6 +66,40 @@ def test_every_error_class_is_raised():
     assert classes
     dead = sorted(name for name, cls in classes.items()
                   if not any(issubclass(classes[r], cls) for r in raised & classes.keys()))
+    assert not dead
+
+
+def _public_definitions(tree: ast.Module):
+    """``(qualified name, node)`` of each public top-level function and class
+    and each public method of such a class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            for sub in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def _names(nodes) -> set:
+    """Names the ``nodes`` use, as ``name`` or ``obj.name``."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in nodes
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    # what only tests call belongs in tests/; cli.main is the entry point
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE_DIR.glob("*.py"))}
+    dead = []
+    for module, tree in trees.items():
+        elsewhere = set().union(*(_names(ast.walk(other)) for name, other in trees.items()
+                                  if name != module))
+        for qualname, node in _public_definitions(tree):
+            inside = {id(sub) for sub in ast.walk(node)}
+            here = _names(sub for sub in ast.walk(tree) if id(sub) not in inside)
+            name = qualname.rsplit(".", 1)[-1]
+            if f"{module}.{qualname}" != "cli.main" and name not in here | elsewhere:
+                dead.append(f"{module}.{qualname}")
     assert not dead
 
 
