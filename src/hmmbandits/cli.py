@@ -1,9 +1,10 @@
-"""Command-line surface.
+"""Command-line surface: one ``argparse`` tree under ``hmmbandits``.
 
 Subcommands: ``simulate`` (full policy x horizon x seed grid), ``estimate``
 (spectral estimation error curves), ``check-lemmas`` (randomized invariant
 suite), ``fit-rate`` (log-log slope over existing summaries), and
-``print-config-schema``.
+``print-config-schema``; ``hmmbandits <command> --help`` lists the
+arguments of one.
 
 Exit codes: 0 success, 1 usage error, 2 configuration/validation failure,
 3 numerical failure.  The ``LBL_SEED`` environment variable overrides the
@@ -22,18 +23,16 @@ from .errors import ConfigError, HmmBanditsError, InsufficientData
 from .evaluation import fit_rate, read_summaries, run_lemma_trials
 from .runner import _atomic_write, estimation_curves, run_experiment, write_estimation_csv
 
-COMMANDS = ("simulate", "estimate", "check-lemmas", "fit-rate", "print-config-schema")
 
-
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    """One override flag per key of the configuration table that has one."""
-    for key in FLAG_KEYS:
-        if isinstance(key.default, bool):
-            kind = {"action": "store_true", "default": None}
-        else:
-            kind = {"type": key.convert, "choices": getattr(key.bound, "choices", None)}
-        parser.add_argument(key.flag, dest=key.attr,
-                            help=f"overrides '{key.name}' in [{key.section}]", **kind)
+def _int_at_least(low: int):
+    """An argparse ``type``: an integer ``>= low``."""
+    def convert(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    convert.__name__ = "int"  # argparse names the type in its message on bad text
+    return convert
 
 
 def _load(args) -> ExperimentConfig:
@@ -62,13 +61,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_check_lemmas(args) -> int:
-    if args.trials < 1:
-        print(f"check-lemmas: --trials must be >= 1, got {args.trials}", file=sys.stderr)
-        return 1
-    if args.seed is not None and args.seed < 0:
-        print(f"check-lemmas: --seed must be >= 0, got {args.seed}", file=sys.stderr)
-        return 1
-    results = run_lemma_trials(args.trials, seed=args.seed or 0)
+    results = run_lemma_trials(args.trials, seed=args.seed)
     trials = results.pop("trials")
     all_pass = True
     for name, passed in results.items():
@@ -106,73 +99,49 @@ def _cmd_fit_rate(args) -> int:
     return 0
 
 
+def _cmd_print_config_schema(args) -> int:
+    print(CONFIG_SCHEMA)
+    return 0
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="hmmbandits")
+    commands = parser.add_subparsers(title="commands", dest="command", required=True)
+    for name, run, summary in (("simulate", _cmd_simulate, "run the policy x horizon x seed grid"),
+                               ("estimate", _cmd_estimate, "spectral estimation error curves")):
+        sub = commands.add_parser(name, help=summary)
+        sub.add_argument("config", help="INI experiment configuration")
+        for key in FLAG_KEYS:  # one override flag per key of the table that has one
+            if isinstance(key.default, bool):
+                kind = {"action": "store_true", "default": None}
+            else:
+                kind = {"type": key.convert, "choices": getattr(key.bound, "choices", None)}
+            sub.add_argument(key.flag, dest=key.attr,
+                             help=f"overrides '{key.name}' in [{key.section}]", **kind)
+        sub.set_defaults(run=run)
+    sub = commands.add_parser("check-lemmas", help="randomized lemma-check suite")
+    sub.add_argument("--trials", type=_int_at_least(1), default=1000)
+    sub.add_argument("--seed", type=_int_at_least(0), default=0)
+    sub.set_defaults(run=_cmd_check_lemmas)
+    sub = commands.add_parser("fit-rate", help="log-log regret slope from summaries")
+    sub.add_argument("results_dir")
+    sub.add_argument("--out", default=None)
+    sub.set_defaults(run=_cmd_fit_rate)
+    sub = commands.add_parser("print-config-schema", help="documented configuration keys")
+    sub.set_defaults(run=_cmd_print_config_schema)
+    return parser
+
+
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv or argv[0] in ("-h", "--help"):
-        print(_usage())
-        return 0 if argv else 1
-    command = argv[0]
-    if command not in COMMANDS:
-        print(f"unknown subcommand '{command}'\n{_usage()}", file=sys.stderr)
-        return 1
-
-    parser = argparse.ArgumentParser(prog=f"hmmbandits {command}")
-    if command in ("simulate", "estimate"):
-        parser.add_argument("config", nargs="?", default=None,
-                            help="INI experiment configuration")
-        parser.add_argument("--config", dest="config_flag", default=None,
-                            help="alternative way to pass the configuration")
-        _add_common_flags(parser)
-    elif command == "check-lemmas":
-        parser.add_argument("--trials", type=int, default=1000)
-        parser.add_argument("--seed", type=int, default=None)
-    elif command == "fit-rate":
-        parser.add_argument("results_dir")
-        parser.add_argument("--out", default=None)
     try:
-        args = parser.parse_args(argv[1:])
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-
-    if command in ("simulate", "estimate"):
-        if args.config_flag is not None:
-            args.config = args.config_flag
-        if args.config is None:
-            print(f"{command}: a configuration file is required", file=sys.stderr)
-            return 1
-
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help or the usage error
+        return 0 if exc.code in (0, None) else 1
     try:
-        if command == "simulate":
-            return _cmd_simulate(args)
-        if command == "estimate":
-            return _cmd_estimate(args)
-        if command == "check-lemmas":
-            return _cmd_check_lemmas(args)
-        if command == "fit-rate":
-            return _cmd_fit_rate(args)
-        if command == "print-config-schema":
-            print(CONFIG_SCHEMA)
-            return 0
+        return args.run(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except HmmBanditsError as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    return 0
-
-
-def _usage() -> str:
-    return (
-        "usage: hmmbandits <command> [options]\n"
-        "commands:\n"
-        "  simulate <config>        run the policy x horizon x seed grid\n"
-        "  estimate <config>        spectral estimation error curves\n"
-        "  check-lemmas [--trials N]  randomized lemma-check suite\n"
-        "  fit-rate <results-dir>   log-log regret slope from summaries\n"
-        "  print-config-schema      documented configuration keys\n"
-    )
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -177,8 +177,10 @@ KEYS = (
         "transition matrix, row-major (M[h][h'] = P(h -> h'))"),
     Key("hmm", "E", _floats, REQUIRED, None, "<X*H decimals>",
         "emission matrix, column-major (column h = nu_h)"),
-    Key("reward", "model", str, STATE_DEPENDENT, None, "state_dependent | belief_dependent"),
-    Key("reward", "transfer", str, "one_hot_action", None,
+    Key("reward", "model", str, STATE_DEPENDENT, _one_of(STATE_DEPENDENT, BELIEF_DEPENDENT),
+        "state_dependent | belief_dependent"),
+    Key("reward", "transfer", str, "one_hot_action",
+        _one_of("one_hot_action", "action_context_outer", "table"),
         "one_hot_action | action_context_outer | table"),
     Key("reward", "num_actions", int, 2, _GE1, "<int >= 1>"),
     Key("reward", "d", int, None, _GE1, "<int >= 1>", "table transfer only"),
@@ -188,7 +190,8 @@ KEYS = (
     Key("reward", "theta_seed", int, 0, _GE0, "<int >= 0>", "generation recipe when theta absent"),
     Key("reward", "theta_target", _decimal, 0.9, _HALF_OPEN_UNIT, "<decimal in (0,1]>",
         "max |phi . theta| after joint rescale (default 0.9)"),
-    Key("reward", "noise", str, "gaussian", None, "gaussian | bounded_uniform"),
+    Key("reward", "noise", str, "gaussian", _one_of("gaussian", "bounded_uniform"),
+        "gaussian | bounded_uniform"),
     Key("reward", "v_eta", _decimal, 0.1, _GE0, "<decimal >= 0>", "gaussian std (c_eta = v_eta^2)"),
     Key("reward", "c_eta", _decimal, 0.01, _GE0, "<decimal >= 0>",
         "bounded_uniform second moment (v_eta = sqrt(3 c_eta))"),
@@ -261,13 +264,13 @@ class ExperimentConfig:
         otherwise, ``ell = ceil(T^(3/4))``, ``refit_every = ell`` for boxA
         and ``max(3, ceil(sqrt(T)))`` otherwise, ``gamma`` the forgetting
         rate of ``M``, and ``c_theta``, ``c_eta``, ``v_eta`` the reward
-        model's.  The baselines read no ``gamma``: theirs is None, so they
-        also run on a chain that does not mix."""
+        model's.  Only boxA's staged width reads ``gamma``: every other
+        arm's is None, so it also runs on a chain that does not mix."""
         ps, T, noise = self.policy, float(horizon), self.reward.noise
         box_a = policy == "boxA"
         ell = _resolved(ps.ell, math.ceil(T ** 0.75))
         gamma = None
-        if policy in LEARNERS:
+        if box_a:
             gamma = forgetting_rate(self.params) if ps.gamma == "auto" else ps.gamma
         return CellPlan(
             policy, int(horizon),
@@ -325,14 +328,12 @@ def _parse_hmm(section) -> HmmParams:
 
 def _parse_reward(section, params: HmmParams) -> tuple[RewardSpec, TransferFunction]:
     v = _read(section, "reward")
-    model, transfer, A = v["model"], v["transfer"], v["num_actions"]
-    if model not in (STATE_DEPENDENT, BELIEF_DEPENDENT):
-        raise ConfigError(f"unknown reward model '{model}'")
+    transfer, A = v["transfer"], v["num_actions"]
     if transfer == "one_hot_action":
         phi = TransferFunction.one_hot_action(A, params.num_contexts)
     elif transfer == "action_context_outer":
         phi = TransferFunction.action_context_outer(A, params.num_contexts)
-    elif transfer == "table":
+    else:  # table
         d, flat = v["d"], v["phi"]
         for name in ("d", "phi"):
             if v[name] is None:
@@ -340,15 +341,11 @@ def _parse_reward(section, params: HmmParams) -> tuple[RewardSpec, TransferFunct
         if flat.size != A * params.num_contexts * d:
             raise ConfigError("phi table has the wrong number of entries")
         phi = TransferFunction.from_table(flat.reshape(A, params.num_contexts, d))
-    else:
-        raise ConfigError(f"unknown transfer kind '{transfer}'")
 
     if v["noise"] == "gaussian":
         noise = NoiseModel.gaussian(v["v_eta"])
-    elif v["noise"] == "bounded_uniform":
+    else:  # bounded_uniform
         noise = NoiseModel.bounded_uniform(v["c_eta"])
-    else:
-        raise ConfigError(f"unknown noise kind '{v['noise']}'")
 
     theta = v["theta"]
     if theta is not None and theta.size != params.num_states * phi.dim:
@@ -360,7 +357,7 @@ def _parse_reward(section, params: HmmParams) -> tuple[RewardSpec, TransferFunct
         else:
             theta = theta.reshape(params.num_states, phi.dim)
             c_theta = float(np.linalg.norm(theta, axis=1).max())
-        spec = RewardSpec(theta_star=theta, c_theta=c_theta, noise=noise, model=model)
+        spec = RewardSpec(theta_star=theta, c_theta=c_theta, noise=noise, model=v["model"])
         check_reward_bounds(spec, phi)
     except ShapeMismatch as exc:
         raise ConfigError(str(exc)) from exc
@@ -369,13 +366,13 @@ def _parse_reward(section, params: HmmParams) -> tuple[RewardSpec, TransferFunct
 
 def _check_learner_inputs(params: HmmParams, policy: PolicySettings) -> None:
     """What a listed learner needs of the instance: ``H <= X`` for spectral
-    beliefs, a transition matrix without zero entries for ``gamma = auto``."""
+    beliefs, a transition matrix without zero entries for boxA's ``gamma = auto``."""
     learners = " ".join(name for name in policy.policies if name in LEARNERS)
     H, X = params.num_states, params.num_contexts
     if learners and policy.beliefs == "spectral" and H > X:
         raise ConfigError(f"'beliefs' = spectral in [policy] needs H <= X in [hmm] "
                           f"for {learners}, got H = {H}, X = {X}")
-    if learners and policy.gamma == "auto":
+    if "boxA" in policy.policies and policy.gamma == "auto":
         try:
             forgetting_rate(params)
         except NotMixing as exc:

@@ -115,10 +115,8 @@ class NoiseModel:
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.kind == "gaussian":
             return rng.normal(0.0, self.v_eta, size=size) if self.v_eta > 0 else np.zeros(size)
-        if self.kind == "bounded_uniform":
-            half = math.sqrt(3.0 * self.c_eta)
-            return rng.uniform(-half, half, size=size) if half > 0 else np.zeros(size)
-        raise ShapeMismatch(f"unknown noise kind {self.kind!r}")
+        half = math.sqrt(3.0 * self.c_eta)  # bounded_uniform
+        return rng.uniform(-half, half, size=size) if half > 0 else np.zeros(size)
 
 
 @dataclass(frozen=True)
@@ -134,8 +132,6 @@ class RewardSpec:
         theta = np.array(self.theta_star, dtype=float)
         theta.flags.writeable = False
         object.__setattr__(self, "theta_star", theta)
-        if self.model not in (STATE_DEPENDENT, BELIEF_DEPENDENT):
-            raise ShapeMismatch(f"unknown reward model {self.model!r}")
         if np.linalg.norm(theta, axis=1).max() > self.c_theta + 1e-9:
             raise ShapeMismatch("some ||theta_h|| exceeds c_theta")
 

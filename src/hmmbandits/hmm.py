@@ -284,7 +284,6 @@ def forward_pass(
     prior: np.ndarray,
     contexts,
     ends,
-    on_degenerate: str = "uniform",
 ) -> np.ndarray:
     """Beliefs after filtering ``contexts[:ends[k]]`` from ``prior`` under
     ``models[k] = (transition, emission)``, one row per model, in one pass.
@@ -298,9 +297,8 @@ def forward_pass(
     index one stacked matvec normalizes every model still running; the tails
     step in lockstep.  A chunk that annihilates a belief (zero emission
     entries) is re-run a context at a time, which resets a zero-likelihood
-    context to uniform or raises :class:`DegenerateLikelihood` under
-    ``on_degenerate="raise"``.  With C-ordered transitions each row equals
-    the straight single-prefix pass bit for bit.
+    context to uniform.  With C-ordered transitions each row equals the
+    straight single-prefix pass bit for bit.
     """
     contexts = np.asarray(contexts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
@@ -317,18 +315,15 @@ def forward_pass(
     uniform = np.full(H, 1.0 / H)
     xs = contexts[1:]
 
-    def renormalize(vecs, x):
+    def renormalize(vecs):
         s = vecs.sum(axis=1)
         ok = s > 0.0
         out = vecs / np.where(ok, s, 1.0)[:, None]
         if not ok.all():
-            if on_degenerate != "uniform":
-                raise DegenerateLikelihood(
-                    f"context {x[~ok][0]} has zero likelihood under all states")
             out[~ok] = uniform
         return out
 
-    beliefs = renormalize(emissions[:, contexts[0]] * prior, np.full(K, contexts[0]))
+    beliefs = renormalize(emissions[:, contexts[0]] * prior)
 
     def scan(lanes, first, count):
         # lanes step over xs[first : first + count], one context at a time
@@ -337,7 +332,7 @@ def forward_pass(
         for offset, n in enumerate(running.tolist()):
             sel, x = lanes[:n], xs[first[:n] + offset]
             vecs = np.matmul(steps[sel, x], beliefs[sel, :, None])[:, :, 0]
-            beliefs[sel] = renormalize(vecs, x)
+            beliefs[sel] = renormalize(vecs)
 
     chunks = (ends - 1) // CHUNK              # full chunks of each prefix, ascending
     if chunks[-1]:

@@ -37,10 +37,11 @@ class CellPlan:
     ``lam`` is the ridge regularizer, round ``t`` is in stage
     ``ceil(t / ell)``, and the estimator refits every ``refit_every`` rounds.
     ``gamma``, ``c_theta``, ``c_eta``, ``v_eta`` are treated as available to
-    the learner; ``gamma`` is None for the baselines, which read only ``lam``
-    and ``ell``.  ``known_beliefs`` zeroes every belief-error term (the
-    oracle-belief ablation).  ``bonus_scope`` selects whether the Gram-norm
-    factor multiplies the full five-term parenthesis of the staged bonus
+    the learner; only boxA's staged width reads ``gamma``, which is None for
+    every other policy, and the baselines read only ``lam`` and ``ell``.
+    ``known_beliefs`` zeroes every belief-error term (the oracle-belief
+    ablation).  ``bonus_scope`` selects whether the Gram-norm factor
+    multiplies the full five-term parenthesis of the staged bonus
     (``"full"``) or only its first three terms (``"partial"``).
     """
 
@@ -248,14 +249,6 @@ class BoxAPolicy:
         self._theta_frozen = np.full(dH, 1.0 / plan.lam)
         self._gram_frozen_inv = np.eye(dH) / plan.lam
         self._frozen_rounds = 0
-        self._width: tuple[int, tuple[float, float]] | None = None
-
-    def _stage_width(self, s_t: int) -> tuple[float, float]:
-        """:func:`staged_width` of stage ``s_t``, computed once per stage."""
-        if self._width is None or self._width[0] != s_t:
-            u_prefix = self._u_prefix[self._frozen_rounds]
-            self._width = (s_t, staged_width(self.plan, s_t, u_prefix))
-        return self._width[1]
 
     def play(self, first_round: int, feats: np.ndarray, rewards: np.ndarray) -> np.ndarray:
         """Actions of rounds ``first_round, first_round + 1, ...``: round
@@ -286,7 +279,9 @@ class BoxAPolicy:
         """``(n, A)`` UCBs of the rounds ``t, t + 1, ...`` of one stage."""
         n, A, dH = feats.shape
         s_t = self.plan.stage_of(t)
-        width = self._stage_width(s_t) if s_t > 1 else None
+        width = None
+        if s_t > 1:
+            width = staged_width(self.plan, s_t, self._u_prefix[self._frozen_rounds])
         flat = feats.reshape(n * A, dH)
         u = np.repeat(np.frombuffer(self._u)[t:t + n], A)
         bonus = staged_bonus(self.plan, t, flat, self._gram_frozen_inv, u, width)
@@ -295,7 +290,6 @@ class BoxAPolicy:
     def set_gamma(self, gamma: float) -> None:
         """Swap the forgetting rate fed to the bonus (plugin-gamma mode)."""
         self.plan = replace(self.plan, gamma=float(gamma))
-        self._width = None
 
 
 class BoxBPolicy:

@@ -1,3 +1,4 @@
+import argparse
 import configparser
 import io
 import json
@@ -13,8 +14,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hmmbandits.cli import _parser as cli_parser
 from hmmbandits.cli import main as cli_main
-from hmmbandits.config import KEYS, KNOWN_POLICIES, apply_overrides, config_snapshot, parse_config
+from hmmbandits.config import (
+    FLAG_KEYS,
+    KEYS,
+    KNOWN_POLICIES,
+    apply_overrides,
+    config_snapshot,
+    parse_config,
+)
 from hmmbandits.environment import check_reward_bounds
 from hmmbandits.errors import ConfigError
 from hmmbandits.runner import blas_core
@@ -53,6 +62,9 @@ TWO_STATES = "H = 2\nX = 2\npi = 0.5 0.5\nM = 0.8 0.2 0.3 0.7\nE = 0.7 0.3 0.2 0
 # H > X: no spectral estimate exists
 THREE_STATES = ("H = 3\nX = 2\npi = 0.5 0.25 0.25\nM = 0.8 0.1 0.1 0.1 0.8 0.1 0.1 0.1 0.8\n"
                 "E = 0.7 0.3 0.5 0.5 0.2 0.8")
+
+
+SUBCOMMANDS = ("simulate", "estimate", "check-lemmas", "fit-rate", "print-config-schema")
 
 
 def write_config(tmp_path, text=None, **fmt):
@@ -98,8 +110,9 @@ class TestConfigParsing:
         assert box_a.ell == box_b.ell == random.ell == 512
         assert box_a.refit_every == 512
         assert box_b.refit_every == 64
-        assert box_a.gamma == box_b.gamma == pytest.approx(1.0 - 0.2 / 0.8)
-        assert random.gamma is None  # the baselines read no forgetting rate
+        assert box_a.gamma == pytest.approx(1.0 - 0.2 / 0.8)
+        # only boxA's staged width reads the forgetting rate
+        assert box_b.gamma is None and random.gamma is None
         assert (box_a.c_theta, box_a.c_eta, box_a.v_eta) == (
             cfg.reward.c_theta, cfg.reward.noise.c_eta, cfg.reward.noise.v_eta)
         assert (box_a.H, box_a.X, box_a.d) == (2, 2, 2)
@@ -227,7 +240,8 @@ OUT_OF_RANGE = {
     ("policy", "bonus_scope"): "auto", ("policy", "beliefs"): "auto",
     ("policy", "refit_every"): "0", ("run", "master_seed"): "-1", ("run", "out"): "",
     ("run", "workers"): "0", ("policy", "policy"): "boxA boxA", ("run", "horizons"): "0",
-    ("run", "seeds"): "0",
+    ("run", "seeds"): "0", ("reward", "model"): "linear", ("reward", "transfer"): "dense",
+    ("reward", "noise"): "laplace",
 }
 
 
@@ -536,6 +550,24 @@ class TestCli:
         assert cfg.plan("boxA", 64).gamma == 0.5
         parse_config(sticky.format(out="x"))
 
+    @pytest.mark.parametrize("beliefs", ["spectral", "oracle"])
+    def test_boxB_on_non_mixing_chain_runs(self, tmp_path, capsys, beliefs):
+        # boxB's per-round width reads no forgetting rate, so gamma = auto
+        # leaves it unresolved; boxA's staged width needs it
+        sticky = MINIMAL.replace("M = 0.8 0.2 0.3 0.7", "M = 1.0 0.0 0.3 0.7")
+        text = sticky.replace("policy = oracle random",
+                              f"policy = boxB random\nbeliefs = {beliefs}\ngamma = auto")
+        out = tmp_path / "run"
+        assert cli_main(["simulate", write_config(tmp_path, text, out=str(out))]) == 0
+        plans = json.loads((out / "manifest.json").read_text())["plans"]
+        assert [plan["gamma"] for plan in plans.values()] == [None] * 8
+        text = text.replace("policy = boxB random", "policy = boxA boxB")
+        path = write_config(tmp_path, text, out=str(tmp_path / "with_boxA"))
+        capsys.readouterr()
+        assert cli_main(["simulate", path]) == 2
+        assert re.search(r"'gamma' in \[policy\] is auto", capsys.readouterr().err)
+        assert not (tmp_path / "with_boxA").exists()
+
     def test_baselines_on_non_mixing_chain_run(self, tmp_path):
         # gamma = auto is undefined here, and neither baseline reads it
         text = MINIMAL.replace("M = 0.8 0.2 0.3 0.7", "M = 1.0 0.0 0.3 0.7").replace(
@@ -651,11 +683,39 @@ class TestCli:
         with pytest.raises(ConfigError, match=r"'out' in \[run\] must name"):
             parse_config(MINIMAL.format(out=""))
 
-    def test_config_flag_form(self, tmp_path):
+    def test_config_flag_is_usage_error(self, tmp_path, capsys):
+        # the configuration is the positional argument alone
         out = tmp_path / "flagform"
         path = write_config(tmp_path, out=str(out))
-        assert cli_main(["simulate", "--config", path]) == 0
-        assert (out / "summary.csv").exists()
+        assert cli_main(["simulate", "--config", path]) == 1
+        assert "--config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_arguments_is_usage_error(self, capsys):
+        assert cli_main([]) == 1
+        captured = capsys.readouterr()
+        assert "usage" in captured.err
+        assert captured.out == ""
+
+    def test_help_lists_every_subcommand(self, capsys):
+        assert cli_main(["--help"]) == 0
+        out = capsys.readouterr().out
+        for command in SUBCOMMANDS:
+            assert command in out
+
+    def test_readme_cli_section_names_every_subcommand_and_flag(self):
+        # a removed or renamed subcommand or flag cannot outlive its docs
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        commands = next(action for action in cli_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction)).choices
+        assert sorted(commands) == sorted(SUBCOMMANDS)
+        flags = {key.flag for key in FLAG_KEYS} | {
+            option for sub in commands.values() for action in sub._actions
+            for option in action.option_strings if option.startswith("--")} - {"--help"}
+        missing = [name for name in [*commands, *sorted(flags)]
+                   if not re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", section)]
+        assert not missing
 
     def test_removed_exact_refilter_flag_is_usage_error(self, tmp_path, capsys):
         path = write_config(tmp_path, out=str(tmp_path / "run"))

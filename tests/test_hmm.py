@@ -184,9 +184,9 @@ def test_belief_normalization_property(seed, t):
     assert np.all(belief >= 0)
 
 
-def pass_one(M, E, prior, contexts, on_degenerate="uniform"):
+def pass_one(M, E, prior, contexts):
     """``forward_pass`` over a single model and the whole stream (K = 1)."""
-    return forward_pass([(M, E)], prior, contexts, [len(contexts)], on_degenerate)[0]
+    return forward_pass([(M, E)], prior, contexts, [len(contexts)])[0]
 
 
 class TestForwardPass:
@@ -252,17 +252,6 @@ class TestForwardPass:
         for end, row in zip(ends, got):
             assert np.array_equal(row, reference_forward_pass(M, E, uniform, contexts[:end]))
             assert np.max(np.abs(row - stepwise_filter(M, E, uniform, contexts[:end]))) <= 1e-12
-
-    def test_raise_mode_matches_step(self):
-        M = np.array([[0.9, 0.1], [0.2, 0.8]])
-        E = np.array([[0.9, 0.1], [0.1, 0.9], [0.0, 0.0]])
-        contexts = [0] * 70 + [2]
-        with pytest.raises(DegenerateLikelihood):
-            stepwise_filter(M, E, np.full(2, 0.5), contexts, on_degenerate="raise")
-        with pytest.raises(DegenerateLikelihood):
-            pass_one(M, E, np.full(2, 0.5), contexts, on_degenerate="raise")
-        with pytest.raises(DegenerateLikelihood):
-            forward_pass([(M, E)] * 2, np.full(2, 0.5), contexts, [3, 71], "raise")
 
     def test_rejects_bad_prefix_ends(self):
         M, E, uniform = np.full((2, 2), 0.5), np.full((3, 2), 1 / 3), np.full(2, 0.5)
