@@ -8,14 +8,18 @@ The estimated beliefs depend on the contexts, the refit period and the
 estimator seed only, so a run computes them before its policy loop, bit for
 bit as one refit, re-filter and Bayes step at a time would.  The prefix
 moments and the seed-free stage of all refits run stacked, a tile at a time
-(``spectral.prefix_tables`` and ``subspaces``); the seeded stage runs per
-refit, in order, as each refit's seed counts the successes before it.  All
-re-filters run in one ``hmm.forward_pass``, the rounds between refits in
-one ``hmm.forward_steps``.
+(``spectral.prefix_tables`` and ``subspaces``).  Each refit's seed counts
+the successes before it, so the seeded stage (``spectral.seeded_estimates``)
+runs stacked over windows of at most ``spectral.WINDOW`` refits under seeds
+speculated from the successes so far; a seeded failure ends its window, and
+the next, half as long, re-runs the refits after it.  All re-filters run in
+one ``hmm.forward_pass``, the rounds between refits in one
+``hmm.forward_steps``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +27,7 @@ import numpy as np
 
 from .errors import EstimationFailed, ShapeMismatch
 from .hmm import forward_pass, forward_steps
-from .spectral import EstimatedHmm, align, prefix_tables, subspaces
+from .spectral import WINDOW, EstimatedHmm, align, prefix_tables, seeded_estimates, subspaces
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,7 @@ MIN_FIT = 8  # shortest prefix the belief subroutine re-estimates from
 
 def refit_schedule(
     contexts, num_states: int, num_contexts: int, refit_every: int, seed: int
-) -> tuple[list, int]:
+) -> tuple[list, int, int]:
     """Periodic spectral re-estimation over the prefixes of a context stream.
 
     At every round ``t`` with ``t % refit_every == 0`` and ``t >= MIN_FIT``
@@ -72,28 +76,59 @@ def refit_schedule(
     previous estimate; a refit after ``k`` successful ones draws its rotations
     from ``seed + 7919 * (k + 1)``.  A refit that fails
     (:class:`~hmmbandits.errors.EstimationFailed`, routine on short prefixes)
-    keeps the previous estimate and is counted.  Returns the ``(t,
-    estimate)`` pair of every refit round once an estimate exists, and the
-    number of failed refits.
+    keeps the previous estimate and is counted.
+
+    The seeded stage runs stacked over windows of at most ``WINDOW`` refits,
+    each seed speculated from the successes so far and the seed-free
+    failures in the window.  A seeded failure makes every later seed of its
+    window one too high: the window keeps its results up to the failure,
+    and the next window starts right after it.  Seeded failures come in
+    runs, so a window with one halves the next window's length (down to 1)
+    and a window without one doubles it (up to ``WINDOW``).  Returns the
+    ``(t, estimate)`` pair of every refit round once an estimate exists, the
+    number of failed refits, and the number of refits whose seeded stage ran
+    again after such a failure.
     """
     if refit_every < 1:
         raise ShapeMismatch("refit_every must be >= 1")
     ends = [t for t in range(refit_every, len(contexts) + 1, refit_every) if t >= MIN_FIT]
     schedule = []
     estimate: EstimatedHmm | None = None
-    successes = failures = 0
+    successes = failures = reruns = 0
     tiles = prefix_tables(contexts, num_contexts, ends) if ends else ()
-    stages = (stage for tables in tiles for stage in subspaces(*tables, num_states))
-    for t, stage in zip(ends, stages):
-        try:
-            estimate = align(estimate, stage.estimate(seed + 7919 * (successes + 1)))
-        except EstimationFailed:
-            failures += 1
-        else:
-            successes += 1
-        if estimate is not None:
-            schedule.append((t, estimate))
-    return schedule, failures
+    refits = zip(ends, (stage for tables in tiles for stage in subspaces(*tables, num_states)))
+    queued: list = []
+    size = WINDOW
+    while True:
+        queued += itertools.islice(refits, max(0, size - len(queued)))
+        window = queued[:size]
+        if not window:
+            break
+        # a set whose seed-free stage passed runs the seeded stage: speculate it succeeds
+        seeded = [stage.pivot_inv is not None for _, stage in window]
+        counts = itertools.accumulate(seeded, initial=successes)
+        results = seeded_estimates([stage for _, stage in window],
+                                   [seed + 7919 * (k + 1) for k in counts])
+        done, cut = len(window), False
+        for j, ((t, _), fresh) in enumerate(zip(window, results)):
+            try:
+                if not isinstance(fresh, EstimatedHmm):
+                    raise fresh
+                estimate = align(estimate, fresh)
+            except EstimationFailed:
+                failures += 1
+                if seeded[j]:
+                    done, cut = j + 1, True
+            else:
+                successes += 1
+            if estimate is not None:
+                schedule.append((t, estimate))
+            if cut:
+                break
+        reruns += sum(seeded[done:])
+        queued = queued[done:]
+        size = max(1, size // 2) if cut else min(WINDOW, 2 * size)
+    return schedule, failures, reruns
 
 
 def scheduled_beliefs(schedule, contexts, num_states: int) -> np.ndarray:

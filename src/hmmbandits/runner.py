@@ -34,7 +34,8 @@ from .environment import EnvironmentTape, sample_tape
 from .errors import ConfigError, EstimationFailed, HmmBanditsError, ShapeMismatch
 from .hmm import TILE_BYTES, filter_trace, sample_trajectory, validate
 from .policies import BoxAPolicy, BoxBPolicy, CellPlan
-from .spectral import EstimatedHmm, align, prefix_tables, relabel, subspaces
+from .spectral import (EstimatedHmm, align, prefix_tables, relabel, seeded_estimates,
+                       subspaces)
 
 GAMMA_CAP = 1.0 - 1e-6
 # the per-cell files a run writes: <policy>_T<horizon>_s<seed>.csv and .estimate.txt
@@ -76,6 +77,7 @@ class CellResult:
     rewards: np.ndarray
     increments: np.ndarray
     refit_failures: int
+    refit_reruns: int
     duration: float
     estimate_text: str | None = None
     hidden: np.ndarray | None = None
@@ -138,7 +140,8 @@ def play_arm(
     policy_ss, estimator_ss = learner_seed_sequence(
         config.run.master_seed, policy_name, horizon, seed_index
     ).spawn(2)
-    refit_failures, final_estimate, beliefs = 0, None, None
+    refit_failures = refit_reruns = 0
+    final_estimate = beliefs = None
     if policy_name == "random":
         actions = np.random.default_rng(policy_ss).integers(
             config.phi.num_actions, size=horizon
@@ -150,7 +153,7 @@ def play_arm(
         # the learner's beliefs are functions of the contexts alone: fix them first
         plugin_gammas = {}
         if not plan.known_beliefs:
-            schedule, refit_failures = refit_schedule(
+            schedule, refit_failures, refit_reruns = refit_schedule(
                 tape.contexts, plan.H, plan.X, plan.refit_every,
                 seed=int(estimator_ss.generate_state(1)[0]),
             )
@@ -193,6 +196,7 @@ def play_arm(
         rewards=tape.rewards[rounds, actions],
         increments=increments,
         refit_failures=refit_failures,
+        refit_reruns=refit_reruns,
         duration=time.perf_counter() - start,
         estimate_text=final_estimate,
         hidden=tape.hidden if emit_oracle else None,
@@ -315,6 +319,7 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
     durations: dict[str, float] = {}
     plans: dict[str, dict] = {}
     refit_failures: dict[str, int] = {}
+    refit_reruns: dict[str, int] = {}
 
     def write_group(results: list[CellResult]) -> None:
         # single-writer funnel: completed cells land on disk immediately, so
@@ -341,6 +346,7 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
             durations[name] = result.duration
             plans[name] = asdict(plan)
             refit_failures[name] = result.refit_failures
+            refit_reruns[name] = result.refit_reruns
             echo(
                 f"{plan.policy} T={plan.horizon} seed={result.seed_index} "
                 f"R_T={result.regret_total:.4f} ({result.duration:.2f}s)"
@@ -375,6 +381,7 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
         "durations": {n: round(durations[n], 6) for n in names},
         "plans": {n: plans[n] for n in names},
         "refit_failures": {n: refit_failures[n] for n in names if refit_failures[n]},
+        "refit_reruns": {n: refit_reruns[n] for n in names if refit_reruns[n]},
     }
     _atomic_write(
         os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=2) + "\n"
@@ -408,9 +415,9 @@ def estimation_curves(config: ExperimentConfig, echo=print) -> list:
     Returns rows ``(t, frobenius_M_err, frobenius_E_err, median_l1_belief_gap)``
     where the belief gap is the median over the second half of the prefix.
     Each seed's checkpoint prefixes take their moments from one running
-    count and their seed-free stage stacked (``spectral.prefix_tables`` and
-    ``subspaces``); checkpoint ``k`` draws its rotations from the
-    trajectory seed plus ``k``.
+    count and both estimator stages stacked (``spectral.prefix_tables``,
+    ``subspaces`` and ``seeded_estimates``); checkpoint ``k`` draws its
+    rotations from the trajectory seed plus ``k``.
     """
     params = config.params
     H, X = params.num_states, params.num_contexts
@@ -435,12 +442,14 @@ def estimation_curves(config: ExperimentConfig, echo=print) -> list:
         # every checkpoint prefix extends the last: filter the truth once
         truth = filter_trace(params, trajectory.contexts)
         tiles = prefix_tables(trajectory.contexts, X, checkpoints)
-        stages = (stage for tables in tiles for stage in subspaces(*tables, H))
+        stages = [stage for tables in tiles for stage in subspaces(*tables, H)]
+        fits = seeded_estimates(stages, [traj_seed + k for k in range(len(stages))])
         estimate = None
-        for k, (t, stage) in enumerate(zip(checkpoints, stages)):
+        for k, (t, fresh) in enumerate(zip(checkpoints, fits)):
             prefix = trajectory.contexts[:t]
             try:
-                fresh = stage.estimate(traj_seed + k)
+                if not isinstance(fresh, EstimatedHmm):
+                    raise fresh
             except EstimationFailed:
                 # small-sample pathology: score the checkpoint as the
                 # no-information estimate and keep the curve well-defined

@@ -2,13 +2,16 @@
 stream, post-processing to valid stochastic matrices, and the permutation
 alignment that keeps hidden-state labels consistent across re-estimations.
 
-Pipeline: ``prefix_tables -> subspaces -> Subspaces.estimate -> align``;
-:meth:`Subspaces.estimate` ends in :func:`postprocess`.  The moment tables
-of many prefixes of a stream come from one running count
+Pipeline: ``prefix_tables -> subspaces -> seeded_estimates -> align``;
+:func:`seeded_estimates` ends in :func:`postprocess`.  The moment tables of
+many prefixes of a stream come from one running count
 (:func:`prefix_tables`), and their seed-free stage (:func:`subspaces`:
 SVDs, sign fix, rank and pivot checks, pivot inverse) runs stacked, a tile
-at a time; the seeded stage (:meth:`Subspaces.estimate`) runs per moment
-set.
+at a time.  The seeded stage (:func:`seeded_estimates`: rotations,
+eigenvectors, raw matrices, post-processing) runs stacked over the moment
+sets a caller hands it, one seed each; the online refits hand it windows
+of at most ``WINDOW`` refits under speculated seeds
+(``beliefs.refit_schedule``).
 """
 
 from __future__ import annotations
@@ -18,14 +21,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (DiagonalizationFailed, NearSingularPivot, NonFinite, RankDeficient,
-                     ShapeMismatch)
+from .errors import (DiagonalizationFailed, EstimationFailed, NearSingularPivot, NonFinite,
+                     RankDeficient, ShapeMismatch)
 from .hmm import TILE_BYTES, _freeze
 
 COND_LIMIT = 1e12
 RANK_TOL = 1e-12
 IMAG_TOL = 1e-6
 RETRY_BUDGET = 10
+# the rotations tried in one stacked call: the first for every set, then the
+# rest for the sets it failed (at H = 6 most sets fail the first, and a
+# call per rotation costs more than the rotations tried past a success)
+ROTATION_ROUNDS = ((0, 1), (1, RETRY_BUDGET))
+WINDOW = 16  # most refits per stacked seeded stage of the online refits
 
 
 def _stack(K: int, *shape) -> np.ndarray:
@@ -113,60 +121,6 @@ class Subspaces:
     u2: np.ndarray
     pivot_inv: np.ndarray | None
 
-    def estimate(self, seed: int) -> EstimatedHmm:
-        """Estimate ``(M, E)`` from this moment set (labels arbitrary, unaligned).
-
-        The triple table is contracted along random directions drawn from
-        ``seed`` and simultaneously diagonalized in the shared eigenbasis
-        ``R``.  If the eigensystem is complex or defective beyond tolerance,
-        a fresh rotation is drawn (budget of ``RETRY_BUDGET``); then
-        :class:`DiagonalizationFailed` is raised.  Eigenvector signs are
-        arbitrary, so the raw transition's rows are flipped to nonnegative
-        sums; :func:`postprocess` makes the estimate stochastic.
-        """
-        H, u3, u1, u2, pivot_inv = self.u3.shape[1], self.u3, self.u1, self.u2, self.pivot_inv
-        if self.sigma < RANK_TOL:
-            raise RankDeficient(f"{H}-th singular value of p31 is {self.sigma:.3e} < {RANK_TOL}")
-        if pivot_inv is None:
-            raise NearSingularPivot("projected pairwise moment matrix is near singular")
-
-        def contracted_b(z: np.ndarray) -> np.ndarray:
-            return (u3.T @ np.einsum("ijk,k->ij", self.p312, z) @ u1) @ pivot_inv
-
-        rng = np.random.default_rng(seed)
-        for _ in range(RETRY_BUDGET):
-            q, _ = np.linalg.qr(rng.normal(size=(H, H)))
-            eigvals, eigvecs = np.linalg.eig(contracted_b(u2 @ q[0]))
-            radius = float(np.max(np.abs(eigvals)))
-            if float(np.max(np.abs(eigvals.imag))) > IMAG_TOL * max(radius, 1e-300):
-                continue
-            candidate = np.real(eigvecs)
-            norms = np.linalg.norm(candidate, axis=0)
-            if np.any(norms < 1e-12):
-                continue
-            candidate = candidate / norms
-            if np.linalg.cond(candidate) > COND_LIMIT:
-                continue
-            r_mat, gamma = candidate, q
-            break
-        else:
-            raise DiagonalizationFailed(
-                f"no real well-conditioned eigensystem in {RETRY_BUDGET} rotations")
-
-        r_inv = np.linalg.inv(r_mat)
-        l_mat = np.empty((H, H))
-        for h in range(H):
-            l_mat[h] = np.real(np.diag(r_inv @ contracted_b(u2 @ gamma[h]) @ r_mat))
-        # Box C writes the emission output as the transpose of obs_factor; the
-        # package-wide convention keeps emissions X x H (column h = nu_h).
-        obs_factor = u2 @ np.linalg.solve(gamma, l_mat)
-        proj = u3.T @ obs_factor
-        if np.linalg.cond(proj) > COND_LIMIT:
-            raise NearSingularPivot("projected observation factor is near singular")
-        raw_m = np.linalg.solve(proj, r_mat).T
-        raw_m = raw_m * np.where(raw_m.sum(axis=1) < 0, -1.0, 1.0)[:, None]
-        return postprocess(raw_m, obs_factor)
-
 
 def subspaces(p31: np.ndarray, p32: np.ndarray, p312: np.ndarray, H: int) -> list:
     """The seed-free stage of a stack of moment sets, one :class:`Subspaces`
@@ -197,34 +151,176 @@ def subspaces(p31: np.ndarray, p32: np.ndarray, p312: np.ndarray, H: int) -> lis
                       pivot_inv[k] if ok[k] else None) for k in range(K)]
 
 
-def _clip_normalize(vectors: np.ndarray) -> np.ndarray:
-    """Clip negatives and renormalize each row to a distribution (uniform if zero)."""
-    clipped = np.clip(vectors, 0.0, None)
-    sums = clipped.sum(axis=1)
-    return np.where(
-        (sums > 0.0)[:, None],
-        clipped / np.where(sums > 0.0, sums, 1.0)[:, None],
-        np.full_like(clipped, 1.0 / vectors.shape[1]),
-    )
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` into a :func:`_stack` array: each product lands 16-byte
+    aligned, as a fresh one does."""
+    lead = [max(m, n) for m, n in zip(a.shape[:-2], b.shape[:-2])]   # broadcast
+    out = _stack(math.prod(lead), a.shape[-2], b.shape[-1])
+    return np.matmul(a, b, out=out.reshape(*lead, *out.shape[1:]))
 
 
-def postprocess(transition, emission) -> EstimatedHmm:
-    """The stochastic estimate, with identity labels, made from a raw ``(M, E)``.
+def _copy(a: np.ndarray) -> np.ndarray:
+    """A stack of matrices copied into a :func:`_stack` array."""
+    out = _stack(math.prod(a.shape[:-2]), *a.shape[-2:]).reshape(a.shape)
+    out[...] = a
+    return out
 
-    Rows of the transition and columns of the emission are projected by
-    clipping negative entries to zero and dividing by the sum; an all-zero
-    row or column falls back to the uniform distribution.  Idempotent on
-    valid inputs.
+
+def _contract(operands, dirs: np.ndarray) -> np.ndarray:
+    """The (K, n, H, H) stack of ``(u3^T (p312 . u2 z) u1) pivot_inv``, one
+    matrix for each row ``z`` of each set's ``dirs`` (K, n, H): the triple
+    table contracted along ``u2 z``, projected and whitened."""
+    p312, u3, u1, u2, pivot_inv = operands
+    K, n, _ = dirs.shape
+    X = p312.shape[1]
+    z = _mul(u2[:, None], dirs[..., None])[..., 0]
+    table = _stack(K * n, X, X).reshape(K, n, X, X)
+    np.einsum("...ijk,...k->...ij", p312[:, None], z, out=table)
+    return _mul(_mul(_mul(u3.swapaxes(1, 2)[:, None], table), u1[:, None]),
+                pivot_inv[:, None])
+
+
+def seeded_estimates(sets: list, seeds: list) -> list:
+    """The seeded stage of each :class:`Subspaces` of ``sets`` under its
+    seed in ``seeds``: its :class:`EstimatedHmm` (labels arbitrary,
+    unaligned), or the :class:`~hmmbandits.errors.EstimationFailed` (or
+    ``NonFinite``) it raised.
+
+    A set that failed its seed-free stage raises ``RankDeficient`` or
+    ``NearSingularPivot``.  Each other set draws ``RETRY_BUDGET`` rotations
+    from its seed; the triple table is contracted along the first row of a
+    rotation's Q factor and diagonalized.  The set takes the first rotation
+    whose eigensystem is real and well conditioned; with none,
+    :class:`DiagonalizationFailed`.  Then the table is contracted along
+    every row of the rotation that worked and diagonalized in the shared
+    eigenbasis ``R``, and the raw matrices are solved for.  Eigenvector
+    signs are arbitrary, so the raw transition's rows are flipped to
+    nonnegative sums (added left to right); :func:`postprocess` makes the
+    estimates stochastic.
+
+    Each step (``qr``, the contraction, ``eig`` and its checks, ``inv``, the
+    H contractions, ``solve``, ``cond``, the raw matrices, ``postprocess``)
+    is one call over the sets still pending, with the rotations of a round
+    of ``ROTATION_ROUNDS`` at once.  numpy runs a stacked
+    factorization as the LAPACK call on each matrix, and every product
+    reads and writes :func:`_stack` slices, so each set keeps the bits it
+    has alone.
     """
-    transition = np.asarray(transition, dtype=float)
-    emission = np.asarray(emission, dtype=float)
-    if not (np.all(np.isfinite(transition)) and np.all(np.isfinite(emission))):
-        raise NonFinite("raw estimates contain non-finite entries")
-    return EstimatedHmm(
-        _clip_normalize(transition),
-        _clip_normalize(emission.T).T,
-        label_permutation=tuple(range(transition.shape[0])),
-    )
+    live = [k for k, stage in enumerate(sets) if stage.pivot_inv is not None]
+    diagonalized, singular = np.zeros(len(sets), dtype=bool), np.zeros(len(sets), dtype=bool)
+    fits = iter(())
+    if live:
+        found, flat, fits = _seeded_stack([sets[k] for k in live], [seeds[k] for k in live])
+        rows = np.array(live)[found]
+        diagonalized[rows], singular[rows] = True, flat
+    results = []
+    for stage, ok, flat in zip(sets, diagonalized, singular):
+        try:
+            if stage.sigma < RANK_TOL:
+                raise RankDeficient(f"{stage.u3.shape[1]}-th singular value of p31 is "
+                                    f"{stage.sigma:.3e} < {RANK_TOL}")
+            if stage.pivot_inv is None:
+                raise NearSingularPivot("projected pairwise moment matrix is near singular")
+            if not ok:
+                raise DiagonalizationFailed(
+                    f"no real well-conditioned eigensystem in {RETRY_BUDGET} rotations")
+            if flat:
+                raise NearSingularPivot("projected observation factor is near singular")
+            results.append(next(fits))
+        except EstimationFailed as exc:
+            # without its traceback, which would hold this frame in a cycle
+            results.append(exc.with_traceback(None))
+    return results
+
+
+def _seeded_stack(sets: list, seeds: list):
+    """The stacked arithmetic of :func:`seeded_estimates` on sets that passed
+    their seed-free stage: the indices of the sets diagonalized, whether
+    each one's projected observation factor is near singular, and the
+    :func:`postprocess` outcome of each of the others, in order."""
+    operands = []
+    for name in ("p312", "u3", "u1", "u2", "pivot_inv"):
+        parts = [getattr(stage, name) for stage in sets]
+        operands.append(np.stack(parts, out=_stack(len(sets), *parts[0].shape)))
+    H = operands[1].shape[2]
+    rotations = np.stack([np.random.default_rng(seed).normal(size=(RETRY_BUDGET, H, H))
+                          for seed in seeds])
+    gamma, r_mat = _stack(len(sets), H, H), _stack(len(sets), H, H)
+    pending = np.arange(len(sets))
+    for lo, hi in ROTATION_ROUNDS:
+        if not pending.size:
+            break
+        tried = operands if pending.size == len(sets) else [_copy(a[pending]) for a in operands]
+        q = _copy(np.linalg.qr(rotations[pending, lo:hi]).Q)
+        eigvals, eigvecs = np.linalg.eig(_contract(tried, q[:, :, 0]))
+        radius = np.abs(eigvals).max(axis=-1)
+        real = ~(np.abs(eigvals.imag).max(axis=-1) > IMAG_TOL * np.maximum(radius, 1e-300))
+        candidate = np.real(eigvecs)
+        norms = np.linalg.norm(candidate, axis=-2)
+        rows = np.flatnonzero(real & ~np.any(norms < 1e-12, axis=-1))
+        candidate = candidate.reshape(-1, H, H)[rows] / norms.reshape(-1, H)[rows][:, None, :]
+        well = ~(np.linalg.cond(candidate) > COND_LIMIT)
+        # each set takes the first rotation of the round that passes every check
+        passing = np.zeros(q.shape[:2], dtype=bool)
+        passing.flat[rows[well]] = True
+        done = np.flatnonzero(passing.any(axis=1))
+        first = done * (hi - lo) + passing[done].argmax(axis=1)
+        gamma[pending[done]] = q.reshape(-1, H, H)[first]
+        r_mat[pending[done]] = candidate[np.searchsorted(rows, first)]
+        pending = np.delete(pending, done)
+    found = np.delete(np.arange(len(sets)), pending)
+    if found.size < len(sets):
+        operands, gamma, r_mat = ([_copy(a[found]) for a in operands],
+                                  _copy(gamma[found]), _copy(r_mat[found]))
+    _, u3, _, u2, _ = operands
+    r_inv = _copy(np.linalg.inv(r_mat))
+    # row h of l_mat: the eigenvalues of the contraction along u2 gamma[h]
+    products = _mul(_mul(r_inv[:, None], _contract(operands, gamma)), r_mat[:, None])
+    l_mat = np.diagonal(products, axis1=2, axis2=3)
+    # Box C writes the emission output as the transpose of obs_factor; the
+    # package-wide convention keeps emissions X x H (column h = nu_h).
+    obs_factor = _mul(u2, _copy(np.linalg.solve(gamma, l_mat)))
+    proj = _mul(u3.swapaxes(1, 2), obs_factor)
+    singular = np.linalg.cond(proj) > COND_LIMIT
+    raw_m = np.linalg.solve(proj[~singular], r_mat[~singular]).swapaxes(1, 2)
+    raw_m = raw_m * np.where(_row_sums(raw_m) < 0, -1.0, 1.0)[..., None]
+    return found, singular, iter(postprocess(raw_m, obs_factor[~singular]))
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Each row's sum, added left to right whatever the layout (numpy's
+    ``sum`` adds a contiguous row of 8 or more entries pairwise)."""
+    return np.add.accumulate(a, axis=-1)[..., -1]
+
+
+def _clip_normalize(vectors: np.ndarray) -> np.ndarray:
+    """Clip negatives and renormalize each row (the last axis) to a
+    distribution (uniform if zero)."""
+    clipped = np.clip(vectors, 0.0, None)
+    sums = _row_sums(clipped)[..., None]
+    return np.divide(clipped, sums, out=np.full_like(clipped, 1.0 / vectors.shape[-1]),
+                     where=sums > 0.0)
+
+
+def postprocess(transitions, emissions) -> list:
+    """The stochastic estimates, with identity labels, made from stacks of
+    raw ``(M, E)`` pairs, (K, H, H) and (K, X, H): one :class:`EstimatedHmm`
+    per pair, or :class:`~hmmbandits.errors.NonFinite` for a pair with a
+    non-finite entry.
+
+    Rows of each transition and columns of each emission are projected by
+    clipping negative entries to zero and dividing by their sum (added left
+    to right); an all-zero row or column falls back to the uniform
+    distribution.  Idempotent on valid inputs.
+    """
+    transitions = np.asarray(transitions, dtype=float)
+    emissions = np.asarray(emissions, dtype=float)
+    finite = np.isfinite(transitions).all(axis=(1, 2)) & np.isfinite(emissions).all(axis=(1, 2))
+    stochastic = zip(_clip_normalize(transitions[finite]),
+                     _clip_normalize(emissions[finite].swapaxes(1, 2)).swapaxes(1, 2))
+    labels = tuple(range(transitions.shape[1]))
+    return [EstimatedHmm(*next(stochastic), labels) if ok
+            else NonFinite("raw estimates contain non-finite entries") for ok in finite]
 
 
 def align(previous: EstimatedHmm | None, fresh: EstimatedHmm) -> EstimatedHmm:

@@ -10,7 +10,8 @@ import pytest
 from hmmbandits.config import ExperimentConfig, PolicySettings, RunSettings
 from hmmbandits.hmm import HmmParams
 from hmmbandits.runner import simulate_group
-from hmmbandits.spectral import prefix_tables, subspaces
+from hmmbandits.spectral import (EstimatedHmm, postprocess, prefix_tables, seeded_estimates,
+                                 subspaces)
 
 
 @pytest.fixture
@@ -93,11 +94,24 @@ def stream_moments(contexts, num_contexts: int):
     return tuple(table[0] for table in tables)
 
 
+def one_postprocess(transition, emission):
+    """``spectral.postprocess`` of one raw ``(M, E)``, a stack of one (the
+    inputs' layouts kept); raises its ``NonFinite``."""
+    (result,) = postprocess(np.asarray(transition, dtype=float)[None],
+                            np.asarray(emission, dtype=float)[None])
+    if not isinstance(result, EstimatedHmm):
+        raise result
+    return result
+
+
 def one_set_estimate(tables, H: int, seed: int):
     """The package's estimate of one moment set ``(p31, p32, p312)``: a stack
-    of one through ``spectral.subspaces``, then its seeded stage."""
-    (stage,) = subspaces(*(table[None] for table in tables), H)
-    return stage.estimate(seed)
+    of one through ``spectral.subspaces``, then its seeded stage; raises the
+    stage's failure."""
+    (result,) = seeded_estimates(subspaces(*(table[None] for table in tables), H), [seed])
+    if not isinstance(result, EstimatedHmm):
+        raise result
+    return result
 
 
 def scripted_policy(choose, log):

@@ -130,7 +130,7 @@ def reference_online_beliefs(contexts, H: int, X: int, refit_every: int, seed: i
     ``(beliefs, failures, final estimate or None)``.
     """
     from hmmbandits.errors import EstimationFailed
-    from hmmbandits.spectral import align, subspaces
+    from hmmbandits.spectral import align, seeded_estimates, subspaces
 
     xs = [int(x) for x in contexts]
     uniform = np.full(H, 1.0 / H)
@@ -141,10 +141,9 @@ def reference_online_beliefs(contexts, H: int, X: int, refit_every: int, seed: i
         refit = t % refit_every == 0 and t >= 8
         if refit:
             n = float(t - 2)
-            (stage,) = subspaces((c31 / n)[None], (c32 / n)[None], (c312 / n)[None], H)
-            try:
-                fresh = stage.estimate(seed + 7919 * (successes + 1))
-            except EstimationFailed:
+            stages = subspaces((c31 / n)[None], (c32 / n)[None], (c312 / n)[None], H)
+            (fresh,) = seeded_estimates(stages, [seed + 7919 * (successes + 1)])
+            if isinstance(fresh, EstimationFailed):
                 failures += 1
             else:
                 estimate = align(estimate, fresh)
@@ -307,7 +306,9 @@ def reference_spectral_estimate(moments, H: int, seed: int):
     rank and pivot checks, then the rotations drawn one at a time from
     ``seed``."""
     from hmmbandits.errors import DiagonalizationFailed, NearSingularPivot, RankDeficient
-    from hmmbandits.spectral import COND_LIMIT, IMAG_TOL, RANK_TOL, RETRY_BUDGET, postprocess
+    from hmmbandits.spectral import COND_LIMIT, IMAG_TOL, RANK_TOL, RETRY_BUDGET
+
+    from conftest import one_postprocess
 
     p31, p32, p312 = moments
     u3_full, s31, v31t = np.linalg.svd(p31)
@@ -354,7 +355,7 @@ def reference_spectral_estimate(moments, H: int, seed: int):
         raise NearSingularPivot("projected observation factor is near singular")
     raw_m = np.linalg.solve(proj, r_mat).T
     raw_m = raw_m * np.where(raw_m.sum(axis=1) < 0, -1.0, 1.0)[:, None]
-    return postprocess(raw_m, obs_factor)
+    return one_postprocess(raw_m, obs_factor)
 
 
 def _has_matching(cost, bound: float, fixed: list) -> bool:
@@ -436,6 +437,27 @@ def reference_refit_schedule(contexts, H: int, X: int, refit_every: int, seed: i
         if estimate is not None:
             schedule.append((t, estimate))
     return schedule, failures
+
+
+def reference_refit_reruns(seeded, outcomes, window: int) -> int:
+    """The refits whose seeded stage runs again when it runs over windows
+    of at most ``window`` refits, from each refit's seed-free result
+    (``seeded``) and outcome: a window ends at its first seeded failure, the
+    next one starts after it, half as long (at least 1), and every seeded
+    refit of the window beyond the failure runs again; a window without a
+    seeded failure makes the next one twice as long (at most ``window``)."""
+    reruns = start = 0
+    size = window
+    while start < len(seeded):
+        stop = min(start + size, len(seeded))
+        failed = [k for k in range(start, stop) if seeded[k] and outcomes[k] != "ok"]
+        if failed:
+            reruns += sum(seeded[failed[0] + 1:stop])
+            stop, size = failed[0] + 1, max(1, size // 2)
+        else:
+            size = min(window, 2 * size)
+        start = stop
+    return reruns
 
 
 def reference_estimation_curves(config):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmmbandits import spectral
+from hmmbandits import beliefs, spectral
 from hmmbandits.beliefs import (
     BeliefErrorBudget,
     belief_gaps,
@@ -17,14 +17,16 @@ from hmmbandits.beliefs import (
 )
 from hmmbandits.errors import ShapeMismatch
 from hmmbandits.hmm import filter_trace, forward_pass, sample_trajectory
-from hmmbandits.spectral import EstimatedHmm, postprocess
+from hmmbandits.spectral import EstimatedHmm
 
-from conftest import TESTS_DIR, random_hmm, run_under_blas_core, sparse_estimate
+from conftest import (TESTS_DIR, one_postprocess, random_hmm, run_under_blas_core,
+                      sparse_estimate)
 from oracles import (
     forward_step,
     reference_forward_pass,
     reference_online_beliefs,
     reference_estimation_curves,
+    reference_refit_reruns,
     reference_refit_schedule,
     reference_scheduled_beliefs,
     stepwise_filter,
@@ -138,7 +140,7 @@ class TestBeliefErrorTrace:
 
     def test_perturbed_truth_stays_bounded(self, reference_params):
         raw_e = np.clip(reference_params.emission + 0.01, 0, None)
-        perturbed = postprocess(reference_params.transition, raw_e)
+        perturbed = one_postprocess(reference_params.transition, raw_e)
         traj = sample_trajectory(reference_params, 400, seed=2)
         gaps = belief_gaps(filter_trace(reference_params, traj.contexts),
                            [(1, perturbed)], traj.contexts)
@@ -155,7 +157,7 @@ class TestBeliefErrorTrace:
     def test_one_truth_pass_serves_every_prefix(self, reference_params):
         # estimation_curves filters the longest trajectory once and slices it
         raw_e = np.clip(reference_params.emission + 0.02, 0, None)
-        est = postprocess(reference_params.transition, raw_e)
+        est = one_postprocess(reference_params.transition, raw_e)
         traj = sample_trajectory(reference_params, 400, seed=5)
         truth = filter_trace(reference_params, traj.contexts)
         for t in (1, 64, 250, 400):
@@ -166,7 +168,7 @@ class TestBeliefErrorTrace:
 
 def online_beliefs(contexts, H, X, refit_every, seed):
     """The belief subroutine over a whole stream: schedule, beliefs, failures."""
-    schedule, failures = refit_schedule(contexts, H, X, refit_every, seed)
+    schedule, failures, _ = refit_schedule(contexts, H, X, refit_every, seed)
     return schedule, scheduled_beliefs(schedule, contexts, H), failures
 
 
@@ -302,19 +304,31 @@ def test_online_beliefs_match_reference_protocol(stream):
         assert final.to_text() == want_estimate.to_text()
 
 
+def seeded_refits(contexts, H, X, refit_every) -> list:
+    """Whether each refit of the stream passes its seed-free stage, so that
+    its seeded stage runs."""
+    ends = [t for t in range(refit_every, len(contexts) + 1, refit_every) if t >= 8]
+    tiles = spectral.prefix_tables(contexts, X, ends) if ends else ()
+    return [stage.pivot_inv is not None for tables in tiles
+            for stage in spectral.subspaces(*tables, H)]
+
+
 def assert_refits_match_loop(contexts, H, X, refit_every, seed) -> list:
     """``refit_schedule`` equals the per-refit loop of the oracle bit for
-    bit (rounds, estimates, labels, failure count); returns the loop's
-    outcome per refit."""
+    bit (rounds, estimates, labels, failure count) and re-runs as many
+    refits as :func:`oracles.reference_refit_reruns` counts; returns the
+    loop's outcome per refit."""
     outcomes = []
     want, want_failures = reference_refit_schedule(contexts, H, X, refit_every, seed, outcomes)
-    got, failures = refit_schedule(contexts, H, X, refit_every, seed)
+    got, failures, reruns = refit_schedule(contexts, H, X, refit_every, seed)
     assert failures == want_failures
     assert [t for t, _ in got] == [t for t, _ in want]
     for (_, a), (_, b) in zip(got, want):
         assert np.array_equal(a.transition_hat, b.transition_hat)
         assert np.array_equal(a.emission_hat, b.emission_hat)
         assert a.label_permutation == b.label_permutation
+    seeded = seeded_refits(contexts, H, X, refit_every)
+    assert reruns == reference_refit_reruns(seeded, outcomes, beliefs.WINDOW)
     return outcomes
 
 
@@ -330,40 +344,118 @@ def failing_streams():
     yield np.concatenate([np.zeros(20, dtype=np.int64), iid]), 3, 3, 4, 0
 
 
-class TestRefitPass:
-    """The batched refit pass against the per-refit loop it replaces."""
+def adjacent_failures_stream():
+    """HMM contexts (H = 3, X = 4) refit every 3 rounds, 48 refits: seeded
+    failures at refits 16, 17 and 19 (counted from 1), so refit 16 ends the
+    first window of 16 and the next window starts on a failure."""
+    params = random_hmm(np.random.default_rng(11), 3, 4, min_entry=0.05)
+    return sample_trajectory(params, 150, seed=11).contexts, 3, 4, 3, 11
 
-    def test_failing_prefixes(self):
+
+def all_failing_stream():
+    """i.i.d. contexts on two symbols (H = X = 2) refit every 2 rounds: all
+    17 refits pass the seed-free stage and fail the seeded one."""
+    return np.random.default_rng(349).integers(0, 2, size=40), 2, 2, 2, 349
+
+
+WINDOWS = [1, 2, 3, 16]
+
+
+class TestRefitPass:
+    """The batched refit pass against the per-refit loop it replaces, with
+    the seeded stage stacked over windows of 1, 2, 3 and 16 refits."""
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_failing_prefixes(self, window):
         outcomes = set()
-        for stream in failing_streams():
-            outcomes.update(assert_refits_match_loop(*stream))
+        with mock.patch.object(beliefs, "WINDOW", window):
+            for stream in failing_streams():
+                outcomes.update(assert_refits_match_loop(*stream))
         assert {"RankDeficient", "NearSingularPivot", "DiagonalizationFailed"} <= outcomes
 
-    def test_wide_benchmark_instance(self):
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_adjacent_seeded_failures(self, window):
+        stream = adjacent_failures_stream()
+        with mock.patch.object(beliefs, "WINDOW", window):
+            outcomes = assert_refits_match_loop(*stream)
+        failed = [k + 1 for k, outcome in enumerate(outcomes) if outcome != "ok"]
+        assert failed == [16, 17, 19] and all(seeded_refits(*stream[:4]))
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_windows_cross_tiles(self, window):
+        # five refits per tile: windows of 16, and windows restarted after a
+        # failure, span tiles
+        contexts, H, X, refit_every, seed = adjacent_failures_stream()
+        with mock.patch.object(beliefs, "WINDOW", window), \
+                mock.patch.object(spectral, "TILE_BYTES", 5 * 8 * X**3):
+            assert_refits_match_loop(contexts, H, X, refit_every, seed)
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_every_seeded_stage_fails(self, window):
+        stream = all_failing_stream()
+        with mock.patch.object(beliefs, "WINDOW", window):
+            outcomes = assert_refits_match_loop(*stream)
+            schedule, failures, reruns = refit_schedule(*stream)
+        assert outcomes == ["DiagonalizationFailed"] * 17 and all(seeded_refits(*stream[:4]))
+        # each window keeps only its first refit and halves the next: at 16,
+        # windows of 16, 8, 4 and 2 re-run 15 + 7 + 3 + 1 refits, then 1 each
+        assert (schedule, failures) == ([], 17)
+        assert reruns == {1: 0, 2: 1, 3: 2, 16: 26}[window]
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_wide_benchmark_instance(self, window):
         # the wideH6-boxB benchmark cell at seed 0 (its tape and estimator
         # seed): H = 6, X = 8, T = 16384, 128 refits in two tiles, three of
         # them seeded DiagonalizationFailed failures
-        from hmmbandits.config import parse_config
-        from hmmbandits.runner import draw_tape, learner_seed_sequence
-
-        make = runpy.run_path(str(TESTS_DIR.parent / "perfbench" / "workloads.py"))["make"]
-        config = parse_config(make("wideH6-boxB", str(TESTS_DIR.parent), 0, "unused").ini)
+        config, contexts, seed = wide_benchmark_cell()
         plan = config.plan("boxB", 16384)
-        contexts = draw_tape(config, 16384, 0).contexts
-        estimator = learner_seed_sequence(config.run.master_seed, "boxB", 16384, 0).spawn(2)[1]
-        seed = int(estimator.generate_state(1)[0])
-        outcomes = assert_refits_match_loop(contexts, plan.H, plan.X, plan.refit_every, seed)
+        with mock.patch.object(beliefs, "WINDOW", window):
+            outcomes = assert_refits_match_loop(contexts, plan.H, plan.X, plan.refit_every, seed)
+            reruns = refit_schedule(contexts, plan.H, plan.X, plan.refit_every, seed)[2]
         failed = [128 * (k + 1) for k, outcome in enumerate(outcomes) if outcome != "ok"]
         assert len(outcomes) == 128 and failed == [256, 640, 2432]
         assert outcomes.count("DiagonalizationFailed") == 3
+        # at 16, windows 1-16 (cut at 2), 3-10 (cut at 5), 6-9, 10-17 and
+        # 18-33 (cut at 19) run refits 3-16, 6-10 and 20-33 again
+        assert reruns == {1: 0, 2: 1, 3: 2, 16: 33}[window]
+
+    def test_manifest_lists_reruns(self, tmp_path):
+        # the same cell through run_experiment: the manifest lists a cell's
+        # failures and re-runs, each only when nonzero
+        from hmmbandits.runner import run_experiment
+
+        name = "boxB_T16384_s0.csv"
+        for window, reruns in [(16, {name: 33}), (1, {})]:
+            out = tmp_path / f"window{window}"
+            config, _, _ = wide_benchmark_cell(str(out))
+            with mock.patch.object(beliefs, "WINDOW", window):
+                assert run_experiment(config, echo=lambda _: None) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["refit_failures"] == {name: 3}
+            assert manifest["refit_reruns"] == reruns
 
     @settings(deadline=None, max_examples=60)
     @given(context_streams(), st.sampled_from([2**18, 4096, 64]))
-    def test_matches_per_refit_loop(self, stream, tile_bytes):
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_matches_per_refit_loop(self, window, stream, tile_bytes):
         # small tiles split the refits into many tiles, down to one per tile
-        with mock.patch.object(spectral, "TILE_BYTES", tile_bytes):
+        with mock.patch.object(spectral, "TILE_BYTES", tile_bytes), \
+                mock.patch.object(beliefs, "WINDOW", window):
             assert_refits_match_loop(*stream)
 
+
+def wide_benchmark_cell(out: str = "unused"):
+    """The parsed ``wideH6-boxB`` benchmark config at seed 0 (artifacts to
+    ``out``), its boxB cell's contexts and estimator seed; the inputs come
+    from ``perfbench/workloads.py``, which is only read."""
+    from hmmbandits.config import parse_config
+    from hmmbandits.runner import draw_tape, learner_seed_sequence
+
+    make = runpy.run_path(str(TESTS_DIR.parent / "perfbench" / "workloads.py"))["make"]
+    config = parse_config(make("wideH6-boxB", str(TESTS_DIR.parent), 0, out).ini)
+    contexts = draw_tape(config, 16384, 0).contexts
+    estimator = learner_seed_sequence(config.run.master_seed, "boxB", 16384, 0).spawn(2)[1]
+    return config, contexts, int(estimator.generate_state(1)[0])
 
 
 @st.composite
@@ -401,12 +493,17 @@ class TestEstimationCurves:
 
 # Runs the refit pass and forward_pass on small cases and prints, as JSON,
 # whether each equals its one-at-a-time reference on the same OpenBLAS kernel.
+# The refit pass runs at windows of 2 and 16, so windows are cut by seeded
+# failures, and at H = 3, X = 5 its stacked operands have an odd X * H.
 REFITS_AND_PASS = """
 import json
+from unittest import mock
 import numpy as np
 from conftest import sparse_estimate
 from oracles import reference_forward_pass
-from test_beliefs import assert_refits_match_loop, failing_streams
+from test_beliefs import (adjacent_failures_stream, all_failing_stream,
+                          assert_refits_match_loop, failing_streams)
+from hmmbandits import beliefs
 from hmmbandits.hmm import forward_pass
 
 def same(stream):
@@ -417,10 +514,16 @@ def same(stream):
     return True
 
 rng = np.random.default_rng(21)
-equal = {f"refits {k}": same(stream) for k, stream in enumerate(failing_streams())}
+streams = {f"refits {k}": stream for k, stream in enumerate(failing_streams())}
+streams["refits adjacent failures"] = adjacent_failures_stream()
+streams["refits all failing"] = all_failing_stream()
 for H, X in [(1, 3), (2, 5), (3, 5), (1, 1)]:
-    contexts = rng.integers(0, X, size=300)
-    equal[f"refits H={H} X={X}"] = same((contexts, H, X, 7, 3))
+    streams[f"refits H={H} X={X}"] = (rng.integers(0, X, size=300), H, X, 7, 3)
+equal = {}
+for window in (2, 16):
+    with mock.patch.object(beliefs, "WINDOW", window):
+        equal.update({f"{name} window {window}": same(stream)
+                      for name, stream in streams.items()})
 for H in range(1, 10):
     models = [sparse_estimate(rng, H, 5, zero_row=k == 0) for k in range(6)]
     contexts = rng.integers(0, 5, size=400)
@@ -435,11 +538,11 @@ print(json.dumps(equal))
 
 @pytest.mark.parametrize("core", ["Haswell", "Prescott"])
 def test_refit_pass_and_forward_pass_under_blas_kernel(core):
-    """On each OpenBLAS kernel the stacked seed-free stage (the stacked
-    pivot products read 16-byte aligned slices) and the batched re-filter
-    equal that kernel's own one-at-a-time references."""
+    """On each OpenBLAS kernel the stacked estimator stages (their stacked
+    products read 16-byte aligned slices) and the batched re-filter equal
+    that kernel's own one-at-a-time references."""
     equal = json.loads(run_under_blas_core(REFITS_AND_PASS, core))
-    assert len(equal) == 2 + 4 + 9
+    assert len(equal) == 2 * (2 + 2 + 4) + 9
     assert [name for name, same in equal.items() if not same] == []
 
 
@@ -477,7 +580,7 @@ def test_filtering_consistency_under_estimates(seed):
     if X < H:
         H, X = X, H if H >= X else X  # keep X >= H irrelevant here; filters only
     params = random_hmm(rng, H, X, min_entry=0.02)
-    est = postprocess(rng.normal(size=(H, H)), rng.normal(size=(X, H)))
+    est = one_postprocess(rng.normal(size=(H, H)), rng.normal(size=(X, H)))
     xs = rng.integers(0, X, size=12)
     uniform = np.full(H, 1.0 / H)
     for belief in (stepwise_filter(est.transition_hat, est.emission_hat, uniform, xs),

@@ -1028,7 +1028,7 @@ class TestTranscriptReplay:
         _, estimator_ss = learner_seed_sequence(21, "boxB", horizon, 0).spawn(2)
         plan = cfg.plan("boxB", horizon)
         policy = _build_policy(plan)
-        schedule, _ = refit_schedule(
+        schedule, *_ = refit_schedule(
             contexts, 2, 2, plan.refit_every,
             seed=int(estimator_ss.generate_state(1)[0]),
         )

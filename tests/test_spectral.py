@@ -15,9 +15,9 @@ from hmmbandits.errors import (
     ShapeMismatch,
 )
 from hmmbandits.hmm import HmmParams, sample_trajectory
-from hmmbandits.spectral import EstimatedHmm, align, postprocess, prefix_tables, relabel
+from hmmbandits.spectral import EstimatedHmm, align, prefix_tables, relabel
 
-from conftest import one_set_estimate, random_hmm, stream_moments
+from conftest import one_postprocess, one_set_estimate, random_hmm, stream_moments
 from oracles import (
     best_permutation_distance,
     count_moments,
@@ -157,22 +157,35 @@ class TestSpectralEstimate:
 
 class TestPostprocess:
     def test_clip_then_renormalize_column(self):
-        est = postprocess(np.array([[1.0]]), np.array([[-0.05], [0.55], [0.5]]))
+        est = one_postprocess(np.array([[1.0]]), np.array([[-0.05], [0.55], [0.5]]))
         assert est.emission_hat[:, 0] == pytest.approx([0.0, 11 / 21, 10 / 21])
 
     def test_stochastic_input_unchanged(self, reference_params):
-        est = postprocess(reference_params.transition, reference_params.emission)
+        est = one_postprocess(reference_params.transition, reference_params.emission)
         assert np.allclose(est.transition_hat, reference_params.transition)
         assert np.allclose(est.emission_hat, reference_params.emission)
 
     def test_zero_column_becomes_uniform(self):
-        est = postprocess(np.array([[0.0]]), np.array([[0.0], [0.0], [0.0]]))
+        est = one_postprocess(np.array([[0.0]]), np.array([[0.0], [0.0], [0.0]]))
         assert est.emission_hat[:, 0] == pytest.approx([1 / 3, 1 / 3, 1 / 3])
         assert est.transition_hat[0, 0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("X", [8, 9, 17])
+    def test_sums_add_left_to_right_in_either_layout(self, X):
+        # numpy's sum adds a contiguous row of 8 or more entries pairwise and
+        # a strided one left to right; the estimates pin the strided bits
+        raw = np.random.default_rng(X).uniform(-0.2, 1.0, size=(X, X))
+        clipped = np.clip(raw, 0.0, None).tolist()
+        rows = np.array([[v / sum(row) for v in row] for row in clipped])
+        columns = np.array([[v / sum(col) for v in col] for col in zip(*clipped)]).T
+        for layout in (raw, np.asfortranarray(raw)):
+            est = one_postprocess(layout, layout)
+            assert np.array_equal(est.transition_hat, rows)
+            assert np.array_equal(est.emission_hat, columns)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFinite):
-            postprocess(np.array([[np.nan]]), np.array([[1.0]]))
+            one_postprocess(np.array([[np.nan]]), np.array([[1.0]]))
 
 
 @settings(deadline=None, max_examples=40)
@@ -181,8 +194,8 @@ def test_postprocess_idempotent(seed):
     rng = np.random.default_rng(seed)
     H = int(rng.integers(1, 4))
     X = int(rng.integers(H, 5))
-    once = postprocess(rng.normal(size=(H, H)), rng.normal(size=(X, H)))
-    twice = postprocess(once.transition_hat, once.emission_hat)
+    once = one_postprocess(rng.normal(size=(H, H)), rng.normal(size=(X, H)))
+    twice = one_postprocess(once.transition_hat, once.emission_hat)
     assert np.allclose(once.transition_hat, twice.transition_hat, atol=1e-15)
     assert np.allclose(once.emission_hat, twice.emission_hat, atol=1e-15)
     assert np.all(once.transition_hat >= 0)
@@ -211,7 +224,7 @@ def raw_matrices(draw):
        st.integers(min_value=0))
 def test_postprocess_on_raw_matrices(raw, bad, in_emission, where):
     m, e = raw
-    est = postprocess(m, e)
+    est = one_postprocess(m, e)
     H = m.shape[0]
     assert np.all(est.transition_hat >= 0) and np.all(est.emission_hat >= 0)
     assert np.abs(est.transition_hat.sum(axis=1) - 1.0).max() <= 1e-12
@@ -224,7 +237,7 @@ def test_postprocess_on_raw_matrices(raw, bad, in_emission, where):
     target = e if in_emission else m
     target.flat[where % target.size] = bad
     with pytest.raises(NonFinite):
-        postprocess(m, e)
+        one_postprocess(m, e)
 
 
 def _estimate_from(transition, emission) -> EstimatedHmm:
@@ -392,7 +405,7 @@ LAYOUT_BUILDS = {
     "spectral_estimate": lambda p: one_set_estimate(population_moments(p), 2, seed=0),
     "align(None, .)": lambda p: align(None, one_set_estimate(population_moments(p), 2, 0)),
     "relabel": lambda p: relabel(one_set_estimate(population_moments(p), 2, 0), (1, 0)),
-    "postprocess of F-ordered raw": lambda p: postprocess(*_fortran(p)),
+    "postprocess of F-ordered raw": lambda p: one_postprocess(*_fortran(p)),
     "from_text": lambda p: estimate_from_text(
         one_set_estimate(population_moments(p), 2, 0).to_text()),
     "EstimatedHmm of F-ordered": lambda p: EstimatedHmm(*_fortran(p)),
