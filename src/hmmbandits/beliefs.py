@@ -10,7 +10,7 @@ bit as one refit, re-filter and Bayes step at a time would.  The prefix
 moments and the seed-free stage of all refits run stacked, a tile at a time
 (``spectral.prefix_tables`` and ``subspaces``).  Each refit's seed counts
 the successes before it, so the seeded stage (``spectral.seeded_estimates``)
-runs stacked over windows of at most ``spectral.WINDOW`` refits under seeds
+runs stacked over windows of at most ``WINDOW`` refits under seeds
 speculated from the successes so far; a seeded failure ends its window, and
 the next, half as long, re-runs the refits after it.  All re-filters run in
 one ``hmm.forward_pass``, the rounds between refits in one
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import EstimationFailed, ShapeMismatch
 from .hmm import forward_pass, forward_steps
-from .spectral import WINDOW, EstimatedHmm, align, prefix_tables, seeded_estimates, subspaces
+from .spectral import EstimatedHmm, align, prefix_tables, seeded_estimates, subspaces
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,7 @@ def u_belief(budget: BeliefErrorBudget, t: int) -> float:
 
 
 MIN_FIT = 8  # shortest prefix the belief subroutine re-estimates from
+WINDOW = 16  # most refits per stacked seeded stage of the online refits
 
 
 def refit_schedule(
@@ -82,12 +83,12 @@ def refit_schedule(
     each seed speculated from the successes so far and the seed-free
     failures in the window.  A seeded failure makes every later seed of its
     window one too high: the window keeps its results up to the failure,
-    and the next window starts right after it.  Seeded failures come in
-    runs, so a window with one halves the next window's length (down to 1)
-    and a window without one doubles it (up to ``WINDOW``).  Returns the
-    ``(t, estimate)`` pair of every refit round once an estimate exists, the
-    number of failed refits, and the number of refits whose seeded stage ran
-    again after such a failure.
+    and the next window starts right after it.  Seeded failures cluster on
+    short prefixes, so a window with one halves the next window's length
+    (down to 1) and a window without one doubles it (up to ``WINDOW``).
+    Returns the ``(t, estimate)`` pair of every refit round once an estimate
+    exists, the number of failed refits, and the number of refits whose
+    seeded stage ran again after such a failure.
     """
     if refit_every < 1:
         raise ShapeMismatch("refit_every must be >= 1")
@@ -106,7 +107,7 @@ def refit_schedule(
             break
         # a set whose seed-free stage passed runs the seeded stage: speculate it succeeds
         seeded = [stage.pivot_inv is not None for _, stage in window]
-        counts = itertools.accumulate(seeded, initial=successes)
+        counts = itertools.accumulate(seeded[:-1], initial=successes)
         results = seeded_estimates([stage for _, stage in window],
                                    [seed + 7919 * (k + 1) for k in counts])
         done, cut = len(window), False

@@ -10,7 +10,7 @@ SVDs, sign fix, rank and pivot checks, pivot inverse) runs stacked, a tile
 at a time.  The seeded stage (:func:`seeded_estimates`: rotations,
 eigenvectors, raw matrices, post-processing) runs stacked over the moment
 sets a caller hands it, one seed each; the online refits hand it windows
-of at most ``WINDOW`` refits under speculated seeds
+of at most ``beliefs.WINDOW`` refits under speculated seeds
 (``beliefs.refit_schedule``).
 """
 
@@ -33,7 +33,6 @@ RETRY_BUDGET = 10
 # rest for the sets it failed (at H = 6 most sets fail the first, and a
 # call per rotation costs more than the rotations tried past a success)
 ROTATION_ROUNDS = ((0, 1), (1, RETRY_BUDGET))
-WINDOW = 16  # most refits per stacked seeded stage of the online refits
 
 
 def _stack(K: int, *shape) -> np.ndarray:
@@ -206,6 +205,8 @@ def seeded_estimates(sets: list, seeds: list) -> list:
     reads and writes :func:`_stack` slices, so each set keeps the bits it
     has alone.
     """
+    if len(seeds) != len(sets):
+        raise ShapeMismatch(f"{len(seeds)} seeds for {len(sets)} moment sets")
     live = [k for k, stage in enumerate(sets) if stage.pivot_inv is not None]
     diagonalized, singular = np.zeros(len(sets), dtype=bool), np.zeros(len(sets), dtype=bool)
     fits = iter(())

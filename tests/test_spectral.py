@@ -15,7 +15,8 @@ from hmmbandits.errors import (
     ShapeMismatch,
 )
 from hmmbandits.hmm import HmmParams, sample_trajectory
-from hmmbandits.spectral import EstimatedHmm, align, prefix_tables, relabel
+from hmmbandits.spectral import (EstimatedHmm, align, prefix_tables, relabel, seeded_estimates,
+                                 subspaces)
 
 from conftest import one_postprocess, one_set_estimate, random_hmm, stream_moments
 from oracles import (
@@ -99,6 +100,13 @@ class TestSpectralEstimate:
         ms = stream_moments([0, 1, 0, 1, 1, 0], num_contexts=2)
         with pytest.raises(ShapeMismatch):
             one_set_estimate(ms, H=3, seed=0)
+
+    def test_one_seed_per_set(self, reference_params):
+        tables = [table[None] for table in population_moments(reference_params)]
+        sets = subspaces(*tables, 2)
+        for seeds in ([], [0, 1]):
+            with pytest.raises(ShapeMismatch):
+                seeded_estimates(sets, seeds)
 
     def test_population_recovery_two_states(self, reference_params):
         est = one_set_estimate(population_moments(reference_params), H=2, seed=0)
