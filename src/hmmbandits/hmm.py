@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,17 +133,25 @@ def sample_chain(
     ``h_1`` inverts ``pi`` at ``u_state[0]``, ``h_{t+1}`` inverts ``M[h_t]``
     at ``u_state[t]`` and ``x_t`` inverts ``nu_{h_t}`` at ``u_ctx[t-1]``; an
     index past the end (a cumulative sum rounding below the draw) is clamped.
+    Each inverse is ``bisect_right``'s rule, the number of cumulative sums at
+    or below the draw.  The chain walks a next-state table: each draw is
+    placed once among all cumulative sums of ``M`` (``cuts``), and entry
+    ``(h, j)`` is the state ``M[h]`` sends a draw with ``j`` cuts at or
+    below it to, so the walk compares no floats.
     """
-    last = params.num_states - 1
-    cum_rows = np.cumsum(params.transition, axis=1).tolist()
-    us = np.asarray(u_state, dtype=float).tolist()
-    h = min(bisect_right(np.cumsum(params.initial_dist).tolist(), us[0]), last)
+    H = params.num_states
+    us = np.asarray(u_state, dtype=float)
+    cum_rows = np.cumsum(params.transition, axis=1)
+    cuts = np.sort(cum_rows, axis=None)
+    edges = np.append(-np.inf, cuts)     # edges[j] = cuts[j - 1], -inf at j = 0
+    table = np.minimum([np.searchsorted(row, edges, side="right") for row in cum_rows],
+                       H - 1).tolist()
+    h = min(int(np.searchsorted(np.cumsum(params.initial_dist), us[0], side="right")), H - 1)
     path = [h]
-    for u in us[1:]:
-        h = min(bisect_right(cum_rows[h], u), last)
+    for j in np.searchsorted(cuts, us[1:], side="right").tolist():
+        h = table[h][j]
         path.append(h)
     hidden = np.array(path, dtype=np.int64)
-    # searchsorted(side="right") = number of cumulative sums <= the draw
     cum_cols = np.cumsum(params.emission, axis=0).T
     below = cum_cols[hidden] <= np.asarray(u_ctx, dtype=float)[:, None]
     contexts = np.minimum(np.count_nonzero(below, axis=1), params.num_contexts - 1)
@@ -166,65 +173,78 @@ def sample_trajectory(params: HmmParams, horizon: int, seed: int) -> Trajectory:
     return Trajectory(hidden=hidden, contexts=contexts, horizon=horizon)
 
 
-def _pairwise_sum(terms: list) -> float:
-    """numpy's sum of 8 or more float64 terms, on Python floats: eight
-    running sums added in pairs, then the rest in order; above 128 terms,
-    each half (split at a multiple of 8) summed so."""
-    n = len(terms)
+def _sum_source(names: list) -> str:
+    """numpy's sum of the float64 terms ``names`` as one Python expression: in
+    order below 8 terms, else eight running sums added in pairs, then the rest
+    in order; above 128 terms each half (cut at a multiple of 8) summed so."""
+    n = len(names)
+    if n < 8:
+        return " + ".join(names)
     if n > 128:
         half = n // 2 - n // 2 % 8
-        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-    r, stop = terms[:8], n - n % 8
-    for i in range(8, stop, 8):
-        r = [a + b for a, b in zip(r, terms[i:i + 8])]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for u in terms[stop:]:
-        total += u
-    return total
+        return f"({_sum_source(names[:half])}) + ({_sum_source(names[half:])})"
+    stop = n - n % 8
+    r = [f"({' + '.join(names[j:stop:8])})" for j in range(8)]
+    pairs = f"(({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))"
+    return " + ".join([pairs, *names[stop:]])
+
+
+def _kernel(H: int):
+    """The forward recursion at ``H`` states as straight-line Python: one
+    local per state for the propagated belief (``p``), the emission row
+    (``e``) and their products (``u``), and the normalizer in numpy's order."""
+    if H not in _KERNELS:
+        p, e = (", ".join(f"{a}{i}" for i in range(H)) + "," for a in "pe")
+        source = "\n".join([
+            "def steps(p, contexts, rows, propagate, vec, prop, view, raw, flat, degenerate):",
+            f"    {p} = p",
+            "    for x in contexts:",
+            f"        {e} = rows[x]",
+            *(f"        u{i} = e{i} * p{i}" for i in range(H)),
+            f"        norm = {_sum_source([f'u{i}' for i in range(H)])}",
+            "        if 0.0 < norm < inf:",
+            *(f"            view[{i}] = u{i} / norm" for i in range(H)),
+            "        else:",
+            "            view[:] = degenerate(x)",
+            "        flat.frombytes(raw)",
+            f"        {p} = propagate(vec, prop).tolist()",
+            "    return flat",
+        ])
+        scope = {"inf": math.inf}
+        exec(compile(source, f"<bayes steps H={H}>", "exec"), scope)
+        _KERNELS[H] = scope["steps"]
+    return _KERNELS[H]
 
 
 def _bayes_steps(belief, prior, transition, emission, contexts, on_degenerate):
     """The forward recursion over ``contexts``: the beliefs after each step,
     flat in one ``array("d")``, row after row.
 
-    ``belief is None`` starts from ``prior``.  Each step's one numpy call is
-    the gemv ``np.dot(transition.T, belief)``, on a vector each step
-    overwrites through a memoryview; the rest runs on Python floats with
-    numpy's bits (a sum of 8 or more terms by :func:`_pairwise_sum`).  A
-    normalizer that is not positive and finite raises
-    :class:`DegenerateLikelihood` or, under ``on_degenerate="uniform"``,
-    resets to uniform.
+    ``belief is None`` starts from ``prior``; otherwise the first step's gemv
+    reads ``belief`` where it lies.  Every step runs :func:`_kernel`'s loop
+    for ``H`` states, whose one numpy call is the gemv
+    ``transition.T.dot(vec, prop)`` (``np.dot(transition.T, vec)`` without
+    its dispatcher) on a vector each step overwrites through a memoryview.
+    The rest runs on Python floats with numpy's bits.  A normalizer that is
+    not positive and finite raises :class:`DegenerateLikelihood` or, under
+    ``on_degenerate="uniform"``, resets to uniform.
     """
     H = transition.shape[0]
-    transition_t = transition.T
-    rows = emission.tolist()
-    uniform = array("d", [1.0 / H] * H)
-    pairwise = H >= 8
-    vec = np.empty(H)
+    propagate = transition.T.dot
+    vec, prop = np.empty(H), np.empty(H)
     view = memoryview(vec)
-    raw = view.cast("B")
-    flat = array("d")
-    for x in contexts:
-        prop = (prior if belief is None else np.dot(transition_t, belief)).tolist()
-        unnorm = [e * p for e, p in zip(rows[x], prop)]
-        if pairwise:
-            norm = _pairwise_sum(unnorm)
-        else:
-            norm = 0.0
-            for u in unnorm:
-                norm += u
-        if not 0.0 < norm < math.inf:
-            if on_degenerate != "uniform":
-                raise DegenerateLikelihood(f"context {x} has zero likelihood under all states")
-            view[:] = uniform
-        else:
-            for i, u in enumerate(unnorm):
-                view[i] = u / norm
-        flat.frombytes(raw)
-        belief = vec
-    return flat
+
+    def degenerate(x):
+        if on_degenerate != "uniform":
+            raise DegenerateLikelihood(f"context {x} has zero likelihood under all states")
+        return array("d", [1.0 / H] * H)
+
+    first = prior.tolist() if belief is None else propagate(belief, prop).tolist()
+    return _kernel(H)(first, contexts, emission.tolist(), propagate, vec, prop, view,
+                      view.cast("B"), array("d"), degenerate)
 
 
+_KERNELS: dict = {}   # the step loop of each state count, compiled on first use
 CHUNK = 64            # steps per chunk product in forward_pass
 TILE_BYTES = 2**18    # bytes per tile: a forward_pass (H, H, pairs) operand, a
                       # learner's block of rows, its outer products

@@ -23,15 +23,17 @@ moments, estimate and ``np.linalg.norm``-based alignment, which reuse the
 package's ``postprocess``, ``relabel`` and constants;
 :func:`reference_estimation_curves`, the per-checkpoint loop the stacked
 ``estimation_curves`` must reproduce, on the same copies and the package's
-scoring; and
+scoring;
 :func:`reference_round_csv_text`, the per-arm CSV renderer whose bytes the
-group renderer must reproduce.
+group renderer must reproduce; and :func:`reference_chain`, the per-draw
+``bisect`` walk whose path and contexts ``sample_chain`` must reproduce.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -847,6 +849,26 @@ class StepwiseBoxB(_Stepwise):
             self._theta = np.linalg.solve(self._gram, self._moment)
         else:
             self._theta = self._gram_inv @ self._moment
+
+
+def reference_chain(params, u_state, u_ctx):
+    """Hidden path and contexts by inverse-CDF lookup, one ``bisect_right``
+    per draw of the chain: ``h_1`` inverts ``pi`` at ``u_state[0]``,
+    ``h_{t+1}`` inverts ``M[h_t]`` at ``u_state[t]`` and ``x_t`` inverts
+    ``nu_{h_t}`` at ``u_ctx[t-1]``, each clamped to the last index."""
+    last = params.num_states - 1
+    cum_rows = np.cumsum(params.transition, axis=1).tolist()
+    us = np.asarray(u_state, dtype=float).tolist()
+    h = min(bisect_right(np.cumsum(params.initial_dist).tolist(), us[0]), last)
+    path = [h]
+    for u in us[1:]:
+        h = min(bisect_right(cum_rows[h], u), last)
+        path.append(h)
+    hidden = np.array(path, dtype=np.int64)
+    cum_cols = np.cumsum(params.emission, axis=0).T
+    below = cum_cols[hidden] <= np.asarray(u_ctx, dtype=float)[:, None]
+    contexts = np.minimum(np.count_nonzero(below, axis=1), params.num_contexts - 1)
+    return hidden, contexts.astype(np.int64)
 
 
 def reference_environment_path(params, spec, phi_table: np.ndarray, horizon: int, seed):

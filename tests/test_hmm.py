@@ -10,12 +10,13 @@ from hmmbandits.errors import DegenerateLikelihood, NotMixing, ShapeMismatch, To
 from hmmbandits.hmm import (
     TILE_BYTES,
     HmmParams,
-    _pairwise_sum,
+    _sum_source,
     check_forgetting,
     filter_trace,
     forgetting_rate,
     forward_pass,
     forward_steps,
+    sample_chain,
     sample_trajectory,
     validate,
 )
@@ -25,6 +26,7 @@ from oracles import (
     conditional_terminal_distribution,
     enumerate_posterior,
     forward_step,
+    reference_chain,
     reference_chunk_step,
     reference_forward_pass,
     reference_step,
@@ -128,6 +130,50 @@ class TestSampleTrajectory:
     def test_horizon_lengths(self, reference_params):
         traj = sample_trajectory(reference_params, 123, seed=0)
         assert len(traj.hidden) == len(traj.contexts) == 123
+
+
+def chain_draws(rng, cums, size):
+    """Uniform draws, half of them replaced by a cumulative sum in ``cums``,
+    the next float below or above such a sum, 0.0 or 1.0 (at or above every
+    last sum)."""
+    special = np.concatenate([cums, np.nextafter(cums, 0.0), np.nextafter(cums, 2.0),
+                              [0.0, 1.0]])
+    draws = rng.random(size)
+    pick = rng.random(size) < 0.5
+    draws[pick] = rng.choice(special, size=int(pick.sum()))
+    return draws
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 6), st.integers(1, 6),
+       st.integers(1, 300), st.integers(0, 6))
+@example(seed=5, H=6, X=8, T=70_000, absorbing=2)
+def test_sample_chain_matches_bisect_walk(seed, H, X, T, absorbing):
+    """sample_chain's next-state table walks the chain of the per-draw
+    bisect loop: over absorbing rows and zero entries (repeated cumulative
+    sums), draws exactly on a cumulative sum or one float either side, and
+    draws at or above a row's last sum, which clamp to the last state."""
+    rng = np.random.default_rng(seed)
+    M, E = sparse_estimate(rng, H, X, zero_row=False)
+    for h in rng.permutation(H)[:absorbing]:
+        M[h] = np.eye(H)[h]
+    params = HmmParams(H, X, rng.dirichlet(np.ones(H)), M, E)
+    u_state = chain_draws(rng, np.cumsum(params.transition, axis=1).ravel(), T)
+    u_ctx = chain_draws(rng, np.cumsum(params.emission, axis=0).ravel(), T)
+    got, want = sample_chain(params, u_state, u_ctx), reference_chain(params, u_state, u_ctx)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_sample_chain_clamps_a_row_summing_below_one():
+    """A row whose cumulative sum rounds below 1 sends the largest draw past
+    its last sum; the walk clamps it to the last state, as bisect does."""
+    M = np.array([[0.7, 0.2, 0.1], [0.1, 0.2, 0.7], [0.3, 0.3, 0.4]])
+    assert np.cumsum(M[0])[-1] < 1.0
+    params = HmmParams(3, 1, np.array([1.0, 0.0, 0.0]), M, np.ones((1, 3)))
+    u_state = np.array([0.0, 1.0 - 2.0**-53, 0.05])
+    hidden, _ = sample_chain(params, u_state, np.zeros(3))
+    assert hidden.tolist() == [0, 2, 0]
+    assert np.array_equal(hidden, reference_chain(params, u_state, np.zeros(3))[0])
 
 
 class TestTrueBeliefFilter:
@@ -290,9 +336,14 @@ def test_chunk_step_einsum_adds_products_in_order(seed, H, width, zeros, steps):
 @settings(deadline=None, max_examples=200)
 @given(st.lists(st.floats(0.0, 1e6), min_size=8, max_size=300),
        st.lists(st.integers(-12, 0), min_size=300, max_size=300))
+@example(values=[(i % 7 + 1) / 3 for i in range(300)], exponents=[-(i % 13) for i in range(300)])
 def test_pairwise_sum_is_numpys(values, exponents):
+    """The normalizer expression the step kernel is generated with adds its
+    terms as numpy's pairwise sum does, halves above 128 terms included."""
     terms = [v * 10.0**e for v, e in zip(values, exponents)]
-    assert _pairwise_sum(terms) == float(np.add.reduce(np.array(terms)))
+    names = [f"u{i}" for i in range(len(terms))]
+    got = eval(_sum_source(names), {}, dict(zip(names, terms)))
+    assert got == float(np.add.reduce(np.array(terms)))
 
 
 @pytest.mark.parametrize("H", [8, 9])
@@ -351,16 +402,21 @@ def reference_trace(belief, prior, M, E, contexts, on_degenerate):
 
 
 @settings(deadline=None, max_examples=150)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 9),
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 18),
        st.integers(1, 6), st.integers(1, 120), st.booleans(),
        st.sampled_from(["raise", "uniform"]))
 @example(seed=1, H=8, X=3, T=60, zero_row=False, on_degenerate="raise")
 @example(seed=2, H=9, X=4, T=60, zero_row=True, on_degenerate="uniform")
+@example(seed=3, H=1, X=2, T=5, zero_row=True, on_degenerate="uniform")
+@example(seed=4, H=16, X=5, T=40, zero_row=False, on_degenerate="raise")
+@example(seed=5, H=17, X=6, T=40, zero_row=True, on_degenerate="uniform")
 def test_bayes_step_kernel_matches_reference_step(seed, H, X, T, zero_row, on_degenerate):
     """forward_step, filter_trace and a lone forward_steps segment share one
-    kernel that steps on Python floats; each row is the numpy reference
-    step's bit for bit, on either side of numpy's pairwise sums (H >= 8), with
-    zero emission rows raising or resetting to uniform as asked."""
+    kernel generated for each state count, which steps on Python floats;
+    each row is the numpy reference step's bit for bit, below and above
+    numpy's pairwise sums (H >= 8) and past the first eight running sums
+    (H = 16, 17), with zero emission rows raising or resetting to uniform
+    as asked."""
     rng = np.random.default_rng(seed)
     M, E = sparse_estimate(rng, H, X, zero_row)
     prior = rng.dirichlet(np.ones(H))
