@@ -220,9 +220,9 @@ def _bayes_steps(belief, prior, transition, emission, contexts, on_degenerate):
     """The forward recursion over ``contexts``: the beliefs after each step,
     flat in one ``array("d")``, row after row.
 
-    ``belief is None`` starts from ``prior``; otherwise the first step's gemv
-    reads ``belief`` where it lies.  Every step runs :func:`_kernel`'s loop
-    for ``H`` states, whose one numpy call is the gemv
+    ``belief is None`` starts from ``prior``; otherwise the first step
+    propagates it by ``transition.T.dot(belief, prop)``.  Every step runs
+    :func:`_kernel`'s loop for ``H`` states, whose one numpy call is the gemv
     ``transition.T.dot(vec, prop)`` (``np.dot(transition.T, vec)`` without
     its dispatcher) on a vector each step overwrites through a memoryview.
     The rest runs on Python floats with numpy's bits.  A normalizer that is

@@ -22,6 +22,7 @@ from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy._core.multiarray import c_einsum  # what np.einsum(optimize=False) calls
 
 from .beliefs import BeliefErrorBudget, u_belief
 from .errors import ShapeMismatch
@@ -316,9 +317,11 @@ class BoxBPolicy:
         conventions of :meth:`BoxAPolicy.play`.
 
         A round makes five BLAS products, ``f θ``, ``f G⁻¹``, ``G⁻¹ v``,
-        ``v·w`` and ``G⁻¹ m``, and one ``einsum`` for the squared norms.
-        The bonus, the UCB sum and the argmax run on Python floats, and the
-        moment and rank-one steps write into buffers of the block."""
+        ``v·w`` and ``G⁻¹ m``, with bound ``dot`` methods, and one call of
+        the ``einsum`` kernel for the squared norms.  The bonus, the UCB sum
+        and the argmax run on Python floats; the moment steps ``f r`` of
+        every row are multiplied once per block, and the rank-one step
+        writes into buffers of the block."""
         n = len(feats)
         plan, u = self.plan, self._u
         _check_block(first_round, n, self._rounds, plan.horizon)
@@ -326,30 +329,30 @@ class BoxBPolicy:
         widths = per_round_widths(plan, rounds, self._u_prefix)
         moment, gram_inv, theta = self._moment, self._gram_inv, self._theta
         dH = feats.shape[2]
-        step, w, outer = np.empty(dH), np.empty(dH), np.empty((dH, dH))
+        w, outer = np.empty(dH), np.empty((dH, dH))
         w_col = w[:, None]
+        steps = feats * rewards[:, :, None]  # every row's moment step
         actions = []
         added = 0  # chosen rows already in the Gram matrix
-        for i, (t, width, reward) in enumerate(zip(rounds, widths, rewards.tolist())):
-            f = feats[i]
-            mahal_sq = np.einsum("ij,ij->i", np.dot(f, gram_inv), f).tolist()
+        for t, width, f, f_r in zip(rounds, widths, feats, steps):
+            mahal_sq = c_einsum("ij,ij->i", f.dot(gram_inv), f).tolist()
             bonus = per_round_bonus(plan, t, mahal_sq, u[t], width)
-            a = _ucb_argmax(np.dot(f, theta).tolist(), bonus)
+            a = _ucb_argmax(f.dot(theta).tolist(), bonus)
             actions.append(a)
             v = f[a]
-            moment += np.multiply(v, reward[a], out=step)
-            np.dot(gram_inv, v, out=w)
+            moment += f_r[a]
+            gram_inv.dot(v, w)
             np.multiply(w_col, w, out=outer)
-            outer /= 1.0 + np.dot(v, w)
+            outer /= 1.0 + v.dot(w)
             gram_inv -= outer
             if t % RESOLVE_EVERY == 0:
                 self._gram = _add_outer_products(
-                    self._gram, feats[np.arange(added, i + 1), actions[added:]])
-                added = i + 1
+                    self._gram, feats[np.arange(added, len(actions)), actions[added:]])
+                added = len(actions)
                 gram_inv = np.linalg.inv(self._gram)
                 theta = np.linalg.solve(self._gram, moment)
             else:
-                theta = np.dot(gram_inv, moment)
+                theta = gram_inv.dot(moment)
         self._gram = _add_outer_products(self._gram, feats[np.arange(added, n), actions[added:]])
         self._gram_inv, self._theta = gram_inv, theta
         self._rounds += n

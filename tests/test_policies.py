@@ -704,6 +704,57 @@ def test_play_matches_stepwise_loop(seed, shape, A, T, scope, known, transfer):
             assert np.array_equal(getattr(policy, name), getattr(stepwise, name)), name
 
 
+def box_b_matches_stepwise(plan, feats, rewards, cuts):
+    """Plays ``BoxBPolicy`` in the blocks that start after each of ``cuts``
+    and ``StepwiseBoxB`` round by round; asserts equal actions and the same
+    bytes of the ridge, where any NaN matches any NaN.  Returns the final
+    moment."""
+    policy, stepwise = BoxBPolicy(plan), StepwiseBoxB(plan)
+    for lo, hi in zip(cuts, cuts[1:] + [len(feats)]):
+        got = policy.play(lo + 1, feats[lo:hi], rewards[lo:hi])
+        assert np.array_equal(got, stepwise.play(lo + 1, feats[lo:hi], rewards[lo:hi]))
+    for name in ["_gram", "_moment", "_gram_inv", "_theta"]:
+        got, want = getattr(policy, name), getattr(stepwise, name)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan), name
+        assert got[~nan].tobytes() == want[~nan].tobytes(), name
+    return stepwise._moment
+
+
+@pytest.mark.parametrize("H, d, A", [(2, 3, 3), (3, 2, 4), (1, 1, 2)])
+def test_box_b_blocks_across_direct_resolves(H, d, A):
+    """Blocks that end just before, at and just after a direct re-solve,
+    three of them one round long, and a block with a re-solve inside it take
+    the actions and the ridge bytes of the round-by-round loop."""
+    R = policies.RESOLVE_EVERY
+    T = 2 * R + 3
+    rng = np.random.default_rng(H * 100 + d * 10 + A)
+    table = rng.normal(size=(A, H + 1, d)) * 10.0 ** rng.integers(-4, 5, size=(A, H + 1, d))
+    feats = blocks(table, rng.integers(0, H + 1, size=T), rng.dirichlet(np.ones(H), size=T))
+    rewards = rng.normal(scale=100.0, size=(T, A))
+    plan = make_plan(policy="boxB", H=H, X=H + 1, d=d, lam=float(np.sqrt(T)), ell=T,
+                     horizon=T)
+    box_b_matches_stepwise(plan, feats, rewards, [0, R - 2, R - 1, R, R + 1])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_box_b_non_finite_reward(bad):
+    """A NaN or infinite reward enters boxB's moment as the round-by-round
+    ``v * r`` does, ``0 * inf = NaN`` at the zero entries of a one-hot row
+    included, and the NaN estimate after it picks the same actions."""
+    H, A, T = 2, 3, 40
+    table = TransferFunction.one_hot_action(A, H).table  # rows with zero entries
+    rng = np.random.default_rng(23)
+    feats = blocks(table, rng.integers(0, H, size=T), rng.dirichlet(np.ones(H), size=T))
+    feats[5:, 1, 1] = 0.0  # a zero entry inside a row's nonzero block as well
+    rewards = rng.normal(size=(T, A))
+    rewards[17] = bad
+    plan = make_plan(policy="boxB", H=H, X=H, d=A, lam=3.0, ell=T, horizon=T)
+    with np.errstate(invalid="ignore"):
+        moment = box_b_matches_stepwise(plan, feats, rewards, [0, 9, 17, 18])
+    assert np.isnan(moment).any()
+
+
 @pytest.mark.parametrize("tile_rounds", [1, 7, 64, 2000])
 def test_cells_match_stepwise_learners(reference_params, monkeypatch, tile_rounds):
     """Learner cells, played in tiles of ``tile_rounds`` rounds with the
