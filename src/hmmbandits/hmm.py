@@ -374,13 +374,16 @@ def forward_pass(
             del prod
             cuts = [0, *(np.flatnonzero(np.diff(pc)) + 1), pairs.size]
             for lo, hi in zip(cuts, cuts[1:]):
-                sel, c = pk[lo:hi], int(pc[lo])
-                vecs = np.matmul(mats[lo:hi], beliefs[sel, :, None])[:, :, 0]
+                k0, c = int(pk[lo]), int(pc[lo])   # the chunk's models run from k0 up
+                run = beliefs[k0:k0 + hi - lo]
+                vecs = np.matmul(mats[lo:hi], run[:, :, None])[:, :, 0]
                 s = vecs.sum(axis=1)
-                ok = s > 0.0
-                beliefs[sel[ok]] = vecs[ok] / s[ok, None]
-                if not ok.all():
-                    dead = sel[~ok]
+                if s.min() > 0.0:
+                    np.divide(vecs, s[:, None], out=run)
+                else:
+                    ok = s > 0.0
+                    run[ok] = vecs[ok] / s[ok, None]
+                    dead = k0 + np.flatnonzero(~ok)
                     scan(dead, np.full(dead.size, c * CHUNK), np.full(dead.size, CHUNK))
     scan(np.arange(K), chunks * CHUNK, ends - 1 - chunks * CHUNK)
     return beliefs

@@ -4,11 +4,11 @@ artifact writing, and the estimation error-curve diagnostic behind the
 ``estimate`` subcommand, which runs the estimator stages of
 :mod:`hmmbandits.spectral` stacked over a seed's checkpoints.
 
-A group of two or more arms renders the CSV columns its arms take from the
-tape (``t``, ``x`` and, under ``emit_oracle_columns``, ``h`` and ``b1..bH``)
-once, and joins each arm's file from them and the arm's own columns.  A
-cell's ``duration`` counts its play alone (and the first arm's, the tape
-draw); writing is not counted.
+The CSVs of a group are written together, a block of rows at a time, each
+through a temporary file renamed into place at the end; a group of two or more
+arms renders a block's tape columns (``t``, ``x`` and, under ``emit_oracle_columns``,
+``h``, ``b1..bH``) once.  A cell's ``duration`` counts its play alone (and the
+first arm's, the tape draw); writing is not counted.
 """
 
 from __future__ import annotations
@@ -219,61 +219,69 @@ def simulate_group(
     return results
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp-{os.getpid()}"
+@contextlib.contextmanager
+def _atomic_files(paths: Sequence[str]):
+    """Open ``<path>.tmp-<pid>`` for each of ``paths``; rename them all into
+    place once the block exits, or remove them all if it raises."""
+    tmps = [f"{path}.tmp-{os.getpid()}" for path in paths]
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        with contextlib.ExitStack() as stack:
+            yield [stack.enter_context(open(tmp, "w", encoding="utf-8", newline="\n"))
+                   for tmp in tmps]
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
         raise
 
 
-def _tape_columns(result: CellResult, emit_oracle: bool) -> tuple[list, list]:
-    """The columns every arm of a group takes from its tape, as one-pass
-    iterators: ``t, x`` before the arm's own columns and, under
-    ``emit_oracle``, ``h, b1..bH`` after them."""
+def _atomic_write(path: str, text: str) -> None:
+    with _atomic_files([path]) as (fh,):
+        fh.write(text)
+
+
+def _tape_columns(result: CellResult, emit_oracle: bool, rows: slice) -> tuple[list, list]:
+    """The tape columns of ``rows`` that every arm of a group takes, as one-pass
+    iterators: ``t, x`` before the arm's own, and ``h, b1..bH`` after (``emit_oracle``)."""
     # .tolist() gives Python ints and floats, which render with str and repr
-    head = [map(str, range(1, result.plan.horizon + 1)), map(str, result.contexts.tolist())]
+    head = [map(str, range(1, result.plan.horizon + 1)[rows]),
+            map(str, result.contexts[rows].tolist())]
     tail = []
     if emit_oracle:
-        tail.append(map(str, result.hidden.tolist()))
-        tail += [map(repr, col) for col in result.true_beliefs.T.tolist()]
+        tail.append(map(str, result.hidden[rows].tolist()))
+        tail += [map(repr, col) for col in result.true_beliefs[rows].T.tolist()]
     return head, tail
 
 
-def _shared_tape_columns(result: CellResult, emit_oracle: bool) -> tuple[list, list]:
-    """The tape columns rendered once, for every arm of a group of two or
-    more: each row's ``"t,x"`` and, under ``emit_oracle``, ``"h,b1,...,bH"``."""
+def _shared_tape_columns(result: CellResult, emit_oracle: bool, rows: slice) -> tuple[list, list]:
+    """The tape columns of ``rows`` rendered once, for every arm of a group of
+    two or more: each row's ``"t,x"`` and, under ``emit_oracle``, ``"h,b1,...,bH"``."""
     return tuple([list(map(",".join, zip(*columns)))] if columns else []
-                 for columns in _tape_columns(result, emit_oracle))
+                 for columns in _tape_columns(result, emit_oracle, rows))
 
 
-def _round_csv_text(result: CellResult, emit_oracle: bool, num_states: int,
-                    tape_columns: tuple[list, list]) -> str:
-    """One arm's per-round CSV: the group's ``tape_columns`` (from
-    ``_tape_columns`` or ``_shared_tape_columns``) around the arm's own
-    ``a, r, regret_inc`` and, under ``emit_oracle``, its ``b*_hat``."""
+def _csv_rows(result: CellResult, emit_oracle: bool, num_states: int,
+              tape_columns: tuple[list, list], rows: slice) -> str:
+    """``rows`` of one arm's per-round CSV, each ending in a newline: the group's
+    ``tape_columns`` of those rows around the arm's own ``a, r, regret_inc``
+    and, under ``emit_oracle``, its ``b*_hat``."""
     head, tail = tape_columns
-    header = ["t", "x", "a", "r", "regret_inc"]
     columns = [
         *head,
-        map(str, result.actions.tolist()),
-        map(repr, result.rewards.tolist()),
-        map(repr, result.increments.tolist()),
+        map(str, result.actions[rows].tolist()),
+        map(repr, result.rewards[rows].tolist()),
+        map(repr, result.increments[rows].tolist()),
         *tail,
     ]
     if emit_oracle:
-        header += ["h"] + [f"b{h + 1}" for h in range(num_states)]
-        header += [f"b{h + 1}_hat" for h in range(num_states)]
         if result.learner_beliefs is None:  # the baselines keep empty cells
             columns.append(itertools.repeat("," * (num_states - 1)))
         else:
-            columns += [map(repr, col) for col in result.learner_beliefs.T.tolist()]
-    # the closing "" ends the text in a newline without a copy of it
-    return "\n".join(itertools.chain([",".join(header)], map(",".join, zip(*columns)), [""]))
+            columns += [map(repr, col) for col in result.learner_beliefs[rows].T.tolist()]
+    # the closing "" ends the block in a newline without a copy of it
+    return "\n".join(itertools.chain(map(",".join, zip(*columns)), [""]))
 
 
 def _cell_filename(policy: str, horizon: int, seed_index: int) -> str:
@@ -321,18 +329,27 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
     refit_failures: dict[str, int] = {}
     refit_reruns: dict[str, int] = {}
 
+    header = ["t", "x", "a", "r", "regret_inc"]
+    if emit_oracle:
+        header += ["h", *(f"b{h + 1}{hat}" for hat in ("", "_hat") for h in range(num_states))]
+
     def write_group(results: list[CellResult]) -> None:
-        # single-writer funnel: completed cells land on disk immediately, so
-        # an interrupted grid preserves them next to the FAILED marker;
-        # the tape's columns are rendered once when more than one arm reads them
-        tape_columns = (_shared_tape_columns if len(results) > 1 else _tape_columns)(
-            results[0], emit_oracle)
-        for result in results:
+        # single-writer funnel: completed groups land on disk at once, so an
+        # interrupted grid keeps them next to the FAILED marker; a block's
+        # tape columns are rendered once when several arms read them
+        names = [_cell_filename(r.plan.policy, r.plan.horizon, r.seed_index) for r in results]
+        tape_columns = _shared_tape_columns if len(results) > 1 else _tape_columns
+        step = max(1, TILE_BYTES // 64)  # rows of about 64 bytes of text
+        with _atomic_files([os.path.join(out_dir, name) for name in names]) as files:
+            for fh in files:
+                fh.write(",".join(header) + "\n")
+            for lo in range(0, results[0].plan.horizon, step):
+                rows = slice(lo, lo + step)
+                tape = tape_columns(results[0], emit_oracle, rows)
+                for fh, result in zip(files, results):
+                    fh.write(_csv_rows(result, emit_oracle, num_states, tape, rows))
+        for name, result in zip(names, results):
             plan = result.plan
-            name = _cell_filename(plan.policy, plan.horizon, result.seed_index)
-            # unnamed, one arm's CSV text is freed before the next arm's is built
-            _atomic_write(os.path.join(out_dir, name),
-                          _round_csv_text(result, emit_oracle, num_states, tape_columns))
             if result.estimate_text is not None:
                 _atomic_write(
                     os.path.join(out_dir, name[:-4] + ".estimate.txt"),

@@ -25,7 +25,7 @@ package's ``postprocess``, ``relabel`` and constants;
 ``estimation_curves`` must reproduce, on the same copies and the package's
 scoring;
 :func:`reference_round_csv_text`, the per-arm CSV renderer whose bytes the
-group renderer must reproduce; and :func:`reference_chain`, the per-draw
+block-by-block group writer must reproduce; and :func:`reference_chain`, the per-draw
 ``bisect`` walk whose path and contexts ``sample_chain`` must reproduce.
 """
 

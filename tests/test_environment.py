@@ -1,5 +1,8 @@
+import collections
 import dataclasses
+import errno
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -196,9 +199,9 @@ class TestEnvironmentProtocol:
                                "random", 5, 0)
         for name in ("contexts", "actions", "rewards", "increments"):
             assert getattr(result, name).shape == (5,)
-        text = runner._round_csv_text(result, False, 2, runner._tape_columns(result, False))
-        csv_rows = text.splitlines()[1:]
-        assert [int(line.split(",")[0]) for line in csv_rows] == [1, 2, 3, 4, 5]
+        rows = slice(0, 5)
+        text = runner._csv_rows(result, False, 2, runner._tape_columns(result, False, rows), rows)
+        assert [int(line.split(",")[0]) for line in text.splitlines()] == [1, 2, 3, 4, 5]
         with pytest.raises(ShapeMismatch):
             sample_tape(reference_params, spec3, phi3, 0, seed=2)
 
@@ -500,30 +503,112 @@ def test_group_csv_bytes_equal_reference(seed, H, T, policies, beliefs, emit_ora
             assert got == want, result.plan.policy
 
 
+BLOCK_ROWS = 4
+
+
+@pytest.mark.parametrize("H", [1, 2])
+@pytest.mark.parametrize("emit_oracle", [False, True])
+@pytest.mark.parametrize("policies", [("boxB",), ("random",), ("oracle", "boxA"),
+                                      ("random", "oracle", "boxB")])
+def test_group_csv_bytes_across_blocks(H, emit_oracle, policies, tmp_path, monkeypatch):
+    """Written a block of rows at a time, every CSV of a group holds the bytes
+    of its arm rendered whole, at horizons of one row and one row either side
+    of a block boundary, and the files are the same at 1 and 2 workers."""
+    monkeypatch.setattr(runner, "TILE_BYTES", 64 * BLOCK_ROWS)
+    rng = np.random.default_rng(H)
+    params = random_hmm(rng, H, H + 1, min_entry=0.02)
+    phi = TransferFunction.from_table(rng.normal(size=(2, params.num_contexts, 2)))
+    theta, c_theta = sample_theta(phi, H, rng)
+    spec = RewardSpec(theta_star=theta, c_theta=c_theta, noise=NoiseModel.gaussian(0.1))
+    config = cell_config(params, spec, phi, 1, policies=policies, emit_oracle_columns=emit_oracle)
+    horizons = (1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1)
+    written = []
+    for workers in (1, 2):
+        config = dataclasses.replace(config, run=dataclasses.replace(
+            config.run, horizons=horizons, workers=workers, out=str(tmp_path / str(workers))))
+        assert runner.run_experiment(config, echo=lambda *_: None) == 0
+        written.append({p.name: p.read_bytes() for p in Path(config.run.out).iterdir()
+                        if p.suffix == ".csv"})
+    assert written[0] == written[1] and len(written[0]) == len(policies) * 5 + 1
+    for T in horizons:
+        for result in simulate_group(config, T, 0, policies):
+            want = reference_round_csv_text(result, emit_oracle, H).encode()
+            assert written[0][f"{result.plan.policy}_T{T}_s0.csv"] == want
+
+
+def test_write_failing_mid_group_publishes_none_of_its_files(reference_params, spec3, phi3,
+                                                               tmp_path, monkeypatch):
+    """A write that fails in the second block of a group's second arm leaves
+    no temporary file and publishes no CSV of that group; the group written
+    before it stays whole."""
+    config = cell_config(reference_params, spec3, phi3, 9, policies=("random", "oracle"))
+    run = dataclasses.replace(config.run, horizons=(9, 10))
+    monkeypatch.setattr(runner, "TILE_BYTES", 64 * BLOCK_ROWS)
+    clean, out = tmp_path / "clean", tmp_path / "full"
+    config = dataclasses.replace(config, run=dataclasses.replace(run, out=str(clean)))
+    assert runner.run_experiment(config, echo=lambda *_: None) == 0
+    writes = collections.Counter()
+
+    class FullDisk:
+        """A text file whose third write (after the header and the first block
+        of rows) to the second arm's CSV of the second group fails."""
+
+        def __init__(self, path, *args, **kwargs):
+            self.name, self.fh = os.path.basename(path), open(path, *args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            writes[self.name] += 1
+            if self.name.startswith("oracle_T10_s0.csv.tmp-") and writes[self.name] == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.fh.write(text)
+
+    monkeypatch.setattr(runner, "open", FullDisk, raising=False)
+    config = dataclasses.replace(config, run=dataclasses.replace(run, out=str(out)))
+    with pytest.raises(OSError, match="No space left"):
+        runner.run_experiment(config, echo=lambda *_: None)
+    tmp = f".csv.tmp-{os.getpid()}"
+    assert writes[f"random_T10_s0{tmp}"] == writes[f"oracle_T10_s0{tmp}"] == 3
+    assert sorted(os.listdir(out)) == ["config_snapshot.ini", "oracle_T9_s0.csv",
+                                       "random_T9_s0.csv"]
+    for name in ("oracle_T9_s0.csv", "random_T9_s0.csv"):
+        assert (out / name).read_bytes() == (clean / name).read_bytes()
+
+
 def test_tape_columns_shared_only_by_groups_of_several_arms(reference_params, spec3, phi3,
                                                             tmp_path, monkeypatch):
-    """Each group of two or more arms renders its tape columns once, and
-    every arm of it renders from them; a one-arm group shares nothing."""
+    """Each group of two or more arms renders a block's tape columns once,
+    and every arm of it renders that block from them; a one-arm group shares
+    nothing."""
     built, rendered = [], []
-    build, render = runner._shared_tape_columns, runner._round_csv_text
+    build, render = runner._shared_tape_columns, runner._csv_rows
 
-    def build_spy(result, emit_oracle):
-        built.append(build(result, emit_oracle))
-        return built[-1]
+    def build_spy(result, emit_oracle, rows):
+        built.append((build(result, emit_oracle, rows), rows))
+        return built[-1][0]
 
-    def render_spy(result, emit_oracle, num_states, tape_columns):
-        rendered.append(tape_columns)
-        return render(result, emit_oracle, num_states, tape_columns)
+    def render_spy(result, emit_oracle, num_states, tape_columns, rows):
+        rendered.append((tape_columns, rows))
+        return render(result, emit_oracle, num_states, tape_columns, rows)
 
     monkeypatch.setattr(runner, "_shared_tape_columns", build_spy)
-    monkeypatch.setattr(runner, "_round_csv_text", render_spy)
+    monkeypatch.setattr(runner, "_csv_rows", render_spy)
+    monkeypatch.setattr(runner, "TILE_BYTES", 64 * 8)  # blocks of 8 rows
     for policies in (("random", "oracle", "boxA"), ("boxB",)):
         config = cell_config(reference_params, spec3, phi3, 20, policies=policies,
                              emit_oracle_columns=True, beliefs="oracle")
         config = dataclasses.replace(config, run=dataclasses.replace(
             config.run, horizons=(20, 30), seeds=(0, 1), out=str(tmp_path / policies[0])))
         assert runner.run_experiment(config, echo=lambda *_: None) == 0
-    # four (horizon, seed) groups of three arms, then four of boxB alone
-    assert len(built) == 4 and len(rendered) == 16
-    assert [sum(columns is b for columns in rendered) for b in built] == [3] * 4
-    assert not any(columns is b for columns in rendered[12:] for b in built)
+    # (horizon, seed) groups of 3 + 3 + 4 + 4 blocks, of three arms, then of boxB alone
+    assert len(built) == 14 and len(rendered) == 3 * 14 + 14
+    assert [[columns is b for columns, _ in rendered[3 * k:3 * k + 3]]
+            for k, (b, _) in enumerate(built)] == [[True] * 3] * 14
+    assert [rows for _, rows in rendered[:42:3]] == [rows for _, rows in built]
+    assert not any(columns is b for columns, _ in rendered[42:] for b, _ in built)
+    assert [rows.start for _, rows in rendered[42:]] == [0, 8, 16] * 2 + [0, 8, 16, 24] * 2
