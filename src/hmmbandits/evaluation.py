@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, ShapeMismatch, SingularA
+from .errors import ConfigError, InsufficientData, ShapeMismatch, SingularA
 from .hmm import HmmParams, check_forgetting, forgetting_rate
 
 
@@ -76,21 +76,26 @@ def fit_rate(
 
 def read_summaries(results_dir: str) -> dict:
     """Final regrets ``{policy: {T: [R_T, ...]}}`` from every ``summary.csv``
-    under ``results_dir``, in the shape :func:`fit_rate` takes per policy."""
+    under ``results_dir``, in the shape :func:`fit_rate` takes per policy; blank
+    lines are skipped, and a line that does not parse raises ``ConfigError``."""
     groups: dict = {}
     for root, _, files in os.walk(results_dir):
         if "summary.csv" not in files:
             continue
-        with open(os.path.join(root, "summary.csv"), "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            idx = {name: i for i, name in enumerate(header)}
-            for line in fh:
-                parts = line.strip().split(",")
-                if len(parts) < 4:
-                    continue
-                groups.setdefault(parts[idx["policy"]], {}).setdefault(
-                    int(parts[idx["T"]]), []
-                ).append(float(parts[idx["R_T"]]))
+        path = os.path.join(root, "summary.csv")
+        with open(path, "r", encoding="utf-8") as fh:
+            lineno = 1
+            try:
+                header = fh.readline().strip().split(",")
+                idx = [header.index(name) for name in ("policy", "T", "R_T")]
+                for lineno, line in enumerate(fh, start=2):
+                    if line.strip():
+                        parts = line.strip().split(",")
+                        policy, horizon, regret = (parts[i] for i in idx)
+                        groups.setdefault(policy, {}).setdefault(int(horizon), []).append(
+                            float(regret))
+            except (IndexError, ValueError) as exc:
+                raise ConfigError(f"{path}, line {lineno}: {exc}") from exc
     return groups
 
 

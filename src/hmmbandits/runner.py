@@ -4,11 +4,12 @@ artifact writing, and the estimation error-curve diagnostic behind the
 ``estimate`` subcommand, which runs the estimator stages of
 :mod:`hmmbandits.spectral` stacked over a seed's checkpoints.
 
+A group is the runner's one record: its shown tape columns and its arms' transcripts.
 The CSVs of a group are written together, a block of rows at a time, each
-through a temporary file renamed into place at the end; a group of two or more
-arms renders a block's tape columns (``t``, ``x`` and, under ``emit_oracle_columns``,
-``h``, ``b1..bH``) once.  A cell's ``duration`` counts its play alone (and the
-first arm's, the tape draw); writing is not counted.
+through a temporary file renamed into place at the end; every group renders a
+block's tape columns (``t``, ``x`` and, under ``emit_oracle_columns``, ``h``,
+``b1..bH``) once, for all its arms.  A cell's ``duration`` counts its play alone
+(and the first arm's, the tape draw); writing is not counted.
 """
 
 from __future__ import annotations
@@ -65,14 +66,13 @@ def learner_seed_sequence(
 
 @dataclass
 class CellResult:
-    """One cell's transcript as columns, with the plan it played; the last
-    three only under ``emit_oracle_columns`` (``learner_beliefs`` for the
-    learners only)."""
+    """One arm's transcript as columns, with the plan it played; the tape of
+    its group holds the columns every arm shares.  ``learner_beliefs`` only
+    under ``emit_oracle_columns``, and for the learners only."""
 
     plan: CellPlan
     seed_index: int
     regret_total: float
-    contexts: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
     increments: np.ndarray
@@ -80,8 +80,6 @@ class CellResult:
     refit_reruns: int
     duration: float
     estimate_text: str | None = None
-    hidden: np.ndarray | None = None
-    true_beliefs: np.ndarray | None = None
     learner_beliefs: np.ndarray | None = None
 
 
@@ -186,12 +184,10 @@ def play_arm(
     # pseudo-regret against the true belief, whatever the policy acted on;
     # cumsum adds left to right (np.sum's pairwise order can round differently)
     increments = tape.scores.max(axis=1) - tape.scores[rounds, actions]
-    emit_oracle = config.run.emit_oracle_columns
     return CellResult(
         plan=plan,
         seed_index=seed_index,
         regret_total=float(np.cumsum(increments)[-1]),
-        contexts=tape.contexts,
         actions=actions,
         rewards=tape.rewards[rounds, actions],
         increments=increments,
@@ -199,24 +195,24 @@ def play_arm(
         refit_reruns=refit_reruns,
         duration=time.perf_counter() - start,
         estimate_text=final_estimate,
-        hidden=tape.hidden if emit_oracle else None,
-        true_beliefs=tape.beliefs if emit_oracle else None,
-        learner_beliefs=beliefs if emit_oracle else None,
+        learner_beliefs=beliefs if config.run.emit_oracle_columns else None,
     )
 
 
 def simulate_group(
     config: ExperimentConfig, horizon: int, seed_index: int, policies: Sequence[str]
-) -> list[CellResult]:
-    """Draw the (horizon, seed) tape once and play every arm of ``policies``
-    on it, in the order given.  The tape draw is charged to the first arm's
-    ``duration``."""
+) -> tuple[dict[str, np.ndarray], list[CellResult]]:
+    """The (horizon, seed) group: the columns of its tape, drawn once, that the CSVs
+    show, by name, and no other, as a worker sends them back (``contexts``; ``hidden``
+    and ``beliefs`` under ``emit_oracle_columns``); and the result of each arm of
+    ``policies`` played on it, in order.  The draw is charged to the first arm."""
     start = time.perf_counter()
     tape = draw_tape(config, horizon, seed_index)
     drawn = time.perf_counter() - start
     results = [play_arm(config, name, tape, seed_index) for name in policies]
     results[0].duration += drawn
-    return results
+    shown = ("contexts", "hidden", "beliefs")[:3 if config.run.emit_oracle_columns else 1]
+    return {name: getattr(tape, name) for name in shown}, results
 
 
 @contextlib.contextmanager
@@ -242,34 +238,27 @@ def _atomic_write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _tape_columns(result: CellResult, emit_oracle: bool, rows: slice) -> tuple[list, list]:
-    """The tape columns of ``rows`` that every arm of a group takes, as one-pass
-    iterators: ``t, x`` before the arm's own, and ``h, b1..bH`` after (``emit_oracle``)."""
+def _tape_columns(tape: dict, emit_oracle: bool, rows: slice) -> list[list[str]]:
+    """The tape columns of ``rows`` rendered once, for every arm of a group: each
+    row's ``"t,x"``, before the arm's own columns, and under ``emit_oracle`` its
+    ``"h,b1,...,bH"``, after them."""
     # .tolist() gives Python ints and floats, which render with str and repr
-    head = [map(str, range(1, result.plan.horizon + 1)[rows]),
-            map(str, result.contexts[rows].tolist())]
-    tail = []
+    parts = [[map(str, range(1, tape["contexts"].size + 1)[rows]),
+              map(str, tape["contexts"][rows].tolist())]]
     if emit_oracle:
-        tail.append(map(str, result.hidden[rows].tolist()))
-        tail += [map(repr, col) for col in result.true_beliefs[rows].T.tolist()]
-    return head, tail
-
-
-def _shared_tape_columns(result: CellResult, emit_oracle: bool, rows: slice) -> tuple[list, list]:
-    """The tape columns of ``rows`` rendered once, for every arm of a group of
-    two or more: each row's ``"t,x"`` and, under ``emit_oracle``, ``"h,b1,...,bH"``."""
-    return tuple([list(map(",".join, zip(*columns)))] if columns else []
-                 for columns in _tape_columns(result, emit_oracle, rows))
+        parts.append([map(str, tape["hidden"][rows].tolist()),
+                      *(map(repr, col) for col in tape["beliefs"][rows].T.tolist())])
+    return [list(map(",".join, zip(*columns))) for columns in parts]
 
 
 def _csv_rows(result: CellResult, emit_oracle: bool, num_states: int,
-              tape_columns: tuple[list, list], rows: slice) -> str:
+              tape_columns: list[list[str]], rows: slice) -> str:
     """``rows`` of one arm's per-round CSV, each ending in a newline: the group's
     ``tape_columns`` of those rows around the arm's own ``a, r, regret_inc``
     and, under ``emit_oracle``, its ``b*_hat``."""
-    head, tail = tape_columns
+    head, *tail = tape_columns
     columns = [
-        *head,
+        head,
         map(str, result.actions[rows].tolist()),
         map(repr, result.rewards[rows].tolist()),
         map(repr, result.increments[rows].tolist()),
@@ -333,21 +322,19 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
     if emit_oracle:
         header += ["h", *(f"b{h + 1}{hat}" for hat in ("", "_hat") for h in range(num_states))]
 
-    def write_group(results: list[CellResult]) -> None:
+    def write_group(tape: dict, results: list[CellResult]) -> None:
         # single-writer funnel: completed groups land on disk at once, so an
-        # interrupted grid keeps them next to the FAILED marker; a block's
-        # tape columns are rendered once when several arms read them
+        # interrupted grid keeps them next to the FAILED marker
         names = [_cell_filename(r.plan.policy, r.plan.horizon, r.seed_index) for r in results]
-        tape_columns = _shared_tape_columns if len(results) > 1 else _tape_columns
         step = max(1, TILE_BYTES // 64)  # rows of about 64 bytes of text
         with _atomic_files([os.path.join(out_dir, name) for name in names]) as files:
             for fh in files:
                 fh.write(",".join(header) + "\n")
-            for lo in range(0, results[0].plan.horizon, step):
+            for lo in range(0, tape["contexts"].size, step):
                 rows = slice(lo, lo + step)
-                tape = tape_columns(results[0], emit_oracle, rows)
+                columns = _tape_columns(tape, emit_oracle, rows)
                 for fh, result in zip(files, results):
-                    fh.write(_csv_rows(result, emit_oracle, num_states, tape, rows))
+                    fh.write(_csv_rows(result, emit_oracle, num_states, columns, rows))
         for name, result in zip(names, results):
             plan = result.plan
             if result.estimate_text is not None:
@@ -371,14 +358,12 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
 
     workers = min(config.run.workers, len(groups))
     try:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for results in pool.map(simulate_group, itertools.repeat(config),
-                                        *zip(*groups), itertools.repeat(policies)):
-                    write_group(results)
-        else:
-            for horizon, seed_index in groups:
-                write_group(simulate_group(config, horizon, seed_index, policies))
+        with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+              else contextlib.nullcontext()) as pool:
+            for group in (pool.map if pool else map)(simulate_group, itertools.repeat(config),
+                                                     *zip(*groups), itertools.repeat(policies)):
+                write_group(*group)
+                del group  # a written group is not held while the next one plays
     except HmmBanditsError as exc:
         _atomic_write(
             os.path.join(out_dir, "FAILED"),

@@ -83,8 +83,8 @@ def cell_config(params, spec, phi, horizon, policies=("random",), master_seed=5,
 
 
 def simulate_cell(config, policy_name: str, horizon: int, seed_index: int):
-    """One (policy, horizon, seed) cell: the one-arm group."""
-    return simulate_group(config, horizon, seed_index, [policy_name])[0]
+    """The result of one (policy, horizon, seed) cell: the arm of a one-arm group."""
+    return simulate_group(config, horizon, seed_index, [policy_name])[1][0]
 
 
 def stream_moments(contexts, num_contexts: int):

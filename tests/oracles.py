@@ -965,15 +965,16 @@ def reference_baseline_cell(params, spec, phi, horizon: int, env_seed, policy_se
             np.array(increments)), total
 
 
-def reference_round_csv_text(result, emit_oracle: bool, num_states: int) -> str:
-    """One arm's per-round CSV text, every column rendered from the arm's
-    own ``CellResult``: ``t,x,a,r,regret_inc`` and, under ``emit_oracle``,
-    ``h``, ``b1..bH`` and ``b1_hat..bH_hat`` (empty for the baselines)."""
+def reference_round_csv_text(tape, result, emit_oracle: bool, num_states: int) -> str:
+    """One arm's per-round CSV text, rendered whole, column by column, from the
+    ``tape`` columns of its group and its own ``CellResult``: ``t,x,a,r,regret_inc``
+    and, under ``emit_oracle``, ``h``, ``b1..bH`` and ``b1_hat..bH_hat`` (empty
+    for the baselines)."""
     # .tolist() gives Python ints and floats, which render with str and repr
     header = ["t", "x", "a", "r", "regret_inc"]
     columns = [
         map(str, range(1, result.plan.horizon + 1)),
-        map(str, result.contexts.tolist()),
+        map(str, tape["contexts"].tolist()),
         map(str, result.actions.tolist()),
         map(repr, result.rewards.tolist()),
         map(repr, result.increments.tolist()),
@@ -981,8 +982,8 @@ def reference_round_csv_text(result, emit_oracle: bool, num_states: int) -> str:
     if emit_oracle:
         header += ["h"] + [f"b{h + 1}" for h in range(num_states)]
         header += [f"b{h + 1}_hat" for h in range(num_states)]
-        columns.append(map(str, result.hidden.tolist()))
-        columns += [map(repr, col) for col in result.true_beliefs.T.tolist()]
+        columns.append(map(str, tape["hidden"].tolist()))
+        columns += [map(repr, col) for col in tape["beliefs"].T.tolist()]
         if result.learner_beliefs is None:  # the baselines keep empty cells
             columns += [itertools.repeat("")] * num_states
         else:

@@ -20,7 +20,7 @@ from hmmbandits.config import ExperimentConfig, PolicySettings, RunSettings, loa
 from hmmbandits.environment import NoiseModel, RewardSpec, TransferFunction, sample_theta
 from hmmbandits.evaluation import fit_rate, run_lemma_trials
 from hmmbandits.hmm import HmmParams, filter_trace, sample_trajectory
-from hmmbandits.runner import draw_tape, play_arm
+from hmmbandits.runner import draw_tape, play_arm, simulate_group
 
 from conftest import one_set_estimate, random_hmm, simulate_cell, stream_moments
 from oracles import best_permutation_distance, enumerate_posterior, population_moments
@@ -263,11 +263,11 @@ def test_criterion_8_belief_state_reduction_at_degenerate_beliefs():
     identical = True
     for policy in ("boxA", "boxB"):
         for seed in (0, 1):
-            cell_b = simulate_cell(belief_cfg, policy, 800, seed)
-            cell_s = simulate_cell(state_cfg, policy, 800, seed)
-            identical &= all(
+            tape_b, (cell_b,) = simulate_group(belief_cfg, 800, seed, [policy])
+            tape_s, (cell_s,) = simulate_group(state_cfg, 800, seed, [policy])
+            identical &= np.array_equal(tape_b["contexts"], tape_s["contexts"]) and all(
                 np.array_equal(getattr(cell_b, name), getattr(cell_s, name))
-                for name in ("contexts", "actions", "rewards", "increments")
+                for name in ("actions", "rewards", "increments")
             )
     report(8, "belief-dependent = state-dependent at one-hot beliefs", identical)
     assert identical

@@ -26,7 +26,7 @@ from hmmbandits.config import (
 )
 from hmmbandits.environment import check_reward_bounds
 from hmmbandits.errors import ConfigError
-from hmmbandits.runner import blas_core
+from hmmbandits.runner import blas_core, simulate_group
 
 from conftest import run_under_blas_core, simulate_cell
 from oracles import estimate_from_text
@@ -759,6 +759,20 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["demo"]["slope"] == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("text, line", [
+        ("name,T,seed,R_T\ndemo,128,0,1.0\n", 1),
+        ("policy,T,seed,R_T\n\ndemo,128,0,1.0\ndemo,abc,1,1.0\n", 4),
+        ("policy,T,seed,R_T\ndemo,128\n", 2),
+    ], ids=["no-policy-column", "T-not-an-integer", "row-short-of-R_T"])
+    def test_fit_rate_on_malformed_summary_exit_2(self, tmp_path, capsys, text, line):
+        summary = tmp_path / "run" / "summary.csv"
+        summary.parent.mkdir()
+        summary.write_text(text)
+        assert cli_main(["fit-rate", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert f"configuration error: {summary}, line {line}: " in captured.err
+        assert captured.out == ""
+
     def test_fit_rate_empty_out_exit_2(self, tmp_path, monkeypatch, capsys):
         # an empty --out is a configuration error, not a silently skipped write
         monkeypatch.chdir(tmp_path)
@@ -1020,8 +1034,8 @@ class TestTranscriptReplay:
 
         cfg = replace(cfg, policy=replace(cfg.policy, policies=("boxB",)))
         horizon = 300
-        result = simulate_cell(cfg, "boxB", horizon, 0)
-        contexts = result.contexts.tolist()
+        tape, (result,) = simulate_group(cfg, horizon, 0, ["boxB"])
+        contexts = tape["contexts"].tolist()
         actions = result.actions.tolist()
         rewards = result.rewards.tolist()
 

@@ -195,12 +195,12 @@ class TestEnvironmentProtocol:
         assert tape.hidden.shape == tape.contexts.shape == (5,)
         assert tape.beliefs.shape == (5, 2)
         assert tape.rewards.shape == tape.scores.shape == (5, 3)
-        result = simulate_cell(cell_config(reference_params, spec3, phi3, 5),
-                               "random", 5, 0)
-        for name in ("contexts", "actions", "rewards", "increments"):
+        shown, (result,) = simulate_group(cell_config(reference_params, spec3, phi3, 5),
+                                          5, 0, ["random"])
+        for name in ("actions", "rewards", "increments"):
             assert getattr(result, name).shape == (5,)
         rows = slice(0, 5)
-        text = runner._csv_rows(result, False, 2, runner._tape_columns(result, False, rows), rows)
+        text = runner._csv_rows(result, False, 2, runner._tape_columns(shown, False, rows), rows)
         assert [int(line.split(",")[0]) for line in text.splitlines()] == [1, 2, 3, 4, 5]
         with pytest.raises(ShapeMismatch):
             sample_tape(reference_params, spec3, phi3, 0, seed=2)
@@ -226,10 +226,10 @@ class TestEnvironmentProtocol:
         config = cell_config(reference_params, spec3, phi3, 40,
                              policies=("random", "oracle"), emit_oracle_columns=True)
         tape = draw_tape(config, 40, 0)
-        random_arm = simulate_cell(config, "random", 40, 0)
-        oracle_arm = simulate_cell(config, "oracle", 40, 0)
-        assert np.array_equal(random_arm.contexts, oracle_arm.contexts)
-        assert np.array_equal(random_arm.hidden, oracle_arm.hidden)
+        random_tape, (random_arm,) = simulate_group(config, 40, 0, ["random"])
+        oracle_tape, (oracle_arm,) = simulate_group(config, 40, 0, ["oracle"])
+        for name in ("contexts", "hidden", "beliefs"):
+            assert np.array_equal(random_tape[name], oracle_tape[name])
         for arm in (random_arm, oracle_arm):
             assert arm.rewards.tolist() == [
                 tape.rewards[t, a] for t, a in enumerate(arm.actions.tolist())]
@@ -456,10 +456,13 @@ def test_group_play_equals_independent_cells(seed, H, extra_contexts, A, T, seed
     spec = RewardSpec(theta_star=theta, c_theta=c_theta, noise=NoiseModel.gaussian(0.1))
     config = cell_config(params, spec, phi, T, policies=tuple(policies), master_seed=seed,
                          emit_oracle_columns=emit_oracle, beliefs=beliefs)
-    group = simulate_group(config, T, seed_index, policies)
+    tape, group = simulate_group(config, T, seed_index, policies)
+    assert list(tape) == ["contexts", "hidden", "beliefs"][:3 if emit_oracle else 1]
     assert [r.plan.policy for r in group] == policies
     for got in group:
-        want = simulate_cell(config, got.plan.policy, T, seed_index)
+        want_tape, (want,) = simulate_group(config, T, seed_index, [got.plan.policy])
+        assert tape.keys() == want_tape.keys()
+        assert all(np.array_equal(tape[name], want_tape[name]) for name in tape)
         for field in dataclasses.fields(CellResult):
             if field.name == "duration":
                 continue
@@ -497,9 +500,10 @@ def test_group_csv_bytes_equal_reference(seed, H, T, policies, beliefs, emit_ora
     with tempfile.TemporaryDirectory() as out:
         config = dataclasses.replace(config, run=dataclasses.replace(config.run, out=out))
         assert runner.run_experiment(config, echo=lambda *_: None) == 0
-        for result in simulate_group(config, T, 0, policies):
+        tape, results = simulate_group(config, T, 0, policies)
+        for result in results:
             got = (Path(out) / f"{result.plan.policy}_T{T}_s0.csv").read_bytes()
-            want = reference_round_csv_text(result, emit_oracle, H).encode()
+            want = reference_round_csv_text(tape, result, emit_oracle, H).encode()
             assert got == want, result.plan.policy
 
 
@@ -531,8 +535,9 @@ def test_group_csv_bytes_across_blocks(H, emit_oracle, policies, tmp_path, monke
                         if p.suffix == ".csv"})
     assert written[0] == written[1] and len(written[0]) == len(policies) * 5 + 1
     for T in horizons:
-        for result in simulate_group(config, T, 0, policies):
-            want = reference_round_csv_text(result, emit_oracle, H).encode()
+        tape, results = simulate_group(config, T, 0, policies)
+        for result in results:
+            want = reference_round_csv_text(tape, result, emit_oracle, H).encode()
             assert written[0][f"{result.plan.policy}_T{T}_s0.csv"] == want
 
 
@@ -580,23 +585,22 @@ def test_write_failing_mid_group_publishes_none_of_its_files(reference_params, s
         assert (out / name).read_bytes() == (clean / name).read_bytes()
 
 
-def test_tape_columns_shared_only_by_groups_of_several_arms(reference_params, spec3, phi3,
-                                                            tmp_path, monkeypatch):
-    """Each group of two or more arms renders a block's tape columns once,
-    and every arm of it renders that block from them; a one-arm group shares
-    nothing."""
+def test_tape_columns_built_once_per_block_for_every_group(reference_params, spec3, phi3,
+                                                           tmp_path, monkeypatch):
+    """Every group, one-arm groups included, renders a block's tape columns
+    once, and every arm of it renders that block from them."""
     built, rendered = [], []
-    build, render = runner._shared_tape_columns, runner._csv_rows
+    build, render = runner._tape_columns, runner._csv_rows
 
-    def build_spy(result, emit_oracle, rows):
-        built.append((build(result, emit_oracle, rows), rows))
+    def build_spy(tape, emit_oracle, rows):
+        built.append((build(tape, emit_oracle, rows), rows))
         return built[-1][0]
 
     def render_spy(result, emit_oracle, num_states, tape_columns, rows):
         rendered.append((tape_columns, rows))
         return render(result, emit_oracle, num_states, tape_columns, rows)
 
-    monkeypatch.setattr(runner, "_shared_tape_columns", build_spy)
+    monkeypatch.setattr(runner, "_tape_columns", build_spy)
     monkeypatch.setattr(runner, "_csv_rows", render_spy)
     monkeypatch.setattr(runner, "TILE_BYTES", 64 * 8)  # blocks of 8 rows
     for policies in (("random", "oracle", "boxA"), ("boxB",)):
@@ -606,9 +610,8 @@ def test_tape_columns_shared_only_by_groups_of_several_arms(reference_params, sp
             config.run, horizons=(20, 30), seeds=(0, 1), out=str(tmp_path / policies[0])))
         assert runner.run_experiment(config, echo=lambda *_: None) == 0
     # (horizon, seed) groups of 3 + 3 + 4 + 4 blocks, of three arms, then of boxB alone
-    assert len(built) == 14 and len(rendered) == 3 * 14 + 14
-    assert [[columns is b for columns, _ in rendered[3 * k:3 * k + 3]]
-            for k, (b, _) in enumerate(built)] == [[True] * 3] * 14
-    assert [rows for _, rows in rendered[:42:3]] == [rows for _, rows in built]
-    assert not any(columns is b for columns, _ in rendered[42:] for b, _ in built)
-    assert [rows.start for _, rows in rendered[42:]] == [0, 8, 16] * 2 + [0, 8, 16, 24] * 2
+    assert [rows.start for _, rows in built] == ([0, 8, 16] * 2 + [0, 8, 16, 24] * 2) * 2
+    owners = [k for k, arms in enumerate([3] * 14 + [1] * 14) for _ in range(arms)]
+    assert len(rendered) == len(owners) == 3 * 14 + 14
+    assert all(columns is built[k][0] and rows == built[k][1]
+               for (columns, rows), k in zip(rendered, owners))

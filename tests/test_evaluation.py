@@ -1,4 +1,7 @@
+import dataclasses
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,7 +113,8 @@ class TestRegretLedger:
     st.booleans(),
 )
 def test_baseline_arms_match_reference_cell(seed, H, X, A, T, model, theta_kind, emit):
-    """The random and oracle arms' columns equal a round-by-round cell."""
+    """The random and oracle arms' columns, and the tape columns of their
+    CSVs, equal a round-by-round cell."""
     rng = np.random.default_rng(seed)
     params = random_hmm(rng, H, X, min_entry=0.02)
     table = rng.normal(size=(A, X, 2))
@@ -126,6 +130,11 @@ def test_baseline_arms_match_reference_cell(seed, H, X, A, T, model, theta_kind,
                       noise=NoiseModel.gaussian(0.1), model=model)
     config = cell_config(params, spec, phi, T, policies=("random", "oracle"),
                          master_seed=seed, emit_oracle_columns=emit)
+    with tempfile.TemporaryDirectory() as out:
+        config = dataclasses.replace(config, run=dataclasses.replace(config.run, out=out))
+        assert runner.run_experiment(config, echo=lambda *_: None) == 0
+        csvs = {policy: (Path(out) / f"{policy}_T{T}_s0.csv").read_text().splitlines()
+                for policy in ("random", "oracle")}
     for policy in ("random", "oracle"):
         result = simulate_cell(config, policy, T, 0)
         env_ss = runner.environment_seed_sequence(seed, T, 0)
@@ -133,17 +142,20 @@ def test_baseline_arms_match_reference_cell(seed, H, X, A, T, model, theta_kind,
         want, total = reference_baseline_cell(params, spec, phi, T, env_ss,
                                               policy_ss, policy)
         hidden, contexts, beliefs, actions, rewards, increments = want
-        assert np.array_equal(result.contexts, contexts)
+        header, *rows = csvs[policy]
+        columns = dict(zip(header.split(","), np.array([row.split(",") for row in rows]).T))
+        assert np.array_equal(columns["x"].astype(np.int64), contexts)
         assert np.array_equal(result.actions, actions)
         assert np.array_equal(result.rewards, rewards)
         assert np.array_equal(result.increments, increments)
         assert result.regret_total == total
         assert result.learner_beliefs is None
         if emit:
-            assert np.array_equal(result.hidden, hidden)
-            assert np.array_equal(result.true_beliefs, beliefs)
+            assert np.array_equal(columns["h"].astype(np.int64), hidden)
+            true_beliefs = np.stack([columns[f"b{h + 1}"] for h in range(H)], axis=1)
+            assert np.array_equal(true_beliefs.astype(float), beliefs)
         else:
-            assert result.hidden is None and result.true_beliefs is None
+            assert header == "t,x,a,r,regret_inc"
         if policy == "oracle":
             assert total == 0.0
 

@@ -772,10 +772,10 @@ def test_cells_match_stepwise_learners(reference_params, monkeypatch, tile_round
     config = replace(config, run=replace(config.run, plugin_gamma=True),
                      policy=replace(config.policy, ell=30, refit_every=25))
     monkeypatch.setattr(runner, "TILE_BYTES", tile_rounds * 8 * 3 * 2 * 3)
-    got = runner.simulate_group(config, 400, 0, ["boxA", "boxB"])
+    _, got = runner.simulate_group(config, 400, 0, ["boxA", "boxB"])
     monkeypatch.setattr(runner, "BoxAPolicy", StepwiseBoxA)
     monkeypatch.setattr(runner, "BoxBPolicy", StepwiseBoxB)
-    want = runner.simulate_group(config, 400, 0, ["boxA", "boxB"])
+    _, want = runner.simulate_group(config, 400, 0, ["boxA", "boxB"])
     for a, b in zip(got, want):
         assert np.array_equal(a.actions, b.actions)
 

@@ -1,5 +1,5 @@
 """The package surface: what ``import hmmbandits`` binds, no dead imports, and
-no public name that nothing in the package refers to.
+no public or private name that nothing in the package refers to.
 
 Callers reach every name through the submodule that defines it
 (``hmmbandits.runner.run_experiment``), so the package object must bind each
@@ -80,27 +80,54 @@ def _public_definitions(tree: ast.Module):
                     yield f"{node.name}.{sub.name}", sub
 
 
+def _private_definitions(tree: ast.Module):
+    """``(name, node)`` of each private top-level function, class and constant
+    (``_name``, not ``__name__``); class bodies, dataclass fields among them,
+    are not scanned."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
 def _names(nodes) -> set:
     """Names the ``nodes`` use, as ``name`` or ``obj.name``."""
     return {node.id if isinstance(node, ast.Name) else node.attr for node in nodes
             if isinstance(node, (ast.Name, ast.Attribute))}
 
 
-def test_every_public_name_has_a_caller_in_the_package():
-    # what only tests call belongs in tests/; cli.main is the entry point
+def _unreferenced(definitions) -> list:
+    """``module.qualname`` of each definition that ``definitions(tree)`` yields
+    and that nothing in the package refers to outside the definition itself."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
              for p in sorted(PACKAGE_DIR.glob("*.py"))}
     dead = []
     for module, tree in trees.items():
         elsewhere = set().union(*(_names(ast.walk(other)) for name, other in trees.items()
                                   if name != module))
-        for qualname, node in _public_definitions(tree):
+        for qualname, node in definitions(tree):
             inside = {id(sub) for sub in ast.walk(node)}
             here = _names(sub for sub in ast.walk(tree) if id(sub) not in inside)
-            name = qualname.rsplit(".", 1)[-1]
-            if f"{module}.{qualname}" != "cli.main" and name not in here | elsewhere:
+            if qualname.rsplit(".", 1)[-1] not in here | elsewhere:
                 dead.append(f"{module}.{qualname}")
-    assert not dead
+    return dead
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    # what only tests call belongs in tests/; cli.main is the entry point
+    assert [name for name in _unreferenced(_public_definitions) if name != "cli.main"] == []
+
+
+def test_every_private_name_has_a_reference_in_the_package():
+    # a private name is the package's own: with no reference it is dead
+    assert _unreferenced(_private_definitions) == []
 
 
 def test_no_settings_field_has_a_second_default():
