@@ -6,6 +6,9 @@ suite), ``fit-rate`` (log-log slope over existing summaries), and
 ``print-config-schema``; ``hmmbandits <command> --help`` lists the
 arguments of one.
 
+Each subcommand imports the modules it runs when it runs, so
+``print-config-schema`` loads neither the runner nor the evaluation suite.
+
 Exit codes: 0 success, 1 usage error, 2 configuration/validation failure,
 3 numerical failure.  The ``LBL_SEED`` environment variable overrides the
 configured master seed; ``--seed`` overrides both.
@@ -20,8 +23,6 @@ import sys
 
 from .config import CONFIG_SCHEMA, FLAG_KEYS, ExperimentConfig, apply_overrides, load_config
 from .errors import ConfigError, HmmBanditsError, InsufficientData
-from .evaluation import fit_rate, read_summaries, run_lemma_trials
-from .runner import _atomic_write, estimation_curves, run_experiment, write_estimation_csv
 
 
 def _int_at_least(low: int):
@@ -48,11 +49,15 @@ def _load(args) -> ExperimentConfig:
 
 
 def _cmd_simulate(args) -> int:
+    from .runner import run_experiment
+
     config = _load(args)
     return run_experiment(config)
 
 
 def _cmd_estimate(args) -> int:
+    from .runner import estimation_curves, write_estimation_csv
+
     config = _load(args)
     rows = estimation_curves(config)
     os.makedirs(config.run.out, exist_ok=True)
@@ -61,6 +66,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_check_lemmas(args) -> int:
+    from .evaluation import run_lemma_trials
+
     results = run_lemma_trials(args.trials, seed=args.seed)
     trials = results.pop("trials")
     all_pass = True
@@ -72,6 +79,8 @@ def _cmd_check_lemmas(args) -> int:
 
 
 def _cmd_fit_rate(args) -> int:
+    from .evaluation import fit_rate, read_summaries
+
     if args.out == "":
         raise ConfigError("--out must name an output directory, got an empty value")
     groups = read_summaries(args.results_dir)
@@ -94,6 +103,8 @@ def _cmd_fit_rate(args) -> int:
     text = json.dumps(report, indent=2)
     print(text)
     if args.out is not None:
+        from .runner import _atomic_write
+
         os.makedirs(args.out, exist_ok=True)
         _atomic_write(os.path.join(args.out, "rate_fit.json"), text + "\n")
     return 0

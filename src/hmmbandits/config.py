@@ -6,7 +6,9 @@ are whitespace-separated decimals: ``M`` row-major, ``E`` column-major
 state.  :data:`KEYS` holds one :class:`Key` per key, which the schema, the
 section readers, the settings classes, ``config_snapshot`` and the CLI
 overrides all read.  ``auto`` values resolve once per cell, into the cell's
-:class:`~hmmbandits.policies.CellPlan` (:meth:`ExperimentConfig.plan`).
+:class:`CellPlan` (:meth:`ExperimentConfig.plan`), which the policies and
+the runner import from here: loading a configuration imports
+``environment``, ``errors`` and ``hmm``, and no learner, estimator or runner.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .environment import (
 )
 from .errors import ConfigError, NotMixing, ShapeMismatch
 from .hmm import HmmParams, forgetting_rate
-from .policies import CellPlan
 
 KNOWN_POLICIES = ("boxA", "boxB", "oracle", "random")
 LEARNERS = ("boxA", "boxB")
@@ -248,6 +249,47 @@ def _settings(name: str, section: str) -> type:
 
 PolicySettings = _settings("PolicySettings", "policy")
 RunSettings = _settings("RunSettings", "run")
+
+
+@dataclass(frozen=True)
+class CellPlan:
+    """Every value one (policy, horizon) cell plays with.
+
+    ``lam`` is the ridge regularizer, round ``t`` is in stage
+    ``ceil(t / ell)``, and the estimator refits every ``refit_every`` rounds.
+    ``gamma``, ``c_theta``, ``c_eta``, ``v_eta`` are treated as available to
+    the learner; only boxA's staged width reads ``gamma``, which is None for
+    every other policy, and the baselines read only ``lam`` and ``ell``.
+    ``known_beliefs`` zeroes every belief-error term (the oracle-belief
+    ablation).  ``bonus_scope`` selects whether the Gram-norm factor
+    multiplies the full five-term parenthesis of the staged bonus
+    (``"full"``) or only its first three terms (``"partial"``).
+    """
+
+    policy: str
+    horizon: int
+    lam: float
+    ell: int
+    refit_every: int
+    delta: float
+    gamma: float | None
+    c_theta: float
+    c_eta: float
+    v_eta: float
+    H: int
+    X: int
+    d: int
+    bonus_scope: str = "full"
+    known_beliefs: bool = False
+
+    @property
+    def num_stages(self) -> int:
+        return -(-self.horizon // self.ell)
+
+    def stage_of(self, t: int) -> int:
+        if not 1 <= t <= self.horizon:
+            raise ShapeMismatch(f"round {t} outside [1, {self.horizon}]")
+        return -(-t // self.ell)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Decision strategies: staged LinUCB on estimated beliefs and its per-round
 (non-staged) variant, plus the belief-budget schedule and the two
 action-vectorized confidence-bonus kernels they score with.  All of them
-read one :class:`CellPlan`, the cell's values with every ``auto`` of the
-configuration resolved once (``ExperimentConfig.plan``).
+read one :class:`~hmmbandits.config.CellPlan`, the cell's values with every
+``auto`` of the configuration resolved once (``ExperimentConfig.plan``); it
+lives in :mod:`hmmbandits.config`, next to that one constructor.
 
 Rewards are linear in the rows ``b_t (x) phi(a, x_t)``, so both policies are
 LinUCB over them: ``play(first_round, feats, rewards)`` takes an
@@ -19,57 +20,17 @@ import functools
 import itertools
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 from numpy._core.multiarray import c_einsum  # what np.einsum(optimize=False) calls
 
 from .beliefs import BeliefErrorBudget, u_belief
+from .config import CellPlan
 from .errors import ShapeMismatch
 from .hmm import TILE_BYTES
 
 RESOLVE_EVERY = 1000  # BoxBPolicy re-solves its ridge directly this often
-
-
-@dataclass(frozen=True)
-class CellPlan:
-    """Every value one (policy, horizon) cell plays with.
-
-    ``lam`` is the ridge regularizer, round ``t`` is in stage
-    ``ceil(t / ell)``, and the estimator refits every ``refit_every`` rounds.
-    ``gamma``, ``c_theta``, ``c_eta``, ``v_eta`` are treated as available to
-    the learner; only boxA's staged width reads ``gamma``, which is None for
-    every other policy, and the baselines read only ``lam`` and ``ell``.
-    ``known_beliefs`` zeroes every belief-error term (the oracle-belief
-    ablation).  ``bonus_scope`` selects whether the Gram-norm factor
-    multiplies the full five-term parenthesis of the staged bonus
-    (``"full"``) or only its first three terms (``"partial"``).
-    """
-
-    policy: str
-    horizon: int
-    lam: float
-    ell: int
-    refit_every: int
-    delta: float
-    gamma: float | None
-    c_theta: float
-    c_eta: float
-    v_eta: float
-    H: int
-    X: int
-    d: int
-    bonus_scope: str = "full"
-    known_beliefs: bool = False
-
-    @property
-    def num_stages(self) -> int:
-        return -(-self.horizon // self.ell)
-
-    def stage_of(self, t: int) -> int:
-        if not 1 <= t <= self.horizon:
-            raise ShapeMismatch(f"round {t} outside [1, {self.horizon}]")
-        return -(-t // self.ell)
 
 
 def u_schedule(plan: CellPlan) -> tuple[memoryview, memoryview]:
@@ -316,12 +277,12 @@ class BoxBPolicy:
         """Actions of rounds ``first_round, first_round + 1, ...``, with the
         conventions of :meth:`BoxAPolicy.play`.
 
-        A round makes five BLAS products, ``f θ``, ``f G⁻¹``, ``G⁻¹ v``,
-        ``v·w`` and ``G⁻¹ m``, with bound ``dot`` methods, and one call of
-        the ``einsum`` kernel for the squared norms.  The bonus, the UCB sum
-        and the argmax run on Python floats; the moment steps ``f r`` of
-        every row are multiplied once per block, and the rank-one step
-        writes into buffers of the block."""
+        A round makes six BLAS products, ``f θ``, ``f G⁻¹``, ``G⁻¹ v``,
+        ``v·w``, the outer product ``w wᵀ`` and ``G⁻¹ m``, with ``dot``,
+        and one call of the ``einsum`` kernel for the squared norms.  The
+        bonus, the UCB sum and the argmax run on Python floats; the moment
+        steps ``f r`` of every row are multiplied once per block, and
+        ``f G⁻¹`` and the rank-one step write into buffers of the block."""
         n = len(feats)
         plan, u = self.plan, self._u
         _check_block(first_round, n, self._rounds, plan.horizon)
@@ -329,20 +290,20 @@ class BoxBPolicy:
         widths = per_round_widths(plan, rounds, self._u_prefix)
         moment, gram_inv, theta = self._moment, self._gram_inv, self._theta
         dH = feats.shape[2]
-        w, outer = np.empty(dH), np.empty((dH, dH))
-        w_col = w[:, None]
+        w, outer, fg = np.empty(dH), np.empty((dH, dH)), np.empty(feats.shape[1:])
+        w_col, w_row = w[:, None], w[None, :]
         steps = feats * rewards[:, :, None]  # every row's moment step
         actions = []
         added = 0  # chosen rows already in the Gram matrix
         for t, width, f, f_r in zip(rounds, widths, feats, steps):
-            mahal_sq = c_einsum("ij,ij->i", f.dot(gram_inv), f).tolist()
+            mahal_sq = c_einsum("ij,ij->i", f.dot(gram_inv, fg), f).tolist()
             bonus = per_round_bonus(plan, t, mahal_sq, u[t], width)
             a = _ucb_argmax(f.dot(theta).tolist(), bonus)
             actions.append(a)
             v = f[a]
             moment += f_r[a]
             gram_inv.dot(v, w)
-            np.multiply(w_col, w, out=outer)
+            np.dot(w_col, w_row, outer)  # w_i * w_j, but an exact zero is +0.0
             outer /= 1.0 + v.dot(w)
             gram_inv -= outer
             if t % RESOLVE_EVERY == 0:

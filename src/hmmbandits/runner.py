@@ -9,7 +9,8 @@ The CSVs of a group are written together, a block of rows at a time, each
 through a temporary file renamed into place at the end; every group renders a
 block's tape columns (``t``, ``x`` and, under ``emit_oracle_columns``, ``h``,
 ``b1..bH``) once, for all its arms.  A cell's ``duration`` counts its play alone
-(and the first arm's, the tape draw); writing is not counted.
+(and the first arm's, the tape draw); writing is not counted.  The process
+pool, and with it ``multiprocessing``, is imported only when ``workers > 1``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import os
 import re
 import time
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -30,11 +30,11 @@ import numpy as np
 
 from . import __version__
 from .beliefs import belief_gaps, refit_schedule, scheduled_beliefs
-from .config import KNOWN_POLICIES, LEARNERS, ExperimentConfig, config_snapshot
+from .config import KNOWN_POLICIES, LEARNERS, CellPlan, ExperimentConfig, config_snapshot
 from .environment import EnvironmentTape, sample_tape
 from .errors import ConfigError, EstimationFailed, HmmBanditsError, ShapeMismatch
 from .hmm import TILE_BYTES, filter_trace, sample_trajectory, validate
-from .policies import BoxAPolicy, BoxBPolicy, CellPlan
+from .policies import BoxAPolicy, BoxBPolicy
 from .spectral import (EstimatedHmm, align, prefix_tables, relabel, seeded_estimates,
                        subspaces)
 
@@ -357,9 +357,12 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
             )
 
     workers = min(config.run.workers, len(groups))
+    pool = None
+    if workers > 1:  # only a pool needs multiprocessing, so only a pool imports it
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-              else contextlib.nullcontext()) as pool:
+        with pool or contextlib.nullcontext():
             for group in (pool.map if pool else map)(simulate_group, itertools.repeat(config),
                                                      *zip(*groups), itertools.repeat(policies)):
                 write_group(*group)

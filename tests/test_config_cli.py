@@ -629,6 +629,24 @@ class TestCli:
                 manifest = json.loads((out / "manifest.json").read_text())
                 assert list(manifest["durations"]) == policy_major
 
+    def test_pool_in_a_fresh_process_writes_the_same_bytes(self, tmp_path):
+        # a fresh interpreter imports the pool on the workers > 1 branch alone
+        root = Path(__file__).resolve().parents[1]
+        path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+        outs = {}
+        for workers in ("1", "2"):
+            outs[workers] = tmp_path / f"w{workers}"
+            result = subprocess.run(
+                [sys.executable, "-m", "hmmbandits", "simulate", "configs/smoke.ini",
+                 "--workers", workers, "--out", str(outs[workers])],
+                cwd=root, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+            )
+            assert result.returncode == 0, result.stderr
+        names = sorted(p.name for p in outs["1"].iterdir() if p.suffix == ".csv")
+        assert "summary.csv" in names and len(names) == 3 * 2 * 2 + 1
+        for name in names:
+            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes()
+
     def test_lbl_seed_env_override(self, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "e1", tmp_path / "e2"
         path = write_config(tmp_path, out="unused")

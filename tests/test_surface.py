@@ -2,11 +2,14 @@
 no public or private name that nothing in the package refers to.
 
 Callers reach every name through the submodule that defines it
-(``hmmbandits.runner.run_experiment``), so the package object must bind each
-submodule; nothing else is re-exported.
+(``hmmbandits.runner.run_experiment``), so the package object binds each
+submodule on first access; nothing else is re-exported.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hmmbandits
@@ -21,6 +24,36 @@ def test_import_binds_every_submodule():
         module = getattr(hmmbandits, name, None)
         assert module is not None, name
         assert module.__name__ == f"hmmbandits.{name}"
+
+
+# what a fresh ``import hmmbandits`` and ``load_config`` must leave unloaded
+FRESH_CHILD = """\
+import sys
+import hmmbandits
+from hmmbandits.config import load_config
+config = load_config("configs/smoke.ini")
+unwanted = [f"hmmbandits.{name}" for name in
+            ("runner", "evaluation", "policies", "beliefs", "spectral", "cli")]
+unwanted += ["multiprocessing", "concurrent.futures.process"]
+print(sorted(name for name in unwanted if name in sys.modules))
+run_experiment = hmmbandits.runner.run_experiment
+print(hasattr(hmmbandits, "nope"))
+from dataclasses import replace
+config = replace(config, run=replace(config.run, out=sys.argv[1], workers=1))
+print(run_experiment(config, echo=lambda *args: None), "multiprocessing" in sys.modules)
+"""
+
+
+def test_fresh_import_loads_only_what_config_needs(tmp_path):
+    # a fresh interpreter: this process has long imported every submodule
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", FRESH_CHILD, str(tmp_path / "out")], cwd=root,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "False", "0 False"]
 
 
 def _unused_imports(source: str) -> list:
