@@ -2,6 +2,8 @@
 feeds them, and the executable-lemma suite (elliptic potentials, determinant
 identities, HMM forgetting) used as randomized self-checks: every check
 encodes a proved statement, so any violation indicates an implementation bug.
+Each check returns a Python ``bool``; the three ridge checks read every Gram
+prefix from one accumulation, with one stacked ``solve``, ``inv`` or ``det``.
 """
 
 from __future__ import annotations
@@ -99,19 +101,27 @@ def read_summaries(results_dir: str) -> dict:
     return groups
 
 
+def _gram_prefixes(ys: np.ndarray, lam: float) -> np.ndarray:
+    """The (T + 1, d, d) Gram prefixes ``V_0 = lam I``, ``V_t = V_{t-1} + y_t
+    y_t^T`` in one ``np.add.accumulate``: the bits of ``V += np.outer(y, y)``."""
+    outers = ys[:, :, None] * ys[:, None, :]
+    return np.add.accumulate(np.concatenate([lam * np.eye(ys.shape[1])[None], outers]))
+
+
+def _total(terms: np.ndarray) -> float:
+    """The terms added left to right from 0.0, as a running ``total +=``."""
+    return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
+
+
 def check_elliptic_potential(vectors: np.ndarray, lam: float) -> bool:
     """``sum_t ||V_{t-1}^{-1/2} y_t|| <= sqrt(2 d T ln(1 + T/(d lam)))``
-    for unit-norm-bounded vectors and ``lam >= 1``."""
+    for unit-norm-bounded vectors and ``lam >= 1`` (one stacked ``solve``)."""
     ys = np.asarray(vectors, dtype=float)
     if lam < 1.0:
         raise ShapeMismatch("lam must be >= 1")
     T, d = ys.shape
-    V = lam * np.eye(d)
-    total = 0.0
-    for t in range(T):
-        y = ys[t]
-        total += math.sqrt(max(float(y @ np.linalg.solve(V, y)), 0.0))
-        V += np.outer(y, y)
+    solved = np.linalg.solve(_gram_prefixes(ys, lam)[:-1], ys[:, :, None])[:, :, 0]
+    total = _total(np.sqrt(np.maximum(np.einsum("td,td->t", ys, solved), 0.0)))
     bound = math.sqrt(2.0 * d * T * math.log(1.0 + T / (d * lam)))
     return total <= bound + 1e-9
 
@@ -121,20 +131,17 @@ def check_staged_elliptic_potential(
 ) -> bool:
     """Staged variant with the Gram frozen at stage boundaries:
     ``sum_s sum_{tau in stage s} ||V_{(s-1) ell}^{-1} y_tau||`` is at most
-    ``(1/sqrt(lam)) * sqrt(2 d S ell (1 + ell/lam) ln(1 + S ell/(d lam)))``."""
+    ``(1/sqrt(lam)) * sqrt(2 d S ell (1 + ell/lam) ln(1 + S ell/(d lam)))``
+    (one stacked ``inv`` of every ``ell``-th Gram prefix)."""
     ys = np.asarray(vectors, dtype=float)
     if lam < 1.0:
         raise ShapeMismatch("lam must be >= 1")
     if ys.shape[0] != num_stages * ell:
         raise ShapeMismatch("need exactly S * ell vectors")
     d = ys.shape[1]
-    V = lam * np.eye(d)
-    total = 0.0
-    for s in range(num_stages):
-        V_frozen_inv = np.linalg.inv(V)
-        block = ys[s * ell : (s + 1) * ell]
-        total += float(np.linalg.norm(block @ V_frozen_inv.T, axis=1).sum())
-        V += block.T @ block
+    frozen_inv = np.linalg.inv(_gram_prefixes(ys, lam)[:-1:ell])
+    blocks = np.matmul(ys.reshape(num_stages, ell, d), frozen_inv.swapaxes(1, 2))
+    total = _total(np.linalg.norm(blocks, axis=2).sum(axis=1))
     bound = math.sqrt(
         2.0 * d * num_stages * ell * (1.0 + ell / lam)
         * math.log(1.0 + num_stages * ell / (d * lam))
@@ -154,19 +161,16 @@ def check_matrix_determinant_lemma(
     left = np.linalg.det(A + np.outer(y_prime, y))
     right = (1.0 + float(y @ np.linalg.solve(A, y_prime))) * det_a
     scale = max(abs(left), abs(right), 1e-300)
-    return abs(left - right) / scale <= 1e-8
+    return bool(abs(left - right) / scale <= 1e-8)
 
 
 def check_determinant_trace(vectors: np.ndarray, lam: float) -> bool:
-    """``det(V_t) <= (lam + t/d)^d`` along the accumulated Gram sequence."""
+    """``det(V_t) <= (lam + t/d)^d`` along the Gram prefixes (one stacked ``det``)."""
     ys = np.asarray(vectors, dtype=float)
     T, d = ys.shape
-    V = lam * np.eye(d)
-    for t in range(1, T + 1):
-        V += np.outer(ys[t - 1], ys[t - 1])
-        if np.linalg.det(V) > (lam + t / d) ** d * (1.0 + 1e-9):
-            return False
-    return True
+    dets = np.linalg.det(_gram_prefixes(ys, lam)[1:])
+    bounds = (lam + np.arange(1, T + 1) / d) ** d * (1.0 + 1e-9)
+    return not (dets > bounds).any()
 
 
 def _random_unit_bounded(rng: np.random.Generator, T: int, d: int) -> np.ndarray:
@@ -190,8 +194,9 @@ def _random_mixing_hmm(rng: np.random.Generator) -> HmmParams:
     )
 
 
-def run_lemma_trials(trials: int, seed: int = 0, forgetting_gap: int = 5) -> dict:
-    """Randomized trial suite for the four lemma checks; returns pass counts."""
+def run_lemma_trials(trials: int, seed: int = 0) -> dict:
+    """Randomized trial suite for the five lemma checks (forgetting over context
+    sequences up to length 5); returns pass counts as ints."""
     rng = np.random.default_rng(seed)
     results = {
         "elliptic_potential": 0,
@@ -223,6 +228,6 @@ def run_lemma_trials(trials: int, seed: int = 0, forgetting_gap: int = 5) -> dic
 
         params = _random_mixing_hmm(rng)
         gamma = forgetting_rate(params)
-        results["forgetting"] += check_forgetting(params, gamma, forgetting_gap)
+        results["forgetting"] += check_forgetting(params, gamma, 5)
     results["trials"] = trials
     return results

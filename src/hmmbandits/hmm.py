@@ -1,6 +1,6 @@
 """Ground-truth HMM representation, sampling, exact belief filtering, the
 regularity report of an instance (:func:`validate`), and forgetting-rate
-diagnostics.
+diagnostics, whose exhaustive check extends the context sequences gap by gap.
 
 The hidden chain lives on ``[H]`` (0-based indices ``0..H-1`` in code), the
 finite context space on ``[X]``.  The transition matrix ``M`` is row-stochastic
@@ -11,7 +11,6 @@ distribution under state ``h``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -414,22 +413,21 @@ def forgetting_rate(params: HmmParams) -> float:
     return 1.0 - eps_M / float(params.transition.max())
 
 
-def _conditional_state_dists(
-    params: HmmParams, context_seq: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows = P(h_t = . | h_s = i, x_{s+1:t} = context_seq).
-
-    Returns the row matrix and a mask of start states from which the sequence
-    has positive probability (rows outside the mask are unnormalized junk).
+def _terminal_laws(params: HmmParams, max_gap: int):
+    """Per gap ``1..max_gap``: the (X**gap, H, H) stack of rows ``P(h_t = . |
+    h_s = i, x_{s+1:t} = seq)``, a slice per ``seq`` in ``itertools.product``
+    order, and the (X**gap, H) mask of start states ``seq`` is possible from
+    (rows outside it are junk).  Each gap extends the last gap's products by
+    one context in one stacked product, ``W_{seq+(x,)} = (W_seq @ M) * E[x]``.
     """
     H = params.num_states
-    W = np.eye(H)
-    for x in context_seq:
-        W = (W @ params.transition) * params.emission[x, :][None, :]
-    norms = W.sum(axis=1)
-    feasible = norms > 0.0
-    safe = np.where(feasible, norms, 1.0)
-    return W / safe[:, None], feasible
+    W = np.eye(H)[None]
+    for _ in range(max_gap):
+        W = (np.matmul(W, params.transition)[:, None]
+             * params.emission[:, None, :]).reshape(-1, H, H)
+        norms = W.sum(axis=2)
+        feasible = norms > 0.0
+        yield W / np.where(feasible, norms, 1.0)[..., None], feasible
 
 
 def check_forgetting(params: HmmParams, gamma: float, max_gap: int) -> bool:
@@ -437,20 +435,15 @@ def check_forgetting(params: HmmParams, gamma: float, max_gap: int) -> bool:
 
     Enumerates every context sequence of length ``1..max_gap`` and every
     ordered pair of start states, and checks that the conditional laws of the
-    terminal state differ by at most ``2 * gamma**gap`` in l1 norm (sequences
-    that are impossible from every start state are skipped).
+    terminal state differ by at most ``2 * gamma**gap`` in l1 norm (pairs
+    with a start state the sequence is impossible from are skipped), one
+    stack of sequences per gap (:func:`_terminal_laws`).
     """
     if params.num_states > 4 or params.num_contexts > 4 or max_gap > 8:
         raise TooLarge("enumeration bounds are H <= 4, X <= 4, max_gap <= 8")
-    tol = 1e-9
-    for gap in range(1, max_gap + 1):
-        bound = 2.0 * gamma**gap + tol
-        for seq in itertools.product(range(params.num_contexts), repeat=gap):
-            W, feasible = _conditional_state_dists(params, seq)
-            if not feasible.any():
-                continue
-            rows = W[feasible]
-            diffs = np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=2)
-            if float(diffs.max()) > bound:
-                return False
+    i, j = np.triu_indices(params.num_states, 1)  # each unordered pair once
+    for gap, (laws, feasible) in enumerate(_terminal_laws(params, max_gap), start=1):
+        diffs = np.abs(laws[:, i] - laws[:, j]).sum(axis=2)
+        if (diffs[feasible[:, i] & feasible[:, j]] > 2.0 * gamma**gap + 1e-9).any():
+            return False
     return True

@@ -6,8 +6,8 @@ Pipeline: ``prefix_tables -> subspaces -> seeded_estimates -> align``;
 :func:`seeded_estimates` ends in :func:`postprocess`.  The moment tables of
 many prefixes of a stream come from one running count
 (:func:`prefix_tables`), and their seed-free stage (:func:`subspaces`:
-SVDs, sign fix, rank and pivot checks, pivot inverse) runs stacked, a tile
-at a time.  The seeded stage (:func:`seeded_estimates`: rotations,
+SVDs, sign fix, rank check, pivot inverse) runs stacked, a tile at a
+time.  The seeded stage (:func:`seeded_estimates`: rotations,
 eigenvectors, raw matrices, post-processing) runs stacked over the moment
 sets a caller hands it, one seed each; the online refits hand it windows
 of at most ``beliefs.WINDOW`` refits under speculated seeds
@@ -111,7 +111,7 @@ class EstimatedHmm:
 @dataclass(frozen=True)
 class Subspaces:
     """The seed-free stage of one moment set: ``sigma``, the H-th singular
-    value of ``p31``, the bases, and the pivot's inverse (None if singular)."""
+    value of ``p31``, the bases, and the pivot's inverse (None if rank-deficient)."""
 
     p312: np.ndarray
     sigma: float
@@ -124,10 +124,13 @@ class Subspaces:
 def subspaces(p31: np.ndarray, p32: np.ndarray, p312: np.ndarray, H: int) -> list:
     """The seed-free stage of a stack of moment sets, one :class:`Subspaces`
     each: SVDs (singular values descending, ties by index), sign fix (each
-    basis column's largest entry positive), the pivot ``u3^T p31 u1``, its
-    condition and inverse, each one call over the stack.  numpy runs a
-    stacked SVD or inverse as the LAPACK call on each matrix, and products
-    read :func:`_stack` slices, so each keeps its bits."""
+    basis column's largest entry positive), the pivot ``u3^T p31 u1`` and
+    its inverse, each one call over the stack.  numpy runs a stacked SVD or
+    inverse as the LAPACK call on each matrix, and products read
+    :func:`_stack` slices, so each keeps its bits.  ``u3`` and ``u1`` are
+    ``p31``'s top-H singular vectors, so the pivot is ``diag(+-sigma_h)``,
+    and the rank check bounds its condition: ``sigma_1 / sigma_H <= 1 /
+    RANK_TOL = COND_LIMIT``, as ``sigma_1 <= ||p31||_F <= 1``."""
     K, X, _ = p31.shape
     if H > X:
         raise ShapeMismatch(f"H = {H} must not exceed X = {X}")
@@ -143,7 +146,7 @@ def subspaces(p31: np.ndarray, p32: np.ndarray, p312: np.ndarray, H: int) -> lis
     u3, u1, u2 = bases
     left, pivot, pivot_inv = _stack(K, H, X), _stack(K, H, H), _stack(K, H, H)
     np.matmul(np.matmul(u3.swapaxes(1, 2), p31, out=left), u1, out=pivot)
-    ok = ~(s31[:, H - 1] < RANK_TOL) & ~(np.linalg.cond(pivot) > COND_LIMIT)
+    ok = ~(s31[:, H - 1] < RANK_TOL)
     if ok.any():
         pivot_inv[ok] = np.linalg.inv(pivot[ok])
     return [Subspaces(p312[k], float(s31[k, H - 1]), u3[k], u1[k], u2[k],
@@ -185,8 +188,8 @@ def seeded_estimates(sets: list, seeds: list) -> list:
     unaligned), or the :class:`~hmmbandits.errors.EstimationFailed` (or
     ``NonFinite``) it raised.
 
-    A set that failed its seed-free stage raises ``RankDeficient`` or
-    ``NearSingularPivot``.  Each other set draws ``RETRY_BUDGET`` rotations
+    A set that failed its seed-free stage raises ``RankDeficient``.
+    Each other set draws ``RETRY_BUDGET`` rotations
     from its seed; the triple table is contracted along the first row of a
     rotation's Q factor and diagonalized.  The set takes the first rotation
     whose eigensystem is real and well conditioned; with none,
@@ -220,8 +223,6 @@ def seeded_estimates(sets: list, seeds: list) -> list:
             if stage.sigma < RANK_TOL:
                 raise RankDeficient(f"{stage.u3.shape[1]}-th singular value of p31 is "
                                     f"{stage.sigma:.3e} < {RANK_TOL}")
-            if stage.pivot_inv is None:
-                raise NearSingularPivot("projected pairwise moment matrix is near singular")
             if not ok:
                 raise DiagonalizationFailed(
                     f"no real well-conditioned eigensystem in {RETRY_BUDGET} rotations")

@@ -27,6 +27,9 @@ scoring;
 :func:`reference_round_csv_text`, the per-arm CSV renderer whose bytes the
 block-by-block group writer must reproduce; and :func:`reference_chain`, the per-draw
 ``bisect`` walk whose path and contexts ``sample_chain`` must reproduce.
+The lemma references (:func:`reference_elliptic_potential` through
+:func:`reference_forgetting`) are the per-round, per-stage and per-sequence
+loops whose booleans the stacked lemma checks must give.
 """
 
 from __future__ import annotations
@@ -990,3 +993,95 @@ def reference_round_csv_text(tape, result, emit_oracle: bool, num_states: int) -
             columns += [map(repr, col) for col in result.learner_beliefs.T.tolist()]
     lines = [",".join(header)] + [",".join(row) for row in zip(*columns)]
     return "\n".join(lines) + "\n"
+
+
+def reference_elliptic_potential(vectors: np.ndarray, lam: float) -> bool:
+    """The round-by-round loop of ``check_elliptic_potential``: one ``solve``
+    per round on a Gram updated in place."""
+    from hmmbandits.errors import ShapeMismatch
+
+    ys = np.asarray(vectors, dtype=float)
+    if lam < 1.0:
+        raise ShapeMismatch("lam must be >= 1")
+    T, d = ys.shape
+    V = lam * np.eye(d)
+    total = 0.0
+    for t in range(T):
+        y = ys[t]
+        total += math.sqrt(max(float(y @ np.linalg.solve(V, y)), 0.0))
+        V += np.outer(y, y)
+    bound = math.sqrt(2.0 * d * T * math.log(1.0 + T / (d * lam)))
+    return total <= bound + 1e-9
+
+
+def reference_staged_elliptic_potential(
+    vectors: np.ndarray, lam: float, ell: int, num_stages: int
+) -> bool:
+    """The stage-by-stage loop of ``check_staged_elliptic_potential``: one
+    ``inv`` per stage, the Gram updated by each stage's block."""
+    from hmmbandits.errors import ShapeMismatch
+
+    ys = np.asarray(vectors, dtype=float)
+    if lam < 1.0:
+        raise ShapeMismatch("lam must be >= 1")
+    if ys.shape[0] != num_stages * ell:
+        raise ShapeMismatch("need exactly S * ell vectors")
+    d = ys.shape[1]
+    V = lam * np.eye(d)
+    total = 0.0
+    for s in range(num_stages):
+        V_frozen_inv = np.linalg.inv(V)
+        block = ys[s * ell : (s + 1) * ell]
+        total += float(np.linalg.norm(block @ V_frozen_inv.T, axis=1).sum())
+        V += block.T @ block
+    bound = math.sqrt(
+        2.0 * d * num_stages * ell * (1.0 + ell / lam)
+        * math.log(1.0 + num_stages * ell / (d * lam))
+    ) / math.sqrt(lam)
+    return total <= bound + 1e-9
+
+
+def reference_determinant_trace(vectors: np.ndarray, lam: float) -> bool:
+    """The round-by-round loop of ``check_determinant_trace``: one ``det``
+    per round, stopping at the first violation."""
+    ys = np.asarray(vectors, dtype=float)
+    T, d = ys.shape
+    V = lam * np.eye(d)
+    for t in range(1, T + 1):
+        V += np.outer(ys[t - 1], ys[t - 1])
+        if np.linalg.det(V) > (lam + t / d) ** d * (1.0 + 1e-9):
+            return False
+    return True
+
+
+def reference_conditional_state_dists(params, context_seq):
+    """Rows = P(h_t = . | h_s = i, x_{s+1:t} = context_seq), the product
+    chain rebuilt from the sequence's first context, and the mask of start
+    states from which the sequence has positive probability."""
+    H = params.num_states
+    W = np.eye(H)
+    for x in context_seq:
+        W = (W @ params.transition) * params.emission[x, :][None, :]
+    norms = W.sum(axis=1)
+    feasible = norms > 0.0
+    safe = np.where(feasible, norms, 1.0)
+    return W / safe[:, None], feasible
+
+
+def reference_forgetting(params, gamma: float, max_gap: int) -> bool:
+    """The sequence-by-sequence loop of ``check_forgetting``: every context
+    sequence of each gap in ``itertools.product`` order, each rebuilt by
+    :func:`reference_conditional_state_dists`; sequences impossible from
+    every start state are skipped."""
+    tol = 1e-9
+    for gap in range(1, max_gap + 1):
+        bound = 2.0 * gamma**gap + tol
+        for seq in itertools.product(range(params.num_contexts), repeat=gap):
+            W, feasible = reference_conditional_state_dists(params, seq)
+            if not feasible.any():
+                continue
+            rows = W[feasible]
+            diffs = np.abs(rows[:, None, :] - rows[None, :, :]).sum(axis=2)
+            if float(diffs.max()) > bound:
+                return False
+    return True

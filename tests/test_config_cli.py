@@ -745,10 +745,20 @@ class TestCli:
         assert "required" in capsys.readouterr().err
 
     def test_check_lemmas_exit_zero(self, capsys):
-        assert cli_main(["check-lemmas", "--trials", "5"]) == 0
+        # the shipped default: 1000 trials
+        assert cli_main(["check-lemmas"]) == 0
         out = capsys.readouterr().out
+        assert "elliptic_potential: 1000/1000 ok" in out
+        assert "forgetting: 1000/1000 ok" in out
+
+    def test_check_lemmas_failure_exits_three(self, capsys, monkeypatch):
+        import hmmbandits.evaluation as evaluation
+
+        monkeypatch.setattr(evaluation, "check_forgetting", lambda *args: False)
+        assert cli_main(["check-lemmas", "--trials", "5"]) == 3
+        out = capsys.readouterr().out
+        assert "forgetting: 0/5 FAIL" in out
         assert "elliptic_potential: 5/5 ok" in out
-        assert "forgetting: 5/5 ok" in out
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_check_lemmas_without_trials_is_usage_error(self, capsys, trials):

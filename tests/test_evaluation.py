@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -23,7 +24,12 @@ from hmmbandits.hmm import HmmParams
 from hmmbandits.runner import draw_tape
 
 from conftest import cell_config, random_hmm, scripted_policy, simulate_cell
-from oracles import reference_baseline_cell
+from oracles import (
+    reference_baseline_cell,
+    reference_determinant_trace,
+    reference_elliptic_potential,
+    reference_staged_elliptic_potential,
+)
 
 
 @pytest.fixture
@@ -277,6 +283,13 @@ class TestDeterminantChecks:
             ys /= np.maximum(np.linalg.norm(ys, axis=1, keepdims=True), 1.0)
             assert check_determinant_trace(ys, lam=float(rng.uniform(1, 4)))
 
+    def test_determinant_trace_violation(self):
+        # d = 1, lam = 1: V_1 = 1.25 <= 2, then V_2 = 5.25 > 3
+        ys = np.array([[0.5], [2.0]])
+        assert check_determinant_trace(ys[:1], lam=1.0)
+        assert not check_determinant_trace(ys, lam=1.0)
+        assert not reference_determinant_trace(ys, lam=1.0)
+
 
 @settings(deadline=None, max_examples=25)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -295,3 +308,43 @@ def test_lemma_trial_suite_small():
     trials = results.pop("trials")
     assert trials == 25
     assert all(count == trials for count in results.values())
+
+
+def test_lemma_counts_are_ints():
+    results = run_lemma_trials(trials=2, seed=0)
+    assert all(type(count) is int for count in results.values())
+    assert json.loads(json.dumps(results)) == results
+
+
+def ridge_outcomes(seed):
+    """``(check, its loop)`` booleans of the three ridge checks on one draw:
+    vectors of norm up to 3 (so every bound can fail), a random ``lam`` and a
+    stage split whose sizes are log-uniform (short sequences fail most)."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 9))
+    S = int(2 ** rng.uniform(0.0, 3.6))
+    ell = int(2 ** rng.uniform(0.0, 4.4))
+    ys = rng.normal(size=(S * ell, d))
+    ys /= np.maximum(np.linalg.norm(ys, axis=1, keepdims=True), 1e-12)
+    ys *= rng.uniform(0.0, rng.uniform(0.5, 3.0), size=(S * ell, 1))
+    lam = float(rng.uniform(1.0, 10.0))
+    return [
+        (check_elliptic_potential(ys, lam), reference_elliptic_potential(ys, lam)),
+        (check_staged_elliptic_potential(ys, lam, ell, S),
+         reference_staged_elliptic_potential(ys, lam, ell, S)),
+        (check_determinant_trace(ys, lam), reference_determinant_trace(ys, lam)),
+    ]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_ridge_checks_match_their_loops(seed):
+    for got, want in ridge_outcomes(seed):
+        assert type(got) is bool
+        assert got == want
+
+
+def test_ridge_draws_reach_both_outcomes():
+    outcomes = np.array([[want for _, want in ridge_outcomes(seed)] for seed in range(60)])
+    assert outcomes.any(axis=0).all()
+    assert not outcomes.all(axis=0).any()

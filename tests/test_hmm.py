@@ -11,6 +11,7 @@ from hmmbandits.hmm import (
     TILE_BYTES,
     HmmParams,
     _sum_source,
+    _terminal_laws,
     check_forgetting,
     filter_trace,
     forgetting_rate,
@@ -28,6 +29,7 @@ from oracles import (
     forward_step,
     reference_chain,
     reference_chunk_step,
+    reference_forgetting,
     reference_forward_pass,
     reference_step,
     stationary_distribution,
@@ -488,18 +490,33 @@ class TestCheckForgetting:
 
     def test_conditional_dists_match_enumeration_oracle(self):
         rng = np.random.default_rng(11)
-        from hmmbandits.hmm import _conditional_state_dists
-
         for _ in range(20):
             params = random_hmm(rng, 2, 3, min_entry=0.05)
             seq = tuple(rng.integers(0, 3, size=int(rng.integers(1, 5))))
-            rows, feasible = _conditional_state_dists(params, seq)
+            laws, feasible = list(_terminal_laws(params, len(seq)))[-1]
+            index = int(np.ravel_multi_index(seq, (3,) * len(seq)))  # product order
             for h in range(2):
                 want = conditional_terminal_distribution(params, h, seq)
                 if want is None:
-                    assert not feasible[h]
+                    assert not feasible[index, h]
                 else:
-                    assert np.max(np.abs(rows[h] - want)) < 1e-12
+                    assert np.max(np.abs(laws[index, h] - want)) < 1e-12
+
+    def test_sequence_impossible_from_every_start(self):
+        # context 2 is never emitted: every sequence holding it is skipped
+        params = HmmParams(2, 3, np.array([0.5, 0.5]), np.array([[0.6, 0.4], [0.3, 0.7]]),
+                           np.array([[0.8, 0.3], [0.2, 0.7], [0.0, 0.0]]))
+        masks = [feasible for _, feasible in _terminal_laws(params, 2)]
+        assert not masks[0][2].any() and masks[0][:2].all()
+        assert not masks[1][[2, 5, 6, 7, 8]].any()
+        gamma = forgetting_rate(params)
+        assert check_forgetting(params, gamma, max_gap=4) is True
+        assert reference_forgetting(params, gamma, max_gap=4)
+
+    def test_enumeration_bound_instance(self):
+        # H = X = 4 and max_gap = 8: 4**8 sequences in the last gap's stack
+        params = random_hmm(np.random.default_rng(3), 4, 4, min_entry=0.05)
+        assert check_forgetting(params, forgetting_rate(params), max_gap=8) is True
 
     def test_random_instances_satisfy_constructed_rate(self):
         rng = np.random.default_rng(99)
@@ -508,3 +525,31 @@ class TestCheckForgetting:
                                 min_entry=0.05)
             gamma = forgetting_rate(params)
             assert check_forgetting(params, gamma, max_gap=6)
+
+
+def forgetting_case(seed):
+    """An instance with zero entries (``conftest.sparse_estimate``), so a
+    sequence can be impossible from some or every start state; ``gamma``
+    from 0.2 to 1.2 times the forgetting rate (0.8 with a zero transition
+    entry); at most 256 sequences of the longest gap."""
+    rng = np.random.default_rng(seed)
+    H, X = (int(v) for v in rng.integers(2, 5, size=2))
+    M, E = sparse_estimate(rng, H, X, zero_row=bool(rng.integers(2)))
+    params = HmmParams(H, X, np.full(H, 1.0 / H), M, E)
+    rate = forgetting_rate(params) if M.min() > 0.0 else 0.8
+    max_gap = int(rng.integers(1, 5 if X == 4 else 6))
+    return params, rate * float(rng.uniform(0.2, 1.2)), max_gap
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_check_forgetting_matches_sequence_loop(seed):
+    params, gamma, max_gap = forgetting_case(seed)
+    got = check_forgetting(params, gamma, max_gap)
+    assert type(got) is bool
+    assert got == reference_forgetting(params, gamma, max_gap)
+
+
+def test_forgetting_draws_reach_both_outcomes():
+    outcomes = {reference_forgetting(*forgetting_case(seed)) for seed in range(40)}
+    assert outcomes == {True, False}

@@ -15,8 +15,8 @@ from hmmbandits.errors import (
     ShapeMismatch,
 )
 from hmmbandits.hmm import HmmParams, sample_trajectory
-from hmmbandits.spectral import (EstimatedHmm, align, prefix_tables, relabel, seeded_estimates,
-                                 subspaces)
+from hmmbandits.spectral import (COND_LIMIT, RANK_TOL, EstimatedHmm, align, prefix_tables,
+                                 relabel, seeded_estimates, subspaces)
 
 from conftest import one_postprocess, one_set_estimate, random_hmm, stream_moments
 from oracles import (
@@ -161,6 +161,33 @@ class TestSpectralEstimate:
                 ))
             errors[t] = float(np.median(errs))
         assert errors[100_000] < errors[1000]
+
+
+@st.composite
+def count_tables(draw):
+    """Moment tables ``(p31, p32, p312)`` of a triple count table, formed as
+    ``prefix_tables`` forms them, and an ``H <= X``: a rank-one bulk of up to
+    1e13 counts plus a few stray counts, so ``sigma_H`` spans ``RANK_TOL``."""
+    X = draw(st.integers(1, 5))
+    H = draw(st.integers(1, X))
+    factors = [draw(arrays(np.int64, X, elements=st.integers(0, 3))) for _ in range(3)]
+    bulk = np.einsum("i,j,k->ijk", *factors) * 10 ** draw(st.sampled_from([0, 6, 11, 12, 13]))
+    counts = bulk + draw(arrays(np.int64, (X, X, X), elements=st.integers(0, 2)))
+    counts[0, 0, 0] += counts.sum() == 0
+    p312 = counts / counts.sum()
+    return p312.sum(axis=2), p312.sum(axis=1), p312, H
+
+
+@settings(deadline=None, max_examples=300)
+@given(count_tables())
+def test_rank_check_bounds_the_pivot_condition(tables):
+    # u3, u1 are p31's own singular vectors: the pivot is diag(+-sigma_h), and
+    # sigma_1 <= 1 for a probability table, so sigma_H >= RANK_TOL caps cond
+    p31, p32, p312, H = tables
+    (stage,) = subspaces(p31[None], p32[None], p312[None], H)
+    assert (stage.pivot_inv is None) == (stage.sigma < RANK_TOL)
+    if stage.pivot_inv is not None:
+        assert np.linalg.cond(stage.u3.T @ p31 @ stage.u1) <= COND_LIMIT
 
 
 class TestPostprocess:
