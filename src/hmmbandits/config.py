@@ -428,13 +428,17 @@ def parse_config(text: str) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config does not parse: {exc}") from exc
+    for key in parser.defaults():  # every section would inherit it
+        raise ConfigError(f"unknown key '{key}' in [{parser.default_section}]")
+    for name in parser.sections():
+        if name not in SCHEMA_KEYS:
+            raise ConfigError(f"unknown section [{name}]")
+        for key in parser[name]:
+            if key not in SCHEMA_KEYS[name]:
+                raise ConfigError(f"unknown key '{key}' in [{name}]")
     for name in ("hmm", "reward", "run"):
         if name not in parser:
             raise ConfigError(f"missing required section [{name}]")
-    for name in parser.sections():
-        for key in parser[name]:
-            if key not in SCHEMA_KEYS.get(name, ()):
-                raise ConfigError(f"unknown key '{key}' in [{name}]")
     params = _parse_hmm(parser["hmm"])
     reward, phi = _parse_reward(parser["reward"], params)
     policy = PolicySettings(**_read(parser["policy"] if "policy" in parser else {}, "policy"))

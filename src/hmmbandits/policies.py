@@ -1,9 +1,12 @@
 """Decision strategies: staged LinUCB on estimated beliefs and its per-round
-(non-staged) variant, plus the belief-budget schedule and the two
-action-vectorized confidence-bonus kernels they score with.  All of them
-read one :class:`~hmmbandits.config.CellPlan`, the cell's values with every
-``auto`` of the configuration resolved once (``ExperimentConfig.plan``); it
-lives in :mod:`hmmbandits.config`, next to that one constructor.
+(non-staged) variant, plus the belief-budget schedule and the bonus kernels
+they score with: the staged bonus of every row at once, and boxB's choice of
+a round, straight-line Python compiled for each action count on first use,
+which adds each action's per-round bonus to its score and takes the argmax
+on Python floats.  All of them read one
+:class:`~hmmbandits.config.CellPlan`, the cell's values with every ``auto``
+of the configuration resolved once (``ExperimentConfig.plan``); it lives in
+:mod:`hmmbandits.config`, next to that one constructor.
 
 Rewards are linear in the rows ``b_t (x) phi(a, x_t)``, so both policies are
 LinUCB over them: ``play(first_round, feats, rewards)`` takes an
@@ -129,38 +132,49 @@ def per_round_widths(plan: CellPlan, rounds, u_prefix) -> list[float]:
     ]
 
 
-def per_round_bonus(
-    plan: CellPlan,
-    t: int,
-    mahal_sq: list[float],
-    u_t: float,
-    width: float,
-) -> list[float]:
-    """Per-round confidence bonus of the rows ``b (x) phi`` whose squared
-    Mahalanobis norms ``||b (x) phi||^2_{G_{t-1}^{-1}}`` are ``mahal_sq``.
+def _chooser(A: int):
+    """boxB's choice among ``A`` actions as straight-line Python, compiled on
+    first use and cached by ``A``: ``choose(t, scores, mahal_sq, u_t, width,
+    first)`` gives the action of round ``t`` whose rows score ``scores`` and
+    have the squared Mahalanobis norms ``||b (x) phi||^2_{G_{t-1}^{-1}}``
+    ``mahal_sq``.
 
-    ``1 + sqrt(d)/lam`` at ``t = 1``; afterwards ``u_t`` plus the norm times
-    ``width``, the :func:`per_round_widths` entry of round ``t``.  Python
-    floats with the semantics of ``np.sqrt(np.maximum(q, 0.0))``: a square
-    rounded below zero counts as zero, and NaN stays NaN.
-    """
-    if t == 1:
-        return [1.0 + math.sqrt(plan.d) / plan.lam] * len(mahal_sq)
-    sqrt = math.sqrt
-    return [u_t + sqrt(0.0 if q < 0.0 else q) * width for q in mahal_sq]
+    An action's bonus is ``first`` (``1 + sqrt(d)/lam``) at ``t = 1``;
+    afterwards ``u_t`` plus the norm times ``width``, the
+    :func:`per_round_widths` entry of round ``t``, with the semantics of
+    ``np.sqrt(np.maximum(q, 0.0))``: a square rounded below zero counts as
+    zero, and NaN stays NaN.  Its UCB is the score plus the bonus, and the
+    choice is ``np.argmax`` of the UCBs: the first NaN if there is one,
+    else the first maximum."""
+    if A not in _CHOOSERS:
+        s, q = (", ".join(f"{a}{i}" for i in range(A)) + "," for a in "sq")
+        source = "\n".join([
+            "def choose(t, scores, mahal_sq, u_t, width, first):",
+            f"    {s} = scores",
+            "    if t == 1:",
+            *(f"        c{i} = s{i} + first" for i in range(A)),
+            "    else:",
+            f"        {q} = mahal_sq",
+            *(f"        c{i} = s{i} + (u_t + sqrt(0.0 if q{i} < 0.0 else q{i}) * width)"
+              for i in range(A)),
+            "    if c0 != c0:",
+            "        return 0",
+            "    at, best = 0, c0",
+            *itertools.chain.from_iterable((
+                f"    if c{i} != c{i}:",
+                f"        return {i}",
+                f"    if c{i} > best:",
+                f"        at, best = {i}, c{i}",
+            ) for i in range(1, A)),
+            "    return at",
+        ])
+        scope = {"sqrt": math.sqrt}
+        exec(compile(source, f"<boxB choice A={A}>", "exec"), scope)
+        _CHOOSERS[A] = scope["choose"]
+    return _CHOOSERS[A]
 
 
-def _ucb_argmax(scores: list[float], bonus: list[float]) -> int:
-    """``np.argmax(scores + bonus)`` on Python floats: the first NaN sum if
-    there is one, else the first maximum."""
-    at, best = 0, scores[0] + bonus[0]
-    for i, (s, b) in enumerate(zip(scores, bonus)):
-        ucb = s + b
-        if ucb != ucb:
-            return i
-        if ucb > best:
-            at, best = i, ucb
-    return at
+_CHOOSERS: dict = {}  # boxB's choice at each action count, compiled on first use
 
 
 def _add_in_order(total: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -280,25 +294,27 @@ class BoxBPolicy:
         A round makes six BLAS products, ``f θ``, ``f G⁻¹``, ``G⁻¹ v``,
         ``v·w``, the outer product ``w wᵀ`` and ``G⁻¹ m``, with ``dot``,
         and one call of the ``einsum`` kernel for the squared norms.  The
-        bonus, the UCB sum and the argmax run on Python floats; the moment
-        steps ``f r`` of every row are multiplied once per block, and
-        ``f G⁻¹`` and the rank-one step write into buffers of the block."""
+        bonus, the UCB sum and the argmax are one call of the
+        :func:`_chooser` kernel of the block's action count, on Python
+        floats; the moment steps ``f r`` of every row are multiplied once
+        per block, and ``f G⁻¹`` and the rank-one step write into buffers of
+        the block."""
         n = len(feats)
         plan, u = self.plan, self._u
         _check_block(first_round, n, self._rounds, plan.horizon)
         rounds = range(first_round, first_round + n)
         widths = per_round_widths(plan, rounds, self._u_prefix)
         moment, gram_inv, theta = self._moment, self._gram_inv, self._theta
-        dH = feats.shape[2]
-        w, outer, fg = np.empty(dH), np.empty((dH, dH)), np.empty(feats.shape[1:])
+        _, A, dH = feats.shape
+        choose, first = _chooser(A), 1.0 + math.sqrt(plan.d) / plan.lam
+        w, outer, fg = np.empty(dH), np.empty((dH, dH)), np.empty((A, dH))
         w_col, w_row = w[:, None], w[None, :]
         steps = feats * rewards[:, :, None]  # every row's moment step
         actions = []
         added = 0  # chosen rows already in the Gram matrix
         for t, width, f, f_r in zip(rounds, widths, feats, steps):
-            mahal_sq = c_einsum("ij,ij->i", f.dot(gram_inv, fg), f).tolist()
-            bonus = per_round_bonus(plan, t, mahal_sq, u[t], width)
-            a = _ucb_argmax(f.dot(theta).tolist(), bonus)
+            a = choose(t, f.dot(theta).tolist(),
+                       c_einsum("ij,ij->i", f.dot(gram_inv, fg), f).tolist(), u[t], width, first)
             actions.append(a)
             v = f[a]
             moment += f_r[a]

@@ -39,8 +39,12 @@ from .spectral import (EstimatedHmm, align, prefix_tables, relabel, seeded_estim
                        subspaces)
 
 GAMMA_CAP = 1.0 - 1e-6
-# the per-cell files a run writes: <policy>_T<horizon>_s<seed>.csv and .estimate.txt
-CELL_FILE = re.compile(rf"({'|'.join(KNOWN_POLICIES)})_T[0-9]+_s[0-9]+\.(csv|estimate\.txt)")
+# what a run sweeps from its directory first: an earlier run's whole-run files
+# and per-cell files (<policy>_T<horizon>_s<seed>.csv and .estimate.txt), and
+# the <name>.tmp-<pid> files of _atomic_files that a killed run left behind
+STALE_FILE = re.compile(
+    rf"(FAILED|summary\.csv|manifest\.json|({'|'.join(KNOWN_POLICIES)})_T[0-9]+_s[0-9]+"
+    rf"\.(csv|estimate\.txt))(\.tmp-[0-9]+)?|config_snapshot\.ini\.tmp-[0-9]+")
 
 
 def environment_seed_sequence(
@@ -286,9 +290,10 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
     list the cells policy-major whatever the order groups complete in.
     Artifacts are written atomically (temp file + rename); a crash leaves a
     ``FAILED`` marker next to whatever was completed.  An earlier run's
-    ``FAILED``, ``summary.csv``, ``manifest.json`` and per-cell files
-    (:data:`CELL_FILE`) are removed first.  Returns the process exit code: 0
-    on success, 3 on numerical failure.
+    ``FAILED``, ``summary.csv``, ``manifest.json`` and per-cell files are
+    removed first, and so are the temporary files of any of them or of
+    ``config_snapshot.ini`` that a killed run left (:data:`STALE_FILE`).
+    Returns the process exit code: 0 on success, 3 on numerical failure.
     """
     out_dir = config.run.out
     os.makedirs(out_dir, exist_ok=True)
@@ -304,7 +309,7 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
     groups = list(itertools.product(config.run.horizons, config.run.seeds))
     # an earlier run's files would misreport this one
     for stale in os.listdir(out_dir):
-        if stale in ("FAILED", "summary.csv", "manifest.json") or CELL_FILE.fullmatch(stale):
+        if STALE_FILE.fullmatch(stale):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(out_dir, stale))
     _atomic_write(os.path.join(out_dir, "config_snapshot.ini"), config_snapshot(config))

@@ -24,6 +24,9 @@ package's ``postprocess``, ``relabel`` and constants;
 :func:`reference_estimation_curves`, the per-checkpoint loop the stacked
 ``estimation_curves`` must reproduce, on the same copies and the package's
 scoring;
+:func:`per_round_bonus` and :func:`ucb_argmax`, boxB's per-round bonus and
+UCB argmax on Python floats, whose choice the package's straight-line
+kernel ``policies._chooser`` must give;
 :func:`reference_round_csv_text`, the per-arm CSV renderer whose bytes the
 block-by-block group writer must reproduce; and :func:`reference_chain`, the per-draw
 ``bisect`` walk whose path and contexts ``sample_chain`` must reproduce.
@@ -642,6 +645,30 @@ def box_b_bonus_reference(
         + v_eta * math.sqrt(2.0 * math.log(2.0 / delta) + d * H * math.log(1.0 + t / (lam * d * H)))
     )
     return u(t) + mahal * width
+
+
+def per_round_bonus(plan, t, mahal_sq, u_t, width) -> list[float]:
+    """boxB's per-round bonus of the rows whose squared Mahalanobis norms
+    ``||b (x) phi||^2_{G_{t-1}^{-1}}`` are ``mahal_sq``: ``1 + sqrt(d)/lam``
+    at ``t = 1``, afterwards ``u_t`` plus the norm times ``width``.  Python
+    floats with the semantics of ``np.sqrt(np.maximum(q, 0.0))``: a square
+    rounded below zero counts as zero, and NaN stays NaN."""
+    if t == 1:
+        return [1.0 + math.sqrt(plan.d) / plan.lam] * len(mahal_sq)
+    return [u_t + math.sqrt(0.0 if q < 0.0 else q) * width for q in mahal_sq]
+
+
+def ucb_argmax(scores, bonus) -> int:
+    """``np.argmax(scores + bonus)`` on Python floats: the first NaN sum if
+    there is one, else the first maximum."""
+    at, best = 0, scores[0] + bonus[0]
+    for i, (s, b) in enumerate(zip(scores, bonus)):
+        ucb = s + b
+        if ucb != ucb:
+            return i
+        if ucb > best:
+            at, best = i, ucb
+    return at
 
 
 def reference_box_a_actions(

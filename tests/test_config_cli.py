@@ -161,6 +161,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"'plugin_gama' in \[run\]"):
             parse_config(text)
 
+    @pytest.mark.parametrize("extra,named", [
+        ("[polcy]\n", r"unknown section \[polcy\]"),
+        ("[polcy]\ndelta = 0.2\n", r"unknown section \[polcy\]"),
+        ("[Policy]\n", r"unknown section \[Policy\]"),
+        ("[DEFAULT]\nfoo = 1\n", r"'foo' in \[DEFAULT\]"),
+    ])
+    def test_unknown_section_named_as_section(self, tmp_path, capsys, extra, named):
+        # a misspelled section, empty or not, and a [DEFAULT] key, which every
+        # section would inherit, are named where they are written; exit 2
+        text = MINIMAL.format(out=str(tmp_path)) + extra
+        with pytest.raises(ConfigError, match=named):
+            parse_config(text)
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        assert cli_main(["simulate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and re.search(named, err)
+        assert "[hmm]" not in err
+
     def test_removed_exact_refilter_key_rejected(self, tmp_path):
         text = MINIMAL.format(out=str(tmp_path)).replace(
             "seeds = 2", "seeds = 2\nexact_refilter = false")
@@ -937,6 +956,23 @@ class TestAtomicity:
         cells = [f"{policy}_T32_s{seed}.csv" for policy in ("boxB", "random") for seed in (0, 1)]
         assert sorted(p.name for p in out.iterdir()) == sorted(
             cells + keep + ["config_snapshot.ini", "manifest.json", "summary.csv"])
+
+    def test_rerun_sweeps_temporary_files_of_a_killed_run(self, tmp_path):
+        # a run killed mid-write leaves <name>.tmp-<pid> files; the next run
+        # removes those of every file it sweeps or writes, and nothing else
+        out = tmp_path / "rerun"
+        path = write_config(tmp_path, out=str(out))
+        assert cli_main(["simulate", path]) == 0
+        written = sorted(p.name for p in out.iterdir())
+        left = ["oracle_T64_s0.csv.tmp-99999", "random_T32_s1.estimate.txt.tmp-7",
+                "summary.csv.tmp-99999", "manifest.json.tmp-12", "FAILED.tmp-3",
+                "config_snapshot.ini.tmp-99999", "boxB_T64_s0.csv.tmp-5"]
+        keep = ["summary.csv.tmp-", "summary.csv.tmp-12x", "notes.txt.tmp-4",
+                "boxC_T64_s1.csv.tmp-5"]
+        for name in left + keep:
+            (out / name).write_text("partly written\n")
+        assert cli_main(["simulate", path]) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(written + keep)
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
         import errno

@@ -1,6 +1,10 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,6 @@ from hmmbandits.policies import (
     BoxAPolicy,
     BoxBPolicy,
     CellPlan,
-    per_round_bonus,
     per_round_widths,
     staged_bonus,
     staged_width,
@@ -28,9 +31,11 @@ from oracles import (
     box_a_bonus_reference,
     box_b_bonus_reference,
     oracle_act,
+    per_round_bonus,
     reference_box_a_actions,
     reference_box_b_actions,
     u_belief_reference,
+    ucb_argmax,
 )
 from oracles import StepwiseBoxA, StepwiseBoxB
 
@@ -387,12 +392,13 @@ class TestBonusBoxB:
             ) for phi_vec in phi_vecs]
             assert got == pytest.approx(want, rel=1e-12)
 
-    def test_python_float_ucb_matches_numpy_argmax(self):
-        """boxB's bonus and UCB argmax on Python floats equal the numpy forms
-        for squares below zero, of either zero sign, NaN and infinite, on
-        exact ties and NaN scores: a NaN UCB wins at its first position, as
-        under ``np.argmax``, also after a finite maximum."""
+    def test_choice_kernel_matches_numpy_argmax(self):
+        """boxB's choice kernel and the Python-float bonus reference equal
+        the numpy forms for squares below zero, of either zero sign, NaN and
+        infinite, on exact ties and NaN scores: a NaN UCB wins at its first
+        position, as under ``np.argmax``, also after a finite maximum."""
         plan = make_plan(d=2, H=2, lam=3.0)
+        choose, first = policies._chooser(3), 1.0 + math.sqrt(2) / 3.0
         rng = np.random.default_rng(21)
         theta, row = rng.normal(size=4), rng.normal(size=4)
         other, nan_row = rng.normal(size=4), np.array([0.5, math.nan, 0.0, 1.0])
@@ -404,12 +410,73 @@ class TestBonusBoxB:
                     bonus = per_round_bonus(plan, 5, list(q), u_t, width)
                     want = u_t + np.sqrt(np.maximum(np.array(q), 0.0)) * width
                     assert np.array_equal(bonus, want, equal_nan=True)
-                    got = policies._ucb_argmax(np.dot(f, theta).tolist(), bonus)
+                    scores = np.dot(f, theta).tolist()
+                    assert ucb_argmax(scores, bonus) == np.argmax(f @ theta + want)
+                    got = choose(5, scores, list(q), u_t, width, first)
                     assert got == np.argmax(f @ theta + want)
+                    assert choose(1, scores, list(q), u_t, width, first) == np.argmax(
+                        f @ theta + first)
         scores = [0.25, 0.25, 0.25]
-        for q, first in [([4.0, 0.0, math.nan], 2), ([math.nan, 4.0, math.nan], 0),
-                         ([1.0, 4.0, 4.0], 1), ([-1e-300, -0.0, 0.0], 0)]:
-            assert policies._ucb_argmax(scores, per_round_bonus(plan, 5, q, 0.5, 3.0)) == first
+        for q, want in [([4.0, 0.0, math.nan], 2), ([math.nan, 4.0, math.nan], 0),
+                        ([1.0, 4.0, 4.0], 1), ([-1e-300, -0.0, 0.0], 0)]:
+            assert ucb_argmax(scores, per_round_bonus(plan, 5, q, 0.5, 3.0)) == want
+            assert choose(5, scores, q, 0.5, 3.0, first) == want
+        # the score is added to the whole bonus: (0.1 + 0.1) + 0.6 would tie
+        # 0.2 + (0.1 + 0.5) and pick action 0
+        assert policies._chooser(2)(5, [0.1, 0.2], [0.36, 0.25], 0.1, 1.0, first) == 1
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), A=st.integers(1, 8), t=st.sampled_from([1, 2, 5]))
+    def test_choice_kernel_at_every_action_count(self, data, A, t):
+        """At ``A = 1..8`` actions the kernel is ``np.argmax`` of the score
+        plus the bonus, ``u_t + sqrt(max(q, 0)) * width``: the same IEEE
+        operations element by element, so the same first NaN or first
+        maximum.  Scores draw from a few values (exact ties) and NaN;
+        squares from the values that round below zero, signed zeros, NaN
+        and infinities."""
+        special = st.sampled_from([-1e-300, -0.0, 0.0, math.nan, math.inf, -math.inf])
+        squares = data.draw(st.lists(special | st.floats(), min_size=A, max_size=A))
+        tied = st.sampled_from([0.25, -1.5, 0.0, math.nan])
+        scores = data.draw(st.lists(tied | st.floats(), min_size=A, max_size=A))
+        u_t, width, first = (data.draw(st.floats(allow_nan=False)) for _ in range(3))
+        got = policies._chooser(A)(t, scores, squares, u_t, width, first)
+        with np.errstate(all="ignore"):
+            if t == 1:
+                want = np.argmax(np.array(scores) + first)
+            else:
+                q = np.maximum(np.array(squares), 0.0)
+                want = np.argmax(np.array(scores) + (u_t + np.sqrt(q) * width))
+        assert got == want
+
+
+CHOOSER_CHILD = """\
+import numpy as np
+import hmmbandits.policies as policies
+from hmmbandits.policies import BoxBPolicy, CellPlan
+print(sorted(policies._CHOOSERS))
+rng = np.random.default_rng(3)
+for A in (3, 2, 3):
+    plan = CellPlan(policy="boxB", horizon=8, lam=2.0, ell=8, refit_every=8, delta=0.1,
+                    gamma=0.5, c_theta=1.2, c_eta=0.01, v_eta=0.1, H=2, X=2, d=A)
+    policy = BoxBPolicy(plan)
+    kernels = [policies._chooser(A)]
+    for lo in (0, 4):
+        policy.play(lo + 1, rng.random((4, A, 2 * A)), rng.random((4, A)))
+        kernels.append(policies._chooser(A))
+    print(sorted(policies._CHOOSERS), all(k is kernels[0] for k in kernels))
+"""
+
+
+def test_choice_kernel_built_on_first_use_once_per_action_count():
+    """A fresh ``import hmmbandits.policies`` compiles no choice kernel; the
+    first block at ``A`` actions compiles one, and every later block at ``A``
+    reuses it."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", CHOOSER_CHILD], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "[3] True", "[2, 3] True", "[2, 3] True"]
 
 
 def build_phi(A=2, X=2):
@@ -538,17 +605,20 @@ def test_row_policies_match_straight_line_references(seed, H, d, A, T, scope, kn
 
 
 def forced_bonuses(monkeypatch, bonus, A=2):
-    """Replace both bonus kernels by ``bonus(t, a)`` for every action ``a``.
-    Each kernel's third argument holds one entry per row (boxA's rows,
-    boxB's squared norms); a kernel scoring a stage's rounds ``t, t + 1,
-    ...`` at once sees their ``A`` rows each, in round order."""
+    """Replace both bonus kernels by ``bonus(t, a)`` for every action ``a``:
+    boxA's ``staged_bonus``, whose third argument holds one row per action
+    of the stage's rounds ``t, t + 1, ...`` in round order, and the builder
+    of boxB's choice kernel, whose choice becomes the argmax of the scores
+    plus these bonuses."""
     def rows_bonus(t, per_row):
         return np.array([bonus(t + i // A, i % A) for i in range(len(per_row))])
 
+    def choose(t, scores, *rest):
+        return ucb_argmax(scores, rows_bonus(t, scores).tolist())
+
     monkeypatch.setattr(policies, "staged_bonus",
                         lambda plan, t, feats, *rest: rows_bonus(t, feats))
-    monkeypatch.setattr(policies, "per_round_bonus",
-                        lambda plan, t, mahal_sq, *rest: rows_bonus(t, mahal_sq))
+    monkeypatch.setattr(policies, "_chooser", lambda actions: choose)
 
 
 class TestEquivalenceAndConsistency:
