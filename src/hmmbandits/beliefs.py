@@ -8,13 +8,14 @@ The estimated beliefs depend on the contexts, the refit period and the
 estimator seed only, so a run computes them before its policy loop, bit for
 bit as one refit, re-filter and Bayes step at a time would.  The prefix
 moments and the seed-free stage of all refits run stacked, a tile at a time
-(``spectral.prefix_tables`` and ``subspaces``).  Each refit's seed counts
-the successes before it, so the seeded stage (``spectral.seeded_estimates``)
-runs stacked over windows of at most ``WINDOW`` refits under seeds
-speculated from the successes so far; a seeded failure ends its window, and
-the next, half as long, re-runs the refits after it.  All re-filters run in
-one ``hmm.forward_pass``, the rounds between refits in one
-``hmm.forward_steps``.
+(``spectral.prefix_tables`` and ``subspaces``, which returns a refit's
+``RankDeficient`` in place of its set).  Each refit's seed counts the
+successes before it, so the seeded stage (``spectral.seeded_estimates``,
+which passes those on) runs stacked over windows of at most ``WINDOW``
+refits under seeds speculated from the successes so far; a seeded failure
+ends its window, and the next, half as long, re-runs the refits after it.
+All re-filters run in one ``hmm.forward_pass``, the rounds between refits
+in one ``hmm.forward_steps``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import EstimationFailed, ShapeMismatch
 from .hmm import forward_pass, forward_steps
-from .spectral import EstimatedHmm, align, prefix_tables, seeded_estimates, subspaces
+from .spectral import EstimatedHmm, Subspaces, align, prefix_tables, seeded_estimates, subspaces
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ def refit_schedule(
         if not window:
             break
         # a set whose seed-free stage passed runs the seeded stage: speculate it succeeds
-        seeded = [stage.pivot_inv is not None for _, stage in window]
+        seeded = [isinstance(stage, Subspaces) for _, stage in window]
         counts = itertools.accumulate(seeded[:-1], initial=successes)
         results = seeded_estimates([stage for _, stage in window],
                                    [seed + 7919 * (k + 1) for k in counts])

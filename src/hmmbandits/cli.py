@@ -56,12 +56,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    from .runner import estimation_curves, write_estimation_csv
+    from .runner import estimation_curves, make_out_dir, write_estimation_csv
 
     config = _load(args)
     rows = estimation_curves(config)
-    os.makedirs(config.run.out, exist_ok=True)
-    write_estimation_csv(rows, os.path.join(config.run.out, "estimation_curves.csv"))
+    write_estimation_csv(rows, os.path.join(make_out_dir(config.run.out), "estimation_curves.csv"))
     return 0
 
 
@@ -103,10 +102,9 @@ def _cmd_fit_rate(args) -> int:
     text = json.dumps(report, indent=2)
     print(text)
     if args.out is not None:
-        from .runner import _atomic_write
+        from .runner import _atomic_write, make_out_dir
 
-        os.makedirs(args.out, exist_ok=True)
-        _atomic_write(os.path.join(args.out, "rate_fit.json"), text + "\n")
+        _atomic_write(os.path.join(make_out_dir(args.out), "rate_fit.json"), text + "\n")
     return 0
 
 

@@ -78,10 +78,14 @@ def fit_rate(
 
 def read_summaries(results_dir: str) -> dict:
     """Final regrets ``{policy: {T: [R_T, ...]}}`` from every ``summary.csv``
-    under ``results_dir``, in the shape :func:`fit_rate` takes per policy; blank
-    lines are skipped, and a line that does not parse raises ``ConfigError``."""
+    under ``results_dir`` (directories in sorted order), in the shape
+    :func:`fit_rate` takes per policy; blank lines are skipped.  A line that
+    does not parse raises ``ConfigError``, and so does a policy whose rows
+    carry two values of the ``beliefs`` column (a summary without it has none)."""
     groups: dict = {}
-    for root, _, files in os.walk(results_dir):
+    modes: dict = {}  # policy -> (beliefs, the summary it was first read from)
+    for root, dirs, files in os.walk(results_dir):
+        dirs.sort()  # os.walk descends into dirs in the order left here
         if "summary.csv" not in files:
             continue
         path = os.path.join(root, "summary.csv")
@@ -94,6 +98,12 @@ def read_summaries(results_dir: str) -> dict:
                     if line.strip():
                         parts = line.strip().split(",")
                         policy, horizon, regret = (parts[i] for i in idx)
+                        if "beliefs" in header:
+                            mode = parts[header.index("beliefs")]
+                            seen, first = modes.setdefault(policy, (mode, path))
+                            if seen != mode:
+                                raise ConfigError(f"policy {policy} has beliefs = {seen} in "
+                                                  f"{first} and {mode} in {path}")
                         groups.setdefault(policy, {}).setdefault(int(horizon), []).append(
                             float(regret))
             except (IndexError, ValueError) as exc:

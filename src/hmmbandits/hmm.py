@@ -77,21 +77,6 @@ class HmmDiagnostics:
     regularity_ok: bool
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """A sampled hidden path and its emitted contexts (0-based indices)."""
-
-    hidden: np.ndarray
-    contexts: np.ndarray
-    horizon: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "hidden", np.asarray(self.hidden, dtype=np.int64))
-        object.__setattr__(self, "contexts", np.asarray(self.contexts, dtype=np.int64))
-        if len(self.hidden) != self.horizon or len(self.contexts) != self.horizon:
-            raise ShapeMismatch("hidden/context lengths must equal horizon")
-
-
 def validate(params: HmmParams) -> HmmDiagnostics:
     """Compute regularity diagnostics for the spectral estimator.
 
@@ -157,8 +142,9 @@ def sample_chain(
     return hidden, contexts.astype(np.int64)
 
 
-def sample_trajectory(params: HmmParams, horizon: int, seed: int) -> Trajectory:
-    """Sample ``h_1 ~ pi``, ``x_t ~ nu_{h_t}``, ``h_{t+1} ~ M[h_t]``.
+def sample_trajectory(params: HmmParams, horizon: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(hidden, contexts)`` int64 paths of :func:`sample_chain`, each of
+    length ``horizon``: ``h_1 ~ pi``, ``x_t ~ nu_{h_t}``, ``h_{t+1} ~ M[h_t]``.
 
     Deterministic given ``(params, horizon, seed)``: one generator draws all
     ``horizon`` state uniforms, then all context uniforms.
@@ -167,9 +153,7 @@ def sample_trajectory(params: HmmParams, horizon: int, seed: int) -> Trajectory:
         raise ShapeMismatch("horizon must be >= 1")
     rng = np.random.default_rng(seed)
     u_state = rng.random(horizon)
-    u_ctx = rng.random(horizon)
-    hidden, contexts = sample_chain(params, u_state, u_ctx)
-    return Trajectory(hidden=hidden, contexts=contexts, horizon=horizon)
+    return sample_chain(params, u_state, rng.random(horizon))
 
 
 def _sum_source(names: list) -> str:

@@ -23,7 +23,7 @@ import os
 import re
 import time
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +72,8 @@ def learner_seed_sequence(
 class CellResult:
     """One arm's transcript as columns, with the plan it played; the tape of
     its group holds the columns every arm shares.  ``learner_beliefs`` only
-    under ``emit_oracle_columns``, and for the learners only."""
+    under ``emit_oracle_columns``, and for the learners only.  A written
+    cell's result is kept with its transcript fields set to None."""
 
     plan: CellPlan
     seed_index: int
@@ -219,6 +220,16 @@ def simulate_group(
     return {name: getattr(tape, name) for name in shown}, results
 
 
+def make_out_dir(path: str) -> str:
+    """``path``, made a directory if it is none; a path that cannot be one is
+    a configuration error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+    return path
+
+
 @contextlib.contextmanager
 def _atomic_files(paths: Sequence[str]):
     """Open ``<path>.tmp-<pid>`` for each of ``paths``; rename them all into
@@ -295,8 +306,8 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
     ``config_snapshot.ini`` that a killed run left (:data:`STALE_FILE`).
     Returns the process exit code: 0 on success, 3 on numerical failure.
     """
-    out_dir = config.run.out
-    os.makedirs(out_dir, exist_ok=True)
+    snapshot = config_snapshot(config)  # before any file of an earlier run goes
+    out_dir = make_out_dir(config.run.out)
     policies = config.policy.policies
     uses_spectral = config.policy.beliefs == "spectral" and any(
         name in LEARNERS for name in policies
@@ -312,16 +323,13 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
         if STALE_FILE.fullmatch(stale):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(os.path.join(out_dir, stale))
-    _atomic_write(os.path.join(out_dir, "config_snapshot.ini"), config_snapshot(config))
+    _atomic_write(os.path.join(out_dir, "config_snapshot.ini"), snapshot)
 
     num_states = config.params.num_states
     emit_oracle = config.run.emit_oracle_columns
-    # per written cell, by file name; a transcript is dropped once on disk
-    summary_rows: dict[str, str] = {}
-    durations: dict[str, float] = {}
-    plans: dict[str, dict] = {}
-    refit_failures: dict[str, int] = {}
-    refit_reruns: dict[str, int] = {}
+    # each cell's result by file name, policy-major; its transcript dropped once on disk
+    cells: dict[str, CellResult | None] = dict.fromkeys(itertools.starmap(
+        _cell_filename, itertools.product(policies, config.run.horizons, config.run.seeds)))
 
     header = ["t", "x", "a", "r", "regret_inc"]
     if emit_oracle:
@@ -341,25 +349,15 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
                 for fh, result in zip(files, results):
                     fh.write(_csv_rows(result, emit_oracle, num_states, columns, rows))
         for name, result in zip(names, results):
-            plan = result.plan
             if result.estimate_text is not None:
                 _atomic_write(
                     os.path.join(out_dir, name[:-4] + ".estimate.txt"),
                     result.estimate_text,
                 )
-            summary_rows[name] = (
-                f"{plan.policy},{plan.horizon},{result.seed_index},"
-                f"{result.regret_total!r},{plan.lam!r},{plan.ell},"
-                f"{config.policy.beliefs}"
-            )
-            durations[name] = result.duration
-            plans[name] = asdict(plan)
-            refit_failures[name] = result.refit_failures
-            refit_reruns[name] = result.refit_reruns
-            echo(
-                f"{plan.policy} T={plan.horizon} seed={result.seed_index} "
-                f"R_T={result.regret_total:.4f} ({result.duration:.2f}s)"
-            )
+            cells[name] = replace(result, actions=None, rewards=None, increments=None,
+                                  estimate_text=None, learner_beliefs=None)
+            echo(f"{result.plan.policy} T={result.plan.horizon} seed={result.seed_index} "
+                 f"R_T={result.regret_total:.4f} ({result.duration:.2f}s)")
 
     workers = min(config.run.workers, len(groups))
     pool = None
@@ -380,18 +378,18 @@ def run_experiment(config: ExperimentConfig, echo=print) -> int:
         echo(f"FAILED: {type(exc).__name__}: {exc}")
         return 3
 
-    names = [_cell_filename(*cell) for cell in itertools.product(
-        policies, config.run.horizons, config.run.seeds)]
-    summary_lines = ["policy,T,seed,R_T,lambda,ell,beliefs"] + [summary_rows[n] for n in names]
+    summary_lines = ["policy,T,seed,R_T,lambda,ell,beliefs"] + [
+        f"{r.plan.policy},{r.plan.horizon},{r.seed_index},{r.regret_total!r},"
+        f"{r.plan.lam!r},{r.plan.ell},{config.policy.beliefs}" for r in cells.values()]
     _atomic_write(os.path.join(out_dir, "summary.csv"), "\n".join(summary_lines) + "\n")
     manifest = {
         "version": __version__,
         "blas_core": blas_core(),
-        "cells": len(names),
-        "durations": {n: round(durations[n], 6) for n in names},
-        "plans": {n: plans[n] for n in names},
-        "refit_failures": {n: refit_failures[n] for n in names if refit_failures[n]},
-        "refit_reruns": {n: refit_reruns[n] for n in names if refit_reruns[n]},
+        "cells": len(cells),
+        "durations": {n: round(r.duration, 6) for n, r in cells.items()},
+        "plans": {n: asdict(r.plan) for n, r in cells.items()},
+        "refit_failures": {n: r.refit_failures for n, r in cells.items() if r.refit_failures},
+        "refit_reruns": {n: r.refit_reruns for n, r in cells.items() if r.refit_reruns},
     }
     _atomic_write(
         os.path.join(out_dir, "manifest.json"), json.dumps(manifest, indent=2) + "\n"
@@ -448,15 +446,15 @@ def estimation_curves(config: ExperimentConfig, echo=print) -> list:
             config.run.master_seed, "estimate", longest, seed_index
         )
         traj_seed = int(ss.generate_state(1)[0])
-        trajectory = sample_trajectory(params, longest, seed=traj_seed)
+        _, contexts = sample_trajectory(params, longest, seed=traj_seed)
         # every checkpoint prefix extends the last: filter the truth once
-        truth = filter_trace(params, trajectory.contexts)
-        tiles = prefix_tables(trajectory.contexts, X, checkpoints)
+        truth = filter_trace(params, contexts)
+        tiles = prefix_tables(contexts, X, checkpoints)
         stages = [stage for tables in tiles for stage in subspaces(*tables, H)]
         fits = seeded_estimates(stages, [traj_seed + k for k in range(len(stages))])
         estimate = None
         for k, (t, fresh) in enumerate(zip(checkpoints, fits)):
-            prefix = trajectory.contexts[:t]
+            prefix = contexts[:t]
             try:
                 if not isinstance(fresh, EstimatedHmm):
                     raise fresh

@@ -11,7 +11,8 @@ time.  The seeded stage (:func:`seeded_estimates`: rotations,
 eigenvectors, raw matrices, post-processing) runs stacked over the moment
 sets a caller hands it, one seed each; the online refits hand it windows
 of at most ``beliefs.WINDOW`` refits under speculated seeds
-(``beliefs.refit_schedule``).
+(``beliefs.refit_schedule``).  Each stage returns a set's failure in its
+place where it is decided, and the seeded stage passes a ``RankDeficient`` on.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (DiagonalizationFailed, EstimationFailed, NearSingularPivot, NonFinite,
-                     RankDeficient, ShapeMismatch)
+from .errors import (DiagonalizationFailed, NearSingularPivot, NonFinite, RankDeficient,
+                     ShapeMismatch)
 from .hmm import TILE_BYTES, _freeze
 
 COND_LIMIT = 1e12
@@ -110,22 +111,23 @@ class EstimatedHmm:
 
 @dataclass(frozen=True)
 class Subspaces:
-    """The seed-free stage of one moment set: ``sigma``, the H-th singular
-    value of ``p31``, the bases, and the pivot's inverse (None if rank-deficient)."""
+    """The seed-free stage of one moment set that passed the rank check: the
+    bases and the pivot's inverse."""
 
     p312: np.ndarray
-    sigma: float
     u3: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
-    pivot_inv: np.ndarray | None
+    pivot_inv: np.ndarray
 
 
 def subspaces(p31: np.ndarray, p32: np.ndarray, p312: np.ndarray, H: int) -> list:
     """The seed-free stage of a stack of moment sets, one :class:`Subspaces`
-    each: SVDs (singular values descending, ties by index), sign fix (each
-    basis column's largest entry positive), the pivot ``u3^T p31 u1`` and
-    its inverse, each one call over the stack.  numpy runs a stacked SVD or
+    each, or :class:`~hmmbandits.errors.RankDeficient` in place of a set
+    whose H-th singular value of ``p31`` is below ``RANK_TOL``: SVDs
+    (singular values descending, ties by index), sign fix (each basis
+    column's largest entry positive), the pivot ``u3^T p31 u1`` and its
+    inverse, each one call over the stack.  numpy runs a stacked SVD or
     inverse as the LAPACK call on each matrix, and products read
     :func:`_stack` slices, so each keeps its bits.  ``u3`` and ``u1`` are
     ``p31``'s top-H singular vectors, so the pivot is ``diag(+-sigma_h)``,
@@ -149,8 +151,9 @@ def subspaces(p31: np.ndarray, p32: np.ndarray, p312: np.ndarray, H: int) -> lis
     ok = ~(s31[:, H - 1] < RANK_TOL)
     if ok.any():
         pivot_inv[ok] = np.linalg.inv(pivot[ok])
-    return [Subspaces(p312[k], float(s31[k, H - 1]), u3[k], u1[k], u2[k],
-                      pivot_inv[k] if ok[k] else None) for k in range(K)]
+    return [Subspaces(p312[k], u3[k], u1[k], u2[k], pivot_inv[k]) if ok[k] else
+            RankDeficient(f"{H}-th singular value of p31 is {s31[k, H - 1]:.3e} < {RANK_TOL}")
+            for k in range(K)]
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -186,19 +189,18 @@ def seeded_estimates(sets: list, seeds: list) -> list:
     """The seeded stage of each :class:`Subspaces` of ``sets`` under its
     seed in ``seeds``: its :class:`EstimatedHmm` (labels arbitrary,
     unaligned), or the :class:`~hmmbandits.errors.EstimationFailed` (or
-    ``NonFinite``) it raised.
+    ``NonFinite``) it ends in; a ``RankDeficient`` of ``sets`` is passed on.
 
-    A set that failed its seed-free stage raises ``RankDeficient``.
-    Each other set draws ``RETRY_BUDGET`` rotations
-    from its seed; the triple table is contracted along the first row of a
-    rotation's Q factor and diagonalized.  The set takes the first rotation
-    whose eigensystem is real and well conditioned; with none,
-    :class:`DiagonalizationFailed`.  Then the table is contracted along
-    every row of the rotation that worked and diagonalized in the shared
-    eigenbasis ``R``, and the raw matrices are solved for.  Eigenvector
-    signs are arbitrary, so the raw transition's rows are flipped to
-    nonnegative sums (added left to right); :func:`postprocess` makes the
-    estimates stochastic.
+    Each set draws ``RETRY_BUDGET`` rotations from its seed; the triple
+    table is contracted along the first row of a rotation's Q factor and
+    diagonalized.  The set takes the first rotation whose eigensystem is
+    real and well conditioned; with none, :class:`DiagonalizationFailed`.
+    Then the table is contracted along every row of the rotation that
+    worked and diagonalized in the shared eigenbasis ``R``, and the raw
+    matrices are solved for (:class:`NearSingularPivot` if the projected
+    observation factor is near singular).  Eigenvector signs are arbitrary,
+    so the raw transition's rows are flipped to nonnegative sums (added
+    left to right); :func:`postprocess` makes the estimates stochastic.
 
     Each step (``qr``, the contraction, ``eig`` and its checks, ``inv``, the
     H contractions, ``solve``, ``cond``, the raw matrices, ``postprocess``)
@@ -210,49 +212,23 @@ def seeded_estimates(sets: list, seeds: list) -> list:
     """
     if len(seeds) != len(sets):
         raise ShapeMismatch(f"{len(seeds)} seeds for {len(sets)} moment sets")
-    live = [k for k, stage in enumerate(sets) if stage.pivot_inv is not None]
-    diagonalized, singular = np.zeros(len(sets), dtype=bool), np.zeros(len(sets), dtype=bool)
-    fits = iter(())
-    if live:
-        found, flat, fits = _seeded_stack([sets[k] for k in live], [seeds[k] for k in live])
-        rows = np.array(live)[found]
-        diagonalized[rows], singular[rows] = True, flat
-    results = []
-    for stage, ok, flat in zip(sets, diagonalized, singular):
-        try:
-            if stage.sigma < RANK_TOL:
-                raise RankDeficient(f"{stage.u3.shape[1]}-th singular value of p31 is "
-                                    f"{stage.sigma:.3e} < {RANK_TOL}")
-            if not ok:
-                raise DiagonalizationFailed(
-                    f"no real well-conditioned eigensystem in {RETRY_BUDGET} rotations")
-            if flat:
-                raise NearSingularPivot("projected observation factor is near singular")
-            results.append(next(fits))
-        except EstimationFailed as exc:
-            # without its traceback, which would hold this frame in a cycle
-            results.append(exc.with_traceback(None))
-    return results
-
-
-def _seeded_stack(sets: list, seeds: list):
-    """The stacked arithmetic of :func:`seeded_estimates` on sets that passed
-    their seed-free stage: the indices of the sets diagonalized, whether
-    each one's projected observation factor is near singular, and the
-    :func:`postprocess` outcome of each of the others, in order."""
+    results = list(sets)
+    live = np.array([k for k, stage in enumerate(sets) if isinstance(stage, Subspaces)])
+    if not live.size:
+        return results
     operands = []
     for name in ("p312", "u3", "u1", "u2", "pivot_inv"):
-        parts = [getattr(stage, name) for stage in sets]
-        operands.append(np.stack(parts, out=_stack(len(sets), *parts[0].shape)))
+        parts = [getattr(sets[k], name) for k in live]
+        operands.append(np.stack(parts, out=_stack(live.size, *parts[0].shape)))
     H = operands[1].shape[2]
-    rotations = np.stack([np.random.default_rng(seed).normal(size=(RETRY_BUDGET, H, H))
-                          for seed in seeds])
-    gamma, r_mat = _stack(len(sets), H, H), _stack(len(sets), H, H)
-    pending = np.arange(len(sets))
+    rotations = np.stack([np.random.default_rng(seeds[k]).normal(size=(RETRY_BUDGET, H, H))
+                          for k in live])
+    gamma, r_mat = _stack(live.size, H, H), _stack(live.size, H, H)
+    pending = np.arange(live.size)
     for lo, hi in ROTATION_ROUNDS:
         if not pending.size:
             break
-        tried = operands if pending.size == len(sets) else [_copy(a[pending]) for a in operands]
+        tried = operands if pending.size == live.size else [_copy(a[pending]) for a in operands]
         q = _copy(np.linalg.qr(rotations[pending, lo:hi]).Q)
         eigvals, eigvecs = np.linalg.eig(_contract(tried, q[:, :, 0]))
         radius = np.abs(eigvals).max(axis=-1)
@@ -270,8 +246,11 @@ def _seeded_stack(sets: list, seeds: list):
         gamma[pending[done]] = q.reshape(-1, H, H)[first]
         r_mat[pending[done]] = candidate[np.searchsorted(rows, first)]
         pending = np.delete(pending, done)
-    found = np.delete(np.arange(len(sets)), pending)
-    if found.size < len(sets):
+    for k in live[pending]:
+        results[k] = DiagonalizationFailed(
+            f"no real well-conditioned eigensystem in {RETRY_BUDGET} rotations")
+    found = np.delete(np.arange(live.size), pending)
+    if found.size < live.size:
         operands, gamma, r_mat = ([_copy(a[found]) for a in operands],
                                   _copy(gamma[found]), _copy(r_mat[found]))
     _, u3, _, u2, _ = operands
@@ -286,7 +265,11 @@ def _seeded_stack(sets: list, seeds: list):
     singular = np.linalg.cond(proj) > COND_LIMIT
     raw_m = np.linalg.solve(proj[~singular], r_mat[~singular]).swapaxes(1, 2)
     raw_m = raw_m * np.where(_row_sums(raw_m) < 0, -1.0, 1.0)[..., None]
-    return found, singular, iter(postprocess(raw_m, obs_factor[~singular]))
+    fits = iter(postprocess(raw_m, obs_factor[~singular]))
+    for k, flat in zip(live[found], singular):
+        results[k] = (NearSingularPivot("projected observation factor is near singular")
+                      if flat else next(fits))
+    return results
 
 
 def _row_sums(a: np.ndarray) -> np.ndarray:

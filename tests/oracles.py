@@ -489,7 +489,7 @@ def reference_estimation_curves(config):
     for seed_index in run.seeds:
         ss = learner_seed_sequence(run.master_seed, "estimate", checkpoints[-1], seed_index)
         traj_seed = int(ss.generate_state(1)[0])
-        contexts = sample_trajectory(params, checkpoints[-1], seed=traj_seed).contexts
+        _, contexts = sample_trajectory(params, checkpoints[-1], seed=traj_seed)
         truth = filter_trace(params, contexts)
         estimate = None
         for k, t in enumerate(checkpoints):

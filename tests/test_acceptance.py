@@ -122,10 +122,10 @@ def test_criterion_3_spectral_consistency_direction():
     improved = 0
     errors_small, errors_large = [], []
     for seed in range(20):
-        traj = sample_trajectory(params, 100_000, seed=seed)
+        _, contexts = sample_trajectory(params, 100_000, seed=seed)
         errs = {}
         for t in (1000, 100_000):
-            moments = stream_moments(traj.contexts[:t], params.num_contexts)
+            moments = stream_moments(contexts[:t], params.num_contexts)
             try:
                 est = one_set_estimate(moments, H=2, seed=seed)
             except DiagonalizationFailed:

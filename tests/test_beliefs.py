@@ -79,12 +79,12 @@ class TestFilterStep:
     """The one-step update and the batched pass under estimated parameters."""
 
     def test_oracle_parameters_track_true_filter(self, reference_params):
-        traj = sample_trajectory(reference_params, 300, seed=0)
+        _, contexts = sample_trajectory(reference_params, 300, seed=0)
         est = oracle_estimate(reference_params)
-        truth = filter_trace(reference_params, traj.contexts)[-1]
+        truth = filter_trace(reference_params, contexts)[-1]
         stepped = stepwise_filter(est.transition_hat, est.emission_hat,
-                                  reference_params.initial_dist, traj.contexts)
-        batched = refilter(est, reference_params.initial_dist, traj.contexts)
+                                  reference_params.initial_dist, contexts)
+        batched = refilter(est, reference_params.initial_dist, contexts)
         assert np.max(np.abs(stepped - truth)) < 1e-12
         assert np.max(np.abs(batched - truth)) < 1e-12
 
@@ -130,38 +130,38 @@ def test_likelihood_scale_invariance(two_state_params):
 
 class TestBeliefErrorTrace:
     def test_truth_gives_zero_gaps(self, reference_params):
-        traj = sample_trajectory(reference_params, 500, seed=1)
+        _, contexts = sample_trajectory(reference_params, 500, seed=1)
         est = oracle_estimate(reference_params)
         # estimated filter starts from the uniform prior; on a stationary
         # symmetric instance that equals the true initial distribution
-        gaps = belief_gaps(filter_trace(reference_params, traj.contexts), [(1, est)],
-                           traj.contexts)
+        gaps = belief_gaps(filter_trace(reference_params, contexts), [(1, est)],
+                           contexts)
         assert np.max(gaps) < 1e-12
 
     def test_perturbed_truth_stays_bounded(self, reference_params):
         raw_e = np.clip(reference_params.emission + 0.01, 0, None)
         perturbed = one_postprocess(reference_params.transition, raw_e)
-        traj = sample_trajectory(reference_params, 400, seed=2)
-        gaps = belief_gaps(filter_trace(reference_params, traj.contexts),
-                           [(1, perturbed)], traj.contexts)
+        _, contexts = sample_trajectory(reference_params, 400, seed=2)
+        gaps = belief_gaps(filter_trace(reference_params, contexts),
+                           [(1, perturbed)], contexts)
         assert np.max(gaps) <= 2.0
         assert np.median(gaps) < 0.2
 
     def test_schedule_refilters_at_activation(self, reference_params):
-        traj = sample_trajectory(reference_params, 50, seed=3)
+        _, contexts = sample_trajectory(reference_params, 50, seed=3)
         est = oracle_estimate(reference_params)
-        gaps = belief_gaps(filter_trace(reference_params, traj.contexts),
-                           [(1, est), (25, est)], traj.contexts)
+        gaps = belief_gaps(filter_trace(reference_params, contexts),
+                           [(1, est), (25, est)], contexts)
         assert np.max(gaps) < 1e-12
 
     def test_one_truth_pass_serves_every_prefix(self, reference_params):
         # estimation_curves filters the longest trajectory once and slices it
         raw_e = np.clip(reference_params.emission + 0.02, 0, None)
         est = one_postprocess(reference_params.transition, raw_e)
-        traj = sample_trajectory(reference_params, 400, seed=5)
-        truth = filter_trace(reference_params, traj.contexts)
+        _, contexts = sample_trajectory(reference_params, 400, seed=5)
+        truth = filter_trace(reference_params, contexts)
         for t in (1, 64, 250, 400):
-            prefix = traj.contexts[:t]
+            prefix = contexts[:t]
             want = belief_gaps(filter_trace(reference_params, prefix), [(1, est)], prefix)
             assert np.array_equal(belief_gaps(truth[:t], [(1, est)], prefix), want)
 
@@ -176,18 +176,18 @@ class TestOnlineBeliefEstimator:
     """``refit_schedule`` + ``scheduled_beliefs``, the belief subroutine."""
 
     def test_uniform_before_first_estimate(self, reference_params):
-        traj = sample_trajectory(reference_params, 30, seed=4)
-        schedule, beliefs, _ = online_beliefs(traj.contexts, 2, 4, 100, 0)
+        _, contexts = sample_trajectory(reference_params, 30, seed=4)
+        schedule, beliefs, _ = online_beliefs(contexts, 2, 4, 100, 0)
         assert np.array_equal(beliefs, np.full((30, 2), 0.5))
         assert schedule == []
 
     def test_refits_and_beliefs_become_informative(self, reference_params):
         # internal state labels are arbitrary: diagnostics against the truth
         # are taken under the identifying (best global) permutation
-        traj = sample_trajectory(reference_params, 30_000, seed=5)
-        schedule, beliefs, _ = online_beliefs(traj.contexts, 2, 4, 2500, 0)
+        _, contexts = sample_trajectory(reference_params, 30_000, seed=5)
+        schedule, beliefs, _ = online_beliefs(contexts, 2, 4, 2500, 0)
         assert len({id(est) for _, est in schedule}) >= 10
-        truth = filter_trace(reference_params, traj.contexts)
+        truth = filter_trace(reference_params, contexts)
         late = slice(15_000, None)
         gap = min(
             float(np.median(np.abs(beliefs[late] - truth[late]).sum(axis=1))),
@@ -197,8 +197,8 @@ class TestOnlineBeliefEstimator:
         assert gap < uniform_gap
 
     def test_determinism(self, reference_params):
-        traj = sample_trajectory(reference_params, 1500, seed=6)
-        runs = [online_beliefs(traj.contexts, 2, 4, 250, 9)[1] for _ in range(2)]
+        _, contexts = sample_trajectory(reference_params, 1500, seed=6)
+        runs = [online_beliefs(contexts, 2, 4, 250, 9)[1] for _ in range(2)]
         assert np.array_equal(runs[0], runs[1])
 
     def test_rows_match_prefix_refilter(self, reference_params):
@@ -206,17 +206,17 @@ class TestOnlineBeliefEstimator:
         # the uniform prior under the estimate active at that round: one
         # batched pass over all 600 prefixes, each checked against the
         # straight single-prefix pass
-        traj = sample_trajectory(reference_params, 600, seed=7)
-        schedule, beliefs, _ = online_beliefs(traj.contexts, 2, 4, 200, 1)
+        _, contexts = sample_trajectory(reference_params, 600, seed=7)
+        schedule, beliefs, _ = online_beliefs(contexts, 2, 4, 200, 1)
         assert [t for t, _ in schedule] == [200, 400, 600]
         assert np.array_equal(beliefs[:199], np.full((199, 2), 0.5))
         rounds = range(200, 601)
         active = [[est for start, est in schedule if start <= t][-1] for t in rounds]
         models = [(est.transition_hat, est.emission_hat) for est in active]
-        refilters = forward_pass(models, np.full(2, 0.5), traj.contexts, rounds)
+        refilters = forward_pass(models, np.full(2, 0.5), contexts, rounds)
         for t, (M, E), want in zip(rounds, models, refilters):
             assert np.array_equal(want, reference_forward_pass(
-                M, E, np.full(2, 0.5), traj.contexts[:t]))
+                M, E, np.full(2, 0.5), contexts[:t]))
             assert np.max(np.abs(beliefs[t - 1] - want)) < 1e-12
 
     def test_rank_deficient_stream_keeps_uniform(self):
@@ -230,8 +230,8 @@ class TestOnlineBeliefEstimator:
         # before any estimate exists, the one at round 200 after a success
         rng = np.random.default_rng(6)
         params = random_hmm(rng, 3, 3, min_entry=0.05)
-        contexts = np.concatenate([sample_trajectory(params, 100, seed=6).contexts,
-                                   rng.integers(0, 3, size=300)])
+        _, stretch = sample_trajectory(params, 100, seed=6)
+        contexts = np.concatenate([stretch, rng.integers(0, 3, size=300)])
         schedule, beliefs, failures = online_beliefs(contexts, 3, 3, 10, 6)
         kept = [t for (t, est), (_, prev) in zip(schedule[1:], schedule) if est is prev]
         assert schedule[0][0] == 20 and kept == [200] and failures == 2
@@ -248,10 +248,10 @@ class TestOnlineBeliefEstimator:
         # smaller median belief gap on the back half of the run
         medians = {}
         for horizon in (1000, 30_000):
-            traj = sample_trajectory(reference_params, horizon, seed=8)
-            _, beliefs, _ = online_beliefs(traj.contexts, 2, 4,
+            _, contexts = sample_trajectory(reference_params, horizon, seed=8)
+            _, beliefs, _ = online_beliefs(contexts, 2, 4,
                                            max(100, horizon // 8), 2)
-            truth = filter_trace(reference_params, traj.contexts)
+            truth = filter_trace(reference_params, contexts)
             back = slice(horizon // 2, None)
             medians[horizon] = min(
                 float(np.median(np.abs(beliefs[back] - truth[back]).sum(axis=1))),
@@ -277,7 +277,8 @@ def context_streams(draw):
         width = int(rng.integers(1, X + 1))
         if kind == "hmm":
             params = random_hmm(rng, H, X, min_entry=0.05)
-            parts.append(sample_trajectory(params, length, seed=int(rng.integers(2**31))).contexts)
+            _, stretch = sample_trajectory(params, length, seed=int(rng.integers(2**31)))
+            parts.append(stretch)
         elif kind == "constant":
             parts.append(np.full(length, rng.integers(X)))
         elif kind == "cycle":
@@ -309,7 +310,7 @@ def seeded_refits(contexts, H, X, refit_every) -> list:
     its seeded stage runs."""
     ends = [t for t in range(refit_every, len(contexts) + 1, refit_every) if t >= 8]
     tiles = spectral.prefix_tables(contexts, X, ends) if ends else ()
-    return [stage.pivot_inv is not None for tables in tiles
+    return [isinstance(stage, spectral.Subspaces) for tables in tiles
             for stage in spectral.subspaces(*tables, H)]
 
 
@@ -339,7 +340,8 @@ def failing_streams():
     i.i.d. contexts refit every 4 rounds (``RankDeficient`` and
     ``NearSingularPivot``)."""
     params = random_hmm(np.random.default_rng(0), 3, 4, min_entry=0.05)
-    yield sample_trajectory(params, 120, seed=0).contexts, 3, 4, 3, 0
+    _, contexts = sample_trajectory(params, 120, seed=0)
+    yield contexts, 3, 4, 3, 0
     iid = np.random.default_rng(0).integers(0, 3, size=40)
     yield np.concatenate([np.zeros(20, dtype=np.int64), iid]), 3, 3, 4, 0
 
@@ -349,7 +351,8 @@ def adjacent_failures_stream():
     failures at refits 16, 17 and 19 (counted from 1), so refit 16 ends the
     first window of 16 and the next window starts on a failure."""
     params = random_hmm(np.random.default_rng(11), 3, 4, min_entry=0.05)
-    return sample_trajectory(params, 150, seed=11).contexts, 3, 4, 3, 11
+    _, contexts = sample_trajectory(params, 150, seed=11)
+    return contexts, 3, 4, 3, 11
 
 
 def all_failing_stream():

@@ -714,6 +714,34 @@ class TestCli:
         with pytest.raises(ConfigError, match="--out"):
             apply_overrides(parse_config(MINIMAL.format(out="kept")), out=out)
 
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "fit-rate"])
+    def test_out_that_cannot_be_a_directory_exit_2(self, tmp_path, capsys, command):
+        # a path under a regular file: a configuration error, not a traceback
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / "file" / "x")
+        (tmp_path / "summary.csv").write_text("policy,T,seed,R_T\ndemo,128,0,1.0\n")
+        path = write_config(tmp_path, out="unused")
+        args = [str(tmp_path)] if command == "fit-rate" else [path]
+        capsys.readouterr()
+        assert cli_main([command, *args, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"configuration error: cannot create output directory {out}: " in err
+        assert "Traceback" not in err
+
+    def test_unwritable_snapshot_leaves_the_earlier_run(self, tmp_path):
+        # the snapshot is rendered before an earlier run's files are removed
+        from hmmbandits.runner import run_experiment
+
+        out = tmp_path / "run"
+        path = write_config(tmp_path, out=str(out))
+        assert cli_main(["simulate", path]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        config = parse_config(MINIMAL.format(out=str(out)))
+        config = replace(config, run=replace(config.run, seeds=(3,)))
+        with pytest.raises(ConfigError, match="one seed index 3"):
+            run_experiment(config, echo=lambda *args: None)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_comment_characters_without_whitespace_are_kept(self, tmp_path):
         cfg = apply_overrides(parse_config(MINIMAL.format(out="kept")), out="a;b#c")
         assert parse_config(config_snapshot(cfg)).run.out == "a;b#c"
@@ -819,6 +847,29 @@ class TestCli:
         captured = capsys.readouterr()
         assert f"configuration error: {summary}, line {line}: " in captured.err
         assert captured.out == ""
+
+    def test_fit_rate_on_two_belief_modes_exit_2(self, tmp_path, capsys):
+        # one policy's regrets under spectral and oracle beliefs do not pool
+        header = "policy,T,seed,R_T,lambda,ell,beliefs\n"
+        for mode in ("spectral", "oracle"):
+            (tmp_path / mode).mkdir()
+            (tmp_path / mode / "summary.csv").write_text(
+                header + "".join(f"boxB,{T},0,1.0,1.0,1,{mode}\n" for T in (128, 256, 512)))
+        assert cli_main(["fit-rate", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        first, second = (tmp_path / mode / "summary.csv" for mode in ("oracle", "spectral"))
+        assert (f"configuration error: policy boxB has beliefs = oracle in {first} "
+                f"and spectral in {second}") in captured.err
+        assert captured.out == ""
+
+    def test_summaries_are_read_in_sorted_directory_order(self, tmp_path):
+        from hmmbandits.evaluation import read_summaries
+
+        for name, regret in (("b", 2.0), ("c", 3.0), ("a", 1.0)):
+            (tmp_path / name / "deeper").mkdir(parents=True)
+            (tmp_path / name / "deeper" / "summary.csv").write_text(
+                f"policy,T,seed,R_T\ndemo,128,0,{regret!r}\n")
+        assert read_summaries(str(tmp_path)) == {"demo": {128: [1.0, 2.0, 3.0]}}
 
     def test_fit_rate_empty_out_exit_2(self, tmp_path, monkeypatch, capsys):
         # an empty --out is a configuration error, not a silently skipped write

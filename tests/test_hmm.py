@@ -107,31 +107,32 @@ class TestSampleTrajectory:
     def test_absorbing_chain_constant_state(self):
         params = HmmParams(2, 2, np.array([1.0, 0.0]), np.eye(2),
                            np.array([[0.8, 0.3], [0.2, 0.7]]))
-        traj = sample_trajectory(params, 200, seed=1)
-        assert np.all(traj.hidden == 0)
+        hidden, _ = sample_trajectory(params, 200, seed=1)
+        assert np.all(hidden == 0)
 
     def test_deterministic_emission_reveals_state(self):
         params = HmmParams(2, 2, np.array([0.4, 0.6]),
                            np.array([[0.6, 0.4], [0.3, 0.7]]),
                            np.eye(2))
-        traj = sample_trajectory(params, 500, seed=3)
-        assert np.array_equal(traj.hidden, traj.contexts)
+        hidden, contexts = sample_trajectory(params, 500, seed=3)
+        assert np.array_equal(hidden, contexts)
 
     def test_occupancy_matches_stationary(self, two_state_params):
-        traj = sample_trajectory(two_state_params, 10_000, seed=42)
+        hidden, _ = sample_trajectory(two_state_params, 10_000, seed=42)
         pi = stationary_distribution(two_state_params.transition)
-        occupancy = np.bincount(traj.hidden, minlength=2) / traj.horizon
+        occupancy = np.bincount(hidden, minlength=2) / len(hidden)
         assert np.max(np.abs(occupancy - pi)) < 0.02
 
     def test_seed_determinism(self, reference_params):
-        a = sample_trajectory(reference_params, 1000, seed=7)
-        b = sample_trajectory(reference_params, 1000, seed=7)
-        assert np.array_equal(a.hidden, b.hidden)
-        assert np.array_equal(a.contexts, b.contexts)
+        (a_hidden, a_contexts), (b_hidden, b_contexts) = (
+            sample_trajectory(reference_params, 1000, seed=7) for _ in range(2))
+        assert np.array_equal(a_hidden, b_hidden)
+        assert np.array_equal(a_contexts, b_contexts)
 
     def test_horizon_lengths(self, reference_params):
-        traj = sample_trajectory(reference_params, 123, seed=0)
-        assert len(traj.hidden) == len(traj.contexts) == 123
+        hidden, contexts = sample_trajectory(reference_params, 123, seed=0)
+        assert len(hidden) == len(contexts) == 123
+        assert hidden.dtype == contexts.dtype == np.int64
 
 
 def chain_draws(rng, cums, size):
@@ -214,8 +215,8 @@ class TestTrueBeliefFilter:
             filter_trace(two_state_params, [])
 
     def test_long_horizon_stability(self, reference_params):
-        traj = sample_trajectory(reference_params, 50_000, seed=5)
-        belief = filter_trace(reference_params, traj.contexts)[-1]
+        _, contexts = sample_trajectory(reference_params, 50_000, seed=5)
+        belief = filter_trace(reference_params, contexts)[-1]
         assert belief.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.all(belief >= 0)
 

@@ -15,8 +15,8 @@ from hmmbandits.errors import (
     ShapeMismatch,
 )
 from hmmbandits.hmm import HmmParams, sample_trajectory
-from hmmbandits.spectral import (COND_LIMIT, RANK_TOL, EstimatedHmm, align, prefix_tables,
-                                 relabel, seeded_estimates, subspaces)
+from hmmbandits.spectral import (COND_LIMIT, RANK_TOL, EstimatedHmm, Subspaces, align,
+                                 prefix_tables, relabel, seeded_estimates, subspaces)
 
 from conftest import one_postprocess, one_set_estimate, random_hmm, stream_moments
 from oracles import (
@@ -108,6 +108,28 @@ class TestSpectralEstimate:
             with pytest.raises(ShapeMismatch):
                 seeded_estimates(sets, seeds)
 
+    def test_mixed_sets_match_one_set_calls(self):
+        # HMM prefixes that end in every outcome, shuffled among the
+        # rank-deficient prefixes of a constant stream
+        params = random_hmm(np.random.default_rng(0), 3, 4, min_entry=0.05)
+        _, contexts = sample_trajectory(params, 120, seed=0)
+        streams = ((contexts, list(range(9, 121, 3))), (np.zeros(12, dtype=np.int64), [9, 12]))
+        sets = [stage for stream, ends in streams for tables in prefix_tables(stream, 4, ends)
+                for stage in subspaces(*tables, 3)]
+        sets = [sets[k] for k in np.random.default_rng(1).permutation(len(sets))]
+        outcomes = seeded_estimates(sets, list(range(len(sets))))
+        for seed, (stage, got) in enumerate(zip(sets, outcomes)):
+            (want,) = seeded_estimates([stage], [seed])
+            assert type(got) is type(want)
+            if isinstance(got, EstimatedHmm):
+                assert got.to_text() == want.to_text()
+            else:
+                assert str(got) == str(want) and got.__traceback__ is None
+            if isinstance(stage, RankDeficient):
+                assert got is stage
+        assert {type(got) for got in outcomes} == {EstimatedHmm, RankDeficient,
+                                                   DiagonalizationFailed, NearSingularPivot}
+
     def test_population_recovery_two_states(self, reference_params):
         est = one_set_estimate(population_moments(reference_params), H=2, seed=0)
         m_err = best_permutation_distance(
@@ -127,16 +149,16 @@ class TestSpectralEstimate:
         assert best_permutation_distance(est.emission_hat, params.emission, "columns") < 1e-6
 
     def test_determinism(self, reference_params):
-        traj = sample_trajectory(reference_params, 3000, seed=0)
-        ms = stream_moments(traj.contexts, num_contexts=4)
+        _, contexts = sample_trajectory(reference_params, 3000, seed=0)
+        ms = stream_moments(contexts, num_contexts=4)
         a = one_set_estimate(ms, H=2, seed=3)
         b = one_set_estimate(ms, H=2, seed=3)
         assert np.array_equal(a.transition_hat, b.transition_hat)
         assert np.array_equal(a.emission_hat, b.emission_hat)
 
     def test_estimate_is_stochastic(self, reference_params):
-        traj = sample_trajectory(reference_params, 3000, seed=0)
-        est = one_set_estimate(stream_moments(traj.contexts, 4), H=2, seed=3)
+        _, contexts = sample_trajectory(reference_params, 3000, seed=0)
+        est = one_set_estimate(stream_moments(contexts, 4), H=2, seed=3)
         assert np.all(est.transition_hat >= 0) and np.all(est.emission_hat >= 0)
         assert np.allclose(est.transition_hat.sum(axis=1), 1.0, atol=1e-12)
         assert np.allclose(est.emission_hat.sum(axis=0), 1.0, atol=1e-12)
@@ -153,8 +175,8 @@ class TestSpectralEstimate:
         for t in (1000, 100_000):
             errs = []
             for seed in range(3):
-                traj = sample_trajectory(reference_params, t, seed=seed)
-                ms = stream_moments(traj.contexts, num_contexts=4)
+                _, contexts = sample_trajectory(reference_params, t, seed=seed)
+                ms = stream_moments(contexts, num_contexts=4)
                 est = one_set_estimate(ms, H=2, seed=seed)
                 errs.append(best_permutation_distance(
                     est.transition_hat, reference_params.transition, "both"
@@ -185,8 +207,9 @@ def test_rank_check_bounds_the_pivot_condition(tables):
     # sigma_1 <= 1 for a probability table, so sigma_H >= RANK_TOL caps cond
     p31, p32, p312, H = tables
     (stage,) = subspaces(p31[None], p32[None], p312[None], H)
-    assert (stage.pivot_inv is None) == (stage.sigma < RANK_TOL)
-    if stage.pivot_inv is not None:
+    sigma = np.linalg.svd(p31)[1][H - 1]
+    assert isinstance(stage, RankDeficient if sigma < RANK_TOL else Subspaces)
+    if isinstance(stage, Subspaces):
         assert np.linalg.cond(stage.u3.T @ p31 @ stage.u1) <= COND_LIMIT
 
 
@@ -350,10 +373,10 @@ class TestAlign:
     def test_label_pinning_across_rotation_seeds(self, reference_params):
         # The first estimate pins the labels: later estimates agree after
         # alignment no matter which internal ordering the rotation produced.
-        traj = sample_trajectory(reference_params, 60_000, seed=4)
-        ms_early = stream_moments(traj.contexts[:20_000], num_contexts=4)
+        _, contexts = sample_trajectory(reference_params, 60_000, seed=4)
+        ms_early = stream_moments(contexts[:20_000], num_contexts=4)
         first = align(None, one_set_estimate(ms_early, 2, seed=0))
-        ms_late = stream_moments(traj.contexts, num_contexts=4)
+        ms_late = stream_moments(contexts, num_contexts=4)
         later = [
             align(first, one_set_estimate(ms_late, 2, seed=s))
             for s in (1, 2, 3)
