@@ -11,9 +11,9 @@ moments and the seed-free stage of all refits run stacked, a tile at a time
 (``spectral.prefix_tables`` and ``subspaces``, which returns a refit's
 ``RankDeficient`` in place of its set).  Each refit's seed counts the
 successes before it, so the seeded stage (``spectral.seeded_estimates``,
-which passes those on) runs stacked over windows of at most ``WINDOW``
-refits under seeds speculated from the successes so far; a seeded failure
-ends its window, and the next, half as long, re-runs the refits after it.
+which passes those on) runs stacked over windows of a tile's refits under
+seeds speculated from the successes so far; a seeded failure ends its
+window, and the next, half as long, re-runs the refits after it.
 All re-filters run in one ``hmm.forward_pass``, the rounds between refits
 in one ``hmm.forward_steps``.
 """
@@ -65,7 +65,6 @@ def u_belief(budget: BeliefErrorBudget, t: int) -> float:
 
 
 MIN_FIT = 8  # shortest prefix the belief subroutine re-estimates from
-WINDOW = 16  # most refits per stacked seeded stage of the online refits
 
 
 def refit_schedule(
@@ -80,13 +79,14 @@ def refit_schedule(
     (:class:`~hmmbandits.errors.EstimationFailed`, routine on short prefixes)
     keeps the previous estimate and is counted.
 
-    The seeded stage runs stacked over windows of at most ``WINDOW`` refits,
-    each seed speculated from the successes so far and the seed-free
-    failures in the window.  A seeded failure makes every later seed of its
-    window one too high: the window keeps its results up to the failure,
-    and the next window starts right after it.  Seeded failures cluster on
-    short prefixes, so a window with one halves the next window's length
-    (down to 1) and a window without one doubles it (up to ``WINDOW``).
+    The seeded stage runs stacked over windows of a ``prefix_tables``
+    tile's refits, each seed speculated from the successes so far and the
+    seed-free failures in the window.  A seeded failure makes every later
+    seed of its window one too high: the window keeps its results up to
+    the failure, and the next window starts right after it.  Seeded
+    failures cluster on short prefixes, so the first window holds one
+    refit, a window with such a failure halves the next one's size (down
+    to 1), one without doubles it, and a window ends at its tile's end.
     Returns the ``(t, estimate)`` pair of every refit round once an estimate
     exists, the number of failed refits, and the number of refits whose
     seeded stage ran again after such a failure.
@@ -97,39 +97,32 @@ def refit_schedule(
     schedule = []
     estimate: EstimatedHmm | None = None
     successes = failures = reruns = 0
-    tiles = prefix_tables(contexts, num_contexts, ends) if ends else ()
-    refits = zip(ends, (stage for tables in tiles for stage in subspaces(*tables, num_states)))
-    queued: list = []
-    size = WINDOW
-    while True:
-        queued += itertools.islice(refits, max(0, size - len(queued)))
-        window = queued[:size]
-        if not window:
-            break
-        # a set whose seed-free stage passed runs the seeded stage: speculate it succeeds
-        seeded = [isinstance(stage, Subspaces) for _, stage in window]
-        counts = itertools.accumulate(seeded[:-1], initial=successes)
-        results = seeded_estimates([stage for _, stage in window],
-                                   [seed + 7919 * (k + 1) for k in counts])
-        done, cut = len(window), False
-        for j, ((t, _), fresh) in enumerate(zip(window, results)):
-            try:
-                if not isinstance(fresh, EstimatedHmm):
+    size, rounds = 1, iter(ends)
+    for tables in prefix_tables(contexts, num_contexts, ends) if ends else ():
+        stages = subspaces(*tables, num_states)
+        start = 0
+        while start < len(stages):
+            window = stages[start:start + size]
+            # a set whose seed-free stage passed runs the seeded stage: speculate it succeeds
+            seeded = [isinstance(stage, Subspaces) for stage in window]
+            counts = itertools.accumulate(seeded[:-1], initial=successes)
+            results = seeded_estimates(window, [seed + 7919 * (k + 1) for k in counts])
+            cut = next((j for j, fresh in enumerate(results)
+                        if seeded[j] and not isinstance(fresh, EstimatedHmm)), None)
+            kept = len(window) if cut is None else cut + 1
+            for fresh, t in zip(results[:kept], rounds):   # draws a round per result
+                if isinstance(fresh, EstimatedHmm):
+                    estimate = align(estimate, fresh)
+                    successes += 1
+                elif isinstance(fresh, EstimationFailed):
+                    failures += 1
+                else:
                     raise fresh
-                estimate = align(estimate, fresh)
-            except EstimationFailed:
-                failures += 1
-                if seeded[j]:
-                    done, cut = j + 1, True
-            else:
-                successes += 1
-            if estimate is not None:
-                schedule.append((t, estimate))
-            if cut:
-                break
-        reruns += sum(seeded[done:])
-        queued = queued[done:]
-        size = max(1, size // 2) if cut else min(WINDOW, 2 * size)
+                if estimate is not None:
+                    schedule.append((t, estimate))
+            reruns += sum(seeded[kept:])
+            start += kept
+            size = 2 * size if cut is None else max(1, size // 2)
     return schedule, failures, reruns
 
 

@@ -56,11 +56,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    from .runner import estimation_curves, make_out_dir, write_estimation_csv
+    from .runner import (estimation_checkpoints, estimation_curves, make_out_dir,
+                         write_estimation_csv)
 
     config = _load(args)
-    rows = estimation_curves(config)
-    write_estimation_csv(rows, os.path.join(make_out_dir(config.run.out), "estimation_curves.csv"))
+    estimation_checkpoints(config)   # bad inputs fail before --out is created
+    out = make_out_dir(config.run.out)
+    write_estimation_csv(estimation_curves(config), os.path.join(out, "estimation_curves.csv"))
     return 0
 
 

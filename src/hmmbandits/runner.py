@@ -35,8 +35,7 @@ from .environment import EnvironmentTape, sample_tape
 from .errors import ConfigError, EstimationFailed, HmmBanditsError, ShapeMismatch
 from .hmm import TILE_BYTES, filter_trace, sample_trajectory, validate
 from .policies import BoxAPolicy, BoxBPolicy
-from .spectral import (EstimatedHmm, align, prefix_tables, relabel, seeded_estimates,
-                       subspaces)
+from .spectral import EstimatedHmm, prefix_tables, relabel, seeded_estimates, subspaces
 
 GAMMA_CAP = 1.0 - 1e-6
 # what a run sweeps from its directory first: an earlier run's whole-run files
@@ -417,6 +416,19 @@ def _orient_to_truth(estimate, transition: np.ndarray, emission: np.ndarray):
     return relabel(estimate, idx), m_err, e_err
 
 
+def estimation_checkpoints(config: ExperimentConfig) -> list:
+    """The sorted checkpoints of an ``estimate`` run; a configuration error
+    if the spectral method cannot run on them."""
+    checkpoints, (X, H) = sorted(config.run.horizons), config.params.emission.shape
+    if checkpoints[0] < 3:
+        raise ConfigError(f"'horizons' in [run] must be >= 3 for estimate "
+                          f"(a moment triple needs 3 contexts), got {checkpoints[0]}")
+    if H > X:
+        raise ConfigError(f"'H' in [hmm] must be <= X for estimate (the spectral "
+                          f"method needs rank-H moments), got H = {H}, X = {X}")
+    return checkpoints
+
+
 def estimation_curves(config: ExperimentConfig, echo=print) -> list:
     """Spectral estimation error curves: mean over seeds, per horizon checkpoint.
 
@@ -432,19 +444,11 @@ def estimation_curves(config: ExperimentConfig, echo=print) -> list:
     # not through postprocess: renormalizing a row of 1/n moves its last bit
     # for some n (6, 7, 13, ...), and the curves pin these values
     uniform_estimate = EstimatedHmm(np.full((H, H), 1.0 / H), np.full((X, H), 1.0 / X))
-    checkpoints = sorted(config.run.horizons)
-    if checkpoints[0] < 3:
-        raise ConfigError(f"'horizons' in [run] must be >= 3 for estimate "
-                          f"(a moment triple needs 3 contexts), got {checkpoints[0]}")
-    if H > X:
-        raise ConfigError(f"'H' in [hmm] must be <= X for estimate (the spectral "
-                          f"method needs rank-H moments), got H = {H}, X = {X}")
+    checkpoints = estimation_checkpoints(config)
     longest = checkpoints[-1]
     sums = np.zeros((len(checkpoints), 3))
     for seed_index in config.run.seeds:
-        ss = learner_seed_sequence(
-            config.run.master_seed, "estimate", longest, seed_index
-        )
+        ss = learner_seed_sequence(config.run.master_seed, "estimate", longest, seed_index)
         traj_seed = int(ss.generate_state(1)[0])
         _, contexts = sample_trajectory(params, longest, seed=traj_seed)
         # every checkpoint prefix extends the last: filter the truth once
@@ -452,28 +456,19 @@ def estimation_curves(config: ExperimentConfig, echo=print) -> list:
         tiles = prefix_tables(contexts, X, checkpoints)
         stages = [stage for tables in tiles for stage in subspaces(*tables, H)]
         fits = seeded_estimates(stages, [traj_seed + k for k in range(len(stages))])
-        estimate = None
-        for k, (t, fresh) in enumerate(zip(checkpoints, fits)):
-            prefix = contexts[:t]
-            try:
-                if not isinstance(fresh, EstimatedHmm):
-                    raise fresh
-            except EstimationFailed:
+        for k, (t, fit) in enumerate(zip(checkpoints, fits)):
+            if isinstance(fit, EstimationFailed):
                 # small-sample pathology: score the checkpoint as the
                 # no-information estimate and keep the curve well-defined
-                fresh = uniform_estimate
-            estimate = align(estimate, fresh)
-            oriented, m_err, e_err = _orient_to_truth(
-                estimate, params.transition, params.emission
-            )
-            gaps = belief_gaps(truth[:t], [(1, oriented)], prefix)
-            gap = float(np.median(gaps[t // 2 :]))
-            sums[k] += (m_err, e_err, gap)
+                fit = uniform_estimate
+            elif not isinstance(fit, EstimatedHmm):
+                raise fit
+            # the truth alone orients the fit: every labeling is searched
+            oriented, m_err, e_err = _orient_to_truth(fit, params.transition, params.emission)
+            gaps = belief_gaps(truth[:t], [(1, oriented)], contexts[:t])
+            sums[k] += (m_err, e_err, float(np.median(gaps[t // 2:])))
     n = len(config.run.seeds)
-    rows = [
-        (t, sums[k, 0] / n, sums[k, 1] / n, sums[k, 2] / n)
-        for k, t in enumerate(checkpoints)
-    ]
+    rows = [(t, sums[k, 0] / n, sums[k, 1] / n, sums[k, 2] / n) for k, t in enumerate(checkpoints)]
     for t, m_err, e_err, gap in rows:
         echo(f"t={t} M_err={m_err:.5f} E_err={e_err:.5f} belief_gap={gap:.5f}")
     return rows

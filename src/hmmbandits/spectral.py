@@ -10,9 +10,9 @@ SVDs, sign fix, rank check, pivot inverse) runs stacked, a tile at a
 time.  The seeded stage (:func:`seeded_estimates`: rotations,
 eigenvectors, raw matrices, post-processing) runs stacked over the moment
 sets a caller hands it, one seed each; the online refits hand it windows
-of at most ``beliefs.WINDOW`` refits under speculated seeds
-(``beliefs.refit_schedule``).  Each stage returns a set's failure in its
-place where it is decided, and the seeded stage passes a ``RankDeficient`` on.
+of a tile's refits under speculated seeds (``beliefs.refit_schedule``).
+Each stage returns a set's failure in its place where it is decided, and
+the seeded stage passes a ``RankDeficient`` on.
 """
 
 from __future__ import annotations
@@ -351,8 +351,7 @@ def align(previous: EstimatedHmm | None, fresh: EstimatedHmm) -> EstimatedHmm:
                 match = found
                 break
         perm.append(j)
-    return EstimatedHmm(fresh.transition_hat[np.ix_(perm, perm)], fresh.emission_hat[:, perm],
-                        tuple(perm))
+    return replace(relabel(fresh, perm), label_permutation=tuple(perm))
 
 
 def _matching(cost, bound: float, fixed: list) -> dict | None:

@@ -447,23 +447,24 @@ def reference_refit_schedule(contexts, H: int, X: int, refit_every: int, seed: i
     return schedule, failures
 
 
-def reference_refit_reruns(seeded, outcomes, window: int) -> int:
+def reference_refit_reruns(seeded, outcomes, per_tile: int) -> int:
     """The refits whose seeded stage runs again when it runs over windows
-    of at most ``window`` refits, from each refit's seed-free result
-    (``seeded``) and outcome: a window ends at its first seeded failure, the
-    next one starts after it, half as long (at least 1), and every seeded
-    refit of the window beyond the failure runs again; a window without a
-    seeded failure makes the next one twice as long (at most ``window``)."""
+    inside tiles of ``per_tile`` refits, from each refit's seed-free result
+    (``seeded``) and outcome: the first window holds one refit, a window
+    ends at its first seeded failure or at the end of its tile, and the
+    next one starts after it, half as long (at least 1) after a seeded
+    failure and twice as long otherwise; every seeded refit of a window
+    beyond its failure runs again."""
     reruns = start = 0
-    size = window
+    size = 1
     while start < len(seeded):
-        stop = min(start + size, len(seeded))
+        stop = min(start + size, (start // per_tile + 1) * per_tile, len(seeded))
         failed = [k for k in range(start, stop) if seeded[k] and outcomes[k] != "ok"]
         if failed:
             reruns += sum(seeded[failed[0] + 1:stop])
             stop, size = failed[0] + 1, max(1, size // 2)
         else:
-            size = min(window, 2 * size)
+            size *= 2
         start = stop
     return reruns
 

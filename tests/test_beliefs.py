@@ -1,3 +1,4 @@
+import contextlib
 import json
 import runpy
 from unittest import mock
@@ -329,7 +330,8 @@ def assert_refits_match_loop(contexts, H, X, refit_every, seed) -> list:
         assert np.array_equal(a.emission_hat, b.emission_hat)
         assert a.label_permutation == b.label_permutation
     seeded = seeded_refits(contexts, H, X, refit_every)
-    assert reruns == reference_refit_reruns(seeded, outcomes, beliefs.WINDOW)
+    per_tile = max(1, spectral.TILE_BYTES // (8 * X**3))   # as prefix_tables tiles them
+    assert reruns == reference_refit_reruns(seeded, outcomes, per_tile)
     return outcomes
 
 
@@ -348,8 +350,9 @@ def failing_streams():
 
 def adjacent_failures_stream():
     """HMM contexts (H = 3, X = 4) refit every 3 rounds, 48 refits: seeded
-    failures at refits 16, 17 and 19 (counted from 1), so refit 16 ends the
-    first window of 16 and the next window starts on a failure."""
+    failures at refits 16, 17 and 19 (counted from 1), so in one tile refit
+    16 starts the window of 16 that it ends, and the next window starts on
+    a failure."""
     params = random_hmm(np.random.default_rng(11), 3, 4, min_entry=0.05)
     _, contexts = sample_trajectory(params, 150, seed=11)
     return contexts, 3, 4, 3, 11
@@ -361,66 +364,103 @@ def all_failing_stream():
     return np.random.default_rng(349).integers(0, 2, size=40), 2, 2, 2, 349
 
 
-WINDOWS = [1, 2, 3, 16]
+PER_TILE = [1, 2, 3, None]   # refits per prefix_tables tile; None: the default tile
+
+
+def refits_per_tile(per_tile, X: int):
+    """Patch ``spectral.TILE_BYTES`` to hold ``per_tile`` refits of ``X``
+    contexts; with ``None``, keep the default."""
+    if per_tile is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(spectral, "TILE_BYTES", per_tile * 8 * X**3)
+
+
+def stacked_calls(stream, per_tile=None) -> tuple[list, list]:
+    """The refit pass of ``stream`` checked against the per-refit loop, with
+    the stages of each tile and the sets of each seeded call it made."""
+    tiles, calls = [], []
+
+    def tile(*args):
+        tiles.append(spectral.subspaces(*args))
+        return tiles[-1]
+
+    def seeded(sets, seeds):
+        calls.append(sets)
+        return spectral.seeded_estimates(sets, seeds)
+
+    with refits_per_tile(per_tile, stream[2]), mock.patch.object(beliefs, "subspaces", tile), \
+            mock.patch.object(beliefs, "seeded_estimates", seeded):
+        assert_refits_match_loop(*stream)
+    return tiles, calls
 
 
 class TestRefitPass:
     """The batched refit pass against the per-refit loop it replaces, with
-    the seeded stage stacked over windows of 1, 2, 3 and 16 refits."""
+    tiles of 1, 2, 3 and the default number of refits, so windows are cut
+    by seeded failures and by the ends of their tiles."""
 
-    @pytest.mark.parametrize("window", WINDOWS)
-    def test_failing_prefixes(self, window):
+    @pytest.mark.parametrize("per_tile", PER_TILE)
+    def test_failing_prefixes(self, per_tile):
         outcomes = set()
-        with mock.patch.object(beliefs, "WINDOW", window):
-            for stream in failing_streams():
+        for stream in failing_streams():
+            with refits_per_tile(per_tile, stream[2]):
                 outcomes.update(assert_refits_match_loop(*stream))
         assert {"RankDeficient", "NearSingularPivot", "DiagonalizationFailed"} <= outcomes
 
-    @pytest.mark.parametrize("window", WINDOWS)
-    def test_adjacent_seeded_failures(self, window):
+    @pytest.mark.parametrize("per_tile", PER_TILE)
+    def test_adjacent_seeded_failures(self, per_tile):
         stream = adjacent_failures_stream()
-        with mock.patch.object(beliefs, "WINDOW", window):
+        with refits_per_tile(per_tile, stream[2]):
             outcomes = assert_refits_match_loop(*stream)
         failed = [k + 1 for k, outcome in enumerate(outcomes) if outcome != "ok"]
         assert failed == [16, 17, 19] and all(seeded_refits(*stream[:4]))
 
-    @pytest.mark.parametrize("window", WINDOWS)
-    def test_windows_cross_tiles(self, window):
-        # five refits per tile: windows of 16, and windows restarted after a
-        # failure, span tiles
-        contexts, H, X, refit_every, seed = adjacent_failures_stream()
-        with mock.patch.object(beliefs, "WINDOW", window), \
-                mock.patch.object(spectral, "TILE_BYTES", 5 * 8 * X**3):
-            assert_refits_match_loop(contexts, H, X, refit_every, seed)
+    @pytest.mark.parametrize("per_tile", PER_TILE)
+    def test_windows_stay_in_their_tile(self, per_tile):
+        # no seeded call mixes refits of two tiles, and the calls cover every tile
+        tiles, calls = stacked_calls(adjacent_failures_stream(), per_tile)
+        home = {id(stage): k for k, stages in enumerate(tiles) for stage in stages}
+        assert all(len({home[id(stage)] for stage in sets}) == 1 for sets in calls)
+        assert {home[id(sets[0])] for sets in calls} == set(range(len(tiles)))
+        assert len(tiles) == (1 if per_tile is None else -(-48 // per_tile))
 
-    @pytest.mark.parametrize("window", WINDOWS)
-    def test_every_seeded_stage_fails(self, window):
+    def test_window_sizes(self):
+        # a clean stream doubles its windows from 1, each cut at its tile's end,
+        # and the size carries over to the next tile
+        params = random_hmm(np.random.default_rng(1), 2, 3, min_entry=0.05)
+        _, contexts = sample_trajectory(params, 400, seed=1)
+        _, calls = stacked_calls((contexts, 2, 3, 20, 1), 5)
+        assert [len(sets) for sets in calls] == [1, 2, 2, 5, 5, 5]
+        # seeded failures at refits 16, 17 and 19 halve the next window each
+        _, calls = stacked_calls(adjacent_failures_stream())
+        assert [len(sets) for sets in calls] == [1, 2, 4, 8, 16, 8, 4, 2, 4, 8, 15]
+
+    @pytest.mark.parametrize("per_tile", PER_TILE)
+    def test_every_seeded_stage_fails(self, per_tile):
         stream = all_failing_stream()
-        with mock.patch.object(beliefs, "WINDOW", window):
+        with refits_per_tile(per_tile, stream[2]):
             outcomes = assert_refits_match_loop(*stream)
             schedule, failures, reruns = refit_schedule(*stream)
         assert outcomes == ["DiagonalizationFailed"] * 17 and all(seeded_refits(*stream[:4]))
-        # each window keeps only its first refit and halves the next: at 16,
-        # windows of 16, 8, 4 and 2 re-run 15 + 7 + 3 + 1 refits, then 1 each
-        assert (schedule, failures) == ([], 17)
-        assert reruns == {1: 0, 2: 1, 3: 2, 16: 26}[window]
+        # every window holds one refit, so none runs again
+        assert (schedule, failures, reruns) == ([], 17, 0)
 
-    @pytest.mark.parametrize("window", WINDOWS)
-    def test_wide_benchmark_instance(self, window):
+    @pytest.mark.parametrize("per_tile", PER_TILE)
+    def test_wide_benchmark_instance(self, per_tile):
         # the wideH6-boxB benchmark cell at seed 0 (its tape and estimator
         # seed): H = 6, X = 8, T = 16384, 128 refits in two tiles, three of
         # them seeded DiagonalizationFailed failures
         config, contexts, seed = wide_benchmark_cell()
         plan = config.plan("boxB", 16384)
-        with mock.patch.object(beliefs, "WINDOW", window):
+        with refits_per_tile(per_tile, plan.X):
             outcomes = assert_refits_match_loop(contexts, plan.H, plan.X, plan.refit_every, seed)
             reruns = refit_schedule(contexts, plan.H, plan.X, plan.refit_every, seed)[2]
         failed = [128 * (k + 1) for k, outcome in enumerate(outcomes) if outcome != "ok"]
         assert len(outcomes) == 128 and failed == [256, 640, 2432]
         assert outcomes.count("DiagonalizationFailed") == 3
-        # at 16, windows 1-16 (cut at 2), 3-10 (cut at 5), 6-9, 10-17 and
-        # 18-33 (cut at 19) run refits 3-16, 6-10 and 20-33 again
-        assert reruns == {1: 0, 2: 1, 3: 2, 16: 33}[window]
+        # in the default tile of 64 refits, windows 1, 2-3 (cut at 2), 3, 4-5
+        # (cut at 5), 6, 7-8, 9-12 and 13-20 (cut at 19) run refits 3 and 20 again
+        assert reruns == {1: 0, 2: 2, 3: 3, None: 2}[per_tile]
 
     def test_manifest_lists_reruns(self, tmp_path):
         # the same cell through run_experiment: the manifest lists a cell's
@@ -428,22 +468,24 @@ class TestRefitPass:
         from hmmbandits.runner import run_experiment
 
         name = "boxB_T16384_s0.csv"
-        for window, reruns in [(16, {name: 33}), (1, {})]:
-            out = tmp_path / f"window{window}"
+        for per_tile, reruns in [(None, {name: 2}), (1, {})]:
+            out = tmp_path / f"tile{per_tile}"
             config, _, _ = wide_benchmark_cell(str(out))
-            with mock.patch.object(beliefs, "WINDOW", window):
+            with refits_per_tile(per_tile, config.params.num_contexts):
                 assert run_experiment(config, echo=lambda _: None) == 0
             manifest = json.loads((out / "manifest.json").read_text())
             assert manifest["refit_failures"] == {name: 3}
             assert manifest["refit_reruns"] == reruns
 
     @settings(deadline=None, max_examples=60)
-    @given(context_streams(), st.sampled_from([2**18, 4096, 64]))
-    @pytest.mark.parametrize("window", WINDOWS)
-    def test_matches_per_refit_loop(self, window, stream, tile_bytes):
-        # small tiles split the refits into many tiles, down to one per tile
-        with mock.patch.object(spectral, "TILE_BYTES", tile_bytes), \
-                mock.patch.object(beliefs, "WINDOW", window):
+    @given(context_streams(), st.data())
+    @pytest.mark.parametrize("per_tile", PER_TILE)
+    def test_matches_per_refit_loop(self, per_tile, stream, data):
+        # with no count given, the default tile or small tiles, which split
+        # the refits into many tiles, down to one per tile
+        tile_bytes = (per_tile * 8 * stream[2]**3 if per_tile
+                      else data.draw(st.sampled_from([2**18, 4096, 64])))
+        with mock.patch.object(spectral, "TILE_BYTES", tile_bytes):
             assert_refits_match_loop(*stream)
 
 
@@ -496,22 +538,22 @@ class TestEstimationCurves:
 
 # Runs the refit pass and forward_pass on small cases and prints, as JSON,
 # whether each equals its one-at-a-time reference on the same OpenBLAS kernel.
-# The refit pass runs at windows of 2 and 16, so windows are cut by seeded
-# failures, and at H = 3, X = 5 its stacked operands have an odd X * H.
+# The refit pass runs at 2 refits per tile and at the default tile, so windows
+# are cut by seeded failures and by tile ends, and at H = 3, X = 5 its stacked
+# operands have an odd X * H.
 REFITS_AND_PASS = """
 import json
-from unittest import mock
 import numpy as np
 from conftest import sparse_estimate
 from oracles import reference_forward_pass
 from test_beliefs import (adjacent_failures_stream, all_failing_stream,
-                          assert_refits_match_loop, failing_streams)
-from hmmbandits import beliefs
+                          assert_refits_match_loop, failing_streams, refits_per_tile)
 from hmmbandits.hmm import forward_pass
 
-def same(stream):
+def same(stream, per_tile):
     try:
-        assert_refits_match_loop(*stream)
+        with refits_per_tile(per_tile, stream[2]):
+            assert_refits_match_loop(*stream)
     except AssertionError:
         return False
     return True
@@ -523,10 +565,9 @@ streams["refits all failing"] = all_failing_stream()
 for H, X in [(1, 3), (2, 5), (3, 5), (1, 1)]:
     streams[f"refits H={H} X={X}"] = (rng.integers(0, X, size=300), H, X, 7, 3)
 equal = {}
-for window in (2, 16):
-    with mock.patch.object(beliefs, "WINDOW", window):
-        equal.update({f"{name} window {window}": same(stream)
-                      for name, stream in streams.items()})
+for per_tile in (2, None):
+    equal.update({f"{name} tile {per_tile or 'default'}": same(stream, per_tile)
+                  for name, stream in streams.items()})
 for H in range(1, 10):
     models = [sparse_estimate(rng, H, 5, zero_row=k == 0) for k in range(6)]
     contexts = rng.integers(0, 5, size=400)

@@ -921,6 +921,19 @@ class TestCli:
         assert re.search(r"configuration error: 'H' in \[hmm\] must be <= X", err)
         assert not out.exists()
 
+    def test_estimate_uncreatable_out_exit_2(self, tmp_path, monkeypatch, capsys):
+        # the output directory is made before any curve runs
+        import hmmbandits.runner as runner
+
+        (tmp_path / "file").write_text("")
+        path = write_config(tmp_path, out=str(tmp_path / "file" / "est"))
+        sampled, sample = [], runner.sample_trajectory
+        monkeypatch.setattr(runner, "sample_trajectory",
+                            lambda *args, **kwargs: sampled.append(args) or sample(*args, **kwargs))
+        assert cli_main(["estimate", path]) == 2
+        assert "configuration error: cannot create output directory" in capsys.readouterr().err
+        assert sampled == []
+
     def test_console_script_entry_point(self, tmp_path):
         # the child imports the package from this checkout's src/
         src = str(Path(__file__).resolve().parents[1] / "src")
